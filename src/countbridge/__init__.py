@@ -13,15 +13,14 @@ __version__ = "0.1.0"
 
 from .analytic import (BinomialSpec, binomial_tail, constant_characteristic_marginal,
                        mean_upper_bound, tilted_cdf, tilted_cdf_window, tilted_ppf)
-from .engine import (BridgeSpec, HField, MarginalTable, bridge_intensity, marginal_table,
+from .engine import (BridgeSpec, HField, MarginalTable, marginal_table,
                      marginal_table_two_sided, mean_curve, second_differences, solve_h)
-from .intensity import (CharacteristicField, IntensityModel, Poisson, Product, SpaceLinear,
-                        Tabulated, TimeExponential, characteristic_bounds,
-                        constant_characteristic_model, generic_characteristic,
-                        model_from_dict, model_from_json)
+from .intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
+                        characteristic_bounds, constant_characteristic_model,
+                        generic_characteristic, model_from_dict, model_from_json)
 from .sampler import (CharacteristicIntegrals, PathSample, characteristic_integrals,
-                      density_unnormalized, jump_time_matrix, replica_rng, sample_bridge,
-                      sample_constant, sample_rejection, simplex_jump_time_cdf)
+                      jump_time_matrix, replica_rng, sample_bridge, sample_constant,
+                      sample_rejection, simplex_jump_time_cdf)
 from .verify import (BoundReport, ConvexityReport, DualityResult, LLNReport, TestFunctional,
                      WindowFunction, convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)

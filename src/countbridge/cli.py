@@ -216,7 +216,8 @@ def _run_verify(options):
     reports = []
     extra_outputs = []
     all_pass = True
-    table = marginal_table(model, spec, h_step)
+    h = solve_h(model, spec, h_step)
+    table = marginal_table(model, spec, h_step, h=h)
     for name in checks:
         if name == "convexity":
             rep = convexity_check(model, spec, h_step, tol=float(options["tol_convexity"]))
@@ -242,7 +243,6 @@ def _run_verify(options):
             reports.append(rep.to_dict())
             all_pass &= rep.passed
         elif name == "duality":
-            h = solve_h(model, spec, h_step)
             paths = sample_bridge(model, spec, h, int(options["replicas"]),
                                   int(options["seed"]))
             zmax = float(options["z_max"])

@@ -324,13 +324,6 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     return HField(model, spec, times, log_h, rates)
 
 
-def bridge_intensity(model, h, t, z):
-    """Pinned jump rate from a solved field (free-function form of HField.bridge_rate)."""
-    if model is not None and model is not h.model:
-        raise ValueError("h was solved for a different model")
-    return h.bridge_rate(t, z)
-
-
 class MarginalTable:
     """One-time laws P(X_t = z) of a bridge on a uniform output grid."""
 
@@ -341,7 +334,9 @@ class MarginalTable:
         self.drift = drift
 
     def validate(self, drift_tol=1e-6, monotone_tol=1e-7):
-        if self.drift > drift_tol:
+        if not np.all(np.isfinite(self.probs)):
+            raise ConservationLoss("table holds non-finite probabilities")
+        if not self.drift <= drift_tol:
             raise ConservationLoss(
                 f"mass drift {self.drift:.3e} exceeds {drift_tol:.1e}; refine the step")
         sums = self.probs.sum(axis=1)
@@ -424,6 +419,26 @@ def _forward_sweep(mesh, node_rates, zero_top, record_slots):
     return rows, drift
 
 
+def _field_and_mesh(model, spec, h_step, h, step_budget):
+    """The h-field for a marginal route (solved unless given) and its mesh.
+
+    A given field must belong to this model, bridge and h_step, and no route
+    can start from a state whose pin probability underflowed.
+    """
+    if h is None:
+        h = solve_h(model, spec, h_step, step_budget)
+    elif model is not None and h.model is not model:
+        raise ValueError("h was solved for a different model")
+    elif h.spec != spec:
+        raise ValueError("h was solved for a different bridge")
+    mesh = _Mesh(spec, h_step, h.model, step_budget)
+    if mesh.times.size != h.times.size or abs(mesh.times[1] - h.times[1]) > 1e-15:
+        raise BadStep("marginals must use the same h_step the field was solved with")
+    if not np.isfinite(h.logh[0, 0]) or (spec.n and h.anchor_idx[0] < 0):
+        raise Underflow(f"pin probability of the start state {spec.x} underflowed")
+    return h, mesh
+
+
 def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     """Bridge marginals by forward integration of the pinned dynamics.
 
@@ -431,13 +446,7 @@ def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     interpolation enters the stage values.  Rows are renormalized; the largest
     pre-normalization drift is reported on the table and must stay below 1e-6.
     """
-    if h is None:
-        h = solve_h(model, spec, h_step, step_budget)
-    elif model is not None and h.model is not model:
-        raise ValueError("h was solved for a different model")
-    mesh = _Mesh(spec, h_step, h.model, step_budget)
-    if mesh.times.size != h.times.size or abs(mesh.times[1] - h.times[1]) > 1e-15:
-        raise BadStep("marginal_table must use the same h_step the field was solved with")
+    h, mesh = _field_and_mesh(model, spec, h_step, h, step_budget)
     seg = mesh.seg_a_len
     k_nodes = h.node_bridge_rates[:seg]
     rows, drift = _forward_sweep(mesh, k_nodes, True, mesh.out_fb_idx)
@@ -462,11 +471,9 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None)
     it cross-checks :func:`marginal_table`; the two routes agree to about the
     integrator tolerance.
     """
-    if h is None:
-        h = solve_h(model, spec, h_step, step_budget)
-    mesh = _Mesh(spec, h_step, model, step_budget)
+    h, mesh = _field_and_mesh(model, spec, h_step, h, step_budget)
     seg = mesh.seg_a_len
-    ladder_rates = model.rate_grid(mesh.times[:seg], spec.ladder())
+    ladder_rates = h.model.rate_grid(mesh.times[:seg], spec.ladder())
     rows, _ = _forward_sweep(mesh, ladder_rates, False, mesh.out_fb_idx)
 
     width = spec.n + 1

@@ -8,16 +8,16 @@ characteristic
 
 is assembled; it is the quantity that determines the law of the pinned
 (bridge) process, and every bound checked by :mod:`countbridge.verify` is a
-bound on it.  Three parametric families have a constant characteristic and
-serve as closed-form benchmarks throughout: constant rates, rates linear in
-the state, and rates exponential in time.
+bound on it.  The parametric rates form one family, exp(lam t) (a + b z),
+whose characteristic lam + b exp(lam t) is free of the state; constant rates,
+rates linear in the state and rates exponential in time have a constant
+characteristic and serve as closed-form benchmarks throughout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,40 +56,10 @@ class CharacteristicBounds(NamedTuple):
 
 
 class _RateModel:
-    """Shared behaviour for all rate families."""
-
-    family = "abstract"
-
-    # -- evaluation ----------------------------------------------------
-    def rate(self, t, z):
-        raise NotImplementedError
-
-    def rate_dt(self, t, z):
-        raise NotImplementedError
-
-    def characteristic(self, t, z):
-        """Closed-form characteristic; the default assembles it generically."""
-        return generic_characteristic(self, t, z)
-
-    def rate_grid(self, times, states):
-        """Rates on a time grid x state set, shape (len(times), len(states))."""
-        t = np.asarray(times, dtype=float)
-        z = np.asarray(states)
-        return np.broadcast_to(self.rate(t[:, None], z[None, :]), (t.size, z.size)).copy()
-
-    # -- structure -----------------------------------------------------
-    def difference_bounds(self):
-        """Bounds of z -> rate(t, z+1) - rate(t, z) over the supported range."""
-        raise NotImplementedError
-
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
-        raise NotImplementedError
+    """Shared behaviour of the rate families: the JSON descriptor."""
 
     def to_dict(self):
         return {"family": self.family, "params": self._params(), "state_floor": self.state_floor}
-
-    def _params(self):
-        raise NotImplementedError
 
 
 def _validate_window(t_window):
@@ -109,192 +79,78 @@ def _validate_zrange(z_range, floor):
 
 
 @dataclass(frozen=True)
-class Poisson(_RateModel):
-    """Constant rate alpha > 0.  Characteristic is identically zero."""
+class ExpAffine(_RateModel):
+    """Rate exp(lam * t) * (a + b * z), with b >= 0 and a + b * state_floor > 0.
 
-    alpha: float
+    Characteristic lam + b * exp(lam * t): state-free and monotone in t, so
+    its bounds over any window are exact at the window ends.  Constant rates
+    (b = lam = 0), state-linear rates (lam = 0), time-exponential rates
+    (b = 0) and their product are all special cases; :func:`Poisson`,
+    :func:`SpaceLinear`, :func:`TimeExponential` and :func:`Product` build
+    them in their usual parametrisations.
+    """
+
+    a: float
+    b: float
+    lam: float = 0.0
     state_floor: int = 0
-    family = "poisson"
+    family = "exp_affine"
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-
-    def rate(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = np.broadcast_to(float(self.alpha), np.broadcast_shapes(t.shape, z.shape))
-        return float(out) if out.ndim == 0 else out.copy()
-
-    def rate_dt(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = np.zeros(np.broadcast_shapes(t.shape, z.shape))
-        return float(out) if out.ndim == 0 else out
-
-    def characteristic(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = np.zeros(np.broadcast_shapes(t.shape, z.shape))
-        return float(out) if out.ndim == 0 else out
-
-    def difference_bounds(self):
-        return (0.0, 0.0)
-
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
-        _validate_window(t_window)
-        if z_range is not None:
-            _validate_zrange(z_range, self.state_floor)
-        return CharacteristicBounds(0.0, 0.0, True)
-
-    def _params(self):
-        return {"alpha": self.alpha}
-
-
-@dataclass(frozen=True)
-class SpaceLinear(_RateModel):
-    """Rate lam * z + alpha, constant in time.  Characteristic is lam."""
-
-    lam: float
-    alpha: float
-    state_floor: int = 0
-    family = "space_linear"
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative (rates must stay positive on all states)")
-        if not self.lam * self.state_floor + self.alpha > 0:
+        if self.b < 0:
+            raise ValueError("b must be nonnegative (rates must stay positive on all states)")
+        if not self.a + self.b * self.state_floor > 0:
             raise ValueError("rate not positive at the state floor")
 
     def rate(self, t, z):
         t = _check_time(t)
         z = _check_state(z, self.state_floor)
-        out = self.lam * np.asarray(z, dtype=float) + self.alpha + 0.0 * t
-        return float(out) if np.ndim(out) == 0 else out
-
-    def rate_dt(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = np.zeros(np.broadcast_shapes(t.shape, z.shape))
+        out = np.exp(self.lam * t) * (self.a + self.b * z)
         return float(out) if out.ndim == 0 else out
 
-    def characteristic(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = np.broadcast_to(float(self.lam), np.broadcast_shapes(t.shape, z.shape))
-        return float(out) if out.ndim == 0 else out.copy()
-
-    def difference_bounds(self):
-        return (self.lam, self.lam)
-
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
-        _validate_window(t_window)
-        if z_range is not None:
-            _validate_zrange(z_range, self.state_floor)
-        return CharacteristicBounds(self.lam, self.lam, True)
-
-    def _params(self):
-        return {"lambda": self.lam, "alpha": self.alpha}
-
-
-@dataclass(frozen=True)
-class TimeExponential(_RateModel):
-    """Rate alpha * exp(lam * t), constant in space.  Characteristic is lam."""
-
-    alpha: float
-    lam: float
-    state_floor: int = 0
-    family = "time_exponential"
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-
-    def rate(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = self.alpha * np.exp(self.lam * t) + 0.0 * np.asarray(z, dtype=float)
-        return float(out) if np.ndim(out) == 0 else out
-
     def rate_dt(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = self.alpha * self.lam * np.exp(self.lam * t) + 0.0 * np.asarray(z, dtype=float)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.lam * self.rate(t, z)
+
+    def rate_grid(self, times, states):
+        """Rates on a time grid x state set, shape (len(times), len(states))."""
+        return self.rate(np.asarray(times, dtype=float)[:, None], np.asarray(states)[None, :])
 
     def characteristic(self, t, z):
         t = _check_time(t)
         z = _check_state(z, self.state_floor)
-        out = np.broadcast_to(float(self.lam), np.broadcast_shapes(t.shape, z.shape))
-        return float(out) if out.ndim == 0 else out.copy()
-
-    def difference_bounds(self):
-        return (0.0, 0.0)
-
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
-        _validate_window(t_window)
-        if z_range is not None:
-            _validate_zrange(z_range, self.state_floor)
-        return CharacteristicBounds(self.lam, self.lam, True)
-
-    def _params(self):
-        return {"alpha": self.alpha, "lambda": self.lam}
-
-
-@dataclass(frozen=True)
-class Product(_RateModel):
-    """Rate alpha * exp(lam * t) * (1 + beta * z).
-
-    Characteristic lam + alpha * beta * exp(lam * t): state-free, monotone in
-    t, so its bounds over any window are exact.
-    """
-
-    alpha: float
-    lam: float
-    beta: float
-    state_floor: int = 0
-    family = "product"
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative (rates must stay positive on all states)")
-
-    def rate(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = self.alpha * np.exp(self.lam * t) * (1.0 + self.beta * np.asarray(z, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def rate_dt(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = self.alpha * self.lam * np.exp(self.lam * t) * (1.0 + self.beta * np.asarray(z, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def characteristic(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        out = self.lam + self.alpha * self.beta * np.exp(self.lam * t) + 0.0 * np.asarray(z, dtype=float)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def difference_bounds(self):
-        lo = self.alpha * self.beta * min(1.0, math.exp(self.lam))
-        hi = self.alpha * self.beta * max(1.0, math.exp(self.lam))
-        return (lo, hi)
+        out = self.lam + self.b * np.exp(self.lam * t) + 0.0 * z
+        return float(out) if out.ndim == 0 else out
 
     def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
         s, u = _validate_window(t_window)
         if z_range is not None:
             _validate_zrange(z_range, self.state_floor)
-        # monotone in t, state-free: exact at the window endpoints
-        a = self.lam + self.alpha * self.beta * math.exp(self.lam * s)
-        b = self.lam + self.alpha * self.beta * math.exp(self.lam * u)
-        return CharacteristicBounds(min(a, b), max(a, b), True)
+        lo = self.lam + self.b * math.exp(self.lam * s)
+        hi = self.lam + self.b * math.exp(self.lam * u)
+        return CharacteristicBounds(min(lo, hi), max(lo, hi), True)
 
     def _params(self):
-        return {"alpha": self.alpha, "lambda": self.lam, "beta": self.beta}
+        return {"a": self.a, "b": self.b, "lambda": self.lam}
+
+
+def Poisson(alpha, state_floor=0):
+    """Constant rate alpha > 0.  Characteristic is identically zero."""
+    return ExpAffine(alpha, 0.0, 0.0, state_floor)
+
+
+def SpaceLinear(lam, alpha, state_floor=0):
+    """Rate lam * z + alpha, constant in time.  Characteristic is lam."""
+    return ExpAffine(alpha, lam, 0.0, state_floor)
+
+
+def TimeExponential(alpha, lam, state_floor=0):
+    """Rate alpha * exp(lam * t), constant in space.  Characteristic is lam."""
+    return ExpAffine(alpha, 0.0, lam, state_floor)
+
+
+def Product(alpha, lam, beta, state_floor=0):
+    """Rate alpha * exp(lam * t) * (1 + beta * z), i.e. a = alpha and b = alpha * beta."""
+    return ExpAffine(alpha, alpha * beta, lam, state_floor)
 
 
 class Tabulated(_RateModel):
@@ -389,11 +245,8 @@ class Tabulated(_RateModel):
         t, z = self._locate(times, states)
         return self._spline(t)[:, z - self.z_min]
 
-    def difference_bounds(self):
-        if self.rates.shape[1] < 2:
-            raise EmptyRange("need at least two states to form differences")
-        diffs = self.rates[:, 1:] - self.rates[:, :-1]
-        return (float(diffs.min()), float(diffs.max()))
+    def characteristic(self, t, z):
+        return generic_characteristic(self, t, z)
 
     def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
         s, u = _validate_window(t_window)
@@ -408,7 +261,7 @@ class Tabulated(_RateModel):
             vals[:, j] = generic_characteristic(self, times, int(z))
         return CharacteristicBounds(float(vals.min()), float(vals.max()), False)
 
-    def to_dict(self):
+    def _params(self):
         params = {
             "t_grid": self.t_grid.tolist(),
             "z_min": self.z_min,
@@ -416,10 +269,7 @@ class Tabulated(_RateModel):
         }
         if self.derivative_mode == "supplied":
             params["rates_dt"] = self.rates_dt.tolist()
-        return {"family": self.family, "params": params, "state_floor": self.state_floor}
-
-
-IntensityModel = _RateModel
+        return params
 
 
 def generic_characteristic(model, t, z):
@@ -446,82 +296,45 @@ def characteristic_bounds(model, t_window=(0.0, 1.0), z_range=(0, 0), grid_step=
     return model.characteristic_bounds(t_window=t_window, z_range=z_range, grid_step=grid_step)
 
 
-class CharacteristicField:
-    """Cached pointwise characteristic evaluations of one model.
-
-    The cache is lock-protected so the field can be shared across threads
-    without changing results.
-    """
-
-    def __init__(self, model):
-        self.model = model
-        self._cache = {}
-        self._lock = threading.Lock()
-
-    def value(self, t, z):
-        key = (float(t), int(z))
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        val = float(self.model.characteristic(*key))
-        with self._lock:
-            self._cache[key] = val
-        return val
-
-
 def constant_characteristic_model(lam, alpha=1.0):
     """A benchmark model whose characteristic is identically ``lam``.
 
     Constant rates for lam == 0, state-linear rates for lam > 0 and
     time-exponential rates for lam < 0 (state-linear rates would go negative).
     """
-    if lam == 0:
-        return Poisson(alpha=alpha)
-    if lam > 0:
-        return SpaceLinear(lam=lam, alpha=alpha)
-    return TimeExponential(alpha=alpha, lam=lam)
+    return ExpAffine(alpha, max(lam, 0.0), min(lam, 0.0))
 
 
-_FAMILIES = {
-    "poisson": Poisson,
-    "space_linear": SpaceLinear,
-    "time_exponential": TimeExponential,
-    "product": Product,
-    "tabulated": Tabulated,
+_PARAMETRIC = {
+    "exp_affine": lambda p, floor: ExpAffine(p["a"], p["b"], p["lambda"], floor),
+    "poisson": lambda p, floor: Poisson(p["alpha"], floor),
+    "space_linear": lambda p, floor: SpaceLinear(p["lambda"], p["alpha"], floor),
+    "time_exponential": lambda p, floor: TimeExponential(p["alpha"], p["lambda"], floor),
+    "product": lambda p, floor: Product(p["alpha"], p["lambda"], p["beta"], floor),
 }
 
 
 def model_from_dict(descriptor):
     """Build a model from the JSON descriptor form.
 
-    ``{"family": ..., "params": {...}, "state_floor": int}`` with the
-    tabulated payload ``{"t_grid": [...], "z_min": int, "rates": [[...]],
-    "rates_dt": [[...]] optional}``.
+    ``{"family": "exp_affine", "params": {"a": ..., "b": ..., "lambda": ...},
+    "state_floor": int}`` for the parametric rates; the legacy families
+    ``poisson``, ``space_linear``, ``time_exponential`` and ``product`` load
+    through their constructors.  The tabulated payload is ``{"t_grid": [...],
+    "z_min": int, "rates": [[...]], "rates_dt": [[...]] optional}``.
     """
     try:
         family = descriptor["family"]
         params = dict(descriptor.get("params", {}))
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed model descriptor: {exc}") from exc
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown rate family {family!r}")
     floor = descriptor.get("state_floor", None)
-    if family == "poisson":
-        return Poisson(alpha=params["alpha"], state_floor=int(floor or 0))
-    if family == "space_linear":
-        return SpaceLinear(lam=params["lambda"], alpha=params["alpha"], state_floor=int(floor or 0))
-    if family == "time_exponential":
-        return TimeExponential(alpha=params["alpha"], lam=params["lambda"], state_floor=int(floor or 0))
-    if family == "product":
-        return Product(alpha=params["alpha"], lam=params["lambda"], beta=params["beta"],
-                       state_floor=int(floor or 0))
-    return Tabulated(
-        t_grid=params["t_grid"],
-        z_min=params["z_min"],
-        rates=params["rates"],
-        rates_dt=params.get("rates_dt"),
-        state_floor=floor,
-    )
+    if family == "tabulated":
+        return Tabulated(params["t_grid"], params["z_min"], params["rates"],
+                         params.get("rates_dt"), floor)
+    if family not in _PARAMETRIC:
+        raise ValueError(f"unknown rate family {family!r}")
+    return _PARAMETRIC[family](params, int(floor or 0))
 
 
 def model_from_json(path):

@@ -25,7 +25,7 @@ from scipy.integrate import cumulative_simpson
 from .engine import LOG_FLOOR
 from .errors import (IndexOut, MajorantBreach, NotSorted, OracleScale, PinMiss,
                      Underflow)
-from .intensity import characteristic_bounds
+from .intensity import ExpAffine, characteristic_bounds
 
 # thinning controls
 _WINDOW_FRAC = 0.01      # base majorant refresh interval, fraction of the window
@@ -109,11 +109,6 @@ def characteristic_integrals(model, spec, grid_step=1e-4):
     return CharacteristicIntegrals(model, spec, grid_step)
 
 
-def density_unnormalized(pot, t_vec):
-    """exp(sum_j xi_j(t_j)); the bridge law of jump times is this, normalized."""
-    return math.exp(pot.total(t_vec))
-
-
 def simplex_jump_time_cdf(pot, t, i):
     """P(T_i <= t) under the simplex density, by iterated cumulative quadrature.
 
@@ -180,19 +175,9 @@ def sample_constant(lam, spec, count, rng_seed):
 
 def _fast_rate(model):
     """Scalar python-float rate closure (hot path of the thinning loop)."""
-    fam = getattr(model, "family", None)
-    if fam == "poisson":
-        a = model.alpha
-        return lambda t, z: a
-    if fam == "space_linear":
-        lam, a = model.lam, model.alpha
-        return lambda t, z: lam * z + a
-    if fam == "time_exponential":
-        a, lam = model.alpha, model.lam
-        return lambda t, z: a * math.exp(lam * t)
-    if fam == "product":
-        a, lam, b = model.alpha, model.lam, model.beta
-        return lambda t, z: a * math.exp(lam * t) * (1.0 + b * z)
+    if isinstance(model, ExpAffine):
+        a, b, lam = model.a, model.b, model.lam
+        return lambda t, z: math.exp(lam * t) * (a + b * z)
     return lambda t, z: float(model.rate(t, z))
 
 

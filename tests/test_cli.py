@@ -130,6 +130,16 @@ def test_verify_exit_codes(tmp_path):
     assert usage.returncode == 2
 
 
+def test_underflowed_start_state_exits_2(tmp_path):
+    # 200 jumps under rate 1 at h_step 1e-2: the start state's pin probability underflows
+    out = tmp_path / "uf"
+    r = run_cli("marginals", "--lambda", "0", "--x", "0", "--y", "200", "--step", "1e-2",
+                "--out", str(out))
+    assert r.returncode == 2
+    assert "underflow" in r.stderr
+    assert not (out / "marginals.csv").exists()
+
+
 def test_lln_command(tmp_path):
     out = tmp_path / "lln"
     r = run_cli("lln", "--lambda", "0", "--N", "50", "--N", "200", "--replicas", "80",

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, linregress
 
 from countbridge.analytic import tilted_cdf
-from countbridge.engine import (BridgeSpec, MarginalTable, bridge_intensity, marginal_table,
+from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, mean_curve, second_differences,
                                 solve_h)
 from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse,
                                 Underflow)
-from countbridge.intensity import Poisson, Product, SpaceLinear, constant_characteristic_model
+from countbridge.intensity import (Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
+                                   constant_characteristic_model)
 
 
 def test_bridge_spec_validation():
@@ -50,7 +53,7 @@ def test_bridge_intensity_poisson_alpha_cancels():
     for alpha in (0.5, 2.0, 10.0):
         h = solve_h(Poisson(alpha), spec, 1e-3)
         for t in (0.1, 0.5, 0.99, 0.99999):
-            assert bridge_intensity(h.model, h, t, 0) == pytest.approx(1.0 / (1.0 - t), rel=1e-7)
+            assert h.bridge_rate(t, 0) == pytest.approx(1.0 / (1.0 - t), rel=1e-7)
         assert h.bridge_rate(0.3, 1) == 0.0
 
 
@@ -159,6 +162,71 @@ def test_underflow_reported_not_clamped():
     assert h.log_h(0.0, 199) == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_marginals_refuse_an_underflowed_start_state():
+    spec = BridgeSpec(0, 200)
+    h = solve_h(Poisson(1.0), spec, 1e-2)
+    with pytest.raises(Underflow):
+        marginal_table(h.model, spec, 1e-2, h=h)
+    with pytest.raises(Underflow):
+        marginal_table_two_sided(h.model, spec, 1e-2, h=h)
+
+
+def test_two_sided_refuses_a_field_of_another_model():
+    spec = BridgeSpec(0, 5)
+    h = solve_h(Product(1.0, 3.0, 0.1), spec, 1e-3)
+    with pytest.raises(ValueError):
+        marginal_table_two_sided(Poisson(1.0), spec, 1e-3, h=h)
+
+
+def test_two_sided_refuses_a_field_of_another_step():
+    spec = BridgeSpec(0, 5)
+    model = Poisson(1.0)
+    h = solve_h(model, spec, 2e-3)
+    with pytest.raises(BadStep):
+        marginal_table_two_sided(model, spec, 1e-3, h=h)
+
+
+def test_marginals_refuse_a_field_of_another_bridge():
+    # time-constant rates give both bridges the same mesh, so only the spec tells them apart
+    tg = np.linspace(0.0, 1.0, 3)
+    rates = np.tile(1.0 + np.arange(8.0) ** 2, (3, 1))
+    model = Tabulated(tg, 0, rates, np.zeros_like(rates))
+    h = solve_h(model, BridgeSpec(0, 3), 1e-3)
+    for route in (marginal_table, marginal_table_two_sided):
+        with pytest.raises(ValueError):
+            route(model, BridgeSpec(2, 5), 1e-3, h=h)
+
+
+@st.composite
+def _models_sharing_a_characteristic(draw):
+    """Two models of one legacy family whose characteristics coincide."""
+    family = draw(st.sampled_from(["poisson", "space_linear", "time_exponential", "product"]))
+    a1, a2 = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    lam = draw(st.floats(-4.0, 4.0))
+    if family == "poisson":
+        return Poisson(a1), Poisson(a2)
+    if family == "space_linear":
+        return SpaceLinear(abs(lam), a1), SpaceLinear(abs(lam), a2)
+    if family == "time_exponential":
+        return TimeExponential(a1, lam), TimeExponential(a2, lam)
+    ab = draw(st.floats(0.0, 2.0))  # alpha * beta, the state slope both share
+    return Product(a1, lam, ab / a1), Product(a2, lam, ab / a2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_models_sharing_a_characteristic(), st.integers(0, 8))
+def test_shared_characteristic_shares_bridges(pair, n):
+    # the paper's invariant: the bridge law depends on the rate only through
+    # its characteristic
+    spec = BridgeSpec(0, n)
+    ts = np.linspace(0.0, 1.0, 11)
+    for z in range(n):
+        np.testing.assert_allclose(pair[0].characteristic(ts, z), pair[1].characteristic(ts, z),
+                                   rtol=1e-12, atol=1e-12)
+    p1, p2 = (marginal_table(m, spec, 1e-3).probs for m in pair)
+    assert np.max(np.abs(p1 - p2)) <= 1e-10
+
+
 def test_marginal_table_validation_raises_on_bad_rows():
     spec = BridgeSpec(0, 2)
     times = np.linspace(0, 1, 3)
@@ -168,6 +236,12 @@ def test_marginal_table_validation_raises_on_bad_rows():
     drifty = np.array([[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]])
     with pytest.raises(ConservationLoss):
         MarginalTable(spec, times, drifty, 1e-3).validate()
+    # NaN fails every comparison, so non-finite entries need their own check
+    with pytest.raises(ConservationLoss):
+        MarginalTable(spec, times, drifty, np.nan).validate()
+    nan_row = np.array([[1.0, 0.0, 0.0], [np.nan, np.nan, np.nan], [0.0, 0.0, 1.0]])
+    with pytest.raises(ConservationLoss):
+        MarginalTable(spec, times, nan_row, 0.0).validate()
 
 
 def test_off_grid_index_lookup_raises():

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from countbridge.errors import EmptyRange, OutOfDomain, TabulationGap
-from countbridge.intensity import (CharacteristicField, Poisson, Product, SpaceLinear,
-                                   Tabulated, TimeExponential, characteristic_bounds,
+from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
+                                   TimeExponential, characteristic_bounds,
                                    constant_characteristic_model, generic_characteristic,
                                    model_from_dict)
 
-FAMILIES = [
-    Poisson(2.0),
-    SpaceLinear(1.0, 0.5),
-    TimeExponential(1.0, 3.0),
-    TimeExponential(1.0, -3.0),
-    Product(1.0, 3.0, 0.1),
-]
+# ids spell each model as its legacy descriptor (family + params)
+FAMILY_IDS = {
+    "poisson{'alpha': 2.0}": Poisson(2.0),
+    "space_linear{'lambda': 1.0, 'alpha': 0.5}": SpaceLinear(1.0, 0.5),
+    "time_exponential{'alpha': 1.0, 'lambda': 3.0}": TimeExponential(1.0, 3.0),
+    "time_exponential{'alpha': 1.0, 'lambda': -3.0}": TimeExponential(1.0, -3.0),
+    "product{'alpha': 1.0, 'lambda': 3.0, 'beta': 0.1}": Product(1.0, 3.0, 0.1),
+}
+FAMILIES = list(FAMILY_IDS.values())
 
 
 def test_rate_values():
@@ -34,7 +36,7 @@ def test_characteristic_values():
     assert got == pytest.approx(3.0 + 0.1 * math.exp(1.5), rel=1e-12)
 
 
-@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family + repr(m._params()))
+@pytest.mark.parametrize("model", FAMILIES, ids=list(FAMILY_IDS))
 def test_closed_form_matches_generic(model):
     rng = np.random.default_rng(7)
     ts = rng.uniform(0.0, 1.0, 100)
@@ -45,7 +47,7 @@ def test_closed_form_matches_generic(model):
         assert closed == pytest.approx(generic, rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family + repr(m._params()))
+@pytest.mark.parametrize("model", FAMILIES, ids=list(FAMILY_IDS))
 def test_rate_dt_matches_finite_differences(model):
     # hypothesis: the stored derivative is the true time derivative
     step = 1e-5
@@ -96,6 +98,14 @@ def test_parameter_validation():
         Product(1.0, 1.0, -0.5)
 
 
+def test_rate_positive_down_to_a_negative_floor():
+    # 1 + 0.1 z is negative below z = -10, so this floor must be refused
+    with pytest.raises(ValueError):
+        Product(1.0, 0.0, 0.1, state_floor=-20)
+    m = Product(1.0, 0.0, 0.1, state_floor=-5)
+    assert m.rate(0.5, -5) == pytest.approx(0.5, rel=1e-15)
+
+
 def test_constant_characteristic_model_covers_all_signs():
     for lam in (-5.0, -3.0, 0.0, 3.0, 5.0):
         m = constant_characteristic_model(lam)
@@ -119,8 +129,6 @@ def test_tabulated_interpolation_and_derivative():
     for t in (0.123, 0.5, 0.87):
         fd = (m.rate(t + step, 2) - m.rate(t - step, 2)) / (2 * step)
         assert abs(m.rate_dt(t, 2) - fd) <= 1e-4 * (1 + abs(m.rate_dt(t, 2)))
-    lo, hi = m.difference_bounds()
-    assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
 
 
 def test_tabulated_numeric_derivative_flag():
@@ -161,12 +169,22 @@ def test_json_roundtrip(tmp_path):
         model_from_dict({"family": "nope", "params": {}})
 
 
-def test_characteristic_field_cache_consistency():
-    model = Product(1.0, 3.0, 0.1)
-    field = CharacteristicField(model)
-    v1 = field.value(0.5, 2)
-    v2 = field.value(0.5, 2)
-    assert v1 == v2 == model.characteristic(0.5, 2)
+def test_legacy_descriptors_load_as_exp_affine():
+    legacy = [
+        ({"family": "poisson", "params": {"alpha": 2.0}}, Poisson(2.0)),
+        ({"family": "space_linear", "params": {"lambda": 1.0, "alpha": 0.5}, "state_floor": 3},
+         SpaceLinear(1.0, 0.5, state_floor=3)),
+        ({"family": "time_exponential", "params": {"alpha": 1.0, "lambda": -3.0}},
+         TimeExponential(1.0, -3.0)),
+        ({"family": "product", "params": {"alpha": 2.0, "lambda": 3.0, "beta": 0.1}},
+         Product(2.0, 3.0, 0.1)),
+    ]
+    for descriptor, model in legacy:
+        loaded = model_from_dict(descriptor)
+        assert loaded == model and isinstance(loaded, ExpAffine)
+        assert loaded.to_dict()["family"] == "exp_affine"
+    assert Product(2.0, 3.0, 0.1).to_dict() == {
+        "family": "exp_affine", "params": {"a": 2.0, "b": 0.2, "lambda": 3.0}, "state_floor": 0}
 
 
 def test_rate_grid_matches_pointwise():
