@@ -216,8 +216,12 @@ def _run_verify(options):
     reports = []
     extra_outputs = []
     all_pass = True
-    h = solve_h(model, spec, h_step)
-    table = marginal_table(model, spec, h_step, h=h)
+    # h and the table are solved only for the checks that read them
+    h = table = None
+    if {"dominance", "mean-bound", "duality"} & set(checks):
+        h = solve_h(model, spec, h_step)
+    if {"dominance", "mean-bound"} & set(checks):
+        table = marginal_table(model, spec, h_step, h=h)
     for name in checks:
         if name == "convexity":
             rep = convexity_check(model, spec, h_step, tol=float(options["tol_convexity"]))

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadStep, BadWindow, ConservationLoss, GridTooCoarse, Underflow
+from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, ResourceCap,
+                     Underflow)
 
 # Per-step cap on (ladder depth) x (change in log remaining integrated rate);
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
@@ -43,6 +44,12 @@ STEP_BUDGET = 0.1
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
 LOG_FLOOR = -700.0
+# Per-step coefficients are formed for CHUNK steps at a time inside each sweep,
+# so only log h and the bridge rates are ever stored at (mesh nodes x ladder).
+CHUNK = 512
+# A mesh whose two stored (nodes x ladder) float arrays would exceed this many
+# bytes is refused before anything of that size is allocated.
+MEMORY_CAP = 4 * 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,17 @@ class BridgeSpec:
         return np.arange(self.x, self.y + 1)
 
 
+def _n_cells(spec, h_step):
+    """Number of uniform output cells for ``h_step``; refuses steps that do not fit."""
+    if h_step <= 0:
+        raise BadStep("h_step must be positive")
+    if h_step >= spec.length:
+        raise BadStep(f"h_step {h_step} does not fit the window of length {spec.length}")
+    if h_step > MAX_COARSE_STEP:
+        raise BadStep("h_step must not exceed 1e-2")
+    return max(2, int(round(spec.length / h_step)))
+
+
 class _Mesh:
     """Node layout shared by the backward and forward passes.
 
@@ -89,18 +107,16 @@ class _Mesh:
     pinned jump rate at depth m below the endpoint scales like
     m * rate / lam_hat, so this keeps the per-step rate-times-step product
     uniformly below STEP_BUDGET even when rates decay sharply toward u.
+
+    The node count is known before any node is placed; a mesh whose two
+    stored (nodes x ladder) arrays would exceed MEMORY_CAP raises
+    :class:`~countbridge.errors.ResourceCap` with the estimate.
     """
 
     def __init__(self, spec, h_step, model, step_budget=None):
         self.step_budget = STEP_BUDGET if step_budget is None else float(step_budget)
-        if h_step <= 0:
-            raise BadStep("h_step must be positive")
-        if h_step >= spec.length:
-            raise BadStep(f"h_step {h_step} does not fit the window of length {spec.length}")
-        if h_step > MAX_COARSE_STEP:
-            raise BadStep("h_step must not exceed 1e-2")
+        n_c = _n_cells(spec, h_step)
         self.spec = spec
-        n_c = max(2, int(round(spec.length / h_step)))
         self.dc = spec.length / n_c
         self.n_cells = n_c
         edges = np.linspace(spec.s, spec.u, n_c + 1)
@@ -115,79 +131,82 @@ class _Mesh:
         t_tab = probe_t[:-1]
         v_tab = np.log(lam_hat[:-1])
 
-        def v_of_t(t):
-            return float(np.interp(t, t_tab, v_tab))
-
-        def t_of_v(v):
-            return float(np.interp(-v, -v_tab, t_tab))
-
-        u = spec.u
+        # cell j = [edges[j], edges[j+1]] gets n_sub[j] substeps, equal in v
         depth_scale = max(1, spec.n) / self.step_budget
-        fwd = [spec.s]
-        out_fb_idx = [0]
-        for j in range(n_c - 1):
-            t1, t2 = edges[j], edges[j + 1]
-            v1, v2 = v_of_t(t1), v_of_t(t2)
-            n_sub = max(1, int(math.ceil((v1 - v2) * depth_scale)))
-            for i in range(1, n_sub):
-                fwd.append(min(t2, max(t1, t_of_v(v1 + (v2 - v1) * i / n_sub))))
-            fwd.append(t2)
-            out_fb_idx.append(len(fwd) - 1)
-        fb = np.asarray(fwd)
+        v = np.interp(edges[:n_c], t_tab, v_tab)
+        v1, v2 = v[:-1], v[1:]
+        n_sub = np.maximum(1, np.ceil((v1 - v2) * depth_scale).astype(int))
+        n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth_scale))
+        n_fb = 1 + int(n_sub.sum())
+        n_nodes = 2 * n_fb + n_ext
+        need = 2 * n_nodes * (spec.n + 1) * 8
+        if need > MEMORY_CAP:
+            raise ResourceCap(
+                f"bridge {spec.x}->{spec.y} needs {n_nodes} mesh nodes x {spec.n + 1} states,"
+                f" about {need / 2 ** 30:.1f} GiB for log h and the bridge rates;"
+                f" the cap is {MEMORY_CAP / 2 ** 30:.0f} GiB")
+
+        # interior node i = 1..n_sub[j]-1 of cell j sits at fb-index out_fb_idx[j] + i
+        out_fb_idx = np.concatenate([[0], np.cumsum(n_sub)])
+        n_in = n_sub - 1
+        cell = np.repeat(np.arange(n_c - 1), n_in)
+        i = np.arange(cell.size) - np.repeat(np.cumsum(n_in) - n_in, n_in) + 1
+        vv = v1[cell] + (v2[cell] - v1[cell]) * i / n_sub[cell]
+        t_in = np.interp(-vv, -v_tab, t_tab)
+        fb = np.empty(n_fb)
+        fb[out_fb_idx] = edges[:n_c]
+        fb[out_fb_idx[cell] + i] = np.minimum(edges[cell + 1], np.maximum(edges[cell], t_in))
         if np.any(np.diff(fb) <= 0):
             fb = np.unique(fb)
             out_fb_idx = np.searchsorted(fb, edges[:-1])
         self.fwd_bounds = fb
-        self.out_fb_idx = np.asarray(out_fb_idx)
+        self.out_fb_idx = out_fb_idx
 
         seg_a = np.empty(2 * fb.size - 1)
         seg_a[0::2] = fb
         seg_a[1::2] = 0.5 * (fb[:-1] + fb[1:])
+        u = spec.u
         d1, d0 = self.dc, self.dc / PIN_DEPTH
-        n_sub = int(math.ceil(math.log(PIN_DEPTH) * depth_scale))
-        ext = [u - d1 * (d0 / d1) ** (i / n_sub) for i in range(1, n_sub + 1)]
+        ext = [u - d1 * (d0 / d1) ** (i / n_ext) for i in range(1, n_ext + 1)]
         self.times = np.concatenate([seg_a, ext, [u]])
-        self.seg_a_len = seg_a.size
         # storage index of each output edge except u (edge k sits at 2 * fb-index)
         self.out_node_idx = 2 * self.out_fb_idx
 
 
 def _up(w):
-    """w shifted one state toward the pin: out[z] = w[z+1], 0 past the top."""
+    """w shifted one state toward the pin: out[..., z] = w[..., z+1], 0 past the top."""
     out = np.empty_like(w)
-    out[:-1] = w[1:]
-    out[-1] = 0.0
+    out[..., :-1] = w[..., 1:]
+    out[..., -1] = 0.0
     return out
 
 
 def _down(w):
-    """w shifted one state away from the pin: out[z] = w[z-1], 0 below the bottom."""
+    """w shifted one state away from the pin: out[..., z] = w[..., z-1], 0 below the bottom."""
     out = np.empty_like(w)
-    out[1:] = w[:-1]
-    out[0] = 0.0
+    out[..., 1:] = w[..., :-1]
+    out[..., 0] = 0.0
     return out
 
 
 class HField:
     """log h(t, z) on the solver mesh for one (model, bridge) pair.
 
+    Stores log h and the pinned jump rates at the mesh nodes, each a
+    (mesh nodes x ladder) array, and the mesh they were solved on.
     Immutable once built; safe to share across threads.  Off-mesh times are
     interpolated linearly in log space; times inside a state's terminal
     boundary layer use the exact first-order pin asymptote k ~ (y - z)/(u - t)
     anchored at the latest mature node for that state.
     """
 
-    def __init__(self, model, spec, times, log_h, node_rates):
+    def __init__(self, model, spec, mesh, log_h, node_bridge_rates):
         self.model = model
         self.spec = spec
-        self.times = times
+        self.mesh = mesh
+        self.times = times = mesh.times
         self.logh = log_h
-        self._node_rates = node_rates
-        with np.errstate(invalid="ignore"):
-            diff = log_h[:, 1:] - log_h[:, :-1]
-        k = node_rates[:, :-1] * np.exp(diff)
-        k[~np.isfinite(k)] = 0.0
-        self.node_bridge_rates = np.concatenate([k, np.zeros((k.shape[0], 1))], axis=1)
+        self.node_bridge_rates = node_bridge_rates
         # Per-state asymptote anchors.  h at depth m vanishes like (u-t)^m, and
         # the backward pass resolves that layer only a few nodes away from u,
         # so queries closer than m x (finest node distance) ride the exact
@@ -280,48 +299,52 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     n_nodes = times.size
     width = ladder.size
 
-    rates = model.rate_grid(times, ladder)
-    mid_times = 0.5 * (times[:-1] + times[1:])
-    rates_mid = model.rate_grid(mid_times, ladder)
-
-    # per-step gauge integrals (signed; steps run from times[j+1] down to times[j])
-    h_signed = (times[:-1] - times[1:])[:, None]
-    r_hi, r_lo = rates[1:], rates[:-1]
-    i_mid = h_signed * (5.0 * r_hi + 8.0 * rates_mid - r_lo) / 24.0
-    i_end = h_signed * (r_hi + 4.0 * rates_mid + r_lo) / 6.0
-
-    def up_cols(a):
-        out = np.empty_like(a)
-        out[:, :-1] = a[:, 1:]
-        out[:, -1] = 0.0
-        return out
-
-    c_mid = rates_mid * np.exp(up_cols(i_mid) - i_mid)
-    c_end = r_lo * np.exp(up_cols(i_end) - i_end)
-    e_end = np.exp(i_end)
-
     log_h = np.full((n_nodes, width), -np.inf)
+    k_nodes = np.zeros((n_nodes, width))
     v = np.zeros(width)
     v[-1] = 1.0
     scale = 0.0
     log_h[-1, -1] = 0.0
 
-    for j in range(n_nodes - 2, -1, -1):
-        h = h_signed[j, 0]
-        c0, cm, ce, ee = r_hi[j], c_mid[j], c_end[j], e_end[j]
-        k1 = -c0 * _up(v)
-        k2 = -cm * _up(v + (0.5 * h) * k1)
-        k3 = -cm * _up(v + (0.5 * h) * k2)
-        k4 = -ce * _up(v + h * k3)
-        v = (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * ee
-        np.maximum(v, 0.0, out=v)
-        m = v.max()
-        v /= m
-        scale += math.log(m)
-        with np.errstate(divide="ignore"):
-            log_h[j] = np.log(v) + scale
+    # steps run from times[j+1] down to times[j], in blocks [lo, hi) from the top
+    for hi in range(n_nodes - 1, 0, -CHUNK):
+        lo = max(hi - CHUNK, 0)
+        rates = model.rate_grid(times[lo:hi + 1], ladder)
+        rates_mid = model.rate_grid(0.5 * (times[lo:hi] + times[lo + 1:hi + 1]), ladder)
 
-    return HField(model, spec, times, log_h, rates)
+        # per-step gauge integrals (signed)
+        h_signed = (times[lo:hi] - times[lo + 1:hi + 1])[:, None]
+        r_hi, r_lo = rates[1:], rates[:-1]
+        i_mid = h_signed * (5.0 * r_hi + 8.0 * rates_mid - r_lo) / 24.0
+        i_end = h_signed * (r_hi + 4.0 * rates_mid + r_lo) / 6.0
+        c_mid = rates_mid * np.exp(_up(i_mid) - i_mid)
+        c_end = r_lo * np.exp(_up(i_end) - i_end)
+        e_end = np.exp(i_end)
+
+        for j in range(hi - lo - 1, -1, -1):
+            h = h_signed[j, 0]
+            c0, cm, ce, ee = r_hi[j], c_mid[j], c_end[j], e_end[j]
+            k1 = -c0 * _up(v)
+            k2 = -cm * _up(v + (0.5 * h) * k1)
+            k3 = -cm * _up(v + (0.5 * h) * k2)
+            k4 = -ce * _up(v + h * k3)
+            v = (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * ee
+            np.maximum(v, 0.0, out=v)
+            m = v.max()
+            v /= m
+            scale += math.log(m)
+            with np.errstate(divide="ignore"):
+                log_h[lo + j] = np.log(v) + scale
+
+        # pinned jump rates rate(t,z) h(t,z+1) / h(t,z) on this block's nodes
+        block = log_h[lo:hi + 1]
+        with np.errstate(invalid="ignore"):
+            diff = block[:, 1:] - block[:, :-1]
+        k = rates[:, :-1] * np.exp(diff)
+        k[~np.isfinite(k)] = 0.0
+        k_nodes[lo:hi + 1, :-1] = k
+
+    return HField(model, spec, mesh, log_h, k_nodes)
 
 
 class MarginalTable:
@@ -365,65 +388,57 @@ class MarginalTable:
         return idx
 
 
-def _forward_sweep(mesh, node_rates, zero_top, record_slots):
+def _forward_sweep(mesh, node_rates, pinned, record_slots):
     """Integrate the triangular forward system q' = shift(r q) - r q.
 
-    ``node_rates`` holds the per-state rates on the seg-A storage nodes.  With
-    ``zero_top`` the top state emits nothing (pinned dynamics); without it the
-    top state leaks mass off the ladder (unconditioned dynamics).  Returns the
-    recorded rows, unnormalized.
+    ``node_rates(lo, hi)`` returns the per-state rates on seg-A storage nodes
+    lo..hi-1; they are asked for one block of CHUNK steps at a time.  Pinned
+    rates (zero in the top state) keep the mass on the ladder, so recorded
+    rows are renormalized and the drift is reported; unconditioned rates let
+    the top state leak mass off the ladder.  Returns the recorded rows,
+    unnormalized.
     """
     fb = mesh.fwd_bounds
     n_steps = fb.size - 1
-    width = node_rates.shape[1]
-    r = node_rates.copy()
-    if zero_top:
-        r[:, -1] = 0.0
-
-    r0 = r[0 : 2 * n_steps : 2]
-    rm = r[1 : 2 * n_steps : 2]
-    r1 = r[2 : 2 * n_steps + 1 : 2]
-    h = (fb[1:] - fb[:-1])[:, None]
-    i_mid = h * (5.0 * r0 + 8.0 * rm - r1) / 24.0
-    i_end = h * (r0 + 4.0 * rm + r1) / 6.0
-
-    def down_cols(a):
-        out = np.empty_like(a)
-        out[:, 1:] = a[:, :-1]
-        out[:, 0] = 0.0
-        return out
-
-    d0 = down_cols(r0)
-    dm = down_cols(rm) * np.exp(i_mid - down_cols(i_mid))
-    de = down_cols(r1) * np.exp(i_end - down_cols(i_end))
-    e_end = np.exp(-i_end)
 
     rows = {}
-    q = np.zeros(width)
+    q = np.zeros(mesh.spec.n + 1)
     q[0] = 1.0
     rows[0] = q.copy()
     drift = 0.0
     record = dict.fromkeys(record_slots.tolist())
-    for j in range(n_steps):
-        hj = h[j, 0]
-        k1 = d0[j] * _down(q)
-        k2 = dm[j] * _down(q + (0.5 * hj) * k1)
-        k3 = dm[j] * _down(q + (0.5 * hj) * k2)
-        k4 = de[j] * _down(q + hj * k3)
-        q = (q + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * e_end[j]
-        if j + 1 in record:
-            rows[j + 1] = q.copy()
-            if zero_top:
-                drift = max(drift, abs(1.0 - q.sum()))
-                q = q / q.sum()
+    for lo in range(0, n_steps, CHUNK):
+        hi = min(lo + CHUNK, n_steps)
+        r = node_rates(2 * lo, 2 * hi + 1)
+        r0, rm, r1 = r[0:-1:2], r[1::2], r[2::2]
+        h = (fb[lo + 1:hi + 1] - fb[lo:hi])[:, None]
+        i_mid = h * (5.0 * r0 + 8.0 * rm - r1) / 24.0
+        i_end = h * (r0 + 4.0 * rm + r1) / 6.0
+        d0 = _down(r0)
+        dm = _down(rm) * np.exp(i_mid - _down(i_mid))
+        de = _down(r1) * np.exp(i_end - _down(i_end))
+        e_end = np.exp(-i_end)
+
+        for j in range(hi - lo):
+            hj = h[j, 0]
+            k1 = d0[j] * _down(q)
+            k2 = dm[j] * _down(q + (0.5 * hj) * k1)
+            k3 = dm[j] * _down(q + (0.5 * hj) * k2)
+            k4 = de[j] * _down(q + hj * k3)
+            q = (q + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * e_end[j]
+            if lo + j + 1 in record:
+                rows[lo + j + 1] = q.copy()
+                if pinned:
+                    drift = max(drift, abs(1.0 - q.sum()))
+                    q = q / q.sum()
     return rows, drift
 
 
 def _field_and_mesh(model, spec, h_step, h, step_budget):
     """The h-field for a marginal route (solved unless given) and its mesh.
 
-    A given field must belong to this model, bridge and h_step, and no route
-    can start from a state whose pin probability underflowed.
+    A given field must belong to this model, bridge, h_step and step budget,
+    and no route can start from a state whose pin probability underflowed.
     """
     if h is None:
         h = solve_h(model, spec, h_step, step_budget)
@@ -431,9 +446,10 @@ def _field_and_mesh(model, spec, h_step, h, step_budget):
         raise ValueError("h was solved for a different model")
     elif h.spec != spec:
         raise ValueError("h was solved for a different bridge")
-    mesh = _Mesh(spec, h_step, h.model, step_budget)
-    if mesh.times.size != h.times.size or abs(mesh.times[1] - h.times[1]) > 1e-15:
-        raise BadStep("marginals must use the same h_step the field was solved with")
+    mesh = h.mesh
+    budget = STEP_BUDGET if step_budget is None else float(step_budget)
+    if _n_cells(spec, h_step) != mesh.n_cells or budget != mesh.step_budget:
+        raise BadStep("marginals must use the h_step and step budget the field was solved with")
     if not np.isfinite(h.logh[0, 0]) or (spec.n and h.anchor_idx[0] < 0):
         raise Underflow(f"pin probability of the start state {spec.x} underflowed")
     return h, mesh
@@ -447,9 +463,8 @@ def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     pre-normalization drift is reported on the table and must stay below 1e-6.
     """
     h, mesh = _field_and_mesh(model, spec, h_step, h, step_budget)
-    seg = mesh.seg_a_len
-    k_nodes = h.node_bridge_rates[:seg]
-    rows, drift = _forward_sweep(mesh, k_nodes, True, mesh.out_fb_idx)
+    k_nodes = h.node_bridge_rates
+    rows, drift = _forward_sweep(mesh, lambda lo, hi: k_nodes[lo:hi], True, mesh.out_fb_idx)
 
     width = spec.n + 1
     probs = np.zeros((mesh.n_cells + 1, width))
@@ -472,9 +487,9 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None)
     integrator tolerance.
     """
     h, mesh = _field_and_mesh(model, spec, h_step, h, step_budget)
-    seg = mesh.seg_a_len
-    ladder_rates = h.model.rate_grid(mesh.times[:seg], spec.ladder())
-    rows, _ = _forward_sweep(mesh, ladder_rates, False, mesh.out_fb_idx)
+    ladder = spec.ladder()
+    rows, _ = _forward_sweep(mesh, lambda lo, hi: h.model.rate_grid(mesh.times[lo:hi], ladder),
+                             False, mesh.out_fb_idx)
 
     width = spec.n + 1
     probs = np.zeros((mesh.n_cells + 1, width))

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from countbridge import cli, engine, verify
+
 PKG = [sys.executable, "-m", "countbridge"]
 
 
@@ -138,6 +140,34 @@ def test_underflowed_start_state_exits_2(tmp_path):
     assert r.returncode == 2
     assert "underflow" in r.stderr
     assert not (out / "marginals.csv").exists()
+
+
+def test_mesh_over_the_memory_cap_exits_2(tmp_path):
+    model = {"family": "product", "params": {"alpha": 1.0, "lambda": 3.0, "beta": 0.1},
+             "state_floor": 0}
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(model))
+    out = tmp_path / "cap"
+    r = run_cli("marginals", "--model", str(mpath), "--y", "3000", "--out", str(out))
+    assert r.returncode == 2
+    assert "GiB" in r.stderr
+    assert not (out / "marginals.csv").exists()
+
+
+def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch):
+    calls = []
+    real = engine.solve_h
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cli, engine, verify):
+        monkeypatch.setattr(module, "solve_h", spy)
+    code = cli.main(["verify", "--lambda", "3", "--y", "5", "--check", "convexity",
+                     "--out", str(tmp_path / "v")])
+    assert code == 0
+    assert len(calls) == 1  # the convexity check's own fine-mesh solve
 
 
 def test_lln_command(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, linregress
 
+from countbridge import engine
 from countbridge.analytic import tilted_cdf
 from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, mean_curve, second_differences,
                                 solve_h)
 from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse,
-                                Underflow)
+                                ResourceCap, Underflow)
 from countbridge.intensity import (Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
                                    constant_characteristic_model)
 
@@ -195,6 +197,80 @@ def test_marginals_refuse_a_field_of_another_bridge():
     for route in (marginal_table, marginal_table_two_sided):
         with pytest.raises(ValueError):
             route(model, BridgeSpec(2, 5), 1e-3, h=h)
+
+
+def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
+    """Reference: forward substep boundaries placed one cell, one node at a time."""
+    n_c = max(2, int(round(spec.length / h_step)))
+    edges = np.linspace(spec.s, spec.u, n_c + 1)
+    probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
+    lmin = np.min(model.rate_grid(probe_t, spec.ladder()), axis=1)
+    seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
+    lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    t_tab, v_tab = probe_t[:-1], np.log(lam_hat[:-1])
+    depth_scale = max(1, spec.n) / budget
+    fwd, out_idx = [spec.s], [0]
+    for j in range(n_c - 1):
+        t1, t2 = edges[j], edges[j + 1]
+        v1, v2 = float(np.interp(t1, t_tab, v_tab)), float(np.interp(t2, t_tab, v_tab))
+        n_sub = max(1, int(math.ceil((v1 - v2) * depth_scale)))
+        for i in range(1, n_sub):
+            t = float(np.interp(-(v1 + (v2 - v1) * i / n_sub), -v_tab, t_tab))
+            fwd.append(min(t2, max(t1, t)))
+        fwd.append(t2)
+        out_idx.append(len(fwd) - 1)
+    return np.asarray(fwd), np.asarray(out_idx)
+
+
+@pytest.mark.parametrize("model, spec, h_step", [
+    (Poisson(1.0), BridgeSpec(0, 5), 1e-3),
+    (TimeExponential(20.0, -3.0), BridgeSpec(0, 12), 1e-2),
+    (Product(1.0, 3.0, 0.1), BridgeSpec(2, 30, 0.25, 0.75), 2e-3),
+], ids=["poisson", "time-exponential", "product-window"])
+def test_mesh_placement_matches_the_cell_loop(model, spec, h_step):
+    mesh = engine._Mesh(spec, h_step, model)
+    fb, out_idx = _loop_fwd_bounds(spec, h_step, model)
+    assert np.all(np.diff(fb) > 0)
+    assert np.array_equal(mesh.fwd_bounds, fb)
+    assert np.array_equal(mesh.out_fb_idx, out_idx)
+
+
+def test_marginals_reuse_the_mesh_of_the_field(monkeypatch):
+    spec = BridgeSpec(0, 6)
+    model = Product(1.0, 3.0, 0.1)
+    h = solve_h(model, spec)
+    built = []
+    real_mesh = engine._Mesh
+    monkeypatch.setattr(engine, "_Mesh", lambda *a, **k: built.append(a) or real_mesh(*a, **k))
+    marginal_table(model, spec, h=h)
+    marginal_table_two_sided(model, spec, h=h)
+    assert built == []
+    marginal_table(model, spec)
+    assert len(built) == 1
+
+
+def test_solve_h_refuses_a_mesh_over_the_memory_cap():
+    # 0 -> 3000 needs about 485k nodes x 3001 states: ~22 GiB for log h and the rates
+    with pytest.raises(ResourceCap, match="GiB"):
+        solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
+
+
+def test_engine_stores_two_full_size_arrays():
+    # per-step coefficients are formed block by block, so the peak stays near
+    # log h plus the bridge rates (two arrays of h.logh's size)
+    model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)
+    tracemalloc.start()
+    try:
+        h = solve_h(model, spec)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        marginal_table(model, spec, h=h)
+        marginal_table_two_sided(model, spec, h=h)
+        route_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= 4 * h.logh.nbytes
+    assert route_peak <= 4 * h.logh.nbytes
 
 
 @st.composite
