@@ -4,7 +4,7 @@ Pin a counting process at both ends and everything about the pinned law is
 decided by one scalar field, the characteristic of its jump rate.  This
 package computes bridge marginals exactly (Kolmogorov systems on the state
 ladder), samples bridge paths (exact tilted order statistics for constant
-characteristics, thinning of the pinned rate in general), and turns the
+characteristics, inversion of the pinned survival in general), and turns the
 known bridge estimates (mean-curve convexity, binomial tail dominance,
 jump-time duality, large-height concentration) into executable checks.
 """

@@ -174,14 +174,12 @@ def _run_sample(options):
     if options.get("model") is not None:
         model = model_from_dict(options["model"])
         h = solve_h(model, spec, float(options["step"]))
-        stats = {}
-        paths = sample_bridge(model, spec, h, count, seed, stats=stats)
-        sampler = "h-transform-thinning"
+        paths = sample_bridge(model, spec, h, count, seed)
+        sampler = "h-transform-inversion"
     else:
         lam = float((options.get("lambdas") or [0.0])[0])
         paths = sample_constant(lam, spec, count, seed)
         sampler = "exact-tilted-order-statistics"
-        stats = {}
     rows = []
     for r, path in enumerate(paths):
         for j, t in enumerate(path.jump_times, start=1):
@@ -196,7 +194,6 @@ def _run_sample(options):
         "n_jumps": spec.n,
         "bridge": {"x": spec.x, "y": spec.y, "s": spec.s, "u": spec.u},
         "median_jump_time": float(np.median(all_times)) if all_times.size else None,
-        "thinning": stats or None,
     }
     _write_json(os.path.join(options["out"], "summary.json"), summary)
     _write_manifest(options["out"], "sample", options, ["paths.csv", "summary.json"])

@@ -44,8 +44,9 @@ STEP_BUDGET = 0.1
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
 LOG_FLOOR = -700.0
-# Per-step coefficients are formed for CHUNK steps at a time inside each sweep,
-# so only log h and the bridge rates are ever stored at (mesh nodes x ladder).
+# Per-step coefficients (and the mesh's rate probe) are formed for CHUNK steps
+# at a time, so only log h and the bridge rates are ever stored at
+# (mesh nodes x ladder).
 CHUNK = 512
 # A mesh whose two stored (nodes x ladder) float arrays would exceed this many
 # bytes is refused before anything of that size is allocated.
@@ -122,9 +123,11 @@ class _Mesh:
         edges = np.linspace(spec.s, spec.u, n_c + 1)
         self.out_times = edges
 
-        # probe the ladder-minimal rate and its backward cumulative integral
+        # probe the ladder-minimal rate (CHUNK probe rows at a time) and its
+        # backward cumulative integral
         probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
-        lmin = np.min(model.rate_grid(probe_t, spec.ladder()), axis=1)
+        lmin = np.concatenate([np.min(model.rate_grid(probe_t[i:i + CHUNK], spec.ladder()), axis=1)
+                               for i in range(0, probe_t.size, CHUNK)])
         seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
         lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         # t -> log lam_hat, excluding the vanishing endpoint value
@@ -282,6 +285,47 @@ class HField:
         if not np.isfinite(g0) or g0 < LOG_FLOOR or not np.isfinite(g1) or g1 < LOG_FLOOR:
             raise Underflow(f"log h near ({t}, {z}) fell below {LOG_FLOOR}")
         return float(self.model.rate(t, z)) * math.exp(g1 - g0)
+
+    def next_jumps(self, zi, start, mass):
+        """Next jump times from ladder state x + zi, by inversion of the pinned survival.
+
+        From state z at time t, the pinned chain stays put until r with probability
+        exp(-(L(r) - L(t))), where L = (integrated rate) - log h(., z) is the integrated
+        pinned rate.  L is tabulated on the mesh nodes up to the state's asymptote
+        anchor and follows the anchor's base * (u - t_a) / (u - t) rate past it, so a
+        jump lands where L reaches L(start) + mass.  ``start`` and ``mass`` (Exp(1)
+        draws) are arrays over replicas.  The table stops at the state's first node
+        with log h below LOG_FLOOR; a jump past that cut raises Underflow.
+        """
+        spec = self.spec
+        z = spec.x + zi
+        j = int(self.anchor_idx[zi])
+        if j < 0:
+            raise Underflow(f"pin probability underflowed for state {z}")
+        col = self.logh[:j + 1, zi]
+        low = np.flatnonzero(col < LOG_FLOOR)
+        cut = int(low[0]) if low.size else j + 1
+        if cut == 0:
+            raise Underflow(f"pin probability of state {z} underflowed at t={self.times[0]}")
+        t_tab = self.times[:cut]
+        rates = self.model.rate_grid(t_tab, [z])[:, 0]
+        lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
+        big_l = lam - col[:cut]
+        # past the anchor L grows like slope * log(1 / (u - t)); slope is 0 when the
+        # table is cut before the anchor, so a start past the table lands past it too
+        ta = self.times[j]
+        slope = self.node_bridge_rates[j, zi] * (spec.u - ta) if cut > j else 0.0
+        start = np.asarray(start, dtype=float)
+        level = np.interp(start, t_tab, big_l)
+        past = start > t_tab[-1]
+        level[past] = big_l[-1] + slope * np.log((spec.u - ta) / (spec.u - start[past]))
+        target = level + mass
+        past = target > big_l[-1]
+        if slope <= 0.0 and np.any(past):
+            raise Underflow(f"pin probability of state {z} underflowed after t={t_tab[-1]}")
+        out = np.interp(target, big_l, t_tab)
+        out[past] = spec.u - (spec.u - ta) * np.exp((big_l[-1] - target[past]) / slope)
+        return out
 
 
 def solve_h(model, spec, h_step=1e-3, step_budget=None):

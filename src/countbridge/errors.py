@@ -49,10 +49,6 @@ class OracleScale(CountBridgeError):
     """Quadrature oracle requested beyond its supported dimension."""
 
 
-class MajorantBreach(CountBridgeError):
-    """Thinning majorant repeatedly exceeded; sampler aborted."""
-
-
 class PinMiss(CountBridgeError):
     """A sampled bridge path did not land on its endpoint."""
 

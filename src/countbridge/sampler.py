@@ -9,29 +9,20 @@ jump.  Three consumers of that fact live here:
   density, sorted);
 * a brute-force oracle that integrates the simplex density with iterated
   cumulative quadrature (small n only);
-* a thinning sampler driven by the pinned jump rate from the solved h-field,
-  which works for any model and any n.
+* an inversion sampler driven by the integrated pinned jump rate from the
+  solved h-field, which works for any model and any n.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .engine import LOG_FLOOR
-from .errors import (IndexOut, MajorantBreach, NotSorted, OracleScale, PinMiss,
-                     Underflow)
-from .intensity import ExpAffine, characteristic_bounds
-
-# thinning controls
-_WINDOW_FRAC = 0.01      # base majorant refresh interval, fraction of the window
-_PIN_EPS = 1e-9          # paths are cut off at u - _PIN_EPS * (u - s)
-_SAFETY = 1.4            # majorant = safety x observed window maximum
-_MAX_BREACH = 100
+from .errors import IndexOut, NotSorted, OracleScale, PinMiss
+from .intensity import characteristic_bounds
 
 
 @dataclass(frozen=True)
@@ -173,205 +164,36 @@ def sample_constant(lam, spec, count, rng_seed):
     return [PathSample(spec.x, tuple(row)) for row in times]
 
 
-def _fast_rate(model):
-    """Scalar python-float rate closure (hot path of the thinning loop)."""
-    if isinstance(model, ExpAffine):
-        a, b, lam = model.a, model.b, model.lam
-        return lambda t, z: math.exp(lam * t) * (a + b * z)
-    return lambda t, z: float(model.rate(t, z))
-
-
-class _PinnedRate:
-    """Scalar bridge-rate evaluator mirroring HField.bridge_rate on floats."""
-
-    def __init__(self, h):
-        self.spec = h.spec
-        self.u = h.spec.u
-        self.times = h.times.tolist()
-        self.logh = [h.logh[:, zi].tolist() for zi in range(h.spec.n + 1)]
-        self.anchor_t = [float(h.times[j]) if j >= 0 else None for j in h.anchor_idx]
-        self.anchor_k = [float(h.node_bridge_rates[j, zi]) if j >= 0 else 0.0
-                         for zi, j in enumerate(h.anchor_idx)]
-        self.rate = _fast_rate(h.model)
-        self.x = h.spec.x
-        self.n = h.spec.n
-
-    def __call__(self, t, zi):
-        if zi >= self.n:
-            return 0.0
-        ta = self.anchor_t[zi]
-        if ta is None:
-            raise Underflow(f"pin probability underflowed for state {self.x + zi}")
-        if t >= ta:
-            base = self.anchor_k[zi]
-            if base <= 0.0:
-                raise Underflow(f"pin probability underflowed for state {self.x + zi}")
-            return base * (self.u - ta) / (self.u - t)
-        idx = bisect_right(self.times, t) - 1
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        w = (t - t0) / (t1 - t0)
-        ga, gb = self.logh[zi][idx], self.logh[zi][idx + 1]
-        ha, hb = self.logh[zi + 1][idx], self.logh[zi + 1][idx + 1]
-        if ga < LOG_FLOOR or gb < LOG_FLOOR or ha < LOG_FLOOR or hb < LOG_FLOOR:
-            raise Underflow(f"log h below {LOG_FLOOR} near (t={t}, z={self.x + zi})")
-        g0 = ga + w * (gb - ga)
-        g1 = ha + w * (hb - ha)
-        return self.rate(t, self.x + zi) * math.exp(g1 - g0)
-
-
-class _MajorantProfile:
-    """Piecewise-constant majorant of the pinned rate for one ladder state.
-
-    Windows are the base refresh intervals, halved geometrically inside the
-    final one so the pin divergence never leaves a constant majorant far
-    behind.  Windows whose rate evaluation underflows get an infinite
-    majorant; proposals then always land before them.
-    """
-
-    def __init__(self, bounds, kfun, zi, safety=None):
-        self.bounds = bounds
-        self.zi = zi
-        self.kfun = kfun
-        self.safety = _SAFETY if safety is None else safety
-        self._build()
-
-    def _build(self):
-        b = self.bounds
-        maj = []
-        for w in range(len(b) - 1):
-            a, c = b[w], b[w + 1]
-            mid = 0.5 * (a + c)
-            try:
-                m = self.safety * max(self.kfun(a, self.zi),
-                                      self.kfun(mid, self.zi),
-                                      self.kfun(c, self.zi))
-            except Underflow:
-                m = math.inf
-            maj.append(m)
-        self.maj = maj
-        cum = [0.0]
-        for w, m in enumerate(maj):
-            cum.append(cum[-1] + m * (b[w + 1] - b[w]))
-        self.cum = cum
-
-    def escalate(self, t_breach, k_seen):
-        w = bisect_right(self.bounds, t_breach) - 1
-        self.maj[w] = max(self.safety * k_seen, 2.0 * self.maj[w])
-        cum = [0.0]
-        for i, m in enumerate(self.maj):
-            cum.append(cum[-1] + m * (self.bounds[i + 1] - self.bounds[i]))
-        self.cum = cum
-
-    def propose(self, t, e_unit):
-        """First proposal time after t for exponential unit mass e_unit, or None."""
-        b, cum, maj = self.bounds, self.cum, self.maj
-        w = bisect_right(b, t) - 1
-        if w >= len(maj):
-            return None
-        target = cum[w] + maj[w] * (t - b[w]) + e_unit
-        if target >= cum[-1]:
-            return None
-        j = bisect_right(cum, target) - 1
-        m = maj[j]
-        if not math.isfinite(m):
-            raise Underflow("proposal fell into an underflowed pin window")
-        return b[j] + (target - cum[j]) / m, m
-
-
-def _windows(spec):
-    s, u = spec.s, spec.u
-    length = spec.length
-    base = _WINDOW_FRAC * length
-    horizon = u - _PIN_EPS * length
-    bounds = [s + k * base for k in range(int(round(1.0 / _WINDOW_FRAC)))]
-    d = 0.5 * base
-    while u - d < horizon:
-        bounds.append(u - d)
-        d *= 0.5
-    bounds.append(horizon)
-    return bounds, horizon
-
-
-class _Draws:
-    """Buffered uniform draws from one generator."""
-
-    def __init__(self, rng, block=192):
-        self.rng = rng
-        self.block = block
-        self._buf = rng.random(block)
-        self._i = 0
-
-    def uniform(self):
-        if self._i >= self._buf.size:
-            self._buf = self.rng.random(self.block)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return float(v)
-
-    def exp_unit(self):
-        return -math.log1p(-self.uniform())
-
-
 def sample_bridge(model, spec, h, count, rng_seed, stats=None):
-    """Thinning sampler for the pinned process of any intensity model.
+    """Inversion sampler for the pinned process of any intensity model.
 
-    Simulates the jump process with the h-transformed rate against per-state
-    piecewise-constant majorants.  Every returned path has exactly n = y - x
-    jumps: the diverging pin rate forces the remaining jumps before the
-    cutoff at u - 1e-9 * (u - s), and a path that still misses raises
+    The ladder only goes up, so after j jumps every path sits in state x + j:
+    jump j + 1 of every path comes from one vectorised inversion of that
+    state's pinned survival (:meth:`~countbridge.engine.HField.next_jumps`).
+    Replica r draws its n Exp(1) masses from an independent stream keyed by
+    (rng_seed, r).  Every returned path has exactly n = y - x jumps; a draw
+    that rounds to u or does not advance past the previous jump raises
     :class:`~countbridge.errors.PinMiss` (an event of frequency zero).
-    Replica r draws from an independent stream keyed by (rng_seed, r).
+    ``stats``, when given, is updated with ``proposals`` and ``accepts``: one
+    each per jump.
     """
     if model is not None and h.model is not model:
         raise ValueError("h was solved for a different model")
-    kfun = _PinnedRate(h)
-    bounds, horizon = _windows(spec)
-    profiles = {}
     n = spec.n
-    totals = {"proposals": 0, "accepts": 0, "breaches": 0}
-
-    paths = []
-    for r in range(int(count)):
-        draws = _Draws(replica_rng(rng_seed, r))
-        t = spec.s
-        zi = 0
-        jumps = []
-        anchor = t
-        breaches = 0
-        while zi < n:
-            prof = profiles.get(zi)
-            if prof is None:
-                prof = profiles[zi] = _MajorantProfile(bounds, kfun, zi)
-            step = prof.propose(t, draws.exp_unit())
-            if step is None:
-                break
-            tau, m = step
-            totals["proposals"] += 1
-            kv = kfun(tau, zi)
-            if kv > m:
-                breaches += 1
-                totals["breaches"] += 1
-                if breaches > _MAX_BREACH:
-                    raise MajorantBreach(
-                        f"{breaches} majorant breaches in one path; rate field looks stale")
-                prof.escalate(tau, kv)
-                t = anchor
-                continue
-            if draws.uniform() * m <= kv:
-                jumps.append(tau)
-                zi += 1
-                anchor = tau
-                totals["accepts"] += 1
-                t = tau
-            else:
-                t = tau
-        if zi != n:
-            raise PinMiss(f"path {r} ended with {zi} of {n} jumps")
-        paths.append(PathSample(spec.x, tuple(jumps)))
+    count = int(count)
+    mass = np.empty((count, n))
+    for r in range(count):
+        mass[r] = replica_rng(rng_seed, r).standard_exponential(n)
+    times = np.empty((count, n))
+    t = np.full(count, float(spec.s))
+    for zi in range(n):
+        nxt = h.next_jumps(zi, t, mass[:, zi])
+        if np.any(nxt <= t) or np.any(nxt >= spec.u):
+            raise PinMiss(f"jump {zi + 1} of a path rounded to u or did not advance past jump {zi}")
+        times[:, zi] = t = nxt
     if stats is not None:
-        stats.update(totals)
-    return paths
+        stats.update(proposals=n * count, accepts=n * count)
+    return [PathSample(spec.x, tuple(row)) for row in times]
 
 
 def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):

@@ -393,7 +393,8 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h
 
     For models with an exactly constant characteristic the jump times are
     sampled by the exact tilted order-statistics sampler; other models go
-    through the h-transform thinning sampler (much slower for large N).
+    through the h-transform inversion sampler, which first solves the
+    0 -> N h-field (memory and time grow as N^2).
     Reports median and 90th percentile of the sup distance per N.
     """
     n_values = [int(v) for v in n_values]
@@ -404,7 +405,7 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h
         raise ResourceCap(f"requested {work} jump draws exceeds budget {budget}")
     bounds = characteristic_bounds(model, (0.0, 1.0), (0, max(n_values) - 1))
     constant = bounds.certified and abs(bounds.sup - bounds.inf) < 1e-12
-    strategy = "exact-order-statistics" if constant else "h-transform-thinning"
+    strategy = "exact-order-statistics" if constant else "h-transform-inversion"
 
     medians, q90s, samples = [], [], []
     for k, big_n in enumerate(n_values):

@@ -101,7 +101,8 @@ def test_sample_thinning_from_model(tmp_path):
                 "--replicas", "200", "--seed", "7", "--out", str(out))
     assert r.returncode == 0, r.stderr
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["sampler"] == "h-transform-thinning"
+    assert summary["sampler"] == "h-transform-inversion"
+    assert "thinning" not in summary
     _, rows = read_csv(out / "paths.csv")
     assert len(rows) == 600  # every path pinned: exactly 3 jumps each
 
@@ -140,6 +141,17 @@ def test_underflowed_start_state_exits_2(tmp_path):
     assert r.returncode == 2
     assert "underflow" in r.stderr
     assert not (out / "marginals.csv").exists()
+
+
+def test_sample_from_an_underflowed_start_state_exits_2(tmp_path):
+    model = {"family": "time_exponential", "params": {"alpha": 1.0, "lambda": -3.0}}
+    mpath = tmp_path / "te.json"
+    mpath.write_text(json.dumps(model))
+    out = tmp_path / "te"
+    r = run_cli("sample", "--model", str(mpath), "--y", "200", "--out", str(out))
+    assert r.returncode == 2
+    assert "underflow" in r.stderr
+    assert not (out / "paths.csv").exists()
 
 
 def test_mesh_over_the_memory_cap_exits_2(tmp_path):

@@ -255,6 +255,18 @@ def test_solve_h_refuses_a_mesh_over_the_memory_cap():
         solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
 
 
+def test_mesh_refusal_probes_rates_in_blocks():
+    # the full (4 n_cells + 1) x 3001 probe would be 96 MB; blocks of CHUNK rows stay near 12 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCap):
+            solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+
+
 def test_engine_stores_two_full_size_arrays():
     # per-step coefficients are formed block by block, so the peak stays near
     # log h plus the bridge rates (two arrays of h.logh's size)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from scipy.stats import binom, ks_2samp
 
 from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.errors import IndexOut, NotSorted, OracleScale
-from countbridge.intensity import Poisson, Product, SpaceLinear
+from countbridge.errors import IndexOut, NotSorted, OracleScale, PinMiss, Underflow
+from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
 from countbridge.sampler import (PathSample, characteristic_integrals, jump_time_matrix,
                                  sample_bridge, sample_constant, sample_rejection,
                                  simplex_jump_time_cdf)
@@ -123,7 +124,7 @@ def test_sample_bridge_poisson_matches_uniform_order_statistics():
     crit = 1.6276 * math.sqrt(2.0 / 4000)
     for i in range(5):
         assert ks_2samp(bp[:, i], cp[:, i]).statistic < crit
-    assert stats["breaches"] == 0 and stats["accepts"] == 5 * 4000
+    assert stats["accepts"] == stats["proposals"] == 5 * 4000
 
 
 def test_sample_bridge_deterministic_and_pinned():
@@ -200,26 +201,76 @@ def test_jump_time_matrix_shape_errors():
         jump_time_matrix([PathSample(0, (0.5,)), PathSample(0, (0.2, 0.6))])
 
 
-def test_majorant_escalation_recovers(monkeypatch):
-    # force an undersized majorant: breaches must escalate, not bias or abort
-    import countbridge.sampler as smp
-    monkeypatch.setattr(smp, "_SAFETY", 0.6)
-    spec = BridgeSpec(0, 4)
-    model = Product(1.0, 3.0, 0.1)
+def _tabulated_model():
+    tg = np.linspace(0.0, 1.0, 11)
+    rates = (1.0 + 0.3 * np.arange(6.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None]
+    return Tabulated(tg, 0, rates)
+
+
+@pytest.mark.parametrize("model, spec", [
+    (Poisson(1.7), BridgeSpec(0, 5)),
+    (Product(1.0, 3.0, 0.1), BridgeSpec(1, 5, 0.2, 0.9)),
+    (_tabulated_model(), BridgeSpec(0, 5, 0.1, 1.0)),
+], ids=["poisson", "product", "tabulated"])
+def test_sample_bridge_paths_hit_the_pin_and_keep_their_streams(model, spec):
     h = solve_h(model, spec, 1e-3)
-    stats = {}
-    paths = smp.sample_bridge(model, spec, h, 300, 2024, stats=stats)
-    assert stats["breaches"] > 0
-    assert all(p.n == 4 for p in paths)
+    paths = sample_bridge(model, spec, h, 300, 2024)
+    T = jump_time_matrix(paths)
+    assert T.shape == (300, spec.n)
+    assert np.all(np.diff(T, axis=1) > 0)
+    assert np.all((T > spec.s) & (T < spec.u))
+    # replica r draws from the stream keyed by (seed, r), whatever the count
+    head = sample_bridge(model, spec, h, 3, 2024)
+    assert [p.jump_times for p in head] == [p.jump_times for p in paths[:3]]
 
 
-def test_pinned_rate_mirror_matches_hfield():
-    # the sampler's scalar fast path must agree with the reference evaluator
-    from countbridge.sampler import _PinnedRate
-    model = Product(1.0, 3.0, 0.1)
+@pytest.mark.parametrize("model", [Product(1.0, 3.0, 0.1), _tabulated_model()],
+                         ids=["product", "tabulated"])
+def test_start_state_survival_matches_marginal_table(model):
+    # the inversion puts the first jump after t with probability P(X_t = x); recover
+    # the mass that lands on each output time by bisection and compare
     spec = BridgeSpec(0, 5)
     h = solve_h(model, spec, 1e-3)
-    fast = _PinnedRate(h)
-    for t in (0.0, 0.31, 0.77, 0.999, 0.99999, 0.999999999):
-        for z in range(6):
-            assert fast(t, z) == pytest.approx(h.bridge_rate(t, z), rel=1e-12)
+    table = marginal_table(model, spec, 1e-3, h=h)
+    t_out = table.times[1:-1]
+    lo, hi = np.zeros(t_out.size), np.full(t_out.size, 50.0)
+    start = np.full(t_out.size, spec.s)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        early = h.next_jumps(0, start, mid) < t_out
+        lo, hi = np.where(early, mid, lo), np.where(early, hi, mid)
+    assert np.max(np.abs(np.exp(-lo) - table.probs[1:-1, 0])) <= 1e-6
+
+
+@pytest.mark.parametrize("model, n", [(TimeExponential(1.0, -3.0), 200), (Poisson(1.0), 170)],
+                         ids=["log-h-minus-inf", "log-h-below-floor"])
+def test_sample_bridge_refuses_an_underflowed_start_state(model, n):
+    # log h(0, 0) is -inf (no anchor) for the first, about -708 (table cut at t = 0) for the second
+    spec = BridgeSpec(0, n)
+    h = solve_h(model, spec, 1e-3)
+    with pytest.raises(Underflow):
+        sample_bridge(model, spec, h, 5, 1)
+
+
+@pytest.mark.parametrize("landing", [lambda t, u: t, lambda t, u: np.full_like(t, u)],
+                         ids=["no-advance", "at-the-pin"])
+def test_sample_bridge_reports_a_draw_off_the_window_as_pin_miss(monkeypatch, landing):
+    spec = BridgeSpec(0, 3)
+    model = Poisson(1.0)
+    h = solve_h(model, spec, 1e-3)
+    monkeypatch.setattr(h, "next_jumps", lambda zi, t, mass: landing(t, spec.u))
+    with pytest.raises(PinMiss):
+        sample_bridge(model, spec, h, 4, 1)
+
+
+def test_sample_bridge_memory_stays_below_log_h():
+    # masses, times and one state's survival table at a time: no copy of log h
+    model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)
+    h = solve_h(model, spec, 1e-3)
+    tracemalloc.start()
+    try:
+        sample_bridge(model, spec, h, 200, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * h.logh.nbytes
