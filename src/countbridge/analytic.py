@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import BadWindow, IndexOut
 
@@ -40,19 +39,6 @@ def tilted_cdf(lam, t):
         out = t + lam * t * (t - 1.0) / 2.0
     else:
         out = np.expm1(lam * t) / math.expm1(lam)
-    return float(out) if out.ndim == 0 else out
-
-
-def tilted_ppf(lam, p):
-    """Inverse of :func:`tilted_cdf` in t."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise BadWindow("probability outside [0, 1]")
-    lam = float(lam)
-    if abs(lam) < _SMALL_LAM:
-        out = p.copy() if lam == 0.0 else p - lam * p * (p - 1.0) / 2.0
-    else:
-        out = np.log1p(p * math.expm1(lam)) / lam
     return float(out) if out.ndim == 0 else out
 
 
@@ -84,44 +70,22 @@ class BinomialSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
-    def pmf(self):
-        """Probabilities of 0..n successes (log-gamma based, stable to large n)."""
-        return binom.pmf(np.arange(self.n + 1), self.n, self.p)
-
-    def tail(self, i):
-        """P(at least i successes)."""
-        return binomial_tail(self, i)
-
-    def mean(self):
-        return self.n * self.p
-
 
 def binomial_tail(spec, i):
     """Upper tail P(X >= i) of a binomial law.
 
-    Evaluated through the regularized incomplete beta function (the smaller
-    tail is what gets summed internally), so it stays accurate when the naive
-    forward sum would lose all precision.
+    Evaluated as the regularized incomplete beta function I_p(i, n - i + 1),
+    so it stays accurate when the naive forward sum would lose all precision.
+    scipy is imported on the first call, which keeps it off ``import countbridge``.
     """
+    from scipy.special import betainc
+
     i = int(i)
     if i < 0 or i > spec.n:
         raise IndexOut(f"tail index {i} outside 0..{spec.n}")
     if i == 0:
         return 1.0
-    return float(binom.sf(i - 1, spec.n, spec.p))
-
-
-def constant_characteristic_marginal(spec, lam, t):
-    """One-time marginal of the x->y bridge of any model with characteristic lam.
-
-    On the unit window the law of X_t - x is binomial with y - x trials and
-    success probability tilted_cdf(lam, t).  General windows go through
-    :func:`tilted_cdf_window` composition.
-    """
-    if (spec.s, spec.u) != (0.0, 1.0):
-        raise BadWindow("closed-form marginal is stated on the unit window; "
-                        "compose with tilted_cdf_window for general windows")
-    return BinomialSpec(n=spec.y - spec.x, p=float(tilted_cdf(lam, t)))
+    return float(betainc(i, spec.n - i + 1, spec.p))
 
 
 def mean_upper_bound(spec, lam, t):
@@ -130,10 +94,6 @@ def mean_upper_bound(spec, lam, t):
     x + (y - x) * tilted CDF of the window; exact (not just a bound) when the
     characteristic is identically lam.
     """
-    t = np.asarray(t, dtype=float)
-    if spec.s == 0.0 and spec.u == 1.0:
-        p = tilted_cdf(lam, t)
-    else:
-        p = tilted_cdf_window(lam, spec.s, spec.u, t)
+    p = tilted_cdf_window(lam, spec.s, spec.u, t)
     out = spec.x + (spec.y - spec.x) * np.asarray(p)
     return float(out) if out.ndim == 0 else out

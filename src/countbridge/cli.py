@@ -73,7 +73,7 @@ def _write_manifest(out_dir, command, options, outputs):
 def _resolve_model(options):
     if options.get("model") is not None:
         return model_from_dict(options["model"])
-    lams = options.get("lambdas") or ([options["lam"]] if options.get("lam") is not None else [])
+    lams = options.get("lambdas") or []
     if len(lams) != 1:
         raise ValueError("need --model or exactly one --lambda to define the process")
     return constant_characteristic_model(float(lams[0]))
@@ -124,25 +124,20 @@ def _run_mean_curve(options):
     spec = _spec(options)
     h_step = float(options["step"])
     outputs = []
+    lams = options.get("lambdas") or []
     if options.get("model") is not None:
-        model = model_from_dict(options["model"])
-        lam = options["lambdas"][0] if options.get("lambdas") else None
+        runs = [(model_from_dict(options["model"]), lams[0] if lams else None, "mean_curve.csv")]
+    elif lams:
+        runs = ((constant_characteristic_model(float(lam)), lam,
+                 f"mean_curve_lam{lam:g}.csv" if len(lams) > 1 else "mean_curve.csv")
+                for lam in lams)
+    else:
+        raise ValueError("mean-curve needs --model or at least one --lambda")
+    for model, lam, name in runs:
         header = ["t", "mean", "second_diff"] + (["bound"] if lam is not None else [])
-        name = "mean_curve.csv"
         _write_csv(os.path.join(options["out"], name), header,
                    _curve_rows(model, spec, lam, h_step))
         outputs.append(name)
-    else:
-        lams = options.get("lambdas") or []
-        if not lams:
-            raise ValueError("mean-curve needs --model or at least one --lambda")
-        for lam in lams:
-            model = constant_characteristic_model(float(lam))
-            name = f"mean_curve_lam{lam:g}.csv" if len(lams) > 1 else "mean_curve.csv"
-            _write_csv(os.path.join(options["out"], name),
-                       ["t", "mean", "second_diff", "bound"],
-                       _curve_rows(model, spec, float(lam), h_step))
-            outputs.append(name)
     if options.get("gnuplot"):
         stub = ["# gnuplot stub; run: gnuplot -p this_file", "set datafile separator ','",
                 "set xlabel 't'", "set ylabel 'E[X_t]'",
@@ -204,11 +199,7 @@ def _run_verify(options):
     model = _resolve_model(options)
     spec = _spec(options)
     h_step = float(options["step"])
-    lam = None
-    if options.get("lambdas"):
-        lam = float(options["lambdas"][0])
-    elif options.get("model") is None:
-        raise ValueError("verify needs --lambda for the benchmark bound")
+    lam = float(options["lambdas"][0]) if options.get("lambdas") else None
     checks = options["checks"] or ["convexity", "dominance", "mean-bound"]
     reports = []
     extra_outputs = []
@@ -220,29 +211,21 @@ def _run_verify(options):
     if {"dominance", "mean-bound"} & set(checks):
         table = marginal_table(model, spec, h_step, h=h)
     for name in checks:
+        if name in ("dominance", "mean-bound") and lam is None:
+            raise ValueError(f"{name} check needs --lambda")
         if name == "convexity":
             rep = convexity_check(model, spec, h_step, tol=float(options["tol_convexity"]))
-            reports.append(rep.to_dict())
-            all_pass &= rep.passed
         elif name == "dominance":
-            if lam is None:
-                raise ValueError("dominance check needs --lambda")
             rep = dominance_check(model, spec, lam, direction=options["direction"],
                                   tol=float(options["tol_margin"]), table=table)
-            reports.append(rep.to_dict())
-            all_pass &= rep.passed
             if options.get("grid_csv"):
                 _write_csv(os.path.join(options["out"], "dominance_grid.csv"),
                            ["t", "i", "computed_tail", "benchmark_tail", "margin"],
                            rep.rows)
                 extra_outputs.append("dominance_grid.csv")
         elif name == "mean-bound":
-            if lam is None:
-                raise ValueError("mean-bound check needs --lambda")
             rep = mean_bound_check(model, spec, lam, tol=float(options["tol_margin"]),
                                    table=table)
-            reports.append(rep.to_dict())
-            all_pass &= rep.passed
         elif name == "duality":
             paths = sample_bridge(model, spec, h, int(options["replicas"]),
                                   int(options["seed"]))
@@ -255,8 +238,11 @@ def _run_verify(options):
                 d["verdict"] = "pass" if abs(res.z_score) <= zmax else "fail"
                 reports.append(d)
                 all_pass &= abs(res.z_score) <= zmax
+            continue
         else:
             raise ValueError(f"unknown check {name!r}")
+        reports.append(rep.to_dict())
+        all_pass &= rep.passed
     payload = {"checks": reports, "all_pass": bool(all_pass)}
     _write_json(os.path.join(options["out"], "verify.json"), payload)
     _write_manifest(options["out"], "verify", options, ["verify.json"] + extra_outputs)

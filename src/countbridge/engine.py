@@ -20,9 +20,9 @@ module promises.  Two devices deal with that:
   constant rates is exactly a geometric mesh in u - t.
 
 h is stored in log space; states whose pin probability underflows even the
-rescaled backward pass carry a -inf sentinel, and public queries touching a
-value below exp(-700) raise :class:`~countbridge.errors.Underflow` rather
-than silently clamping.
+rescaled backward pass carry a -inf sentinel, and the marginal routes and the
+sampler raise :class:`~countbridge.errors.Underflow` on a start state or a
+jump that needs a value below exp(-700), rather than silently clamping.
 """
 
 from __future__ import annotations
@@ -195,12 +195,12 @@ def _down(w):
 class HField:
     """log h(t, z) on the solver mesh for one (model, bridge) pair.
 
-    Stores log h and the pinned jump rates at the mesh nodes, each a
-    (mesh nodes x ladder) array, and the mesh they were solved on.
-    Immutable once built; safe to share across threads.  Off-mesh times are
-    interpolated linearly in log space; times inside a state's terminal
-    boundary layer use the exact first-order pin asymptote k ~ (y - z)/(u - t)
-    anchored at the latest mature node for that state.
+    Stores ``logh`` and ``node_bridge_rates`` (the pinned jump rates), each a
+    (mesh nodes x ladder) array on the node times ``times``, and the mesh they
+    were solved on.  Immutable once built; safe to share across threads.
+    Inside a state's terminal boundary layer the sampler uses the exact
+    first-order pin asymptote k ~ (y - z)/(u - t), anchored at the latest
+    mature node for that state (``anchor_idx``).
     """
 
     def __init__(self, model, spec, mesh, log_h, node_bridge_rates):
@@ -224,67 +224,6 @@ class HField:
             while j >= 0 and not (np.isfinite(log_h[j, zi]) and np.isfinite(log_h[j, zi + 1])):
                 j -= 1
             self.anchor_idx[zi] = j
-
-    def log_h(self, t, z):
-        """Interpolated log pin probability; raises Underflow below exp(-700)."""
-        val = self._log_h_raw(float(t), int(z))
-        if not np.isfinite(val) or val < LOG_FLOOR:
-            raise Underflow(f"log h({t}, {z}) = {val}; state effectively unreachable from the pin")
-        return val
-
-    def _log_h_raw(self, t, z):
-        spec = self.spec
-        if not spec.s <= t <= spec.u:
-            raise BadWindow(f"t={t} outside [{spec.s}, {spec.u}]")
-        if not spec.x <= z <= spec.y:
-            raise BadWindow(f"state {z} off the ladder [{spec.x}, {spec.y}]")
-        zi = z - spec.x
-        times = self.times
-        if zi < spec.n:
-            j = int(self.anchor_idx[zi])
-            if j < 0:
-                return -math.inf
-            if t > times[j]:
-                if t >= spec.u:
-                    return -math.inf
-                m = spec.n - zi
-                return float(self.logh[j, zi]) + m * math.log(
-                    (spec.u - t) / (spec.u - times[j]))
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        if i >= times.size - 1:
-            return float(self.logh[-1, zi])
-        g0, g1 = float(self.logh[i, zi]), float(self.logh[i + 1, zi])
-        if not (math.isfinite(g0) and math.isfinite(g1)):
-            return -math.inf
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return g0 + w * (g1 - g0)
-
-    def bridge_rate(self, t, z):
-        """Pinned jump rate rate(t,z) * h(t,z+1) / h(t,z); zero at the top state."""
-        spec = self.spec
-        t = float(t)
-        if not spec.s <= t < spec.u:
-            raise BadWindow(f"t={t} outside [{spec.s}, {spec.u})")
-        z = int(z)
-        if not spec.x <= z <= spec.y:
-            raise BadWindow(f"state {z} off the ladder [{spec.x}, {spec.y}]")
-        if z == spec.y:
-            return 0.0
-        zi = z - spec.x
-        j = int(self.anchor_idx[zi])
-        if j < 0:
-            raise Underflow(f"pin probability underflowed for state {z}")
-        ta = float(self.times[j])
-        if t >= ta:
-            base = self.node_bridge_rates[j, zi]
-            if base <= 0.0:
-                raise Underflow(f"pin probability underflowed for state {z} near the terminal time")
-            return float(base * (spec.u - ta) / (spec.u - t))
-        g0 = self._log_h_raw(t, z)
-        g1 = self._log_h_raw(t, z + 1)
-        if not np.isfinite(g0) or g0 < LOG_FLOOR or not np.isfinite(g1) or g1 < LOG_FLOOR:
-            raise Underflow(f"log h near ({t}, {z}) fell below {LOG_FLOOR}")
-        return float(self.model.rate(t, z)) * math.exp(g1 - g0)
 
     def next_jumps(self, zi, start, mass):
         """Next jump times from ladder state x + zi, by inversion of the pinned survival.
@@ -422,9 +361,6 @@ class MarginalTable:
         """P(X_t >= x + i) with rows over the grid and columns i = 0..n."""
         return np.cumsum(self.probs[:, ::-1], axis=1)[:, ::-1]
 
-    def row(self, idx):
-        return self.probs[idx]
-
     def index_of(self, t, tol=1e-9):
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > tol:
@@ -499,6 +435,17 @@ def _field_and_mesh(model, spec, h_step, h, step_budget):
     return h, mesh
 
 
+def _pinned_table(spec, mesh, rows, drift):
+    """Validated table of the output rows (one per output time before u), normalised,
+    with both ends set exactly to the pins."""
+    probs = np.zeros((mesh.n_cells + 1, spec.n + 1))
+    for slot, q in enumerate(rows):
+        probs[slot] = q / q.sum()
+    probs[0] = probs[-1] = 0.0
+    probs[0, 0] = probs[-1, -1] = 1.0
+    return MarginalTable(spec, mesh.out_times, probs, drift).validate()
+
+
 def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     """Bridge marginals by forward integration of the pinned dynamics.
 
@@ -509,18 +456,7 @@ def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     h, mesh = _field_and_mesh(model, spec, h_step, h, step_budget)
     k_nodes = h.node_bridge_rates
     rows, drift = _forward_sweep(mesh, lambda lo, hi: k_nodes[lo:hi], True, mesh.out_fb_idx)
-
-    width = spec.n + 1
-    probs = np.zeros((mesh.n_cells + 1, width))
-    for slot, fb_idx in enumerate(mesh.out_fb_idx):
-        q = rows[int(fb_idx)]
-        probs[slot] = q / q.sum()
-    probs[0] = 0.0
-    probs[0, 0] = 1.0
-    probs[-1] = 0.0
-    probs[-1, -1] = 1.0
-    table = MarginalTable(spec, mesh.out_times, probs, drift)
-    return table.validate()
+    return _pinned_table(spec, mesh, [rows[int(i)] for i in mesh.out_fb_idx], drift)
 
 
 def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None):
@@ -534,24 +470,13 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None)
     ladder = spec.ladder()
     rows, _ = _forward_sweep(mesh, lambda lo, hi: h.model.rate_grid(mesh.times[lo:hi], ladder),
                              False, mesh.out_fb_idx)
-
-    width = spec.n + 1
-    probs = np.zeros((mesh.n_cells + 1, width))
-    for slot, fb_idx in enumerate(mesh.out_fb_idx):
-        p = rows[int(fb_idx)]
-        node = int(mesh.out_node_idx[slot])
+    qs = []
+    for fb_idx, node in zip(mesh.out_fb_idx, mesh.out_node_idx):
         with np.errstate(divide="ignore", invalid="ignore"):
-            logq = np.log(p) + h.logh[node]
+            logq = np.log(rows[int(fb_idx)]) + h.logh[node]
         logq[~np.isfinite(logq)] = -np.inf
-        m = logq.max()
-        q = np.exp(logq - m)
-        probs[slot] = q / q.sum()
-    probs[0] = 0.0
-    probs[0, 0] = 1.0
-    probs[-1] = 0.0
-    probs[-1, -1] = 1.0
-    table = MarginalTable(spec, mesh.out_times, probs, 0.0)
-    return table.validate()
+        qs.append(np.exp(logq - logq.max()))
+    return _pinned_table(spec, mesh, qs, 0.0)
 
 
 def mean_curve(table):

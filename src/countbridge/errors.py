@@ -45,10 +45,6 @@ class NotSorted(CountBridgeError):
     """Jump-time vector is not strictly increasing."""
 
 
-class OracleScale(CountBridgeError):
-    """Quadrature oracle requested beyond its supported dimension."""
-
-
 class PinMiss(CountBridgeError):
     """A sampled bridge path did not land on its endpoint."""
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import EmptyRange, OutOfDomain, TabulationGap
 
@@ -153,6 +152,37 @@ def Product(alpha, lam, beta, state_floor=0):
     return ExpAffine(alpha, alpha * beta, lam, state_floor)
 
 
+def _hermite_coefficients(x, y, dydx):
+    """Piecewise cubic coefficients (c0, c1, c2, c3), highest power first.
+
+    On [x[i], x[i+1]] the cubic is c0 s^3 + c1 s^2 + c2 s + c3 with s = t - x[i];
+    it matches y and dydx at both nodes.  Formed like scipy's CubicHermiteSpline,
+    so values agree with it to the last bit.
+    """
+    dx = np.diff(x)[:, None]
+    slope = np.diff(y, axis=0) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack([t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]])
+
+
+def _piecewise_eval(x, c, t, cols):
+    """Evaluate coefficients ``c`` at times ``t`` in columns ``cols`` (broadcast together).
+
+    Only the requested columns are gathered.  The interval is found as by
+    scipy's PPoly (closed on the right at the last node, end pieces extended),
+    and the sum runs in its order, lowest power first.
+    """
+    i = np.searchsorted(x[1:-1], t, side="right")
+    s = t - x[i]
+    idx = i * c.shape[2] + cols
+    flat = c.reshape(c.shape[0], -1)
+    out, z = 0.0 + flat[-1].take(idx), s
+    for ck in flat[-2::-1]:
+        out = out + ck.take(idx) * z
+        z = z * s
+    return out
+
+
 class Tabulated(_RateModel):
     """Rates given on a time grid x contiguous state range.
 
@@ -174,10 +204,8 @@ class Tabulated(_RateModel):
             raise ValueError("t_grid must be strictly increasing")
         if t_grid[0] < -_T_SLACK or t_grid[-1] > 1.0 + _T_SLACK:
             raise ValueError("t_grid must lie inside [0, 1]")
-        if rates.shape != (t_grid.size,) and rates.ndim != 2:
-            raise ValueError("rates must be a (time x state) matrix")
         if rates.ndim != 2 or rates.shape[0] != t_grid.size:
-            raise ValueError("rates must have one row per time node")
+            raise ValueError("rates must be a (time x state) matrix, one row per time node")
         if np.any(rates <= 0):
             raise ValueError("all tabulated rates must be positive")
         if rates_dt is None:
@@ -195,12 +223,13 @@ class Tabulated(_RateModel):
         self.state_floor = self.z_min if state_floor is None else int(state_floor)
         if self.state_floor < self.z_min:
             raise ValueError("state_floor below tabulated range")
-        self._spline = CubicHermiteSpline(t_grid, rates, rates_dt, axis=0)
-        self._spline_dt = self._spline.derivative()
+        self._coef = _hermite_coefficients(t_grid, rates, rates_dt)
+        self._coef_dt = self._coef[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
         # Hermite interpolation can overshoot between nodes; refuse models
         # whose interpolant dips to zero or below anywhere on the hull.
         probe = np.linspace(t_grid[0], t_grid[-1], max(101, 4 * t_grid.size))
-        if np.min(self._spline(probe)) <= 0:
+        if np.min(_piecewise_eval(t_grid, self._coef, probe[:, None],
+                                  np.arange(rates.shape[1]))) <= 0:
             raise ValueError("interpolated rates dip to zero between nodes")
 
     @property
@@ -208,42 +237,31 @@ class Tabulated(_RateModel):
         return self.z_min + self.rates.shape[1] - 1
 
     def _locate(self, t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z)
-        if np.any(z < self.state_floor):
-            raise OutOfDomain(f"state below floor {self.state_floor}")
-        if np.any(t < -_T_SLACK) or np.any(t > 1.0 + _T_SLACK):
-            raise OutOfDomain("time outside [0, 1]")
+        t = _check_time(t)
+        z = _check_state(z, self.state_floor)
         if np.any(t < self.t_grid[0] - _T_SLACK) or np.any(t > self.t_grid[-1] + _T_SLACK):
             raise TabulationGap("time outside the tabulated hull")
         if np.any(z < self.z_min) or np.any(z > self.z_max):
             raise TabulationGap(f"state outside tabulated range [{self.z_min}, {self.z_max}]")
         return t, z.astype(int)
 
-    def _eval(self, spline, t, z):
+    def _eval(self, coef, t, z):
         t, z = self._locate(t, z)
-        cols = z - self.z_min
-        if t.ndim == 0 and cols.ndim == 0:
-            return float(spline(t)[int(cols)])
-        vals = spline(np.atleast_1d(t))  # (nt, nz)
-        if cols.ndim == 0:
-            out = vals[:, int(cols)]
-            return out.reshape(t.shape) if t.ndim else float(out[0])
-        if t.ndim == 0:
-            return vals[0, cols]
-        return vals[np.arange(t.size), cols] if t.shape == cols.shape else vals[:, cols]
+        if t.ndim == 1 and z.ndim == 1 and t.size != z.size:
+            t = t[:, None]  # one row per time, one column per state
+        out = _piecewise_eval(self.t_grid, coef, t, z - self.z_min)
+        return float(out) if out.ndim == 0 else out
 
     def rate(self, t, z):
-        return self._eval(self._spline, t, z)
+        return self._eval(self._coef, t, z)
 
     def rate_dt(self, t, z):
-        return self._eval(self._spline_dt, t, z)
+        return self._eval(self._coef_dt, t, z)
 
     def rate_grid(self, times, states):
-        times = np.asarray(times, dtype=float)
-        states = np.asarray(states, dtype=int)
+        """Rates on a time grid x state set, shape (len(times), len(states))."""
         t, z = self._locate(times, states)
-        return self._spline(t)[:, z - self.z_min]
+        return _piecewise_eval(self.t_grid, self._coef, t[:, None], z - self.z_min)
 
     def characteristic(self, t, z):
         return generic_characteristic(self, t, z)
@@ -255,10 +273,7 @@ class Tabulated(_RateModel):
         zlo, zhi = _validate_zrange(z_range, self.state_floor)
         n_t = max(2, int(math.ceil((u - s) / grid_step)) + 1)
         times = np.linspace(s, u, n_t)
-        states = np.arange(zlo, zhi + 1)
-        vals = np.empty((n_t, states.size))
-        for j, z in enumerate(states):
-            vals[:, j] = generic_characteristic(self, times, int(z))
+        vals = generic_characteristic(self, times[:, None], np.arange(zlo, zhi + 1))
         return CharacteristicBounds(float(vals.min()), float(vals.max()), False)
 
     def _params(self):

@@ -46,7 +46,6 @@ class ConvexityReport:
     passed: bool
     worst_violation: float
     tol: float
-    profile: np.ndarray = field(repr=False)
 
     def to_dict(self):
         return {
@@ -73,8 +72,7 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8, inspect_points=51, table
     the differences on a decimated uniform grid.
     """
     if spec.n == 0:
-        return ConvexityReport(spec, 0.0, 0.0, "exact-parametric", "linear", True, 0.0, tol,
-                               np.zeros((0, 2)))
+        return ConvexityReport(spec, 0.0, 0.0, "exact-parametric", "linear", True, 0.0, tol)
     bounds = characteristic_bounds(model, (spec.s, spec.u), (spec.x, spec.y - 1))
     if table is None:
         table = marginal_table(model, spec, h_step, step_budget=step_budget)
@@ -89,17 +87,15 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8, inspect_points=51, table
     nonpos = bounds.sup <= 1e-12
     if nonneg and nonpos:
         claim, worst = "linear", float(np.max(np.abs(d2[:, 1])))
-        passed = worst <= tol
     elif nonneg:
         claim, worst = "convex", float(max(0.0, -np.min(d2[:, 1])))
-        passed = worst <= tol
     elif nonpos:
         claim, worst = "concave", float(max(0.0, np.max(d2[:, 1])))
-        passed = worst <= tol
     else:
-        claim, worst, passed = "no claim", 0.0, True
+        claim, worst = "no claim", 0.0
+    passed = claim == "no claim" or worst <= tol
     return ConvexityReport(spec, bounds.inf, bounds.sup, _certification(bounds),
-                           claim, passed, worst, tol, d2)
+                           claim, passed, worst, tol)
 
 
 @dataclass
@@ -359,7 +355,6 @@ class LLNReport:
     medians_non_increasing: bool
     strategy: str
     rng_seed: int
-    sup_samples: list = field(default_factory=list, repr=False)  # one array per N
 
     def to_dict(self):
         return {
@@ -407,7 +402,7 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h
     constant = bounds.certified and abs(bounds.sup - bounds.inf) < 1e-12
     strategy = "exact-order-statistics" if constant else "h-transform-inversion"
 
-    medians, q90s, samples = [], [], []
+    medians, q90s = [], []
     for k, big_n in enumerate(n_values):
         seed_k = (int(rng_seed) + 0x9E3779B97F4A7C15 * (k + 1)) & ((1 << 63) - 1)
         spec = BridgeSpec(0, big_n)
@@ -417,11 +412,10 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h
             h = solve_h(model, spec, h_step)
             paths = sample_bridge(model, spec, h, replicas, seed_k)
         sup = _sup_distance(jump_time_matrix(paths), lam)
-        samples.append(sup)
         medians.append(float(np.quantile(sup, 0.5)))
         q90s.append(float(np.quantile(sup, 0.9)))
     order = np.argsort(n_values)
     med_sorted = np.asarray(medians)[order]
     monotone = bool(np.all(np.diff(med_sorted) <= 0.0))
     return LLNReport(float(lam), n_values, int(replicas), medians, q90s, monotone,
-                     strategy, int(rng_seed), samples)
+                     strategy, int(rng_seed))

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countbridge.analytic import (BinomialSpec, binomial_tail, constant_characteristic_marginal,
-                                  mean_upper_bound, tilted_cdf, tilted_cdf_window, tilted_ppf)
+from countbridge.analytic import (BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf,
+                                  tilted_cdf_window)
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadWindow, IndexOut
+from oracles import binom
 
 PI3_HALF = 0.18242552380635635  # (e^1.5 - 1)/(e^3 - 1), frozen
 
@@ -64,17 +65,14 @@ def test_tilted_cdf_window_errors():
         tilted_cdf_window(1.0, 0.2, 0.8, 0.9)
 
 
-@given(st.floats(-10, 10), st.floats(0.001, 0.999))
-@settings(max_examples=200, deadline=None)
-def test_tilted_ppf_inverts_cdf(lam, p):
-    t = tilted_ppf(lam, p)
-    assert tilted_cdf(lam, t) == pytest.approx(p, abs=1e-10)
-
-
 @pytest.mark.parametrize("n", [0, 1, 5, 20, 200])
 @pytest.mark.parametrize("p", [0.0, 0.1824, 0.5, 1.0])
 def test_pmf_normalization(n, p):
-    assert abs(BinomialSpec(n, p).pmf().sum() - 1.0) <= 1e-12
+    # the probabilities of 0..n successes, as differences of consecutive tails
+    b = BinomialSpec(n, p)
+    pmf = -np.diff([binomial_tail(b, i) for i in range(n + 1)] + [0.0])
+    assert abs(pmf.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(pmf - binom.pmf(np.arange(n + 1), n, p))) <= 1e-12
 
 
 def test_binomial_tail_values():
@@ -105,16 +103,22 @@ def test_binomial_tail_index_errors():
         binomial_tail(BinomialSpec(5, 0.5), 6)
 
 
+def test_binomial_tail_matches_scipy_sf_bitwise():
+    rng = np.random.default_rng(2015)
+    for _ in range(2000):
+        n = int(rng.integers(1, 2001))
+        i = int(rng.integers(1, n + 1))
+        p = float(rng.uniform())
+        assert binomial_tail(BinomialSpec(n, p), i) == float(binom.sf(i - 1, n, p))
+
+
 def test_constant_characteristic_marginal():
-    spec = BridgeSpec(0, 2)
-    m = constant_characteristic_marginal(spec, 0.0, 0.5)
-    np.testing.assert_allclose(m.pmf(), [0.25, 0.5, 0.25], atol=1e-14)
-    pinned = constant_characteristic_marginal(BridgeSpec(0, 6), -2.7, 1.0)
-    assert pinned.pmf()[-1] == pytest.approx(1.0, abs=1e-12)
-    b = constant_characteristic_marginal(BridgeSpec(0, 5), 3.0, 0.5)
+    # the x -> y bridge marginal of characteristic lam is Binomial(y - x, tilted_cdf(lam, t))
+    np.testing.assert_allclose(binom.pmf(np.arange(3), 2, tilted_cdf(0.0, 0.5)),
+                               [0.25, 0.5, 0.25], atol=1e-14)
+    assert binom.pmf(6, 6, tilted_cdf(-2.7, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    b = BinomialSpec(5, tilted_cdf(3.0, 0.5))
     assert binomial_tail(b, 1) == pytest.approx(0.6347109751760405, rel=1e-10)
-    with pytest.raises(BadWindow):
-        constant_characteristic_marginal(BridgeSpec(0, 2, 0.1, 0.9), 0.0, 0.5)
 
 
 def test_mean_upper_bound():

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -210,3 +212,41 @@ def test_verify_grid_csv(tmp_path):
     header, rows = read_csv(out / "dominance_grid.csv")
     assert header == ["t", "i", "computed_tail", "benchmark_tail", "margin"]
     assert len(rows) == 19 * 4
+
+
+NO_SCIPY_SCRIPT = """
+import json, os, sys
+import numpy as np
+import countbridge
+from countbridge import cli
+from countbridge.engine import BridgeSpec, marginal_table, solve_h
+from countbridge.intensity import ExpAffine, Tabulated
+from countbridge.sampler import sample_bridge
+
+ExpAffine(1.0, 0.1, 3.0)
+tg = np.linspace(0.0, 1.0, 11)
+rates = (1.0 + 0.3 * np.arange(4.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None]
+model = Tabulated(tg, 0, rates)
+spec = BridgeSpec(0, 3)
+h = solve_h(model, spec, 1e-2)
+marginal_table(model, spec, 1e-2, h=h)
+sample_bridge(model, spec, h, 5, 1)
+out = sys.argv[1]
+os.makedirs(out)
+with open(os.path.join(out, "tab.json"), "w") as fh:
+    json.dump(model.to_dict(), fh)
+code = cli.main(["characteristics", "--model", os.path.join(out, "tab.json"), "--x", "0",
+                 "--y", "3", "--grid-step", "0.1", "--out", os.path.join(out, "ch")])
+assert code == 0, code
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_package_imports_no_scipy(tmp_path):
+    # scipy costs about 1 s to import; the package needs it only in binomial_tail
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "run")],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

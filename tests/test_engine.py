@@ -30,41 +30,44 @@ def test_bridge_spec_validation():
 
 
 def test_solve_h_one_jump_closed_form():
-    # single-jump pin: h(t,0) = a(u-t)exp(-a(u-t)), h(t,1) = exp(-a(u-t));
-    # off-node queries carry the documented O(step^2/(u-t)^2) interpolation bias
+    # single-jump pin: h(t,0) = a(u-t)exp(-a(u-t)), h(t,1) = exp(-a(u-t)), at every
+    # mesh node before u (h(u, 0) = 0)
     for a, s, u in [(2.0, 0.0, 1.0), (0.7, 0.25, 0.9)]:
         spec = BridgeSpec(0, 1, s, u)
         h = solve_h(Poisson(a), spec, 1e-3)
-        for t in np.linspace(s, u - 1e-6, 7):
-            d = u - t
-            assert h.log_h(t, 0) == pytest.approx(math.log(a * d) - a * d, abs=2e-5)
-            assert h.log_h(t, 1) == pytest.approx(-a * d, abs=2e-5)
-    # node-exact values are tight (no interpolation involved)
+        d = u - h.times[:-1]
+        assert np.max(np.abs(h.logh[:-1, 0] - (np.log(a * d) - a * d))) <= 2e-5
+        assert np.max(np.abs(h.logh[:-1, 1] + a * d)) <= 2e-5
+    # the output-grid nodes are tight
     h = solve_h(Poisson(2.0), BridgeSpec(0, 1), 1e-3)
     for t in (0.0, 0.25, 0.5):
-        assert h.log_h(t, 0) == pytest.approx(math.log(2 * (1 - t)) - 2 * (1 - t), abs=1e-12)
+        i = int(np.searchsorted(h.times, t))
+        assert h.times[i] == t
+        assert h.logh[i, 0] == pytest.approx(math.log(2 * (1 - t)) - 2 * (1 - t), abs=1e-12)
 
 
 def test_solve_h_five_jump_value():
     h = solve_h(Poisson(1.0), BridgeSpec(0, 5), 1e-3)
-    assert math.exp(h.log_h(0.0, 0)) == pytest.approx(math.exp(-1) / 120, rel=1e-10)
+    assert h.times[0] == 0.0
+    assert math.exp(h.logh[0, 0]) == pytest.approx(math.exp(-1) / 120, rel=1e-10)
 
 
 def test_bridge_intensity_poisson_alpha_cancels():
     spec = BridgeSpec(0, 1)
     for alpha in (0.5, 2.0, 10.0):
         h = solve_h(Poisson(alpha), spec, 1e-3)
-        for t in (0.1, 0.5, 0.99, 0.99999):
-            assert h.bridge_rate(t, 0) == pytest.approx(1.0 / (1.0 - t), rel=1e-7)
-        assert h.bridge_rate(0.3, 1) == 0.0
+        # every node before u, down to the last one at u - 1e-5
+        np.testing.assert_allclose(h.node_bridge_rates[:-1, 0], 1.0 / (1.0 - h.times[:-1]),
+                                   rtol=1e-7)
+        assert np.all(h.node_bridge_rates[:, 1] == 0.0)
 
 
 def test_bridge_intensity_diverges_with_unit_slope():
     spec = BridgeSpec(0, 5)
     h = solve_h(Product(1.0, 3.0, 0.1), spec, 1e-3)
-    ds = np.geomspace(1e-4, 0.1, 25)
-    ks = [h.bridge_rate(1.0 - d, 4) for d in ds]
-    fit = linregress(np.log(ds), np.log(ks))
+    ds = 1.0 - h.times
+    near = (ds >= 1e-4) & (ds <= 0.1)
+    fit = linregress(np.log(ds[near]), np.log(h.node_bridge_rates[near, 4]))
     assert abs(fit.slope + 1.0) < 0.05
 
 
@@ -121,8 +124,8 @@ def test_empty_bridge():
     spec = BridgeSpec(3, 3, 0.2, 0.7)
     h = solve_h(Poisson(1.5), spec, 1e-3)
     # no-jump pin: h(t,x) = exp(-a(u-t)), rate 0, constant marginal
-    assert h.log_h(0.3, 3) == pytest.approx(-1.5 * 0.4, abs=1e-10)
-    assert h.bridge_rate(0.5, 3) == 0.0
+    assert np.max(np.abs(h.logh[:, 0] + 1.5 * (0.7 - h.times))) <= 1e-10
+    assert np.all(h.node_bridge_rates == 0.0)
     tab = marginal_table(Poisson(1.5), spec, 1e-3)
     assert np.all(tab.probs == 1.0)
     assert mean_curve(tab)[:, 1] == pytest.approx(3.0)
@@ -158,10 +161,10 @@ def test_underflow_reported_not_clamped():
     # 200 jumps under rate 1: log h(0,0) = -1 - log(200!) < -700
     spec = BridgeSpec(0, 200)
     h = solve_h(Poisson(1.0), spec, 1e-2)
-    with pytest.raises(Underflow):
-        h.log_h(0.0, 0)
+    assert h.times[0] == 0.0
+    assert not h.logh[0, 0] >= engine.LOG_FLOOR
     # the shallow states stay representable and exact
-    assert h.log_h(0.0, 199) == pytest.approx(-1.0, abs=1e-6)
+    assert h.logh[0, 199] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_marginals_refuse_an_underflowed_start_state():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from countbridge.errors import EmptyRange, OutOfDomain, TabulationGap
-from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
+from countbridge.intensity import (_T_SLACK, ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
                                    TimeExponential, characteristic_bounds,
                                    constant_characteristic_model, generic_characteristic,
                                    model_from_dict)
@@ -195,3 +195,51 @@ def test_rate_grid_matches_pointwise():
         for i, t in enumerate(times):
             for j, z in enumerate(states):
                 assert grid[i, j] == pytest.approx(model.rate(float(t), int(z)), rel=1e-12)
+
+
+def test_tabulated_matches_scipy_cubic_hermite_bitwise():
+    from scipy.interpolate import CubicHermiteSpline
+
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        m, w = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+        tg = np.sort(rng.choice(np.linspace(0.1, 0.9, 17), min(m, 17), replace=False))
+        m = tg.size
+        rates = rng.uniform(1.0, 1.5, (m, w))
+        model = Tabulated(tg, 2, rates, rng.normal(0.0, 0.3, (m, w)) if trial % 2 else None)
+        ref = CubicHermiteSpline(tg, rates, model.rates_dt, axis=0)
+        ref_dt = ref.derivative()
+        # random points, every node, and just outside the hull (within _T_SLACK)
+        ts = np.concatenate([rng.uniform(tg[0], tg[-1], 100), tg,
+                             [tg[0] - 0.5 * _T_SLACK, tg[-1] + 0.5 * _T_SLACK]])
+        zs = np.arange(2, 2 + w)
+        assert np.array_equal(model.rate_grid(ts, zs), ref(ts))
+        assert np.array_equal(model.rate_dt(ts[:, None], zs), ref_dt(ts))
+        # a subset of the states gathers the same bits
+        sub = rng.permutation(zs)[: max(1, w // 2)]
+        assert np.array_equal(model.rate_grid(ts, sub), ref(ts)[:, sub - 2])
+        for t, z in zip(ts[::7], rng.integers(2, 2 + w, ts.size)[::7]):
+            assert model.rate(float(t), int(z)) == ref(t)[z - 2]
+            assert model.rate_dt(float(t), int(z)) == ref_dt(t)[z - 2]
+
+
+def test_tabulated_refuses_a_dip_between_nodes():
+    # positive at both nodes, but the slopes pull the cubic to 0.1 - 1.25 at t = 0.5
+    with pytest.raises(ValueError, match="dip to zero between nodes"):
+        Tabulated([0.0, 1.0], 0, [[0.1], [0.1]], [[-5.0], [5.0]])
+
+
+def test_tabulated_rate_shapes():
+    m = _tabulated()
+    ts, zs = np.linspace(0.05, 0.95, 4), np.array([0, 2, 4])
+    assert isinstance(m.rate(0.3, 1), float) and isinstance(m.rate_dt(0.3, 1), float)
+    assert m.rate(ts, 2).shape == (4,)
+    assert m.rate(0.3, zs).shape == (3,)
+    assert m.rate(ts, zs).shape == (4, 3)                  # outer when shapes differ
+    assert m.rate(ts[:3], zs).shape == (3,)                # paired when they match
+    assert m.rate(ts[:, None], zs[None, :]).shape == (4, 3)
+    grid = m.rate_grid(ts, zs)
+    np.testing.assert_array_equal(m.rate(ts, zs), grid)
+    np.testing.assert_array_equal(m.rate(ts[:3], zs), np.diag(grid[:3]))
+    np.testing.assert_array_equal(m.rate(0.3, zs), m.rate_grid([0.3], zs)[0])
+    np.testing.assert_array_equal(m.rate(ts, 2), grid[:, 1])

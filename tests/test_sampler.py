@@ -7,11 +7,11 @@ from scipy.stats import binom, ks_2samp
 
 from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.errors import IndexOut, NotSorted, OracleScale, PinMiss, Underflow
+from countbridge.errors import IndexOut, NotSorted, PinMiss, Underflow
 from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
-from countbridge.sampler import (PathSample, characteristic_integrals, jump_time_matrix,
-                                 sample_bridge, sample_constant, sample_rejection,
-                                 simplex_jump_time_cdf)
+from countbridge.sampler import PathSample, jump_time_matrix, sample_bridge, sample_constant
+from oracles import (OracleScale, characteristic_integrals, sample_rejection,
+                     simplex_jump_time_cdf)
 
 PI3_HALF = 0.18242552380635635
 
@@ -19,7 +19,9 @@ PI3_HALF = 0.18242552380635635
 def test_path_sample_validation():
     p = PathSample(2, (0.1, 0.4, 0.9))
     assert p.n == 3
-    assert p.count_at(0.05) == 2 and p.count_at(0.4) == 4 and p.count_at(1.0) == 5
+    # X_t = x0 + jumps at or before t (right-continuous)
+    counts = p.x0 + np.searchsorted(jump_time_matrix([p])[0], [0.05, 0.4, 1.0], side="right")
+    assert counts.tolist() == [2, 4, 5]
     with pytest.raises(NotSorted):
         PathSample(0, (0.5, 0.5))
 
@@ -152,8 +154,8 @@ def test_h_transform_consistency_histogram():
     model = Product(1.0, 3.0, 0.1)
     h = solve_h(model, spec, 1e-3)
     count = 100000
-    paths = sample_bridge(model, spec, h, count, 314159)
-    counts = np.bincount([p.count_at(0.5) for p in paths], minlength=6)
+    T = jump_time_matrix(sample_bridge(model, spec, h, count, 314159))
+    counts = np.bincount([np.searchsorted(row, 0.5, side="right") for row in T], minlength=6)
     emp = counts / count
     exact = marginal_table(model, spec, 1e-3, h=h).probs[500]
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / count)
