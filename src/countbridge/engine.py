@@ -13,7 +13,15 @@ module promises.  Two devices deal with that:
 
 * every Runge-Kutta step removes its diagonal (the stiff part) exactly through
   a per-step integrating factor, leaving only the strictly triangular coupling
-  to the classical RK4 stages;
+  to the classical RK4 stages.  Stage k of a step reads only the state vector
+  shifted k - 1 places, so the whole step expands exactly into one
+  five-diagonal operator, v_new = ee (v + a1 S v + a2 S^2 v + a3 S^3 v +
+  a4 S^4 v), with ee the step's integrating factor and S the shift toward
+  the pin (backward) or away from it (forward).  Every a_d is a product of
+  rates and step powers, hence >= 0, so a non-negative vector stays
+  non-negative with no clamp.  Both sweeps form these coefficients for
+  CHUNK = 256 steps at a time and apply each step as one ``einsum`` over
+  sliding windows of a zero-padded row;
 * the mesh is graded toward the terminal time in the variable that actually
   measures pin pressure: the remaining integrated rate.  Each step moves at
   most STEP_BUDGET / (ladder height) in log of that variable, which for
@@ -31,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, ResourceCap,
                      Underflow)
@@ -44,10 +53,12 @@ STEP_BUDGET = 0.1
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
 LOG_FLOOR = -700.0
-# Per-step coefficients (and the mesh's rate probe) are formed for CHUNK steps
-# at a time, so only log h and the bridge rates are ever stored at
-# (mesh nodes x ladder).
-CHUNK = 512
+# Per-step band coefficients (and the mesh's rate probe) are formed for CHUNK
+# steps at a time, so only log h and the bridge rates are ever stored at
+# (mesh nodes x ladder).  At 256, a block of (CHUNK x 5 x ladder) band
+# coefficients keeps solve_h's peak below that of the staged loop it replaced;
+# each sweep drops a block's band before the next block forms its own.
+CHUNK = 256
 # A mesh whose two stored (nodes x ladder) float arrays would exceed this many
 # bytes is refused before anything of that size is allocated.
 MEMORY_CAP = 4 * 2 ** 30
@@ -192,6 +203,52 @@ def _down(w):
     return out
 
 
+def _band(r0, rm, r1, step, shift):
+    """Five-diagonal operators of a block of diagonal-exact RK4 steps.
+
+    ``r0``, ``rm`` and ``r1`` are the per-state rates at the start, middle and end
+    of each step (steps x ladder) and ``step`` the (steps x 1) step lengths.  The
+    backward system couples state z to z + 1 (``shift`` = _up) at z's own rate,
+    the forward one feeds z from z - 1 (_down) at that state's rate.  The
+    diagonal's integrals i (Simpson to the end, a quadratic fit to the middle)
+    are removed exactly, leaving the staged step with coupling rates c0, cm, ce
+    and k1 = c0 S v, k2 = cm S(v + step/2 k1), k3 = cm S(v + step/2 k2),
+    k4 = ce S(v + step k3), v_new = exp(-i_end) (v + step/6 (k1 + 2 k2 + 2 k3 + k4)),
+    which expands exactly to v_new = sum_d band[:, d] S^d v.  Returns
+    (steps x 5 x ladder), every entry >= 0.
+    """
+    i_mid = step * (5.0 * r0 + 8.0 * rm - r1) / 24.0
+    i_end = step * (r0 + 4.0 * rm + r1) / 6.0
+    coupling = shift if shift is _down else (lambda r: r)
+    c0 = coupling(r0)
+    cm = coupling(rm) * np.exp(i_mid - shift(i_mid))
+    ce = coupling(r1) * np.exp(i_end - shift(i_end))
+    s_c0, s_cm = shift(c0), shift(cm)
+    s2_c0, s2_cm = shift(s_c0), shift(s_cm)
+    ee = np.exp(-i_end)
+    band = np.empty((c0.shape[0], 5, c0.shape[1]))
+    band[:, 0] = ee
+    band[:, 1] = (step / 6.0) * (c0 + 4.0 * cm + ce) * ee
+    band[:, 2] = (step ** 2 / 6.0) * (cm * s_c0 + (cm + ce) * s_cm) * ee
+    band[:, 3] = (step ** 3 / 12.0) * s_cm * (cm * s2_c0 + ce * s2_cm) * ee
+    band[:, 4] = (step ** 4 / 24.0) * ce * s_cm * s2_cm * shift(s2_c0) * ee
+    return band
+
+
+def _band_rows(n_rows, width, shift):
+    """Zero-padded rows for band steps: (rows, windows).
+
+    ``rows`` is (n_rows x width); ``windows[i, d, z]`` is (S^d rows[i])[z] for the
+    shift S, zero past the ladder, so ``einsum("dz,dz->z", band[j], windows[i])``
+    is one band step of row i.
+    """
+    pad = np.zeros((n_rows, width + 4))
+    windows = sliding_window_view(pad, width, axis=1)
+    if shift is _up:
+        return pad[:, :width], windows
+    return pad[:, 4:], windows[:, ::-1]
+
+
 class HField:
     """log h(t, z) on the solver mesh for one (model, bridge) pair.
 
@@ -217,13 +274,11 @@ class HField:
         n = spec.n
         d_min = spec.u - times[-2]
         self.anchor_idx = np.full(max(n, 0), -1, dtype=int)
-        for zi in range(n):
-            m = n - zi
-            lim = spec.u - m * d_min
-            j = min(int(np.searchsorted(times, lim, side="right")) - 1, times.size - 2)
-            while j >= 0 and not (np.isfinite(log_h[j, zi]) and np.isfinite(log_h[j, zi + 1])):
-                j -= 1
-            self.anchor_idx[zi] = j
+        lims = np.searchsorted(times, spec.u - (n - np.arange(n)) * d_min, side="right")
+        for zi, stop in enumerate(np.minimum(lims, times.size - 1)):
+            ok = np.flatnonzero(np.isfinite(log_h[:stop, zi]) & np.isfinite(log_h[:stop, zi + 1]))
+            if ok.size:
+                self.anchor_idx[zi] = ok[-1]
 
     def next_jumps(self, zi, start, mass):
         """Next jump times from ladder state x + zi, by inversion of the pinned survival.
@@ -271,10 +326,14 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     """Solve the backward pin-probability system on the ladder.
 
     Integrates d/dt h(t,z) = -rate(t,z) [h(t,z+1) - h(t,z)] backward from
-    h(u, .) = indicator(y) with diagonally-exact RK4 steps, rescaling the
-    vector each step and storing logs (states that underflow the rescaled
-    pass get a -inf sentinel).  ``step_budget`` tightens the mesh grading
-    below the module default for extra accuracy.
+    h(u, .) = indicator(y) with diagonally-exact RK4 steps, each applied as
+    its five-diagonal operator (:func:`_band`, formed CHUNK steps at a time)
+    in one ``einsum``.  No clamp is needed: the operator's entries are all
+    >= 0.  Each new row is divided by its maximum in place and the scale
+    recorded; the rescaled rows are logged once per block and the scales
+    added (states that underflow the rescaled pass get a -inf sentinel).
+    ``step_budget`` tightens the mesh grading below the module default for
+    extra accuracy.
     """
     mesh = _Mesh(spec, h_step, model, step_budget)
     times = mesh.times
@@ -295,29 +354,25 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
         rates = model.rate_grid(times[lo:hi + 1], ladder)
         rates_mid = model.rate_grid(0.5 * (times[lo:hi] + times[lo + 1:hi + 1]), ladder)
 
-        # per-step gauge integrals (signed)
-        h_signed = (times[lo:hi] - times[lo + 1:hi + 1])[:, None]
-        r_hi, r_lo = rates[1:], rates[:-1]
-        i_mid = h_signed * (5.0 * r_hi + 8.0 * rates_mid - r_lo) / 24.0
-        i_end = h_signed * (r_hi + 4.0 * rates_mid + r_lo) / 6.0
-        c_mid = rates_mid * np.exp(_up(i_mid) - i_mid)
-        c_end = r_lo * np.exp(_up(i_end) - i_end)
-        e_end = np.exp(i_end)
+        # step j runs from times[lo + j + 1] down to times[lo + j]
+        band = _band(rates[1:], rates_mid, rates[:-1],
+                     (times[lo + 1:hi + 1] - times[lo:hi])[:, None], _up)
 
+        # row j holds v at node lo + j; each step is rescaled to a unit maximum
+        rows, windows = _band_rows(hi - lo + 1, width, _up)
+        rows[-1] = v
+        log_m = np.empty(hi - lo)
         for j in range(hi - lo - 1, -1, -1):
-            h = h_signed[j, 0]
-            c0, cm, ce, ee = r_hi[j], c_mid[j], c_end[j], e_end[j]
-            k1 = -c0 * _up(v)
-            k2 = -cm * _up(v + (0.5 * h) * k1)
-            k3 = -cm * _up(v + (0.5 * h) * k2)
-            k4 = -ce * _up(v + h * k3)
-            v = (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * ee
-            np.maximum(v, 0.0, out=v)
-            m = v.max()
-            v /= m
-            scale += math.log(m)
-            with np.errstate(divide="ignore"):
-                log_h[lo + j] = np.log(v) + scale
+            row = rows[j]
+            np.einsum("dz,dz->z", band[j], windows[j + 1], out=row)
+            m = row.max()
+            row /= m
+            log_m[j] = math.log(m)
+        v = rows[0]
+        scales = np.cumsum(np.concatenate([[scale], log_m[::-1]]))[::-1]
+        scale = scales[0]
+        with np.errstate(divide="ignore"):
+            log_h[lo:hi] = np.log(rows[:-1]) + scales[:-1, None]
 
         # pinned jump rates rate(t,z) h(t,z+1) / h(t,z) on this block's nodes
         block = log_h[lo:hi + 1]
@@ -326,6 +381,7 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
         k = rates[:, :-1] * np.exp(diff)
         k[~np.isfinite(k)] = 0.0
         k_nodes[lo:hi + 1, :-1] = k
+        del band
 
     return HField(model, spec, mesh, log_h, k_nodes)
 
@@ -372,7 +428,9 @@ def _forward_sweep(mesh, node_rates, pinned, record_slots):
     """Integrate the triangular forward system q' = shift(r q) - r q.
 
     ``node_rates(lo, hi)`` returns the per-state rates on seg-A storage nodes
-    lo..hi-1; they are asked for one block of CHUNK steps at a time.  Pinned
+    lo..hi-1; they are asked for one block of CHUNK steps at a time, and each
+    block's steps become five-diagonal operators (:func:`_band`), applied in
+    one ``einsum`` a step between the padded rows of the block.  Pinned
     rates (zero in the top state) keep the mass on the ladder, so recorded
     rows are renormalized and the drift is reported; unconditioned rates let
     the top state leak mass off the ladder.  Returns the recorded rows,
@@ -391,26 +449,21 @@ def _forward_sweep(mesh, node_rates, pinned, record_slots):
         hi = min(lo + CHUNK, n_steps)
         r = node_rates(2 * lo, 2 * hi + 1)
         r0, rm, r1 = r[0:-1:2], r[1::2], r[2::2]
-        h = (fb[lo + 1:hi + 1] - fb[lo:hi])[:, None]
-        i_mid = h * (5.0 * r0 + 8.0 * rm - r1) / 24.0
-        i_end = h * (r0 + 4.0 * rm + r1) / 6.0
-        d0 = _down(r0)
-        dm = _down(rm) * np.exp(i_mid - _down(i_mid))
-        de = _down(r1) * np.exp(i_end - _down(i_end))
-        e_end = np.exp(-i_end)
+        band = _band(r0, rm, r1, (fb[lo + 1:hi + 1] - fb[lo:hi])[:, None], _down)
 
+        # row j holds q at forward boundary lo + j
+        qs, windows = _band_rows(hi - lo + 1, q.size, _down)
+        qs[0] = q
         for j in range(hi - lo):
-            hj = h[j, 0]
-            k1 = d0[j] * _down(q)
-            k2 = dm[j] * _down(q + (0.5 * hj) * k1)
-            k3 = dm[j] * _down(q + (0.5 * hj) * k2)
-            k4 = de[j] * _down(q + hj * k3)
-            q = (q + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * e_end[j]
+            q = qs[j + 1]
+            np.einsum("dz,dz->z", band[j], windows[j], out=q)
             if lo + j + 1 in record:
                 rows[lo + j + 1] = q.copy()
                 if pinned:
-                    drift = max(drift, abs(1.0 - q.sum()))
-                    q = q / q.sum()
+                    total = q.sum()
+                    drift = max(drift, abs(1.0 - total))
+                    q /= total
+        del band
     return rows, drift
 
 

@@ -238,6 +238,76 @@ def test_mesh_placement_matches_the_cell_loop(model, spec, h_step):
     assert np.array_equal(mesh.out_fb_idx, out_idx)
 
 
+def _walk_anchors(h):
+    """Reference: each state's anchor found by walking down from its limit node."""
+    spec, times = h.spec, h.times
+    n, d_min = spec.n, spec.u - times[-2]
+    out = np.full(n, -1)
+    for zi in range(n):
+        lim = spec.u - (n - zi) * d_min
+        j = min(int(np.searchsorted(times, lim, side="right")) - 1, times.size - 2)
+        while j >= 0 and not (np.isfinite(h.logh[j, zi]) and np.isfinite(h.logh[j, zi + 1])):
+            j -= 1
+        out[zi] = j
+    return out
+
+
+@pytest.mark.parametrize("model, spec, h_step", [
+    (Poisson(1.0), BridgeSpec(0, 200), 1e-2),
+    (TimeExponential(1.0, -3.0), BridgeSpec(0, 120), 1e-2),
+    (Product(1.0, 3.0, 0.1), BridgeSpec(2, 30, 0.25, 0.75), 2e-3),
+], ids=["poisson-underflowed", "time-exponential-underflowed", "product-window"])
+def test_anchor_search_matches_the_walk(model, spec, h_step):
+    # the first two fields hold -inf cells, so their walks move (Poisson's to -1)
+    h = solve_h(model, spec, h_step)
+    assert np.array_equal(h.anchor_idx, _walk_anchors(h))
+
+
+def _staged_step(r0, rm, r1, step, shift, v):
+    """Reference: one diagonal-exact RK4 step through its four stages.
+
+    Backward (_up) it runs from t + step down to t with signed length -step and
+    couples each state at its own rate; forward (_down) it runs from t to
+    t + step and feeds each state at the rate of the state below.
+    """
+    h = -step if shift is engine._up else step
+    i_mid = h * (5.0 * r0 + 8.0 * rm - r1) / 24.0
+    i_end = h * (r0 + 4.0 * rm + r1) / 6.0
+    if shift is engine._up:
+        c0, sign = r0, -1.0
+        cm = rm * np.exp(shift(i_mid) - i_mid)
+        ce = r1 * np.exp(shift(i_end) - i_end)
+        ee = np.exp(i_end)
+    else:
+        c0, sign = shift(r0), 1.0
+        cm = shift(rm) * np.exp(i_mid - shift(i_mid))
+        ce = shift(r1) * np.exp(i_end - shift(i_end))
+        ee = np.exp(-i_end)
+    k1 = sign * c0 * shift(v)
+    k2 = sign * cm * shift(v + (0.5 * h) * k1)
+    k3 = sign * cm * shift(v + (0.5 * h) * k2)
+    k4 = sign * ce * shift(v + h * k3)
+    return (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * ee
+
+
+@pytest.mark.parametrize("shift", [engine._up, engine._down], ids=["up", "down"])
+@pytest.mark.parametrize("width", range(1, 7))
+def test_band_step_matches_the_staged_step(shift, width):
+    # widths below 5 exercise shifts S^d with d >= width, which must read zeros
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        r0, rm, r1 = rng.uniform(0.0, 50.0, (3, 1, width))
+        step = rng.uniform(0.0, 0.1, (1, 1))
+        v = rng.uniform(0.0, 1.0, width)
+        band = engine._band(r0, rm, r1, step, shift)
+        assert band.shape == (1, 5, width) and np.all(band >= 0.0)
+        rows, windows = engine._band_rows(1, width, shift)
+        rows[0] = v
+        got = np.einsum("dz,dz->z", band[0], windows[0])
+        want = _staged_step(r0[0], rm[0], r1[0], step[0, 0], shift, v)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_marginals_reuse_the_mesh_of_the_field(monkeypatch):
     spec = BridgeSpec(0, 6)
     model = Product(1.0, 3.0, 0.1)
