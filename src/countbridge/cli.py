@@ -175,13 +175,11 @@ def _run_sample(options):
         lam = float((options.get("lambdas") or [0.0])[0])
         paths = sample_constant(lam, spec, count, seed)
         sampler = "exact-tilted-order-statistics"
-    rows = []
-    for r, path in enumerate(paths):
-        for j, t in enumerate(path.jump_times, start=1):
-            rows.append((str(r), str(j), _fmt(t)))
-    out = os.path.join(options["out"], "paths.csv")
-    _write_csv(out, ["replica", "jump_index", "time"], rows)
     all_times = jump_time_matrix(paths)
+    # one line per jump, replica-major, the times printed as _fmt prints them
+    lines = "".join(f"{r},{j},{t:.17g}\n" for r, row in enumerate(all_times.tolist())
+                    for j, t in enumerate(row, start=1))
+    _write_atomic(os.path.join(options["out"], "paths.csv"), "replica,jump_index,time\n" + lines)
     summary = {
         "sampler": sampler,
         "seed": seed,

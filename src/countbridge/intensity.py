@@ -28,18 +28,30 @@ from .errors import EmptyRange, OutOfDomain, TabulationGap
 _T_SLACK = 1e-12
 
 
+def _extent(a):
+    """Smallest and largest entry of ``a``, NaN skipped; (inf, -inf) when empty,
+    so that every bound test on an empty array passes."""
+    if a.size == 0:
+        return math.inf, -math.inf
+    return np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None)
+
+
 def _check_time(t):
+    """``t`` as a float array inside [0, 1], with its extent."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < -_T_SLACK) or np.any(t > 1.0 + _T_SLACK):
+    lo, hi = _extent(t)
+    if lo < -_T_SLACK or hi > 1.0 + _T_SLACK:
         raise OutOfDomain(f"time outside [0, 1]: {t[np.argmax((t < 0) | (t > 1))] if t.ndim else float(t)}")
-    return t
+    return t, lo, hi
 
 
 def _check_state(z, floor):
+    """``z`` as an array at or above ``floor``, with its extent."""
     z = np.asarray(z)
-    if np.any(z < floor):
+    lo, hi = _extent(z)
+    if lo < floor:
         raise OutOfDomain(f"state below floor {floor}")
-    return z
+    return z, lo, hi
 
 
 class CharacteristicBounds(NamedTuple):
@@ -102,8 +114,8 @@ class ExpAffine(_RateModel):
             raise ValueError("rate not positive at the state floor")
 
     def rate(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
+        t = _check_time(t)[0]
+        z = _check_state(z, self.state_floor)[0]
         out = np.exp(self.lam * t) * (self.a + self.b * z)
         return float(out) if out.ndim == 0 else out
 
@@ -115,8 +127,8 @@ class ExpAffine(_RateModel):
         return self.rate(np.asarray(times, dtype=float)[:, None], np.asarray(states)[None, :])
 
     def characteristic(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
+        t = _check_time(t)[0]
+        z = _check_state(z, self.state_floor)[0]
         out = self.lam + self.b * np.exp(self.lam * t) + 0.0 * z
         return float(out) if out.ndim == 0 else out
 
@@ -237,11 +249,11 @@ class Tabulated(_RateModel):
         return self.z_min + self.rates.shape[1] - 1
 
     def _locate(self, t, z):
-        t = _check_time(t)
-        z = _check_state(z, self.state_floor)
-        if np.any(t < self.t_grid[0] - _T_SLACK) or np.any(t > self.t_grid[-1] + _T_SLACK):
+        t, t_lo, t_hi = _check_time(t)
+        z, z_lo, z_hi = _check_state(z, self.state_floor)
+        if t_lo < self.t_grid[0] - _T_SLACK or t_hi > self.t_grid[-1] + _T_SLACK:
             raise TabulationGap("time outside the tabulated hull")
-        if np.any(z < self.z_min) or np.any(z > self.z_max):
+        if z_lo < self.z_min or z_hi > self.z_max:
             raise TabulationGap(f"state outside tabulated range [{self.z_min}, {self.z_max}]")
         return t, z.astype(int)
 

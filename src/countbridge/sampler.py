@@ -7,20 +7,25 @@ Two samplers live here:
 * an inversion sampler driven by the integrated pinned jump rate from the
   solved h-field, which works for any model and any n.
 
-Both return a list of :class:`PathSample`.  The brute-force validation
-devices (the xi tables of the simplex density exp(sum_j xi_j(t_j)), the
-quadrature oracle for P(T_i <= t) and the rejection sampler) live with the
-tests, in ``tests/oracles.py``.
+Both return a :class:`PathBatch`: one read-only ``(count, n)`` jump-time
+matrix, whose items are :class:`PathSample` objects built only on access.
+The brute-force validation devices (the xi tables of the simplex density
+exp(sum_j xi_j(t_j)), the quadrature oracle for P(T_i <= t) and the
+rejection sampler) live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotSorted, PinMiss
+
+_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -31,18 +36,43 @@ class PathSample:
     jump_times: tuple
 
     def __post_init__(self):
-        times = np.asarray(self.jump_times, dtype=float)
-        if times.size > 1 and np.any(np.diff(times) <= 0):
+        times = tuple(map(float, self.jump_times))
+        if any(a >= b for a, b in zip(times, times[1:])):
             raise NotSorted("jump times must be strictly increasing")
-        object.__setattr__(self, "jump_times", tuple(float(t) for t in times))
+        object.__setattr__(self, "jump_times", times)
 
     @property
     def n(self):
         return len(self.jump_times)
 
 
+class PathBatch(Sequence):
+    """The paths of one sampler call: start state ``x0`` and a read-only
+    ``(count, n)`` matrix ``times`` whose row r holds the jump times of
+    path r.  An index builds the :class:`PathSample` of that path; a slice
+    is a batch over the same rows."""
+
+    __slots__ = ("x0", "times")
+
+    def __init__(self, x0, times):
+        times.flags.writeable = False
+        self.x0 = int(x0)
+        self.times = times
+
+    def __len__(self):
+        return self.times.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PathBatch(self.x0, self.times[index])
+        return PathSample(self.x0, tuple(self.times[operator.index(index)].tolist()))
+
+
 def jump_time_matrix(paths):
-    """Stack jump times of same-length paths into a (count, n) matrix."""
+    """The (count, n) jump-time matrix of a batch (no copy), or of a list of
+    same-length paths stacked."""
+    if isinstance(paths, PathBatch):
+        return paths.times
     if not paths:
         return np.zeros((0, 0))
     n = paths[0].n
@@ -53,8 +83,29 @@ def jump_time_matrix(paths):
 
 def replica_rng(seed, index):
     """Independent, reproducible stream for one replica of a seeded run."""
-    key = (int(seed) & ((1 << 64) - 1)) << 64 | (int(index) & ((1 << 64) - 1))
+    key = (int(seed) & _U64) << 64 | (int(index) & _U64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _replica_exponentials(seed, count, n):
+    """Row r is ``replica_rng(seed, r).standard_exponential(n)``, bit for bit.
+
+    A Philox stream depends only on its key, so one generator is re-keyed per
+    replica through its ``state`` setter (key words (r, seed), zero counter,
+    empty buffer) instead of being built anew.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    key = np.array([0, int(seed) & _U64], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((int(count), int(n)))
+    for r, row in enumerate(out):
+        key[0] = r
+        bitgen.state = fresh
+        gen.standard_exponential(out=row)
+    return out
 
 
 def sample_constant(lam, spec, count, rng_seed):
@@ -62,7 +113,8 @@ def sample_constant(lam, spec, count, rng_seed):
 
     Draws n = y - x i.i.d. variates from the tilted density on the window
     (inverse CDF: log1p(U (e^lam' - 1)) / lam' with lam' = lam * (u - s)) and
-    sorts them.  Deterministic given the seed.
+    sorts them.  Deterministic given the seed.  Tied draws raise
+    :class:`~countbridge.errors.NotSorted`.
     """
     n = spec.n
     rng = replica_rng(rng_seed, 0)
@@ -73,7 +125,9 @@ def sample_constant(lam, spec, count, rng_seed):
     else:
         v = np.log1p(u01 * math.expm1(lam_eff)) / lam_eff
     times = spec.s + spec.length * np.sort(v, axis=1)
-    return [PathSample(spec.x, tuple(row)) for row in times]
+    if np.any(np.diff(times, axis=1) <= 0):
+        raise NotSorted("jump times must be strictly increasing")
+    return PathBatch(spec.x, times)
 
 
 def sample_bridge(model, spec, h, count, rng_seed, stats=None):
@@ -93,9 +147,7 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
         raise ValueError("h was solved for a different model")
     n = spec.n
     count = int(count)
-    mass = np.empty((count, n))
-    for r in range(count):
-        mass[r] = replica_rng(rng_seed, r).standard_exponential(n)
+    mass = _replica_exponentials(rng_seed, count, n)
     times = np.empty((count, n))
     t = np.full(count, float(spec.s))
     for zi in range(n):
@@ -105,4 +157,4 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
         times[:, zi] = t = nxt
     if stats is not None:
         stats.update(proposals=n * count, accepts=n * count)
-    return [PathSample(spec.x, tuple(row)) for row in times]
+    return PathBatch(spec.x, times)

@@ -8,6 +8,9 @@ import sys
 import pytest
 
 from countbridge import cli, engine, verify
+from countbridge.engine import BridgeSpec, solve_h
+from countbridge.intensity import model_from_dict
+from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
 
 PKG = [sys.executable, "-m", "countbridge"]
 
@@ -91,6 +94,32 @@ def test_sample_and_replay_byte_identical(tmp_path):
     assert r.returncode == 0, r.stderr
     for name in ("paths.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+PRODUCT = {"family": "product", "params": {"alpha": 1.0, "lambda": 3.0, "beta": 0.1},
+           "state_floor": 0}
+
+
+@pytest.mark.parametrize("sampler", ["constant", "model"])
+def test_sample_writes_the_sampler_matrix(tmp_path, sampler):
+    # paths.csv is the header plus one line per jump of the sampler call's matrix
+    if sampler == "constant":
+        args = ["--lambda", "2.5", "--y", "7", "--replicas", "3", "--seed", "99"]
+        times = jump_time_matrix(sample_constant(2.5, BridgeSpec(0, 7), 3, 99))
+    else:
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(PRODUCT))
+        args = ["--model", str(mpath), "--y", "6", "--replicas", "4", "--seed", "2024"]
+        model, spec = model_from_dict(PRODUCT), BridgeSpec(0, 6)
+        times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3), 4, 2024))
+    out = tmp_path / "s"
+    assert cli.main(["sample"] + args + ["--out", str(out)]) == 0
+    want = "replica,jump_index,time\n" + "".join(
+        f"{r},{j},{format(t, '.17g')}\n"
+        for r, row in enumerate(times.tolist()) for j, t in enumerate(row, start=1))
+    assert (out / "paths.csv").read_text() == want
+    assert cli.main(["replay", str(out / "manifest.json"), "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "paths.csv").read_bytes() == (out / "paths.csv").read_bytes()
 
 
 def test_sample_thinning_from_model(tmp_path):

@@ -152,6 +152,45 @@ def test_tabulated_gaps():
         m2.rate(1.2, 0)
 
 
+def _hull_model():
+    # tabulated on the time hull [0.2, 0.8] and states 2..4, floor 2
+    tg = np.linspace(0.2, 0.8, 7)
+    return Tabulated(tg, 2, np.ones((7, 3)) + tg[:, None])
+
+
+@pytest.mark.parametrize("form", ["scalar", "array"])
+@pytest.mark.parametrize("t, z, error, message", [
+    (-0.1, 3, OutOfDomain, r"time outside \[0, 1\]: -0.1"),
+    (1.3, 3, OutOfDomain, r"time outside \[0, 1\]: 1.3"),
+    (0.1, 3, TabulationGap, "time outside the tabulated hull"),
+    (0.9, 3, TabulationGap, "time outside the tabulated hull"),
+    (0.5, 1, OutOfDomain, "state below floor 2"),
+    (0.5, 5, TabulationGap, r"state outside tabulated range \[2, 4\]"),
+    # the same order with two faults: time domain, state floor, hull, state range
+    (-0.1, 1, OutOfDomain, "time outside"),
+    (0.1, 1, OutOfDomain, "state below floor"),
+    (0.1, 5, TabulationGap, "time outside the tabulated hull"),
+], ids=["t-below-0", "t-above-1", "t-before-hull", "t-after-hull", "z-below-floor",
+        "z-above-z-max", "t-and-z-below", "hull-and-floor", "hull-and-range"])
+def test_tabulated_boundaries(form, t, z, error, message):
+    m = _hull_model()
+    if form == "array":
+        t, z = np.array([0.5, t, 0.6]), np.array([3, z, 4])
+    with pytest.raises(error, match=message):
+        m.rate(t, z)
+    with pytest.raises(error, match=message):
+        m.rate_grid(np.atleast_1d(t), np.atleast_1d(z))
+
+
+def test_tabulated_edges_and_empty_arrays_pass():
+    m = _hull_model()
+    assert m.rate(0.2, 2) == pytest.approx(1.2, rel=1e-14)
+    assert m.rate(0.8, 4) == pytest.approx(1.8, rel=1e-14)
+    assert m.rate(np.array([]), np.array([], dtype=int)).shape == (0,)
+    assert m.rate_grid(np.array([]), [2, 3]).shape == (0, 2)
+    assert m.rate_grid([0.5], np.array([], dtype=int)).shape == (1, 0)
+
+
 def test_tabulated_positivity_enforced():
     tg = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import binom, ks_2samp
 
+from countbridge import sampler
 from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import IndexOut, NotSorted, PinMiss, Underflow
 from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
-from countbridge.sampler import PathSample, jump_time_matrix, sample_bridge, sample_constant
+from countbridge.sampler import (PathBatch, PathSample, _replica_exponentials, jump_time_matrix,
+                                 replica_rng, sample_bridge, sample_constant)
+from countbridge.verify import duality_catalog, duality_check, lln_experiment
 from oracles import (OracleScale, characteristic_integrals, sample_rejection,
                      simplex_jump_time_cdf)
 
@@ -276,3 +279,82 @@ def test_sample_bridge_memory_stays_below_log_h():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * h.logh.nbytes
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 64 - 1, -3])
+@pytest.mark.parametrize("count", [0, 1, 257])
+@pytest.mark.parametrize("n", [0, 17])
+def test_replica_exponentials_equal_fresh_replica_streams(seed, count, n):
+    got = _replica_exponentials(seed, count, n)
+    assert got.shape == (count, n)
+    for r in range(count):
+        want = replica_rng(seed, r).standard_exponential(n)
+        assert got[r].tobytes() == want.tobytes(), r
+
+
+def test_path_batch_is_a_sequence_of_path_samples():
+    times = np.array([[0.1, 0.4], [0.2, 0.3], [0.5, 0.9]])
+    batch = PathBatch(3, times)
+    assert len(batch) == 3
+    for i, want in ((0, (0.1, 0.4)), (2, (0.5, 0.9)), (-1, (0.5, 0.9)), (-3, (0.1, 0.4)),
+                    (np.int64(1), (0.2, 0.3))):
+        path = batch[i]
+        assert isinstance(path, PathSample)
+        assert path.x0 == 3 and path.jump_times == want
+    with pytest.raises(IndexError):
+        batch[3]
+    with pytest.raises(TypeError):
+        batch[0.5]
+    head = batch[1:]
+    assert isinstance(head, PathBatch) and head.x0 == 3
+    assert [p.jump_times for p in head] == [(0.2, 0.3), (0.5, 0.9)]
+    assert [p.jump_times for p in batch] == [tuple(row) for row in times.tolist()]
+    assert all(p.n == 2 for p in batch)
+
+
+@pytest.mark.parametrize("draw", ["bridge", "constant"])
+def test_jump_time_matrix_of_a_batch_is_its_read_only_matrix(draw):
+    spec = BridgeSpec(0, 4)
+    if draw == "bridge":
+        model = Product(1.0, 3.0, 0.1)
+        batch = sample_bridge(model, spec, solve_h(model, spec, 1e-3), 20, 8)
+    else:
+        batch = sample_constant(2.0, spec, 20, 8)
+    assert isinstance(batch, PathBatch)
+    assert jump_time_matrix(batch) is batch.times
+    assert batch.times.shape == (20, 4)
+    assert not batch.times.flags.writeable
+    with pytest.raises(ValueError):
+        batch.times[0, 0] = 0.5
+
+
+def test_samplers_and_checks_build_no_path_objects(monkeypatch):
+    built = []
+    post_init = PathSample.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(PathSample, "__post_init__", counted)
+    spec = BridgeSpec(0, 5)
+    model = Poisson(1.0)
+    paths = sample_bridge(model, spec, solve_h(model, spec, 1e-3), 500, 12)
+    for phi, u in duality_catalog():
+        duality_check(model, spec, u, phi, None, None, paths=paths)
+    lln_experiment(Poisson(1.0), 0.0, [10, 20], 50, 3)
+    lln_experiment(Product(1.0, 3.0, 0.1), 3.0, [6], 50, 4)
+    assert not built
+    paths[0]  # the counter sees a path built on access
+    assert len(built) == 1
+
+
+def test_sample_constant_refuses_tied_draws(monkeypatch):
+    class Ties:
+        def random(self, shape):
+            return np.full(shape, 0.5)
+
+    monkeypatch.setattr(sampler, "replica_rng", lambda seed, index: Ties())
+    with pytest.raises(NotSorted):
+        sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
+    assert len(sample_constant(1.0, BridgeSpec(0, 1), 4, 1)) == 4  # one jump cannot tie
