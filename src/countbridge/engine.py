@@ -12,25 +12,22 @@ a uniform mesh either goes unstable or loses the 1e-6/1e-8 accuracy this
 module promises.  Two devices deal with that:
 
 * every Runge-Kutta step removes its diagonal (the stiff part) exactly through
-  a per-step integrating factor, leaving only the strictly triangular coupling
-  to the classical RK4 stages.  Stage k of a step reads only the state vector
-  shifted k - 1 places, so the whole step expands exactly into one
-  five-diagonal operator, v_new = ee (v + a1 S v + a2 S^2 v + a3 S^3 v +
-  a4 S^4 v), with ee the step's integrating factor and S the shift toward
-  the pin (backward) or away from it (forward).  Every a_d is a product of
-  rates and step powers, hence >= 0, so a non-negative vector stays
-  non-negative with no clamp.  Both sweeps form these coefficients for
-  CHUNK = 256 steps at a time and apply each step as one ``einsum`` over
-  sliding windows of a zero-padded row;
+  a per-step integrating factor, leaving only the coupling to the next state
+  to the classical RK4 stages;
 * the mesh is graded toward the terminal time in the variable that actually
   measures pin pressure: the remaining integrated rate.  Each step moves at
   most STEP_BUDGET / (ladder height) in log of that variable, which for
   constant rates is exactly a geometric mesh in u - t.
 
-h is stored in log space; states whose pin probability underflows even the
-rescaled backward pass carry a -inf sentinel, and the marginal routes and the
-sampler raise :class:`~countbridge.errors.Underflow` on a start state or a
-jump that needs a value below exp(-700), rather than silently clamping.
+Every system here is bidiagonal: a state is fed by one neighbour only (the
+state above backward, the state below forward).  So every sweep takes the
+states in the outer loop, and each state's whole column over the mesh is one
+first-order linear recurrence in the steps, driven by the columns already
+solved.  All of its terms are non-negative, so :func:`_column` solves it at
+once in log space.  No value is rescaled, clamped or cut: log h is exact
+(to the integrator's accuracy) wherever it is representable as a float, far
+below exp(-700), and the only -inf cells are the exact zeros of the discrete
+scheme next to u.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, ResourceCap,
                      Underflow)
@@ -52,12 +48,7 @@ STEP_BUDGET = 0.1
 # closer queries use the exact 1/(u - t) pin asymptote.
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
-LOG_FLOOR = -700.0
-# Per-step band coefficients (and the mesh's rate probe) are formed for CHUNK
-# steps at a time, so only log h and the bridge rates are ever stored at
-# (mesh nodes x ladder).  At 256, a block of (CHUNK x 5 x ladder) band
-# coefficients keeps solve_h's peak below that of the staged loop it replaced;
-# each sweep drops a block's band before the next block forms its own.
+# The mesh probes the ladder-minimal rate on CHUNK probe times at a time.
 CHUNK = 256
 # A mesh whose two stored (nodes x ladder) float arrays would exceed this many
 # bytes is refused before anything of that size is allocated.
@@ -110,8 +101,9 @@ class _Mesh:
 
     ``fwd_bounds`` are the forward substep boundaries from s to u - dc (cell
     edges of the uniform output grid, subdivided where the pin is near).
-    Storage nodes are those boundaries plus their midpoints, then a graded
-    extension from u - dc down to u - dc/PIN_DEPTH, then u itself.
+    Storage nodes are those boundaries plus their midpoints (the first
+    ``n_fwd_nodes``), then a graded extension from u - dc down to
+    u - dc/PIN_DEPTH, then u itself.
 
     Subdivision measures closeness to the pin by the remaining integrated
     rate lam_hat(t) = integral over [t, u] of the ladder-minimal rate; each
@@ -183,70 +175,65 @@ class _Mesh:
         d1, d0 = self.dc, self.dc / PIN_DEPTH
         ext = [u - d1 * (d0 / d1) ** (i / n_ext) for i in range(1, n_ext + 1)]
         self.times = np.concatenate([seg_a, ext, [u]])
+        self.n_fwd_nodes = seg_a.size
         # storage index of each output edge except u (edge k sits at 2 * fb-index)
         self.out_node_idx = 2 * self.out_fb_idx
 
 
-def _up(w):
-    """w shifted one state toward the pin: out[..., z] = w[..., z+1], 0 past the top."""
-    out = np.empty_like(w)
-    out[..., :-1] = w[..., 1:]
-    out[..., -1] = 0.0
-    return out
+def _column(step, rates, feed, prior):
+    """One state's log column of a diagonal-exact RK4 sweep, over all steps at once.
 
+    A sweep takes the ladder states in order, from the pin down (``solve_h``)
+    or from the start state up (the marginal routes), and starts from 1 in
+    its first state and 0 in every other.  ``step`` holds the m step lengths
+    in sweep order.  ``rates`` are the state's own rates and ``feed`` those at
+    which the state before it feeds it (its own rates backward, the rates of
+    the state below forward; unused for the first state), each given at the
+    step boundaries and midpoints interleaved: 2 m + 1 values.  ``prior`` is
+    what this function returned for the state before, which carries up to
+    four states.
 
-def _down(w):
-    """w shifted one state away from the pin: out[..., z] = w[..., z-1], 0 below the bottom."""
-    out = np.empty_like(w)
-    out[..., 1:] = w[..., :-1]
-    out[..., 0] = 0.0
-    return out
-
-
-def _band(r0, rm, r1, step, shift):
-    """Five-diagonal operators of a block of diagonal-exact RK4 steps.
-
-    ``r0``, ``rm`` and ``r1`` are the per-state rates at the start, middle and end
-    of each step (steps x ladder) and ``step`` the (steps x 1) step lengths.  The
-    backward system couples state z to z + 1 (``shift`` = _up) at z's own rate,
-    the forward one feeds z from z - 1 (_down) at that state's rate.  The
-    diagonal's integrals i (Simpson to the end, a quadratic fit to the middle)
-    are removed exactly, leaving the staged step with coupling rates c0, cm, ce
-    and k1 = c0 S v, k2 = cm S(v + step/2 k1), k3 = cm S(v + step/2 k2),
-    k4 = ce S(v + step k3), v_new = exp(-i_end) (v + step/6 (k1 + 2 k2 + 2 k3 + k4)),
-    which expands exactly to v_new = sum_d band[:, d] S^d v.  Returns
-    (steps x 5 x ladder), every entry >= 0.
+    Each step removes its diagonal exactly.  With i_mid and i_end its
+    integrals (a quadratic fit to the middle, Simpson to the end) and
+    coupling rates c0, cm, ce, the staged step k1 = c0 S x,
+    k2 = cm S(x + h/2 k1), k3 = cm S(x + h/2 k2), k4 = ce S(x + h k3),
+    x_new = exp(-i_end) (x + h/6 (k1 + 2 k2 + 2 k3 + k4)), S reading the
+    state before, expands into exp(-i_end) (x + a1 S x + ... + a4 S^4 x).
+    Every a_d is a product of rates and step powers, so it is >= 0.  One
+    state's column therefore obeys x[j+1] = exp(-i_end[j]) (x[j] + b[j]),
+    with b = sum_d a_d S^d x known from the earlier states, and that
+    recurrence is solved at once in log space: with g the running sum of
+    -i_end, log x = g + logaddexp.accumulate([log seed, log b - g]).  No
+    value is rescaled or clamped.  Returns the log column (m + 1 values) and
+    the ``prior`` of the next state.
     """
+    r0, rm, r1 = rates[:-1:2], rates[1::2], rates[2::2]
     i_mid = step * (5.0 * r0 + 8.0 * rm - r1) / 24.0
     i_end = step * (r0 + 4.0 * rm + r1) / 6.0
-    coupling = shift if shift is _down else (lambda r: r)
-    c0 = coupling(r0)
-    cm = coupling(rm) * np.exp(i_mid - shift(i_mid))
-    ce = coupling(r1) * np.exp(i_end - shift(i_end))
-    s_c0, s_cm = shift(c0), shift(cm)
-    s2_c0, s2_cm = shift(s_c0), shift(s_cm)
-    ee = np.exp(-i_end)
-    band = np.empty((c0.shape[0], 5, c0.shape[1]))
-    band[:, 0] = ee
-    band[:, 1] = (step / 6.0) * (c0 + 4.0 * cm + ce) * ee
-    band[:, 2] = (step ** 2 / 6.0) * (cm * s_c0 + (cm + ce) * s_cm) * ee
-    band[:, 3] = (step ** 3 / 12.0) * s_cm * (cm * s2_c0 + ce * s2_cm) * ee
-    band[:, 4] = (step ** 4 / 24.0) * ce * s_cm * s2_cm * shift(s2_c0) * ee
-    return band
-
-
-def _band_rows(n_rows, width, shift):
-    """Zero-padded rows for band steps: (rows, windows).
-
-    ``rows`` is (n_rows x width); ``windows[i, d, z]`` is (S^d rows[i])[z] for the
-    shift S, zero past the ladder, so ``einsum("dz,dz->z", band[j], windows[i])``
-    is one band step of row i.
-    """
-    pad = np.zeros((n_rows, width + 4))
-    windows = sliding_window_view(pad, width, axis=1)
-    if shift is _up:
-        return pad[:, :width], windows
-    return pad[:, 4:], windows[:, ::-1]
+    g = np.concatenate([[0.0], np.cumsum(-i_end)])
+    if not prior:
+        return g, [(g, None, None, i_mid, i_end)]
+    _, c0_1, cm_1, i_mid_1, i_end_1 = prior[0]
+    c0 = feed[:-1:2]
+    cm = feed[1::2] * np.exp(i_mid - i_mid_1)
+    ce = feed[2::2] * np.exp(i_end - i_end_1)
+    coef = [(step / 6.0) * (c0 + 4.0 * cm + ce)]
+    if len(prior) > 1:
+        coef.append((step ** 2 / 6.0) * (cm * c0_1 + (cm + ce) * cm_1))
+    if len(prior) > 2:
+        c0_2, cm_2 = prior[1][1:3]
+        coef.append((step ** 3 / 12.0) * cm_1 * (cm * c0_2 + ce * cm_2))
+    if len(prior) > 3:
+        coef.append((step ** 4 / 24.0) * ce * cm_1 * cm_2 * prior[2][1])
+    # log b at each step's start, shifted by the largest earlier value there
+    # (0 where every earlier state is still exactly 0)
+    before = [p[0][:-1] for p in prior]
+    top = np.max(before, axis=0)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        log_b = top + np.log(sum(a * np.exp(x - top) for a, x in zip(coef, before)))
+    log_x = g + np.logaddexp.accumulate(np.concatenate([[-np.inf], log_b - g[:-1]]))
+    return log_x, [(log_x, c0, cm, i_mid, i_end)] + prior[:3]
 
 
 class HField:
@@ -270,15 +257,11 @@ class HField:
         # Per-state asymptote anchors.  h at depth m vanishes like (u-t)^m, and
         # the backward pass resolves that layer only a few nodes away from u,
         # so queries closer than m x (finest node distance) ride the exact
-        # first-order asymptote anchored at the latest mature node.
+        # first-order asymptote anchored at the last node before that limit.
         n = spec.n
         d_min = spec.u - times[-2]
-        self.anchor_idx = np.full(max(n, 0), -1, dtype=int)
         lims = np.searchsorted(times, spec.u - (n - np.arange(n)) * d_min, side="right")
-        for zi, stop in enumerate(np.minimum(lims, times.size - 1)):
-            ok = np.flatnonzero(np.isfinite(log_h[:stop, zi]) & np.isfinite(log_h[:stop, zi + 1]))
-            if ok.size:
-                self.anchor_idx[zi] = ok[-1]
+        self.anchor_idx = np.minimum(lims, times.size - 1) - 1
 
     def next_jumps(self, zi, start, mass):
         """Next jump times from ladder state x + zi, by inversion of the pinned survival.
@@ -288,35 +271,27 @@ class HField:
         pinned rate.  L is tabulated on the mesh nodes up to the state's asymptote
         anchor and follows the anchor's base * (u - t_a) / (u - t) rate past it, so a
         jump lands where L reaches L(start) + mass.  ``start`` and ``mass`` (Exp(1)
-        draws) are arrays over replicas.  The table stops at the state's first node
-        with log h below LOG_FLOOR; a jump past that cut raises Underflow.
+        draws) are arrays over replicas.  A state with no mesh node before its pin
+        layer has no anchor and raises Underflow.
         """
         spec = self.spec
         z = spec.x + zi
         j = int(self.anchor_idx[zi])
         if j < 0:
-            raise Underflow(f"pin probability underflowed for state {z}")
-        col = self.logh[:j + 1, zi]
-        low = np.flatnonzero(col < LOG_FLOOR)
-        cut = int(low[0]) if low.size else j + 1
-        if cut == 0:
-            raise Underflow(f"pin probability of state {z} underflowed at t={self.times[0]}")
-        t_tab = self.times[:cut]
+            raise Underflow(f"no mesh node lies before the pin layer of state {z}")
+        t_tab = self.times[:j + 1]
         rates = self.model.rate_grid(t_tab, [z])[:, 0]
         lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
-        big_l = lam - col[:cut]
-        # past the anchor L grows like slope * log(1 / (u - t)); slope is 0 when the
-        # table is cut before the anchor, so a start past the table lands past it too
-        ta = self.times[j]
-        slope = self.node_bridge_rates[j, zi] * (spec.u - ta) if cut > j else 0.0
+        big_l = lam - self.logh[:j + 1, zi]
+        # past the anchor L grows like slope * log(1 / (u - t))
+        ta = t_tab[-1]
+        slope = self.node_bridge_rates[j, zi] * (spec.u - ta)
         start = np.asarray(start, dtype=float)
         level = np.interp(start, t_tab, big_l)
-        past = start > t_tab[-1]
+        past = start > ta
         level[past] = big_l[-1] + slope * np.log((spec.u - ta) / (spec.u - start[past]))
         target = level + mass
         past = target > big_l[-1]
-        if slope <= 0.0 and np.any(past):
-            raise Underflow(f"pin probability of state {z} underflowed after t={t_tab[-1]}")
         out = np.interp(target, big_l, t_tab)
         out[past] = spec.u - (spec.u - ta) * np.exp((big_l[-1] - target[past]) / slope)
         return out
@@ -326,63 +301,34 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     """Solve the backward pin-probability system on the ladder.
 
     Integrates d/dt h(t,z) = -rate(t,z) [h(t,z+1) - h(t,z)] backward from
-    h(u, .) = indicator(y) with diagonally-exact RK4 steps, each applied as
-    its five-diagonal operator (:func:`_band`, formed CHUNK steps at a time)
-    in one ``einsum``.  No clamp is needed: the operator's entries are all
-    >= 0.  Each new row is divided by its maximum in place and the scale
-    recorded; the rescaled rows are logged once per block and the scales
-    added (states that underflow the rescaled pass get a -inf sentinel).
+    h(u, .) = indicator(y) with diagonally-exact RK4 steps.  The system is
+    upper bidiagonal, so the states go from the pin down, one log column each
+    (:func:`_column`), coupled at their own rates.  Each state's pinned jump
+    rates rate(t,z) h(t,z+1) / h(t,z) are formed right after its column.
     ``step_budget`` tightens the mesh grading below the module default for
     extra accuracy.
     """
     mesh = _Mesh(spec, h_step, model, step_budget)
     times = mesh.times
-    ladder = spec.ladder()
-    n_nodes = times.size
-    width = ladder.size
+    # rates at the nodes and the step midpoints interleaved, from u down
+    t_rates = np.empty(2 * times.size - 1)
+    t_rates[0::2] = times
+    t_rates[1::2] = 0.5 * (times[:-1] + times[1:])
+    t_rates = t_rates[::-1]
+    step = np.diff(times)[::-1].copy()
 
-    log_h = np.full((n_nodes, width), -np.inf)
-    k_nodes = np.zeros((n_nodes, width))
-    v = np.zeros(width)
-    v[-1] = 1.0
-    scale = 0.0
-    log_h[-1, -1] = 0.0
-
-    # steps run from times[j+1] down to times[j], in blocks [lo, hi) from the top
-    for hi in range(n_nodes - 1, 0, -CHUNK):
-        lo = max(hi - CHUNK, 0)
-        rates = model.rate_grid(times[lo:hi + 1], ladder)
-        rates_mid = model.rate_grid(0.5 * (times[lo:hi] + times[lo + 1:hi + 1]), ladder)
-
-        # step j runs from times[lo + j + 1] down to times[lo + j]
-        band = _band(rates[1:], rates_mid, rates[:-1],
-                     (times[lo + 1:hi + 1] - times[lo:hi])[:, None], _up)
-
-        # row j holds v at node lo + j; each step is rescaled to a unit maximum
-        rows, windows = _band_rows(hi - lo + 1, width, _up)
-        rows[-1] = v
-        log_m = np.empty(hi - lo)
-        for j in range(hi - lo - 1, -1, -1):
-            row = rows[j]
-            np.einsum("dz,dz->z", band[j], windows[j + 1], out=row)
-            m = row.max()
-            row /= m
-            log_m[j] = math.log(m)
-        v = rows[0]
-        scales = np.cumsum(np.concatenate([[scale], log_m[::-1]]))[::-1]
-        scale = scales[0]
-        with np.errstate(divide="ignore"):
-            log_h[lo:hi] = np.log(rows[:-1]) + scales[:-1, None]
-
-        # pinned jump rates rate(t,z) h(t,z+1) / h(t,z) on this block's nodes
-        block = log_h[lo:hi + 1]
-        with np.errstate(invalid="ignore"):
-            diff = block[:, 1:] - block[:, :-1]
-        k = rates[:, :-1] * np.exp(diff)
-        k[~np.isfinite(k)] = 0.0
-        k_nodes[lo:hi + 1, :-1] = k
-        del band
-
+    log_h = np.empty((times.size, spec.n + 1), order="F")
+    k_nodes = np.zeros_like(log_h)
+    prior = []
+    for zi in range(spec.n, -1, -1):
+        rates = model.rate_grid(t_rates, [spec.x + zi])[:, 0]
+        col, prior = _column(step, rates, rates, prior)
+        log_h[:, zi] = col[::-1]
+        if zi < spec.n:
+            # 0 where state zi is still exactly 0, within a few nodes of u
+            with np.errstate(invalid="ignore"):
+                k = rates[::-2] * np.exp(log_h[:, zi + 1] - log_h[:, zi])
+            k_nodes[:, zi] = np.where(np.isfinite(k), k, 0.0)
     return HField(model, spec, mesh, log_h, k_nodes)
 
 
@@ -424,76 +370,49 @@ class MarginalTable:
         return idx
 
 
-def _forward_sweep(mesh, node_rates, pinned, record_slots):
-    """Integrate the triangular forward system q' = shift(r q) - r q.
-
-    ``node_rates(lo, hi)`` returns the per-state rates on seg-A storage nodes
-    lo..hi-1; they are asked for one block of CHUNK steps at a time, and each
-    block's steps become five-diagonal operators (:func:`_band`), applied in
-    one ``einsum`` a step between the padded rows of the block.  Pinned
-    rates (zero in the top state) keep the mass on the ladder, so recorded
-    rows are renormalized and the drift is reported; unconditioned rates let
-    the top state leak mass off the ladder.  Returns the recorded rows,
-    unnormalized.
-    """
-    fb = mesh.fwd_bounds
-    n_steps = fb.size - 1
-
-    rows = {}
-    q = np.zeros(mesh.spec.n + 1)
-    q[0] = 1.0
-    rows[0] = q.copy()
-    drift = 0.0
-    record = dict.fromkeys(record_slots.tolist())
-    for lo in range(0, n_steps, CHUNK):
-        hi = min(lo + CHUNK, n_steps)
-        r = node_rates(2 * lo, 2 * hi + 1)
-        r0, rm, r1 = r[0:-1:2], r[1::2], r[2::2]
-        band = _band(r0, rm, r1, (fb[lo + 1:hi + 1] - fb[lo:hi])[:, None], _down)
-
-        # row j holds q at forward boundary lo + j
-        qs, windows = _band_rows(hi - lo + 1, q.size, _down)
-        qs[0] = q
-        for j in range(hi - lo):
-            q = qs[j + 1]
-            np.einsum("dz,dz->z", band[j], windows[j], out=q)
-            if lo + j + 1 in record:
-                rows[lo + j + 1] = q.copy()
-                if pinned:
-                    total = q.sum()
-                    drift = max(drift, abs(1.0 - total))
-                    q /= total
-        del band
-    return rows, drift
+def _forward(mesh, rates):
+    """Log forward mass at the output times before u: one row per time, one
+    column per state, from mass 1 in state x at s.  ``rates`` yields each
+    state's rates on the storage nodes from s to u - dc, bottom state first;
+    each state is fed at the rates of the state below."""
+    step = np.diff(mesh.fwd_bounds)
+    out = np.empty((mesh.out_fb_idx.size, mesh.spec.n + 1))
+    prior, feed = [], None
+    for zi, r in enumerate(rates):
+        log_q, prior = _column(step, r, feed, prior)
+        out[:, zi] = log_q[mesh.out_fb_idx]
+        feed = r
+    return out
 
 
-def _field_and_mesh(model, spec, h_step, h, step_budget):
-    """The h-field for a marginal route (solved unless given) and its mesh.
-
-    A given field must belong to this model, bridge, h_step and step budget,
-    and no route can start from a state whose pin probability underflowed.
-    """
+def _field(model, spec, h_step, h, step_budget):
+    """The h-field for a marginal route: solved unless given, and a given one
+    must belong to this model, bridge, h_step and step budget."""
     if h is None:
-        h = solve_h(model, spec, h_step, step_budget)
-    elif model is not None and h.model is not model:
+        return solve_h(model, spec, h_step, step_budget)
+    if model is not None and h.model is not model:
         raise ValueError("h was solved for a different model")
-    elif h.spec != spec:
+    if h.spec != spec:
         raise ValueError("h was solved for a different bridge")
-    mesh = h.mesh
     budget = STEP_BUDGET if step_budget is None else float(step_budget)
-    if _n_cells(spec, h_step) != mesh.n_cells or budget != mesh.step_budget:
+    if _n_cells(spec, h_step) != h.mesh.n_cells or budget != h.mesh.step_budget:
         raise BadStep("marginals must use the h_step and step budget the field was solved with")
-    if not np.isfinite(h.logh[0, 0]) or (spec.n and h.anchor_idx[0] < 0):
-        raise Underflow(f"pin probability of the start state {spec.x} underflowed")
-    return h, mesh
+    return h
+
+
+def _normalised(log_rows):
+    """exp(log_rows) with each row divided by its sum, and the log row sums."""
+    top = log_rows.max(axis=1, keepdims=True)
+    rows = np.exp(log_rows - top)
+    sums = rows.sum(axis=1, keepdims=True)
+    return rows / sums, (top + np.log(sums))[:, 0]
 
 
 def _pinned_table(spec, mesh, rows, drift):
-    """Validated table of the output rows (one per output time before u), normalised,
+    """Validated table of the normalised output rows (one per output time before u),
     with both ends set exactly to the pins."""
     probs = np.zeros((mesh.n_cells + 1, spec.n + 1))
-    for slot, q in enumerate(rows):
-        probs[slot] = q / q.sum()
+    probs[:-1] = rows
     probs[0] = probs[-1] = 0.0
     probs[0, 0] = probs[-1, -1] = 1.0
     return MarginalTable(spec, mesh.out_times, probs, drift).validate()
@@ -503,13 +422,16 @@ def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     """Bridge marginals by forward integration of the pinned dynamics.
 
     The forward rates come from the solved h-field at the mesh nodes, so no
-    interpolation enters the stage values.  Rows are renormalized; the largest
-    pre-normalization drift is reported on the table and must stay below 1e-6.
+    interpolation enters the stage values.  The system is linear, so the rows
+    are renormalized at the output times only; the largest change in total
+    mass between consecutive output rows is the drift reported on the table,
+    and it must stay below 1e-6.
     """
-    h, mesh = _field_and_mesh(model, spec, h_step, h, step_budget)
-    k_nodes = h.node_bridge_rates
-    rows, drift = _forward_sweep(mesh, lambda lo, hi: k_nodes[lo:hi], True, mesh.out_fb_idx)
-    return _pinned_table(spec, mesh, [rows[int(i)] for i in mesh.out_fb_idx], drift)
+    h = _field(model, spec, h_step, h, step_budget)
+    mesh = h.mesh
+    rows, log_mass = _normalised(_forward(mesh, h.node_bridge_rates[:mesh.n_fwd_nodes].T))
+    drift = float(np.max(np.abs(np.expm1(np.diff(log_mass)))))
+    return _pinned_table(spec, mesh, rows, drift)
 
 
 def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None):
@@ -517,19 +439,14 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None)
 
     Independent of the pinned forward dynamics (no singular rates enter), so
     it cross-checks :func:`marginal_table`; the two routes agree to about the
-    integrator tolerance.
+    integrator tolerance.  Both factors stay in log space.
     """
-    h, mesh = _field_and_mesh(model, spec, h_step, h, step_budget)
-    ladder = spec.ladder()
-    rows, _ = _forward_sweep(mesh, lambda lo, hi: h.model.rate_grid(mesh.times[lo:hi], ladder),
-                             False, mesh.out_fb_idx)
-    qs = []
-    for fb_idx, node in zip(mesh.out_fb_idx, mesh.out_node_idx):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logq = np.log(rows[int(fb_idx)]) + h.logh[node]
-        logq[~np.isfinite(logq)] = -np.inf
-        qs.append(np.exp(logq - logq.max()))
-    return _pinned_table(spec, mesh, qs, 0.0)
+    h = _field(model, spec, h_step, h, step_budget)
+    mesh = h.mesh
+    fwd_times = mesh.times[:mesh.n_fwd_nodes]
+    log_p = _forward(mesh, (h.model.rate_grid(fwd_times, [z])[:, 0] for z in spec.ladder()))
+    rows, _ = _normalised(log_p + h.logh[mesh.out_node_idx])
+    return _pinned_table(spec, mesh, rows, 0.0)
 
 
 def mean_curve(table):

@@ -30,7 +30,7 @@ class BadStep(CountBridgeError):
 
 
 class Underflow(CountBridgeError):
-    """A pin-probability value too small to be represented was queried."""
+    """A pin probability was queried where the mesh does not resolve it."""
 
 
 class ConservationLoss(CountBridgeError):

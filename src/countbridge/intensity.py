@@ -255,6 +255,10 @@ class Tabulated(_RateModel):
             raise TabulationGap("time outside the tabulated hull")
         if z_lo < self.z_min or z_hi > self.z_max:
             raise TabulationGap(f"state outside tabulated range [{self.z_min}, {self.z_max}]")
+        if z.dtype.kind not in "iu":
+            off = z != np.round(z)
+            if np.any(off):
+                raise OutOfDomain(f"state not an integer: {z[np.argmax(off)] if z.ndim else float(z)}")
         return t, z.astype(int)
 
     def _eval(self, coef, t, z):

@@ -13,7 +13,7 @@ from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, mean_curve, second_differences,
                                 solve_h)
 from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse,
-                                ResourceCap, Underflow)
+                                ResourceCap)
 from countbridge.intensity import (Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
                                    constant_characteristic_model)
 
@@ -158,22 +158,50 @@ def test_bad_step_errors():
 
 
 def test_underflow_reported_not_clamped():
-    # 200 jumps under rate 1: log h(0,0) = -1 - log(200!) < -700
+    # 200 jumps under rate 1: log h(0,0) = -1 - log(200!) = -864.232, far below
+    # exp(-700), is solved in log space, not cut or clamped; at this coarse step it
+    # is off by 1.8e-6 (at 1e-3 by 7.7e-7, see the test below)
     spec = BridgeSpec(0, 200)
     h = solve_h(Poisson(1.0), spec, 1e-2)
     assert h.times[0] == 0.0
-    assert not h.logh[0, 0] >= engine.LOG_FLOOR
+    assert h.logh[0, 0] == pytest.approx(-1.0 - math.lgamma(201.0), abs=1e-5)
     # the shallow states stay representable and exact
     assert h.logh[0, 199] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_marginals_refuse_an_underflowed_start_state():
+    # Poisson(1) 0 -> 200 at h_step 1e-2: the start state's log h is exact, but the
+    # pinned route drifts by 1.2e-6, over validate()'s 1e-6, and is refused; the
+    # two-sided route has no drift and matches the closed form
     spec = BridgeSpec(0, 200)
     h = solve_h(Poisson(1.0), spec, 1e-2)
-    with pytest.raises(Underflow):
+    with pytest.raises(ConservationLoss, match="mass drift 1.2"):
         marginal_table(h.model, spec, 1e-2, h=h)
-    with pytest.raises(Underflow):
-        marginal_table_two_sided(h.model, spec, 1e-2, h=h)
+    table = marginal_table_two_sided(h.model, spec, 1e-2, h=h)
+    exact = binom.pmf(np.arange(201)[None, :], 200, table.times[:, None])
+    assert np.max(np.abs(table.probs - exact)) <= 1e-6
+
+
+@pytest.mark.parametrize("model, n, tilt, log_h0", [
+    (Poisson(1.0), 170, 0.0, -707.573),
+    (TimeExponential(1.0, -3.0), 200, -3.0, -1093.485),
+    (Poisson(1.0), 200, 0.0, -864.232),
+], ids=["poisson-170", "time-exponential-200", "poisson-200"])
+def test_start_states_below_exp_minus_700_are_exact(model, n, tilt, log_h0):
+    # the unconditioned count on [0, 1] is Poisson(big_l), so
+    # log h(0, 0) = -big_l + n log big_l - log n! (matched to 9.2e-7, 1.34e-6 and
+    # 7.7e-7 at the default step budget), and both routes give Binomial(n, p(t))
+    spec = BridgeSpec(0, n)
+    h = solve_h(model, spec, 1e-3)
+    big_l = 1.0 if tilt == 0.0 else math.expm1(tilt) / tilt
+    assert h.logh[0, 0] == pytest.approx(-big_l + n * math.log(big_l) - math.lgamma(n + 1.0),
+                                         abs=2e-6)
+    assert h.logh[0, 0] == pytest.approx(log_h0, abs=1e-3)
+    for route in (marginal_table, marginal_table_two_sided):
+        table = route(model, spec, 1e-3, h=h)
+        p = table.times if tilt == 0.0 else tilted_cdf(tilt, table.times)
+        exact = binom.pmf(np.arange(n + 1)[None, :], n, p[:, None])
+        assert np.max(np.abs(table.probs - exact)) <= 1e-6
 
 
 def test_two_sided_refuses_a_field_of_another_model():
@@ -258,9 +286,21 @@ def _walk_anchors(h):
     (Product(1.0, 3.0, 0.1), BridgeSpec(2, 30, 0.25, 0.75), 2e-3),
 ], ids=["poisson-underflowed", "time-exponential-underflowed", "product-window"])
 def test_anchor_search_matches_the_walk(model, spec, h_step):
-    # the first two fields hold -inf cells, so their walks move (Poisson's to -1)
+    # the first two fields reach far below exp(-700); every anchor is the last node
+    # before its state's limit, and both of its columns are finite there
     h = solve_h(model, spec, h_step)
     assert np.array_equal(h.anchor_idx, _walk_anchors(h))
+    assert np.all(h.anchor_idx >= 0)
+
+
+def _up(w):
+    """w shifted one state toward the pin: out[z] = w[z+1], 0 past the top."""
+    return np.concatenate([w[1:], [0.0]])
+
+
+def _down(w):
+    """w shifted one state away from the pin: out[z] = w[z-1], 0 below the bottom."""
+    return np.concatenate([[0.0], w[:-1]])
 
 
 def _staged_step(r0, rm, r1, step, shift, v):
@@ -270,10 +310,10 @@ def _staged_step(r0, rm, r1, step, shift, v):
     couples each state at its own rate; forward (_down) it runs from t to
     t + step and feeds each state at the rate of the state below.
     """
-    h = -step if shift is engine._up else step
+    h = -step if shift is _up else step
     i_mid = h * (5.0 * r0 + 8.0 * rm - r1) / 24.0
     i_end = h * (r0 + 4.0 * rm + r1) / 6.0
-    if shift is engine._up:
+    if shift is _up:
         c0, sign = r0, -1.0
         cm = rm * np.exp(shift(i_mid) - i_mid)
         ce = r1 * np.exp(shift(i_end) - i_end)
@@ -290,22 +330,47 @@ def _staged_step(r0, rm, r1, step, shift, v):
     return (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * ee
 
 
-@pytest.mark.parametrize("shift", [engine._up, engine._down], ids=["up", "down"])
+@pytest.mark.parametrize("shift", [_up, _down], ids=["up", "down"])
 @pytest.mark.parametrize("width", range(1, 7))
 def test_band_step_matches_the_staged_step(shift, width):
-    # widths below 5 exercise shifts S^d with d >= width, which must read zeros
+    # the column kernel solves a three-step sweep state by state; each of its steps
+    # must be the staged step applied to the values it gave one node before.  Widths
+    # below 5 exercise couplings S^d with d >= width, which must read zeros.
     rng = np.random.default_rng(width)
+    n_steps = 3
     for _ in range(20):
-        r0, rm, r1 = rng.uniform(0.0, 50.0, (3, 1, width))
-        step = rng.uniform(0.0, 0.1, (1, 1))
-        v = rng.uniform(0.0, 1.0, width)
-        band = engine._band(r0, rm, r1, step, shift)
-        assert band.shape == (1, 5, width) and np.all(band >= 0.0)
-        rows, windows = engine._band_rows(1, width, shift)
-        rows[0] = v
-        got = np.einsum("dz,dz->z", band[0], windows[0])
-        want = _staged_step(r0[0], rm[0], r1[0], step[0, 0], shift, v)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        rates = rng.uniform(0.0, 50.0, (width, 2 * n_steps + 1))
+        step = rng.uniform(0.0, 0.1, n_steps)
+        log_x = np.empty((n_steps + 1, width))
+        prior, feed = [], None
+        for z in (range(width - 1, -1, -1) if shift is _up else range(width)):
+            log_x[:, z], prior = engine._column(step, rates[z],
+                                                rates[z] if shift is _up else feed, prior)
+            feed = rates[z]
+        assert not np.any(np.isnan(log_x))
+        x = np.exp(log_x)
+        for j in range(n_steps):
+            r0, rm, r1 = rates[:, 2 * j], rates[:, 2 * j + 1], rates[:, 2 * j + 2]
+            want = _staged_step(r0, rm, r1, step[j], shift, x[j])
+            np.testing.assert_allclose(x[j + 1], want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("model, spec", [
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 10)),
+    (Product(2.0, -4.0, 0.5), BridgeSpec(0, 8)),
+    (SpaceLinear(2.0, 1.0), BridgeSpec(1, 9, 0.1, 0.9)),
+], ids=["product-convex", "product-concave", "space-linear-window"])
+def test_mean_curvature_is_the_mean_of_k_times_the_characteristic(model, spec):
+    # the forward equation and d/dt log h = rate - k give m''(t) = E[k(t, X_t) char(t, X_t)]
+    # exactly: the paper's convexity criterion as an identity.  Second differences of
+    # the mean curve carry an O(step^2) truncation error.
+    h = solve_h(model, spec, 1e-3, step_budget=0.005)
+    table = marginal_table(model, spec, 1e-3, h=h, step_budget=0.005)
+    d2 = second_differences(mean_curve(table))[:, 1]
+    k = h.node_bridge_rates[h.mesh.out_node_idx[1:]]
+    char = model.characteristic(table.times[1:-1, None], spec.ladder()[None, :])
+    want = np.sum(table.probs[1:-1] * k * char, axis=1)
+    assert np.max(np.abs(d2 - want)) <= 1e-4 * np.max(np.abs(d2))
 
 
 def test_marginals_reuse_the_mesh_of_the_field(monkeypatch):
@@ -341,7 +406,7 @@ def test_mesh_refusal_probes_rates_in_blocks():
 
 
 def test_engine_stores_two_full_size_arrays():
-    # per-step coefficients are formed block by block, so the peak stays near
+    # coefficients are formed one state's column at a time, so the peak stays near
     # log h plus the bridge rates (two arrays of h.logh's size)
     model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)
     tracemalloc.start()

@@ -182,6 +182,27 @@ def test_tabulated_boundaries(form, t, z, error, message):
         m.rate_grid(np.atleast_1d(t), np.atleast_1d(z))
 
 
+@pytest.mark.parametrize("form", ["scalar", "array"])
+@pytest.mark.parametrize("z", [2.5, 2.999, np.nan])
+def test_tabulated_refuses_a_non_integral_state(form, z):
+    m = _hull_model()
+    t = 0.5
+    if form == "array":
+        t, z = np.array([0.5, t, 0.6]), np.array([3.0, z, 4.0])
+    with pytest.raises(OutOfDomain, match="state not an integer: "):
+        m.rate(t, z)
+    with pytest.raises(OutOfDomain, match="state not an integer: "):
+        m.rate_grid(np.atleast_1d(t), np.atleast_1d(z))
+
+
+def test_tabulated_integral_float_states_pass():
+    m = _hull_model()
+    assert m.rate(0.5, 3.0) == m.rate(0.5, 3)
+    np.testing.assert_array_equal(m.rate(np.array([0.3, 0.6]), np.array([2.0, 4.0])),
+                                  m.rate(np.array([0.3, 0.6]), np.array([2, 4])))
+    np.testing.assert_array_equal(m.rate_grid([0.3, 0.6], [2.0, 4.0]), m.rate_grid([0.3, 0.6], [2, 4]))
+
+
 def test_tabulated_edges_and_empty_arrays_pass():
     m = _hull_model()
     assert m.rate(0.2, 2) == pytest.approx(1.2, rel=1e-14)

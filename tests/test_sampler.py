@@ -250,11 +250,30 @@ def test_start_state_survival_matches_marginal_table(model):
 @pytest.mark.parametrize("model, n", [(TimeExponential(1.0, -3.0), 200), (Poisson(1.0), 170)],
                          ids=["log-h-minus-inf", "log-h-below-floor"])
 def test_sample_bridge_refuses_an_underflowed_start_state(model, n):
-    # log h(0, 0) is -inf (no anchor) for the first, about -708 (table cut at t = 0) for the second
+    # log h(0, 0) is -1093.5 for the first and -707.6 for the second, below exp(-700);
+    # the sampler serves both, and its mean count at t = 0.5 matches the table's
+    # within 4 standard errors
     spec = BridgeSpec(0, n)
     h = solve_h(model, spec, 1e-3)
-    with pytest.raises(Underflow):
-        sample_bridge(model, spec, h, 5, 1)
+    count = 1000
+    times = jump_time_matrix(sample_bridge(model, spec, h, count, 1))
+    table = marginal_table(model, spec, 1e-3, h=h)
+    row = table.probs[table.index_of(0.5)]
+    states = np.arange(n + 1)
+    mean = row @ states
+    sd = math.sqrt(row @ (states - mean) ** 2)
+    got = np.mean(np.sum(times <= 0.5, axis=1))
+    assert abs(got - mean) <= 4.0 * sd / math.sqrt(count)
+
+
+def test_sample_bridge_refuses_a_state_without_an_anchor():
+    # 300 jumps in a window of 0.02: the finest node distance times the depth exceeds
+    # the window, so no mesh node lies before the pin layer of the low states
+    spec = BridgeSpec(0, 300, 0.5, 0.52)
+    h = solve_h(Poisson(1.0), spec, 1e-2)
+    assert h.anchor_idx[0] == -1
+    with pytest.raises(Underflow, match="pin layer of state 0"):
+        sample_bridge(h.model, spec, h, 3, 1)
 
 
 @pytest.mark.parametrize("landing", [lambda t, u: t, lambda t, u: np.full_like(t, u)],
