@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,7 +24,7 @@ from . import __version__
 from .analytic import mean_upper_bound
 from .engine import (BridgeSpec, marginal_table, mean_curve, second_differences,
                      solve_h)
-from .errors import CountBridgeError
+from .errors import BadStep, CountBridgeError
 from .intensity import constant_characteristic_model, model_from_dict, model_from_json
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 from .verify import (convexity_check, dominance_check, duality_catalog,
@@ -91,6 +92,8 @@ def _run_characteristics(options):
     model = _resolve_model(options)
     spec = _spec(options)
     step = float(options["grid_step"])
+    if not (step > 0 and math.isfinite(step)):
+        raise BadStep(f"grid step must be positive and finite, got {step}")
     ts = np.linspace(spec.s, spec.u, max(2, int(round(spec.length / step)) + 1))
     z_hi = max(spec.x, spec.y - 1)
     rows = []

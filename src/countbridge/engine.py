@@ -24,10 +24,16 @@ state above backward, the state below forward).  So every sweep takes the
 states in the outer loop, and each state's whole column over the mesh is one
 first-order linear recurrence in the steps, driven by the columns already
 solved.  All of its terms are non-negative, so :func:`_column` solves it at
-once in log space.  No value is rescaled, clamped or cut: log h is exact
-(to the integrator's accuracy) wherever it is representable as a float, far
-below exp(-700), and the only -inf cells are the exact zeros of the discrete
-scheme next to u.
+once in log space, with a prefix log-sum-exp over the column.  That sum runs
+in blocks of PREFIX_BLOCK cells (Blelloch, "Prefix sums and their
+applications", 1990): one exp, one cumsum and one log per cell, with the
+blocks chained by an exact accumulate over their totals.  A block whose
+partial sums would fall too far below its reference to be held exactly (a
+climb of more than about 640 nats inside one block) is redone with the
+exact sequential accumulate.  No value is rescaled, clamped or cut: log h is
+exact (to the integrator's accuracy) wherever it is representable as a
+float, far below exp(-700), and the only -inf cells are the exact zeros of
+the discrete scheme next to u.
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
 # The mesh probes the ladder-minimal rate on CHUNK probe times at a time.
 CHUNK = 256
+# The column kernel's prefix log-sum-exp works in blocks of PREFIX_BLOCK cells and
+# redoes a block exactly where a partial sum falls below PREFIX_TINY of its
+# reference (see _prefix_logsumexp).
+PREFIX_BLOCK = 256
+PREFIX_TINY = 1e-280
 # A mesh whose two stored (nodes x ladder) float arrays would exceed this many
 # bytes is refused before anything of that size is allocated.
 MEMORY_CAP = 4 * 2 ** 30
@@ -87,8 +98,8 @@ class BridgeSpec:
 
 def _n_cells(spec, h_step):
     """Number of uniform output cells for ``h_step``; refuses steps that do not fit."""
-    if h_step <= 0:
-        raise BadStep("h_step must be positive")
+    if not h_step > 0:
+        raise BadStep(f"h_step must be positive, got {h_step}")
     if h_step >= spec.length:
         raise BadStep(f"h_step {h_step} does not fit the window of length {spec.length}")
     if h_step > MAX_COARSE_STEP:
@@ -180,18 +191,73 @@ class _Mesh:
         self.out_node_idx = 2 * self.out_fb_idx
 
 
-def _column(step, rates, feed, prior):
+def _step_powers(step):
+    """The step factors of one sweep's RK4 coefficients, formed once per sweep:
+    step/6, step/24, step^2/6, step^3/12 and step^4/24."""
+    sq = step * step
+    return step / 6.0, step / 24.0, sq / 6.0, sq * step / 12.0, sq * sq / 24.0
+
+
+def _prefix_logsumexp(a):
+    """log(cumsum(exp(a))) of a 1-D array, as np.logaddexp.accumulate(a) gives it.
+
+    The values are cut into blocks of PREFIX_BLOCK cells.  Each block is
+    shifted by its own maximum, so one exp, one cumsum and one log per cell
+    give its partial sums; a logaddexp.accumulate over the nb block totals
+    carries the blocks into each other, and each block's partial sums are
+    referred to the larger of its maximum and its carry.  A partial sum is
+    exact when it is not below PREFIX_TINY of that reference.  Only a block
+    that climbs by more than about 640 nats before its maximum can fall
+    below (its early cells are then dwarfed by its own later ones); such a
+    block is redone with the exact accumulate from its carry.  The cells of
+    the leading -inf run, and only those, stay -inf.
+    """
+    m = a.size
+    nb = -(-m // PREFIX_BLOCK)
+    s = np.full((nb, PREFIX_BLOCK), -np.inf)
+    s.reshape(-1)[:m] = a
+    top = s.max(axis=1)
+    finite = top > -np.inf
+    if not finite.any():
+        return s.reshape(-1)[:m]
+    s -= np.where(finite, top, 0.0)[:, None]
+    np.exp(s, out=s)
+    np.cumsum(s, axis=1, out=s)
+    carry = np.full(nb, -np.inf)
+    with np.errstate(divide="ignore"):
+        np.logaddexp.accumulate(top[:-1] + np.log(s[:-1, -1]), out=carry[1:])
+    ref = np.maximum(top, carry)
+    ref[ref == -np.inf] = 0.0
+    s *= np.exp(top - ref)[:, None]
+    s += np.exp(carry - ref)[:, None]
+    # each block's partial sums are non-decreasing, so its first cell past the
+    # leading -inf run holds its smallest
+    first = int(np.argmax(finite))
+    head = s[:, 0].copy()
+    cells = a[first * PREFIX_BLOCK:(first + 1) * PREFIX_BLOCK]
+    head[first] = s[first, np.argmax(cells > -np.inf)]
+    head[:first] = np.inf
+    with np.errstate(divide="ignore"):
+        np.log(s, out=s)
+    s += ref[:, None]
+    for k in np.flatnonzero(head < PREFIX_TINY):
+        cells = a[k * PREFIX_BLOCK:(k + 1) * PREFIX_BLOCK]
+        s[k, :cells.size] = np.logaddexp.accumulate(np.concatenate([carry[k:k + 1], cells]))[1:]
+    return s.reshape(-1)[:m]
+
+
+def _column(steps, rates, feed, prior):
     """One state's log column of a diagonal-exact RK4 sweep, over all steps at once.
 
     A sweep takes the ladder states in order, from the pin down (``solve_h``)
     or from the start state up (the marginal routes), and starts from 1 in
-    its first state and 0 in every other.  ``step`` holds the m step lengths
-    in sweep order.  ``rates`` are the state's own rates and ``feed`` those at
-    which the state before it feeds it (its own rates backward, the rates of
-    the state below forward; unused for the first state), each given at the
-    step boundaries and midpoints interleaved: 2 m + 1 values.  ``prior`` is
-    what this function returned for the state before, which carries up to
-    four states.
+    its first state and 0 in every other.  ``steps`` is :func:`_step_powers`
+    of the m step lengths in sweep order.  ``rates`` are the state's own rates
+    and ``feed`` those at which the state before it feeds it (its own rates
+    backward, the rates of the state below forward; unused for the first
+    state), each given at the step boundaries and midpoints interleaved:
+    2 m + 1 values.  ``prior`` is what this function returned for the state
+    before, which carries up to four states.
 
     Each step removes its diagonal exactly.  With i_mid and i_end its
     integrals (a quadratic fit to the middle, Simpson to the end) and
@@ -203,37 +269,89 @@ def _column(step, rates, feed, prior):
     state's column therefore obeys x[j+1] = exp(-i_end[j]) (x[j] + b[j]),
     with b = sum_d a_d S^d x known from the earlier states, and that
     recurrence is solved at once in log space: with g the running sum of
-    -i_end, log x = g + logaddexp.accumulate([log seed, log b - g]).  No
-    value is rescaled or clamped.  Returns the log column (m + 1 values) and
-    the ``prior`` of the next state.
+    -i_end, log x = g + (prefix log-sum-exp of [log seed, log b - g]), which
+    :func:`_prefix_logsumexp` forms in blocks, exactly.  No value is
+    rescaled or clamped.  Returns the log column (m + 1 values) and the
+    ``prior`` of the next state.
     """
+    h6, h24 = steps[:2]
     r0, rm, r1 = rates[:-1:2], rates[1::2], rates[2::2]
-    i_mid = step * (5.0 * r0 + 8.0 * rm - r1) / 24.0
-    i_end = step * (r0 + 4.0 * rm + r1) / 6.0
-    g = np.concatenate([[0.0], np.cumsum(-i_end)])
+    i_mid = 8.0 * rm
+    i_mid += 5.0 * r0
+    i_mid -= r1
+    i_mid *= h24
+    i_end = 4.0 * rm
+    i_end += r0
+    i_end += r1
+    i_end *= h6
+    g = np.empty(i_end.size + 1)
+    g[0] = 0.0
+    np.cumsum(i_end, out=g[1:])
+    np.negative(g, out=g)
     if not prior:
         return g, [(g, None, None, i_mid, i_end)]
+    a, c0, cm = _log_forcing(steps, feed, i_mid, i_end, g, prior)
+    log_x = _prefix_logsumexp(a)
+    log_x += g
+    return log_x, [(log_x, c0, cm, i_mid, i_end)] + prior[:3]
+
+
+def _log_forcing(steps, feed, i_mid, i_end, g, prior):
+    """[log seed, log b - g] for a state after a sweep's first, whose seed is 0,
+    and the state's couplings c0 and cm: the input of its column's prefix sum.
+    Its temporaries are freed before that sum runs."""
+    h6, _, h2_6, h3_12, h4_24 = steps
     _, c0_1, cm_1, i_mid_1, i_end_1 = prior[0]
     c0 = feed[:-1:2]
-    cm = feed[1::2] * np.exp(i_mid - i_mid_1)
-    ce = feed[2::2] * np.exp(i_end - i_end_1)
-    coef = [(step / 6.0) * (c0 + 4.0 * cm + ce)]
+    cm = np.exp(i_mid - i_mid_1)
+    cm *= feed[1::2]
+    ce = np.exp(i_end - i_end_1)
+    ce *= feed[2::2]
+    a1 = 4.0 * cm
+    a1 += c0
+    a1 += ce
+    a1 *= h6
+    coef = [a1]
     if len(prior) > 1:
-        coef.append((step ** 2 / 6.0) * (cm * c0_1 + (cm + ce) * cm_1))
+        a2 = cm + ce
+        a2 *= cm_1
+        a2 += cm * c0_1
+        a2 *= h2_6
+        coef.append(a2)
     if len(prior) > 2:
         c0_2, cm_2 = prior[1][1:3]
-        coef.append((step ** 3 / 12.0) * cm_1 * (cm * c0_2 + ce * cm_2))
+        a3 = cm * c0_2
+        a3 += ce * cm_2
+        a3 *= cm_1
+        a3 *= h3_12
+        coef.append(a3)
     if len(prior) > 3:
-        coef.append((step ** 4 / 24.0) * ce * cm_1 * cm_2 * prior[2][1])
-    # log b at each step's start, shifted by the largest earlier value there
-    # (0 where every earlier state is still exactly 0)
+        a4 = ce * cm_1
+        a4 *= cm_2
+        a4 *= prior[2][1]
+        a4 *= h4_24
+        coef.append(a4)
+    # log b at each step's start, shifted by the largest earlier value there; the
+    # finite floor keeps x - top from inf - inf where every earlier state is still 0
     before = [p[0][:-1] for p in prior]
-    top = np.max(before, axis=0)
-    top[top == -np.inf] = 0.0
+    top = np.maximum(before[0], -np.finfo(float).max)
+    for x in before[1:]:
+        np.maximum(top, x, out=top)
+    b = np.exp(before[0] - top)
+    b *= a1
+    term = np.empty_like(top)
+    for a_d, x in zip(coef[1:], before[1:]):
+        np.subtract(x, top, out=term)
+        np.exp(term, out=term)
+        term *= a_d
+        b += term
+    a = np.empty(g.size)
+    a[0] = -np.inf
     with np.errstate(divide="ignore"):
-        log_b = top + np.log(sum(a * np.exp(x - top) for a, x in zip(coef, before)))
-    log_x = g + np.logaddexp.accumulate(np.concatenate([[-np.inf], log_b - g[:-1]]))
-    return log_x, [(log_x, c0, cm, i_mid, i_end)] + prior[:3]
+        np.log(b, out=a[1:])
+    a[1:] += top
+    a[1:] -= g[:-1]
+    return a, c0, cm
 
 
 class HField:
@@ -315,14 +433,14 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     t_rates[0::2] = times
     t_rates[1::2] = 0.5 * (times[:-1] + times[1:])
     t_rates = t_rates[::-1]
-    step = np.diff(times)[::-1].copy()
+    steps = _step_powers(np.diff(times)[::-1])
 
     log_h = np.empty((times.size, spec.n + 1), order="F")
     k_nodes = np.zeros_like(log_h)
     prior = []
     for zi in range(spec.n, -1, -1):
         rates = model.rate_grid(t_rates, [spec.x + zi])[:, 0]
-        col, prior = _column(step, rates, rates, prior)
+        col, prior = _column(steps, rates, rates, prior)
         log_h[:, zi] = col[::-1]
         if zi < spec.n:
             # 0 where state zi is still exactly 0, within a few nodes of u
@@ -375,11 +493,11 @@ def _forward(mesh, rates):
     column per state, from mass 1 in state x at s.  ``rates`` yields each
     state's rates on the storage nodes from s to u - dc, bottom state first;
     each state is fed at the rates of the state below."""
-    step = np.diff(mesh.fwd_bounds)
+    steps = _step_powers(np.diff(mesh.fwd_bounds))
     out = np.empty((mesh.out_fb_idx.size, mesh.spec.n + 1))
     prior, feed = [], None
     for zi, r in enumerate(rates):
-        log_q, prior = _column(step, r, feed, prior)
+        log_q, prior = _column(steps, r, feed, prior)
         out[:, zi] = log_q[mesh.out_fb_idx]
         feed = r
     return out

@@ -55,3 +55,7 @@ class DegenerateVariance(CountBridgeError):
 
 class ResourceCap(CountBridgeError):
     """Requested experiment exceeds the configured work budget."""
+
+
+class TooFewSamples(CountBridgeError):
+    """A Monte Carlo estimate was asked for with fewer samples than it needs."""

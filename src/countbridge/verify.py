@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
 from .engine import BridgeSpec, marginal_table, mean_curve, second_differences, solve_h
-from .errors import DegenerateVariance, ResourceCap
+from .errors import DegenerateVariance, ResourceCap, TooFewSamples
 from .intensity import characteristic_bounds
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 
@@ -256,7 +256,8 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, h_step=1e-3, h=None
     E[phi * sum_i (du(T_i) + char(T_i, X_{T_i-}) u(T_i))] on the same bridge
     paths and reports both with standard errors plus the z-score of their
     paired difference (the estimators are correlated by construction, so the
-    difference is what carries the test).
+    difference is what carries the test).  Fewer than two paths give no
+    standard error, so they raise TooFewSamples instead of a z-score of 0.
     """
     n = spec.n
     if phi.m > n:
@@ -266,6 +267,8 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, h_step=1e-3, h=None
             h = solve_h(model, spec, h_step)
         paths = sample_bridge(model, spec, h, count, rng_seed)
     count = len(paths)
+    if count < 2:
+        raise TooFewSamples(f"the duality check needs at least two paths, got {count}")
     if n == 0:
         return DualityResult(0.0, 0.0, 0.0, 0.0, 0.0, count, phi.name, u_func.name)
     times = jump_time_matrix(paths)
@@ -283,13 +286,13 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, h_step=1e-3, h=None
     rhs_samples = vals * stoch
 
     lhs, rhs = float(lhs_samples.mean()), float(rhs_samples.mean())
-    lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-    rhs_se = float(rhs_samples.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(count))
+    rhs_se = float(rhs_samples.std(ddof=1) / math.sqrt(count))
     diff = lhs_samples - rhs_samples
-    sd = float(diff.std(ddof=1)) if count > 1 else 0.0
+    sd = float(diff.std(ddof=1))
     mean_diff = float(diff.mean())
     if sd == 0.0:
-        if count > 1 and mean_diff != 0.0:
+        if mean_diff != 0.0:
             raise DegenerateVariance("both estimators are constant but differ")
         z = 0.0
     else:
@@ -395,6 +398,8 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h
     n_values = [int(v) for v in n_values]
     if any(v <= 0 for v in n_values):
         raise ValueError("N values must be positive")
+    if int(replicas) < 1:
+        raise TooFewSamples(f"the lln experiment needs at least one replica, got {replicas}")
     work = sum(n_values) * int(replicas)
     if work > budget:
         raise ResourceCap(f"requested {work} jump draws exceeds budget {budget}")

@@ -175,7 +175,7 @@ def test_underflowed_start_state_exits_2(tmp_path):
     assert not (out / "marginals.csv").exists()
 
 
-def test_sample_from_an_underflowed_start_state_exits_2(tmp_path):
+def test_sample_from_a_start_state_below_exp_minus_700_exits_0(tmp_path):
     # log h(0, 0) is -1093.5, below exp(-700): the sampler serves the bridge
     model = {"family": "time_exponential", "params": {"alpha": 1.0, "lambda": -3.0}}
     mpath = tmp_path / "te.json"
@@ -199,6 +199,26 @@ def test_mesh_over_the_memory_cap_exits_2(tmp_path):
     assert r.returncode == 2
     assert "GiB" in r.stderr
     assert not (out / "marginals.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["lln", "--lambda", "1", "--N", "5", "--replicas", "0"],
+    ["verify", "--lambda", "1", "--y", "5", "--check", "duality", "--replicas", "0"],
+    ["verify", "--lambda", "1", "--y", "5", "--check", "duality", "--replicas", "1"],
+    ["characteristics", "--lambda", "1", "--y", "5", "--grid-step", "0"],
+    ["characteristics", "--lambda", "1", "--y", "5", "--grid-step", "-1"],
+    ["characteristics", "--lambda", "1", "--y", "5", "--grid-step", "nan"],
+    ["characteristics", "--lambda", "1", "--y", "5", "--grid-step", "inf"],
+    ["marginals", "--lambda", "1", "--y", "5", "--step", "nan"],
+], ids=["lln-no-replicas", "duality-no-paths", "duality-one-path", "grid-step-zero",
+        "grid-step-negative", "grid-step-nan", "grid-step-inf", "step-nan"])
+def test_unusable_sample_sizes_and_steps_exit_2(tmp_path, args):
+    # a Monte Carlo check without enough samples, or a step that is not a positive
+    # finite number, is a typed configuration error: no traceback, no verdict
+    r = run_cli(*args, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert "countbridge: error:" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch):

@@ -341,10 +341,11 @@ def test_band_step_matches_the_staged_step(shift, width):
     for _ in range(20):
         rates = rng.uniform(0.0, 50.0, (width, 2 * n_steps + 1))
         step = rng.uniform(0.0, 0.1, n_steps)
+        steps = engine._step_powers(step)
         log_x = np.empty((n_steps + 1, width))
         prior, feed = [], None
         for z in (range(width - 1, -1, -1) if shift is _up else range(width)):
-            log_x[:, z], prior = engine._column(step, rates[z],
+            log_x[:, z], prior = engine._column(steps, rates[z],
                                                 rates[z] if shift is _up else feed, prior)
             feed = rates[z]
         assert not np.any(np.isnan(log_x))
@@ -353,6 +354,43 @@ def test_band_step_matches_the_staged_step(shift, width):
             r0, rm, r1 = rates[:, 2 * j], rates[:, 2 * j + 1], rates[:, 2 * j + 2]
             want = _staged_step(r0, rm, r1, step[j], shift, x[j])
             np.testing.assert_allclose(x[j + 1], want, rtol=1e-13, atol=0.0)
+
+
+def _prefix_cases():
+    block = engine.PREFIX_BLOCK
+    rng = np.random.default_rng(11)
+    walk = lambda m: np.cumsum(rng.normal(0.0, 3.0, m))
+    lead = walk(3 * block + 40)
+    lead[:block + 70] = -np.inf
+    return {
+        "one": walk(1),
+        "block-1": walk(block - 1),
+        "block": walk(block),
+        "block+1": walk(block + 1),
+        "multi-block": walk(7 * block + 33),
+        "leading-minus-inf": lead,
+        "all-minus-inf": np.full(2 * block + 5, -np.inf),
+        # every cell 5 nats below the one before: the carry dominates each block
+        "steep-fall": 400.0 - 5.0 * np.arange(4 * block + 9),
+        # 5 nats per cell climbs ~1275 nats inside each block, past what a float
+        # can hold relative to the block's top: only the exact guard gets it right
+        "climb": -900.0 + 5.0 * np.arange(3 * block + 9),
+    }
+
+
+@pytest.mark.parametrize("name", list(_prefix_cases()))
+def test_prefix_logsumexp_matches_the_accumulate(name):
+    # the sequential np.logaddexp.accumulate is the reference; the blocked sums
+    # reorder the additions, so they agree to 1e-12 relative (set beforehand),
+    # with the same -inf cells
+    a = _prefix_cases()[name]
+    want = np.logaddexp.accumulate(a)
+    got = engine._prefix_logsumexp(a)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.isfinite(got[fin]))
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
 
 
 @pytest.mark.parametrize("model, spec", [

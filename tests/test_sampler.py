@@ -248,8 +248,8 @@ def test_start_state_survival_matches_marginal_table(model):
 
 
 @pytest.mark.parametrize("model, n", [(TimeExponential(1.0, -3.0), 200), (Poisson(1.0), 170)],
-                         ids=["log-h-minus-inf", "log-h-below-floor"])
-def test_sample_bridge_refuses_an_underflowed_start_state(model, n):
+                         ids=["time-exponential-200", "poisson-170"])
+def test_sample_bridge_serves_a_start_state_below_exp_minus_700(model, n):
     # log h(0, 0) is -1093.5 for the first and -707.6 for the second, below exp(-700);
     # the sampler serves both, and its mean count at t = 0.5 matches the table's
     # within 4 standard errors
