@@ -24,7 +24,7 @@ from . import __version__
 from .analytic import mean_upper_bound
 from .engine import (BridgeSpec, marginal_table, mean_curve, second_differences,
                      solve_h)
-from .errors import BadStep, CountBridgeError
+from .errors import BadOption, BadStep, BadWindow, CountBridgeError
 from .intensity import constant_characteristic_model, model_from_dict, model_from_json
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 from .verify import (convexity_check, dominance_check, duality_catalog,
@@ -92,8 +92,8 @@ def _run_characteristics(options):
     model = _resolve_model(options)
     spec = _spec(options)
     step = float(options["grid_step"])
-    if not (step > 0 and math.isfinite(step)):
-        raise BadStep(f"grid step must be positive and finite, got {step}")
+    if not step > 0:
+        raise BadStep(f"grid step must be positive, got {step}")
     ts = np.linspace(spec.s, spec.u, max(2, int(round(spec.length / step)) + 1))
     z_hi = max(spec.x, spec.y - 1)
     rows = []
@@ -273,16 +273,43 @@ _RUNNERS = {
 }
 
 
+# the float options: their flag, and the error a NaN or infinite value raises
+_FLOAT_OPTIONS = {
+    "step": ("--step", BadStep),
+    "grid_step": ("--grid-step", BadStep),
+    "s": ("--s", BadWindow),
+    "u": ("--u", BadWindow),
+    "lambdas": ("--lambda", BadOption),
+    "tol_margin": ("--tol-margin", BadOption),
+    "tol_convexity": ("--tol-convexity", BadOption),
+    "z_max": ("--z-max", BadOption),
+}
+
+
+def _run(command, options):
+    """Run ``command`` on its resolved options, fresh or replayed.
+
+    Every float option must be finite, whether or not the command reads
+    it: a NaN would otherwise land in manifest.json, which is then not
+    JSON.  Nothing is written before this check.
+    """
+    if command not in _RUNNERS:
+        raise ValueError(f"manifest command {command!r} unknown")
+    for key, (flag, error) in _FLOAT_OPTIONS.items():
+        value = options.get(key)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not math.isfinite(float(v)):
+                raise error(f"{flag} must be a finite number, got {v}")
+    return _RUNNERS[command](options)
+
+
 def _run_replay(manifest_path, out_override=None):
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    command = manifest["command"]
     options = dict(manifest["options"])
     if out_override:
         options["out"] = out_override
-    if command not in _RUNNERS:
-        raise ValueError(f"manifest command {command!r} unknown")
-    return _RUNNERS[command](options)
+    return _run(manifest["command"], options)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +397,7 @@ def main(argv=None):
     try:
         if args.command == "replay":
             return _run_replay(args.manifest, args.out)
-        options = _options_from_args(args)
-        return _RUNNERS[args.command](options)
+        return _run(args.command, _options_from_args(args))
     except (CountBridgeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"countbridge: error: {exc}", file=sys.stderr)
         return 2

@@ -398,7 +398,7 @@ class HField:
         if j < 0:
             raise Underflow(f"no mesh node lies before the pin layer of state {z}")
         t_tab = self.times[:j + 1]
-        rates = self.model.rate_grid(t_tab, [z])[:, 0]
+        rates = next(self.model.rate_columns(t_tab, [z]))
         lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
         big_l = lam - self.logh[:j + 1, zi]
         # past the anchor L grows like slope * log(1 / (u - t))
@@ -421,10 +421,12 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     Integrates d/dt h(t,z) = -rate(t,z) [h(t,z+1) - h(t,z)] backward from
     h(u, .) = indicator(y) with diagonally-exact RK4 steps.  The system is
     upper bidiagonal, so the states go from the pin down, one log column each
-    (:func:`_column`), coupled at their own rates.  Each state's pinned jump
-    rates rate(t,z) h(t,z+1) / h(t,z) are formed right after its column.
-    ``step_budget`` tightens the mesh grading below the module default for
-    extra accuracy.
+    (:func:`_column`), coupled at their own rates.  Those come from one
+    ``model.rate_columns`` reader over the sweep's node and midpoint times,
+    which does the per-time work once and yields one state's column at a
+    time.  Each state's pinned jump rates rate(t,z) h(t,z+1) / h(t,z) are
+    formed right after its column.  ``step_budget`` tightens the mesh
+    grading below the module default for extra accuracy.
     """
     mesh = _Mesh(spec, h_step, model, step_budget)
     times = mesh.times
@@ -436,17 +438,22 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     steps = _step_powers(np.diff(times)[::-1])
 
     log_h = np.empty((times.size, spec.n + 1), order="F")
-    k_nodes = np.zeros_like(log_h)
+    k_nodes = np.empty_like(log_h)
+    k_nodes[:, spec.n] = 0.0
     prior = []
-    for zi in range(spec.n, -1, -1):
-        rates = model.rate_grid(t_rates, [spec.x + zi])[:, 0]
+    columns = model.rate_columns(t_rates, spec.ladder()[::-1])
+    for zi, rates in zip(range(spec.n, -1, -1), columns):
         col, prior = _column(steps, rates, rates, prior)
         log_h[:, zi] = col[::-1]
         if zi < spec.n:
-            # 0 where state zi is still exactly 0, within a few nodes of u
+            # formed in place in its column of k_nodes; 0 where state zi is
+            # still exactly 0, within a few nodes of u
+            k = k_nodes[:, zi]
             with np.errstate(invalid="ignore"):
-                k = rates[::-2] * np.exp(log_h[:, zi + 1] - log_h[:, zi])
-            k_nodes[:, zi] = np.where(np.isfinite(k), k, 0.0)
+                np.subtract(log_h[:, zi + 1], log_h[:, zi], out=k)
+                np.exp(k, out=k)
+                k *= rates[::-2]
+            k[~np.isfinite(k)] = 0.0
     return HField(model, spec, mesh, log_h, k_nodes)
 
 
@@ -557,12 +564,13 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None)
 
     Independent of the pinned forward dynamics (no singular rates enter), so
     it cross-checks :func:`marginal_table`; the two routes agree to about the
-    integrator tolerance.  Both factors stay in log space.
+    integrator tolerance.  Both factors stay in log space.  The forward sweep
+    reads its rates from one ``model.rate_columns`` reader over the forward
+    nodes, one state's column at a time.
     """
     h = _field(model, spec, h_step, h, step_budget)
     mesh = h.mesh
-    fwd_times = mesh.times[:mesh.n_fwd_nodes]
-    log_p = _forward(mesh, (h.model.rate_grid(fwd_times, [z])[:, 0] for z in spec.ladder()))
+    log_p = _forward(mesh, h.model.rate_columns(mesh.times[:mesh.n_fwd_nodes], spec.ladder()))
     rows, _ = _normalised(log_p + h.logh[mesh.out_node_idx])
     return _pinned_table(spec, mesh, rows, 0.0)
 

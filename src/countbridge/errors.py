@@ -33,6 +33,10 @@ class Underflow(CountBridgeError):
     """A pin probability was queried where the mesh does not resolve it."""
 
 
+class BadOption(CountBridgeError):
+    """A command option whose value the command cannot use, e.g. a NaN tolerance."""
+
+
 class ConservationLoss(CountBridgeError):
     """Probability mass drifted beyond tolerance during forward integration."""
 

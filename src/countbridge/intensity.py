@@ -126,6 +126,18 @@ class ExpAffine(_RateModel):
         """Rates on a time grid x state set, shape (len(times), len(states))."""
         return self.rate(np.asarray(times, dtype=float)[:, None], np.asarray(states)[None, :])
 
+    def rate_columns(self, times, states):
+        """The columns of ``rate_grid(times, states)``, one state at a time.
+
+        The time checks and exp(lam * t) are done once, here; a bad time or
+        state raises from this call.  Each column is then e * (a + b * z),
+        in the order :meth:`rate` computes it, so bit for bit the same.
+        """
+        t = _check_time(times)[0]
+        z = _check_state(states, self.state_floor)[0]
+        e = np.exp(self.lam * t)
+        return (e * c for c in self.a + self.b * z)
+
     def characteristic(self, t, z):
         t = _check_time(t)[0]
         z = _check_state(z, self.state_floor)[0]
@@ -177,22 +189,34 @@ def _hermite_coefficients(x, y, dydx):
     return np.stack([t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]])
 
 
-def _piecewise_eval(x, c, t, cols):
-    """Evaluate coefficients ``c`` at times ``t`` in columns ``cols`` (broadcast together).
+def _pieces(x, t):
+    """Piece index of each time and the powers s, s^2, s^3 of its offset s.
 
-    Only the requested columns are gathered.  The interval is found as by
-    scipy's PPoly (closed on the right at the last node, end pieces extended),
-    and the sum runs in its order, lowest power first.
+    The piece is found as by scipy's PPoly (closed on the right at the last
+    node, end pieces extended), and the powers are formed in its order.
     """
     i = np.searchsorted(x[1:-1], t, side="right")
     s = t - x[i]
-    idx = i * c.shape[2] + cols
-    flat = c.reshape(c.shape[0], -1)
-    out, z = 0.0 + flat[-1].take(idx), s
-    for ck in flat[-2::-1]:
-        out = out + ck.take(idx) * z
-        z = z * s
+    sq = s * s
+    return i, (s, sq, sq * s)
+
+
+def _power_sum(c, idx, powers):
+    """sum_k c[k].take(idx) * powers, lowest power first as scipy's PPoly sums;
+    ``c`` holds one row per power, highest first."""
+    out = 0.0 + c[-1].take(idx)
+    for ck, p in zip(c[-2::-1], powers):
+        out = out + ck.take(idx) * p
     return out
+
+
+def _piecewise_eval(x, c, t, cols):
+    """Evaluate coefficients ``c`` at times ``t`` in columns ``cols`` (broadcast together).
+
+    Only the requested columns are gathered.
+    """
+    i, powers = _pieces(x, t)
+    return _power_sum(c.reshape(c.shape[0], -1), i * c.shape[2] + cols, powers)
 
 
 class Tabulated(_RateModel):
@@ -278,6 +302,18 @@ class Tabulated(_RateModel):
         """Rates on a time grid x state set, shape (len(times), len(states))."""
         t, z = self._locate(times, states)
         return _piecewise_eval(self.t_grid, self._coef, t[:, None], z - self.z_min)
+
+    def rate_columns(self, times, states):
+        """The columns of ``rate_grid(times, states)``, one state at a time.
+
+        The checks, the piece search and the powers of the offsets are done
+        once, here; a bad time or state raises from this call.  Each column
+        then gathers its four coefficients and sums them as
+        :meth:`rate_grid` does, so bit for bit the same.
+        """
+        t, z = self._locate(times, states)
+        i, powers = _pieces(self.t_grid, t)
+        return (_power_sum(self._coef[:, :, col], i, powers) for col in z - self.z_min)
 
     def characteristic(self, t, z):
         return generic_characteristic(self, t, z)

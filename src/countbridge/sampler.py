@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSorted, PinMiss
+from .errors import NotSorted, OutOfDomain, PinMiss
 
 _U64 = (1 << 64) - 1
 
@@ -113,19 +113,28 @@ def sample_constant(lam, spec, count, rng_seed):
 
     Draws n = y - x i.i.d. variates from the tilted density on the window
     (inverse CDF: log1p(U (e^lam' - 1)) / lam' with lam' = lam * (u - s)) and
-    sorts them.  Deterministic given the seed.  Tied draws raise
+    sorts them.  Deterministic given the seed.  A tilt lam' that is not
+    finite, or so large that e^lam' overflows (lam' > about 709.78), raises
+    :class:`~countbridge.errors.OutOfDomain`; tied draws raise
     :class:`~countbridge.errors.NotSorted`.
     """
     n = spec.n
+    lam_eff = lam * spec.length
+    if not math.isfinite(lam_eff):
+        raise OutOfDomain(f"the tilt over the window must be finite, got {lam_eff}")
     rng = replica_rng(rng_seed, 0)
     u01 = rng.random((int(count), n))
-    lam_eff = lam * spec.length
     if lam_eff == 0.0:
         v = u01
     else:
-        v = np.log1p(u01 * math.expm1(lam_eff)) / lam_eff
+        try:
+            scale = math.expm1(lam_eff)
+        except OverflowError:
+            raise OutOfDomain(f"the tilt over the window, {lam_eff:g}, overflows exp;"
+                              " it must stay below about 709.78") from None
+        v = np.log1p(u01 * scale) / lam_eff
     times = spec.s + spec.length * np.sort(v, axis=1)
-    if np.any(np.diff(times, axis=1) <= 0):
+    if not np.all(np.diff(times, axis=1) > 0):
         raise NotSorted("jump times must be strictly increasing")
     return PathBatch(spec.x, times)
 

@@ -221,6 +221,41 @@ def test_unusable_sample_sizes_and_steps_exit_2(tmp_path, args):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args, replace", [
+    (["sample", "--lambda", "1", "--step", "nan"], None),
+    (["lln", "--lambda", "1", "--N", "5", "--replicas", "3", "--step", "nan"], None),
+    (["verify", "--lambda", "1", "--check", "convexity", "--tol-convexity", "nan"], None),
+    (["verify", "--lambda", "1", "--check", "dominance", "--tol-margin", "nan"], None),
+    (["verify", "--lambda", "1", "--check", "duality", "--z-max", "nan"], None),
+    (["sample", "--lambda", "nan"], None),
+    (["sample", "--lambda=-inf"], None),
+    (["sample", "--lambda", "800"], None),
+    (["lln", "--lambda", "800", "--N", "5", "--replicas", "3"], None),
+    (["sample", "--lambda", "1"], {"step": math.nan}),
+    (["verify", "--lambda", "1", "--check", "convexity"], {"lambdas": [math.inf]}),
+    (["lln", "--lambda", "1", "--N", "5", "--replicas", "3"], {"step": math.inf}),
+], ids=["sample-step", "lln-step", "verify-tol-convexity", "verify-tol-margin",
+        "verify-z-max", "sample-lambda-nan", "sample-lambda-minus-inf", "sample-lambda-overflow",
+        "lln-lambda-overflow", "replay-step", "replay-lambda", "replay-lln-step"])
+def test_unusable_float_options_exit_2_before_writing(tmp_path, capsys, args, replace):
+    # a NaN or infinite option, fresh or in a hand-edited manifest, or a tilt whose
+    # exponential overflows, is a typed error (exit 2) raised before any file is written
+    if args[0] != "lln":
+        args = args + ["--y", "5", "--replicas", "3"]
+    out = tmp_path / "out"
+    if replace is not None:
+        assert cli.main(args + ["--out", str(tmp_path / "run")]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        manifest["options"].update(replace)
+        (tmp_path / "edited.json").write_text(json.dumps(manifest))
+        args = ["replay", str(tmp_path / "edited.json")]
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch):
     calls = []
     real = engine.solve_h

@@ -523,3 +523,60 @@ def test_general_window_marginals():
         exact = binom.pmf(np.arange(4), 3, p)
         row = tab.probs[tab.index_of(t)]
         assert np.max(np.abs(row - exact)) <= 1e-6
+
+
+class _CountingModel:
+    """A model whose rate readers and rate grids are counted; ``per_state``
+    builds each reader from one single-state rate_grid call per state."""
+
+    def __init__(self, model, per_state=False):
+        self.model, self.per_state = model, per_state
+        self.readers, self.grid_widths = [], []
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def rate_grid(self, times, states):
+        self.grid_widths.append(len(states))
+        return self.model.rate_grid(times, states)
+
+    def rate_columns(self, times, states):
+        self.readers.append(len(states))
+        if self.per_state:
+            return (self.model.rate_grid(times, [z])[:, 0] for z in states)
+        return self.model.rate_columns(times, states)
+
+
+@pytest.mark.parametrize("model, spec", [
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 9)),
+    (TimeExponential(20.0, -3.0), BridgeSpec(2, 14, 0.25, 0.75)),
+    (Tabulated(np.linspace(0.0, 1.0, 11), 0,
+               (1.0 + 0.3 * np.arange(9.0))[None, :] * np.exp(np.sin(3.0 * np.linspace(0.0, 1.0, 11)))[:, None]),
+     BridgeSpec(1, 8)),
+], ids=["product", "time-exponential-window", "tabulated"])
+def test_sweeps_read_rates_through_one_reader_each(model, spec, monkeypatch):
+    # fresh buffers hold NaN, so a cell the solver leaves unwritten shows
+    real_empty_like = np.empty_like
+
+    def poisoned(*args, **kwargs):
+        out = real_empty_like(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty_like", poisoned)
+    counted, reference = _CountingModel(model), _CountingModel(model, per_state=True)
+    results = []
+    for m in (counted, reference):
+        h = solve_h(m, spec, 1e-2)
+        results.append((h, marginal_table(m, spec, 1e-2, h=h),
+                        marginal_table_two_sided(m, spec, 1e-2, h=h)))
+    # one reader over the whole ladder per sweep; only the mesh probe asks for a grid
+    assert counted.readers == [spec.n + 1, spec.n + 1]
+    assert counted.grid_widths and set(counted.grid_widths) == {spec.n + 1}
+    (h, one, two), (h_ref, one_ref, two_ref) = results
+    assert np.array_equal(h.logh, h_ref.logh)
+    assert np.array_equal(h.node_bridge_rates, h_ref.node_bridge_rates)
+    assert np.array_equal(one.probs, one_ref.probs)
+    assert np.array_equal(two.probs, two_ref.probs)
+    # the pin state has no jump left
+    assert np.all(h.node_bridge_rates[:, spec.n] == 0.0)

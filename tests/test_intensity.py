@@ -303,3 +303,40 @@ def test_tabulated_rate_shapes():
     np.testing.assert_array_equal(m.rate(ts[:3], zs), np.diag(grid[:3]))
     np.testing.assert_array_equal(m.rate(0.3, zs), m.rate_grid([0.3], zs)[0])
     np.testing.assert_array_equal(m.rate(ts, 2), grid[:, 1])
+
+
+READER_MODELS = {
+    "exp-affine-lam-0": ExpAffine(1.3, 0.4),
+    "exp-affine-lam-3": Product(1.0, 3.0, 0.1),
+    "exp-affine-lam-minus-3": TimeExponential(20.0, -3.0),
+    "tabulated": _tabulated(),
+}
+
+
+@pytest.mark.parametrize("model", READER_MODELS.values(), ids=READER_MODELS.keys())
+@pytest.mark.parametrize("order", ["forward", "reversed", "empty"])
+def test_rate_columns_are_the_rate_grid_columns_bitwise(model, order):
+    times = np.linspace(0.0, 1.0, 2 * 37 + 1)
+    times = {"forward": times, "reversed": times[::-1], "empty": times[:0]}[order]
+    for states in ([0, 1, 2, 3, 5], [5, 3, 2, 1, 0]):
+        grid = model.rate_grid(times, states)
+        columns = list(model.rate_columns(times, states))
+        assert len(columns) == len(states)
+        for z, col in zip(states, columns):
+            assert col.shape == times.shape
+            assert np.array_equal(col, model.rate_grid(times, [z])[:, 0])
+            assert np.array_equal(col, grid[:, states.index(z)])
+
+
+@pytest.mark.parametrize("model, times, states, error, message", [
+    (Product(1.0, 3.0, 0.1), [0.5, 1.2], [0, 1], OutOfDomain, "time outside"),
+    (Product(1.0, 3.0, 0.1, state_floor=2), [0.5], [3, 1], OutOfDomain, "state below floor"),
+    (_hull_model(), [0.5, 0.1], [2, 3], TabulationGap, "tabulated hull"),
+    (_hull_model(), [0.5], [2, 5], TabulationGap, "tabulated range"),
+    (_hull_model(), [0.5], [2.0, 2.5], OutOfDomain, "state not an integer"),
+], ids=["exp-affine-time", "exp-affine-floor", "tabulated-hull", "tabulated-range",
+        "tabulated-non-integral"])
+def test_rate_columns_refuse_bad_input_at_the_call(model, times, states, error, message):
+    # the reader checks everything when it is opened, before any column is read
+    with pytest.raises(error, match=message):
+        model.rate_columns(np.asarray(times), states)

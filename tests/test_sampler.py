@@ -8,7 +8,7 @@ from scipy.stats import binom, ks_2samp
 from countbridge import sampler
 from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.errors import IndexOut, NotSorted, PinMiss, Underflow
+from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, Underflow
 from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
 from countbridge.sampler import (PathBatch, PathSample, _replica_exponentials, jump_time_matrix,
                                  replica_rng, sample_bridge, sample_constant)
@@ -377,3 +377,34 @@ def test_sample_constant_refuses_tied_draws(monkeypatch):
     with pytest.raises(NotSorted):
         sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
     assert len(sample_constant(1.0, BridgeSpec(0, 1), 4, 1)) == 4  # one jump cannot tie
+
+
+def test_sample_constant_refuses_nan_draws(monkeypatch):
+    # NaN times compare False both ways, so only a guard that asks for every
+    # step to be positive refuses them
+    class NaNs:
+        def random(self, shape):
+            return np.full(shape, np.nan)
+
+    monkeypatch.setattr(sampler, "replica_rng", lambda seed, index: NaNs())
+    with pytest.raises(NotSorted):
+        sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
+
+
+@pytest.mark.parametrize("lam, spec", [
+    (math.nan, BridgeSpec(0, 3)),
+    (math.inf, BridgeSpec(0, 3)),
+    (-math.inf, BridgeSpec(0, 3)),
+    (709.79, BridgeSpec(0, 3)),
+    (1500.0, BridgeSpec(0, 3, 0.2, 0.7)),
+], ids=["nan", "inf", "minus-inf", "overflow", "overflow-in-window"])
+def test_sample_constant_refuses_a_tilt_it_cannot_represent(lam, spec):
+    with pytest.raises(OutOfDomain, match="tilt over the window"):
+        sample_constant(lam, spec, 4, 1)
+
+
+def test_sample_constant_serves_tilts_up_to_the_overflow():
+    for lam, spec in ((709.78, BridgeSpec(0, 3)), (1400.0, BridgeSpec(0, 3, 0.2, 0.7)),
+                      (-5000.0, BridgeSpec(0, 1))):
+        times = jump_time_matrix(sample_constant(lam, spec, 50, 3))
+        assert np.all(np.isfinite(times)) and np.all((times > spec.s) & (times < spec.u))
