@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWindow, IndexOut
+from .errors import BadWindow, IndexOut, OutOfDomain
 
 # Below this, (exp(lam*t)-1)/(exp(lam)-1) is replaced by its expansion around
 # lam = 0 to dodge 0/0 noise: t + lam*t*(t-1)/2 + O(lam^2).
@@ -27,7 +27,8 @@ def tilted_cdf(lam, t):
 
     (exp(lam*t) - 1) / (exp(lam) - 1), extended continuously through lam = 0
     where it is the identity.  Increasing in t, decreasing in lam, fixed at
-    0 and 1 at the window ends.
+    0 and 1 at the window ends.  A tilt whose e^lam overflows (lam above
+    about 709.78) raises :class:`~countbridge.errors.OutOfDomain`.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
@@ -38,7 +39,12 @@ def tilted_cdf(lam, t):
     elif abs(lam) < _SMALL_LAM:
         out = t + lam * t * (t - 1.0) / 2.0
     else:
-        out = np.expm1(lam * t) / math.expm1(lam)
+        try:
+            scale = math.expm1(lam)
+        except OverflowError:
+            raise OutOfDomain(f"the tilt over the window, {lam:g}, overflows exp;"
+                              " it must stay below about 709.78") from None
+        out = np.expm1(lam * t) / scale
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,7 +3,8 @@
 Every run writes a ``manifest.json`` echoing the fully resolved configuration
 (defaults included, the model descriptor inlined), so ``countbridge replay
 manifest.json`` reproduces the outputs byte for byte.  Floats are printed
-with 17 significant digits; files are written atomically (temp + rename).
+with 17 significant digits; tables are streamed in blocks of rows, with
+unchanged text, into a temp file that is then renamed over the target.
 
 Exit codes: 0 all verdicts pass, 1 a check failed, 2 configuration or domain
 error.
@@ -31,17 +32,19 @@ from .verify import (convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+# rows of a table's value array rendered per %-template: bounds the text held at once
+BLOCK_ROWS = 512
 
 
-def _write_atomic(path, text):
+def _write_atomic(path, chunks):
+    """Write ``chunks`` (a string, or an iterable of strings) to ``path`` via a
+    temp file and a rename; a chunk that raises leaves neither file behind."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,12 +52,30 @@ def _write_atomic(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if c is None else (c if isinstance(c, str) else _fmt(c))
-                              for c in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_table(path, header, values, row, labels=None):
+    """Write a CSV table: ``header``, then one ``row`` per row of ``values``.
+
+    ``row`` is a %-template (one ``%.17g`` per column of the 2-D array
+    ``values``) of one or more lines.  Its ``{o}`` marks, if any, are filled
+    with ``labels[k]``, the preformatted text of row k's repeated label.
+    """
+    values = np.asarray(values, dtype=float)
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for a in range(0, len(values), BLOCK_ROWS):
+            block = values[a:a + BLOCK_ROWS]
+            template = (row * len(block) if labels is None else
+                        "".join([row.replace("{o}", o) for o in labels[a:a + BLOCK_ROWS]]))
+            # tolist() hands % Python floats, so no numpy repr can reach the file
+            yield template % tuple(block.ravel().tolist())
+
+    _write_atomic(path, blocks())
+
+
+def _texts(values):
+    """The 17-digit text of each number of a 1-D array, formatted once."""
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _write_json(path, obj):
@@ -95,32 +116,25 @@ def _run_characteristics(options):
     if not step > 0:
         raise BadStep(f"grid step must be positive, got {step}")
     ts = np.linspace(spec.s, spec.u, max(2, int(round(spec.length / step)) + 1))
-    z_hi = max(spec.x, spec.y - 1)
-    rows = []
-    for z in range(spec.x, z_hi + 1):
-        vals = np.asarray(model.characteristic(ts, z), dtype=float)
-        rows.extend((t, z, v) for t, v in zip(ts, vals))
-    out = os.path.join(options["out"], "characteristics.csv")
-    _write_csv(out, ["t", "z", "xi"], rows)
+    zs = range(spec.x, max(spec.x, spec.y - 1) + 1)
+    xi = [model.characteristic(ts, z) for z in zs]
+    # z-major rows: the t column is the same text in every z block
+    _write_table(os.path.join(options["out"], "characteristics.csv"), ["t", "z", "xi"], xi,
+                 "".join([t + ",{o},%.17g\n" for t in _texts(ts)]), [str(z) for z in zs])
     _write_manifest(options["out"], "characteristics", options, ["characteristics.csv"])
     return 0
 
 
-def _curve_rows(model, spec, lam, h_step):
-    table = marginal_table(model, spec, h_step)
-    curve = mean_curve(table)
-    d2 = second_differences(curve)
-    d2_col = [None] + [float(v) for v in d2[:, 1]] + [None]
-    bound = None
+def _write_curve(path, model, spec, lam, h_step):
+    """mean_curve.csv: t, mean, second_diff (blank in the end rows), bound with a tilt."""
+    curve = mean_curve(marginal_table(model, spec, h_step))
+    d2 = [""] + _texts(second_differences(curve)[:, 1]) + [""]
+    cols = [curve[:, 0], curve[:, 1]]
     if lam is not None:
-        bound = np.asarray(mean_upper_bound(spec, float(lam), curve[:, 0]), dtype=float)
-    rows = []
-    for k, (t, mval) in enumerate(curve):
-        row = [t, mval, d2_col[k]]
-        if bound is not None:
-            row.append(bound[k])
-        rows.append(row)
-    return rows
+        cols.append(mean_upper_bound(spec, float(lam), curve[:, 0]))
+    header = ["t", "mean", "second_diff", "bound"][:len(cols) + 1]
+    _write_table(path, header, np.column_stack(cols),
+                 "%.17g,%.17g,{o}" + ",%.17g" * (len(cols) - 2) + "\n", d2)
 
 
 def _run_mean_curve(options):
@@ -137,9 +151,7 @@ def _run_mean_curve(options):
     else:
         raise ValueError("mean-curve needs --model or at least one --lambda")
     for model, lam, name in runs:
-        header = ["t", "mean", "second_diff"] + (["bound"] if lam is not None else [])
-        _write_csv(os.path.join(options["out"], name), header,
-                   _curve_rows(model, spec, lam, h_step))
+        _write_curve(os.path.join(options["out"], name), model, spec, lam, h_step)
         outputs.append(name)
     if options.get("gnuplot"):
         stub = ["# gnuplot stub; run: gnuplot -p this_file", "set datafile separator ','",
@@ -155,12 +167,10 @@ def _run_marginals(options):
     model = _resolve_model(options)
     spec = _spec(options)
     table = marginal_table(model, spec, float(options["step"]))
-    rows = []
-    for idx, t in enumerate(table.times):
-        for zi, p in enumerate(table.probs[idx]):
-            rows.append((t, spec.x + zi, p))
-    out = os.path.join(options["out"], "marginals.csv")
-    _write_csv(out, ["t", "z", "prob"], rows)
+    # t-major rows: each time's text fills the {o} of its block of states
+    _write_table(os.path.join(options["out"], "marginals.csv"), ["t", "z", "prob"], table.probs,
+                 "".join([f"{{o}},{spec.x + zi},%.17g\n" for zi in range(table.probs.shape[1])]),
+                 _texts(table.times))
     _write_manifest(options["out"], "marginals", options, ["marginals.csv"])
     return 0
 
@@ -179,10 +189,10 @@ def _run_sample(options):
         paths = sample_constant(lam, spec, count, seed)
         sampler = "exact-tilted-order-statistics"
     all_times = jump_time_matrix(paths)
-    # one line per jump, replica-major, the times printed as _fmt prints them
-    lines = "".join(f"{r},{j},{t:.17g}\n" for r, row in enumerate(all_times.tolist())
-                    for j, t in enumerate(row, start=1))
-    _write_atomic(os.path.join(options["out"], "paths.csv"), "replica,jump_index,time\n" + lines)
+    # one line per jump, replica-major
+    _write_table(os.path.join(options["out"], "paths.csv"), ["replica", "jump_index", "time"],
+                 all_times, "".join([f"{{o}},{j},%.17g\n" for j in range(1, spec.n + 1)]),
+                 [str(r) for r in range(len(all_times))])
     summary = {
         "sampler": sampler,
         "seed": seed,
@@ -220,9 +230,9 @@ def _run_verify(options):
             rep = dominance_check(model, spec, lam, direction=options["direction"],
                                   tol=float(options["tol_margin"]), table=table)
             if options.get("grid_csv"):
-                _write_csv(os.path.join(options["out"], "dominance_grid.csv"),
-                           ["t", "i", "computed_tail", "benchmark_tail", "margin"],
-                           rep.rows)
+                _write_table(os.path.join(options["out"], "dominance_grid.csv"),
+                             ["t", "i", "computed_tail", "benchmark_tail", "margin"],
+                             rep.rows, "%.17g,%.17g,%.17g,%.17g,%.17g\n")
                 extra_outputs.append("dominance_grid.csv")
         elif name == "mean-bound":
             rep = mean_bound_check(model, spec, lam, tol=float(options["tol_margin"]),

@@ -144,8 +144,13 @@ class _Mesh:
                                for i in range(0, probe_t.size, CHUNK)])
         seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
         lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        # t -> log lam_hat, excluding the vanishing endpoint value
+        # t -> log lam_hat, excluding the vanishing endpoint value; a lam_hat
+        # that underflows to 0 before u leaves no log to grade the mesh by
         t_tab = probe_t[:-1]
+        gone = ~(lam_hat[:-1] > 0)
+        if gone.any():
+            raise Underflow(f"the remaining ladder-minimal integrated rate underflows to 0 at"
+                            f" t = {t_tab[np.argmax(gone)]:.6g}, before u = {spec.u:g}")
         v_tab = np.log(lam_hat[:-1])
 
         # cell j = [edges[j], edges[j+1]] gets n_sub[j] substeps, equal in v

@@ -187,8 +187,8 @@ def test_criterion_10_figure_outputs(tmp_path):
     curves = {}
     for lam in (-5.0, -3.0, 0.0, 3.0, 5.0):
         out = tmp_path / f"mc{lam:g}"
-        r = subprocess.run([sys.executable, "-m", "countbridge", "mean-curve",
-                            "--lambda", f"{lam:g}", "--x", "0", "--y", "20",
+        r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "countbridge",
+                            "mean-curve", "--lambda", f"{lam:g}", "--x", "0", "--y", "20",
                             "--out", str(out)], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         rows = (out / "mean_curve.csv").read_text().strip().splitlines()[1:]
@@ -200,8 +200,8 @@ def test_criterion_10_figure_outputs(tmp_path):
         assert np.all(curves[lo][interior, 1] > curves[hi][interior, 1]), (lo, hi)
 
     out = tmp_path / "sample3"
-    r = subprocess.run([sys.executable, "-m", "countbridge", "sample", "--lambda", "3",
-                        "--x", "0", "--y", "20", "--replicas", "10000",
+    r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "countbridge",
+                        "sample", "--lambda", "3", "--x", "0", "--y", "20", "--replicas", "10000",
                         "--seed", "20240501", "--out", str(out)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

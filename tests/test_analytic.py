@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from countbridge.analytic import (BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf,
                                   tilted_cdf_window)
 from countbridge.engine import BridgeSpec
-from countbridge.errors import BadWindow, IndexOut
+from countbridge.errors import BadWindow, IndexOut, OutOfDomain
 from oracles import binom
 
 PI3_HALF = 0.18242552380635635  # (e^1.5 - 1)/(e^3 - 1), frozen
@@ -63,6 +63,15 @@ def test_tilted_cdf_window_errors():
         tilted_cdf_window(1.0, 0.8, 0.2, 0.5)
     with pytest.raises(BadWindow):
         tilted_cdf_window(1.0, 0.2, 0.8, 0.9)
+
+
+def test_tilted_cdf_refuses_a_tilt_whose_exp_overflows():
+    # e^lam overflows a double above about 709.78
+    assert tilted_cdf(709.78, 1.0) == 1.0
+    with pytest.raises(OutOfDomain, match="overflows exp"):
+        tilted_cdf(709.79, 0.5)
+    with pytest.raises(OutOfDomain, match="overflows exp"):
+        tilted_cdf_window(800.0, 0.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 20, 200])

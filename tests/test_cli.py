@@ -5,14 +5,18 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from countbridge import cli, engine, verify
-from countbridge.engine import BridgeSpec, solve_h
-from countbridge.intensity import model_from_dict
+from countbridge.analytic import mean_upper_bound
+from countbridge.engine import (BridgeSpec, marginal_table, mean_curve, second_differences,
+                                solve_h)
+from countbridge.intensity import Tabulated, constant_characteristic_model, model_from_dict
 from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
 
-PKG = [sys.executable, "-m", "countbridge"]
+# the CLI numerics meet the suite's rule: a RuntimeWarning is an error
+PKG = [sys.executable, "-W", "error::RuntimeWarning", "-m", "countbridge"]
 
 
 def run_cli(*args, cwd=None):
@@ -338,3 +342,158 @@ def test_package_imports_no_scipy(tmp_path):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def cells_csv(header, rows):
+    """A table printed cell by cell: each number as format(float(c), ".17g"),
+    None as a blank cell."""
+    lines = [header] + [["" if c is None else format(float(c), ".17g") for c in row]
+                        for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def write_model(tmp_path, descriptor):
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(descriptor))
+    return str(mpath)
+
+
+TAB_TIMES = np.linspace(0.0, 1.0, 11)
+TABULATED = Tabulated(TAB_TIMES, 0, (1.0 + 0.3 * np.arange(8.0))[None, :]
+                      * np.exp(np.sin(3.0 * TAB_TIMES))[:, None]).to_dict()
+
+
+@pytest.mark.parametrize("descriptor", [PRODUCT, TABULATED], ids=["exp-affine", "tabulated"])
+def test_characteristics_csv_is_printed_cell_by_cell(tmp_path, descriptor):
+    out = tmp_path / "c"
+    assert cli.main(["characteristics", "--model", write_model(tmp_path, descriptor),
+                     "--x", "1", "--y", "7", "--s", "0.2", "--u", "0.9", "--grid-step", "0.03",
+                     "--out", str(out)]) == 0
+    model = model_from_dict(descriptor)
+    ts = np.linspace(0.2, 0.9, 24)  # round(0.7 / 0.03) + 1 points
+    rows = [(t, z, xi) for z in range(1, 7) for t, xi in zip(ts, model.characteristic(ts, z))]
+    assert (out / "characteristics.csv").read_text() == cells_csv(["t", "z", "xi"], rows)
+
+
+def test_marginals_csv_is_printed_cell_by_cell(tmp_path):
+    # 1001 times: the table spans more than one block
+    out = tmp_path / "m"
+    assert cli.main(["marginals", "--model", write_model(tmp_path, PRODUCT), "--x", "2",
+                     "--y", "9", "--out", str(out)]) == 0
+    table = marginal_table(model_from_dict(PRODUCT), BridgeSpec(2, 9), 1e-3)
+    assert len(table.times) > cli.BLOCK_ROWS
+    rows = [(t, 2 + zi, p) for t, probs in zip(table.times, table.probs)
+            for zi, p in enumerate(probs)]
+    assert (out / "marginals.csv").read_text() == cells_csv(["t", "z", "prob"], rows)
+
+
+@pytest.mark.parametrize("args, curves", [
+    (["--model", "PRODUCT"], {"mean_curve.csv": (model_from_dict(PRODUCT), None)}),
+    (["--model", "PRODUCT", "--lambda", "3"],
+     {"mean_curve.csv": (model_from_dict(PRODUCT), 3.0)}),
+    (["--lambda", "-2", "--lambda", "0.5"],
+     {f"mean_curve_lam{lam:g}.csv": (constant_characteristic_model(lam), lam)
+      for lam in (-2.0, 0.5)}),
+], ids=["model", "model-bound", "tilts-bound"])
+def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, args, curves):
+    # blank second differences in the end rows; 1001 rows span more than one block
+    args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
+    out = tmp_path / "mc"
+    assert cli.main(["mean-curve"] + args + ["--y", "8", "--out", str(out)]) == 0
+    spec = BridgeSpec(0, 8)
+    for name, (model, lam) in curves.items():
+        curve = mean_curve(marginal_table(model, spec, 1e-3))
+        d2 = [None] + list(second_differences(curve)[:, 1]) + [None]
+        bound = None if lam is None else mean_upper_bound(spec, lam, curve[:, 0])
+        rows = [[t, m, d2[k]] + ([] if bound is None else [bound[k]])
+                for k, (t, m) in enumerate(curve)]
+        header = ["t", "mean", "second_diff"] + ([] if lam is None else ["bound"])
+        assert (out / name).read_text() == cells_csv(header, rows)
+
+
+@pytest.mark.parametrize("replicas", [0, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
+@pytest.mark.parametrize("sampler", ["constant", "model"])
+def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, sampler, replicas):
+    # one chunk for the header, then one per block of BLOCK_ROWS replicas
+    if sampler == "constant":
+        args = ["--lambda", "-1.5"]
+        times = jump_time_matrix(sample_constant(-1.5, BridgeSpec(0, 4), replicas, 8))
+    else:
+        args = ["--model", write_model(tmp_path, PRODUCT)]
+        model, spec = model_from_dict(PRODUCT), BridgeSpec(0, 4)
+        times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3),
+                                               replicas, 8))
+    chunks = []
+    write = cli._write_atomic
+
+    def spy(path, parts):
+        if path.endswith("paths.csv"):
+            chunks.extend(parts)
+            parts = chunks
+        write(path, parts)
+
+    monkeypatch.setattr(cli, "_write_atomic", spy)
+    out = tmp_path / "s"
+    assert cli.main(["sample"] + args + ["--y", "4", "--replicas", str(replicas), "--seed", "8",
+                                         "--out", str(out)]) == 0
+    rows = [(r, j, t) for r, row in enumerate(times) for j, t in enumerate(row, start=1)]
+    assert (out / "paths.csv").read_text() == cells_csv(["replica", "jump_index", "time"], rows)
+    assert len(chunks) == 1 + -(-replicas // cli.BLOCK_ROWS)
+    assert all(c.count("\n") == 4 * cli.BLOCK_ROWS for c in chunks[1:-1])
+
+
+@pytest.mark.parametrize("args", [["--lambda", "2"], ["--model", "PRODUCT"]],
+                         ids=["constant", "model"])
+def test_a_bridge_without_jumps_writes_the_header_only(tmp_path, args):
+    args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
+    out = tmp_path / "s"
+    assert cli.main(["sample"] + args + ["--x", "4", "--y", "4", "--replicas", "7",
+                                         "--out", str(out)]) == 0
+    assert (out / "paths.csv").read_text() == "replica,jump_index,time\n"
+
+
+def test_dominance_grid_csv_is_printed_cell_by_cell(tmp_path):
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--lambda", "3", "--y", "4", "--check", "dominance", "--grid-csv",
+                     "--out", str(out)]) == 0
+    model, spec = constant_characteristic_model(3.0), BridgeSpec(0, 4)
+    rows = verify.dominance_check(model, spec, 3.0, table=marginal_table(model, spec, 1e-3)).rows
+    assert (out / "dominance_grid.csv").read_text() == cells_csv(
+        ["t", "i", "computed_tail", "benchmark_tail", "margin"], rows)
+
+
+def test_write_table_prints_special_floats_and_integer_labels(tmp_path):
+    values = [[math.nan, math.inf], [-0.0, 1e-300], [-math.inf, 0.1], [3.0, -2.5e-17]]
+    labels = [7, -3, 0, 12]
+    path = tmp_path / "t.csv"
+    cli._write_table(str(path), ["a", "o", "b"], np.array(values), "%.17g,{o},%.17g\n",
+                     [str(o) for o in labels])
+    rows = [(a, o, b) for (a, b), o in zip(values, labels)]
+    assert path.read_text() == cells_csv(["a", "o", "b"], rows)
+    assert path.read_text().splitlines()[1:3] == ["nan,7,inf", "-0,-3,1e-300"]
+
+
+def test_a_chunk_that_raises_leaves_no_file(tmp_path):
+    def chunks():
+        yield "t,z\n"
+        raise ValueError("mid-stream")
+
+    with pytest.raises(ValueError, match="mid-stream"):
+        cli._write_atomic(str(tmp_path / "out" / "t.csv"), chunks())
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["mean-curve", "--lambda", "800"], "overflows exp"),
+    (["verify", "--lambda", "800"], "overflows exp"),
+    (["mean-curve", "--lambda", "-800"], "underflows to 0 at t = 0.921"),
+], ids=["mean-curve-overflow", "verify-overflow", "mean-curve-underflow"])
+def test_a_tilt_beyond_the_float_range_exits_2(tmp_path, args, message):
+    # e^800 overflows the tilted CDF; e^-800 t leaves no integrated rate to grade
+    # the mesh by before u.  Run under -W error::RuntimeWarning (PKG).
+    out = tmp_path / "out"
+    r = run_cli(*args, "--y", "5", "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("countbridge: error:") and message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (out / "manifest.json").exists()

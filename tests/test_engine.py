@@ -13,7 +13,7 @@ from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, mean_curve, second_differences,
                                 solve_h)
 from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse,
-                                ResourceCap)
+                                ResourceCap, Underflow)
 from countbridge.intensity import (Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
                                    constant_characteristic_model)
 
@@ -429,6 +429,13 @@ def test_solve_h_refuses_a_mesh_over_the_memory_cap():
     # 0 -> 3000 needs about 485k nodes x 3001 states: ~22 GiB for log h and the rates
     with pytest.raises(ResourceCap, match="GiB"):
         solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
+
+
+def test_solve_h_refuses_a_rate_integral_that_underflows_before_u():
+    # rate e^(-800 t): the remaining integrated rate is 0 in doubles from t = 0.921 on,
+    # so it has no log to grade the mesh by
+    with pytest.raises(Underflow, match="underflows to 0 at t = 0.921"):
+        solve_h(constant_characteristic_model(-800.0), BridgeSpec(0, 5))
 
 
 def test_mesh_refusal_probes_rates_in_blocks():
