@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .analytic import mean_upper_bound
-from .engine import (BridgeSpec, marginal_table, mean_curve, second_differences,
-                     solve_h)
+from .engine import (BridgeSpec, check_memory, marginal_table, mean_curve,
+                     second_differences, solve_h)
 from .errors import BadOption, BadStep, BadWindow, CountBridgeError
 from .intensity import constant_characteristic_model, model_from_dict, model_from_json
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
@@ -79,7 +79,9 @@ def _texts(values):
 
 
 def _write_json(path, obj):
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as strict JSON: a NaN or infinite value raises ValueError
+    before any file is opened."""
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_manifest(out_dir, command, options, outputs):
@@ -115,8 +117,13 @@ def _run_characteristics(options):
     step = float(options["grid_step"])
     if not step > 0:
         raise BadStep(f"grid step must be positive, got {step}")
-    ts = np.linspace(spec.s, spec.u, max(2, int(round(spec.length / step)) + 1))
+    points = max(2, int(round(spec.length / step)) + 1)
     zs = range(spec.x, max(spec.x, spec.y - 1) + 1)
+    # the xi rows, their float copy and the text of one block of them take about
+    # 128 bytes per (time, state) cell; the per-time text as much per time
+    check_memory(128 * points * (len(zs) + 1),
+                 f"characteristics on {points} times x {len(zs)} states")
+    ts = np.linspace(spec.s, spec.u, points)
     xi = [model.characteristic(ts, z) for z in zs]
     # z-major rows: the t column is the same text in every z block
     _write_table(os.path.join(options["out"], "characteristics.csv"), ["t", "z", "xi"], xi,
@@ -189,10 +196,11 @@ def _run_sample(options):
         paths = sample_constant(lam, spec, count, seed)
         sampler = "exact-tilted-order-statistics"
     all_times = jump_time_matrix(paths)
-    # one line per jump, replica-major
+    # one line per jump, replica-major: none, so no replica labels, without jumps
+    rows = all_times if spec.n else all_times[:0]
     _write_table(os.path.join(options["out"], "paths.csv"), ["replica", "jump_index", "time"],
-                 all_times, "".join([f"{{o}},{j},%.17g\n" for j in range(1, spec.n + 1)]),
-                 [str(r) for r in range(len(all_times))])
+                 rows, "".join([f"{{o}},{j},%.17g\n" for j in range(1, spec.n + 1)]),
+                 [str(r) for r in range(len(rows))])
     summary = {
         "sampler": sampler,
         "seed": seed,

@@ -38,6 +38,7 @@ the discrete scheme next to u.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,16 +55,15 @@ STEP_BUDGET = 0.1
 # closer queries use the exact 1/(u - t) pin asymptote.
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
-# The mesh probes the ladder-minimal rate on CHUNK probe times at a time.
-CHUNK = 256
 # The column kernel's prefix log-sum-exp works in blocks of PREFIX_BLOCK cells and
 # redoes a block exactly where a partial sum falls below PREFIX_TINY of its
 # reference (see _prefix_logsumexp).
 PREFIX_BLOCK = 256
 PREFIX_TINY = 1e-280
-# A mesh whose two stored (nodes x ladder) float arrays would exceed this many
-# bytes is refused before anything of that size is allocated.
-MEMORY_CAP = 4 * 2 ** 30
+# A mesh whose stored (nodes x ladder) float array, log h, would exceed this many
+# bytes is refused before anything of that size is allocated; so are samples and
+# grids whose arrays would.
+MEMORY_CAP = 2 * 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,14 @@ class BridgeSpec:
         return np.arange(self.x, self.y + 1)
 
 
+def check_memory(need, what):
+    """Raise :class:`~countbridge.errors.ResourceCap` when ``what`` needs more
+    than MEMORY_CAP bytes (``need``); called before anything that large exists."""
+    if need > MEMORY_CAP:
+        raise ResourceCap(f"{what} needs about {need / 2 ** 30:.1f} GiB;"
+                          f" the cap is {MEMORY_CAP / 2 ** 30:.0f} GiB")
+
+
 def _n_cells(spec, h_step):
     """Number of uniform output cells for ``h_step``; refuses steps that do not fit."""
     if not h_step > 0:
@@ -123,8 +131,8 @@ class _Mesh:
     m * rate / lam_hat, so this keeps the per-step rate-times-step product
     uniformly below STEP_BUDGET even when rates decay sharply toward u.
 
-    The node count is known before any node is placed; a mesh whose two
-    stored (nodes x ladder) arrays would exceed MEMORY_CAP raises
+    The node count is known before any node is placed; a mesh whose stored
+    (nodes x ladder) array would exceed MEMORY_CAP raises
     :class:`~countbridge.errors.ResourceCap` with the estimate.
     """
 
@@ -137,11 +145,10 @@ class _Mesh:
         edges = np.linspace(spec.s, spec.u, n_c + 1)
         self.out_times = edges
 
-        # probe the ladder-minimal rate (CHUNK probe rows at a time) and its
+        # probe the ladder-minimal rate (one state's column at a time) and its
         # backward cumulative integral
         probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
-        lmin = np.concatenate([np.min(model.rate_grid(probe_t[i:i + CHUNK], spec.ladder()), axis=1)
-                               for i in range(0, probe_t.size, CHUNK)])
+        lmin = functools.reduce(np.minimum, model.rate_columns(probe_t, spec.ladder()))
         seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
         lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         # t -> log lam_hat, excluding the vanishing endpoint value; a lam_hat
@@ -161,12 +168,9 @@ class _Mesh:
         n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth_scale))
         n_fb = 1 + int(n_sub.sum())
         n_nodes = 2 * n_fb + n_ext
-        need = 2 * n_nodes * (spec.n + 1) * 8
-        if need > MEMORY_CAP:
-            raise ResourceCap(
-                f"bridge {spec.x}->{spec.y} needs {n_nodes} mesh nodes x {spec.n + 1} states,"
-                f" about {need / 2 ** 30:.1f} GiB for log h and the bridge rates;"
-                f" the cap is {MEMORY_CAP / 2 ** 30:.0f} GiB")
+        check_memory(n_nodes * (spec.n + 1) * 8,
+                     f"bridge {spec.x}->{spec.y}, with log h on {n_nodes} mesh nodes x"
+                     f" {spec.n + 1} states,")
 
         # interior node i = 1..n_sub[j]-1 of cell j sits at fb-index out_fb_idx[j] + i
         out_fb_idx = np.concatenate([[0], np.cumsum(n_sub)])
@@ -359,24 +363,42 @@ def _log_forcing(steps, feed, i_mid, i_end, g, prior):
     return a, c0, cm
 
 
+def _pinned(logh, zi, rates):
+    """The pinned jump rates rate(t, z) h(t, z+1) / h(t, z) of ladder state zi on
+    the node rows of ``logh``, given ``rates``, the state's own rates there.
+
+    0 where h(t, z) is exactly 0 (within a few nodes of u).  A ratio too large
+    for exp on its own (rates decaying steeply toward u) is formed as
+    exp(log ratio + log rate) instead.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = logh[:, zi + 1] - logh[:, zi]
+        k = np.exp(d)
+    k *= rates
+    if not np.isfinite(k).all():
+        bad = ~np.isfinite(k)
+        k[bad] = np.exp(d[bad] + np.log(rates[bad]))
+        k[~np.isfinite(k)] = 0.0
+    return k
+
+
 class HField:
     """log h(t, z) on the solver mesh for one (model, bridge) pair.
 
-    Stores ``logh`` and ``node_bridge_rates`` (the pinned jump rates), each a
-    (mesh nodes x ladder) array on the node times ``times``, and the mesh they
-    were solved on.  Immutable once built; safe to share across threads.
-    Inside a state's terminal boundary layer the sampler uses the exact
-    first-order pin asymptote k ~ (y - z)/(u - t), anchored at the latest
-    mature node for that state (``anchor_idx``).
+    Stores ``logh``, its one (mesh nodes x ladder) array, on the node times
+    ``times`` of its mesh; the pinned jump rates are formed from it where
+    they are read (:meth:`pinned_rates`, :meth:`next_jumps`).  Immutable;
+    safe to share across threads.  Inside a state's terminal boundary layer
+    the sampler uses the exact first-order pin asymptote k ~ (y - z)/(u - t),
+    anchored at the latest mature node for that state (``anchor_idx``).
     """
 
-    def __init__(self, model, spec, mesh, log_h, node_bridge_rates):
+    def __init__(self, model, spec, mesh, log_h):
         self.model = model
         self.spec = spec
         self.mesh = mesh
         self.times = times = mesh.times
         self.logh = log_h
-        self.node_bridge_rates = node_bridge_rates
         # Per-state asymptote anchors.  h at depth m vanishes like (u-t)^m, and
         # the backward pass resolves that layer only a few nodes away from u,
         # so queries closer than m x (finest node distance) ride the exact
@@ -385,6 +407,15 @@ class HField:
         d_min = spec.u - times[-2]
         lims = np.searchsorted(times, spec.u - (n - np.arange(n)) * d_min, side="right")
         self.anchor_idx = np.minimum(lims, times.size - 1) - 1
+
+    def pinned_rates(self, stop):
+        """Each ladder state's pinned jump rates on the first ``stop`` mesh nodes,
+        bottom state first (the pin state's are 0), from one rate reader."""
+        logh = self.logh[:stop]
+        columns = self.model.rate_columns(self.times[:stop], self.spec.ladder())
+        for zi, rates in zip(range(self.spec.n), columns):
+            yield _pinned(logh, zi, rates)
+        yield np.zeros(stop)
 
     def next_jumps(self, zi, start, mass):
         """Next jump times from ladder state x + zi, by inversion of the pinned survival.
@@ -408,7 +439,7 @@ class HField:
         big_l = lam - self.logh[:j + 1, zi]
         # past the anchor L grows like slope * log(1 / (u - t))
         ta = t_tab[-1]
-        slope = self.node_bridge_rates[j, zi] * (spec.u - ta)
+        slope = _pinned(self.logh[j:j + 1], zi, rates[-1:])[0] * (spec.u - ta)
         start = np.asarray(start, dtype=float)
         level = np.interp(start, t_tab, big_l)
         past = start > ta
@@ -429,9 +460,8 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     (:func:`_column`), coupled at their own rates.  Those come from one
     ``model.rate_columns`` reader over the sweep's node and midpoint times,
     which does the per-time work once and yields one state's column at a
-    time.  Each state's pinned jump rates rate(t,z) h(t,z+1) / h(t,z) are
-    formed right after its column.  ``step_budget`` tightens the mesh
-    grading below the module default for extra accuracy.
+    time.  ``step_budget`` tightens the mesh grading below the module default
+    for extra accuracy.
     """
     mesh = _Mesh(spec, h_step, model, step_budget)
     times = mesh.times
@@ -443,23 +473,12 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     steps = _step_powers(np.diff(times)[::-1])
 
     log_h = np.empty((times.size, spec.n + 1), order="F")
-    k_nodes = np.empty_like(log_h)
-    k_nodes[:, spec.n] = 0.0
     prior = []
     columns = model.rate_columns(t_rates, spec.ladder()[::-1])
     for zi, rates in zip(range(spec.n, -1, -1), columns):
         col, prior = _column(steps, rates, rates, prior)
         log_h[:, zi] = col[::-1]
-        if zi < spec.n:
-            # formed in place in its column of k_nodes; 0 where state zi is
-            # still exactly 0, within a few nodes of u
-            k = k_nodes[:, zi]
-            with np.errstate(invalid="ignore"):
-                np.subtract(log_h[:, zi + 1], log_h[:, zi], out=k)
-                np.exp(k, out=k)
-                k *= rates[::-2]
-            k[~np.isfinite(k)] = 0.0
-    return HField(model, spec, mesh, log_h, k_nodes)
+    return HField(model, spec, mesh, log_h)
 
 
 class MarginalTable:
@@ -559,7 +578,7 @@ def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     """
     h = _field(model, spec, h_step, h, step_budget)
     mesh = h.mesh
-    rows, log_mass = _normalised(_forward(mesh, h.node_bridge_rates[:mesh.n_fwd_nodes].T))
+    rows, log_mass = _normalised(_forward(mesh, h.pinned_rates(mesh.n_fwd_nodes)))
     drift = float(np.max(np.abs(np.expm1(np.diff(log_mass)))))
     return _pinned_table(spec, mesh, rows, drift)
 

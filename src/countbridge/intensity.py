@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,41 @@ import numpy as np
 from .errors import EmptyRange, OutOfDomain, TabulationGap
 
 _T_SLACK = 1e-12
+
+
+def _finite_real(name, value):
+    """``value`` unchanged if it is a finite real number; else a ValueError naming ``name``."""
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
+def _integral(name, value):
+    """``value`` as an int; one that int() would truncate or refuse raises a
+    ValueError naming ``name``."""
+    try:
+        out = int(value)
+        exact = out == float(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
+def _finite_array(name, values):
+    """``values`` as a float array whose every entry is finite; else a ValueError naming ``name``."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must hold finite numbers only: {exc}") from None
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must hold finite numbers only")
+    return out
 
 
 def _extent(a):
@@ -108,6 +144,8 @@ class ExpAffine(_RateModel):
     family = "exp_affine"
 
     def __post_init__(self):
+        for name in ("a", "b", "lam"):
+            _finite_real(name, getattr(self, name))
         if self.b < 0:
             raise ValueError("b must be nonnegative (rates must stay positive on all states)")
         if not self.a + self.b * self.state_floor > 0:
@@ -122,16 +160,12 @@ class ExpAffine(_RateModel):
     def rate_dt(self, t, z):
         return self.lam * self.rate(t, z)
 
-    def rate_grid(self, times, states):
-        """Rates on a time grid x state set, shape (len(times), len(states))."""
-        return self.rate(np.asarray(times, dtype=float)[:, None], np.asarray(states)[None, :])
-
     def rate_columns(self, times, states):
-        """The columns of ``rate_grid(times, states)``, one state at a time.
+        """The rates on a time grid x state set, one state's column at a time.
 
         The time checks and exp(lam * t) are done once, here; a bad time or
         state raises from this call.  Each column is then e * (a + b * z),
-        in the order :meth:`rate` computes it, so bit for bit the same.
+        in the order :meth:`rate` computes it, so bit for bit ``rate(times, z)``.
         """
         t = _check_time(times)[0]
         z = _check_state(states, self.state_floor)[0]
@@ -232,8 +266,8 @@ class Tabulated(_RateModel):
     family = "tabulated"
 
     def __init__(self, t_grid, z_min, rates, rates_dt=None, state_floor=None):
-        t_grid = np.asarray(t_grid, dtype=float)
-        rates = np.asarray(rates, dtype=float)
+        t_grid = _finite_array("t_grid", t_grid)
+        rates = _finite_array("rates", rates)
         if t_grid.ndim != 1 or t_grid.size < 2:
             raise ValueError("t_grid must hold at least two nodes")
         if np.any(np.diff(t_grid) <= 0):
@@ -248,15 +282,15 @@ class Tabulated(_RateModel):
             rates_dt = np.gradient(rates, t_grid, axis=0)
             self.derivative_mode = "numeric"
         else:
-            rates_dt = np.asarray(rates_dt, dtype=float)
+            rates_dt = _finite_array("rates_dt", rates_dt)
             if rates_dt.shape != rates.shape:
                 raise ValueError("rates_dt must match the shape of rates")
             self.derivative_mode = "supplied"
         self.t_grid = t_grid
-        self.z_min = int(z_min)
+        self.z_min = _integral("z_min", z_min)
         self.rates = rates
         self.rates_dt = rates_dt
-        self.state_floor = self.z_min if state_floor is None else int(state_floor)
+        self.state_floor = self.z_min if state_floor is None else _integral("state_floor", state_floor)
         if self.state_floor < self.z_min:
             raise ValueError("state_floor below tabulated range")
         self._coef = _hermite_coefficients(t_grid, rates, rates_dt)
@@ -298,18 +332,13 @@ class Tabulated(_RateModel):
     def rate_dt(self, t, z):
         return self._eval(self._coef_dt, t, z)
 
-    def rate_grid(self, times, states):
-        """Rates on a time grid x state set, shape (len(times), len(states))."""
-        t, z = self._locate(times, states)
-        return _piecewise_eval(self.t_grid, self._coef, t[:, None], z - self.z_min)
-
     def rate_columns(self, times, states):
-        """The columns of ``rate_grid(times, states)``, one state at a time.
+        """The rates on a time grid x state set, one state's column at a time.
 
         The checks, the piece search and the powers of the offsets are done
         once, here; a bad time or state raises from this call.  Each column
-        then gathers its four coefficients and sums them as
-        :meth:`rate_grid` does, so bit for bit the same.
+        then gathers its four coefficients and sums them as :meth:`rate`
+        does, so bit for bit ``rate(times, z)``.
         """
         t, z = self._locate(times, states)
         i, powers = _pieces(self.t_grid, t)
@@ -372,12 +401,14 @@ def constant_characteristic_model(lam, alpha=1.0):
     return ExpAffine(alpha, max(lam, 0.0), min(lam, 0.0))
 
 
+# each family reads its parameters through p(name), which refuses a value that is
+# not a finite real number
 _PARAMETRIC = {
-    "exp_affine": lambda p, floor: ExpAffine(p["a"], p["b"], p["lambda"], floor),
-    "poisson": lambda p, floor: Poisson(p["alpha"], floor),
-    "space_linear": lambda p, floor: SpaceLinear(p["lambda"], p["alpha"], floor),
-    "time_exponential": lambda p, floor: TimeExponential(p["alpha"], p["lambda"], floor),
-    "product": lambda p, floor: Product(p["alpha"], p["lambda"], p["beta"], floor),
+    "exp_affine": lambda p, floor: ExpAffine(p("a"), p("b"), p("lambda"), floor),
+    "poisson": lambda p, floor: Poisson(p("alpha"), floor),
+    "space_linear": lambda p, floor: SpaceLinear(p("lambda"), p("alpha"), floor),
+    "time_exponential": lambda p, floor: TimeExponential(p("alpha"), p("lambda"), floor),
+    "product": lambda p, floor: Product(p("alpha"), p("lambda"), p("beta"), floor),
 }
 
 
@@ -401,7 +432,8 @@ def model_from_dict(descriptor):
                          params.get("rates_dt"), floor)
     if family not in _PARAMETRIC:
         raise ValueError(f"unknown rate family {family!r}")
-    return _PARAMETRIC[family](params, int(floor or 0))
+    return _PARAMETRIC[family](lambda name: _finite_real(name, params[name]),
+                               _integral("state_floor", floor or 0))
 
 
 def model_from_json(path):

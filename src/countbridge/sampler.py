@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import check_memory
 from .errors import NotSorted, OutOfDomain, PinMiss
 
 _U64 = (1 << 64) - 1
@@ -116,14 +117,20 @@ def sample_constant(lam, spec, count, rng_seed):
     sorts them.  Deterministic given the seed.  A tilt lam' that is not
     finite, or so large that e^lam' overflows (lam' > about 709.78), raises
     :class:`~countbridge.errors.OutOfDomain`; tied draws raise
-    :class:`~countbridge.errors.NotSorted`.
+    :class:`~countbridge.errors.NotSorted`.  A sample whose arrays would
+    exceed the engine's memory cap raises
+    :class:`~countbridge.errors.ResourceCap` before any is drawn.
     """
     n = spec.n
+    count = int(count)
     lam_eff = lam * spec.length
     if not math.isfinite(lam_eff):
         raise OutOfDomain(f"the tilt over the window must be finite, got {lam_eff}")
+    # the draws, their tilted values, the sorted times, one temporary and their
+    # differences: five (count x n) arrays at once
+    check_memory(5 * 8 * count * n, f"{count} paths of {n} jumps")
     rng = replica_rng(rng_seed, 0)
-    u01 = rng.random((int(count), n))
+    u01 = rng.random((count, n))
     if lam_eff == 0.0:
         v = u01
     else:
@@ -150,12 +157,16 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     that rounds to u or does not advance past the previous jump raises
     :class:`~countbridge.errors.PinMiss` (an event of frequency zero).
     ``stats``, when given, is updated with ``proposals`` and ``accepts``: one
-    each per jump.
+    each per jump.  A sample whose arrays would exceed the engine's memory cap
+    raises :class:`~countbridge.errors.ResourceCap` before any is drawn.
     """
     if model is not None and h.model is not model:
         raise ValueError("h was solved for a different model")
     n = spec.n
     count = int(count)
+    # the masses and the jump times (count x n each), and the count-long vectors
+    # of one inversion: five at most
+    check_memory(8 * count * (2 * n + 5), f"{count} paths of {n} jumps")
     mass = _replica_exponentials(rng_seed, count, n)
     times = np.empty((count, n))
     t = np.full(count, float(spec.s))

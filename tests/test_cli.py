@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ PKG = [sys.executable, "-W", "error::RuntimeWarning", "-m", "countbridge"]
 
 def run_cli(*args, cwd=None):
     return subprocess.run(PKG + list(args), capture_output=True, text=True, cwd=cwd)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_json(path):
+    """A JSON output file, read strictly: NaN or Infinity in it fails the test."""
+    return json.loads(pathlib.Path(path).read_text(), parse_constant=_refuse_constant)
 
 
 def read_csv(path):
@@ -91,7 +101,7 @@ def test_sample_and_replay_byte_identical(tmp_path):
     r = run_cli("sample", "--lambda", "3", "--x", "0", "--y", "5",
                 "--replicas", "500", "--seed", "31415", "--out", str(out1))
     assert r.returncode == 0, r.stderr
-    summary = json.loads((out1 / "summary.json").read_text())
+    summary = read_json(out1 / "summary.json")
     assert summary["count"] == 500 and summary["n_jumps"] == 5
     out2 = tmp_path / "s2"
     r = run_cli("replay", str(out1 / "manifest.json"), "--out", str(out2))
@@ -135,7 +145,7 @@ def test_sample_thinning_from_model(tmp_path):
     r = run_cli("sample", "--model", str(mpath), "--x", "0", "--y", "3",
                 "--replicas", "200", "--seed", "7", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert summary["sampler"] == "h-transform-inversion"
     assert "thinning" not in summary
     _, rows = read_csv(out / "paths.csv")
@@ -150,13 +160,13 @@ def test_verify_exit_codes(tmp_path):
     ok = run_cli("verify", "--model", str(mpath), "--lambda", "3", "--x", "0", "--y", "5",
                  "--out", str(tmp_path / "v0"))
     assert ok.returncode == 0, ok.stderr
-    payload = json.loads((tmp_path / "v0" / "verify.json").read_text())
+    payload = read_json(tmp_path / "v0" / "verify.json")
     assert payload["all_pass"] and len(payload["checks"]) == 3
 
     bad = run_cli("verify", "--model", str(mpath), "--lambda", "4", "--x", "0", "--y", "5",
                   "--check", "dominance", "--out", str(tmp_path / "v1"))
     assert bad.returncode == 1
-    payload = json.loads((tmp_path / "v1" / "verify.json").read_text())
+    payload = read_json(tmp_path / "v1" / "verify.json")
     assert not payload["all_pass"]
 
     broken = run_cli("verify", "--model", str(tmp_path / "missing.json"), "--lambda", "3",
@@ -249,7 +259,7 @@ def test_unusable_float_options_exit_2_before_writing(tmp_path, capsys, args, re
     out = tmp_path / "out"
     if replace is not None:
         assert cli.main(args + ["--out", str(tmp_path / "run")]) == 0
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        manifest = read_json(tmp_path / "run" / "manifest.json")
         manifest["options"].update(replace)
         (tmp_path / "edited.json").write_text(json.dumps(manifest))
         args = ["replay", str(tmp_path / "edited.json")]
@@ -281,7 +291,7 @@ def test_lln_command(tmp_path):
     r = run_cli("lln", "--lambda", "0", "--N", "50", "--N", "200", "--replicas", "80",
                 "--seed", "4", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    rep = json.loads((out / "lln.json").read_text())
+    rep = read_json(out / "lln.json")
     assert rep["medians_non_increasing"]
     assert rep["inputs"]["strategy"] == "exact-order-statistics"
 
@@ -290,7 +300,7 @@ def test_manifest_echoes_defaults(tmp_path):
     out = tmp_path / "m"
     r = run_cli("marginals", "--lambda", "0", "--x", "0", "--y", "2", "--out", str(out))
     assert r.returncode == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     assert manifest["command"] == "marginals"
     assert manifest["options"]["step"] == 1e-3  # default echoed
     assert manifest["outputs"] == ["marginals.csv"]
@@ -497,3 +507,99 @@ def test_a_tilt_beyond_the_float_range_exits_2(tmp_path, args, message):
     assert r.stderr.startswith("countbridge: error:") and message in r.stderr
     assert "Traceback" not in r.stderr
     assert not (out / "manifest.json").exists()
+
+
+def test_write_json_refuses_a_non_finite_value(tmp_path):
+    # strict JSON on disk: NaN is refused before any file, temp or target, exists
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ValueError, match="JSON"):
+        cli._write_json(str(out / "x.json"), {"x": math.nan})
+    assert os.listdir(out) == []
+
+
+EXP_AFFINE = {"family": "exp_affine", "params": {"a": 1.0, "b": 0.0, "lambda": 0.0}}
+
+
+def _edited(descriptor, **params):
+    return dict(descriptor, params=dict(descriptor["params"], **params))
+
+
+@pytest.mark.parametrize("text, field", [
+    (json.dumps(_edited(EXP_AFFINE, a="x")), "a must be a finite real number"),
+    (json.dumps(_edited(EXP_AFFINE, a=None)), "a must be a finite real number"),
+    (json.dumps(_edited(EXP_AFFINE, **{"lambda": math.nan})), "lambda must be a finite"),
+    (json.dumps(_edited(EXP_AFFINE, a=math.inf)), "a must be a finite real number"),
+    (json.dumps(_edited(PRODUCT, alpha="x")), "alpha must be a finite real number"),
+    (json.dumps(dict(EXP_AFFINE, state_floor=0.5)), "state_floor must be an integer"),
+    (json.dumps(_edited(TABULATED, rates=[[math.nan] + r[1:] for r in TABULATED["params"]["rates"]])),
+     "rates must hold finite numbers"),
+    (json.dumps(_edited(TABULATED, t_grid=[math.nan] + TABULATED["params"]["t_grid"][1:])),
+     "t_grid must hold finite numbers"),
+    (json.dumps(_edited(TABULATED, rates_dt=[[math.inf] * 8] * 11)),
+     "rates_dt must hold finite numbers"),
+    (json.dumps(_edited(TABULATED, z_min=0.5)), "z_min must be an integer"),
+], ids=["a-string", "a-null", "lambda-nan", "a-infinity", "product-alpha-string",
+        "state-floor-fractional", "tabulated-rate-nan", "tabulated-t-grid-nan",
+        "tabulated-rates-dt-infinity", "tabulated-z-min-fractional"])
+def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
+    # a model file is outside input: a value that is not a finite number, or a state
+    # that is not an integer, is a ValueError naming the field (exit 2), never a
+    # traceback or a manifest holding NaN
+    mpath = tmp_path / "model.json"
+    mpath.write_text(text)
+    out = tmp_path / "out"
+    for command in ("characteristics", "marginals"):
+        assert cli.main([command, "--model", str(mpath), "--y", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("countbridge: error:") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["characteristics", "--lambda", "1", "--grid-step", "1e-15", "--y", "2"],
+    ["sample", "--lambda", "1", "--replicas", "1000000000000", "--y", "5"],
+    ["sample", "--model", "PRODUCT", "--replicas", "1000000000000", "--y", "5"],
+    ["verify", "--lambda", "1", "--y", "5", "--check", "duality", "--replicas", "1000000000000"],
+], ids=["characteristics-grid", "sample-constant", "sample-model", "verify-duality"])
+def test_requests_over_the_memory_cap_exit_2_before_allocating(tmp_path, capsys, args):
+    # petabytes of grid or terabytes of paths are refused from their sizes alone
+    args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert cli.main(args + ["--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and "the cap is 2 GiB" in err
+    assert peak < 16 * 2 ** 20
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["mean-curve", "--lambda", "-700", "--y", "6"],
+    ["verify", "--lambda", "-700", "--y", "5", "--check", "duality", "--replicas", "2000"],
+], ids=["mean-curve", "verify-duality"])
+def test_steeply_decaying_rates_run_without_overflow(tmp_path, args):
+    # rate e^(-700 t): near u the ratio h(t, z+1) / h(t, z) is past the float range,
+    # while the pinned rate is not.  Run under -W error::RuntimeWarning (PKG).
+    r = run_cli(*args, "--out", str(tmp_path / "out"))
+    assert r.returncode == 0, r.stderr
+
+
+def test_many_paths_without_jumps_hold_no_per_replica_labels(tmp_path):
+    # a bridge without jumps writes the header only, so a million replicas need
+    # no million replica labels
+    out = tmp_path / "s"
+    tracemalloc.start()
+    try:
+        assert cli.main(["sample", "--lambda", "1", "--x", "3", "--y", "3",
+                         "--replicas", "1000000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out / "paths.csv").read_text() == "replica,jump_index,time\n"
+    assert read_json(out / "summary.json")["count"] == 1000000
+    assert peak < 8 * 2 ** 20

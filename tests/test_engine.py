@@ -52,14 +52,19 @@ def test_solve_h_five_jump_value():
     assert math.exp(h.logh[0, 0]) == pytest.approx(math.exp(-1) / 120, rel=1e-10)
 
 
+def _pinned_grid(h):
+    """The pinned jump rates on every mesh node: one column per ladder state."""
+    return np.column_stack(list(h.pinned_rates(h.times.size)))
+
+
 def test_bridge_intensity_poisson_alpha_cancels():
     spec = BridgeSpec(0, 1)
     for alpha in (0.5, 2.0, 10.0):
         h = solve_h(Poisson(alpha), spec, 1e-3)
+        k = _pinned_grid(h)
         # every node before u, down to the last one at u - 1e-5
-        np.testing.assert_allclose(h.node_bridge_rates[:-1, 0], 1.0 / (1.0 - h.times[:-1]),
-                                   rtol=1e-7)
-        assert np.all(h.node_bridge_rates[:, 1] == 0.0)
+        np.testing.assert_allclose(k[:-1, 0], 1.0 / (1.0 - h.times[:-1]), rtol=1e-7)
+        assert np.all(k[:, 1] == 0.0)
 
 
 def test_bridge_intensity_diverges_with_unit_slope():
@@ -67,7 +72,7 @@ def test_bridge_intensity_diverges_with_unit_slope():
     h = solve_h(Product(1.0, 3.0, 0.1), spec, 1e-3)
     ds = 1.0 - h.times
     near = (ds >= 1e-4) & (ds <= 0.1)
-    fit = linregress(np.log(ds[near]), np.log(h.node_bridge_rates[near, 4]))
+    fit = linregress(np.log(ds[near]), np.log(_pinned_grid(h)[near, 4]))
     assert abs(fit.slope + 1.0) < 0.05
 
 
@@ -125,7 +130,7 @@ def test_empty_bridge():
     h = solve_h(Poisson(1.5), spec, 1e-3)
     # no-jump pin: h(t,x) = exp(-a(u-t)), rate 0, constant marginal
     assert np.max(np.abs(h.logh[:, 0] + 1.5 * (0.7 - h.times))) <= 1e-10
-    assert np.all(h.node_bridge_rates == 0.0)
+    assert np.all(_pinned_grid(h) == 0.0)
     tab = marginal_table(Poisson(1.5), spec, 1e-3)
     assert np.all(tab.probs == 1.0)
     assert mean_curve(tab)[:, 1] == pytest.approx(3.0)
@@ -235,7 +240,7 @@ def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
     n_c = max(2, int(round(spec.length / h_step)))
     edges = np.linspace(spec.s, spec.u, n_c + 1)
     probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
-    lmin = np.min(model.rate_grid(probe_t, spec.ladder()), axis=1)
+    lmin = np.min(model.rate(probe_t[:, None], spec.ladder()), axis=1)
     seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
     lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     t_tab, v_tab = probe_t[:-1], np.log(lam_hat[:-1])
@@ -405,7 +410,7 @@ def test_mean_curvature_is_the_mean_of_k_times_the_characteristic(model, spec):
     h = solve_h(model, spec, 1e-3, step_budget=0.005)
     table = marginal_table(model, spec, 1e-3, h=h, step_budget=0.005)
     d2 = second_differences(mean_curve(table))[:, 1]
-    k = h.node_bridge_rates[h.mesh.out_node_idx[1:]]
+    k = _pinned_grid(h)[h.mesh.out_node_idx[1:]]
     char = model.characteristic(table.times[1:-1, None], spec.ladder()[None, :])
     want = np.sum(table.probs[1:-1] * k * char, axis=1)
     assert np.max(np.abs(d2 - want)) <= 1e-4 * np.max(np.abs(d2))
@@ -426,7 +431,7 @@ def test_marginals_reuse_the_mesh_of_the_field(monkeypatch):
 
 
 def test_solve_h_refuses_a_mesh_over_the_memory_cap():
-    # 0 -> 3000 needs about 485k nodes x 3001 states: ~22 GiB for log h and the rates
+    # 0 -> 3000 needs about 485k nodes x 3001 states: ~11 GiB for log h
     with pytest.raises(ResourceCap, match="GiB"):
         solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
 
@@ -439,7 +444,8 @@ def test_solve_h_refuses_a_rate_integral_that_underflows_before_u():
 
 
 def test_mesh_refusal_probes_rates_in_blocks():
-    # the full (4 n_cells + 1) x 3001 probe would be 96 MB; blocks of CHUNK rows stay near 12 MB
+    # the full (4 n_cells + 1) x 3001 probe would be 96 MB; one state's column at a time
+    # stays near 0.2 MB
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCap):
@@ -451,8 +457,8 @@ def test_mesh_refusal_probes_rates_in_blocks():
 
 
 def test_engine_stores_two_full_size_arrays():
-    # coefficients are formed one state's column at a time, so the peak stays near
-    # log h plus the bridge rates (two arrays of h.logh's size)
+    # coefficients and pinned rates are formed one state's column at a time, so the
+    # peak stays near log h, the one array of its size
     model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)
     tracemalloc.start()
     try:
@@ -534,7 +540,7 @@ def test_general_window_marginals():
 
 class _CountingModel:
     """A model whose rate readers and rate grids are counted; ``per_state``
-    builds each reader from one single-state rate_grid call per state."""
+    builds each reader from one ``rate(times, z)`` call per state."""
 
     def __init__(self, model, per_state=False):
         self.model, self.per_state = model, per_state
@@ -545,12 +551,12 @@ class _CountingModel:
 
     def rate_grid(self, times, states):
         self.grid_widths.append(len(states))
-        return self.model.rate_grid(times, states)
+        return self.model.rate(np.asarray(times)[:, None], states)
 
     def rate_columns(self, times, states):
         self.readers.append(len(states))
         if self.per_state:
-            return (self.model.rate_grid(times, [z])[:, 0] for z in states)
+            return (self.model.rate(times, z) for z in states)
         return self.model.rate_columns(times, states)
 
 
@@ -577,13 +583,51 @@ def test_sweeps_read_rates_through_one_reader_each(model, spec, monkeypatch):
         h = solve_h(m, spec, 1e-2)
         results.append((h, marginal_table(m, spec, 1e-2, h=h),
                         marginal_table_two_sided(m, spec, 1e-2, h=h)))
-    # one reader over the whole ladder per sweep; only the mesh probe asks for a grid
-    assert counted.readers == [spec.n + 1, spec.n + 1]
-    assert counted.grid_widths and set(counted.grid_widths) == {spec.n + 1}
+    # one reader over the whole ladder each for the mesh probe, solve_h, the pinned
+    # route and the two-sided route; nothing asks for a grid
+    assert counted.readers == [spec.n + 1] * 4
+    assert counted.grid_widths == []
     (h, one, two), (h_ref, one_ref, two_ref) = results
     assert np.array_equal(h.logh, h_ref.logh)
-    assert np.array_equal(h.node_bridge_rates, h_ref.node_bridge_rates)
+    assert np.array_equal(_pinned_grid(h), _pinned_grid(h_ref))
     assert np.array_equal(one.probs, one_ref.probs)
     assert np.array_equal(two.probs, two_ref.probs)
     # the pin state has no jump left
-    assert np.all(h.node_bridge_rates[:, spec.n] == 0.0)
+    assert np.all(_pinned_grid(h)[:, spec.n] == 0.0)
+
+
+def test_solve_h_peaks_near_the_one_stored_array():
+    # log h is the only (nodes x ladder) array solve_h holds; the sweep's own columns
+    # add about a quarter of it at n = 200
+    model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, 200)
+    tracemalloc.start()
+    try:
+        h = solve_h(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * h.logh.nbytes
+
+
+def test_mesh_cap_admits_1200_jumps_and_refuses_1300():
+    # at h_step 1e-3 log h alone takes 1.74 GiB for 0 -> 1200 and 2.04 GiB for
+    # 0 -> 1300; the mesh is only laid out, so a wrong cap allocates nothing large
+    model = Product(1.0, 3.0, 0.1)
+    mesh = engine._Mesh(BridgeSpec(0, 1200), 1e-3, model)
+    assert mesh.times.size * 1201 * 8 <= engine.MEMORY_CAP
+    with pytest.raises(ResourceCap, match="2.0 GiB; the cap is 2 GiB"):
+        engine._Mesh(BridgeSpec(0, 1300), 1e-3, model)
+
+
+def test_pinned_rates_past_the_float_range_of_the_h_ratio():
+    # rate e^(-700 t): h(t, y) / h(t, y-1) = 1 / (integrated rate) exceeds the float
+    # range near u, so the one-jump-left rate is formed as exp(log ratio + log rate);
+    # it is the closed-form hazard 700 / (1 - e^(-700 (u - t))) on every node before u
+    spec = BridgeSpec(0, 5)
+    h = solve_h(constant_characteristic_model(-700.0), spec)
+    stop = h.times.size - 1
+    ratio = h.logh[:stop, spec.n] - h.logh[:stop, spec.n - 1]
+    assert np.any(ratio > math.log(np.finfo(float).max))
+    k = list(h.pinned_rates(stop))[spec.n - 1]
+    want = 700.0 / -np.expm1(-700.0 * (spec.u - h.times[:stop]))
+    np.testing.assert_allclose(k, want, rtol=1e-9, atol=0.0)

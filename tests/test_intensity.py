@@ -179,7 +179,7 @@ def test_tabulated_boundaries(form, t, z, error, message):
     with pytest.raises(error, match=message):
         m.rate(t, z)
     with pytest.raises(error, match=message):
-        m.rate_grid(np.atleast_1d(t), np.atleast_1d(z))
+        m.rate_columns(np.atleast_1d(t), np.atleast_1d(z))
 
 
 @pytest.mark.parametrize("form", ["scalar", "array"])
@@ -192,7 +192,7 @@ def test_tabulated_refuses_a_non_integral_state(form, z):
     with pytest.raises(OutOfDomain, match="state not an integer: "):
         m.rate(t, z)
     with pytest.raises(OutOfDomain, match="state not an integer: "):
-        m.rate_grid(np.atleast_1d(t), np.atleast_1d(z))
+        m.rate_columns(np.atleast_1d(t), np.atleast_1d(z))
 
 
 def test_tabulated_integral_float_states_pass():
@@ -200,7 +200,8 @@ def test_tabulated_integral_float_states_pass():
     assert m.rate(0.5, 3.0) == m.rate(0.5, 3)
     np.testing.assert_array_equal(m.rate(np.array([0.3, 0.6]), np.array([2.0, 4.0])),
                                   m.rate(np.array([0.3, 0.6]), np.array([2, 4])))
-    np.testing.assert_array_equal(m.rate_grid([0.3, 0.6], [2.0, 4.0]), m.rate_grid([0.3, 0.6], [2, 4]))
+    ts = np.array([0.3, 0.6])[:, None]
+    np.testing.assert_array_equal(m.rate(ts, [2.0, 4.0]), m.rate(ts, [2, 4]))
 
 
 def test_tabulated_edges_and_empty_arrays_pass():
@@ -208,8 +209,8 @@ def test_tabulated_edges_and_empty_arrays_pass():
     assert m.rate(0.2, 2) == pytest.approx(1.2, rel=1e-14)
     assert m.rate(0.8, 4) == pytest.approx(1.8, rel=1e-14)
     assert m.rate(np.array([]), np.array([], dtype=int)).shape == (0,)
-    assert m.rate_grid(np.array([]), [2, 3]).shape == (0, 2)
-    assert m.rate_grid([0.5], np.array([], dtype=int)).shape == (1, 0)
+    assert m.rate(np.array([])[:, None], [2, 3]).shape == (0, 2)
+    assert m.rate(np.array([0.5])[:, None], np.array([], dtype=int)).shape == (1, 0)
 
 
 def test_tabulated_positivity_enforced():
@@ -251,7 +252,7 @@ def test_rate_grid_matches_pointwise():
     for model in FAMILIES + [_tabulated()]:
         times = np.linspace(0.05, 0.95, 9)
         states = np.arange(0, 4)
-        grid = model.rate_grid(times, states)
+        grid = model.rate(times[:, None], states)
         for i, t in enumerate(times):
             for j, z in enumerate(states):
                 assert grid[i, j] == pytest.approx(model.rate(float(t), int(z)), rel=1e-12)
@@ -273,11 +274,11 @@ def test_tabulated_matches_scipy_cubic_hermite_bitwise():
         ts = np.concatenate([rng.uniform(tg[0], tg[-1], 100), tg,
                              [tg[0] - 0.5 * _T_SLACK, tg[-1] + 0.5 * _T_SLACK]])
         zs = np.arange(2, 2 + w)
-        assert np.array_equal(model.rate_grid(ts, zs), ref(ts))
+        assert np.array_equal(model.rate(ts[:, None], zs), ref(ts))
         assert np.array_equal(model.rate_dt(ts[:, None], zs), ref_dt(ts))
         # a subset of the states gathers the same bits
         sub = rng.permutation(zs)[: max(1, w // 2)]
-        assert np.array_equal(model.rate_grid(ts, sub), ref(ts)[:, sub - 2])
+        assert np.array_equal(model.rate(ts[:, None], sub), ref(ts)[:, sub - 2])
         for t, z in zip(ts[::7], rng.integers(2, 2 + w, ts.size)[::7]):
             assert model.rate(float(t), int(z)) == ref(t)[z - 2]
             assert model.rate_dt(float(t), int(z)) == ref_dt(t)[z - 2]
@@ -298,10 +299,10 @@ def test_tabulated_rate_shapes():
     assert m.rate(ts, zs).shape == (4, 3)                  # outer when shapes differ
     assert m.rate(ts[:3], zs).shape == (3,)                # paired when they match
     assert m.rate(ts[:, None], zs[None, :]).shape == (4, 3)
-    grid = m.rate_grid(ts, zs)
+    grid = m.rate(ts[:, None], zs)
     np.testing.assert_array_equal(m.rate(ts, zs), grid)
     np.testing.assert_array_equal(m.rate(ts[:3], zs), np.diag(grid[:3]))
-    np.testing.assert_array_equal(m.rate(0.3, zs), m.rate_grid([0.3], zs)[0])
+    np.testing.assert_array_equal(m.rate(0.3, zs), m.rate(np.array([[0.3]]), zs)[0])
     np.testing.assert_array_equal(m.rate(ts, 2), grid[:, 1])
 
 
@@ -319,12 +320,12 @@ def test_rate_columns_are_the_rate_grid_columns_bitwise(model, order):
     times = np.linspace(0.0, 1.0, 2 * 37 + 1)
     times = {"forward": times, "reversed": times[::-1], "empty": times[:0]}[order]
     for states in ([0, 1, 2, 3, 5], [5, 3, 2, 1, 0]):
-        grid = model.rate_grid(times, states)
+        grid = model.rate(times[:, None], states)
         columns = list(model.rate_columns(times, states))
         assert len(columns) == len(states)
         for z, col in zip(states, columns):
             assert col.shape == times.shape
-            assert np.array_equal(col, model.rate_grid(times, [z])[:, 0])
+            assert np.array_equal(col, model.rate(times[:, None], [z])[:, 0])
             assert np.array_equal(col, grid[:, states.index(z)])
 
 
