@@ -39,13 +39,32 @@ def tilted_cdf(lam, t):
     elif abs(lam) < _SMALL_LAM:
         out = t + lam * t * (t - 1.0) / 2.0
     else:
-        try:
-            scale = math.expm1(lam)
-        except OverflowError:
-            raise OutOfDomain(f"the tilt over the window, {lam:g}, overflows exp;"
-                              " it must stay below about 709.78") from None
+        scale = _tilt_scale(lam)
         out = np.expm1(lam * t) / scale
     return float(out) if out.ndim == 0 else out
+
+
+def _tilt_scale(lam):
+    """e^lam - 1; a tilt whose e^lam overflows raises OutOfDomain."""
+    try:
+        return math.expm1(lam)
+    except OverflowError:
+        raise OutOfDomain(f"the tilt over the window, {lam:g}, overflows exp;"
+                          " it must stay below about 709.78") from None
+
+
+def tilted_quantile(lam, p):
+    """The t in [0, 1] at which :func:`tilted_cdf` reaches p: its inverse in t.
+
+    log1p(p (e^lam - 1)) / lam; where |lam| < _SMALL_LAM, the inverse of
+    tilted_cdf's own expansion there, p + lam p (1 - p) / 2.  A tilt whose
+    e^lam overflows raises :class:`~countbridge.errors.OutOfDomain`.
+    """
+    p = np.asarray(p, dtype=float)
+    lam = float(lam)
+    if abs(lam) < _SMALL_LAM:
+        return p + lam * p * (1.0 - p) / 2.0
+    return np.log1p(p * _tilt_scale(lam)) / lam
 
 
 def tilted_cdf_window(lam, s, u, t):

@@ -32,8 +32,9 @@ from .verify import (convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
 
 
-# rows of a table's value array rendered per %-template: bounds the text held at once
+# rows, and values, of a table rendered per %-template: bound the text held at once
 BLOCK_ROWS = 512
+BLOCK_CELLS = 8192
 
 
 def _write_atomic(path, chunks):
@@ -56,17 +57,32 @@ def _write_table(path, header, values, row, labels=None):
     """Write a CSV table: ``header``, then one ``row`` per row of ``values``.
 
     ``row`` is a %-template (one ``%.17g`` per column of the 2-D array
-    ``values``) of one or more lines.  Its ``{o}`` marks, if any, are filled
-    with ``labels[k]``, the preformatted text of row k's repeated label.
+    ``values``) of one or more lines; a row of more than BLOCK_CELLS values
+    may instead be given as the list of its consecutive pieces, each the
+    template of at most that many.  Its ``{o}`` marks, if any, are filled
+    with ``labels[k]``, the preformatted text of row k's repeated label.  The
+    text goes out in blocks of at most BLOCK_ROWS rows and BLOCK_CELLS
+    values, or one piece of one row.
     """
     values = np.asarray(values, dtype=float)
+    pieces = [row] if isinstance(row, str) else row
 
     def blocks():
         yield ",".join(header) + "\n"
-        for a in range(0, len(values), BLOCK_ROWS):
-            block = values[a:a + BLOCK_ROWS]
+        if len(pieces) > 1:
+            ends = np.cumsum([p.count("%.17g") for p in pieces]).tolist()
+            for k, vals in enumerate(values):
+                for piece, a, b in zip(pieces, [0] + ends, ends):
+                    template = piece if labels is None else piece.replace("{o}", labels[k])
+                    yield template % tuple(vals[a:b].tolist())
+            return
+        row = pieces[0]
+        # an empty table may come as a 1-D array; its width is then 0
+        step = min(BLOCK_ROWS, BLOCK_CELLS // max(1, values.shape[-1]))
+        for a in range(0, len(values), step):
+            block = values[a:a + step]
             template = (row * len(block) if labels is None else
-                        "".join([row.replace("{o}", o) for o in labels[a:a + BLOCK_ROWS]]))
+                        "".join([row.replace("{o}", o) for o in labels[a:a + step]]))
             # tolist() hands % Python floats, so no numpy repr can reach the file
             yield template % tuple(block.ravel().tolist())
 
@@ -119,15 +135,20 @@ def _run_characteristics(options):
         raise BadStep(f"grid step must be positive, got {step}")
     points = max(2, int(round(spec.length / step)) + 1)
     zs = range(spec.x, max(spec.x, spec.y - 1) + 1)
-    # the xi rows, their float copy and the text of one block of them take about
-    # 128 bytes per (time, state) cell; the per-time text as much per time
-    check_memory(128 * points * (len(zs) + 1),
+    # the xi rows take 8 bytes per (time, state) cell; the per-time text, the
+    # times and one state's characteristic temporaries about 96 bytes per time
+    check_memory(8 * points * (len(zs) + 12),
                  f"characteristics on {points} times x {len(zs)} states")
     ts = np.linspace(spec.s, spec.u, points)
-    xi = [model.characteristic(ts, z) for z in zs]
-    # z-major rows: the t column is the same text in every z block
+    xi = np.empty((len(zs), points))
+    for out, z in zip(xi, zs):
+        out[:] = model.characteristic(ts, z)
+    # z-major rows: the t column is the same text in every z block, cut into pieces
+    # of BLOCK_CELLS times
+    pieces = ["".join([t + ",{o},%.17g\n" for t in _texts(ts[a:a + BLOCK_CELLS])])
+              for a in range(0, points, BLOCK_CELLS)]
     _write_table(os.path.join(options["out"], "characteristics.csv"), ["t", "z", "xi"], xi,
-                 "".join([t + ",{o},%.17g\n" for t in _texts(ts)]), [str(z) for z in zs])
+                 pieces, [str(z) for z in zs])
     _write_manifest(options["out"], "characteristics", options, ["characteristics.csv"])
     return 0
 

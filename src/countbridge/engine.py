@@ -30,10 +30,22 @@ applications", 1990): one exp, one cumsum and one log per cell, with the
 blocks chained by an exact accumulate over their totals.  A block whose
 partial sums would fall too far below its reference to be held exactly (a
 climb of more than about 640 nats inside one block) is redone with the
-exact sequential accumulate.  No value is rescaled, clamped or cut: log h is
-exact (to the integrator's accuracy) wherever it is representable as a
-float, far below exp(-700), and the only -inf cells are the exact zeros of
-the discrete scheme next to u.
+exact sequential accumulate.  No value is rescaled or clamped.
+
+Each state's column runs only over its window of mesh nodes.  By the
+paper's marginal estimate, every tail of the bridge lies between the
+binomial tails of the tilted profiles at the infimum and the supremum of the
+characteristic; with Chernoff's bound they show where the bridge holds a
+state with probability at most WINDOW_TAIL, before it reaches it or after it
+leaves it (:func:`_live_nodes`).  Those cells are skipped.  A path that
+touches one is at or past that state at the cut, so the sweeps compute the
+bridge conditioned on an event of probability at least
+1 - 2 (n + 1) WINDOW_TAIL, the same law in both marginal routes.  Inside its
+window log h is exact (to the integrator's accuracy) wherever it is
+representable as a float, far below exp(-700), and the only -inf cells are
+the exact zeros of the discrete scheme next to u; outside it, log h is -inf.
+Models without exact characteristic bounds get the whole mesh as every
+state's window.
 """
 
 from __future__ import annotations
@@ -44,13 +56,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, ResourceCap,
-                     Underflow)
+from .analytic import tilted_quantile
+from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, OutOfDomain, PinMiss,
+                     ResourceCap, Underflow)
 
 # Per-step cap on (ladder depth) x (change in log remaining integrated rate);
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
 # rate x step uniformly along the whole window.
 STEP_BUDGET = 0.1
+# Outside its window a state holds at most this much of the bridge's mass at
+# any node (see _live_nodes); the sweeps skip those cells.
+WINDOW_TAIL = 1e-20
 # The stored mesh extends to (coarse step) / PIN_DEPTH from the terminal time;
 # closer queries use the exact 1/(u - t) pin asymptote.
 PIN_DEPTH = 100.0
@@ -198,6 +214,92 @@ class _Mesh:
         self.n_fwd_nodes = seg_a.size
         # storage index of each output edge except u (edge k sits at 2 * fb-index)
         self.out_node_idx = 2 * self.out_fb_idx
+        self._place_windows(model)
+
+    def _place_windows(self, model):
+        """Each state's node windows, from the live nodes of :func:`_live_nodes`.
+
+        ``fwd_lo`` and ``fwd_hi`` bound a state's forward column in fb-indices:
+        the fb node before its first live node to the one after its last; its
+        rates are read one step further (see :func:`_column`).  The
+        ``solve_h`` column of state z holds nodes ``h_lo`` to ``h_hi``: from
+        the forward start of z - 1 to past every pinned rate the forward
+        route reads of z, with its seed 0 at ``h_hi``, the first node after.
+        Seeds strictly increase with the state, so the state above is solved
+        at each seed and every column is finite from the node before it on.  A
+        column whose seed would reach its pin layer (from ``pin_limit`` on, where
+        :class:`HField` anchors its asymptote) runs to u, and so does every one
+        above it.  Without live nodes every window is the whole mesh.
+        """
+        n, last_fb, last = self.spec.n, self.fwd_bounds.size - 1, self.times.size - 1
+        d_min = self.spec.u - self.times[-2]
+        self.pin_limit = np.minimum(np.searchsorted(
+            self.times, self.spec.u - (n - np.arange(n)) * d_min, side="right"), last)
+        live = _live_nodes(model, self.spec, self.times)
+        if live is None:
+            self.fwd_lo, self.fwd_hi = np.zeros(n + 1, int), np.full(n + 1, last_fb)
+            self.h_lo, self.h_hi = np.zeros(n + 1, int), np.full(n + 1, last)
+        else:
+            first, final = live
+            self.fwd_lo = np.minimum(np.maximum(first - 1, 0) // 2, last_fb)
+            self.fwd_hi = np.minimum(final // 2 + 1, last_fb)
+            self.h_lo = np.concatenate([[0], 2 * self.fwd_lo[:-1]])
+            rise = np.arange(n + 1)
+            seed = np.maximum(2 * np.minimum(self.fwd_hi + 1, last_fb), final) + 1
+            seed = np.maximum.accumulate(seed - rise) + rise
+            reach = np.maximum.accumulate(seed >= np.append(self.pin_limit, 0))
+            self.h_hi = np.where(reach, last, seed)
+
+
+def _tail_thresholds(n):
+    """thr[i] for i = 0..n: a p below i / n with n KL(i/n || p) >= log(1 / WINDOW_TAIL)
+    at and below it (thr[0] = 0).
+
+    Newton's method on the convex, decreasing f(v) = n KL(q || e^v) - log(1 /
+    WINDOW_TAIL), started left of its root, stays left of it, so every
+    iterate is such a p; six iterations reach the root to rounding for every
+    ladder the memory cap admits.
+    """
+    k = math.log(1.0 / WINDOW_TAIL) / n
+    q = np.arange(1, n) / n
+    qc = 1.0 - q
+    base = q * np.log(q) + qc * np.log(qc) - k
+    v = np.log(q) - (k - qc * np.log(qc)) / q
+    for _ in range(6):
+        w = np.exp(v)
+        v -= (base - q * v - qc * np.log1p(-w)) / (qc * w / (1.0 - w) - q)
+    return np.concatenate([[0.0], np.exp(v), [math.exp(-k)]])
+
+
+def _live_nodes(model, spec, times):
+    """Each ladder state's first and last live node on ``times``; None when the
+    model's characteristic bounds are not exact, or its tilt overflows exp.
+
+    By the paper's marginal estimate, with p_hi and p_lo the tilted profiles
+    at the infimum and the supremum of the characteristic over the bridge,
+    P(X_t >= x + i) is at most the Binomial(n, p_hi(t)) tail at i, and
+    P(X_t <= x + i) at most the Binomial(n, p_lo(t)) one.  By Chernoff's
+    bound exp(-n KL(i/n || p)) each is at most WINDOW_TAIL while p_hi is
+    below thr[i] (the state is dead early) or once 1 - p_lo is below
+    thr[n - i] (dead late), thr from :func:`_tail_thresholds`; both profiles
+    are monotone, so each cut is one time, found by inverting the profile.
+    The nodes between, one range per state, are live; both ends of the range
+    rise with the state.
+    """
+    n = spec.n
+    if n == 0 or not model.exact_bounds:
+        return None
+    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+    thr = _tail_thresholds(n)
+    length = spec.length
+    try:
+        early = spec.s + length * tilted_quantile(bounds.inf * length, thr)
+        # 1 - p_lo is the profile of the reflected tilt in u - t
+        late = spec.u - length * tilted_quantile(-bounds.sup * length, thr[::-1])
+    except OutOfDomain:
+        return None
+    return (np.searchsorted(times, early, side="left"),
+            np.searchsorted(times, late, side="right") - 1)
 
 
 def _step_powers(step):
@@ -255,18 +357,23 @@ def _prefix_logsumexp(a):
     return s.reshape(-1)[:m]
 
 
-def _column(steps, rates, feed, prior):
-    """One state's log column of a diagonal-exact RK4 sweep, over all steps at once.
+def _column(steps, rates, feed, prior, lo=0, hi=None):
+    """One state's log column of a diagonal-exact RK4 sweep, over its window at once.
 
     A sweep takes the ladder states in order, from the pin down (``solve_h``)
     or from the start state up (the marginal routes), and starts from 1 in
     its first state and 0 in every other.  ``steps`` is :func:`_step_powers`
-    of the m step lengths in sweep order.  ``rates`` are the state's own rates
-    and ``feed`` those at which the state before it feeds it (its own rates
-    backward, the rates of the state below forward; unused for the first
-    state), each given at the step boundaries and midpoints interleaved:
-    2 m + 1 values.  ``prior`` is what this function returned for the state
-    before, which carries up to four states.
+    of the m step lengths in sweep order.  Nodes count in sweep order too:
+    the state's column holds nodes ``lo`` to ``hi`` (by default all m + 1),
+    is seeded at ``lo`` and is 0 outside them.  ``rates`` are the state's own
+    rates and ``feed`` those at which the state before it feeds it (its own
+    rates backward, the rates of the state below forward; unused for the
+    first state), each given at the step boundaries and midpoints
+    interleaved: 2 m + 1 values.  The column reads its rates from ``lo`` to
+    one step past ``hi``, so that the couplings a later state reads at
+    ``hi`` are exact, and its feed as far as the state before couples.
+    ``prior`` is what this function returned for the state before, which
+    carries up to four states.
 
     Each step removes its diagonal exactly.  With i_mid and i_end its
     integrals (a quadratic fit to the middle, Simpson to the end) and
@@ -280,10 +387,14 @@ def _column(steps, rates, feed, prior):
     recurrence is solved at once in log space: with g the running sum of
     -i_end, log x = g + (prefix log-sum-exp of [log seed, log b - g]), which
     :func:`_prefix_logsumexp` forms in blocks, exactly.  No value is
-    rescaled or clamped.  Returns the log column (m + 1 values) and the
-    ``prior`` of the next state.
+    rescaled or clamped.  Returns the log column (hi - lo + 1 values) and
+    the ``prior`` of the next state.
     """
-    h6, h24 = steps[:2]
+    m = steps[0].size
+    hi = m if hi is None else hi
+    end = min(hi + 1, m)
+    h6, h24 = steps[0][lo:end], steps[1][lo:end]
+    rates = rates[2 * lo:2 * end + 1]
     r0, rm, r1 = rates[:-1:2], rates[1::2], rates[2::2]
     i_mid = 8.0 * rm
     i_mid += 5.0 * r0
@@ -293,73 +404,92 @@ def _column(steps, rates, feed, prior):
     i_end += r0
     i_end += r1
     i_end *= h6
-    g = np.empty(i_end.size + 1)
+    g = np.empty(hi - lo + 1)
     g[0] = 0.0
-    np.cumsum(i_end, out=g[1:])
+    np.cumsum(i_end[:hi - lo], out=g[1:])
     np.negative(g, out=g)
     if not prior:
-        return g, [(g, None, None, i_mid, i_end)]
-    a, c0, cm = _log_forcing(steps, feed, i_mid, i_end, g, prior)
+        return g, [(lo, g, None, None, i_mid, i_end)]
+    a, c0, cm = _log_forcing(steps, feed, i_mid, i_end, g, prior, lo)
     log_x = _prefix_logsumexp(a)
     log_x += g
-    return log_x, [(log_x, c0, cm, i_mid, i_end)] + prior[:3]
+    return log_x, [(lo, log_x, c0, cm, i_mid, i_end)] + prior[:3]
 
 
-def _log_forcing(steps, feed, i_mid, i_end, g, prior):
+def _log_forcing(steps, feed, i_mid, i_end, g, prior, lo):
     """[log seed, log b - g] for a state after a sweep's first, whose seed is 0,
     and the state's couplings c0 and cm: the input of its column's prefix sum.
-    Its temporaries are freed before that sum runs."""
+
+    Term d of b reads state d back, so it runs only over the steps where that
+    state is not 0: its values and the couplings between are read as views
+    from ``lo`` on, and b is 0 past the last of them.  The couplings are kept
+    over the steps the state before still couples through, as far as any
+    later state reads them.  Temporaries are freed before the sum runs.
+    """
     h6, _, h2_6, h3_12, h4_24 = steps
-    _, c0_1, cm_1, i_mid_1, i_end_1 = prior[0]
+    m = g.size - 1
+    # offset of this column's first step in each earlier state's arrays, and the
+    # number of steps from lo over which that state is not 0
+    off = [lo - p[0] for p in prior]
+    span = [max(0, min(m, p[1].size - o)) for p, o in zip(prior, off)]
+    _, _, c0_1, cm_1, i_mid_1, i_end_1 = prior[0]
+    o1 = off[0]
+    w = max(0, i_mid_1.size - o1)
+    feed = feed[2 * lo:2 * (lo + w) + 1]
     c0 = feed[:-1:2]
-    cm = np.exp(i_mid - i_mid_1)
+    cm = np.exp(i_mid[:w] - i_mid_1[o1:o1 + w])
     cm *= feed[1::2]
-    ce = np.exp(i_end - i_end_1)
+    ce = np.exp(i_end[:w] - i_end_1[o1:o1 + w])
     ce *= feed[2::2]
-    a1 = 4.0 * cm
-    a1 += c0
-    a1 += ce
-    a1 *= h6
+    k = span[0]
+    a1 = 4.0 * cm[:k]
+    a1 += c0[:k]
+    a1 += ce[:k]
+    a1 *= h6[lo:lo + k]
     coef = [a1]
     if len(prior) > 1:
-        a2 = cm + ce
-        a2 *= cm_1
-        a2 += cm * c0_1
-        a2 *= h2_6
+        k = span[1]
+        a2 = cm[:k] + ce[:k]
+        a2 *= cm_1[o1:o1 + k]
+        a2 += cm[:k] * c0_1[o1:o1 + k]
+        a2 *= h2_6[lo:lo + k]
         coef.append(a2)
     if len(prior) > 2:
-        c0_2, cm_2 = prior[1][1:3]
-        a3 = cm * c0_2
-        a3 += ce * cm_2
-        a3 *= cm_1
-        a3 *= h3_12
+        k, o2 = span[2], off[1]
+        c0_2, cm_2 = prior[1][2:4]
+        a3 = cm[:k] * c0_2[o2:o2 + k]
+        a3 += ce[:k] * cm_2[o2:o2 + k]
+        a3 *= cm_1[o1:o1 + k]
+        a3 *= h3_12[lo:lo + k]
         coef.append(a3)
     if len(prior) > 3:
-        a4 = ce * cm_1
-        a4 *= cm_2
-        a4 *= prior[2][1]
-        a4 *= h4_24
+        k, o3 = span[3], off[2]
+        a4 = ce[:k] * cm_1[o1:o1 + k]
+        a4 *= cm_2[o2:o2 + k]
+        a4 *= prior[2][2][o3:o3 + k]
+        a4 *= h4_24[lo:lo + k]
         coef.append(a4)
     # log b at each step's start, shifted by the largest earlier value there; the
     # finite floor keeps x - top from inf - inf where every earlier state is still 0
-    before = [p[0][:-1] for p in prior]
+    before = [p[1][o:o + k] for p, o, k in zip(prior, off, span)]
     top = np.maximum(before[0], -np.finfo(float).max)
     for x in before[1:]:
-        np.maximum(top, x, out=top)
+        np.maximum(top[:x.size], x, out=top[:x.size])
     b = np.exp(before[0] - top)
     b *= a1
     term = np.empty_like(top)
     for a_d, x in zip(coef[1:], before[1:]):
-        np.subtract(x, top, out=term)
-        np.exp(term, out=term)
-        term *= a_d
-        b += term
-    a = np.empty(g.size)
-    a[0] = -np.inf
+        t = term[:x.size]
+        np.subtract(x, top[:x.size], out=t)
+        np.exp(t, out=t)
+        t *= a_d
+        b[:x.size] += t
+    k = span[0]
+    a = np.full(m + 1, -np.inf)
     with np.errstate(divide="ignore"):
-        np.log(b, out=a[1:])
-    a[1:] += top
-    a[1:] -= g[:-1]
+        np.log(b, out=a[1:k + 1])
+    a[1:k + 1] += top
+    a[1:k + 1] -= g[:k]
     return a, c0, cm
 
 
@@ -387,34 +517,41 @@ class HField:
 
     Stores ``logh``, its one (mesh nodes x ladder) array, on the node times
     ``times`` of its mesh; the pinned jump rates are formed from it where
-    they are read (:meth:`pinned_rates`, :meth:`next_jumps`).  Immutable;
-    safe to share across threads.  Inside a state's terminal boundary layer
-    the sampler uses the exact first-order pin asymptote k ~ (y - z)/(u - t),
-    anchored at the latest mature node for that state (``anchor_idx``).
+    they are read (:meth:`pinned_rates`, :meth:`next_jumps`).  Each state's
+    column is solved over its window, nodes ``mesh.h_lo`` to ``mesh.h_hi``,
+    and is -inf outside it; the bridge it pins is conditioned on an event of
+    probability at least 1 - 2 (n + 1) WINDOW_TAIL (see the module notes).
+    Immutable; safe to share across threads.
+    Inside a state's terminal boundary layer the sampler uses the exact
+    first-order pin asymptote k ~ (y - z)/(u - t), anchored at the latest
+    mature node for that state (``anchor_idx``).
     """
 
     def __init__(self, model, spec, mesh, log_h):
         self.model = model
         self.spec = spec
         self.mesh = mesh
-        self.times = times = mesh.times
+        self.times = mesh.times
         self.logh = log_h
         # Per-state asymptote anchors.  h at depth m vanishes like (u-t)^m, and
         # the backward pass resolves that layer only a few nodes away from u,
         # so queries closer than m x (finest node distance) ride the exact
-        # first-order asymptote anchored at the last node before that limit.
-        n = spec.n
-        d_min = spec.u - times[-2]
-        lims = np.searchsorted(times, spec.u - (n - np.arange(n)) * d_min, side="right")
-        self.anchor_idx = np.minimum(lims, times.size - 1) - 1
+        # first-order asymptote anchored at the last node before that limit;
+        # a column that stops before its limit anchors at its last solved node.
+        self.anchor_idx = np.minimum(mesh.pin_limit, mesh.h_hi[:-1]) - 1
 
     def pinned_rates(self, stop):
         """Each ladder state's pinned jump rates on the first ``stop`` mesh nodes,
-        bottom state first (the pin state's are 0), from one rate reader."""
-        logh = self.logh[:stop]
+        bottom state first (the pin state's are 0), from one rate reader.  They
+        are formed only where h of the state and of the one above is solved,
+        and are 0 elsewhere."""
+        mesh = self.mesh
         columns = self.model.rate_columns(self.times[:stop], self.spec.ladder())
         for zi, rates in zip(range(self.spec.n), columns):
-            yield _pinned(logh, zi, rates)
+            a, b = mesh.h_lo[zi + 1], min(mesh.h_hi[zi], stop)
+            k = np.zeros(stop)
+            k[a:b] = _pinned(self.logh[a:b], zi, rates[a:b])
+            yield k
         yield np.zeros(stop)
 
     def next_jumps(self, zi, start, mass):
@@ -422,26 +559,43 @@ class HField:
 
         From state z at time t, the pinned chain stays put until r with probability
         exp(-(L(r) - L(t))), where L = (integrated rate) - log h(., z) is the integrated
-        pinned rate.  L is tabulated on the mesh nodes up to the state's asymptote
-        anchor and follows the anchor's base * (u - t_a) / (u - t) rate past it, so a
-        jump lands where L reaches L(start) + mass.  ``start`` and ``mass`` (Exp(1)
-        draws) are arrays over replicas.  A state with no mesh node before its pin
-        layer has no anchor and raises Underflow.
+        pinned rate.  L is tabulated on the mesh nodes of the state's window up to its
+        asymptote anchor.  Where the window runs to u, L follows the anchor's
+        base * (u - t_a) / (u - t) rate past it, so a jump lands where L reaches
+        L(start) + mass.  ``start`` and ``mass`` (Exp(1) draws) are arrays over
+        replicas.  A path that reaches the state before its window opens, or stays
+        past a window that closes before u, raises PinMiss (each has probability at
+        most WINDOW_TAIL).  A state with no mesh node before its pin layer has no
+        anchor, and one whose pinned rate at the anchor is 0, no asymptote: both
+        raise Underflow.
         """
-        spec = self.spec
+        spec, mesh = self.spec, self.mesh
         z = spec.x + zi
-        j = int(self.anchor_idx[zi])
-        if j < 0:
+        a, j = int(mesh.h_lo[zi]), int(self.anchor_idx[zi])
+        if j < a:
             raise Underflow(f"no mesh node lies before the pin layer of state {z}")
-        t_tab = self.times[:j + 1]
+        t_tab = self.times[a:j + 1]
         rates = next(self.model.rate_columns(t_tab, [z]))
         lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
-        big_l = lam - self.logh[:j + 1, zi]
-        # past the anchor L grows like slope * log(1 / (u - t))
+        big_l = lam - self.logh[a:j + 1, zi]
         ta = t_tab[-1]
-        slope = _pinned(self.logh[j:j + 1], zi, rates[-1:])[0] * (spec.u - ta)
         start = np.asarray(start, dtype=float)
+        if np.any(start < t_tab[0]):
+            raise PinMiss(f"a path reached state {z} at t = {start.min():.6g}, before its"
+                          f" window opens at {t_tab[0]:.6g}")
         level = np.interp(start, t_tab, big_l)
+        if mesh.h_hi[zi] < self.times.size - 1:
+            target = level + mass
+            if np.any(target > big_l[-1]):
+                raise PinMiss(f"a path stayed in state {z} past its window, which closes at"
+                              f" t = {ta:.6g}")
+            return np.interp(target, big_l, t_tab)
+        # past the anchor L grows like slope * log(1 / (u - t))
+        k_a = _pinned(self.logh[j:j + 1], zi, rates[-1:])[0]
+        if not 0.0 < k_a < math.inf:
+            raise Underflow(f"the pinned jump rate of state {z} at its anchor t = {ta:.6g} is"
+                            f" {k_a:g}, so it has no pin asymptote")
+        slope = k_a * (spec.u - ta)
         past = start > ta
         level[past] = big_l[-1] + slope * np.log((spec.u - ta) / (spec.u - start[past]))
         target = level + mass
@@ -457,14 +611,15 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     Integrates d/dt h(t,z) = -rate(t,z) [h(t,z+1) - h(t,z)] backward from
     h(u, .) = indicator(y) with diagonally-exact RK4 steps.  The system is
     upper bidiagonal, so the states go from the pin down, one log column each
-    (:func:`_column`), coupled at their own rates.  Those come from one
-    ``model.rate_columns`` reader over the sweep's node and midpoint times,
-    which does the per-time work once and yields one state's column at a
-    time.  ``step_budget`` tightens the mesh grading below the module default
-    for extra accuracy.
+    (:func:`_column`) over the state's window, coupled at their own rates.
+    Those come from one ``model.rate_columns`` reader over the sweep's node
+    and midpoint times, which does the per-time work once and yields one
+    state's column at a time.  ``step_budget`` tightens the mesh grading below
+    the module default for extra accuracy.
     """
     mesh = _Mesh(spec, h_step, model, step_budget)
     times = mesh.times
+    last = times.size - 1
     # rates at the nodes and the step midpoints interleaved, from u down
     t_rates = np.empty(2 * times.size - 1)
     t_rates[0::2] = times
@@ -476,8 +631,11 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     prior = []
     columns = model.rate_columns(t_rates, spec.ladder()[::-1])
     for zi, rates in zip(range(spec.n, -1, -1), columns):
-        col, prior = _column(steps, rates, rates, prior)
-        log_h[:, zi] = col[::-1]
+        a, b = int(mesh.h_lo[zi]), int(mesh.h_hi[zi])
+        # the window's nodes counted from u: its seed b first
+        col, prior = _column(steps, rates, rates, prior, last - b, last - a)
+        log_h[a:b + 1, zi] = col[::-1]
+        log_h[:a, zi] = log_h[b + 1:, zi] = -np.inf
     return HField(model, spec, mesh, log_h)
 
 
@@ -523,13 +681,15 @@ def _forward(mesh, rates):
     """Log forward mass at the output times before u: one row per time, one
     column per state, from mass 1 in state x at s.  ``rates`` yields each
     state's rates on the storage nodes from s to u - dc, bottom state first;
-    each state is fed at the rates of the state below."""
+    each state is fed at the rates of the state below.  A state's column runs
+    over its forward window and is -inf outside it."""
     steps = _step_powers(np.diff(mesh.fwd_bounds))
-    out = np.empty((mesh.out_fb_idx.size, mesh.spec.n + 1))
+    out = np.full((mesh.out_fb_idx.size, mesh.spec.n + 1), -np.inf)
     prior, feed = [], None
-    for zi, r in enumerate(rates):
-        log_q, prior = _column(steps, r, feed, prior)
-        out[:, zi] = log_q[mesh.out_fb_idx]
+    for zi, (r, lo, hi) in enumerate(zip(rates, mesh.fwd_lo, mesh.fwd_hi)):
+        log_q, prior = _column(steps, r, feed, prior, lo, hi)
+        k0, k1 = np.searchsorted(mesh.out_fb_idx, [lo, hi + 1])
+        out[k0:k1, zi] = log_q[mesh.out_fb_idx[k0:k1] - lo]
         feed = r
     return out
 

@@ -105,6 +105,10 @@ class CharacteristicBounds(NamedTuple):
 class _RateModel:
     """Shared behaviour of the rate families: the JSON descriptor."""
 
+    # whether characteristic_bounds are exact, so that the engine may bound each
+    # state's window by them; otherwise it sweeps every state over the whole mesh
+    exact_bounds = False
+
     def to_dict(self):
         return {"family": self.family, "params": self._params(), "state_floor": self.state_floor}
 
@@ -142,6 +146,7 @@ class ExpAffine(_RateModel):
     lam: float = 0.0
     state_floor: int = 0
     family = "exp_affine"
+    exact_bounds = True
 
     def __post_init__(self):
         for name in ("a", "b", "lam"):

@@ -24,6 +24,23 @@ class OracleScale(CountBridgeError):
     """Quadrature oracle requested beyond its supported dimension."""
 
 
+class FullWindows:
+    """``model`` with its characteristic bounds taken as inexact.
+
+    The engine then gives every state the whole mesh as its window, so the
+    same column kernel solves the unwindowed reference of a windowed field.
+    Every other attribute is the model's own.
+    """
+
+    exact_bounds = False
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
 class CharacteristicIntegrals:
     """Cumulative characteristic integrals xi_j along the ladder of one bridge.
 

@@ -385,6 +385,37 @@ def test_characteristics_csv_is_printed_cell_by_cell(tmp_path, descriptor):
     assert (out / "characteristics.csv").read_text() == cells_csv(["t", "z", "xi"], rows)
 
 
+@pytest.mark.parametrize("block", [5, 24], ids=["rows-in-pieces", "whole-rows"])
+def test_characteristics_rows_print_the_same_cells_in_any_block(tmp_path, monkeypatch, block):
+    # a row of more than BLOCK_CELLS times goes out in pieces of that many
+    monkeypatch.setattr(cli, "BLOCK_CELLS", block)
+    out = tmp_path / "c"
+    assert cli.main(["characteristics", "--model", write_model(tmp_path, PRODUCT), "--x", "1",
+                     "--y", "7", "--s", "0.2", "--u", "0.9", "--grid-step", "0.03",
+                     "--out", str(out)]) == 0
+    model = model_from_dict(PRODUCT)
+    ts = np.linspace(0.2, 0.9, 24)
+    rows = [(t, z, xi) for z in range(1, 7) for t, xi in zip(ts, model.characteristic(ts, z))]
+    assert (out / "characteristics.csv").read_text() == cells_csv(["t", "z", "xi"], rows)
+
+
+@pytest.mark.parametrize("args", [["--y", "601", "--grid-step", "1e-3"],
+                                  ["--y", "4", "--grid-step", "1e-5"]],
+                         ids=["601-states", "100001-times"])
+def test_characteristics_peak_stays_near_the_values(tmp_path, args):
+    # 601 x 1001 and 4 x 100,001 cells: the text is held one block of BLOCK_CELLS
+    # values at a time, a long row cut into pieces, so the peak stays near the 8
+    # bytes per cell of the values (about 5.6 MB and 7.7 MB)
+    out = tmp_path / "c"
+    tracemalloc.start()
+    try:
+        assert cli.main(["characteristics", "--lambda", "1"] + args + ["--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2 ** 20
+
+
 def test_marginals_csv_is_printed_cell_by_cell(tmp_path):
     # 1001 times: the table spans more than one block
     out = tmp_path / "m"
@@ -470,6 +501,14 @@ def test_dominance_grid_csv_is_printed_cell_by_cell(tmp_path):
     rows = verify.dominance_check(model, spec, 3.0, table=marginal_table(model, spec, 1e-3)).rows
     assert (out / "dominance_grid.csv").read_text() == cells_csv(
         ["t", "i", "computed_tail", "benchmark_tail", "margin"], rows)
+
+
+def test_a_dominance_grid_without_jumps_writes_the_header_only(tmp_path):
+    # x = y: the check has no tail to compare, so the grid has no rows
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--lambda", "1", "--x", "3", "--y", "3", "--check", "dominance",
+                     "--grid-csv", "--out", str(out)]) == 0
+    assert (out / "dominance_grid.csv").read_text() == "t,i,computed_tail,benchmark_tail,margin\n"
 
 
 def test_write_table_prints_special_floats_and_integer_labels(tmp_path):
@@ -587,6 +626,19 @@ def test_steeply_decaying_rates_run_without_overflow(tmp_path, args):
     # while the pinned rate is not.  Run under -W error::RuntimeWarning (PKG).
     r = run_cli(*args, "--out", str(tmp_path / "out"))
     assert r.returncode == 0, r.stderr
+
+
+def test_a_pinned_rate_that_underflows_at_its_anchor_exits_2(tmp_path):
+    # rate 1 + 1e300 z: at each state's anchor log h is about -1e296 and the gap to
+    # the state above about -5e295, so the pinned rate there is 0 and the pin
+    # asymptote past it has no slope; refused by state, before any division.  Run
+    # under -W error::RuntimeWarning (PKG).
+    model = write_model(tmp_path, _edited(EXP_AFFINE, b=1e300))
+    r = run_cli("sample", "--model", model, "--y", "6", "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("countbridge: error:")
+    assert "pinned jump rate of state 0 at its anchor" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_many_paths_without_jumps_hold_no_per_replica_labels(tmp_path):

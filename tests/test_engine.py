@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from scipy.stats import binom, linregress
 
 from countbridge import engine
-from countbridge.analytic import tilted_cdf
+from countbridge.analytic import tilted_cdf, tilted_cdf_window
 from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, mean_curve, second_differences,
                                 solve_h)
 from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse,
                                 ResourceCap, Underflow)
-from countbridge.intensity import (Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
-                                   constant_characteristic_model)
+from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
+                                   TimeExponential, constant_characteristic_model)
+from countbridge.sampler import jump_time_matrix, sample_bridge
+from oracles import FullWindows
 
 
 def test_bridge_spec_validation():
@@ -170,8 +172,12 @@ def test_underflow_reported_not_clamped():
     h = solve_h(Poisson(1.0), spec, 1e-2)
     assert h.times[0] == 0.0
     assert h.logh[0, 0] == pytest.approx(-1.0 - math.lgamma(201.0), abs=1e-5)
-    # the shallow states stay representable and exact
-    assert h.logh[0, 199] == pytest.approx(-1.0, abs=1e-6)
+    # the shallow states stay representable and exact inside their windows: at
+    # t = 0.99, where the bridge sits in state 199 with probability 0.27, one jump
+    # is left in [t, 1], so log h = log(1 - t) - (1 - t)
+    j = h.mesh.out_node_idx[99]
+    assert h.times[j] == pytest.approx(0.99, abs=1e-12)
+    assert h.logh[j, 199] == pytest.approx(math.log(0.01) - 0.01, abs=1e-6)
 
 
 def test_marginals_refuse_an_underflowed_start_state():
@@ -622,12 +628,118 @@ def test_mesh_cap_admits_1200_jumps_and_refuses_1300():
 def test_pinned_rates_past_the_float_range_of_the_h_ratio():
     # rate e^(-700 t): h(t, y) / h(t, y-1) = 1 / (integrated rate) exceeds the float
     # range near u, so the one-jump-left rate is formed as exp(log ratio + log rate);
-    # it is the closed-form hazard 700 / (1 - e^(-700 (u - t))) on every node before u
+    # on the unwindowed field it is the closed-form hazard 700 / (1 - e^(-700 (u - t)))
+    # on every node before u.  The windowed field closes that state's window before
+    # t = 0.07, long before the ratio leaves the float range; there the rate is the
+    # hazard on every node where the bridge holds the state with probability 1e-10
+    # or more
     spec = BridgeSpec(0, 5)
-    h = solve_h(constant_characteristic_model(-700.0), spec)
-    stop = h.times.size - 1
-    ratio = h.logh[:stop, spec.n] - h.logh[:stop, spec.n - 1]
+    model = constant_characteristic_model(-700.0)
+    full, windowed = solve_h(FullWindows(model), spec), solve_h(model, spec)
+    stop = full.times.size - 1
+    ratio = full.logh[:stop, spec.n] - full.logh[:stop, spec.n - 1]
     assert np.any(ratio > math.log(np.finfo(float).max))
-    k = list(h.pinned_rates(stop))[spec.n - 1]
-    want = 700.0 / -np.expm1(-700.0 * (spec.u - h.times[:stop]))
-    np.testing.assert_allclose(k, want, rtol=1e-9, atol=0.0)
+    hazard = 700.0 / -np.expm1(-700.0 * (spec.u - full.times[:stop]))
+    k = list(full.pinned_rates(stop))[spec.n - 1]
+    np.testing.assert_allclose(k, hazard, rtol=1e-9, atol=0.0)
+    k = list(windowed.pinned_rates(stop))[spec.n - 1]
+    held = binom.pmf(spec.n - 1, spec.n, tilted_cdf(-700.0, full.times[:stop])) >= 1e-10
+    assert held.sum() > 100
+    np.testing.assert_allclose(k[held], hazard[held], rtol=1e-9, atol=0.0)
+
+
+@st.composite
+def _constant_characteristic_bridges(draw):
+    """An exp-affine model whose characteristic is a constant lam, and a bridge of
+    up to 60 jumps on a random window."""
+    lam = draw(st.floats(-20.0, 20.0))
+    model = SpaceLinear(lam, 1.0) if lam > 0 and draw(st.booleans()) else TimeExponential(1.0, lam)
+    x, n = draw(st.integers(0, 5)), draw(st.integers(1, 60))
+    s = draw(st.floats(0.0, 0.8))
+    u = draw(st.floats(s + 0.05, 1.0))
+    return model, BridgeSpec(x, x + n, s, u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_constant_characteristic_bridges())
+def test_windows_leave_out_only_cells_the_bridge_almost_never_holds(bridge):
+    # X_t - x is Binomial(n, p(t)) with p the tilted profile; a cell before its
+    # state's window has P(X_t >= z) <= WINDOW_TAIL and one after it P(X_t <= z) <=
+    # WINDOW_TAIL, by the exact law, for the forward columns and the solve_h columns
+    # (whose seed 0 at h_hi is a cut unless it sits at u)
+    model, spec = bridge
+    mesh = engine._Mesh(spec, 1e-2, model)
+    lam, eps, last = model.characteristic(spec.s, spec.x), engine.WINDOW_TAIL, mesh.times.size - 1
+    i = np.arange(spec.n + 1)
+
+    def tails(t):
+        p = tilted_cdf_window(lam, spec.s, spec.u, t)[:, None]
+        return binom.sf(i - 1, spec.n, p), binom.cdf(i, spec.n, p)
+
+    k = np.arange(mesh.fwd_bounds.size)[:, None]
+    up, down = tails(mesh.fwd_bounds)
+    assert np.all(up[k < mesh.fwd_lo] <= eps) and np.all(down[k > mesh.fwd_hi] <= eps)
+    j = np.arange(last + 1)[:, None]
+    up, down = tails(mesh.times)
+    assert np.all(up[j < mesh.h_lo] <= eps)
+    assert np.all(down[(j >= mesh.h_hi) & (mesh.h_hi < last)] <= eps)
+    # one node range per state, both ends rising with the state
+    for lo, hi in ((mesh.fwd_lo, mesh.fwd_hi), (mesh.h_lo, mesh.h_hi)):
+        assert np.all(lo <= hi) and np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+
+
+@pytest.mark.parametrize("model, spec", [
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)),
+    (ExpAffine(0.7, 1.3, -2.0), BridgeSpec(3, 40, 0.2, 0.9)),
+    (TimeExponential(60.0, -3.0), BridgeSpec(0, 60)),
+    (SpaceLinear(2.0, 1.0), BridgeSpec(1, 30, 0.1, 0.9)),
+], ids=["product", "exp-affine-window", "time-exponential", "space-linear-window"])
+def test_windowed_sweeps_match_the_full_window_reference(model, spec):
+    # the windows skip cells that hold at most 2 (n + 1) WINDOW_TAIL of the bridge, so
+    # both tables stay within 1e-11 of the unwindowed kernel's, and the sampled jump
+    # times within 1e-12
+    h, ref = solve_h(model, spec), solve_h(FullWindows(model), spec)
+    assert np.sum(h.mesh.h_hi - h.mesh.h_lo) < 0.8 * (spec.n + 1) * h.times.size
+    for route in (marginal_table, marginal_table_two_sided):
+        gap = np.abs(route(model, spec, h=h).probs - route(ref.model, spec, h=ref).probs)
+        assert np.max(gap) <= 1e-11
+    got = jump_time_matrix(sample_bridge(model, spec, h, 500, 5))
+    want = jump_time_matrix(sample_bridge(ref.model, spec, ref, 500, 5))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_tabulated_rates_get_full_windows_without_a_characteristic_grid(monkeypatch):
+    # Tabulated bounds come from a grid scan, so they bound no window: every state
+    # is swept over the whole mesh, and solving never scans the characteristic
+    tg = np.linspace(0.0, 1.0, 11)
+    model = Tabulated(tg, 0, (1.0 + 0.3 * np.arange(9.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None])
+    spec = BridgeSpec(1, 8)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the characteristic was evaluated")
+
+    monkeypatch.setattr(Tabulated, "characteristic_bounds", no_grid)
+    monkeypatch.setattr(Tabulated, "characteristic", no_grid)
+    h, ref = solve_h(model, spec), solve_h(FullWindows(model), spec)
+    assert np.all(h.mesh.h_lo == 0) and np.all(h.mesh.h_hi == h.times.size - 1)
+    assert np.array_equal(h.logh, ref.logh)
+    assert np.array_equal(marginal_table(model, spec, h=h).probs,
+                          marginal_table(ref.model, spec, h=ref).probs)
+
+
+def test_steeply_decaying_rates_are_solved_inside_every_window():
+    # rate e^(-700 t), 0 -> 5: the coupling coefficients of states 0-3 underflow from
+    # t = 0.25 on, but their windows close by t = 0.036, so no solved cell reaches
+    # that; both tables match the closed form, and every solved cell, where the
+    # closed-form h (a Poisson law of the integrated rate) is positive, is finite
+    model, spec = TimeExponential(1.0, -700.0), BridgeSpec(0, 5)
+    h = solve_h(model, spec)
+    assert np.all(h.times[h.mesh.h_hi[:4]] <= 0.036)
+    for route in (marginal_table, marginal_table_two_sided):
+        table = route(model, spec, h=h)
+        exact = binom.pmf(np.arange(6)[None, :], 5, tilted_cdf(-700.0, table.times)[:, None])
+        assert np.max(np.abs(table.probs - exact)) <= 1e-6
+    for zi in range(spec.n + 1):
+        # below the pin the seed at h_hi is 0
+        stop = h.times.size if zi == spec.n else h.mesh.h_hi[zi]
+        assert np.all(np.isfinite(h.logh[h.mesh.h_lo[zi]:stop, zi]))
