@@ -40,7 +40,9 @@ def tilted_cdf(lam, t):
         out = t + lam * t * (t - 1.0) / 2.0
     else:
         scale = _tilt_scale(lam)
-        out = np.expm1(lam * t) / scale
+        # np.expm1 and math.expm1 may round apart by an ulp, which would put the
+        # ratio just past 1 at t = 1
+        out = np.clip(np.expm1(lam * t) / scale, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 

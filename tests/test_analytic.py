@@ -47,6 +47,17 @@ def test_window_composition(lam, a, b, frac):
     assert direct == pytest.approx(composed, abs=1e-12)
 
 
+def test_tilted_cdf_stays_in_the_unit_interval_at_the_window_end():
+    # np.expm1(-1.23046875) rounds an ulp away from math.expm1's value; the ratio at
+    # t = 1 must still be 1, so a binomial law at the window end stays defined
+    assert tilted_cdf(-1.23046875, 1.0) == 1.0
+    assert tilted_cdf_window(-15.0, 0.78125, 0.86328125, 0.86328125) == 1.0
+    ts = np.linspace(0.0, 1.0, 1001)
+    for lam in (-40.0, -1.23046875, 3.7, 300.0):
+        p = tilted_cdf(lam, ts)
+        assert p[0] == 0.0 and p[-1] == 1.0 and np.all((p >= 0.0) & (p <= 1.0))
+
+
 def test_tilted_cdf_window_values():
     assert tilted_cdf_window(0.0, 0.2, 0.8, 0.5) == pytest.approx(0.5, abs=1e-12)
     got = tilted_cdf_window(2.0, 0.25, 0.75, 0.5)
