@@ -62,7 +62,7 @@ def _write_table(path, header, values, row, labels=None):
     template of at most that many.  Its ``{o}`` marks, if any, are filled
     with ``labels[k]``, the preformatted text of row k's repeated label.  The
     text goes out in blocks of at most BLOCK_ROWS rows and BLOCK_CELLS
-    values, or one piece of one row.
+    values, or of one whole row or one piece of one row.
     """
     values = np.asarray(values, dtype=float)
     pieces = [row] if isinstance(row, str) else row
@@ -77,8 +77,9 @@ def _write_table(path, header, values, row, labels=None):
                     yield template % tuple(vals[a:b].tolist())
             return
         row = pieces[0]
-        # an empty table may come as a 1-D array; its width is then 0
-        step = min(BLOCK_ROWS, BLOCK_CELLS // max(1, values.shape[-1]))
+        # an empty table may come as a 1-D array, its width then 0; a row wider
+        # than BLOCK_CELLS goes out as a block of its own
+        step = max(1, min(BLOCK_ROWS, BLOCK_CELLS // max(1, values.shape[-1])))
         for a in range(0, len(values), step):
             block = values[a:a + step]
             template = (row * len(block) if labels is None else

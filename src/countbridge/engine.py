@@ -32,20 +32,19 @@ partial sums would fall too far below its reference to be held exactly (a
 climb of more than about 640 nats inside one block) is redone with the
 exact sequential accumulate.  No value is rescaled or clamped.
 
-Each state's column runs only over its window of mesh nodes.  By the
-paper's marginal estimate, every tail of the bridge lies between the
-binomial tails of the tilted profiles at the infimum and the supremum of the
-characteristic; with Chernoff's bound they show where the bridge holds a
-state with probability at most WINDOW_TAIL, before it reaches it or after it
-leaves it (:func:`_live_nodes`).  Those cells are skipped.  A path that
-touches one is at or past that state at the cut, so the sweeps compute the
-bridge conditioned on an event of probability at least
-1 - 2 (n + 1) WINDOW_TAIL, the same law in both marginal routes.  Inside its
-window log h is exact (to the integrator's accuracy) wherever it is
-representable as a float, far below exp(-700), and the only -inf cells are
-the exact zeros of the discrete scheme next to u; outside it, log h is -inf.
-Models without exact characteristic bounds get the whole mesh as every
-state's window.
+Windows.  By the paper's marginal estimate every tail of the bridge lies
+between the binomial tails of the tilted profiles at the infimum and the
+supremum of the characteristic.  With Chernoff's bound these give each state
+a window of mesh nodes outside which the bridge holds it with probability at
+most WINDOW_TAIL, and every sweep runs a state's column only over its
+window.  A path that touches a skipped cell is at or past that state at the
+cut, so the sweeps compute the bridge conditioned on an event of probability
+at least 1 - 2 (n + 1) WINDOW_TAIL, the same law in both marginal routes.
+Inside its window log h is exact (to the integrator's accuracy) wherever it
+is representable as a float, far below exp(-700), and its only -inf cells
+are the exact zeros of the discrete scheme next to u; outside, it is -inf.
+Models without exact characteristic bounds, and tilts that overflow exp,
+sweep the whole mesh.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, OutOfD
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
 # rate x step uniformly along the whole window.
 STEP_BUDGET = 0.1
-# Outside its window a state holds at most this much of the bridge's mass at
-# any node (see _live_nodes); the sweeps skip those cells.
+# Outside its window a state holds at most this much of the bridge's mass.
 WINDOW_TAIL = 1e-20
 # The stored mesh extends to (coarse step) / PIN_DEPTH from the terminal time;
 # closer queries use the exact 1/(u - t) pin asymptote.
@@ -217,20 +215,11 @@ class _Mesh:
         self._place_windows(model)
 
     def _place_windows(self, model):
-        """Each state's node windows, from the live nodes of :func:`_live_nodes`.
-
-        ``fwd_lo`` and ``fwd_hi`` bound a state's forward column in fb-indices:
-        the fb node before its first live node to the one after its last; its
-        rates are read one step further (see :func:`_column`).  The
-        ``solve_h`` column of state z holds nodes ``h_lo`` to ``h_hi``: from
-        the forward start of z - 1 to past every pinned rate the forward
-        route reads of z, with its seed 0 at ``h_hi``, the first node after.
-        Seeds strictly increase with the state, so the state above is solved
-        at each seed and every column is finite from the node before it on.  A
-        column whose seed would reach its pin layer (from ``pin_limit`` on, where
-        :class:`HField` anchors its asymptote) runs to u, and so does every one
-        above it.  Without live nodes every window is the whole mesh.
-        """
+        """Each state's windows: fb-indices ``fwd_lo`` to ``fwd_hi`` for the
+        forward sweeps, one node past its live nodes each way, and nodes
+        ``h_lo`` to ``h_hi`` for ``solve_h``, seeded at ``h_hi``.  An h window
+        covers the forward windows of its state and of the one below, and runs
+        to u once its seed would reach its pin layer (``pin_limit``)."""
         n, last_fb, last = self.spec.n, self.fwd_bounds.size - 1, self.times.size - 1
         d_min = self.spec.u - self.times[-2]
         self.pin_limit = np.minimum(np.searchsorted(
@@ -252,14 +241,11 @@ class _Mesh:
 
 
 def _tail_thresholds(n):
-    """thr[i] for i = 0..n: a p below i / n with n KL(i/n || p) >= log(1 / WINDOW_TAIL)
-    at and below it (thr[0] = 0).
-
-    Newton's method on the convex, decreasing f(v) = n KL(q || e^v) - log(1 /
-    WINDOW_TAIL), started left of its root, stays left of it, so every
-    iterate is such a p; six iterations reach the root to rounding for every
-    ladder the memory cap admits.
-    """
+    """thr[i], i = 0..n: a p below i / n with n KL(i/n || p) >= log(1 / WINDOW_TAIL)
+    (thr[0] = 0), by Newton on that convex, decreasing function of log p from
+    left of its root, so every iterate is safe.  scipy's betaincinv would give
+    the exact binomial threshold, but importing scipy.special costs about
+    0.24 s and 24 MB on a solve path that otherwise loads no scipy."""
     k = math.log(1.0 / WINDOW_TAIL) / n
     q = np.arange(1, n) / n
     qc = 1.0 - q
@@ -272,20 +258,11 @@ def _tail_thresholds(n):
 
 
 def _live_nodes(model, spec, times):
-    """Each ladder state's first and last live node on ``times``; None when the
-    model's characteristic bounds are not exact, or its tilt overflows exp.
-
-    By the paper's marginal estimate, with p_hi and p_lo the tilted profiles
-    at the infimum and the supremum of the characteristic over the bridge,
-    P(X_t >= x + i) is at most the Binomial(n, p_hi(t)) tail at i, and
-    P(X_t <= x + i) at most the Binomial(n, p_lo(t)) one.  By Chernoff's
-    bound exp(-n KL(i/n || p)) each is at most WINDOW_TAIL while p_hi is
-    below thr[i] (the state is dead early) or once 1 - p_lo is below
-    thr[n - i] (dead late), thr from :func:`_tail_thresholds`; both profiles
-    are monotone, so each cut is one time, found by inverting the profile.
-    The nodes between, one range per state, are live; both ends of the range
-    rise with the state.
-    """
+    """Each ladder state's first and last live node on ``times`` (see the module
+    notes); None for a model without exact characteristic bounds or a tilt that
+    overflows exp.  State x + i is dead early while the profile p_hi at the
+    characteristic's infimum is below thr[i], and dead late once 1 - p_lo, at
+    its supremum, is below thr[n - i]."""
     n = spec.n
     if n == 0 or not model.exact_bounds:
         return None
@@ -363,17 +340,14 @@ def _column(steps, rates, feed, prior, lo=0, hi=None):
     A sweep takes the ladder states in order, from the pin down (``solve_h``)
     or from the start state up (the marginal routes), and starts from 1 in
     its first state and 0 in every other.  ``steps`` is :func:`_step_powers`
-    of the m step lengths in sweep order.  Nodes count in sweep order too:
-    the state's column holds nodes ``lo`` to ``hi`` (by default all m + 1),
-    is seeded at ``lo`` and is 0 outside them.  ``rates`` are the state's own
-    rates and ``feed`` those at which the state before it feeds it (its own
-    rates backward, the rates of the state below forward; unused for the
-    first state), each given at the step boundaries and midpoints
-    interleaved: 2 m + 1 values.  The column reads its rates from ``lo`` to
-    one step past ``hi``, so that the couplings a later state reads at
-    ``hi`` are exact, and its feed as far as the state before couples.
-    ``prior`` is what this function returned for the state before, which
-    carries up to four states.
+    of the m step lengths in sweep order.  The column holds nodes ``lo`` to
+    ``hi`` in sweep order (by default all m + 1), seeded at ``lo``, and is 0
+    outside them.  ``rates`` are the state's own rates and ``feed`` those at
+    which the state before it feeds it (its own rates backward, the rates of
+    the state below forward; unused for the first state), each given at the
+    step boundaries and midpoints interleaved: 2 m + 1 values, read one step
+    past ``hi``.  ``prior`` is what this function returned for the state
+    before, which carries up to four states.
 
     Each step removes its diagonal exactly.  With i_mid and i_end its
     integrals (a quadratic fit to the middle, Simpson to the end) and
@@ -419,13 +393,8 @@ def _column(steps, rates, feed, prior, lo=0, hi=None):
 def _log_forcing(steps, feed, i_mid, i_end, g, prior, lo):
     """[log seed, log b - g] for a state after a sweep's first, whose seed is 0,
     and the state's couplings c0 and cm: the input of its column's prefix sum.
-
-    Term d of b reads state d back, so it runs only over the steps where that
-    state is not 0: its values and the couplings between are read as views
-    from ``lo`` on, and b is 0 past the last of them.  The couplings are kept
-    over the steps the state before still couples through, as far as any
-    later state reads them.  Temporaries are freed before the sum runs.
-    """
+    Term d of b runs, as views, only where state d back is not 0.  Its
+    temporaries are freed before that sum runs."""
     h6, _, h2_6, h3_12, h4_24 = steps
     m = g.size - 1
     # offset of this column's first step in each earlier state's arrays, and the
@@ -517,14 +486,12 @@ class HField:
 
     Stores ``logh``, its one (mesh nodes x ladder) array, on the node times
     ``times`` of its mesh; the pinned jump rates are formed from it where
-    they are read (:meth:`pinned_rates`, :meth:`next_jumps`).  Each state's
-    column is solved over its window, nodes ``mesh.h_lo`` to ``mesh.h_hi``,
-    and is -inf outside it; the bridge it pins is conditioned on an event of
-    probability at least 1 - 2 (n + 1) WINDOW_TAIL (see the module notes).
-    Immutable; safe to share across threads.
-    Inside a state's terminal boundary layer the sampler uses the exact
-    first-order pin asymptote k ~ (y - z)/(u - t), anchored at the latest
-    mature node for that state (``anchor_idx``).
+    they are read (:meth:`pinned_rates`, :meth:`next_jumps`); a state's
+    ``logh`` is -inf outside its window, which costs the bridge at most
+    2 (n + 1) WINDOW_TAIL of its mass (see the module notes).  Immutable;
+    safe to share across threads.  Inside a state's terminal boundary layer
+    the sampler uses the exact first-order pin asymptote k ~ (y - z)/(u - t),
+    anchored at the latest mature node for that state (``anchor_idx``).
     """
 
     def __init__(self, model, spec, mesh, log_h):
@@ -542,9 +509,8 @@ class HField:
 
     def pinned_rates(self, stop):
         """Each ladder state's pinned jump rates on the first ``stop`` mesh nodes,
-        bottom state first (the pin state's are 0), from one rate reader.  They
-        are formed only where h of the state and of the one above is solved,
-        and are 0 elsewhere."""
+        bottom state first (the pin state's are 0), from one rate reader; 0
+        where h of the state or of the one above is not solved."""
         mesh = self.mesh
         columns = self.model.rate_columns(self.times[:stop], self.spec.ladder())
         for zi, rates in zip(range(self.spec.n), columns):
@@ -559,15 +525,12 @@ class HField:
 
         From state z at time t, the pinned chain stays put until r with probability
         exp(-(L(r) - L(t))), where L = (integrated rate) - log h(., z) is the integrated
-        pinned rate.  L is tabulated on the mesh nodes of the state's window up to its
-        asymptote anchor.  Where the window runs to u, L follows the anchor's
+        pinned rate.  L is tabulated on the state's window up to its asymptote
+        anchor and, if the window runs to u, follows the anchor's
         base * (u - t_a) / (u - t) rate past it, so a jump lands where L reaches
         L(start) + mass.  ``start`` and ``mass`` (Exp(1) draws) are arrays over
-        replicas.  A path that reaches the state before its window opens, or stays
-        past a window that closes before u, raises PinMiss (each has probability at
-        most WINDOW_TAIL).  A state with no mesh node before its pin layer has no
-        anchor, and one whose pinned rate at the anchor is 0, no asymptote: both
-        raise Underflow.
+        replicas.  A path outside the state's window raises PinMiss; a state with
+        no anchor, or a pinned rate of 0 at it, raises Underflow.
         """
         spec, mesh = self.spec, self.mesh
         z = spec.x + zi
@@ -611,11 +574,11 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     Integrates d/dt h(t,z) = -rate(t,z) [h(t,z+1) - h(t,z)] backward from
     h(u, .) = indicator(y) with diagonally-exact RK4 steps.  The system is
     upper bidiagonal, so the states go from the pin down, one log column each
-    (:func:`_column`) over the state's window, coupled at their own rates.
-    Those come from one ``model.rate_columns`` reader over the sweep's node
-    and midpoint times, which does the per-time work once and yields one
-    state's column at a time.  ``step_budget`` tightens the mesh grading below
-    the module default for extra accuracy.
+    (:func:`_column`) over its window, coupled at their own rates.  Those
+    come from one ``model.rate_columns`` reader over the sweep's node and
+    midpoint times, which does the per-time work once and yields one state's
+    column at a time.  ``step_budget`` tightens the mesh grading below the
+    module default for extra accuracy.
     """
     mesh = _Mesh(spec, h_step, model, step_budget)
     times = mesh.times
@@ -681,8 +644,7 @@ def _forward(mesh, rates):
     """Log forward mass at the output times before u: one row per time, one
     column per state, from mass 1 in state x at s.  ``rates`` yields each
     state's rates on the storage nodes from s to u - dc, bottom state first;
-    each state is fed at the rates of the state below.  A state's column runs
-    over its forward window and is -inf outside it."""
+    each state is fed at the rates of the state below."""
     steps = _step_powers(np.diff(mesh.fwd_bounds))
     out = np.full((mesh.out_fb_idx.size, mesh.spec.n + 1), -np.inf)
     prior, feed = [], None

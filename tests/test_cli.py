@@ -483,6 +483,25 @@ def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, samp
     assert all(c.count("\n") == 4 * cli.BLOCK_ROWS for c in chunks[1:-1])
 
 
+@pytest.mark.parametrize("sampler", ["constant", "model"])
+def test_paths_rows_wider_than_a_block_go_out_one_row_at_a_time(tmp_path, monkeypatch, sampler):
+    # n = 6 jumps per replica against BLOCK_CELLS = 4: each row is a block of its own
+    monkeypatch.setattr(cli, "BLOCK_CELLS", 4)
+    spec = BridgeSpec(0, 6)
+    if sampler == "constant":
+        args = ["--lambda", "1"]
+        times = jump_time_matrix(sample_constant(1.0, spec, 9, 8))
+    else:
+        args = ["--model", write_model(tmp_path, PRODUCT)]
+        model = model_from_dict(PRODUCT)
+        times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3), 9, 8))
+    out = tmp_path / "s"
+    assert cli.main(["sample"] + args + ["--y", "6", "--replicas", "9", "--seed", "8",
+                                         "--out", str(out)]) == 0
+    rows = [(r, j, t) for r, row in enumerate(times) for j, t in enumerate(row, start=1)]
+    assert (out / "paths.csv").read_text() == cells_csv(["replica", "jump_index", "time"], rows)
+
+
 @pytest.mark.parametrize("args", [["--lambda", "2"], ["--model", "PRODUCT"]],
                          ids=["constant", "model"])
 def test_a_bridge_without_jumps_writes_the_header_only(tmp_path, args):
