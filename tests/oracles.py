@@ -1,11 +1,14 @@
-"""Independent oracles for the tests: quadrature, rejection sampling, scipy's binomial.
+"""Independent oracles for the tests: quadrature, rejection sampling, closed forms.
 
 The jump times (T_1, ..., T_n) of an x -> y bridge have a density on the
 ordered simplex proportional to exp(sum_j xi_j(t_j)), where xi_j is the
 cumulative integral in time of the characteristic one state below the j-th
 jump.  The devices here integrate or sample that density directly, never
 touching the h-field, so they check the engine and the samplers from
-outside.  They need scipy (``cumulative_simpson``, ``binom``); the package
+outside.  Every exp-affine bridge also has a closed form: on the clock
+tau(t) = expm1(lam t) / lam its rate is time-homogeneous, so log h is a
+negative-binomial (or Poisson) transition law and each marginal is binomial.
+They need scipy (``cumulative_simpson``, ``gammaln``, ``binom``); the package
 itself does not import it.
 """
 
@@ -13,7 +16,8 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.stats import binom  # noqa: F401  (the tests' closed-form binomial law)
+from scipy.special import gammaln
+from scipy.stats import binom
 
 from countbridge.errors import CountBridgeError, IndexOut, NotSorted
 from countbridge.intensity import characteristic_bounds
@@ -39,6 +43,57 @@ class FullWindows:
 
     def __getattr__(self, name):
         return getattr(self.model, name)
+
+
+def _tau_gap(lam, t0, t1):
+    """tau(t1) - tau(t0) for the clock tau(t) = expm1(lam t) / lam (tau = t at lam = 0)."""
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    if lam == 0.0:
+        return t1 - t0
+    return np.exp(lam * t0) * np.expm1(lam * (t1 - t0)) / lam
+
+
+def exp_affine_logh(model, spec, times):
+    """Closed-form log h(t, z) of an ``ExpAffine`` model: rows over ``times``,
+    columns over the ladder.
+
+    On the clock tau the rate e^(lam t) (a + b z) becomes the time-homogeneous
+    a + b z, so the jumps over [t, u] follow the negative-binomial transition
+    law with c = a / b and D = tau(u) - tau(t): log h(t, z) = lgamma(c + y) -
+    lgamma(c + z) - lgamma(y - z + 1) - (a + b z) D + (y - z) log(1 - e^(-b D)).
+    At b = 0 it is the Poisson law with mean a D.
+    """
+    a, b = model.a, model.b
+    d = _tau_gap(model.lam, np.asarray(times, dtype=float), spec.u)[:, None]
+    z = spec.ladder()[None, :].astype(float)
+    k = spec.y - z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if b == 0.0:
+            out = k * np.log(a * d) - a * d - gammaln(k + 1.0)
+        else:
+            c = a / b
+            out = (gammaln(c + spec.y) - gammaln(c + z) - gammaln(k + 1.0)
+                   - (a + b * z) * d + k * np.log(-np.expm1(-b * d)))
+    # at u the law is the point mass at y
+    return np.where(d > 0, out, np.where(k == 0, 0.0, -np.inf))
+
+
+def exp_affine_marginals(model, spec, times):
+    """Closed-form P(X_t = z) of an ``ExpAffine`` bridge: rows over ``times``,
+    columns over the ladder.  X_t - x is Binomial(n, p(t)) with
+    p(t) = expm1(b (tau(t) - tau(s))) / expm1(b (tau(u) - tau(s))), the
+    constant-characteristic bridge of the clock tau ((tau(t) - tau(s)) /
+    (tau(u) - tau(s)) at b = 0)."""
+    t = np.asarray(times, dtype=float)
+    v, w = _tau_gap(model.lam, spec.s, t), _tau_gap(model.lam, spec.s, spec.u)
+    b = model.b
+    if b == 0.0:
+        p = v / w
+    else:
+        # the ratio of expm1's, written so that neither overflows
+        p = np.exp(b * (v - w)) * np.expm1(-b * v) / np.expm1(-b * w)
+    p = np.clip(p, 0.0, 1.0)
+    return binom.pmf(np.arange(spec.n + 1)[None, :], spec.n, p[:, None])
 
 
 class CharacteristicIntegrals:
