@@ -16,8 +16,9 @@ module promises.  Two devices deal with that:
   to the classical RK4 stages;
 * the mesh is graded toward the terminal time in the variable that actually
   measures pin pressure: the remaining integrated rate.  Each step moves at
-  most STEP_BUDGET / (ladder height) in log of that variable, which for
-  constant rates is exactly a geometric mesh in u - t.
+  most STEP_BUDGET / d in log of that variable, d the depth below the pin of
+  the deepest state live on its cell (see Windows and :class:`_Mesh`), which
+  for constant rates is exactly a geometric mesh in u - t.
 
 Every system here is bidiagonal: a state is fed by one neighbour only (the
 state above backward, the state below forward).  So every sweep takes the
@@ -40,6 +41,9 @@ most WINDOW_TAIL, and every sweep runs a state's column only over its
 window.  A path that touches a skipped cell is at or past that state at the
 cut, so the sweeps compute the bridge conditioned on an event of probability
 at least 1 - 2 (n + 1) WINDOW_TAIL, the same law in both marginal routes.
+The cut times are known before any node is placed, so they also grade the
+mesh: a state is dead late once it is past its last live time, and near u
+only shallow states are live.
 Inside its window log h is exact (to the integrator's accuracy) wherever it
 is representable as a float, far below exp(-700), and its only -inf cells
 are the exact zeros of the discrete scheme next to u; outside, it is -inf.
@@ -140,10 +144,17 @@ class _Mesh:
 
     Subdivision measures closeness to the pin by the remaining integrated
     rate lam_hat(t) = integral over [t, u] of the ladder-minimal rate; each
-    step moves at most STEP_BUDGET / (ladder height) in log lam_hat.  The
+    step of cell j moves at most STEP_BUDGET / d_j in log lam_hat.  The
     pinned jump rate at depth m below the endpoint scales like
     m * rate / lam_hat, so this keeps the per-step rate-times-step product
-    uniformly below STEP_BUDGET even when rates decay sharply toward u.
+    below STEP_BUDGET for every state at most d_j deep, even when rates decay
+    sharply toward u.  d_j is n + 2 less the number of states dead late (see
+    the module notes) at the cell's start, clipped to [1, n]: the depth of
+    the deepest state live on the cell, plus one for ``solve_h``'s windows,
+    which reach one state past the live ones, plus one to spare.  So every
+    computed cell keeps the bound, and no cell is graded deeper than n.  The
+    pin extension takes d_j at u - dc.  Models without exact characteristic
+    bounds, and tilts that overflow exp, have no cut times and take d_j = n.
 
     The node count is known before any node is placed; a mesh whose stored
     (nodes x ladder) array would exceed MEMORY_CAP raises
@@ -174,12 +185,16 @@ class _Mesh:
                             f" t = {t_tab[np.argmax(gone)]:.6g}, before u = {spec.u:g}")
         v_tab = np.log(lam_hat[:-1])
 
-        # cell j = [edges[j], edges[j+1]] gets n_sub[j] substeps, equal in v
-        depth_scale = max(1, spec.n) / self.step_budget
+        # cell j = [edges[j], edges[j+1]] gets n_sub[j] substeps, equal in v, graded
+        # for depth[j]; the pin extension for the depth at u - dc
+        cuts = _cut_times(model, spec)
+        late = np.empty(0) if cuts is None else cuts[1]
+        n = max(1, spec.n)
+        depth = np.clip(n + 2 - np.searchsorted(late, edges[:n_c]), 1, n)
         v = np.interp(edges[:n_c], t_tab, v_tab)
         v1, v2 = v[:-1], v[1:]
-        n_sub = np.maximum(1, np.ceil((v1 - v2) * depth_scale).astype(int))
-        n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth_scale))
+        n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / self.step_budget).astype(int))
+        n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth[-1] / self.step_budget))
         n_fb = 1 + int(n_sub.sum())
         n_nodes = 2 * n_fb + n_ext
         check_memory(n_nodes * (spec.n + 1) * 8,
@@ -212,24 +227,26 @@ class _Mesh:
         self.n_fwd_nodes = seg_a.size
         # storage index of each output edge except u (edge k sits at 2 * fb-index)
         self.out_node_idx = 2 * self.out_fb_idx
-        self._place_windows(model)
+        self._place_windows(cuts)
 
-    def _place_windows(self, model):
-        """Each state's windows: fb-indices ``fwd_lo`` to ``fwd_hi`` for the
-        forward sweeps, one node past its live nodes each way, and nodes
-        ``h_lo`` to ``h_hi`` for ``solve_h``, seeded at ``h_hi``.  An h window
-        covers the forward windows of its state and of the one below, and runs
-        to u once its seed would reach its pin layer (``pin_limit``)."""
+    def _place_windows(self, cuts):
+        """Each state's windows, from the cut times ``cuts`` (full windows where
+        None): fb-indices ``fwd_lo`` to ``fwd_hi`` for the forward sweeps, one
+        node past its live nodes each way, and nodes ``h_lo`` to ``h_hi`` for
+        ``solve_h``, seeded at ``h_hi``.  An h window covers the forward windows
+        of its state and of the one below, and runs to u once its seed would
+        reach its pin layer (``pin_limit``)."""
         n, last_fb, last = self.spec.n, self.fwd_bounds.size - 1, self.times.size - 1
         d_min = self.spec.u - self.times[-2]
         self.pin_limit = np.minimum(np.searchsorted(
             self.times, self.spec.u - (n - np.arange(n)) * d_min, side="right"), last)
-        live = _live_nodes(model, self.spec, self.times)
-        if live is None:
+        if cuts is None:
             self.fwd_lo, self.fwd_hi = np.zeros(n + 1, int), np.full(n + 1, last_fb)
             self.h_lo, self.h_hi = np.zeros(n + 1, int), np.full(n + 1, last)
         else:
-            first, final = live
+            # each state's first and last live node
+            first = np.searchsorted(self.times, cuts[0], side="left")
+            final = np.searchsorted(self.times, cuts[1], side="right") - 1
             self.fwd_lo = np.minimum(np.maximum(first - 1, 0) // 2, last_fb)
             self.fwd_hi = np.minimum(final // 2 + 1, last_fb)
             self.h_lo = np.concatenate([[0], 2 * self.fwd_lo[:-1]])
@@ -257,12 +274,13 @@ def _tail_thresholds(n):
     return np.concatenate([[0.0], np.exp(v), [math.exp(-k)]])
 
 
-def _live_nodes(model, spec, times):
-    """Each ladder state's first and last live node on ``times`` (see the module
-    notes); None for a model without exact characteristic bounds or a tilt that
-    overflows exp.  State x + i is dead early while the profile p_hi at the
-    characteristic's infimum is below thr[i], and dead late once 1 - p_lo, at
-    its supremum, is below thr[n - i]."""
+def _cut_times(model, spec):
+    """Each ladder state's window cut times (early, late), the first and the
+    last time it is live (see the module notes); None for a model without
+    exact characteristic bounds or a tilt that overflows exp.  State x + i is
+    dead early while the profile p_hi at the characteristic's infimum is
+    below thr[i], and dead late once 1 - p_lo, at its supremum, is below
+    thr[n - i].  Both rise with i."""
     n = spec.n
     if n == 0 or not model.exact_bounds:
         return None
@@ -275,8 +293,7 @@ def _live_nodes(model, spec, times):
         late = spec.u - length * tilted_quantile(-bounds.sup * length, thr[::-1])
     except OutOfDomain:
         return None
-    return (np.searchsorted(times, early, side="left"),
-            np.searchsorted(times, late, side="right") - 1)
+    return early, late
 
 
 def _step_powers(step):

@@ -258,6 +258,39 @@ def _piecewise_eval(x, c, t, cols):
     return _power_sum(c.reshape(c.shape[0], -1), i * c.shape[2] + cols, powers)
 
 
+def _unproved_piece(x, y, dydx, max_halvings=48):
+    """(piece, column) of a cubic Hermite interpolant not proved positive, or None.
+
+    On a piece of width dx the cubic's Bernstein coefficients are y0,
+    y0 + dx d0 / 3, y1 - dx d1 / 3 and y1, and its values lie between their
+    extremes.  A piece whose four coefficients are positive is positive.  The
+    others are halved by de Casteljau, whose halves have their own Bernstein
+    coefficients, closer to the curve, and are tried again.  A piece is a dip
+    when its value half-way, the halves' shared end, is not above the rounding
+    of the halving (4 ulps of the piece's largest coefficient), or when it is
+    still unproved after ``max_halvings`` halvings.
+    """
+    dx = np.diff(x)[:, None]
+    b = np.stack([y[:-1], y[:-1] + dx * dydx[:-1] / 3.0, y[1:] - dx * dydx[1:] / 3.0, y[1:]])
+    piece, col = (a.ravel() for a in np.indices(b.shape[1:]))
+    b = b.reshape(4, -1)
+    slack = 4.0 * np.finfo(float).eps * np.abs(b).max(axis=0)
+    for halving in range(max_halvings + 1):
+        keep = ~np.all(b > 0, axis=0)
+        b, piece, col, slack = b[:, keep], piece[keep], col[keep], slack[keep]
+        if not b.size:
+            return None
+        b01, b12, b23 = 0.5 * (b[0] + b[1]), 0.5 * (b[1] + b[2]), 0.5 * (b[2] + b[3])
+        b012, b123 = 0.5 * (b01 + b12), 0.5 * (b12 + b23)
+        mid = 0.5 * (b012 + b123)
+        bad = ~(mid > slack)
+        if bad.any() or halving == max_halvings:
+            k = int(np.argmax(bad))
+            return int(piece[k]), int(col[k])
+        b = np.concatenate([[b[0], b01, b012, mid], [mid, b123, b23, b[3]]], axis=1)
+        piece, col, slack = np.tile(piece, 2), np.tile(col, 2), np.tile(slack, 2)
+
+
 class Tabulated(_RateModel):
     """Rates given on a time grid x contiguous state range.
 
@@ -301,11 +334,12 @@ class Tabulated(_RateModel):
         self._coef = _hermite_coefficients(t_grid, rates, rates_dt)
         self._coef_dt = self._coef[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
         # Hermite interpolation can overshoot between nodes; refuse models
-        # whose interpolant dips to zero or below anywhere on the hull.
-        probe = np.linspace(t_grid[0], t_grid[-1], max(101, 4 * t_grid.size))
-        if np.min(_piecewise_eval(t_grid, self._coef, probe[:, None],
-                                  np.arange(rates.shape[1]))) <= 0:
-            raise ValueError("interpolated rates dip to zero between nodes")
+        # whose interpolant is not proved positive on every piece.
+        dip = _unproved_piece(t_grid, rates, rates_dt)
+        if dip is not None:
+            piece, col = dip
+            raise ValueError(f"interpolated rates dip to zero between nodes: state"
+                             f" {self.z_min + col} on [{t_grid[piece]:g}, {t_grid[piece + 1]:g}]")
 
     @property
     def z_max(self):

@@ -597,9 +597,14 @@ def _edited(descriptor, **params):
     (json.dumps(_edited(TABULATED, rates_dt=[[math.inf] * 8] * 11)),
      "rates_dt must hold finite numbers"),
     (json.dumps(_edited(TABULATED, z_min=0.5)), "z_min must be an integer"),
+    # positive at the nodes and on any probe grid, -7.3e-6 near t = 0.00166
+    (json.dumps({"family": "tabulated",
+                 "params": {"t_grid": [0, 1], "z_min": 0, "rates": [[1e-6, 1e-6], [1, 1]],
+                            "rates_dt": [[-1e-2, -1e-2], [0, 0]]}}),
+     "dip to zero between nodes: state 0 on [0, 1]"),
 ], ids=["a-string", "a-null", "lambda-nan", "a-infinity", "product-alpha-string",
         "state-floor-fractional", "tabulated-rate-nan", "tabulated-t-grid-nan",
-        "tabulated-rates-dt-infinity", "tabulated-z-min-fractional"])
+        "tabulated-rates-dt-infinity", "tabulated-z-min-fractional", "tabulated-dip"])
 def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
     # a model file is outside input: a value that is not a finite number, or a state
     # that is not an integer, is a ValueError naming the field (exit 2), never a

@@ -242,7 +242,9 @@ def test_marginals_refuse_a_field_of_another_bridge():
 
 
 def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
-    """Reference: forward substep boundaries placed one cell, one node at a time."""
+    """Reference: forward substep boundaries placed one cell, one node at a time,
+    each cell graded for the deepest state live on it, plus the pin extension's
+    node count."""
     n_c = max(2, int(round(spec.length / h_step)))
     edges = np.linspace(spec.s, spec.u, n_c + 1)
     probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
@@ -250,18 +252,27 @@ def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
     seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
     lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     t_tab, v_tab = probe_t[:-1], np.log(lam_hat[:-1])
-    depth_scale = max(1, spec.n) / budget
+    cuts = engine._cut_times(model, spec)
+    late = [] if cuts is None else list(cuts[1])
+    n = max(1, spec.n)
+
+    def depth(t):
+        # the states dead late by t are the shallowest i of them; the deepest live
+        # one is n - i, and the grading runs two states deeper
+        return min(n, max(1, n + 2 - sum(1 for c in late if c < t)))
+
     fwd, out_idx = [spec.s], [0]
     for j in range(n_c - 1):
         t1, t2 = edges[j], edges[j + 1]
         v1, v2 = float(np.interp(t1, t_tab, v_tab)), float(np.interp(t2, t_tab, v_tab))
-        n_sub = max(1, int(math.ceil((v1 - v2) * depth_scale)))
+        n_sub = max(1, int(math.ceil((v1 - v2) * depth(t1) / budget)))
         for i in range(1, n_sub):
             t = float(np.interp(-(v1 + (v2 - v1) * i / n_sub), -v_tab, t_tab))
             fwd.append(min(t2, max(t1, t)))
         fwd.append(t2)
         out_idx.append(len(fwd) - 1)
-    return np.asarray(fwd), np.asarray(out_idx)
+    n_ext = int(math.ceil(math.log(engine.PIN_DEPTH) * depth(edges[n_c - 1]) / budget))
+    return np.asarray(fwd), np.asarray(out_idx), n_ext
 
 
 @pytest.mark.parametrize("model, spec, h_step", [
@@ -271,10 +282,43 @@ def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
 ], ids=["poisson", "time-exponential", "product-window"])
 def test_mesh_placement_matches_the_cell_loop(model, spec, h_step):
     mesh = engine._Mesh(spec, h_step, model)
-    fb, out_idx = _loop_fwd_bounds(spec, h_step, model)
+    fb, out_idx, n_ext = _loop_fwd_bounds(spec, h_step, model)
     assert np.all(np.diff(fb) > 0)
     assert np.array_equal(mesh.fwd_bounds, fb)
     assert np.array_equal(mesh.out_fb_idx, out_idx)
+    assert mesh.times.size == 2 * fb.size - 1 + n_ext + 1
+
+
+@st.composite
+def _exp_affine_bridges(draw):
+    """An exp-affine model and a bridge of up to 80 jumps on a random window."""
+    model = ExpAffine(draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 3.0)),
+                      draw(st.floats(-8.0, 8.0)))
+    x, n = draw(st.integers(0, 5)), draw(st.integers(0, 80))
+    s = draw(st.floats(0.0, 0.8))
+    u = draw(st.floats(s + 0.05, 1.0))
+    return model, BridgeSpec(x, x + n, s, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exp_affine_bridges(), st.sampled_from([1e-2, 2e-3]))
+def test_live_depth_grading_never_adds_nodes(bridge, h_step):
+    # each cell is graded for at most the whole ladder, so a live-graded mesh has no
+    # more nodes than the one graded for depth n everywhere; the late cuts it counts
+    # rise with the state
+    model, spec = bridge
+    mesh = engine._Mesh(spec, h_step, model)
+    assert mesh.times.size <= engine._Mesh(spec, h_step, FullWindows(model)).times.size
+    cuts = engine._cut_times(model, spec)
+    if cuts is not None:
+        assert np.all(np.diff(cuts[1]) >= 0)
+
+
+def test_lead_bridge_mesh_stays_under_12000_nodes():
+    # TimeExponential(1, -3), 0 -> 200 took 45,231 nodes graded for depth 200
+    # everywhere; near u only shallow states are live.  The mesh is only laid out
+    mesh = engine._Mesh(BridgeSpec(0, 200), 1e-3, TimeExponential(1.0, -3.0))
+    assert mesh.times.size <= 12000
 
 
 def _walk_anchors(h):
@@ -437,7 +481,7 @@ def test_marginals_reuse_the_mesh_of_the_field(monkeypatch):
 
 
 def test_solve_h_refuses_a_mesh_over_the_memory_cap():
-    # 0 -> 3000 needs about 485k nodes x 3001 states: ~11 GiB for log h
+    # 0 -> 3000 needs about 102k nodes x 3001 states: ~2.3 GiB for log h
     with pytest.raises(ResourceCap, match="GiB"):
         solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
 
@@ -615,14 +659,14 @@ def test_solve_h_peaks_near_the_one_stored_array():
     assert peak <= 1.5 * h.logh.nbytes
 
 
-def test_mesh_cap_admits_1200_jumps_and_refuses_1300():
-    # at h_step 1e-3 log h alone takes 1.74 GiB for 0 -> 1200 and 2.04 GiB for
-    # 0 -> 1300; the mesh is only laid out, so a wrong cap allocates nothing large
+def test_mesh_cap_admits_2800_jumps_and_refuses_2900():
+    # at h_step 1e-3 log h alone takes 2.00 GiB for 0 -> 2800 and 2.13 GiB for
+    # 0 -> 2900; the mesh is only laid out, so a wrong cap allocates nothing large
     model = Product(1.0, 3.0, 0.1)
-    mesh = engine._Mesh(BridgeSpec(0, 1200), 1e-3, model)
-    assert mesh.times.size * 1201 * 8 <= engine.MEMORY_CAP
-    with pytest.raises(ResourceCap, match="2.0 GiB; the cap is 2 GiB"):
-        engine._Mesh(BridgeSpec(0, 1300), 1e-3, model)
+    mesh = engine._Mesh(BridgeSpec(0, 2800), 1e-3, model)
+    assert mesh.times.size * 2801 * 8 <= engine.MEMORY_CAP
+    with pytest.raises(ResourceCap, match="2.1 GiB; the cap is 2 GiB"):
+        engine._Mesh(BridgeSpec(0, 2900), 1e-3, model)
 
 
 def test_pinned_rates_past_the_float_range_of_the_h_ratio():
@@ -694,17 +738,22 @@ def test_windows_leave_out_only_cells_the_bridge_almost_never_holds(bridge):
     (TimeExponential(60.0, -3.0), BridgeSpec(0, 60)),
     (SpaceLinear(2.0, 1.0), BridgeSpec(1, 30, 0.1, 0.9)),
 ], ids=["product", "exp-affine-window", "time-exponential", "space-linear-window"])
-def test_windowed_sweeps_match_the_full_window_reference(model, spec):
+def test_windowed_sweeps_match_the_full_window_reference(model, spec, monkeypatch):
     # the windows skip cells that hold at most 2 (n + 1) WINDOW_TAIL of the bridge, so
-    # both tables stay within 1e-11 of the unwindowed kernel's, and the sampled jump
-    # times within 1e-12
-    h, ref = solve_h(model, spec), solve_h(FullWindows(model), spec)
+    # both tables stay within 1e-11 of the unwindowed kernel's on the same mesh, and
+    # the sampled jump times within 1e-12
+    h = solve_h(model, spec)
+    place = engine._Mesh._place_windows
+    monkeypatch.setattr(engine._Mesh, "_place_windows", lambda mesh, cuts: place(mesh, None))
+    ref = solve_h(model, spec)
+    assert np.array_equal(h.times, ref.times)
+    assert np.all(ref.mesh.h_lo == 0) and np.all(ref.mesh.h_hi == ref.times.size - 1)
     assert np.sum(h.mesh.h_hi - h.mesh.h_lo) < 0.8 * (spec.n + 1) * h.times.size
     for route in (marginal_table, marginal_table_two_sided):
-        gap = np.abs(route(model, spec, h=h).probs - route(ref.model, spec, h=ref).probs)
+        gap = np.abs(route(model, spec, h=h).probs - route(model, spec, h=ref).probs)
         assert np.max(gap) <= 1e-11
     got = jump_time_matrix(sample_bridge(model, spec, h, 500, 5))
-    want = jump_time_matrix(sample_bridge(ref.model, spec, ref, 500, 5))
+    want = jump_time_matrix(sample_bridge(model, spec, ref, 500, 5))
     assert np.max(np.abs(got - want)) <= 1e-12
 
 

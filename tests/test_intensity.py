@@ -6,8 +6,8 @@ import pytest
 
 from countbridge.errors import EmptyRange, OutOfDomain, TabulationGap
 from countbridge.intensity import (_T_SLACK, ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
-                                   TimeExponential, characteristic_bounds,
-                                   constant_characteristic_model, generic_characteristic,
+                                   TimeExponential, _hermite_coefficients, _piecewise_eval,
+                                   characteristic_bounds, constant_characteristic_model, generic_characteristic,
                                    model_from_dict)
 
 # ids spell each model as its legacy descriptor (family + params)
@@ -288,6 +288,51 @@ def test_tabulated_refuses_a_dip_between_nodes():
     # positive at both nodes, but the slopes pull the cubic to 0.1 - 1.25 at t = 0.5
     with pytest.raises(ValueError, match="dip to zero between nodes"):
         Tabulated([0.0, 1.0], 0, [[0.1], [0.1]], [[-5.0], [5.0]])
+
+
+def test_tabulated_refuses_a_dip_no_grid_probe_would_find():
+    # positive at both nodes and on any grid of 101 or 4 x nodes points, but the
+    # rate is -7.3e-6 near t = 0.00166: the Bernstein enclosure refuses it, naming
+    # the first state and the piece that dip
+    with pytest.raises(ValueError, match=r"dip to zero between nodes: state 0 on \[0, 1\]"):
+        Tabulated([0.0, 1.0], 0, [[1e-6, 1e-6], [1.0, 1.0]], [[-1e-2, -1e-2], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"state 3 on \[0.5, 1\]"):
+        Tabulated([0.0, 0.5, 1.0], 2, [[1.0, 1.0], [1.0, 1e-6], [1.0, 1.0]],
+                  [[0.0, 0.0], [0.0, -2e-2], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("lift, refused", [(0.0, True), (1e-12, False), (1e-3, False)])
+def test_tabulated_positivity_is_proved_up_to_a_tangent(lift, refused):
+    # (2t - 1)^2 + lift touches zero at t = 0.5 when lift is 0; any positive lift
+    # above rounding is proved positive after enough halvings
+    args = ([0.0, 1.0], 0, [[1.0 + lift], [1.0 + lift]], [[-4.0], [4.0]])
+    if refused:
+        with pytest.raises(ValueError, match="dip to zero"):
+            Tabulated(*args)
+    else:
+        assert Tabulated(*args).rate(0.5, 0) > 0.0
+
+
+def test_tabulated_positivity_enclosure_agrees_with_a_dense_scan():
+    # random rates with stretched centred-difference slopes, some of which overshoot:
+    # the enclosure refuses exactly those whose interpolant reaches 0 on a dense grid
+    rng = np.random.default_rng(5)
+    refusals = 0
+    for _ in range(60):
+        tg = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 12)))
+        tg /= tg[-1]
+        rates = np.exp(rng.normal(0.0, rng.uniform(0.1, 3.0), (tg.size, 4)))
+        slopes = np.gradient(rates, tg, axis=0) * rng.uniform(0.5, 3.0)
+        dense = np.linspace(tg[0], tg[-1], 100001)
+        coef = _hermite_coefficients(tg, rates, slopes)
+        lowest = float(np.min(_piecewise_eval(tg, coef, dense[:, None], np.arange(4))))
+        try:
+            Tabulated(tg, 0, rates, slopes)
+            accepted = True
+        except ValueError:
+            accepted, refusals = False, refusals + 1
+        assert accepted == (lowest > 0.0)
+    assert 0 < refusals < 60
 
 
 def test_tabulated_rate_shapes():
