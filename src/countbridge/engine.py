@@ -44,9 +44,12 @@ at least 1 - 2 (n + 1) WINDOW_TAIL, the same law in both marginal routes.
 The cut times are known before any node is placed, so they also grade the
 mesh: a state is dead late once it is past its last live time, and near u
 only shallow states are live.
-Inside its window log h is exact (to the integrator's accuracy) wherever it
-is representable as a float, far below exp(-700), and its only -inf cells
-are the exact zeros of the discrete scheme next to u; outside, it is -inf.
+Inside its window log h is the pin probability of the chain stopped at the
+cuts, representable far below exp(-700); its only -inf cells are the exact
+zeros of the discrete scheme next to u, and outside the window it is -inf.
+Where the bridge holds a state with probability 1e-10 or more it is the
+unstopped log h to the integrator's accuracy; next to the cuts, where the
+bridge almost never holds the state, it can be several nats below it.
 Models without exact characteristic bounds, and tilts that overflow exp,
 sweep the whole mesh.
 """

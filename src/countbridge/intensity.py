@@ -258,7 +258,11 @@ def _piecewise_eval(x, c, t, cols):
     return _power_sum(c.reshape(c.shape[0], -1), i * c.shape[2] + cols, powers)
 
 
-def _unproved_piece(x, y, dydx, max_halvings=48):
+# A Tabulated piece not proved positive after this many halvings is refused.
+_MAX_HALVINGS = 48
+
+
+def _unproved_piece(x, y, dydx):
     """(piece, column) of a cubic Hermite interpolant not proved positive, or None.
 
     On a piece of width dx the cubic's Bernstein coefficients are y0,
@@ -268,14 +272,14 @@ def _unproved_piece(x, y, dydx, max_halvings=48):
     coefficients, closer to the curve, and are tried again.  A piece is a dip
     when its value half-way, the halves' shared end, is not above the rounding
     of the halving (4 ulps of the piece's largest coefficient), or when it is
-    still unproved after ``max_halvings`` halvings.
+    still unproved after _MAX_HALVINGS halvings.
     """
     dx = np.diff(x)[:, None]
     b = np.stack([y[:-1], y[:-1] + dx * dydx[:-1] / 3.0, y[1:] - dx * dydx[1:] / 3.0, y[1:]])
     piece, col = (a.ravel() for a in np.indices(b.shape[1:]))
     b = b.reshape(4, -1)
     slack = 4.0 * np.finfo(float).eps * np.abs(b).max(axis=0)
-    for halving in range(max_halvings + 1):
+    for halving in range(_MAX_HALVINGS + 1):
         keep = ~np.all(b > 0, axis=0)
         b, piece, col, slack = b[:, keep], piece[keep], col[keep], slack[keep]
         if not b.size:
@@ -284,7 +288,7 @@ def _unproved_piece(x, y, dydx, max_halvings=48):
         b012, b123 = 0.5 * (b01 + b12), 0.5 * (b12 + b23)
         mid = 0.5 * (b012 + b123)
         bad = ~(mid > slack)
-        if bad.any() or halving == max_halvings:
+        if bad.any() or halving == _MAX_HALVINGS:
             k = int(np.argmax(bad))
             return int(piece[k]), int(col[k])
         b = np.concatenate([[b[0], b01, b012, mid], [mid, b123, b23, b[3]]], axis=1)

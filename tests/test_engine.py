@@ -257,8 +257,8 @@ def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
     n = max(1, spec.n)
 
     def depth(t):
-        # the states dead late by t are the shallowest i of them; the deepest live
-        # one is n - i, and the grading runs two states deeper
+        # the states dead late by t are the lowest i of them, so the deepest live
+        # one is n - i below the pin; the grading runs two states deeper
         return min(n, max(1, n + 2 - sum(1 for c in late if c < t)))
 
     fwd, out_idx = [spec.s], [0]
