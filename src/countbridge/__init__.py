@@ -16,8 +16,8 @@ from .analytic import (BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf
 from .engine import (BridgeSpec, HField, MarginalTable, marginal_table,
                      marginal_table_two_sided, mean_curve, second_differences, solve_h)
 from .intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
-                        characteristic_bounds, constant_characteristic_model,
-                        generic_characteristic, model_from_dict, model_from_json)
+                        constant_characteristic_model, generic_characteristic, model_from_dict,
+                        model_from_json)
 from .sampler import (PathBatch, PathSample, jump_time_matrix, replica_rng, sample_bridge,
                       sample_constant)
 from .verify import (BoundReport, ConvexityReport, DualityResult, LLNReport, TestFunctional,

@@ -50,8 +50,8 @@ zeros of the discrete scheme next to u, and outside the window it is -inf.
 Where the bridge holds a state with probability 1e-10 or more it is the
 unstopped log h to the integrator's accuracy; next to the cuts, where the
 bridge almost never holds the state, it can be several nats below it.
-Models without exact characteristic bounds, and tilts that overflow exp,
-sweep the whole mesh.
+Every model's bounds are proved; a tilt that overflows exp, or an infinite
+bound, puts the cuts at the window ends, so every state is live throughout.
 """
 
 from __future__ import annotations
@@ -85,6 +85,10 @@ PREFIX_TINY = 1e-280
 # bytes is refused before anything of that size is allocated; so are samples and
 # grids whose arrays would.
 MEMORY_CAP = 2 * 2 ** 30
+# A marginal table is refused when its mass drifts by more than DRIFT_TOL between
+# output rows, or a tail P(X_t >= z) falls in t by more than MONOTONE_TOL.
+DRIFT_TOL = 1e-6
+MONOTONE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,8 @@ class _Mesh:
     the deepest state live on the cell, plus one for ``solve_h``'s windows,
     which reach one state past the live ones, plus one to spare.  So every
     computed cell keeps the bound, and no cell is graded deeper than n.  The
-    pin extension takes d_j at u - dc.  Models without exact characteristic
-    bounds, and tilts that overflow exp, have no cut times and take d_j = n.
+    pin extension takes d_j at u - dc.  Cuts at the window ends (see
+    :func:`_cut_times`) give d_j = n.
 
     The node count is known before any node is placed; a mesh whose stored
     (nodes x ladder) array would exceed MEMORY_CAP raises
@@ -191,9 +195,8 @@ class _Mesh:
         # cell j = [edges[j], edges[j+1]] gets n_sub[j] substeps, equal in v, graded
         # for depth[j]; the pin extension for the depth at u - dc
         cuts = _cut_times(model, spec)
-        late = np.empty(0) if cuts is None else cuts[1]
         n = max(1, spec.n)
-        depth = np.clip(n + 2 - np.searchsorted(late, edges[:n_c]), 1, n)
+        depth = np.clip(n + 2 - np.searchsorted(cuts[1], edges[:n_c]), 1, n)
         v = np.interp(edges[:n_c], t_tab, v_tab)
         v1, v2 = v[:-1], v[1:]
         n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / self.step_budget).astype(int))
@@ -233,31 +236,27 @@ class _Mesh:
         self._place_windows(cuts)
 
     def _place_windows(self, cuts):
-        """Each state's windows, from the cut times ``cuts`` (full windows where
-        None): fb-indices ``fwd_lo`` to ``fwd_hi`` for the forward sweeps, one
-        node past its live nodes each way, and nodes ``h_lo`` to ``h_hi`` for
-        ``solve_h``, seeded at ``h_hi``.  An h window covers the forward windows
-        of its state and of the one below, and runs to u once its seed would
-        reach its pin layer (``pin_limit``)."""
+        """Each state's windows, from the cut times ``cuts``: fb-indices ``fwd_lo``
+        to ``fwd_hi`` for the forward sweeps, one node past its live nodes each
+        way, and nodes ``h_lo`` to ``h_hi`` for ``solve_h``, seeded at ``h_hi``.
+        An h window covers the forward windows of its state and of the one
+        below, and runs to u once its seed would reach its pin layer
+        (``pin_limit``); cuts at the window ends give the whole mesh."""
         n, last_fb, last = self.spec.n, self.fwd_bounds.size - 1, self.times.size - 1
         d_min = self.spec.u - self.times[-2]
         self.pin_limit = np.minimum(np.searchsorted(
             self.times, self.spec.u - (n - np.arange(n)) * d_min, side="right"), last)
-        if cuts is None:
-            self.fwd_lo, self.fwd_hi = np.zeros(n + 1, int), np.full(n + 1, last_fb)
-            self.h_lo, self.h_hi = np.zeros(n + 1, int), np.full(n + 1, last)
-        else:
-            # each state's first and last live node
-            first = np.searchsorted(self.times, cuts[0], side="left")
-            final = np.searchsorted(self.times, cuts[1], side="right") - 1
-            self.fwd_lo = np.minimum(np.maximum(first - 1, 0) // 2, last_fb)
-            self.fwd_hi = np.minimum(final // 2 + 1, last_fb)
-            self.h_lo = np.concatenate([[0], 2 * self.fwd_lo[:-1]])
-            rise = np.arange(n + 1)
-            seed = np.maximum(2 * np.minimum(self.fwd_hi + 1, last_fb), final) + 1
-            seed = np.maximum.accumulate(seed - rise) + rise
-            reach = np.maximum.accumulate(seed >= np.append(self.pin_limit, 0))
-            self.h_hi = np.where(reach, last, seed)
+        # each state's first and last live node
+        first = np.searchsorted(self.times, cuts[0], side="left")
+        final = np.searchsorted(self.times, cuts[1], side="right") - 1
+        self.fwd_lo = np.minimum(np.maximum(first - 1, 0) // 2, last_fb)
+        self.fwd_hi = np.minimum(final // 2 + 1, last_fb)
+        self.h_lo = np.concatenate([[0], 2 * self.fwd_lo[:-1]])
+        rise = np.arange(n + 1)
+        seed = np.maximum(2 * np.minimum(self.fwd_hi + 1, last_fb), final) + 1
+        seed = np.maximum.accumulate(seed - rise) + rise
+        reach = np.maximum.accumulate(seed >= np.append(self.pin_limit, 0))
+        self.h_hi = np.where(reach, last, seed)
 
 
 def _tail_thresholds(n):
@@ -278,15 +277,15 @@ def _tail_thresholds(n):
 
 
 def _cut_times(model, spec):
-    """Each ladder state's window cut times (early, late), the first and the
-    last time it is live (see the module notes); None for a model without
-    exact characteristic bounds or a tilt that overflows exp.  State x + i is
-    dead early while the profile p_hi at the characteristic's infimum is
-    below thr[i], and dead late once 1 - p_lo, at its supremum, is below
-    thr[n - i].  Both rise with i."""
+    """Each ladder state's window cut times (early, late), the first and the last
+    time it is live (see the module notes).  State x + i is dead early while the
+    profile p_hi at the characteristic's infimum is below thr[i], and dead late
+    once 1 - p_lo, at its supremum, is below thr[n - i]; both rise with i.  No
+    jump, infinite bounds or a tilt overflowing exp give the window ends."""
     n = spec.n
-    if n == 0 or not model.exact_bounds:
-        return None
+    whole = np.full(n + 1, spec.s), np.full(n + 1, spec.u)
+    if n == 0:
+        return whole
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
     thr = _tail_thresholds(n)
     length = spec.length
@@ -295,7 +294,7 @@ def _cut_times(model, spec):
         # 1 - p_lo is the profile of the reflected tilt in u - t
         late = spec.u - length * tilted_quantile(-bounds.sup * length, thr[::-1])
     except OutOfDomain:
-        return None
+        return whole
     return early, late
 
 
@@ -631,12 +630,12 @@ class MarginalTable:
         self.probs = probs
         self.drift = drift
 
-    def validate(self, drift_tol=1e-6, monotone_tol=1e-7):
+    def validate(self):
         if not np.all(np.isfinite(self.probs)):
             raise ConservationLoss("table holds non-finite probabilities")
-        if not self.drift <= drift_tol:
+        if not self.drift <= DRIFT_TOL:
             raise ConservationLoss(
-                f"mass drift {self.drift:.3e} exceeds {drift_tol:.1e}; refine the step")
+                f"mass drift {self.drift:.3e} exceeds {DRIFT_TOL:.1e}; refine the step")
         sums = self.probs.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > 1e-9:
             raise ConservationLoss("rows are not normalized")
@@ -644,7 +643,7 @@ class MarginalTable:
             raise ConservationLoss("endpoint rows are not pinned")
         tails = self.tail_matrix()
         worst = np.min(np.diff(tails, axis=0))
-        if worst < -monotone_tol:
+        if worst < -MONOTONE_TOL:
             raise ConservationLoss(
                 f"tail monotonicity in t violated by {-worst:.3e}")
         return self

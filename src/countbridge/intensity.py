@@ -91,23 +91,15 @@ def _check_state(z, floor):
 
 
 class CharacteristicBounds(NamedTuple):
-    """Infimum/supremum of the characteristic over a window x state range.
-
-    ``certified`` is True when the bounds follow from the parametric form
-    (constant or monotone in t, state-free); grid scans set it False.
-    """
+    """Proved bounds of the characteristic over a window x state range: the
+    extremes for ``ExpAffine``, within BOUNDS_TOL of them for ``Tabulated``."""
 
     inf: float
     sup: float
-    certified: bool
 
 
 class _RateModel:
     """Shared behaviour of the rate families: the JSON descriptor."""
-
-    # whether characteristic_bounds are exact, so that the engine may bound each
-    # state's window by them; otherwise it sweeps every state over the whole mesh
-    exact_bounds = False
 
     def to_dict(self):
         return {"family": self.family, "params": self._params(), "state_floor": self.state_floor}
@@ -146,7 +138,6 @@ class ExpAffine(_RateModel):
     lam: float = 0.0
     state_floor: int = 0
     family = "exp_affine"
-    exact_bounds = True
 
     def __post_init__(self):
         for name in ("a", "b", "lam"):
@@ -183,13 +174,13 @@ class ExpAffine(_RateModel):
         out = self.lam + self.b * np.exp(self.lam * t) + 0.0 * z
         return float(out) if out.ndim == 0 else out
 
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
+    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
         s, u = _validate_window(t_window)
         if z_range is not None:
             _validate_zrange(z_range, self.state_floor)
         lo = self.lam + self.b * math.exp(self.lam * s)
         hi = self.lam + self.b * math.exp(self.lam * u)
-        return CharacteristicBounds(min(lo, hi), max(lo, hi), True)
+        return CharacteristicBounds(min(lo, hi), max(lo, hi))
 
     def _params(self):
         return {"a": self.a, "b": self.b, "lambda": self.lam}
@@ -258,41 +249,63 @@ def _piecewise_eval(x, c, t, cols):
     return _power_sum(c.reshape(c.shape[0], -1), i * c.shape[2] + cols, powers)
 
 
-# A Tabulated piece not proved positive after this many halvings is refused.
+# Tabulated pieces are halved at most this often, to prove them positive and to
+# bring the characteristic bounds within BOUNDS_TOL x max(1, |bound|) of the
+# extremes; the bounds then move out by _ROUNDING times the size of their terms.
 _MAX_HALVINGS = 48
+BOUNDS_TOL = 1e-6
+_ROUNDING = 1e-12
+
+
+def _bernstein(x, y, dydx):
+    """Bernstein coefficients y0, y0 + dx d0 / 3, y1 - dx d1 / 3 and y1 of each
+    piece of the cubic Hermite interpolant: 4 x pieces x columns."""
+    dx = np.diff(x)[:, None]
+    return np.stack([y[:-1], y[:-1] + dx * dydx[:-1] / 3.0, y[1:] - dx * dydx[1:] / 3.0, y[1:]])
+
+
+def _split(b, tau):
+    """Bernstein coefficients ``b`` (one row each) of polynomials on [0, 1] split
+    at ``tau`` by de Casteljau: those of their pieces on [0, tau] and [tau, 1]."""
+    rows = [b]
+    while len(rows[-1]) > 1:
+        rows.append((1.0 - tau) * rows[-1][:-1] + tau * rows[-1][1:])
+    return np.array([r[0] for r in rows]), np.array([r[-1] for r in rows[::-1]])
+
+
+def _product(a, b):
+    """Bernstein coefficients of the products of polynomials given by theirs
+    (one row each, degrees p and q): p + q + 1 rows."""
+    p, q = len(a) - 1, len(b) - 1
+    out = np.zeros((p + q + 1,) + a.shape[1:])
+    for i in range(p + 1):
+        for j in range(q + 1):
+            out[i + j] += math.comb(p, i) * math.comb(q, j) * a[i] * b[j]
+    return out / np.array([math.comb(p + q, k) for k in range(p + q + 1)])[:, None]
 
 
 def _unproved_piece(x, y, dydx):
     """(piece, column) of a cubic Hermite interpolant not proved positive, or None.
 
-    On a piece of width dx the cubic's Bernstein coefficients are y0,
-    y0 + dx d0 / 3, y1 - dx d1 / 3 and y1, and its values lie between their
-    extremes.  A piece whose four coefficients are positive is positive.  The
-    others are halved by de Casteljau, whose halves have their own Bernstein
-    coefficients, closer to the curve, and are tried again.  A piece is a dip
-    when its value half-way, the halves' shared end, is not above the rounding
-    of the halving (4 ulps of the piece's largest coefficient), or when it is
-    still unproved after _MAX_HALVINGS halvings.
+    A piece lies between the extremes of its Bernstein coefficients, so it is
+    positive when they are.  The others are halved (:func:`_split`) and tried
+    again.  A piece is a dip when its value half-way is not above the rounding
+    of the halving (4 ulps of its largest coefficient), or when it is still
+    unproved after _MAX_HALVINGS halvings.
     """
-    dx = np.diff(x)[:, None]
-    b = np.stack([y[:-1], y[:-1] + dx * dydx[:-1] / 3.0, y[1:] - dx * dydx[1:] / 3.0, y[1:]])
-    piece, col = (a.ravel() for a in np.indices(b.shape[1:]))
-    b = b.reshape(4, -1)
+    b = _bernstein(x, y, dydx).reshape(4, -1)
+    cell = np.arange(b.shape[1])  # piece * columns + column
     slack = 4.0 * np.finfo(float).eps * np.abs(b).max(axis=0)
     for halving in range(_MAX_HALVINGS + 1):
         keep = ~np.all(b > 0, axis=0)
-        b, piece, col, slack = b[:, keep], piece[keep], col[keep], slack[keep]
+        b, cell = b[:, keep], cell[keep]
         if not b.size:
             return None
-        b01, b12, b23 = 0.5 * (b[0] + b[1]), 0.5 * (b[1] + b[2]), 0.5 * (b[2] + b[3])
-        b012, b123 = 0.5 * (b01 + b12), 0.5 * (b12 + b23)
-        mid = 0.5 * (b012 + b123)
-        bad = ~(mid > slack)
+        left, right = _split(b, 0.5)
+        bad = ~(left[-1] > slack[cell])
         if bad.any() or halving == _MAX_HALVINGS:
-            k = int(np.argmax(bad))
-            return int(piece[k]), int(col[k])
-        b = np.concatenate([[b[0], b01, b012, mid], [mid, b123, b23, b[3]]], axis=1)
-        piece, col, slack = np.tile(piece, 2), np.tile(col, 2), np.tile(slack, 2)
+            return divmod(int(cell[np.argmax(bad)]), y.shape[1])
+        b, cell = np.concatenate([left, right], axis=1), np.tile(cell, 2)
 
 
 class Tabulated(_RateModel):
@@ -390,15 +403,55 @@ class Tabulated(_RateModel):
     def characteristic(self, t, z):
         return generic_characteristic(self, t, z)
 
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None, grid_step=1e-3):
+    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
+        """Proved bounds of the characteristic over the window x state range.
+
+        On a piece it is (r' + r D) / r, r the state's cubic and D = r(., z+1)
+        - r(., z), whose numerator and denominator are formed in the degree-6
+        Bernstein basis from r's coefficients (their differences give r').
+        Where the denominator's coefficients are positive it is a weighted mean
+        of the coefficient ratios, so it lies between the least and the
+        largest.  Pieces are clipped to the window, and halved while they may
+        hold a value past BOUNDS_TOL of the values at piece ends.
+        """
         s, u = _validate_window(t_window)
-        if z_range is None:
-            z_range = (self.z_min, self.z_max - 1)
-        zlo, zhi = _validate_zrange(z_range, self.state_floor)
-        n_t = max(2, int(math.ceil((u - s) / grid_step)) + 1)
-        times = np.linspace(s, u, n_t)
-        vals = generic_characteristic(self, times[:, None], np.arange(zlo, zhi + 1))
-        return CharacteristicBounds(float(vals.min()), float(vals.max()), False)
+        zlo, zhi = _validate_zrange((self.z_min, self.z_max - 1) if z_range is None else z_range,
+                                    self.state_floor)
+        x = self.t_grid
+        self._locate(np.array([s, u]), np.array([zlo, zhi + 1]))
+        first, last = _pieces(x, np.array([s, u]))[0]
+        p, c = (a.ravel() for a in np.meshgrid(np.arange(first, last + 1),
+                                               np.arange(zlo, zhi + 1) - self.z_min, indexing="ij"))
+        dx = np.diff(x)[p]
+        b = _bernstein(x, self.rates, self.rates_dt)
+        r, jump = b[:, p, c], b[:, p, c + 1] - b[:, p, c]
+        e = 3.0 * np.diff(r, axis=0) / dx
+        ones = np.ones((5, p.size))
+        cells = np.stack([_product(e, ones) + _product(r, jump), _product(r, ones[:4])], axis=1)
+        ts, tu = np.clip((s - x[p]) / dx, 0.0, 1.0), np.clip((u - x[p]) / dx, 0.0, 1.0)
+        cells = _split(_split(cells, tu)[0], np.divide(ts, tu, out=np.zeros_like(ts), where=tu > 0))[1]
+        # the size of the terms each cell's bounds are formed from (r', r D, and the
+        # rates summed with r' / r and D); 0 where both states' data are one constant
+        at = ([p, p + 1, p, p + 1], [c, c, c + 1, c + 1])
+        varies = np.any((self.rates[at] != self.rates[p, c]) | (self.rates_dt[at] != 0.0), axis=0)
+        r_size = np.abs(r).max(axis=0)
+        sizes = np.stack([np.where(varies, r_size * (12.0 / dx + 2.0 * r_size + np.abs(jump).max(axis=0)),
+                                   0.0), r_size])
+        for halving in range(_MAX_HALVINGS + 1):
+            low = cells[:, 1].min(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = cells[:, 0] / cells[:, 1]
+                margin = _ROUNDING * (sizes[0] + np.abs(q).max(axis=0) * sizes[1]) / low
+                lo = np.where(low > 0, q.min(axis=0) - margin, -np.inf)
+                hi = np.where(low > 0, q.max(axis=0) + margin, np.inf)
+            # the least and largest value of the characteristic at the cells' ends
+            least, most = q[[0, -1]].min(), q[[0, -1]].max()
+            open_ = ((lo < least - BOUNDS_TOL * max(1.0, abs(least)))
+                     | (hi > most + BOUNDS_TOL * max(1.0, abs(most))))
+            if halving == _MAX_HALVINGS or not open_.any():
+                return CharacteristicBounds(float(lo.min()), float(hi.max()))
+            cells = np.concatenate([cells[:, :, ~open_], *_split(cells[:, :, open_], 0.5)], axis=2)
+            sizes = np.concatenate([sizes[:, ~open_], np.tile(sizes[:, open_], 2)], axis=1)
 
     def _params(self):
         params = {
@@ -424,15 +477,6 @@ def generic_characteristic(model, t, z):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(lz > 0.0, lt / lz + lup - lz, 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def characteristic_bounds(model, t_window=(0.0, 1.0), z_range=(0, 0), grid_step=1e-3):
-    """Infimum and supremum of the characteristic over window x state range.
-
-    Exact for the parametric families; a grid scan (non-certified) for
-    tabulated models.
-    """
-    return model.characteristic_bounds(t_window=t_window, z_range=z_range, grid_step=grid_step)
 
 
 def constant_characteristic_model(lam, alpha=1.0):

@@ -28,12 +28,13 @@ import numpy as np
 from .analytic import BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
 from .engine import BridgeSpec, marginal_table, mean_curve, second_differences, solve_h
 from .errors import DegenerateVariance, ResourceCap, TooFewSamples
-from .intensity import characteristic_bounds
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 
-
-def _certification(bounds):
-    return "exact-parametric" if bounds.certified else "grid-certified only"
+# The convexity check takes second differences on about INSPECT_POINTS points of
+# the mean curve; the dominance check compares tails at the interior points of
+# DOMINANCE_TIMES equally spaced times.
+INSPECT_POINTS = 51
+DOMINANCE_TIMES = 21
 
 
 @dataclass
@@ -41,7 +42,6 @@ class ConvexityReport:
     spec: BridgeSpec
     char_inf: float
     char_sup: float
-    certification: str
     claim: str                  # "convex" | "concave" | "linear" | "no claim"
     passed: bool
     worst_violation: float
@@ -51,8 +51,7 @@ class ConvexityReport:
         return {
             "check": "convexity",
             "inputs": {"x": self.spec.x, "y": self.spec.y, "s": self.spec.s, "u": self.spec.u,
-                       "char_inf": self.char_inf, "char_sup": self.char_sup,
-                       "certification": self.certification},
+                       "char_inf": self.char_inf, "char_sup": self.char_sup},
             "tolerances": {"second_difference": self.tol},
             "claim": self.claim,
             "worst_violation": self.worst_violation,
@@ -60,8 +59,7 @@ class ConvexityReport:
         }
 
 
-def convexity_check(model, spec, h_step=1e-3, tol=1e-8, inspect_points=51, table=None,
-                    step_budget=0.005):
+def convexity_check(model, spec, h_step=1e-3, tol=1e-8, table=None, step_budget=0.005):
     """Verdict on the curvature of the bridge mean curve.
 
     Nonnegative characteristic over the window and ladder implies convexity,
@@ -72,13 +70,13 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8, inspect_points=51, table
     the differences on a decimated uniform grid.
     """
     if spec.n == 0:
-        return ConvexityReport(spec, 0.0, 0.0, "exact-parametric", "linear", True, 0.0, tol)
-    bounds = characteristic_bounds(model, (spec.s, spec.u), (spec.x, spec.y - 1))
+        return ConvexityReport(spec, 0.0, 0.0, "linear", True, 0.0, tol)
+    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
     if table is None:
         table = marginal_table(model, spec, h_step, step_budget=step_budget)
     curve = mean_curve(table)
     npts = curve.shape[0]
-    stride = max(1, int(round((npts - 1) / (inspect_points - 1))))
+    stride = max(1, int(round((npts - 1) / (INSPECT_POINTS - 1))))
     if (npts - 1) % stride:
         stride = 1
     d2 = second_differences(curve[::stride])
@@ -94,8 +92,7 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8, inspect_points=51, table
     else:
         claim, worst = "no claim", 0.0
     passed = claim == "no claim" or worst <= tol
-    return ConvexityReport(spec, bounds.inf, bounds.sup, _certification(bounds),
-                           claim, passed, worst, tol)
+    return ConvexityReport(spec, bounds.inf, bounds.sup, claim, passed, worst, tol)
 
 
 @dataclass
@@ -109,7 +106,6 @@ class BoundReport:
     worst_margin: float
     passed: bool
     tol: float
-    certification: str
     hypothesis_holds: bool
 
     def to_dict(self):
@@ -117,7 +113,6 @@ class BoundReport:
             "check": "dominance",
             "inputs": {"x": self.spec.x, "y": self.spec.y, "s": self.spec.s, "u": self.spec.u,
                        "lambda": self.lam_used, "direction": self.direction,
-                       "certification": self.certification,
                        "hypothesis_holds": self.hypothesis_holds},
             "tolerances": {"margin": self.tol},
             "worst_margin": self.worst_margin,
@@ -126,8 +121,7 @@ class BoundReport:
         }
 
 
-def dominance_check(model, spec, lam, direction="lower", t_grid=None, tol=1e-6,
-                    h_step=1e-3, table=None):
+def dominance_check(model, spec, lam, direction="lower", tol=1e-6, h_step=1e-3, table=None):
     """Compare every marginal tail of the bridge with its binomial benchmark.
 
     With ``direction="lower"`` (lam a lower bound of the characteristic on the
@@ -140,20 +134,18 @@ def dominance_check(model, spec, lam, direction="lower", t_grid=None, tol=1e-6,
     if direction not in ("lower", "upper"):
         raise ValueError("direction must be 'lower' or 'upper'")
     n = spec.n
-    bounds = characteristic_bounds(model, (spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1)))
+    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1)))
     if direction == "lower":
         hypothesis_holds = bounds.inf >= lam - 1e-12
     else:
         hypothesis_holds = bounds.sup <= lam + 1e-12
     if table is None:
         table = marginal_table(model, spec, h_step)
-    if t_grid is None:
-        t_grid = np.linspace(spec.s, spec.u, 21)[1:-1]
     tails = table.tail_matrix()
 
     rows = []
     worst = math.inf
-    for t in np.asarray(t_grid, dtype=float):
+    for t in np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]:
         idx = table.index_of(t, tol=1e-9)
         p = float(tilted_cdf_window(lam, spec.s, spec.u, table.times[idx]))
         bench = BinomialSpec(n, p)
@@ -165,7 +157,7 @@ def dominance_check(model, spec, lam, direction="lower", t_grid=None, tol=1e-6,
             rows.append((float(table.times[idx]), i, computed, benchmark, margin))
     worst = 0.0 if not rows else worst
     return BoundReport(spec, float(lam), direction, rows, worst, worst >= -tol, tol,
-                       _certification(bounds), hypothesis_holds)
+                       hypothesis_holds)
 
 
 @dataclass
@@ -188,20 +180,15 @@ class MeanBoundReport:
         }
 
 
-def mean_bound_check(model, spec, lam, t_grid=None, tol=1e-6, h_step=1e-3, table=None):
-    """Check the mean curve against the tilted-profile upper bound."""
+def mean_bound_check(model, spec, lam, tol=1e-6, h_step=1e-3, table=None):
+    """Check the mean curve against the tilted-profile upper bound at every output time."""
     if table is None:
         table = marginal_table(model, spec, h_step)
-    curve = mean_curve(table)
-    if t_grid is None:
-        idx = np.arange(curve.shape[0])
-    else:
-        idx = np.asarray([table.index_of(t) for t in t_grid])
-    ts = curve[idx, 0]
+    ts, means = mean_curve(table).T
     bound = np.asarray(mean_upper_bound(spec, lam, ts), dtype=float)
-    margins = bound - curve[idx, 1]
+    margins = bound - means
     worst = float(np.min(margins)) if margins.size else 0.0
-    rows = list(zip(ts.tolist(), curve[idx, 1].tolist(), bound.tolist()))
+    rows = list(zip(ts.tolist(), means.tolist(), bound.tolist()))
     return MeanBoundReport(spec, float(lam), worst, worst >= -tol, tol, rows)
 
 
@@ -403,8 +390,8 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h
     work = sum(n_values) * int(replicas)
     if work > budget:
         raise ResourceCap(f"requested {work} jump draws exceeds budget {budget}")
-    bounds = characteristic_bounds(model, (0.0, 1.0), (0, max(n_values) - 1))
-    constant = bounds.certified and abs(bounds.sup - bounds.inf) < 1e-12
+    bounds = model.characteristic_bounds((0.0, 1.0), (0, max(n_values) - 1))
+    constant = abs(bounds.sup - bounds.inf) < 1e-12
     strategy = "exact-order-statistics" if constant else "h-transform-inversion"
 
     medians, q90s = [], []

@@ -20,7 +20,7 @@ from scipy.special import gammaln
 from scipy.stats import binom
 
 from countbridge.errors import CountBridgeError, IndexOut, NotSorted
-from countbridge.intensity import characteristic_bounds
+from countbridge.intensity import CharacteristicBounds
 from countbridge.sampler import PathSample, replica_rng
 
 
@@ -29,17 +29,19 @@ class OracleScale(CountBridgeError):
 
 
 class FullWindows:
-    """``model`` with its characteristic bounds taken as inexact.
+    """``model`` with characteristic bounds (-inf, inf).
 
-    The engine then gives every state the whole mesh as its window, so the
-    same column kernel solves the unwindowed reference of a windowed field.
-    Every other attribute is the model's own.
+    The engine's window cuts then fall at the window ends, so every state
+    gets the whole mesh, graded for depth n, and the same column kernel
+    solves the unwindowed reference of a windowed field.  Every other
+    attribute is the model's own.
     """
-
-    exact_bounds = False
 
     def __init__(self, model):
         self.model = model
+
+    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
+        return CharacteristicBounds(-math.inf, math.inf)
 
     def __getattr__(self, name):
         return getattr(self.model, name)
@@ -186,7 +188,7 @@ def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):
         raise OracleScale(f"rejection sampling gated to n <= 20, bridge has {n}")
     if pot is None:
         pot = characteristic_integrals(model, spec)
-    lam_hat = characteristic_bounds(model, (spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1))).inf
+    lam_hat = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1))).inf
     log_m = float(sum(pot.xi(j + 1, spec.u) - lam_hat * spec.length for j in range(n)))
     rng = replica_rng(rng_seed, 0)
     out = []

@@ -252,8 +252,7 @@ def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
     seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
     lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     t_tab, v_tab = probe_t[:-1], np.log(lam_hat[:-1])
-    cuts = engine._cut_times(model, spec)
-    late = [] if cuts is None else list(cuts[1])
+    late = list(engine._cut_times(model, spec)[1])
     n = max(1, spec.n)
 
     def depth(t):
@@ -309,9 +308,7 @@ def test_live_depth_grading_never_adds_nodes(bridge, h_step):
     model, spec = bridge
     mesh = engine._Mesh(spec, h_step, model)
     assert mesh.times.size <= engine._Mesh(spec, h_step, FullWindows(model)).times.size
-    cuts = engine._cut_times(model, spec)
-    if cuts is not None:
-        assert np.all(np.diff(cuts[1]) >= 0)
+    assert np.all(np.diff(engine._cut_times(model, spec)[1]) >= 0)
 
 
 def test_lead_bridge_mesh_stays_under_12000_nodes():
@@ -387,7 +384,7 @@ def _staged_step(r0, rm, r1, step, shift, v):
 
 @pytest.mark.parametrize("shift", [_up, _down], ids=["up", "down"])
 @pytest.mark.parametrize("width", range(1, 7))
-def test_band_step_matches_the_staged_step(shift, width):
+def test_column_step_matches_the_staged_step(shift, width):
     # the column kernel solves a three-step sweep state by state; each of its steps
     # must be the staged step applied to the values it gave one node before.  Widths
     # below 5 exercise couplings S^d with d >= width, which must read zeros.
@@ -732,48 +729,50 @@ def test_windows_leave_out_only_cells_the_bridge_almost_never_holds(bridge):
         assert np.all(lo <= hi) and np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
 
 
-@pytest.mark.parametrize("model, spec", [
-    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)),
-    (ExpAffine(0.7, 1.3, -2.0), BridgeSpec(3, 40, 0.2, 0.9)),
-    (TimeExponential(60.0, -3.0), BridgeSpec(0, 60)),
-    (SpaceLinear(2.0, 1.0), BridgeSpec(1, 30, 0.1, 0.9)),
-], ids=["product", "exp-affine-window", "time-exponential", "space-linear-window"])
-def test_windowed_sweeps_match_the_full_window_reference(model, spec, monkeypatch):
+def _paths_thinning_tabulated(n):
+    """A paths-thinning-style Tabulated model: rates a g(t) (1 + kappa z) on 11 nodes,
+    g = exp(b t + w sin(2 pi t + phase)), with exact nodal derivatives; a makes n
+    jumps on [0, 1] the unconditioned process's typical count."""
+    b, w, phase, kappa = -0.9, 0.25, 1.3, 0.2
+    fine = np.linspace(0.0, 1.0, 2001)
+    g_int = float(np.trapezoid(np.exp(b * fine + w * np.sin(2.0 * math.pi * fine + phase)), fine))
+    a = math.log1p(kappa * n) / (kappa * g_int)
+    t = np.linspace(0.0, 1.0, 11)
+    g = np.exp(b * t + w * np.sin(2.0 * math.pi * t + phase))
+    dg = g * (b + 2.0 * math.pi * w * np.cos(2.0 * math.pi * t + phase))
+    states = 1.0 + kappa * np.arange(n + 1)
+    return Tabulated(t, 0, a * np.outer(g, states), a * np.outer(dg, states))
+
+
+@pytest.mark.parametrize("model, spec, share", [
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 60), 0.8),
+    (ExpAffine(0.7, 1.3, -2.0), BridgeSpec(3, 40, 0.2, 0.9), 0.8),
+    (TimeExponential(60.0, -3.0), BridgeSpec(0, 60), 0.8),
+    (SpaceLinear(2.0, 1.0), BridgeSpec(1, 30, 0.1, 0.9), 0.8),
+    (Tabulated(np.linspace(0.0, 1.0, 11), 0, (1.0 + 0.3 * np.arange(9.0))[None, :]
+               * np.exp(np.sin(3.0 * np.linspace(0.0, 1.0, 11)))[:, None]), BridgeSpec(1, 8), 0.99),
+    (_paths_thinning_tabulated(27), BridgeSpec(0, 27), 0.85),
+], ids=["product", "exp-affine-window", "time-exponential", "space-linear-window",
+        "tabulated-sin", "tabulated-paths-thinning"])
+def test_windowed_sweeps_match_the_full_window_reference(model, spec, share, monkeypatch):
     # the windows skip cells that hold at most 2 (n + 1) WINDOW_TAIL of the bridge, so
     # both tables stay within 1e-11 of the unwindowed kernel's on the same mesh, and
-    # the sampled jump times within 1e-12
+    # the sampled jump times within 1e-12; the windows hold less than ``share`` of
+    # the cells (a 7-jump bridge whose characteristic spans [-3, 3.7] skips few)
     h = solve_h(model, spec)
     place = engine._Mesh._place_windows
-    monkeypatch.setattr(engine._Mesh, "_place_windows", lambda mesh, cuts: place(mesh, None))
+    whole = np.full(spec.n + 1, spec.s), np.full(spec.n + 1, spec.u)
+    monkeypatch.setattr(engine._Mesh, "_place_windows", lambda mesh, cuts: place(mesh, whole))
     ref = solve_h(model, spec)
     assert np.array_equal(h.times, ref.times)
     assert np.all(ref.mesh.h_lo == 0) and np.all(ref.mesh.h_hi == ref.times.size - 1)
-    assert np.sum(h.mesh.h_hi - h.mesh.h_lo) < 0.8 * (spec.n + 1) * h.times.size
+    assert np.sum(h.mesh.h_hi - h.mesh.h_lo) < share * (spec.n + 1) * h.times.size
     for route in (marginal_table, marginal_table_two_sided):
         gap = np.abs(route(model, spec, h=h).probs - route(model, spec, h=ref).probs)
         assert np.max(gap) <= 1e-11
     got = jump_time_matrix(sample_bridge(model, spec, h, 500, 5))
     want = jump_time_matrix(sample_bridge(model, spec, ref, 500, 5))
     assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def test_tabulated_rates_get_full_windows_without_a_characteristic_grid(monkeypatch):
-    # Tabulated bounds come from a grid scan, so they bound no window: every state
-    # is swept over the whole mesh, and solving never scans the characteristic
-    tg = np.linspace(0.0, 1.0, 11)
-    model = Tabulated(tg, 0, (1.0 + 0.3 * np.arange(9.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None])
-    spec = BridgeSpec(1, 8)
-
-    def no_grid(*args, **kwargs):
-        raise AssertionError("the characteristic was evaluated")
-
-    monkeypatch.setattr(Tabulated, "characteristic_bounds", no_grid)
-    monkeypatch.setattr(Tabulated, "characteristic", no_grid)
-    h, ref = solve_h(model, spec), solve_h(FullWindows(model), spec)
-    assert np.all(h.mesh.h_lo == 0) and np.all(h.mesh.h_hi == h.times.size - 1)
-    assert np.array_equal(h.logh, ref.logh)
-    assert np.array_equal(marginal_table(model, spec, h=h).probs,
-                          marginal_table(ref.model, spec, h=ref).probs)
 
 
 def test_steeply_decaying_rates_are_solved_inside_every_window():

