@@ -92,7 +92,8 @@ def _check_state(z, floor):
 
 class CharacteristicBounds(NamedTuple):
     """Proved bounds of the characteristic over a window x state range: the
-    extremes for ``ExpAffine``, within BOUNDS_TOL of them for ``Tabulated``."""
+    extremes for ``ExpAffine``; for ``Tabulated`` within BOUNDS_TOL of them and
+    a rounding margin (see :meth:`Tabulated.characteristic_bounds`)."""
 
     inf: float
     sup: float
@@ -252,16 +253,12 @@ def _piecewise_eval(x, c, t, cols):
 # Tabulated pieces are halved at most this often, to prove them positive and to
 # bring the characteristic bounds within BOUNDS_TOL x max(1, |bound|) of the
 # extremes; the bounds then move out by _ROUNDING times the size of their terms.
+# Halving stops early, with bounds proved but looser, at _MAX_CELLS cells per
+# piece and state.
 _MAX_HALVINGS = 48
 BOUNDS_TOL = 1e-6
 _ROUNDING = 1e-12
-
-
-def _bernstein(x, y, dydx):
-    """Bernstein coefficients y0, y0 + dx d0 / 3, y1 - dx d1 / 3 and y1 of each
-    piece of the cubic Hermite interpolant: 4 x pieces x columns."""
-    dx = np.diff(x)[:, None]
-    return np.stack([y[:-1], y[:-1] + dx * dydx[:-1] / 3.0, y[1:] - dx * dydx[1:] / 3.0, y[1:]])
+_MAX_CELLS = 16
 
 
 def _split(b, tau):
@@ -277,15 +274,16 @@ def _product(a, b):
     """Bernstein coefficients of the products of polynomials given by theirs
     (one row each, degrees p and q): p + q + 1 rows."""
     p, q = len(a) - 1, len(b) - 1
-    out = np.zeros((p + q + 1,) + a.shape[1:])
+    out = np.zeros((p + q + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
     for i in range(p + 1):
         for j in range(q + 1):
             out[i + j] += math.comb(p, i) * math.comb(q, j) * a[i] * b[j]
     return out / np.array([math.comb(p + q, k) for k in range(p + q + 1)])[:, None]
 
 
-def _unproved_piece(x, y, dydx):
-    """(piece, column) of a cubic Hermite interpolant not proved positive, or None.
+def _unproved_piece(b):
+    """(piece, column) of a cubic Hermite interpolant, given by its Bernstein
+    coefficients ``b`` (4 x pieces x columns), not proved positive, or None.
 
     A piece lies between the extremes of its Bernstein coefficients, so it is
     positive when they are.  The others are halved (:func:`_split`) and tried
@@ -293,7 +291,7 @@ def _unproved_piece(x, y, dydx):
     of the halving (4 ulps of its largest coefficient), or when it is still
     unproved after _MAX_HALVINGS halvings.
     """
-    b = _bernstein(x, y, dydx).reshape(4, -1)
+    columns, b = b.shape[2], b.reshape(4, -1)
     cell = np.arange(b.shape[1])  # piece * columns + column
     slack = 4.0 * np.finfo(float).eps * np.abs(b).max(axis=0)
     for halving in range(_MAX_HALVINGS + 1):
@@ -304,7 +302,7 @@ def _unproved_piece(x, y, dydx):
         left, right = _split(b, 0.5)
         bad = ~(left[-1] > slack[cell])
         if bad.any() or halving == _MAX_HALVINGS:
-            return divmod(int(cell[np.argmax(bad)]), y.shape[1])
+            return divmod(int(cell[np.argmax(bad)]), columns)
         b, cell = np.concatenate([left, right], axis=1), np.tile(cell, 2)
 
 
@@ -350,9 +348,13 @@ class Tabulated(_RateModel):
             raise ValueError("state_floor below tabulated range")
         self._coef = _hermite_coefficients(t_grid, rates, rates_dt)
         self._coef_dt = self._coef[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        # each piece's Bernstein coefficients y0, y0 + dx d0 / 3, y1 - dx d1 / 3, y1
+        dx = np.diff(t_grid)[:, None]
+        self._bern = np.stack([rates[:-1], rates[:-1] + dx * rates_dt[:-1] / 3.0,
+                               rates[1:] - dx * rates_dt[1:] / 3.0, rates[1:]])
         # Hermite interpolation can overshoot between nodes; refuse models
         # whose interpolant is not proved positive on every piece.
-        dip = _unproved_piece(t_grid, rates, rates_dt)
+        dip = _unproved_piece(self._bern)
         if dip is not None:
             piece, col = dip
             raise ValueError(f"interpolated rates dip to zero between nodes: state"
@@ -407,12 +409,11 @@ class Tabulated(_RateModel):
         """Proved bounds of the characteristic over the window x state range.
 
         On a piece it is (r' + r D) / r, r the state's cubic and D = r(., z+1)
-        - r(., z), whose numerator and denominator are formed in the degree-6
-        Bernstein basis from r's coefficients (their differences give r').
-        Where the denominator's coefficients are positive it is a weighted mean
-        of the coefficient ratios, so it lies between the least and the
-        largest.  Pieces are clipped to the window, and halved while they may
-        hold a value past BOUNDS_TOL of the values at piece ends.
+        - r(., z).  In the degree-6 Bernstein basis, where the denominator's
+        coefficients are positive, it lies between the least and the largest
+        coefficient ratio.  Pieces are clipped to the window and halved while
+        their ratios reach past the values at piece ends by more than
+        BOUNDS_TOL and their rounding margin; the bounds then move out by it.
         """
         s, u = _validate_window(t_window)
         zlo, zhi = _validate_zrange((self.z_min, self.z_max - 1) if z_range is None else z_range,
@@ -423,35 +424,34 @@ class Tabulated(_RateModel):
         p, c = (a.ravel() for a in np.meshgrid(np.arange(first, last + 1),
                                                np.arange(zlo, zhi + 1) - self.z_min, indexing="ij"))
         dx = np.diff(x)[p]
-        b = _bernstein(x, self.rates, self.rates_dt)
-        r, jump = b[:, p, c], b[:, p, c + 1] - b[:, p, c]
+        r, jump = self._bern[:, p, c], self._bern[:, p, c + 1] - self._bern[:, p, c]
         e = 3.0 * np.diff(r, axis=0) / dx
-        ones = np.ones((5, p.size))
-        cells = np.stack([_product(e, ones) + _product(r, jump), _product(r, ones[:4])], axis=1)
+        cells = np.stack([_product(e, np.ones((5, 1))) + _product(r, jump),
+                          _product(r, np.ones((4, 1)))], axis=1)
         ts, tu = np.clip((s - x[p]) / dx, 0.0, 1.0), np.clip((u - x[p]) / dx, 0.0, 1.0)
         cells = _split(_split(cells, tu)[0], np.divide(ts, tu, out=np.zeros_like(ts), where=tu > 0))[1]
-        # the size of the terms each cell's bounds are formed from (r', r D, and the
-        # rates summed with r' / r and D); 0 where both states' data are one constant
-        at = ([p, p + 1, p, p + 1], [c, c, c + 1, c + 1])
-        varies = np.any((self.rates[at] != self.rates[p, c]) | (self.rates_dt[at] != 0.0), axis=0)
-        r_size = np.abs(r).max(axis=0)
-        sizes = np.stack([np.where(varies, r_size * (12.0 / dx + 2.0 * r_size + np.abs(jump).max(axis=0)),
-                                   0.0), r_size])
+        # the size of the terms r' and r D are formed from, 0 where both are exactly 0
+        size = np.abs(r).max(axis=0)
+        scale = np.where(e.any(axis=0) | jump.any(axis=0),
+                         12.0 / dx + 2.0 * size + np.abs(jump).max(axis=0), 0.0)
+        cell = np.arange(p.size)  # the piece and state of each cell
         for halving in range(_MAX_HALVINGS + 1):
             low = cells[:, 1].min(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 q = cells[:, 0] / cells[:, 1]
-                margin = _ROUNDING * (sizes[0] + np.abs(q).max(axis=0) * sizes[1]) / low
-                lo = np.where(low > 0, q.min(axis=0) - margin, -np.inf)
-                hi = np.where(low > 0, q.max(axis=0) + margin, np.inf)
-            # the least and largest value of the characteristic at the cells' ends
+                margin = np.where(low > 0, _ROUNDING * size[cell] * (scale[cell] + np.abs(q).max(axis=0))
+                                  / low, 0.0)
+            lo, hi = np.where(low > 0, q.min(axis=0), -np.inf), np.where(low > 0, q.max(axis=0), np.inf)
+            # the least and largest value of the characteristic at the cells' ends; a cell
+            # is open while its ratios reach past them by more than BOUNDS_TOL and its
+            # rounding margin, which halving does not shrink
             least, most = q[[0, -1]].min(), q[[0, -1]].max()
-            open_ = ((lo < least - BOUNDS_TOL * max(1.0, abs(least)))
-                     | (hi > most + BOUNDS_TOL * max(1.0, abs(most))))
-            if halving == _MAX_HALVINGS or not open_.any():
-                return CharacteristicBounds(float(lo.min()), float(hi.max()))
+            open_ = ((lo + margin < least - BOUNDS_TOL * max(1.0, abs(least)))
+                     | (hi - margin > most + BOUNDS_TOL * max(1.0, abs(most))))
+            if halving == _MAX_HALVINGS or not open_.any() or cell.size > _MAX_CELLS * p.size:
+                return CharacteristicBounds(float((lo - margin).min()), float((hi + margin).max()))
             cells = np.concatenate([cells[:, :, ~open_], *_split(cells[:, :, open_], 0.5)], axis=2)
-            sizes = np.concatenate([sizes[:, ~open_], np.tile(sizes[:, open_], 2)], axis=1)
+            cell = np.concatenate([cell[~open_], np.tile(cell[open_], 2)])
 
     def _params(self):
         params = {

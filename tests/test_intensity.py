@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
 from countbridge.errors import EmptyRange, OutOfDomain, TabulationGap
 from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Product, SpaceLinear,
                                    Tabulated, TimeExponential, _hermite_coefficients, _piecewise_eval,
@@ -391,6 +392,33 @@ def test_constant_rate_table_has_characteristic_bounds_exactly_zero():
     model = Tabulated(np.linspace(0.0, 1.0, 5), 0, np.full((5, 4), 2.5), np.zeros((5, 4)))
     assert model.characteristic_bounds((0.13, 0.77), (0, 2)) == (0.0, 0.0)
     assert model.characteristic_bounds() == (0.0, 0.0)
+
+
+def test_characteristic_bounds_of_a_narrow_piece_stop_at_its_rounding_margin():
+    # r = (1 + t) (1 + z): the characteristic is 1 / (1 + t) + 1 + t, least (2) at
+    # t = 0 on a piece 1e-6 wide, whose rounding margin (about 1.2e-5, from r' =
+    # 3 diff(r) / dx) halving does not shrink; the cells there close at that margin
+    tg = np.array([0.0, 1e-6, 1.0])
+    model = Tabulated(tg, 0, np.outer(1.0 + tg, [1.0, 2.0, 3.0]), np.outer(np.ones(3), [1.0, 2.0, 3.0]))
+    b = model.characteristic_bounds()
+    assert 2.0 - 1e-4 < b.inf <= 2.0 and 2.5 <= b.sup < 2.5 + 1e-4
+    spec = BridgeSpec(0, 2)
+    h = solve_h(model, spec)
+    assert np.max(np.abs(marginal_table(model, spec, h=h).probs
+                         - marginal_table_two_sided(model, spec, h=h).probs)) < 1e-8
+
+
+def test_characteristic_bounds_of_large_rates_stop_at_their_rounding_margin():
+    # rates about 5e5 whose characteristic stays within [-0.25, 0.36]: the rounding
+    # margin of r D (about 1e-6) is as large as BOUNDS_TOL, and the bounds stay
+    # within both of a fine scan
+    tg = np.linspace(0.0, 1.0, 11)
+    g = np.exp(0.1 * np.sin(3.0 * tg))
+    states = 5e5 * (1.0 + 1e-7 * np.arange(3.0))
+    model = Tabulated(tg, 0, np.outer(g, states), np.outer(0.3 * np.cos(3.0 * tg) * g, states))
+    b = model.characteristic_bounds()
+    scan = generic_characteristic(model, np.linspace(0.0, 1.0, 100001)[:, None], [0, 1])
+    assert 0.0 <= scan.min() - b.inf < 1e-5 and 0.0 <= b.sup - scan.max() < 1e-5
 
 
 @pytest.mark.parametrize("window, states, error, message", [

@@ -6,7 +6,7 @@ import pytest
 from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import DegenerateVariance, ResourceCap
-from countbridge.intensity import (Poisson, Product, SpaceLinear, TimeExponential,
+from countbridge.intensity import (Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
                                    constant_characteristic_model)
 from countbridge.sampler import PathSample, sample_bridge
 from countbridge.verify import (TestFunctional, WindowFunction, convexity_check,
@@ -148,6 +148,16 @@ def test_lln_experiment_shrinks():
     assert rep.medians_non_increasing
     for big_n, med in zip(rep.n_values, rep.medians):
         assert abs(med - 0.83 / math.sqrt(big_n)) <= 0.2 * 0.83 / math.sqrt(big_n)
+
+
+def test_lln_samples_a_constant_rate_table_as_the_poisson_model():
+    # the table's proved characteristic bounds are exactly (0, 0), so it takes the
+    # exact order-statistics route and draws the same paths as Poisson(2.5)
+    table = Tabulated(np.linspace(0.0, 1.0, 6), 0, np.full((6, 41), 2.5), np.zeros((6, 41)))
+    rep = lln_experiment(table, 0.0, [10, 40], 60, 77)
+    ref = lln_experiment(Poisson(2.5), 0.0, [10, 40], 60, 77)
+    assert rep.strategy == ref.strategy == "exact-order-statistics"
+    assert (rep.medians, rep.q90s) == (ref.medians, ref.q90s)
 
 
 def test_lln_pinned_ends_contribute_nothing():
