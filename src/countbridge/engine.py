@@ -37,16 +37,18 @@ Windows.  By the paper's marginal estimate every tail of the bridge lies
 between the binomial tails of the tilted profiles at the infimum and the
 supremum of the characteristic.  With Chernoff's bound these give each state
 a window of mesh nodes outside which the bridge holds it with probability at
-most WINDOW_TAIL, and every sweep runs a state's column only over its
-window.  A path that touches a skipped cell is at or past that state at the
-cut, so the sweeps compute the bridge conditioned on an event of probability
-at least 1 - 2 (n + 1) WINDOW_TAIL, the same law in both marginal routes.
+most WINDOW_TAIL, and every sweep runs a state's column, and reads its
+rates, only over its window.  A path that touches a skipped cell is at or
+past that state at the cut, so the sweeps compute the bridge conditioned on
+an event of probability at least 1 - 2 (n + 1) WINDOW_TAIL, the same law in
+both marginal routes.
 The cut times are known before any node is placed, so they also grade the
 mesh: a state is dead late once it is past its last live time, and near u
 only shallow states are live.
 Inside its window log h is the pin probability of the chain stopped at the
 cuts, representable far below exp(-700); its only -inf cells are the exact
-zeros of the discrete scheme next to u, and outside the window it is -inf.
+zeros of the discrete scheme next to u.  Outside the window h is 0 and not
+stored: log h is one band of the windows, laid end to end (:class:`_Band`).
 Where the bridge holds a state with probability 1e-10 or more it is the
 unstopped log h to the integrator's accuracy; next to the cuts, where the
 bridge almost never holds the state, it can be several nats below it.
@@ -81,9 +83,8 @@ MAX_COARSE_STEP = 1e-2 + 1e-12
 # reference (see _prefix_logsumexp).
 PREFIX_BLOCK = 256
 PREFIX_TINY = 1e-280
-# A mesh whose stored (nodes x ladder) float array, log h, would exceed this many
-# bytes is refused before anything of that size is allocated; so are samples and
-# grids whose arrays would.
+# A mesh whose band of log h over the windows would exceed this many bytes is
+# refused before the band is allocated; so are samples and grids whose arrays would.
 MEMORY_CAP = 2 * 2 ** 30
 # A marginal table is refused when its mass drifts by more than DRIFT_TOL between
 # output rows, or a tail P(X_t >= z) falls in t by more than MONOTONE_TOL.
@@ -163,8 +164,8 @@ class _Mesh:
     pin extension takes d_j at u - dc.  Cuts at the window ends (see
     :func:`_cut_times`) give d_j = n.
 
-    The node count is known before any node is placed; a mesh whose stored
-    (nodes x ladder) array would exceed MEMORY_CAP raises
+    Once the windows are placed the size of the band of log h over them is
+    known; a mesh whose band would exceed MEMORY_CAP raises
     :class:`~countbridge.errors.ResourceCap` with the estimate.
     """
 
@@ -180,7 +181,8 @@ class _Mesh:
         # probe the ladder-minimal rate (one state's column at a time) and its
         # backward cumulative integral
         probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
-        lmin = functools.reduce(np.minimum, model.rate_columns(probe_t, spec.ladder()))
+        whole = np.zeros(spec.n + 1, int), np.full(spec.n + 1, probe_t.size)
+        lmin = functools.reduce(np.minimum, model.rate_columns(probe_t, spec.ladder(), *whole))
         seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
         lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         # t -> log lam_hat, excluding the vanishing endpoint value; a lam_hat
@@ -202,10 +204,6 @@ class _Mesh:
         n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / self.step_budget).astype(int))
         n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth[-1] / self.step_budget))
         n_fb = 1 + int(n_sub.sum())
-        n_nodes = 2 * n_fb + n_ext
-        check_memory(n_nodes * (spec.n + 1) * 8,
-                     f"bridge {spec.x}->{spec.y}, with log h on {n_nodes} mesh nodes x"
-                     f" {spec.n + 1} states,")
 
         # interior node i = 1..n_sub[j]-1 of cell j sits at fb-index out_fb_idx[j] + i
         out_fb_idx = np.concatenate([[0], np.cumsum(n_sub)])
@@ -234,6 +232,9 @@ class _Mesh:
         # storage index of each output edge except u (edge k sits at 2 * fb-index)
         self.out_node_idx = 2 * self.out_fb_idx
         self._place_windows(cuts)
+        check_memory(8 * int((self.h_hi - self.h_lo + 1).sum()),
+                     f"bridge {spec.x}->{spec.y}, with log h on the windows of {spec.n + 1}"
+                     f" states over {self.times.size} mesh nodes,")
 
     def _place_windows(self, cuts):
         """Each state's windows, from the cut times ``cuts``: fb-indices ``fwd_lo``
@@ -251,9 +252,12 @@ class _Mesh:
         final = np.searchsorted(self.times, cuts[1], side="right") - 1
         self.fwd_lo = np.minimum(np.maximum(first - 1, 0) // 2, last_fb)
         self.fwd_hi = np.minimum(final // 2 + 1, last_fb)
+        # the storage nodes a forward sweep reads each state's rates on (from and
+        # to, exclusive): its window's steps and one step past
+        self.fwd_rows = 2 * self.fwd_lo, 2 * np.minimum(self.fwd_hi + 1, last_fb) + 1
         self.h_lo = np.concatenate([[0], 2 * self.fwd_lo[:-1]])
         rise = np.arange(n + 1)
-        seed = np.maximum(2 * np.minimum(self.fwd_hi + 1, last_fb), final) + 1
+        seed = np.maximum(self.fwd_rows[1] - 1, final) + 1
         seed = np.maximum.accumulate(seed - rise) + rise
         reach = np.maximum.accumulate(seed >= np.append(self.pin_limit, 0))
         self.h_hi = np.where(reach, last, seed)
@@ -364,7 +368,7 @@ def _column(steps, rates, feed, prior, lo=0, hi=None):
     outside them.  ``rates`` are the state's own rates and ``feed`` those at
     which the state before it feeds it (its own rates backward, the rates of
     the state below forward; unused for the first state), each given at the
-    step boundaries and midpoints interleaved: 2 m + 1 values, read one step
+    step boundaries and midpoints interleaved, from node ``lo`` to one step
     past ``hi``.  ``prior`` is what this function returned for the state
     before, which carries up to four states.
 
@@ -387,7 +391,6 @@ def _column(steps, rates, feed, prior, lo=0, hi=None):
     hi = m if hi is None else hi
     end = min(hi + 1, m)
     h6, h24 = steps[0][lo:end], steps[1][lo:end]
-    rates = rates[2 * lo:2 * end + 1]
     r0, rm, r1 = rates[:-1:2], rates[1::2], rates[2::2]
     i_mid = 8.0 * rm
     i_mid += 5.0 * r0
@@ -423,7 +426,7 @@ def _log_forcing(steps, feed, i_mid, i_end, g, prior, lo):
     _, _, c0_1, cm_1, i_mid_1, i_end_1 = prior[0]
     o1 = off[0]
     w = max(0, i_mid_1.size - o1)
-    feed = feed[2 * lo:2 * (lo + w) + 1]
+    feed = feed[:2 * w + 1]
     c0 = feed[:-1:2]
     cm = np.exp(i_mid[:w] - i_mid_1[o1:o1 + w])
     cm *= feed[1::2]
@@ -481,16 +484,17 @@ def _log_forcing(steps, feed, i_mid, i_end, g, prior, lo):
     return a, c0, cm
 
 
-def _pinned(logh, zi, rates):
-    """The pinned jump rates rate(t, z) h(t, z+1) / h(t, z) of ladder state zi on
-    the node rows of ``logh``, given ``rates``, the state's own rates there.
+def _pinned(upper, lower, rates):
+    """The pinned jump rates rate(t, z) h(t, z+1) / h(t, z) of a ladder state on
+    some nodes, from log h of the state above (``upper``) and of the state
+    (``lower``) there, given ``rates``, the state's own rates there.
 
     0 where h(t, z) is exactly 0 (within a few nodes of u).  A ratio too large
     for exp on its own (rates decaying steeply toward u) is formed as
     exp(log ratio + log rate) instead.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        d = logh[:, zi + 1] - logh[:, zi]
+        d = upper - lower
         k = np.exp(d)
     k *= rates
     if not np.isfinite(k).all():
@@ -500,13 +504,31 @@ def _pinned(logh, zi, rates):
     return k
 
 
+class _Band:
+    """log h over each state's window, in one flat buffer ``values``: node i of
+    state zi, for h_lo[zi] <= i <= h_hi[zi], sits at ``values[start[zi] + i]``.
+    ``shape`` is the (mesh nodes, ladder) extent of the field and ``nbytes``
+    the buffer's size."""
+
+    def __init__(self, h_lo, h_hi, nodes):
+        size = h_hi - h_lo + 1
+        self.start = np.cumsum(size) - size - h_lo
+        self.values = np.empty(int(size.sum()))
+        self.shape = (nodes, size.size)
+        self.nbytes = self.values.nbytes
+
+    def column(self, zi, a, b):
+        """Nodes a to b - 1 of state zi, a view; they must lie in its window."""
+        return self.values[self.start[zi] + a:self.start[zi] + b]
+
+
 class HField:
     """log h(t, z) on the solver mesh for one (model, bridge) pair.
 
-    Stores ``logh``, its one (mesh nodes x ladder) array, on the node times
-    ``times`` of its mesh; the pinned jump rates are formed from it where
-    they are read (:meth:`pinned_rates`, :meth:`next_jumps`); a state's
-    ``logh`` is -inf outside its window, which costs the bridge at most
+    Stores ``logh``, one :class:`_Band` over the states' windows, on the node
+    times ``times`` of its mesh; the pinned jump rates are formed from it
+    where they are read (:meth:`pinned_rates`, :meth:`next_jumps`).  Outside
+    its window a state's h is taken as 0, which costs the bridge at most
     2 (n + 1) WINDOW_TAIL of its mass (see the module notes).  Immutable;
     safe to share across threads.  Inside a state's terminal boundary layer
     the sampler uses the exact first-order pin asymptote k ~ (y - z)/(u - t),
@@ -526,18 +548,18 @@ class HField:
         # a column that stops before its limit anchors at its last solved node.
         self.anchor_idx = np.minimum(mesh.pin_limit, mesh.h_hi[:-1]) - 1
 
-    def pinned_rates(self, stop):
-        """Each ladder state's pinned jump rates on the first ``stop`` mesh nodes,
-        bottom state first (the pin state's are 0), from one rate reader; 0
-        where h of the state or of the one above is not solved."""
-        mesh = self.mesh
-        columns = self.model.rate_columns(self.times[:stop], self.spec.ladder())
-        for zi, rates in zip(range(self.spec.n), columns):
-            a, b = mesh.h_lo[zi + 1], min(mesh.h_hi[zi], stop)
-            k = np.zeros(stop)
-            k[a:b] = _pinned(self.logh[a:b], zi, rates[a:b])
-            yield k
-        yield np.zeros(stop)
+    def pinned_rates(self):
+        """Each ladder state's pinned jump rates on the storage nodes its forward
+        sweep reads (``mesh.fwd_rows``), bottom state first (the pin state's
+        are 0), from one rate reader.  Those nodes lie inside the h windows of
+        the state and of the one above, short of the state's seed."""
+        lo, hi = self.mesh.fwd_rows
+        columns = self.model.rate_columns(self.times[:self.mesh.n_fwd_nodes],
+                                          self.spec.ladder()[:-1], lo, hi)
+        for zi, rates in enumerate(columns):
+            yield _pinned(self.logh.column(zi + 1, lo[zi], hi[zi]),
+                          self.logh.column(zi, lo[zi], hi[zi]), rates)
+        yield np.zeros(hi[-1] - lo[-1])
 
     def next_jumps(self, zi, start, mass):
         """Next jump times from ladder state x + zi, by inversion of the pinned survival.
@@ -557,9 +579,9 @@ class HField:
         if j < a:
             raise Underflow(f"no mesh node lies before the pin layer of state {z}")
         t_tab = self.times[a:j + 1]
-        rates = next(self.model.rate_columns(t_tab, [z]))
+        rates = next(self.model.rate_columns(t_tab, [z], [0], [t_tab.size]))
         lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
-        big_l = lam - self.logh[a:j + 1, zi]
+        big_l = lam - self.logh.column(zi, a, j + 1)
         ta = t_tab[-1]
         start = np.asarray(start, dtype=float)
         if np.any(start < t_tab[0]):
@@ -573,7 +595,8 @@ class HField:
                               f" t = {ta:.6g}")
             return np.interp(target, big_l, t_tab)
         # past the anchor L grows like slope * log(1 / (u - t))
-        k_a = _pinned(self.logh[j:j + 1], zi, rates[-1:])[0]
+        k_a = _pinned(self.logh.column(zi + 1, j, j + 1), self.logh.column(zi, j, j + 1),
+                      rates[-1:])[0] if j >= mesh.h_lo[zi + 1] else 0.0
         if not 0.0 < k_a < math.inf:
             raise Underflow(f"the pinned jump rate of state {z} at its anchor t = {ta:.6g} is"
                             f" {k_a:g}, so it has no pin asymptote")
@@ -609,15 +632,16 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     t_rates = t_rates[::-1]
     steps = _step_powers(np.diff(times)[::-1])
 
-    log_h = np.empty((times.size, spec.n + 1), order="F")
+    log_h = _Band(mesh.h_lo, mesh.h_hi, times.size)
+    # each window's nodes counted from u, pin state first: its seed lo first,
+    # and its rates read to one step past hi
+    lo, hi = last - mesh.h_hi[::-1], last - mesh.h_lo[::-1]
+    columns = model.rate_columns(t_rates, spec.ladder()[::-1], 2 * lo,
+                                 2 * np.minimum(hi + 1, last) + 1)
     prior = []
-    columns = model.rate_columns(t_rates, spec.ladder()[::-1])
-    for zi, rates in zip(range(spec.n, -1, -1), columns):
-        a, b = int(mesh.h_lo[zi]), int(mesh.h_hi[zi])
-        # the window's nodes counted from u: its seed b first
-        col, prior = _column(steps, rates, rates, prior, last - b, last - a)
-        log_h[a:b + 1, zi] = col[::-1]
-        log_h[:a, zi] = log_h[b + 1:, zi] = -np.inf
+    for zi, a, b, rates in zip(range(spec.n, -1, -1), lo, hi, columns):
+        col, prior = _column(steps, rates, rates, prior, a, b)
+        log_h.column(zi, last - b, last - a + 1)[:] = col[::-1]
     return HField(model, spec, mesh, log_h)
 
 
@@ -652,22 +676,19 @@ class MarginalTable:
         """P(X_t >= x + i) with rows over the grid and columns i = 0..n."""
         return np.cumsum(self.probs[:, ::-1], axis=1)[:, ::-1]
 
-    def index_of(self, t, tol=1e-9):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > tol:
-            raise ValueError(f"t={t} is not an output grid node")
-        return idx
-
 
 def _forward(mesh, rates):
     """Log forward mass at the output times before u: one row per time, one
     column per state, from mass 1 in state x at s.  ``rates`` yields each
-    state's rates on the storage nodes from s to u - dc, bottom state first;
+    state's rates on its storage nodes ``mesh.fwd_rows``, bottom state first;
     each state is fed at the rates of the state below."""
     steps = _step_powers(np.diff(mesh.fwd_bounds))
     out = np.full((mesh.out_fb_idx.size, mesh.spec.n + 1), -np.inf)
     prior, feed = [], None
     for zi, (r, lo, hi) in enumerate(zip(rates, mesh.fwd_lo, mesh.fwd_hi)):
+        if zi:
+            # the state below feeds this one from this column's first node on
+            feed = feed[2 * (lo - mesh.fwd_lo[zi - 1]):]
         log_q, prior = _column(steps, r, feed, prior, lo, hi)
         k0, k1 = np.searchsorted(mesh.out_fb_idx, [lo, hi + 1])
         out[k0:k1, zi] = log_q[mesh.out_fb_idx[k0:k1] - lo]
@@ -691,11 +712,14 @@ def _field(model, spec, h_step, h, step_budget):
 
 
 def _normalised(log_rows):
-    """exp(log_rows) with each row divided by its sum, and the log row sums."""
+    """exp(log_rows) with each row divided by its sum, and the log row sums;
+    formed in place of ``log_rows``."""
     top = log_rows.max(axis=1, keepdims=True)
-    rows = np.exp(log_rows - top)
+    log_rows -= top
+    rows = np.exp(log_rows, out=log_rows)
     sums = rows.sum(axis=1, keepdims=True)
-    return rows / sums, (top + np.log(sums))[:, 0]
+    rows /= sums
+    return rows, (top + np.log(sums))[:, 0]
 
 
 def _pinned_table(spec, mesh, rows, drift):
@@ -719,7 +743,7 @@ def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     """
     h = _field(model, spec, h_step, h, step_budget)
     mesh = h.mesh
-    rows, log_mass = _normalised(_forward(mesh, h.pinned_rates(mesh.n_fwd_nodes)))
+    rows, log_mass = _normalised(_forward(mesh, h.pinned_rates()))
     drift = float(np.max(np.abs(np.expm1(np.diff(log_mass)))))
     return _pinned_table(spec, mesh, rows, drift)
 
@@ -735,8 +759,15 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None)
     """
     h = _field(model, spec, h_step, h, step_budget)
     mesh = h.mesh
-    log_p = _forward(mesh, h.model.rate_columns(mesh.times[:mesh.n_fwd_nodes], spec.ladder()))
-    rows, _ = _normalised(log_p + h.logh[mesh.out_node_idx])
+    log_p = _forward(mesh, h.model.rate_columns(mesh.times[:mesh.n_fwd_nodes], spec.ladder(),
+                                                *mesh.fwd_rows))
+    # log h is added at the output nodes inside each state's window; h is 0 outside
+    out, band = mesh.out_node_idx, h.logh
+    k0, k1 = np.searchsorted(out, mesh.h_lo), np.searchsorted(out, mesh.h_hi + 1)
+    for zi, (a, b, start) in enumerate(zip(k0.tolist(), k1.tolist(), band.start.tolist())):
+        log_p[:a, zi] = log_p[b:, zi] = -np.inf
+        log_p[a:b, zi] += band.values[start + out[a:b]]
+    rows, _ = _normalised(log_p)
     return _pinned_table(spec, mesh, rows, 0.0)
 
 

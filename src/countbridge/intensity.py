@@ -157,17 +157,19 @@ class ExpAffine(_RateModel):
     def rate_dt(self, t, z):
         return self.lam * self.rate(t, z)
 
-    def rate_columns(self, times, states):
-        """The rates on a time grid x state set, one state's column at a time.
+    def rate_columns(self, times, states, lo, hi):
+        """The rates on a time grid x state set, one state's column at a time,
+        each on its own range: times lo[k] to hi[k] - 1 for states[k].
 
         The time checks and exp(lam * t) are done once, here; a bad time or
-        state raises from this call.  Each column is then e * (a + b * z),
-        in the order :meth:`rate` computes it, so bit for bit ``rate(times, z)``.
+        state raises from this call.  Each column is then e * (a + b * z) on
+        its range, in the order :meth:`rate` computes it, so bit for bit
+        ``rate(times, z)[lo:hi]``.
         """
         t = _check_time(times)[0]
         z = _check_state(states, self.state_floor)[0]
         e = np.exp(self.lam * t)
-        return (e * c for c in self.a + self.b * z)
+        return (e[a:b] * c for c, a, b in zip(self.a + self.b * z, lo, hi))
 
     def characteristic(self, t, z):
         t = _check_time(t)[0]
@@ -390,17 +392,19 @@ class Tabulated(_RateModel):
     def rate_dt(self, t, z):
         return self._eval(self._coef_dt, t, z)
 
-    def rate_columns(self, times, states):
-        """The rates on a time grid x state set, one state's column at a time.
+    def rate_columns(self, times, states, lo, hi):
+        """The rates on a time grid x state set, one state's column at a time,
+        each on its own range: times lo[k] to hi[k] - 1 for states[k].
 
         The checks, the piece search and the powers of the offsets are done
         once, here; a bad time or state raises from this call.  Each column
-        then gathers its four coefficients and sums them as :meth:`rate`
-        does, so bit for bit ``rate(times, z)``.
+        then gathers its four coefficients on its range and sums them as
+        :meth:`rate` does, so bit for bit ``rate(times, z)[lo:hi]``.
         """
         t, z = self._locate(times, states)
         i, powers = _pieces(self.t_grid, t)
-        return (_power_sum(self._coef[:, :, col], i, powers) for col in z - self.z_min)
+        return (_power_sum(self._coef[:, :, col], i[a:b], [p[a:b] for p in powers])
+                for col, a, b in zip(z - self.z_min, lo, hi))
 
     def characteristic(self, t, z):
         return generic_characteristic(self, t, z)

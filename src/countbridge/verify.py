@@ -31,8 +31,8 @@ from .errors import DegenerateVariance, ResourceCap, TooFewSamples
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 
 # The convexity check takes second differences on about INSPECT_POINTS points of
-# the mean curve; the dominance check compares tails at the interior points of
-# DOMINANCE_TIMES equally spaced times.
+# the mean curve; the dominance check compares tails at the output nodes nearest
+# the interior points of DOMINANCE_TIMES equally spaced times.
 INSPECT_POINTS = 51
 DOMINANCE_TIMES = 21
 
@@ -145,8 +145,8 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, h_step=1e-3, 
 
     rows = []
     worst = math.inf
-    for t in np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]:
-        idx = table.index_of(t, tol=1e-9)
+    targets = np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]
+    for idx in np.unique(np.abs(table.times[:, None] - targets).argmin(axis=0)):
         p = float(tilted_cdf_window(lam, spec.s, spec.u, table.times[idx]))
         bench = BinomialSpec(n, p)
         for i in range(1, n + 1):

@@ -47,6 +47,23 @@ class FullWindows:
         return getattr(self.model, name)
 
 
+def grid_index(table, t, tol=1e-9):
+    """Row of a marginal table at output time t, which must lie within tol of t."""
+    idx = int(np.argmin(np.abs(table.times - t)))
+    assert abs(table.times[idx] - t) <= tol, f"t={t} is not an output grid node"
+    return idx
+
+
+def dense_logh(h):
+    """The field's banded ``log h`` as one (mesh nodes x ladder) array, read from
+    the band's offsets: -inf outside each state's window."""
+    band, mesh = h.logh, h.mesh
+    out = np.full(band.shape, -np.inf)
+    for zi, (a, b) in enumerate(zip(mesh.h_lo, mesh.h_hi)):
+        out[a:b + 1, zi] = band.values[band.start[zi] + a:band.start[zi] + b + 1]
+    return out
+
+
 def _tau_gap(lam, t0, t1):
     """tau(t1) - tau(t0) for the clock tau(t) = expm1(lam t) / lam (tau = t at lam = 0)."""
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)

@@ -20,7 +20,7 @@ from countbridge.intensity import Poisson, Product, SpaceLinear, constant_charac
 from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
 from countbridge.verify import (convexity_check, dominance_check, duality_catalog,
                                 duality_check, lln_experiment, mean_bound_check)
-from oracles import characteristic_integrals, simplex_jump_time_cdf
+from oracles import characteristic_integrals, grid_index, simplex_jump_time_cdf
 
 
 def _report(num, name, detail):
@@ -35,7 +35,7 @@ def test_criterion_1_closed_form_equivalence():
         model = constant_characteristic_model(lam)
         for y in (1, 5, 20):
             table = marginal_table(model, BridgeSpec(0, y), 1e-3)
-            idx = [table.index_of(t) for t in grid]
+            idx = [grid_index(table, t) for t in grid]
             probs = table.probs[idx]
             exact = np.array([binom.pmf(np.arange(y + 1), y, tilted_cdf(lam, t))
                               for t in grid])
@@ -57,7 +57,7 @@ def test_criterion_2_quadrature_triangle():
             table = marginal_table(model, spec, 1e-3)
             tails = table.tail_matrix()
             for t in np.linspace(1.0 / 6.0, 5.0 / 6.0, 5):
-                idx = table.index_of(round(t, 3), tol=1e-12)
+                idx = grid_index(table, round(t, 3), tol=1e-12)
                 for i in range(1, n + 1):
                     quad = simplex_jump_time_cdf(pot, table.times[idx], i)
                     worst = max(worst, abs(quad - float(tails[idx, i])))

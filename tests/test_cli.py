@@ -209,7 +209,8 @@ def test_mesh_over_the_memory_cap_exits_2(tmp_path):
     mpath = tmp_path / "model.json"
     mpath.write_text(json.dumps(model))
     out = tmp_path / "cap"
-    r = run_cli("marginals", "--model", str(mpath), "--y", "3000", "--out", str(out))
+    # the band of log h for 0 -> 8000 is 2.6 GiB
+    r = run_cli("marginals", "--model", str(mpath), "--y", "8000", "--out", str(out))
     assert r.returncode == 2
     assert "GiB" in r.stderr
     assert not (out / "marginals.csv").exists()
@@ -520,6 +521,21 @@ def test_dominance_grid_csv_is_printed_cell_by_cell(tmp_path):
     rows = verify.dominance_check(model, spec, 3.0, table=marginal_table(model, spec, 1e-3)).rows
     assert (out / "dominance_grid.csv").read_text() == cells_csv(
         ["t", "i", "computed_tail", "benchmark_tail", "margin"], rows)
+
+
+def test_dominance_runs_on_a_step_off_its_times(tmp_path):
+    # at step 0.003 no output node sits at t = 0.05, 0.1, ...: each tail is compared
+    # at the node nearest its time, with the benchmark at that node
+    out = tmp_path / "v"
+    r = run_cli("verify", "--lambda", "3", "--y", "5", "--step", "0.003", "--check", "dominance",
+                "--grid-csv", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    header, rows = read_csv(out / "dominance_grid.csv")
+    times = sorted({float(row[0]) for row in rows})
+    assert len(rows) == 19 * 5 and len(times) == 19
+    # 333 cells of 1 / 333: each node is within half a cell of its time
+    assert np.max(np.abs(np.array(times) - np.linspace(0.0, 1.0, 21)[1:-1])) <= 0.5 / 333 + 1e-12
+    assert read_json(out / "verify.json")["checks"][0]["verdict"] == "pass"
 
 
 def test_a_dominance_grid_without_jumps_writes_the_header_only(tmp_path):

@@ -17,7 +17,7 @@ from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoa
 from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
                                    TimeExponential, constant_characteristic_model)
 from countbridge.sampler import jump_time_matrix, sample_bridge
-from oracles import FullWindows
+from oracles import FullWindows, dense_logh, grid_index
 
 
 def test_bridge_spec_validation():
@@ -37,26 +37,32 @@ def test_solve_h_one_jump_closed_form():
     for a, s, u in [(2.0, 0.0, 1.0), (0.7, 0.25, 0.9)]:
         spec = BridgeSpec(0, 1, s, u)
         h = solve_h(Poisson(a), spec, 1e-3)
-        d = u - h.times[:-1]
-        assert np.max(np.abs(h.logh[:-1, 0] - (np.log(a * d) - a * d))) <= 2e-5
-        assert np.max(np.abs(h.logh[:-1, 1] + a * d)) <= 2e-5
+        d, logh = u - h.times[:-1], dense_logh(h)
+        assert np.max(np.abs(logh[:-1, 0] - (np.log(a * d) - a * d))) <= 2e-5
+        assert np.max(np.abs(logh[:-1, 1] + a * d)) <= 2e-5
     # the output-grid nodes are tight
     h = solve_h(Poisson(2.0), BridgeSpec(0, 1), 1e-3)
+    logh = dense_logh(h)
     for t in (0.0, 0.25, 0.5):
         i = int(np.searchsorted(h.times, t))
         assert h.times[i] == t
-        assert h.logh[i, 0] == pytest.approx(math.log(2 * (1 - t)) - 2 * (1 - t), abs=1e-12)
+        assert logh[i, 0] == pytest.approx(math.log(2 * (1 - t)) - 2 * (1 - t), abs=1e-12)
 
 
 def test_solve_h_five_jump_value():
     h = solve_h(Poisson(1.0), BridgeSpec(0, 5), 1e-3)
     assert h.times[0] == 0.0
-    assert math.exp(h.logh[0, 0]) == pytest.approx(math.exp(-1) / 120, rel=1e-10)
+    assert math.exp(dense_logh(h)[0, 0]) == pytest.approx(math.exp(-1) / 120, rel=1e-10)
 
 
-def _pinned_grid(h):
-    """The pinned jump rates on every mesh node: one column per ladder state."""
-    return np.column_stack(list(h.pinned_rates(h.times.size)))
+def _pinned_grid(h, stop=None):
+    """The pinned jump rates on the first ``stop`` mesh nodes (all by default), by
+    the engine's formula from the densified field: one column per ladder state, 0
+    where h of the state or of the one above is not solved."""
+    stop = h.times.size if stop is None else stop
+    logh, t = dense_logh(h)[:stop], h.times[:stop]
+    return np.column_stack([engine._pinned(logh[:, zi + 1], logh[:, zi], h.model.rate(t, z))
+                            for zi, z in enumerate(h.spec.ladder()[:-1])] + [np.zeros(stop)])
 
 
 def test_bridge_intensity_poisson_alpha_cancels():
@@ -84,7 +90,7 @@ def test_marginal_oracle_equivalence_subset():
         model = constant_characteristic_model(lam)
         tab = marginal_table(model, BridgeSpec(0, y), 1e-3)
         for t in (0.25, 0.5, 0.75):
-            row = tab.probs[tab.index_of(t)]
+            row = tab.probs[grid_index(tab, t)]
             exact = binom.pmf(np.arange(y + 1), y, tilted_cdf(lam, t))
             assert np.max(np.abs(row - exact)) <= 1e-6
 
@@ -115,8 +121,8 @@ def test_poisson_time_reversal_symmetry():
     # uniform order statistics: row at t equals the reversed row at 1-t
     tab = marginal_table(Poisson(1.3), BridgeSpec(0, 6), 1e-3)
     for t in (0.1, 0.3, 0.45):
-        a = tab.probs[tab.index_of(t)]
-        b = tab.probs[tab.index_of(1.0 - t)][::-1]
+        a = tab.probs[grid_index(tab, t)]
+        b = tab.probs[grid_index(tab, 1.0 - t)][::-1]
         assert np.max(np.abs(a - b)) <= 1e-8
 
 
@@ -131,7 +137,7 @@ def test_empty_bridge():
     spec = BridgeSpec(3, 3, 0.2, 0.7)
     h = solve_h(Poisson(1.5), spec, 1e-3)
     # no-jump pin: h(t,x) = exp(-a(u-t)), rate 0, constant marginal
-    assert np.max(np.abs(h.logh[:, 0] + 1.5 * (0.7 - h.times))) <= 1e-10
+    assert np.max(np.abs(dense_logh(h)[:, 0] + 1.5 * (0.7 - h.times))) <= 1e-10
     assert np.all(_pinned_grid(h) == 0.0)
     tab = marginal_table(Poisson(1.5), spec, 1e-3)
     assert np.all(tab.probs == 1.0)
@@ -170,14 +176,15 @@ def test_underflow_reported_not_clamped():
     # is off by 1.8e-6 (at 1e-3 by 7.7e-7, see the test below)
     spec = BridgeSpec(0, 200)
     h = solve_h(Poisson(1.0), spec, 1e-2)
+    logh = dense_logh(h)
     assert h.times[0] == 0.0
-    assert h.logh[0, 0] == pytest.approx(-1.0 - math.lgamma(201.0), abs=1e-5)
+    assert logh[0, 0] == pytest.approx(-1.0 - math.lgamma(201.0), abs=1e-5)
     # the shallow states stay representable and exact inside their windows: at
     # t = 0.99, where the bridge sits in state 199 with probability 0.27, one jump
     # is left in [t, 1], so log h = log(1 - t) - (1 - t)
     j = h.mesh.out_node_idx[99]
     assert h.times[j] == pytest.approx(0.99, abs=1e-12)
-    assert h.logh[j, 199] == pytest.approx(math.log(0.01) - 0.01, abs=1e-6)
+    assert logh[j, 199] == pytest.approx(math.log(0.01) - 0.01, abs=1e-6)
 
 
 def test_marginals_refuse_an_underflowed_start_state():
@@ -205,9 +212,10 @@ def test_start_states_below_exp_minus_700_are_exact(model, n, tilt, log_h0):
     spec = BridgeSpec(0, n)
     h = solve_h(model, spec, 1e-3)
     big_l = 1.0 if tilt == 0.0 else math.expm1(tilt) / tilt
-    assert h.logh[0, 0] == pytest.approx(-big_l + n * math.log(big_l) - math.lgamma(n + 1.0),
-                                         abs=2e-6)
-    assert h.logh[0, 0] == pytest.approx(log_h0, abs=1e-3)
+    logh = dense_logh(h)
+    assert logh[0, 0] == pytest.approx(-big_l + n * math.log(big_l) - math.lgamma(n + 1.0),
+                                       abs=2e-6)
+    assert logh[0, 0] == pytest.approx(log_h0, abs=1e-3)
     for route in (marginal_table, marginal_table_two_sided):
         table = route(model, spec, 1e-3, h=h)
         p = table.times if tilt == 0.0 else tilted_cdf(tilt, table.times)
@@ -322,11 +330,12 @@ def _walk_anchors(h):
     """Reference: each state's anchor found by walking down from its limit node."""
     spec, times = h.spec, h.times
     n, d_min = spec.n, spec.u - times[-2]
+    logh = dense_logh(h)
     out = np.full(n, -1)
     for zi in range(n):
         lim = spec.u - (n - zi) * d_min
         j = min(int(np.searchsorted(times, lim, side="right")) - 1, times.size - 2)
-        while j >= 0 and not (np.isfinite(h.logh[j, zi]) and np.isfinite(h.logh[j, zi + 1])):
+        while j >= 0 and not (np.isfinite(logh[j, zi]) and np.isfinite(logh[j, zi + 1])):
             j -= 1
         out[zi] = j
     return out
@@ -478,9 +487,10 @@ def test_marginals_reuse_the_mesh_of_the_field(monkeypatch):
 
 
 def test_solve_h_refuses_a_mesh_over_the_memory_cap():
-    # 0 -> 3000 needs about 102k nodes x 3001 states: ~2.3 GiB for log h
-    with pytest.raises(ResourceCap, match="GiB"):
-        solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
+    # 0 -> 8000 lays out about 247k nodes, and the windows of its 8001 states hold
+    # log h in 2.6 GiB
+    with pytest.raises(ResourceCap, match="2.6 GiB"):
+        solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 8000))
 
 
 def test_solve_h_refuses_a_rate_integral_that_underflows_before_u():
@@ -491,12 +501,12 @@ def test_solve_h_refuses_a_rate_integral_that_underflows_before_u():
 
 
 def test_mesh_refusal_probes_rates_in_blocks():
-    # the full (4 n_cells + 1) x 3001 probe would be 96 MB; one state's column at a time
-    # stays near 0.2 MB
+    # the full (4 n_cells + 1) x 8001 probe would be 256 MB; one state's column at a
+    # time stays near 0.2 MB, and the band is refused before its buffer exists
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCap):
-            solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 3000))
+            solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 8000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -568,12 +578,6 @@ def test_marginal_table_validation_raises_on_bad_rows():
         MarginalTable(spec, times, nan_row, 0.0).validate()
 
 
-def test_off_grid_index_lookup_raises():
-    tab = marginal_table(Poisson(1.0), BridgeSpec(0, 3), 1e-3)
-    with pytest.raises(ValueError):
-        tab.index_of(0.00037)
-
-
 def test_general_window_marginals():
     spec = BridgeSpec(1, 4, 0.2, 0.8)
     tab = marginal_table(SpaceLinear(3.0, 1.0), spec, 1e-3)
@@ -581,13 +585,13 @@ def test_general_window_marginals():
     for t in (0.35, 0.5, 0.65):
         p = tilted_cdf_window(3.0, 0.2, 0.8, t)
         exact = binom.pmf(np.arange(4), 3, p)
-        row = tab.probs[tab.index_of(t)]
+        row = tab.probs[grid_index(tab, t)]
         assert np.max(np.abs(row - exact)) <= 1e-6
 
 
 class _CountingModel:
     """A model whose rate readers and rate grids are counted; ``per_state``
-    builds each reader from one ``rate(times, z)`` call per state."""
+    builds each reader from one ``rate(times[lo:hi], z)`` call per state."""
 
     def __init__(self, model, per_state=False):
         self.model, self.per_state = model, per_state
@@ -600,11 +604,11 @@ class _CountingModel:
         self.grid_widths.append(len(states))
         return self.model.rate(np.asarray(times)[:, None], states)
 
-    def rate_columns(self, times, states):
+    def rate_columns(self, times, states, lo, hi):
         self.readers.append(len(states))
         if self.per_state:
-            return (self.model.rate(times, z) for z in states)
-        return self.model.rate_columns(times, states)
+            return (self.model.rate(times[a:b], z) for z, a, b in zip(states, lo, hi))
+        return self.model.rate_columns(times, states, lo, hi)
 
 
 @pytest.mark.parametrize("model, spec", [
@@ -630,17 +634,21 @@ def test_sweeps_read_rates_through_one_reader_each(model, spec, monkeypatch):
         h = solve_h(m, spec, 1e-2)
         results.append((h, marginal_table(m, spec, 1e-2, h=h),
                         marginal_table_two_sided(m, spec, 1e-2, h=h)))
-    # one reader over the whole ladder each for the mesh probe, solve_h, the pinned
-    # route and the two-sided route; nothing asks for a grid
-    assert counted.readers == [spec.n + 1] * 4
+    # one reader each for the mesh probe, solve_h, the pinned route and the two-sided
+    # route, over the whole ladder but for the pin state, which the pinned route does
+    # not read; nothing asks for a grid
+    assert counted.readers == [spec.n + 1, spec.n + 1, spec.n, spec.n + 1]
     assert counted.grid_widths == []
     (h, one, two), (h_ref, one_ref, two_ref) = results
-    assert np.array_equal(h.logh, h_ref.logh)
-    assert np.array_equal(_pinned_grid(h), _pinned_grid(h_ref))
+    assert np.array_equal(dense_logh(h), dense_logh(h_ref))
     assert np.array_equal(one.probs, one_ref.probs)
     assert np.array_equal(two.probs, two_ref.probs)
-    # the pin state has no jump left
-    assert np.all(_pinned_grid(h)[:, spec.n] == 0.0)
+    # the pinned route reads, on each state's forward rows, the rates formed from the
+    # densified field; the pin state has no jump left
+    grid = _pinned_grid(h)
+    assert np.all(grid[:, spec.n] == 0.0)
+    for zi, (k, lo, hi) in enumerate(zip(h.pinned_rates(), *h.mesh.fwd_rows)):
+        assert np.array_equal(k, grid[lo:hi, zi])
 
 
 def test_solve_h_peaks_near_the_one_stored_array():
@@ -656,14 +664,46 @@ def test_solve_h_peaks_near_the_one_stored_array():
     assert peak <= 1.5 * h.logh.nbytes
 
 
-def test_mesh_cap_admits_2800_jumps_and_refuses_2900():
-    # at h_step 1e-3 log h alone takes 2.00 GiB for 0 -> 2800 and 2.13 GiB for
-    # 0 -> 2900; the mesh is only laid out, so a wrong cap allocates nothing large
+def test_mesh_cap_admits_6800_jumps_and_refuses_6900():
+    # at h_step 1e-3 the band of log h takes 1.96 GiB for 0 -> 6800 and 2.01 GiB for
+    # 0 -> 6900; the mesh is only laid out, so a wrong cap allocates nothing large
     model = Product(1.0, 3.0, 0.1)
-    mesh = engine._Mesh(BridgeSpec(0, 2800), 1e-3, model)
-    assert mesh.times.size * 2801 * 8 <= engine.MEMORY_CAP
-    with pytest.raises(ResourceCap, match="2.1 GiB; the cap is 2 GiB"):
-        engine._Mesh(BridgeSpec(0, 2900), 1e-3, model)
+    mesh = engine._Mesh(BridgeSpec(0, 6800), 1e-3, model)
+    assert 8 * np.sum(mesh.h_hi - mesh.h_lo + 1) <= engine.MEMORY_CAP
+    with pytest.raises(ResourceCap, match="2.0 GiB; the cap is 2 GiB"):
+        engine._Mesh(BridgeSpec(0, 6900), 1e-3, model)
+
+
+@pytest.mark.parametrize("model, spec, whole", [
+    (TimeExponential(1.0, -3.0), BridgeSpec(0, 60), False),
+    (Product(1.0, 3.0, 0.1), BridgeSpec(2, 30, 0.25, 0.75), False),
+    (FullWindows(Product(1.0, 3.0, 0.1)), BridgeSpec(0, 12), True),
+    (Poisson(1.5), BridgeSpec(3, 3, 0.2, 0.7), True),
+], ids=["time-exponential", "product-window", "full-windows", "empty"])
+def test_log_h_band_holds_exactly_the_windows(model, spec, whole, monkeypatch):
+    # fresh buffers hold NaN, so a band cell solve_h leaves unwritten shows; the
+    # windows lie end to end in the buffer, and the field is -inf outside them.
+    # Full windows, and the one state of an empty bridge, take the whole mesh
+    real_empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    h = solve_h(model, spec, 1e-2)
+    mesh, band = h.mesh, h.logh
+    size = mesh.h_hi - mesh.h_lo + 1
+    assert band.shape == (h.times.size, spec.n + 1)
+    assert band.nbytes == band.values.nbytes == 8 * size.sum()
+    assert np.array_equal(band.start + mesh.h_lo, np.cumsum(size) - size)
+    assert not np.any(np.isnan(band.values))
+    logh = dense_logh(h)
+    j = np.arange(h.times.size)[:, None]
+    outside = (j < mesh.h_lo) | (j > mesh.h_hi)
+    assert np.all(logh[outside] == -np.inf)
+    assert outside.any() != whole
 
 
 def test_pinned_rates_past_the_float_range_of_the_h_ratio():
@@ -678,15 +718,18 @@ def test_pinned_rates_past_the_float_range_of_the_h_ratio():
     model = constant_characteristic_model(-700.0)
     full, windowed = solve_h(FullWindows(model), spec), solve_h(model, spec)
     stop = full.times.size - 1
-    ratio = full.logh[:stop, spec.n] - full.logh[:stop, spec.n - 1]
+    logh = dense_logh(full)
+    ratio = logh[:stop, spec.n] - logh[:stop, spec.n - 1]
     assert np.any(ratio > math.log(np.finfo(float).max))
     hazard = 700.0 / -np.expm1(-700.0 * (spec.u - full.times[:stop]))
-    k = list(full.pinned_rates(stop))[spec.n - 1]
+    k = _pinned_grid(full, stop)[:, spec.n - 1]
     np.testing.assert_allclose(k, hazard, rtol=1e-9, atol=0.0)
-    k = list(windowed.pinned_rates(stop))[spec.n - 1]
-    held = binom.pmf(spec.n - 1, spec.n, tilted_cdf(-700.0, full.times[:stop])) >= 1e-10
+    t = windowed.times[:-1]
+    k = _pinned_grid(windowed)[:-1, spec.n - 1]
+    held = binom.pmf(spec.n - 1, spec.n, tilted_cdf(-700.0, t)) >= 1e-10
     assert held.sum() > 100
-    np.testing.assert_allclose(k[held], hazard[held], rtol=1e-9, atol=0.0)
+    hazard = 700.0 / -np.expm1(-700.0 * (spec.u - t[held]))
+    np.testing.assert_allclose(k[held], hazard, rtol=1e-9, atol=0.0)
 
 
 @st.composite
@@ -787,7 +830,8 @@ def test_steeply_decaying_rates_are_solved_inside_every_window():
         table = route(model, spec, h=h)
         exact = binom.pmf(np.arange(6)[None, :], 5, tilted_cdf(-700.0, table.times)[:, None])
         assert np.max(np.abs(table.probs - exact)) <= 1e-6
+    logh = dense_logh(h)
     for zi in range(spec.n + 1):
         # below the pin the seed at h_hi is 0
         stop = h.times.size if zi == spec.n else h.mesh.h_hi[zi]
-        assert np.all(np.isfinite(h.logh[h.mesh.h_lo[zi]:stop, zi]))
+        assert np.all(np.isfinite(logh[h.mesh.h_lo[zi]:stop, zi]))

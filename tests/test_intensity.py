@@ -154,6 +154,11 @@ def test_tabulated_gaps():
         m2.rate(1.2, 0)
 
 
+def _whole(n_times, n_states):
+    """Every state's range over all of ``n_times`` times."""
+    return np.zeros(n_states, int), np.full(n_states, n_times)
+
+
 def _hull_model():
     # tabulated on the time hull [0.2, 0.8] and states 2..4, floor 2
     tg = np.linspace(0.2, 0.8, 7)
@@ -181,7 +186,7 @@ def test_tabulated_boundaries(form, t, z, error, message):
     with pytest.raises(error, match=message):
         m.rate(t, z)
     with pytest.raises(error, match=message):
-        m.rate_columns(np.atleast_1d(t), np.atleast_1d(z))
+        m.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(3, 3))
 
 
 @pytest.mark.parametrize("form", ["scalar", "array"])
@@ -194,7 +199,7 @@ def test_tabulated_refuses_a_non_integral_state(form, z):
     with pytest.raises(OutOfDomain, match="state not an integer: "):
         m.rate(t, z)
     with pytest.raises(OutOfDomain, match="state not an integer: "):
-        m.rate_columns(np.atleast_1d(t), np.atleast_1d(z))
+        m.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(3, 3))
 
 
 def test_tabulated_integral_float_states_pass():
@@ -463,14 +468,22 @@ READER_MODELS = {
 def test_rate_columns_are_the_rate_grid_columns_bitwise(model, order):
     times = np.linspace(0.0, 1.0, 2 * 37 + 1)
     times = {"forward": times, "reversed": times[::-1], "empty": times[:0]}[order]
+    # each state's own range, one of them empty, is the slice of its whole column
+    lo = np.minimum([0, 3, 10, 20, 31], times.size)
+    hi = np.minimum([times.size, 40, 11, 20, 75], times.size)
     for states in ([0, 1, 2, 3, 5], [5, 3, 2, 1, 0]):
         grid = model.rate(times[:, None], states)
-        columns = list(model.rate_columns(times, states))
+        columns = list(model.rate_columns(times, states, *_whole(times.size, len(states))))
         assert len(columns) == len(states)
         for z, col in zip(states, columns):
             assert col.shape == times.shape
             assert np.array_equal(col, model.rate(times[:, None], [z])[:, 0])
             assert np.array_equal(col, grid[:, states.index(z)])
+        ranged = list(model.rate_columns(times, states, lo, hi))
+        assert len(ranged) == len(states)
+        for col, part, a, b in zip(columns, ranged, lo, hi):
+            assert part.shape == (b - a,)
+            assert np.array_equal(part, col[a:b])
 
 
 @pytest.mark.parametrize("model, times, states, error, message", [
@@ -484,4 +497,4 @@ def test_rate_columns_are_the_rate_grid_columns_bitwise(model, order):
 def test_rate_columns_refuse_bad_input_at_the_call(model, times, states, error, message):
     # the reader checks everything when it is opened, before any column is read
     with pytest.raises(error, match=message):
-        model.rate_columns(np.asarray(times), states)
+        model.rate_columns(np.asarray(times), states, *_whole(len(times), len(states)))

@@ -13,7 +13,7 @@ from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, Time
 from countbridge.sampler import (PathBatch, PathSample, _replica_exponentials, jump_time_matrix,
                                  replica_rng, sample_bridge, sample_constant)
 from countbridge.verify import duality_catalog, duality_check, lln_experiment
-from oracles import (OracleScale, characteristic_integrals, sample_rejection,
+from oracles import (OracleScale, characteristic_integrals, grid_index, sample_rejection,
                      simplex_jump_time_cdf)
 
 PI3_HALF = 0.18242552380635635
@@ -176,7 +176,7 @@ def test_oracle_triangle():
     count = 30000
     T = jump_time_matrix(sample_bridge(model, spec, h, count, 2718))
     for t in (0.3, 0.6):
-        idx = table.index_of(t)
+        idx = grid_index(table, t)
         for i in (1, 2, 3):
             quad = simplex_jump_time_cdf(pot, t, i)
             eng = float(tails[idx, i])
@@ -258,7 +258,7 @@ def test_sample_bridge_serves_a_start_state_below_exp_minus_700(model, n):
     count = 1000
     times = jump_time_matrix(sample_bridge(model, spec, h, count, 1))
     table = marginal_table(model, spec, 1e-3, h=h)
-    row = table.probs[table.index_of(0.5)]
+    row = table.probs[grid_index(table, 0.5)]
     states = np.arange(n + 1)
     mean = row @ states
     sd = math.sqrt(row @ (states - mean) ** 2)
