@@ -27,16 +27,14 @@ def tilted_cdf(lam, t):
 
     (exp(lam*t) - 1) / (exp(lam) - 1), extended continuously through lam = 0
     where it is the identity.  Increasing in t, decreasing in lam, fixed at
-    0 and 1 at the window ends.  A tilt whose e^lam overflows (lam above
-    about 709.78) raises :class:`~countbridge.errors.OutOfDomain`.
+    0 and 1 at the window ends.  A non-finite tilt, or one whose e^lam
+    overflows (above about 709.78), raises :class:`~countbridge.errors.OutOfDomain`.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
         raise BadWindow("t outside [0, 1]")
     lam = float(lam)
-    if lam == 0.0:
-        out = t.copy()
-    elif abs(lam) < _SMALL_LAM:
+    if abs(lam) < _SMALL_LAM:
         out = t + lam * t * (t - 1.0) / 2.0
     else:
         scale = _tilt_scale(lam)
@@ -47,7 +45,9 @@ def tilted_cdf(lam, t):
 
 
 def _tilt_scale(lam):
-    """e^lam - 1; a tilt whose e^lam overflows raises OutOfDomain."""
+    """e^lam - 1; a non-finite tilt, or one whose e^lam overflows, raises OutOfDomain."""
+    if not math.isfinite(lam):
+        raise OutOfDomain(f"the tilt over the window must be finite, got {lam}")
     try:
         return math.expm1(lam)
     except OverflowError:
@@ -59,8 +59,8 @@ def tilted_quantile(lam, p):
     """The t in [0, 1] at which :func:`tilted_cdf` reaches p: its inverse in t.
 
     log1p(p (e^lam - 1)) / lam; where |lam| < _SMALL_LAM, the inverse of
-    tilted_cdf's own expansion there, p + lam p (1 - p) / 2.  A tilt whose
-    e^lam overflows raises :class:`~countbridge.errors.OutOfDomain`.
+    tilted_cdf's own expansion there, p + lam p (1 - p) / 2.  A non-finite
+    tilt, or one whose e^lam overflows, raises :class:`~countbridge.errors.OutOfDomain`.
     """
     p = np.asarray(p, dtype=float)
     lam = float(lam)

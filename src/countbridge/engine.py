@@ -25,13 +25,7 @@ state above backward, the state below forward).  So every sweep takes the
 states in the outer loop, and each state's whole column over the mesh is one
 first-order linear recurrence in the steps, driven by the columns already
 solved.  All of its terms are non-negative, so :func:`_column` solves it at
-once in log space, with a prefix log-sum-exp over the column.  That sum runs
-in blocks of PREFIX_BLOCK cells (Blelloch, "Prefix sums and their
-applications", 1990): one exp, one cumsum and one log per cell, with the
-blocks chained by an exact accumulate over their totals.  A block whose
-partial sums would fall too far below its reference to be held exactly (a
-climb of more than about 640 nats inside one block) is redone with the
-exact sequential accumulate.  No value is rescaled or clamped.
+once in log space (np.logaddexp.accumulate), rescaling or clamping nothing.
 
 Windows.  By the paper's marginal estimate every tail of the bridge lies
 between the binomial tails of the tilted profiles at the infimum and the
@@ -78,11 +72,6 @@ WINDOW_TAIL = 1e-20
 # closer queries use the exact 1/(u - t) pin asymptote.
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
-# The column kernel's prefix log-sum-exp works in blocks of PREFIX_BLOCK cells and
-# redoes a block exactly where a partial sum falls below PREFIX_TINY of its
-# reference (see _prefix_logsumexp).
-PREFIX_BLOCK = 256
-PREFIX_TINY = 1e-280
 # A mesh whose band of log h over the windows would exceed this many bytes is
 # refused before the band is allocated; so are samples and grids whose arrays would.
 MEMORY_CAP = 2 * 2 ** 30
@@ -170,7 +159,7 @@ class _Mesh:
     """
 
     def __init__(self, spec, h_step, model, step_budget=None):
-        self.step_budget = STEP_BUDGET if step_budget is None else float(step_budget)
+        budget = STEP_BUDGET if step_budget is None else float(step_budget)
         n_c = _n_cells(spec, h_step)
         self.spec = spec
         self.dc = spec.length / n_c
@@ -201,8 +190,8 @@ class _Mesh:
         depth = np.clip(n + 2 - np.searchsorted(cuts[1], edges[:n_c]), 1, n)
         v = np.interp(edges[:n_c], t_tab, v_tab)
         v1, v2 = v[:-1], v[1:]
-        n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / self.step_budget).astype(int))
-        n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth[-1] / self.step_budget))
+        n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / budget).astype(int))
+        n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth[-1] / budget))
         n_fb = 1 + int(n_sub.sum())
 
         # interior node i = 1..n_sub[j]-1 of cell j sits at fb-index out_fb_idx[j] + i
@@ -309,54 +298,6 @@ def _step_powers(step):
     return step / 6.0, step / 24.0, sq / 6.0, sq * step / 12.0, sq * sq / 24.0
 
 
-def _prefix_logsumexp(a):
-    """log(cumsum(exp(a))) of a 1-D array, as np.logaddexp.accumulate(a) gives it.
-
-    The values are cut into blocks of PREFIX_BLOCK cells.  Each block is
-    shifted by its own maximum, so one exp, one cumsum and one log per cell
-    give its partial sums; a logaddexp.accumulate over the nb block totals
-    carries the blocks into each other, and each block's partial sums are
-    referred to the larger of its maximum and its carry.  A partial sum is
-    exact when it is not below PREFIX_TINY of that reference.  Only a block
-    that climbs by more than about 640 nats before its maximum can fall
-    below (its early cells are then dwarfed by its own later ones); such a
-    block is redone with the exact accumulate from its carry.  The cells of
-    the leading -inf run, and only those, stay -inf.
-    """
-    m = a.size
-    nb = -(-m // PREFIX_BLOCK)
-    s = np.full((nb, PREFIX_BLOCK), -np.inf)
-    s.reshape(-1)[:m] = a
-    top = s.max(axis=1)
-    finite = top > -np.inf
-    if not finite.any():
-        return s.reshape(-1)[:m]
-    s -= np.where(finite, top, 0.0)[:, None]
-    np.exp(s, out=s)
-    np.cumsum(s, axis=1, out=s)
-    carry = np.full(nb, -np.inf)
-    with np.errstate(divide="ignore"):
-        np.logaddexp.accumulate(top[:-1] + np.log(s[:-1, -1]), out=carry[1:])
-    ref = np.maximum(top, carry)
-    ref[ref == -np.inf] = 0.0
-    s *= np.exp(top - ref)[:, None]
-    s += np.exp(carry - ref)[:, None]
-    # each block's partial sums are non-decreasing, so its first cell past the
-    # leading -inf run holds its smallest
-    first = int(np.argmax(finite))
-    head = s[:, 0].copy()
-    cells = a[first * PREFIX_BLOCK:(first + 1) * PREFIX_BLOCK]
-    head[first] = s[first, np.argmax(cells > -np.inf)]
-    head[:first] = np.inf
-    with np.errstate(divide="ignore"):
-        np.log(s, out=s)
-    s += ref[:, None]
-    for k in np.flatnonzero(head < PREFIX_TINY):
-        cells = a[k * PREFIX_BLOCK:(k + 1) * PREFIX_BLOCK]
-        s[k, :cells.size] = np.logaddexp.accumulate(np.concatenate([carry[k:k + 1], cells]))[1:]
-    return s.reshape(-1)[:m]
-
-
 def _column(steps, rates, feed, prior, lo=0, hi=None):
     """One state's log column of a diagonal-exact RK4 sweep, over its window at once.
 
@@ -382,10 +323,9 @@ def _column(steps, rates, feed, prior, lo=0, hi=None):
     state's column therefore obeys x[j+1] = exp(-i_end[j]) (x[j] + b[j]),
     with b = sum_d a_d S^d x known from the earlier states, and that
     recurrence is solved at once in log space: with g the running sum of
-    -i_end, log x = g + (prefix log-sum-exp of [log seed, log b - g]), which
-    :func:`_prefix_logsumexp` forms in blocks, exactly.  No value is
-    rescaled or clamped.  Returns the log column (hi - lo + 1 values) and
-    the ``prior`` of the next state.
+    -i_end, log x = g + np.logaddexp.accumulate([log seed, log b - g]).  No
+    value is rescaled or clamped.  Returns the log column (hi - lo + 1
+    values) and the ``prior`` of the next state.
     """
     m = steps[0].size
     hi = m if hi is None else hi
@@ -407,16 +347,14 @@ def _column(steps, rates, feed, prior, lo=0, hi=None):
     if not prior:
         return g, [(lo, g, None, None, i_mid, i_end)]
     a, c0, cm = _log_forcing(steps, feed, i_mid, i_end, g, prior, lo)
-    log_x = _prefix_logsumexp(a)
-    log_x += g
+    log_x = np.logaddexp.accumulate(a) + g
     return log_x, [(lo, log_x, c0, cm, i_mid, i_end)] + prior[:3]
 
 
 def _log_forcing(steps, feed, i_mid, i_end, g, prior, lo):
-    """[log seed, log b - g] for a state after a sweep's first, whose seed is 0,
-    and the state's couplings c0 and cm: the input of its column's prefix sum.
-    Term d of b runs, as views, only where state d back is not 0.  Its
-    temporaries are freed before that sum runs."""
+    """[log seed, log b - g] for a state after a sweep's first (seed 0), and its
+    couplings c0 and cm: the input of its column's prefix sum.  Term d of b runs,
+    as views, only where state d back is not 0; its temporaries die before the sum."""
     h6, _, h2_6, h3_12, h4_24 = steps
     m = g.size - 1
     # offset of this column's first step in each earlier state's arrays, and the
@@ -696,18 +634,22 @@ def _forward(mesh, rates):
     return out
 
 
-def _field(model, spec, h_step, h, step_budget):
-    """The h-field for a marginal route: solved unless given, and a given one
-    must belong to this model, bridge, h_step and step budget."""
-    if h is None:
-        return solve_h(model, spec, h_step, step_budget)
+def check_field(model, spec, h):
+    """Raise ValueError unless ``h`` was solved for ``spec`` and, if given, ``model``."""
     if model is not None and h.model is not model:
         raise ValueError("h was solved for a different model")
     if h.spec != spec:
         raise ValueError("h was solved for a different bridge")
-    budget = STEP_BUDGET if step_budget is None else float(step_budget)
-    if _n_cells(spec, h_step) != h.mesh.n_cells or budget != h.mesh.step_budget:
-        raise BadStep("marginals must use the h_step and step budget the field was solved with")
+
+
+def _field(model, spec, h_step, h):
+    """The h-field for a marginal route: solved unless given; a given one must
+    belong to this model and bridge and to h_step, and brings its own mesh."""
+    if h is None:
+        return solve_h(model, spec, h_step)
+    check_field(model, spec, h)
+    if _n_cells(spec, h_step) != h.mesh.n_cells:
+        raise BadStep("marginals must use the h_step the field was solved with")
     return h
 
 
@@ -732,7 +674,7 @@ def _pinned_table(spec, mesh, rows, drift):
     return MarginalTable(spec, mesh.out_times, probs, drift).validate()
 
 
-def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
+def marginal_table(model, spec, h_step=1e-3, h=None):
     """Bridge marginals by forward integration of the pinned dynamics.
 
     The forward rates come from the solved h-field at the mesh nodes, so no
@@ -741,14 +683,14 @@ def marginal_table(model, spec, h_step=1e-3, h=None, step_budget=None):
     mass between consecutive output rows is the drift reported on the table,
     and it must stay below 1e-6.
     """
-    h = _field(model, spec, h_step, h, step_budget)
+    h = _field(model, spec, h_step, h)
     mesh = h.mesh
     rows, log_mass = _normalised(_forward(mesh, h.pinned_rates()))
     drift = float(np.max(np.abs(np.expm1(np.diff(log_mass)))))
     return _pinned_table(spec, mesh, rows, drift)
 
 
-def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None):
+def marginal_table_two_sided(model, spec, h_step=1e-3, h=None):
     """Bridge marginals as (unconditioned forward mass) x h, renormalized.
 
     Independent of the pinned forward dynamics (no singular rates enter), so
@@ -757,7 +699,7 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None, step_budget=None)
     reads its rates from one ``model.rate_columns`` reader over the forward
     nodes, one state's column at a time.
     """
-    h = _field(model, spec, h_step, h, step_budget)
+    h = _field(model, spec, h_step, h)
     mesh = h.mesh
     log_p = _forward(mesh, h.model.rate_columns(mesh.times[:mesh.n_fwd_nodes], spec.ladder(),
                                                 *mesh.fwd_rows))

@@ -16,15 +16,15 @@ rejection sampler) live with the tests, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import check_memory
-from .errors import NotSorted, OutOfDomain, PinMiss
+from .analytic import tilted_quantile
+from .engine import check_field, check_memory
+from .errors import NotSorted, PinMiss
 
 _U64 = (1 << 64) - 1
 
@@ -112,35 +112,22 @@ def _replica_exponentials(seed, count, n):
 def sample_constant(lam, spec, count, rng_seed):
     """Exact bridge sampler for any model whose characteristic is lam.
 
-    Draws n = y - x i.i.d. variates from the tilted density on the window
-    (inverse CDF: log1p(U (e^lam' - 1)) / lam' with lam' = lam * (u - s)) and
-    sorts them.  Deterministic given the seed.  A tilt lam' that is not
-    finite, or so large that e^lam' overflows (lam' > about 709.78), raises
-    :class:`~countbridge.errors.OutOfDomain`; tied draws raise
+    Draws n = y - x i.i.d. variates from the tilted density on the window by
+    inversion (:func:`~countbridge.analytic.tilted_quantile` at the tilt
+    lam * (u - s) over the window) and sorts them.  Deterministic given the
+    seed.  That tilt must be finite with e^tilt finite, or
+    :class:`~countbridge.errors.OutOfDomain` is raised; tied draws raise
     :class:`~countbridge.errors.NotSorted`.  A sample whose arrays would
     exceed the engine's memory cap raises
     :class:`~countbridge.errors.ResourceCap` before any is drawn.
     """
     n = spec.n
     count = int(count)
-    lam_eff = lam * spec.length
-    if not math.isfinite(lam_eff):
-        raise OutOfDomain(f"the tilt over the window must be finite, got {lam_eff}")
     # the draws, their tilted values, the sorted times, one temporary and their
     # differences: five (count x n) arrays at once
     check_memory(5 * 8 * count * n, f"{count} paths of {n} jumps")
-    rng = replica_rng(rng_seed, 0)
-    u01 = rng.random((count, n))
-    if lam_eff == 0.0:
-        v = u01
-    else:
-        try:
-            scale = math.expm1(lam_eff)
-        except OverflowError:
-            raise OutOfDomain(f"the tilt over the window, {lam_eff:g}, overflows exp;"
-                              " it must stay below about 709.78") from None
-        v = np.log1p(u01 * scale) / lam_eff
-    times = spec.s + spec.length * np.sort(v, axis=1)
+    u01 = replica_rng(rng_seed, 0).random((count, n))
+    times = spec.s + spec.length * np.sort(tilted_quantile(lam * spec.length, u01), axis=1)
     if not np.all(np.diff(times, axis=1) > 0):
         raise NotSorted("jump times must be strictly increasing")
     return PathBatch(spec.x, times)
@@ -157,11 +144,11 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     that rounds to u or does not advance past the previous jump raises
     :class:`~countbridge.errors.PinMiss` (an event of frequency zero).
     ``stats``, when given, is updated with ``proposals`` and ``accepts``: one
-    each per jump.  A sample whose arrays would exceed the engine's memory cap
-    raises :class:`~countbridge.errors.ResourceCap` before any is drawn.
+    each per jump.  Before any is drawn, an ``h`` solved for another model or
+    bridge raises ValueError and a sample whose arrays would exceed the
+    engine's memory cap raises :class:`~countbridge.errors.ResourceCap`.
     """
-    if model is not None and h.model is not model:
-        raise ValueError("h was solved for a different model")
+    check_field(model, spec, h)
     n = spec.n
     count = int(count)
     # the masses and the jump times (count x n each), and the count-long vectors

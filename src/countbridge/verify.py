@@ -35,6 +35,10 @@ from .sampler import jump_time_matrix, sample_bridge, sample_constant
 # the interior points of DOMINANCE_TIMES equally spaced times.
 INSPECT_POINTS = 51
 DOMINANCE_TIMES = 21
+# The convexity check solves its h-field at this mesh step budget, tighter than
+# the engine's default; the lln experiment refuses more jump draws than LLN_BUDGET.
+CONVEXITY_BUDGET = 0.005
+LLN_BUDGET = 5_000_000
 
 
 @dataclass
@@ -59,21 +63,21 @@ class ConvexityReport:
         }
 
 
-def convexity_check(model, spec, h_step=1e-3, tol=1e-8, table=None, step_budget=0.005):
+def convexity_check(model, spec, h_step=1e-3, tol=1e-8, table=None):
     """Verdict on the curvature of the bridge mean curve.
 
     Nonnegative characteristic over the window and ladder implies convexity,
     nonpositive implies concavity; a sign-indefinite characteristic yields
     "no claim" (a valid outcome, not an error).  Second differences divide by
     step^2, which amplifies any integrator noise by ~1e4, so the check runs
-    the marginals at a tighter mesh budget than the module default and takes
-    the differences on a decimated uniform grid.
+    the marginals at a mesh budget of CONVEXITY_BUDGET, tighter than the
+    engine's default, and takes the differences on a decimated uniform grid.
     """
     if spec.n == 0:
         return ConvexityReport(spec, 0.0, 0.0, "linear", True, 0.0, tol)
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
     if table is None:
-        table = marginal_table(model, spec, h_step, step_budget=step_budget)
+        table = marginal_table(model, spec, h_step, solve_h(model, spec, h_step, CONVEXITY_BUDGET))
     curve = mean_curve(table)
     npts = curve.shape[0]
     stride = max(1, int(round((npts - 1) / (INSPECT_POINTS - 1))))
@@ -373,7 +377,7 @@ def _sup_distance(times, lam):
     return np.maximum(above, below).max(axis=1)
 
 
-def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h_step=1e-3):
+def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=1e-3):
     """Sample 0 -> N bridges and measure the sup distance to the tilted profile.
 
     For models with an exactly constant characteristic the jump times are
@@ -388,8 +392,8 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, budget=5_000_000, h
     if int(replicas) < 1:
         raise TooFewSamples(f"the lln experiment needs at least one replica, got {replicas}")
     work = sum(n_values) * int(replicas)
-    if work > budget:
-        raise ResourceCap(f"requested {work} jump draws exceeds budget {budget}")
+    if work > LLN_BUDGET:
+        raise ResourceCap(f"requested {work} jump draws exceeds budget {LLN_BUDGET}")
     bounds = model.characteristic_bounds((0.0, 1.0), (0, max(n_values) - 1))
     constant = abs(bounds.sup - bounds.inf) < 1e-12
     strategy = "exact-order-statistics" if constant else "h-transform-inversion"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countbridge.analytic import (BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf,
-                                  tilted_cdf_window)
+                                  tilted_cdf_window, tilted_quantile)
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadWindow, IndexOut, OutOfDomain
 from oracles import binom
@@ -83,6 +83,25 @@ def test_tilted_cdf_refuses_a_tilt_whose_exp_overflows():
         tilted_cdf(709.79, 0.5)
     with pytest.raises(OutOfDomain, match="overflows exp"):
         tilted_cdf_window(800.0, 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, -1e-9, 5e-7, -9.9e-7, 1e-6, 0.3, -4.0, 40.0, 709.78])
+def test_tilted_quantile_inverts_the_tilted_cdf(lam):
+    # below |lam| = 1e-6 both sides use their expansions, which invert each
+    # other up to O(lam^2)
+    p = np.linspace(0.0, 1.0, 1001)
+    t = tilted_quantile(lam, p)
+    assert t[0] == 0.0 and np.all(np.diff(t) >= 0.0) and np.all(t <= 1.0)
+    assert np.max(np.abs(tilted_cdf(lam, t) - p)) <= 1e-13
+
+
+@pytest.mark.parametrize("lam, match", [
+    (709.79, "overflows exp"), (1500.0, "overflows exp"),
+    (math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+])
+def test_tilted_quantile_refuses_a_tilt_it_cannot_represent(lam, match):
+    with pytest.raises(OutOfDomain, match=match):
+        tilted_quantile(lam, [0.25, 0.5])
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 20, 200])

@@ -244,9 +244,12 @@ def test_marginals_refuse_a_field_of_another_bridge():
     rates = np.tile(1.0 + np.arange(8.0) ** 2, (3, 1))
     model = Tabulated(tg, 0, rates, np.zeros_like(rates))
     h = solve_h(model, BridgeSpec(0, 3), 1e-3)
-    for route in (marginal_table, marginal_table_two_sided):
+    routes = (lambda spec: marginal_table(model, spec, 1e-3, h=h),
+              lambda spec: marginal_table_two_sided(model, spec, 1e-3, h=h),
+              lambda spec: sample_bridge(model, spec, h, 5, 1))
+    for route in routes:
         with pytest.raises(ValueError):
-            route(model, BridgeSpec(2, 5), 1e-3, h=h)
+            route(BridgeSpec(2, 5))
 
 
 def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
@@ -417,43 +420,6 @@ def test_column_step_matches_the_staged_step(shift, width):
             np.testing.assert_allclose(x[j + 1], want, rtol=1e-13, atol=0.0)
 
 
-def _prefix_cases():
-    block = engine.PREFIX_BLOCK
-    rng = np.random.default_rng(11)
-    walk = lambda m: np.cumsum(rng.normal(0.0, 3.0, m))
-    lead = walk(3 * block + 40)
-    lead[:block + 70] = -np.inf
-    return {
-        "one": walk(1),
-        "block-1": walk(block - 1),
-        "block": walk(block),
-        "block+1": walk(block + 1),
-        "multi-block": walk(7 * block + 33),
-        "leading-minus-inf": lead,
-        "all-minus-inf": np.full(2 * block + 5, -np.inf),
-        # every cell 5 nats below the one before: the carry dominates each block
-        "steep-fall": 400.0 - 5.0 * np.arange(4 * block + 9),
-        # 5 nats per cell climbs ~1275 nats inside each block, past what a float
-        # can hold relative to the block's top: only the exact guard gets it right
-        "climb": -900.0 + 5.0 * np.arange(3 * block + 9),
-    }
-
-
-@pytest.mark.parametrize("name", list(_prefix_cases()))
-def test_prefix_logsumexp_matches_the_accumulate(name):
-    # the sequential np.logaddexp.accumulate is the reference; the blocked sums
-    # reorder the additions, so they agree to 1e-12 relative (set beforehand),
-    # with the same -inf cells
-    a = _prefix_cases()[name]
-    want = np.logaddexp.accumulate(a)
-    got = engine._prefix_logsumexp(a)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
-    fin = np.isfinite(want)
-    assert np.all(np.isfinite(got[fin]))
-    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
-
-
 @pytest.mark.parametrize("model, spec", [
     (Product(1.0, 3.0, 0.1), BridgeSpec(0, 10)),
     (Product(2.0, -4.0, 0.5), BridgeSpec(0, 8)),
@@ -464,7 +430,7 @@ def test_mean_curvature_is_the_mean_of_k_times_the_characteristic(model, spec):
     # exactly: the paper's convexity criterion as an identity.  Second differences of
     # the mean curve carry an O(step^2) truncation error.
     h = solve_h(model, spec, 1e-3, step_budget=0.005)
-    table = marginal_table(model, spec, 1e-3, h=h, step_budget=0.005)
+    table = marginal_table(model, spec, 1e-3, h=h)
     d2 = second_differences(mean_curve(table))[:, 1]
     k = _pinned_grid(h)[h.mesh.out_node_idx[1:]]
     char = model.characteristic(table.times[1:-1, None], spec.ladder()[None, :])

@@ -171,7 +171,7 @@ def test_lln_pinned_ends_contribute_nothing():
 
 def test_lln_budget_guard():
     with pytest.raises(ResourceCap):
-        lln_experiment(Poisson(1.0), 0.0, [10 ** 6], 100, 1, budget=10 ** 6)
+        lln_experiment(Poisson(1.0), 0.0, [10 ** 6], 100, 1)
 
 
 def test_report_serialization():
