@@ -18,8 +18,7 @@ from .engine import (BridgeSpec, HField, MarginalTable, marginal_table,
 from .intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
                         constant_characteristic_model, generic_characteristic, model_from_dict,
                         model_from_json)
-from .sampler import (PathBatch, PathSample, jump_time_matrix, replica_rng, sample_bridge,
-                      sample_constant)
+from .sampler import PathBatch, PathSample, jump_time_matrix, sample_bridge, sample_constant
 from .verify import (BoundReport, ConvexityReport, DualityResult, LLNReport, TestFunctional,
                      WindowFunction, convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)

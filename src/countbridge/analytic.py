@@ -58,15 +58,18 @@ def _tilt_scale(lam):
 def tilted_quantile(lam, p):
     """The t in [0, 1] at which :func:`tilted_cdf` reaches p: its inverse in t.
 
-    log1p(p (e^lam - 1)) / lam; where |lam| < _SMALL_LAM, the inverse of
-    tilted_cdf's own expansion there, p + lam p (1 - p) / 2.  A non-finite
-    tilt, or one whose e^lam overflows, raises :class:`~countbridge.errors.OutOfDomain`.
+    log1p(p (e^lam - 1)) / lam, clipped to [0, 1]; where |lam| < _SMALL_LAM,
+    the inverse of tilted_cdf's own expansion there, p + lam p (1 - p) / 2.
+    A non-finite tilt, or one whose e^lam overflows, raises
+    :class:`~countbridge.errors.OutOfDomain`.
     """
     p = np.asarray(p, dtype=float)
     lam = float(lam)
     if abs(lam) < _SMALL_LAM:
         return p + lam * p * (1.0 - p) / 2.0
-    return np.log1p(p * _tilt_scale(lam)) / lam
+    # below lam of about -37, e^lam - 1 rounds to -1, so p = 1 gives log1p(-1)
+    with np.errstate(divide="ignore"):
+        return np.clip(np.log1p(p * _tilt_scale(lam)) / lam, 0.0, 1.0)
 
 
 def tilted_cdf_window(lam, s, u, t):

@@ -9,6 +9,8 @@ Two samplers live here:
 
 Both return a :class:`PathBatch`: one read-only ``(count, n)`` jump-time
 matrix, whose items are :class:`PathSample` objects built only on access.
+Each call draws from one stream, :func:`seeded_rng` of its seed, row by row,
+so the first rows of a larger draw equal a smaller draw with the same seed.
 The brute-force validation devices (the xi tables of the simplex density
 exp(sum_j xi_j(t_j)), the quadrature oracle for P(T_i <= t) and the
 rejection sampler) live with the tests, in ``tests/oracles.py``.
@@ -82,31 +84,9 @@ def jump_time_matrix(paths):
     return np.asarray([p.jump_times for p in paths], dtype=float)
 
 
-def replica_rng(seed, index):
-    """Independent, reproducible stream for one replica of a seeded run."""
-    key = (int(seed) & _U64) << 64 | (int(index) & _U64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _replica_exponentials(seed, count, n):
-    """Row r is ``replica_rng(seed, r).standard_exponential(n)``, bit for bit.
-
-    A Philox stream depends only on its key, so one generator is re-keyed per
-    replica through its ``state`` setter (key words (r, seed), zero counter,
-    empty buffer) instead of being built anew.
-    """
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    key = np.array([0, int(seed) & _U64], dtype=np.uint64)
-    zero = np.zeros(4, dtype=np.uint64)
-    fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = np.empty((int(count), int(n)))
-    for r, row in enumerate(out):
-        key[0] = r
-        bitgen.state = fresh
-        gen.standard_exponential(out=row)
-    return out
+def seeded_rng(seed):
+    """The one counter-based Philox stream of a seeded sampler call."""
+    return np.random.Generator(np.random.Philox(key=(int(seed) & _U64) << 64))
 
 
 def sample_constant(lam, spec, count, rng_seed):
@@ -126,7 +106,7 @@ def sample_constant(lam, spec, count, rng_seed):
     # the draws, their tilted values, the sorted times, one temporary and their
     # differences: five (count x n) arrays at once
     check_memory(5 * 8 * count * n, f"{count} paths of {n} jumps")
-    u01 = replica_rng(rng_seed, 0).random((count, n))
+    u01 = seeded_rng(rng_seed).random((count, n))
     times = spec.s + spec.length * np.sort(tilted_quantile(lam * spec.length, u01), axis=1)
     if not np.all(np.diff(times, axis=1) > 0):
         raise NotSorted("jump times must be strictly increasing")
@@ -139,9 +119,10 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     The ladder only goes up, so after j jumps every path sits in state x + j:
     jump j + 1 of every path comes from one vectorised inversion of that
     state's pinned survival (:meth:`~countbridge.engine.HField.next_jumps`).
-    Replica r draws its n Exp(1) masses from an independent stream keyed by
-    (rng_seed, r).  Every returned path has exactly n = y - x jumps; a draw
-    that rounds to u or does not advance past the previous jump raises
+    Its Exp(1) masses are the first count * n draws of the seed's one stream,
+    row by row, so path r depends only on the seed and r.  Every returned
+    path has exactly n = y - x jumps; a draw that rounds to u or does not
+    advance past the previous jump raises
     :class:`~countbridge.errors.PinMiss` (an event of frequency zero).
     ``stats``, when given, is updated with ``proposals`` and ``accepts``: one
     each per jump.  Before any is drawn, an ``h`` solved for another model or
@@ -154,7 +135,7 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     # the masses and the jump times (count x n each), and the count-long vectors
     # of one inversion: five at most
     check_memory(8 * count * (2 * n + 5), f"{count} paths of {n} jumps")
-    mass = _replica_exponentials(rng_seed, count, n)
+    mass = seeded_rng(rng_seed).standard_exponential((count, n))
     times = np.empty((count, n))
     t = np.full(count, float(spec.s))
     for zi in range(n):

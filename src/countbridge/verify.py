@@ -63,7 +63,7 @@ class ConvexityReport:
         }
 
 
-def convexity_check(model, spec, h_step=1e-3, tol=1e-8, table=None):
+def convexity_check(model, spec, h_step=1e-3, tol=1e-8):
     """Verdict on the curvature of the bridge mean curve.
 
     Nonnegative characteristic over the window and ladder implies convexity,
@@ -76,8 +76,7 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8, table=None):
     if spec.n == 0:
         return ConvexityReport(spec, 0.0, 0.0, "linear", True, 0.0, tol)
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
-    if table is None:
-        table = marginal_table(model, spec, h_step, solve_h(model, spec, h_step, CONVEXITY_BUDGET))
+    table = marginal_table(model, spec, h_step, solve_h(model, spec, h_step, CONVEXITY_BUDGET))
     curve = mean_curve(table)
     npts = curve.shape[0]
     stride = max(1, int(round((npts - 1) / (INSPECT_POINTS - 1))))
@@ -125,7 +124,7 @@ class BoundReport:
         }
 
 
-def dominance_check(model, spec, lam, direction="lower", tol=1e-6, h_step=1e-3, table=None):
+def dominance_check(model, spec, lam, direction="lower", tol=1e-6, table=None):
     """Compare every marginal tail of the bridge with its binomial benchmark.
 
     With ``direction="lower"`` (lam a lower bound of the characteristic on the
@@ -144,7 +143,7 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, h_step=1e-3, 
     else:
         hypothesis_holds = bounds.sup <= lam + 1e-12
     if table is None:
-        table = marginal_table(model, spec, h_step)
+        table = marginal_table(model, spec)
     tails = table.tail_matrix()
 
     rows = []
@@ -184,10 +183,10 @@ class MeanBoundReport:
         }
 
 
-def mean_bound_check(model, spec, lam, tol=1e-6, h_step=1e-3, table=None):
+def mean_bound_check(model, spec, lam, tol=1e-6, table=None):
     """Check the mean curve against the tilted-profile upper bound at every output time."""
     if table is None:
-        table = marginal_table(model, spec, h_step)
+        table = marginal_table(model, spec)
     ts, means = mean_curve(table).T
     bound = np.asarray(mean_upper_bound(spec, lam, ts), dtype=float)
     margins = bound - means
@@ -240,7 +239,7 @@ class DualityResult:
         }
 
 
-def duality_check(model, spec, u_func, phi, count, rng_seed, h_step=1e-3, h=None, paths=None):
+def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     """Monte Carlo test of the jump-time integration-by-parts identity.
 
     Estimates E[-sum_j dphi/dt_j * u(T_j)] and
@@ -254,9 +253,7 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, h_step=1e-3, h=None
     if phi.m > n:
         raise ValueError(f"phi looks at {phi.m} jump times but the bridge has {n}")
     if paths is None:
-        if h is None:
-            h = solve_h(model, spec, h_step)
-        paths = sample_bridge(model, spec, h, count, rng_seed)
+        paths = sample_bridge(model, spec, solve_h(model, spec), count, rng_seed)
     count = len(paths)
     if count < 2:
         raise TooFewSamples(f"the duality check needs at least two paths, got {count}")

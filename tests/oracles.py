@@ -21,7 +21,7 @@ from scipy.stats import binom
 
 from countbridge.errors import CountBridgeError, IndexOut, NotSorted
 from countbridge.intensity import CharacteristicBounds
-from countbridge.sampler import PathSample, replica_rng
+from countbridge.sampler import PathSample, seeded_rng
 
 
 class OracleScale(CountBridgeError):
@@ -207,7 +207,7 @@ def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):
         pot = characteristic_integrals(model, spec)
     lam_hat = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1))).inf
     log_m = float(sum(pot.xi(j + 1, spec.u) - lam_hat * spec.length for j in range(n)))
-    rng = replica_rng(rng_seed, 0)
+    rng = seeded_rng(rng_seed)
     out = []
     draws = 0
     cap = max_draws or int(5e7)

@@ -85,7 +85,8 @@ def test_tilted_cdf_refuses_a_tilt_whose_exp_overflows():
         tilted_cdf_window(800.0, 0.0, 1.0, 0.5)
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-9, -1e-9, 5e-7, -9.9e-7, 1e-6, 0.3, -4.0, 40.0, 709.78])
+@pytest.mark.parametrize("lam", [0.0, 1e-9, -1e-9, 5e-7, -9.9e-7, 1e-6, 0.3, -4.0, 40.0, 709.78,
+                                 -36.0, -38.0, -700.0])
 def test_tilted_quantile_inverts_the_tilted_cdf(lam):
     # below |lam| = 1e-6 both sides use their expansions, which invert each
     # other up to O(lam^2)

@@ -10,8 +10,8 @@ from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, Underflow
 from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
-from countbridge.sampler import (PathBatch, PathSample, _replica_exponentials, jump_time_matrix,
-                                 replica_rng, sample_bridge, sample_constant)
+from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample_bridge,
+                                 sample_constant)
 from countbridge.verify import duality_catalog, duality_check, lln_experiment
 from oracles import (OracleScale, characteristic_integrals, grid_index, sample_rejection,
                      simplex_jump_time_cdf)
@@ -300,15 +300,17 @@ def test_sample_bridge_memory_stays_below_log_h():
     assert peak <= 0.5 * h.logh.nbytes
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 64 - 1, -3])
-@pytest.mark.parametrize("count", [0, 1, 257])
-@pytest.mark.parametrize("n", [0, 17])
-def test_replica_exponentials_equal_fresh_replica_streams(seed, count, n):
-    got = _replica_exponentials(seed, count, n)
-    assert got.shape == (count, n)
-    for r in range(count):
-        want = replica_rng(seed, r).standard_exponential(n)
-        assert got[r].tobytes() == want.tobytes(), r
+@pytest.mark.parametrize("draw", ["bridge", "constant"])
+def test_smaller_draws_are_the_first_rows_of_a_larger_draw(draw):
+    spec = BridgeSpec(0, 12)
+    if draw == "bridge":
+        model = Product(1.0, 3.0, 0.1)
+        h = solve_h(model, spec, 1e-3)
+        times = {count: sample_bridge(model, spec, h, count, 29).times for count in (1, 300, 2000)}
+    else:
+        times = {count: sample_constant(-2.0, spec, count, 29).times for count in (1, 300, 2000)}
+    for count in (1, 300):
+        assert times[count].tobytes() == times[2000][:count].tobytes()
 
 
 def test_path_batch_is_a_sequence_of_path_samples():
@@ -373,7 +375,7 @@ def test_sample_constant_refuses_tied_draws(monkeypatch):
         def random(self, shape):
             return np.full(shape, 0.5)
 
-    monkeypatch.setattr(sampler, "replica_rng", lambda seed, index: Ties())
+    monkeypatch.setattr(sampler, "seeded_rng", lambda seed: Ties())
     with pytest.raises(NotSorted):
         sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
     assert len(sample_constant(1.0, BridgeSpec(0, 1), 4, 1)) == 4  # one jump cannot tie
@@ -386,7 +388,7 @@ def test_sample_constant_refuses_nan_draws(monkeypatch):
         def random(self, shape):
             return np.full(shape, np.nan)
 
-    monkeypatch.setattr(sampler, "replica_rng", lambda seed, index: NaNs())
+    monkeypatch.setattr(sampler, "seeded_rng", lambda seed: NaNs())
     with pytest.raises(NotSorted):
         sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
 

@@ -178,7 +178,7 @@ def test_report_serialization():
     model = Product(1.0, 3.0, 0.1)
     spec = BridgeSpec(0, 5)
     table = marginal_table(model, spec, 1e-3)
-    for rep in (convexity_check(model, spec, table=None),
+    for rep in (convexity_check(model, spec),
                 dominance_check(model, spec, 3.0, table=table),
                 mean_bound_check(model, spec, 3.0, table=table)):
         d = rep.to_dict()
