@@ -23,9 +23,9 @@ module promises.  Two devices deal with that:
 Every system here is bidiagonal: a state is fed by one neighbour only (the
 state above backward, the state below forward).  So every sweep takes the
 states in the outer loop, and each state's whole column over the mesh is one
-first-order linear recurrence in the steps, driven by the columns already
-solved.  All of its terms are non-negative, so :func:`_column` solves it at
-once in log space (np.logaddexp.accumulate), rescaling or clamping nothing.
+first-order linear recurrence in the steps, driven by the RK4 stage values of
+the state before.  All of its terms are non-negative, so :func:`_column` solves
+it at once in log space (np.logaddexp.accumulate), rescaling or clamping nothing.
 
 Windows.  By the paper's marginal estimate every tail of the bridge lies
 between the binomial tails of the tilted profiles at the infimum and the
@@ -291,46 +291,54 @@ def _cut_times(model, spec):
     return early, late
 
 
+# The RK4 weights of the stages, and h/2 k1, h/2 k2 and h k3 as multiples of
+# b = h/6 (k1 + 2 k2 + 2 k3 + k4)
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
+_INCREMENTS = np.array([[3.0], [3.0], [6.0]])
+
+
 def _step_powers(step):
     """The step factors of one sweep's RK4 coefficients, formed once per sweep:
-    step/6, step/24, step^2/6, step^3/12 and step^4/24."""
-    sq = step * step
-    return step / 6.0, step / 24.0, sq / 6.0, sq * step / 12.0, sq * sq / 24.0
+    step/6, step/24 and log(step/6)."""
+    h6 = step / 6.0
+    return h6, step / 24.0, np.log(h6)
 
 
-def _column(steps, rates, feed, prior, lo=0, hi=None):
+def _column(steps, rates, feed, prev, lo=0, hi=None):
     """One state's log column of a diagonal-exact RK4 sweep, over its window at once.
 
     A sweep takes the ladder states in order, from the pin down (``solve_h``)
     or from the start state up (the marginal routes), and starts from 1 in
     its first state and 0 in every other.  ``steps`` is :func:`_step_powers`
     of the m step lengths in sweep order.  The column holds nodes ``lo`` to
-    ``hi`` in sweep order (by default all m + 1), seeded at ``lo``, and is 0
-    outside them.  ``rates`` are the state's own rates and ``feed`` those at
-    which the state before it feeds it (its own rates backward, the rates of
-    the state below forward; unused for the first state), each given at the
-    step boundaries and midpoints interleaved, from node ``lo`` to one step
-    past ``hi``.  ``prior`` is what this function returned for the state
-    before, which carries up to four states.
+    ``hi`` in sweep order (by default all m + 1; neither below the state
+    before's), seeded at ``lo``, and is 0 outside them.  ``rates`` are the
+    state's own rates and ``feed`` those at which the state before it feeds
+    it (its own rates backward, the rates of the state below forward; unused
+    for the first state), each given at the step boundaries and midpoints
+    interleaved, from node ``lo`` to one step past ``hi``.  ``prev`` is what
+    this function returned for the state before (None for the first).
 
     Each step removes its diagonal exactly.  With i_mid and i_end its
     integrals (a quadratic fit to the middle, Simpson to the end) and
-    coupling rates c0, cm, ce, the staged step k1 = c0 S x,
-    k2 = cm S(x + h/2 k1), k3 = cm S(x + h/2 k2), k4 = ce S(x + h k3),
-    x_new = exp(-i_end) (x + h/6 (k1 + 2 k2 + 2 k3 + k4)), S reading the
-    state before, expands into exp(-i_end) (x + a1 S x + ... + a4 S^4 x).
-    Every a_d is a product of rates and step powers, so it is >= 0.  One
-    state's column therefore obeys x[j+1] = exp(-i_end[j]) (x[j] + b[j]),
-    with b = sum_d a_d S^d x known from the earlier states, and that
-    recurrence is solved at once in log space: with g the running sum of
-    -i_end, log x = g + np.logaddexp.accumulate([log seed, log b - g]).  No
-    value is rescaled or clamped.  Returns the log column (hi - lo + 1
-    values) and the ``prior`` of the next state.
+    coupling rates c0, cm, ce, the stage values y1 = x', y2 = x' + h/2 k1',
+    y3 = x' + h/2 k2', y4 = x' + h k3' of the state before (primed) give this
+    state's stages k1 = c0 y1, k2 = cm y2, k3 = cm y3, k4 = ce y4 and
+    x_new = exp(-i_end) (x + b), b = h/6 (k1 + 2 k2 + 2 k3 + k4) >= 0.  So
+    one state's column obeys x[j+1] = exp(-i_end[j]) (x[j] + b[j]), solved at
+    once in log space: with g the running sum of -i_end,
+    log x = g + np.logaddexp.accumulate([log seed, log b - g]).  The
+    increments h/2 k1, h/2 k2 and h k3 are kept as multiples (at most 3) of
+    b, over every step ``rates`` covers: the next state reads them up to the
+    step from this state's last node.  On each step the state before's values
+    are taken over e^top, top the larger of its log x and log b, so b is never
+    formed outside log space and nothing is rescaled or clamped.  Returns the
+    log column (hi - lo + 1 values) and the ``prev`` of the next state.
     """
     m = steps[0].size
     hi = m if hi is None else hi
     end = min(hi + 1, m)
-    h6, h24 = steps[0][lo:end], steps[1][lo:end]
+    h6, h24, log_h6 = steps[0][lo:end], steps[1][lo:end], steps[2][lo:end]
     r0, rm, r1 = rates[:-1:2], rates[1::2], rates[2::2]
     i_mid = 8.0 * rm
     i_mid += 5.0 * r0
@@ -344,82 +352,42 @@ def _column(steps, rates, feed, prior, lo=0, hi=None):
     g[0] = 0.0
     np.cumsum(i_end[:hi - lo], out=g[1:])
     np.negative(g, out=g)
-    if not prior:
-        return g, [(lo, g, None, None, i_mid, i_end)]
-    a, c0, cm = _log_forcing(steps, feed, i_mid, i_end, g, prior, lo)
-    log_x = np.logaddexp.accumulate(a) + g
-    return log_x, [(lo, log_x, c0, cm, i_mid, i_end)] + prior[:3]
-
-
-def _log_forcing(steps, feed, i_mid, i_end, g, prior, lo):
-    """[log seed, log b - g] for a state after a sweep's first (seed 0), and its
-    couplings c0 and cm: the input of its column's prefix sum.  Term d of b runs,
-    as views, only where state d back is not 0; its temporaries die before the sum."""
-    h6, _, h2_6, h3_12, h4_24 = steps
-    m = g.size - 1
-    # offset of this column's first step in each earlier state's arrays, and the
-    # number of steps from lo over which that state is not 0
-    off = [lo - p[0] for p in prior]
-    span = [max(0, min(m, p[1].size - o)) for p, o in zip(prior, off)]
-    _, _, c0_1, cm_1, i_mid_1, i_end_1 = prior[0]
-    o1 = off[0]
-    w = max(0, i_mid_1.size - o1)
-    feed = feed[:2 * w + 1]
-    c0 = feed[:-1:2]
-    cm = np.exp(i_mid[:w] - i_mid_1[o1:o1 + w])
+    log_b = np.full(end - lo, -np.inf)
+    inc = np.zeros((3, end - lo))
+    if prev is None:
+        return g, (lo, g, log_b, inc, i_mid, i_end)
+    p_lo, p_x, p_b, p_inc, p_mid, p_end = prev
+    o = lo - p_lo
+    k = max(0, p_mid.size - o)
+    # the state before's stage values y1 and y2..y4 on the k steps it covers, over
+    # e^top; the finite floor keeps -inf - top from nan where that state is still 0
+    top = np.maximum(p_x[o:o + k], p_b[o:o + k])
+    np.maximum(top, -np.finfo(float).max, out=top)
+    y1 = np.exp(p_x[o:o + k] - top)
+    y = p_inc[:, o:o + k] * np.exp(p_b[o:o + k] - top)
+    y += y1
+    feed = feed[:2 * k + 1]
+    cm = np.exp(i_mid[:k] - p_mid[o:o + k])
     cm *= feed[1::2]
-    ce = np.exp(i_end[:w] - i_end_1[o1:o1 + w])
+    ce = np.exp(i_end[:k] - p_end[o:o + k])
     ce *= feed[2::2]
-    k = span[0]
-    a1 = 4.0 * cm[:k]
-    a1 += c0[:k]
-    a1 += ce[:k]
-    a1 *= h6[lo:lo + k]
-    coef = [a1]
-    if len(prior) > 1:
-        k = span[1]
-        a2 = cm[:k] + ce[:k]
-        a2 *= cm_1[o1:o1 + k]
-        a2 += cm[:k] * c0_1[o1:o1 + k]
-        a2 *= h2_6[lo:lo + k]
-        coef.append(a2)
-    if len(prior) > 2:
-        k, o2 = span[2], off[1]
-        c0_2, cm_2 = prior[1][2:4]
-        a3 = cm[:k] * c0_2[o2:o2 + k]
-        a3 += ce[:k] * cm_2[o2:o2 + k]
-        a3 *= cm_1[o1:o1 + k]
-        a3 *= h3_12[lo:lo + k]
-        coef.append(a3)
-    if len(prior) > 3:
-        k, o3 = span[3], off[2]
-        a4 = ce[:k] * cm_1[o1:o1 + k]
-        a4 *= cm_2[o2:o2 + k]
-        a4 *= prior[2][2][o3:o3 + k]
-        a4 *= h4_24[lo:lo + k]
-        coef.append(a4)
-    # log b at each step's start, shifted by the largest earlier value there; the
-    # finite floor keeps x - top from inf - inf where every earlier state is still 0
-    before = [p[1][o:o + k] for p, o, k in zip(prior, off, span)]
-    top = np.maximum(before[0], -np.finfo(float).max)
-    for x in before[1:]:
-        np.maximum(top[:x.size], x, out=top[:x.size])
-    b = np.exp(before[0] - top)
-    b *= a1
-    term = np.empty_like(top)
-    for a_d, x in zip(coef[1:], before[1:]):
-        t = term[:x.size]
-        np.subtract(x, top[:x.size], out=t)
-        np.exp(t, out=t)
-        t *= a_d
-        b[:x.size] += t
-    k = span[0]
-    a = np.full(m + 1, -np.inf)
-    with np.errstate(divide="ignore"):
-        np.log(b, out=a[1:k + 1])
-    a[1:k + 1] += top
-    a[1:k + 1] -= g[:k]
-    return a, c0, cm
+    stage = np.empty((4, k))
+    np.multiply(feed[:-1:2], y1, out=stage[0])
+    np.multiply(cm, y[:2], out=stage[1:3])
+    np.multiply(ce, y[2], out=stage[3])
+    s = _RK4_WEIGHTS @ stage
+    live = s > 0.0
+    np.log(s, out=log_b[:k], where=live)
+    log_b[:k] += log_h6[:k]
+    log_b[:k] += top
+    stage[:3] *= _INCREMENTS
+    np.divide(stage[:3], s, out=inc[:, :k], where=live)
+    a = np.empty(hi - lo + 1)
+    a[0] = -np.inf
+    np.subtract(log_b[:hi - lo], g[:-1], out=a[1:])
+    log_x = np.logaddexp.accumulate(a)
+    log_x += g
+    return log_x, (lo, log_x, log_b, inc, i_mid, i_end)
 
 
 def _pinned(upper, lower, rates):
@@ -576,9 +544,9 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
     lo, hi = last - mesh.h_hi[::-1], last - mesh.h_lo[::-1]
     columns = model.rate_columns(t_rates, spec.ladder()[::-1], 2 * lo,
                                  2 * np.minimum(hi + 1, last) + 1)
-    prior = []
+    prev = None
     for zi, a, b, rates in zip(range(spec.n, -1, -1), lo, hi, columns):
-        col, prior = _column(steps, rates, rates, prior, a, b)
+        col, prev = _column(steps, rates, rates, prev, a, b)
         log_h.column(zi, last - b, last - a + 1)[:] = col[::-1]
     return HField(model, spec, mesh, log_h)
 
@@ -622,12 +590,12 @@ def _forward(mesh, rates):
     each state is fed at the rates of the state below."""
     steps = _step_powers(np.diff(mesh.fwd_bounds))
     out = np.full((mesh.out_fb_idx.size, mesh.spec.n + 1), -np.inf)
-    prior, feed = [], None
+    prev, feed = None, None
     for zi, (r, lo, hi) in enumerate(zip(rates, mesh.fwd_lo, mesh.fwd_hi)):
         if zi:
             # the state below feeds this one from this column's first node on
             feed = feed[2 * (lo - mesh.fwd_lo[zi - 1]):]
-        log_q, prior = _column(steps, r, feed, prior, lo, hi)
+        log_q, prev = _column(steps, r, feed, prev, lo, hi)
         k0, k1 = np.searchsorted(mesh.out_fb_idx, [lo, hi + 1])
         out[k0:k1, zi] = log_q[mesh.out_fb_idx[k0:k1] - lo]
         feed = r

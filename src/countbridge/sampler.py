@@ -26,7 +26,7 @@ import numpy as np
 
 from .analytic import tilted_quantile
 from .engine import check_field, check_memory
-from .errors import NotSorted, PinMiss
+from .errors import NotSorted, PinMiss, TooFewSamples
 
 _U64 = (1 << 64) - 1
 
@@ -89,6 +89,14 @@ def seeded_rng(seed):
     return np.random.Generator(np.random.Philox(key=(int(seed) & _U64) << 64))
 
 
+def _path_count(count):
+    """``count`` as an int; a negative one raises TooFewSamples."""
+    count = int(count)
+    if count < 0:
+        raise TooFewSamples(f"a sample needs a path count of at least 0, got {count}")
+    return count
+
+
 def sample_constant(lam, spec, count, rng_seed):
     """Exact bridge sampler for any model whose characteristic is lam.
 
@@ -97,12 +105,12 @@ def sample_constant(lam, spec, count, rng_seed):
     lam * (u - s) over the window) and sorts them.  Deterministic given the
     seed.  That tilt must be finite with e^tilt finite, or
     :class:`~countbridge.errors.OutOfDomain` is raised; tied draws raise
-    :class:`~countbridge.errors.NotSorted`.  A sample whose arrays would
-    exceed the engine's memory cap raises
-    :class:`~countbridge.errors.ResourceCap` before any is drawn.
+    :class:`~countbridge.errors.NotSorted`.  Before any is drawn, a negative
+    ``count`` raises TooFewSamples and a sample whose arrays would exceed the
+    engine's memory cap :class:`~countbridge.errors.ResourceCap`.
     """
     n = spec.n
-    count = int(count)
+    count = _path_count(count)
     # the draws, their tilted values, the sorted times, one temporary and their
     # differences: five (count x n) arrays at once
     check_memory(5 * 8 * count * n, f"{count} paths of {n} jumps")
@@ -126,12 +134,12 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     :class:`~countbridge.errors.PinMiss` (an event of frequency zero).
     ``stats``, when given, is updated with ``proposals`` and ``accepts``: one
     each per jump.  Before any is drawn, an ``h`` solved for another model or
-    bridge raises ValueError and a sample whose arrays would exceed the
-    engine's memory cap raises :class:`~countbridge.errors.ResourceCap`.
+    bridge raises ValueError, a negative ``count`` TooFewSamples and a sample
+    whose arrays would exceed the engine's memory cap ResourceCap.
     """
     check_field(model, spec, h)
     n = spec.n
-    count = int(count)
+    count = _path_count(count)
     # the masses and the jump times (count x n each), and the count-long vectors
     # of one inversion: five at most
     check_memory(8 * count * (2 * n + 5), f"{count} paths of {n} jumps")

@@ -236,6 +236,16 @@ def test_unusable_sample_sizes_and_steps_exit_2(tmp_path, args):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", [["sample"], ["verify", "--check", "duality"]],
+                         ids=["sample", "duality"])
+def test_a_negative_replica_count_exits_2_before_writing(tmp_path, command):
+    out = tmp_path / "out"
+    r = run_cli(*command, "--lambda", "1", "--y", "3", "--replicas", "-1", "--out", str(out))
+    assert r.returncode == 2
+    assert "countbridge: error: a sample needs a path count of at least 0, got -1" in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, replace", [
     (["sample", "--lambda", "1", "--step", "nan"], None),
     (["lln", "--lambda", "1", "--N", "5", "--replicas", "3", "--step", "nan"], None),

@@ -17,7 +17,7 @@ from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoa
 from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
                                    TimeExponential, constant_characteristic_model)
 from countbridge.sampler import jump_time_matrix, sample_bridge
-from oracles import FullWindows, dense_logh, grid_index
+from oracles import FullWindows, dense_logh, exp_affine_logh, grid_index
 
 
 def test_bridge_spec_validation():
@@ -398,8 +398,9 @@ def _staged_step(r0, rm, r1, step, shift, v):
 @pytest.mark.parametrize("width", range(1, 7))
 def test_column_step_matches_the_staged_step(shift, width):
     # the column kernel solves a three-step sweep state by state; each of its steps
-    # must be the staged step applied to the values it gave one node before.  Widths
-    # below 5 exercise couplings S^d with d >= width, which must read zeros.
+    # must be the staged step applied to the values it gave one node before.  Width 1
+    # is a first state alone; wider sweeps carry each state's stage values to the
+    # next, and the states past the second read increments that are not 0.
     rng = np.random.default_rng(width)
     n_steps = 3
     for _ in range(20):
@@ -407,10 +408,10 @@ def test_column_step_matches_the_staged_step(shift, width):
         step = rng.uniform(0.0, 0.1, n_steps)
         steps = engine._step_powers(step)
         log_x = np.empty((n_steps + 1, width))
-        prior, feed = [], None
+        prev, feed = None, None
         for z in (range(width - 1, -1, -1) if shift is _up else range(width)):
-            log_x[:, z], prior = engine._column(steps, rates[z],
-                                                rates[z] if shift is _up else feed, prior)
+            log_x[:, z], prev = engine._column(steps, rates[z],
+                                               rates[z] if shift is _up else feed, prev)
             feed = rates[z]
         assert not np.any(np.isnan(log_x))
         x = np.exp(log_x)
@@ -418,6 +419,40 @@ def test_column_step_matches_the_staged_step(shift, width):
             r0, rm, r1 = rates[:, 2 * j], rates[:, 2 * j + 1], rates[:, 2 * j + 2]
             want = _staged_step(r0, rm, r1, step[j], shift, x[j])
             np.testing.assert_allclose(x[j + 1], want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("shift", [_up, _down], ids=["up", "down"])
+@pytest.mark.parametrize("seed", range(40))
+def test_windowed_column_steps_match_the_staged_step(shift, seed):
+    # windows as the sweeps make them: in sweep order neither end falls, and ends
+    # may be equal.  Each column gets its rates from lo to one step past hi, the
+    # forward feed the state before's from this lo on, and every step inside a
+    # window must be the staged step applied to the zero-padded values.  A state
+    # whose window ends later than the one before reads that state's increments on
+    # the step from its last node.
+    rng = np.random.default_rng(seed)
+    width, n_steps = int(rng.integers(2, 7)), 6
+    rates = rng.uniform(0.0, 50.0, (width, 2 * n_steps + 1))
+    step = rng.uniform(0.0, 0.1, n_steps)
+    steps = engine._step_powers(step)
+    ends = np.sort(rng.integers(0, n_steps + 1, (2, width)), axis=1)
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    x = np.zeros((n_steps + 1, width))
+    order = range(width - 1, -1, -1) if shift is _up else range(width)
+    prev, feed = None, None
+    for a, b, z in zip(lo, hi, order):
+        r = rates[z, 2 * a:2 * min(b + 1, n_steps) + 1]
+        if feed is not None:
+            feed = feed[2 * (a - a_prev):]
+        log_x, prev = engine._column(steps, r, r if shift is _up else feed, prev, a, b)
+        x[a:b + 1, z] = np.exp(log_x)
+        feed, a_prev = r, a
+    assert not np.any(np.isnan(x))
+    for a, b, z in zip(lo, hi, order):
+        for j in range(a, b):
+            r0, rm, r1 = rates[:, 2 * j], rates[:, 2 * j + 1], rates[:, 2 * j + 2]
+            want = _staged_step(r0, rm, r1, step[j], shift, x[j])[z]
+            np.testing.assert_allclose(x[j + 1, z], want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("model, spec", [
@@ -785,10 +820,9 @@ def test_windowed_sweeps_match_the_full_window_reference(model, spec, share, mon
 
 
 def test_steeply_decaying_rates_are_solved_inside_every_window():
-    # rate e^(-700 t), 0 -> 5: the coupling coefficients of states 0-3 underflow from
-    # t = 0.25 on, but their windows close by t = 0.036, so no solved cell reaches
-    # that; both tables match the closed form, and every solved cell, where the
-    # closed-form h (a Poisson law of the integrated rate) is positive, is finite
+    # rate e^(-700 t), 0 -> 5: the windows of states 0-3 close by t = 0.036; both
+    # tables match the closed form, and every solved cell, where the closed-form h
+    # (a Poisson law of the integrated rate) is positive, is finite
     model, spec = TimeExponential(1.0, -700.0), BridgeSpec(0, 5)
     h = solve_h(model, spec)
     assert np.all(h.times[h.mesh.h_hi[:4]] <= 0.036)
@@ -801,3 +835,19 @@ def test_steeply_decaying_rates_are_solved_inside_every_window():
         # below the pin the seed at h_hi is 0
         stop = h.times.size if zi == spec.n else h.mesh.h_hi[zi]
         assert np.all(np.isfinite(logh[h.mesh.h_lo[zi]:stop, zi]))
+
+
+def test_steeply_decaying_rates_keep_log_h_on_full_windows():
+    # rate e^(-700 t), 0 -> 5, every state live on the whole mesh: the rates fall to
+    # e^-699 before the pin layer, so a coupling formed as a product of several
+    # rates would underflow to 0.  Every cell before the pin layer where the closed
+    # form is finite is finite here and within 1e-9 max(1, |log h|) of it
+    model, spec = TimeExponential(1.0, -700.0), BridgeSpec(0, 5)
+    h = solve_h(FullWindows(model), spec, 1e-3)
+    stop = h.mesh.n_fwd_nodes
+    logh = dense_logh(h)[:stop]
+    exact = exp_affine_logh(model, spec, h.times[:stop])
+    finite = np.isfinite(exact)
+    assert np.all(np.isfinite(logh[finite]))
+    err = np.abs(logh[finite] - exact[finite]) / np.maximum(1.0, np.abs(exact[finite]))
+    assert np.max(err) <= 1e-9

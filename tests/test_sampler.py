@@ -8,7 +8,7 @@ from scipy.stats import binom, ks_2samp
 from countbridge import sampler
 from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, Underflow
+from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, TooFewSamples, Underflow
 from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
 from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample_bridge,
                                  sample_constant)
@@ -391,6 +391,18 @@ def test_sample_constant_refuses_nan_draws(monkeypatch):
     monkeypatch.setattr(sampler, "seeded_rng", lambda seed: NaNs())
     with pytest.raises(NotSorted):
         sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
+
+
+def test_samplers_refuse_a_negative_count():
+    # a count of 0 is an empty batch; a negative one is refused before any draw
+    spec, model = BridgeSpec(0, 4), Product(1.0, 3.0, 0.1)
+    h = solve_h(model, spec, 1e-2)
+    assert sample_bridge(model, spec, h, 0, 5).times.shape == (0, 4)
+    assert sample_constant(-2.0, spec, 0, 5).times.shape == (0, 4)
+    with pytest.raises(TooFewSamples, match="at least 0, got -1"):
+        sample_bridge(model, spec, h, -1, 5)
+    with pytest.raises(TooFewSamples, match="at least 0, got -1"):
+        sample_constant(-2.0, spec, -1, 5)
 
 
 @pytest.mark.parametrize("lam, spec", [
