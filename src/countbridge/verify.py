@@ -39,6 +39,8 @@ DOMINANCE_TIMES = 21
 # the engine's default; the lln experiment refuses more jump draws than LLN_BUDGET.
 CONVEXITY_BUDGET = 0.005
 LLN_BUDGET = 5_000_000
+# the duality check reads whole jump-time columns in blocks of at most this many cells
+DUALITY_BLOCK = 1 << 16
 
 
 @dataclass
@@ -247,7 +249,11 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     paths and reports both with standard errors plus the z-score of their
     paired difference (the estimators are correlated by construction, so the
     difference is what carries the test).  Fewer than two paths give no
-    standard error, so they raise TooFewSamples instead of a z-score of 0.
+    standard error, so they raise TooFewSamples instead of a z-score of 0,
+    and paths of other than n jumps raise ValueError.  The characteristic, u
+    and du are read on blocks of jump-time columns, at most DUALITY_BLOCK cells
+    (or one column), which bounds the check's memory; the jump sum still runs
+    column by column, in jump order, so results are bitwise the per-column sum's.
     """
     n = spec.n
     if phi.m > n:
@@ -257,9 +263,11 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     count = len(paths)
     if count < 2:
         raise TooFewSamples(f"the duality check needs at least two paths, got {count}")
+    times = jump_time_matrix(paths)
+    if times.shape[1] != n:
+        raise ValueError(f"the paths have {times.shape[1]} jumps but the bridge has {n}")
     if n == 0:
         return DualityResult(0.0, 0.0, 0.0, 0.0, 0.0, count, phi.name, u_func.name)
-    times = jump_time_matrix(paths)
 
     tm = times[:, : phi.m]
     vals = np.asarray(phi.value(spec.x, tm), dtype=float)
@@ -267,10 +275,13 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     lhs_samples = -np.sum(parts * u_func.u(tm), axis=1)
 
     stoch = np.zeros(count)
-    for i in range(n):
-        col = times[:, i]
-        xi_col = np.asarray(model.characteristic(col, spec.x + i), dtype=float)
-        stoch += u_func.du(col) + xi_col * u_func.u(col)
+    width = max(1, DUALITY_BLOCK // count)
+    for a in range(0, n, width):
+        block = times[:, a:a + width]
+        states = np.arange(spec.x + a, spec.x + a + block.shape[1])
+        xi = np.asarray(model.characteristic(block, states), dtype=float)
+        for term in (u_func.du(block) + xi * u_func.u(block)).T:
+            stoch += term
     rhs_samples = vals * stoch
 
     lhs, rhs = float(lhs_samples.mean()), float(rhs_samples.mean())

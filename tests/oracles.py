@@ -1,4 +1,5 @@
-"""Independent oracles for the tests: quadrature, rejection sampling, closed forms.
+"""Independent oracles for the tests: quadrature, rejection sampling, closed forms,
+and the duality estimator read one jump index at a time.
 
 The jump times (T_1, ..., T_n) of an x -> y bridge have a density on the
 ordered simplex proportional to exp(sum_j xi_j(t_j)), where xi_j is the
@@ -19,9 +20,10 @@ from scipy.integrate import cumulative_simpson
 from scipy.special import gammaln
 from scipy.stats import binom
 
-from countbridge.errors import CountBridgeError, IndexOut, NotSorted
+from countbridge.errors import CountBridgeError, DegenerateVariance, IndexOut, NotSorted
 from countbridge.intensity import CharacteristicBounds
-from countbridge.sampler import PathSample, seeded_rng
+from countbridge.sampler import PathSample, jump_time_matrix, seeded_rng
+from countbridge.verify import DualityResult
 
 
 class OracleScale(CountBridgeError):
@@ -228,3 +230,39 @@ def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):
                 if len(out) == count:
                     break
     return out
+
+
+def duality_per_column(model, spec, u_func, phi, paths):
+    """``verify.duality_check`` on given paths of n = spec.n jumps, with the
+    reciprocal characteristic read one jump index at a time: one
+    characteristic, u and du call per column of the jump-time matrix.  The
+    blocked check must return every field of this result exactly."""
+    n = spec.n
+    count = len(paths)
+    times = jump_time_matrix(paths)
+
+    tm = times[:, : phi.m]
+    vals = np.asarray(phi.value(spec.x, tm), dtype=float)
+    parts = np.asarray(phi.partials(spec.x, tm), dtype=float)
+    lhs_samples = -np.sum(parts * u_func.u(tm), axis=1)
+
+    stoch = np.zeros(count)
+    for i in range(n):
+        col = times[:, i]
+        xi_col = np.asarray(model.characteristic(col, spec.x + i), dtype=float)
+        stoch += u_func.du(col) + xi_col * u_func.u(col)
+    rhs_samples = vals * stoch
+
+    lhs, rhs = float(lhs_samples.mean()), float(rhs_samples.mean())
+    lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(count))
+    rhs_se = float(rhs_samples.std(ddof=1) / math.sqrt(count))
+    diff = lhs_samples - rhs_samples
+    sd = float(diff.std(ddof=1))
+    mean_diff = float(diff.mean())
+    if sd == 0.0:
+        if mean_diff != 0.0:
+            raise DegenerateVariance("both estimators are constant but differ")
+        z = 0.0
+    else:
+        z = mean_diff / (sd / math.sqrt(count))
+    return DualityResult(lhs, lhs_se, rhs, rhs_se, z, count, phi.name, u_func.name)

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import DegenerateVariance, ResourceCap
-from countbridge.intensity import (Poisson, Product, SpaceLinear, Tabulated, TimeExponential,
-                                   constant_characteristic_model)
-from countbridge.sampler import PathSample, sample_bridge
-from countbridge.verify import (TestFunctional, WindowFunction, convexity_check,
+from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
+                                   TimeExponential, constant_characteristic_model)
+from countbridge.sampler import PathSample, jump_time_matrix, sample_bridge, sample_constant
+from countbridge.verify import (DUALITY_BLOCK, TestFunctional, WindowFunction, convexity_check,
                                 dominance_check, duality_catalog, duality_check,
                                 lln_experiment, mean_bound_check)
+from oracles import duality_per_column
 
 
 def test_convexity_verdicts():
@@ -62,16 +66,85 @@ def test_dominance_upper_direction():
 
 
 def test_laziness_partial_order():
-    # larger characteristic bound => lighter tails, benchmark side
+    # larger characteristic bound => lighter tails, benchmark side; the engine side
+    # is the pairwise comparison below
     for t in (0.25, 0.5, 0.75):
         for i in (1, 3, 5):
             t1 = binomial_tail(BinomialSpec(5, tilted_cdf(1.0, t)), i)
             t2 = binomial_tail(BinomialSpec(5, tilted_cdf(2.0, t)), i)
             assert t2 <= t1
-    # and engine side: the xi=2 bridge has lighter tails than the xi=1 bridge
-    ta = marginal_table(SpaceLinear(1.0, 1.0), BridgeSpec(0, 5), 1e-3).tail_matrix()
-    tb = marginal_table(SpaceLinear(2.0, 1.0), BridgeSpec(0, 5), 1e-3).tail_matrix()
-    assert np.all(tb[1:-1, 1:] <= ta[1:-1, 1:] + 1e-9)
+
+
+_NODES = np.linspace(0.0, 1.0, 11)
+
+
+def _wave(t, b, w, phase):
+    """g(t) = exp(b t + w sin(2 pi t + phase)) and its derivative."""
+    g = np.exp(b * t + w * np.sin(2.0 * math.pi * t + phase))
+    return g, g * (b + 2.0 * math.pi * w * np.cos(2.0 * math.pi * t + phase))
+
+
+# The paper's jump-time comparison on pairs of models.  Where char_P >= char_Q on
+# the window and ladder, the likelihood ratio of the jump-time densities
+# exp(sum_j xi_j(t_j)) on the ordered simplex increases in every jump time, so by
+# Holley's inequality P's jump times dominate Q's coordinatewise and every
+# marginal tail P(X_t >= x + i) = P(T_i <= t) of P lies at or below Q's.
+
+def _assert_tails_ordered(lighter, heavier, spec):
+    tp = marginal_table(lighter, spec).tail_matrix()
+    tq = marginal_table(heavier, spec).tail_matrix()
+    assert np.all(tp <= tq + 1e-9), float(np.max(tp - tq))
+
+
+@st.composite
+def _ordered_exp_affine_pairs(draw):
+    """Same lam, b_P >= b_Q: lam + b e^{lam t} is ordered everywhere."""
+    lam, b_q = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 3.0))
+    b_p = b_q + draw(st.floats(0.0, 2.0))
+    x, n, s = draw(st.integers(0, 3)), draw(st.integers(1, 12)), draw(st.floats(0.0, 0.5))
+    spec = BridgeSpec(x, x + n, s, draw(st.floats(s + 0.1, 1.0)))
+    return (ExpAffine(draw(st.floats(0.1, 5.0)), b_p, lam),
+            ExpAffine(draw(st.floats(0.1, 5.0)), b_q, lam), spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ordered_exp_affine_pairs())
+@example((SpaceLinear(2.0, 1.0), SpaceLinear(1.0, 1.0), BridgeSpec(0, 5)))
+def test_ordered_exp_affine_characteristics_order_the_tails(case):
+    _assert_tails_ordered(*case)
+
+
+@st.composite
+def _ordered_tabulated_pairs(draw):
+    """g(t) e^{ct} k(z) against g(t) k(z), c >= 0 and k nondecreasing: at the nodes
+    the characteristic gap is c + g (e^{ct} - 1) (k(z+1) - k(z)) >= 0.  A draw is
+    kept only if the interpolants keep the gap >= 0 on a 1e-5 scan."""
+    n = draw(st.integers(1, 8))
+    b, w, phase = draw(st.floats(-1.5, 1.5)), draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 6.3))
+    c, k0 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 3.0))
+    k = k0 * np.cumsum([1.0] + draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+    g, dg = _wave(_NODES, b, w, phase)
+    e = np.exp(c * _NODES)
+    p = Tabulated(_NODES, 0, np.outer(g * e, k), np.outer((dg + c * g) * e, k))
+    q = Tabulated(_NODES, 0, np.outer(g, k), np.outer(dg, k))
+    scan, zs = np.linspace(0.0, 1.0, 100_001)[:, None], np.arange(n)
+    assume(np.min(p.characteristic(scan, zs) - q.characteristic(scan, zs)) >= 0.0)
+    return p, q, BridgeSpec(0, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ordered_tabulated_pairs())
+def test_ordered_tabulated_characteristics_order_the_tails(case):
+    _assert_tails_ordered(*case)
+
+
+def test_crossing_characteristics_leave_the_tails_unordered():
+    # 1 + e^t crosses 2.6 at t = ln 1.6, and each bridge has the heavier tail somewhere
+    spec = BridgeSpec(0, 30)
+    p = marginal_table(ExpAffine(1.0, 1.0, 1.0), spec).tail_matrix()
+    c = marginal_table(ExpAffine(1.0, 2.6, 0.0), spec).tail_matrix()
+    assert np.max(p - c) == pytest.approx(8.0e-3, abs=1e-4)
+    assert np.max(c - p) > 0.1
 
 
 def test_mean_bound_checks():
@@ -140,6 +213,81 @@ def test_duality_arity_guard():
     with pytest.raises(ValueError):
         duality_check(model, BridgeSpec(0, 2), u, phi, None, None,
                       paths=[PathSample(0, (0.2, 0.5))])
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_duality_check_refuses_paths_of_another_height(k):
+    # 3-jump paths used to run off the matrix (IndexError); 8-jump paths used to
+    # give a z-score on the first five jumps only, a wrong failing verdict
+    phi, u = duality_catalog()[0]
+    paths = sample_constant(0.0, BridgeSpec(0, k), 2000, 11)
+    with pytest.raises(ValueError, match=f"paths have {k} jumps but the bridge has 5"):
+        duality_check(Poisson(1.0), BridgeSpec(0, 5), u, phi, None, None, paths=paths)
+
+
+def _perfbench_tabulated(rng, n):
+    """Rates a g(t) (1 + kappa z) on an 11-node grid with exact nodal derivatives,
+    drawn as the benchmark's paths-thinning workload draws its Tabulated jobs."""
+    b, w = rng.uniform(-1.5, 1.5), rng.uniform(0.0, 0.3)
+    phase, kappa, c = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.05, 0.3), rng.uniform(0.5, 2.0)
+    fine = np.linspace(0.0, 1.0, 2001)
+    g_int = float(np.trapezoid(_wave(fine, b, w, phase)[0], fine))
+    a = math.log1p(kappa * c * n) / (kappa * g_int)
+    g, dg = _wave(_NODES, b, w, phase)
+    states = 1.0 + kappa * np.arange(n + 1)
+    return Tabulated(_NODES, 0, a * np.outer(g, states), a * np.outer(dg, states))
+
+
+def _solved_sample(model, spec, count, seed):
+    return sample_bridge(model, spec, solve_h(model, spec), count, seed)
+
+
+@pytest.mark.parametrize("case", ["product-17x2000", "tabulated-27x200", "blocks-20000x8",
+                                  "one-jump", "path-list"])
+def test_blocked_duality_equals_the_per_column_sum(case):
+    # the characteristic is read on blocks of columns; every field must still be
+    # bitwise the per-column loop's, for one block, several, a ragged last one,
+    # n = 1 and a list of PathSample
+    if case == "product-17x2000":
+        model, spec = Product(1.3, 0.8, 0.2), BridgeSpec(0, 17)
+        paths = _solved_sample(model, spec, 2000, 4242)
+    elif case == "tabulated-27x200":
+        model, spec = _perfbench_tabulated(np.random.default_rng(27), 27), BridgeSpec(0, 27)
+        paths = _solved_sample(model, spec, 200, 4243)
+    elif case == "blocks-20000x8":
+        model, spec = Product(1.0, -1.0, 0.3), BridgeSpec(2, 10, 0.1, 0.9)
+        paths = sample_constant(0.7, spec, 20000, 4244)
+        width = DUALITY_BLOCK // len(paths)
+        assert spec.n > 2 * width and spec.n % width  # three blocks, the last one ragged
+    elif case == "one-jump":
+        model, spec = TimeExponential(2.0, -1.5), BridgeSpec(3, 4)
+        paths = sample_constant(-1.5, spec, 5000, 4245)
+    else:
+        model, spec = _perfbench_tabulated(np.random.default_rng(9), 9), BridgeSpec(0, 9)
+        paths = list(_solved_sample(model, spec, 300, 4246))
+    for phi, u in duality_catalog():
+        if phi.m > spec.n:
+            continue
+        got = duality_check(model, spec, u, phi, None, None, paths=paths)
+        assert got == duality_per_column(model, spec, u, phi, paths), (phi.name, u.name)
+
+
+@pytest.mark.parametrize("model", [Product(1.0, 2.0, 0.2), _perfbench_tabulated(
+    np.random.default_rng(20), 20)], ids=["exp-affine", "tabulated"])
+def test_duality_check_memory_stays_below_the_sample(model):
+    # the blocks bound the check's own arrays: one duality check on a 100,000 x 20
+    # sample peaks below the sample's 16 MB (whole-matrix evaluation: 69-149 MB)
+    spec = BridgeSpec(0, 20)
+    paths = sample_constant(1.0, spec, 100_000, 31)
+    phi, u = duality_catalog()[2]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        duality_check(model, spec, u, phi, None, None, paths=paths)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < jump_time_matrix(paths).nbytes
 
 
 def test_lln_experiment_shrinks():
