@@ -11,8 +11,7 @@ jump-time duality, large-height concentration) into executable checks.
 
 __version__ = "0.1.0"
 
-from .analytic import (BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf,
-                       tilted_cdf_window)
+from .analytic import binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
 from .engine import (BridgeSpec, HField, MarginalTable, marginal_table,
                      marginal_table_two_sided, mean_curve, second_differences, solve_h)
 from .intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated, TimeExponential,

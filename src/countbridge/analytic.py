@@ -11,7 +11,7 @@ measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -87,35 +87,29 @@ def tilted_cdf_window(lam, s, u, t):
     return tilted_cdf(lam * (u - s), np.clip((t - s) / (u - s), 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class BinomialSpec:
-    """Binomial law with n trials and success probability p."""
+def binomial_tail(n, p, i):
+    """Upper tail P(X >= i) of the binomial law with n trials and success probability p.
 
-    n: int
-    p: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-
-
-def binomial_tail(spec, i):
-    """Upper tail P(X >= i) of a binomial law.
-
-    Evaluated as the regularized incomplete beta function I_p(i, n - i + 1),
-    so it stays accurate when the naive forward sum would lose all precision.
-    scipy is imported on the first call, which keeps it off ``import countbridge``.
+    One call of the regularized incomplete beta function I_p(i, n - i + 1), over
+    p and i broadcast together, stays accurate where the naive forward sum would
+    not; i = 0 gives exactly 1, and scalars give a float.  An n that is not a
+    nonnegative integer, or a p outside [0, 1], raises ValueError, and an i
+    outside 0..n :class:`~countbridge.errors.IndexOut`.  scipy is imported on
+    the first call, which keeps it off ``import countbridge``.
     """
     from scipy.special import betainc
 
-    i = int(i)
-    if i < 0 or i > spec.n:
-        raise IndexOut(f"tail index {i} outside 0..{spec.n}")
-    if i == 0:
-        return 1.0
-    return float(betainc(i, spec.n - i + 1, spec.p))
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("p must lie in [0, 1]")
+    i = np.asarray(i, dtype=np.int64)
+    bad = i[(i < 0) | (i > n)]
+    if bad.size:
+        raise IndexOut(f"tail index {bad[0]} outside 0..{n}")
+    out = np.where(i == 0, 1.0, betainc(i, n - i + 1, p))
+    return float(out) if out.ndim == 0 else out
 
 
 def mean_upper_bound(spec, lam, t):

@@ -172,11 +172,17 @@ def _run_mean_curve(options):
     outputs = []
     lams = options.get("lambdas") or []
     if options.get("model") is not None:
+        if len(lams) > 1:
+            raise BadOption("mean-curve takes at most one --lambda, the bound, with --model")
         runs = [(model_from_dict(options["model"]), lams[0] if lams else None, "mean_curve.csv")]
     elif lams:
-        runs = ((constant_characteristic_model(float(lam)), lam,
-                 f"mean_curve_lam{lam:g}.csv" if len(lams) > 1 else "mean_curve.csv")
-                for lam in lams)
+        names = ([f"mean_curve_lam{lam:g}.csv" for lam in lams] if len(lams) > 1
+                 else ["mean_curve.csv"])
+        clash = [lam for lam, name in zip(lams, names) if names.count(name) > 1]
+        if clash:
+            raise BadOption(f"the tilts {clash} would share a file name, mean_curve_lam%g.csv")
+        runs = [(constant_characteristic_model(float(lam)), lam, name)
+                for lam, name in zip(lams, names)]
     else:
         raise ValueError("mean-curve needs --model or at least one --lambda")
     for model, lam, name in runs:
@@ -208,14 +214,13 @@ def _run_sample(options):
     spec = _spec(options)
     seed = int(options["seed"])
     count = int(options["replicas"])
+    model = _resolve_model(options)
     if options.get("model") is not None:
-        model = model_from_dict(options["model"])
         h = solve_h(model, spec, float(options["step"]))
         paths = sample_bridge(model, spec, h, count, seed)
         sampler = "h-transform-inversion"
     else:
-        lam = float((options.get("lambdas") or [0.0])[0])
-        paths = sample_constant(lam, spec, count, seed)
+        paths = sample_constant(float(options["lambdas"][0]), spec, count, seed)
         sampler = "exact-tilted-order-statistics"
     all_times = jump_time_matrix(paths)
     # one line per jump, replica-major: none, so no replica labels, without jumps

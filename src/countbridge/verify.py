@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
+from .analytic import binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
 from .engine import BridgeSpec, marginal_table, mean_curve, second_differences, solve_h
 from .errors import DegenerateVariance, ResourceCap, TooFewSamples
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
@@ -107,7 +107,7 @@ class BoundReport:
     spec: BridgeSpec
     lam_used: float
     direction: str              # "lower" or "upper" characteristic bound
-    rows: list                  # (t, i, computed_tail, benchmark_tail, margin)
+    rows: np.ndarray            # time-major (t, i, computed_tail, benchmark_tail, margin)
     worst_margin: float
     passed: bool
     tol: float
@@ -148,19 +148,17 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, table=None):
         table = marginal_table(model, spec)
     tails = table.tail_matrix()
 
-    rows = []
-    worst = math.inf
     targets = np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]
-    for idx in np.unique(np.abs(table.times[:, None] - targets).argmin(axis=0)):
-        p = float(tilted_cdf_window(lam, spec.s, spec.u, table.times[idx]))
-        bench = BinomialSpec(n, p)
-        for i in range(1, n + 1):
-            computed = float(tails[idx, i])
-            benchmark = binomial_tail(bench, i)
-            margin = benchmark - computed if direction == "lower" else computed - benchmark
-            worst = min(worst, margin)
-            rows.append((float(table.times[idx]), i, computed, benchmark, margin))
-    worst = 0.0 if not rows else worst
+    idx = np.unique(np.abs(table.times[:, None] - targets).argmin(axis=0))
+    ts = table.times[idx]
+    i = np.arange(1, n + 1)
+    p = tilted_cdf_window(lam, spec.s, spec.u, ts)
+    benchmark = binomial_tail(n, p[:, None], i)
+    computed = tails[idx, 1:]
+    margin = benchmark - computed if direction == "lower" else computed - benchmark
+    worst = float(margin.min()) if margin.size else 0.0
+    rows = np.column_stack([np.repeat(ts, n), np.tile(i, len(ts)), computed.ravel(),
+                            benchmark.ravel(), margin.ravel()])
     return BoundReport(spec, float(lam), direction, rows, worst, worst >= -tol, tol,
                        hypothesis_holds)
 
@@ -172,7 +170,7 @@ class MeanBoundReport:
     worst_margin: float         # min over the grid of bound - mean
     passed: bool
     tol: float
-    rows: list = field(repr=False)
+    rows: np.ndarray = field(repr=False)    # (T, 3): t, mean, bound
 
     def to_dict(self):
         return {
@@ -193,7 +191,7 @@ def mean_bound_check(model, spec, lam, tol=1e-6, table=None):
     bound = np.asarray(mean_upper_bound(spec, lam, ts), dtype=float)
     margins = bound - means
     worst = float(np.min(margins)) if margins.size else 0.0
-    rows = list(zip(ts.tolist(), means.tolist(), bound.tolist()))
+    rows = np.column_stack([ts, means, bound])
     return MeanBoundReport(spec, float(lam), worst, worst >= -tol, tol, rows)
 
 
@@ -397,6 +395,8 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=1e-3):
     n_values = [int(v) for v in n_values]
     if any(v <= 0 for v in n_values):
         raise ValueError("N values must be positive")
+    if len(set(n_values)) < len(n_values):
+        raise ValueError(f"N values must be distinct, got {n_values}")
     if int(replicas) < 1:
         raise TooFewSamples(f"the lln experiment needs at least one replica, got {replicas}")
     work = sum(n_values) * int(replicas)

@@ -9,21 +9,22 @@ touching the h-field, so they check the engine and the samplers from
 outside.  Every exp-affine bridge also has a closed form: on the clock
 tau(t) = expm1(lam t) / lam its rate is time-homogeneous, so log h is a
 negative-binomial (or Poisson) transition law and each marginal is binomial.
-They need scipy (``cumulative_simpson``, ``gammaln``, ``binom``); the package
-itself does not import it.
+They need scipy (``cumulative_simpson``, ``betainc``, ``gammaln``, ``binom``);
+the package itself imports only ``scipy.special``, on ``binomial_tail``'s first call.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 from scipy.stats import binom
 
+from countbridge.analytic import tilted_cdf_window
 from countbridge.errors import CountBridgeError, DegenerateVariance, IndexOut, NotSorted
 from countbridge.intensity import CharacteristicBounds
 from countbridge.sampler import PathSample, jump_time_matrix, seeded_rng
-from countbridge.verify import DualityResult
+from countbridge.verify import DOMINANCE_TIMES, BoundReport, DualityResult
 
 
 class OracleScale(CountBridgeError):
@@ -266,3 +267,32 @@ def duality_per_column(model, spec, u_func, phi, paths):
     else:
         z = mean_diff / (sd / math.sqrt(count))
     return DualityResult(lhs, lhs_se, rhs, rhs_se, z, count, phi.name, u_func.name)
+
+
+def dominance_per_cell(model, spec, lam, direction, table):
+    """``verify.dominance_check`` on a given table, one (time, i) cell at a time:
+    one scalar tilted CDF per time, one scalar betainc call per cell, and the
+    rows as a list of tuples, time-major.  The array check must return the
+    same rows, worst margin and verdicts exactly."""
+    n = spec.n
+    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1)))
+    if direction == "lower":
+        hypothesis_holds = bounds.inf >= lam - 1e-12
+    else:
+        hypothesis_holds = bounds.sup <= lam + 1e-12
+    tails = table.tail_matrix()
+
+    rows = []
+    worst = math.inf
+    targets = np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]
+    for idx in np.unique(np.abs(table.times[:, None] - targets).argmin(axis=0)):
+        p = float(tilted_cdf_window(lam, spec.s, spec.u, table.times[idx]))
+        for i in range(1, n + 1):
+            computed = float(tails[idx, i])
+            benchmark = float(betainc(i, n - i + 1, p))
+            margin = benchmark - computed if direction == "lower" else computed - benchmark
+            worst = min(worst, margin)
+            rows.append((float(table.times[idx]), i, computed, benchmark, margin))
+    worst = 0.0 if not rows else worst
+    return BoundReport(spec, float(lam), direction, rows, worst, worst >= -1e-6, 1e-6,
+                       hypothesis_holds)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countbridge.analytic import (BinomialSpec, binomial_tail, mean_upper_bound, tilted_cdf,
-                                  tilted_cdf_window, tilted_quantile)
+from countbridge.analytic import (binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window,
+                                  tilted_quantile)
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadWindow, IndexOut, OutOfDomain
 from oracles import binom
@@ -109,38 +109,58 @@ def test_tilted_quantile_refuses_a_tilt_it_cannot_represent(lam, match):
 @pytest.mark.parametrize("p", [0.0, 0.1824, 0.5, 1.0])
 def test_pmf_normalization(n, p):
     # the probabilities of 0..n successes, as differences of consecutive tails
-    b = BinomialSpec(n, p)
-    pmf = -np.diff([binomial_tail(b, i) for i in range(n + 1)] + [0.0])
+    pmf = -np.diff([binomial_tail(n, p, i) for i in range(n + 1)] + [0.0])
     assert abs(pmf.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(pmf - binom.pmf(np.arange(n + 1), n, p))) <= 1e-12
 
 
 def test_binomial_tail_values():
-    assert binomial_tail(BinomialSpec(7, 0.3), 0) == 1.0
-    assert binomial_tail(BinomialSpec(2, 0.5), 1) == pytest.approx(0.75, abs=1e-14)
-    b = BinomialSpec(5, PI3_HALF)
-    assert binomial_tail(b, 1) == pytest.approx(1 - (1 - PI3_HALF) ** 5, rel=1e-12)
-    assert binomial_tail(b, 2) == pytest.approx(0.22717598212887125, rel=1e-10)
+    assert binomial_tail(7, 0.3, 0) == 1.0
+    assert binomial_tail(2, 0.5, 1) == pytest.approx(0.75, abs=1e-14)
+    assert binomial_tail(5, PI3_HALF, 1) == pytest.approx(1 - (1 - PI3_HALF) ** 5, rel=1e-12)
+    assert binomial_tail(5, PI3_HALF, 2) == pytest.approx(0.22717598212887125, rel=1e-10)
 
 
 def test_binomial_tail_monotone_in_index():
-    b = BinomialSpec(40, 0.37)
-    tails = [binomial_tail(b, i) for i in range(41)]
+    tails = [binomial_tail(40, 0.37, i) for i in range(41)]
     assert tails[0] == 1.0
     assert np.all(np.diff(tails) <= 0)
 
 
 def test_binomial_tail_large_n_stable():
-    b = BinomialSpec(10000, 0.3)
-    assert 0.0 < binomial_tail(b, 3200) < 1.0
-    assert binomial_tail(b, 0) == 1.0
+    assert 0.0 < binomial_tail(10000, 0.3, 3200) < 1.0
+    assert binomial_tail(10000, 0.3, 0) == 1.0
 
 
 def test_binomial_tail_index_errors():
     with pytest.raises(IndexOut):
-        binomial_tail(BinomialSpec(5, 0.5), -1)
+        binomial_tail(5, 0.5, -1)
     with pytest.raises(IndexOut):
-        binomial_tail(BinomialSpec(5, 0.5), 6)
+        binomial_tail(5, 0.5, 6)
+    with pytest.raises(IndexOut, match="tail index 6 outside 0..5"):
+        binomial_tail(5, [0.2, 0.5], [[1], [6]])
+
+
+@pytest.mark.parametrize("n, p", [(-1, 0.5), (2.5, 0.5), (5.0, 0.5), (None, 0.5),
+                                  (5, -0.1), (5, 1.1), (5, math.nan), (5, [0.2, 1.5])],
+                         ids=["n-negative", "n-fractional", "n-float", "n-none", "p-negative",
+                              "p-above-1", "p-nan", "p-array-above-1"])
+def test_binomial_tail_refuses_a_law_it_cannot_form(n, p):
+    with pytest.raises(ValueError):
+        binomial_tail(n, p, 1)
+
+
+def test_binomial_tail_broadcasts_to_the_scalar_tails():
+    # one call over a (times, indices) grid equals the grid of scalar calls, bitwise
+    n = 30
+    p = np.array([0.0, 0.013, 0.37, 0.5, 0.999, 1.0])
+    i = np.arange(n + 1)
+    grid = binomial_tail(np.int64(n), p[:, None], i[None, :])
+    assert grid.shape == (6, n + 1)
+    assert np.array_equal(grid, [[binomial_tail(n, float(q), int(k)) for k in i] for q in p])
+    assert np.all(grid[:, 0] == 1.0)
+    assert type(binomial_tail(n, np.float64(0.3), np.int64(4))) is float
+    assert binomial_tail(0, [0.0, 1.0], 0).tolist() == [1.0, 1.0]
 
 
 def test_binomial_tail_matches_scipy_sf_bitwise():
@@ -149,7 +169,7 @@ def test_binomial_tail_matches_scipy_sf_bitwise():
         n = int(rng.integers(1, 2001))
         i = int(rng.integers(1, n + 1))
         p = float(rng.uniform())
-        assert binomial_tail(BinomialSpec(n, p), i) == float(binom.sf(i - 1, n, p))
+        assert binomial_tail(n, p, i) == float(binom.sf(i - 1, n, p))
 
 
 def test_constant_characteristic_marginal():
@@ -157,8 +177,8 @@ def test_constant_characteristic_marginal():
     np.testing.assert_allclose(binom.pmf(np.arange(3), 2, tilted_cdf(0.0, 0.5)),
                                [0.25, 0.5, 0.25], atol=1e-14)
     assert binom.pmf(6, 6, tilted_cdf(-2.7, 1.0)) == pytest.approx(1.0, abs=1e-12)
-    b = BinomialSpec(5, tilted_cdf(3.0, 0.5))
-    assert binomial_tail(b, 1) == pytest.approx(0.6347109751760405, rel=1e-10)
+    assert binomial_tail(5, tilted_cdf(3.0, 0.5), 1) == pytest.approx(0.6347109751760405,
+                                                                     rel=1e-10)
 
 
 def test_mean_upper_bound():

@@ -307,6 +307,42 @@ def test_lln_command(tmp_path):
     assert rep["inputs"]["strategy"] == "exact-order-statistics"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["mean-curve", "--lambda", "1.0000001", "--lambda", "1.0000002"],
+     "the tilts [1.0000001, 1.0000002] would share a file name"),
+    (["mean-curve", "--lambda", "2", "--lambda", "2"],
+     "the tilts [2.0, 2.0] would share a file name"),
+    (["mean-curve", "--model", "PRODUCT", "--lambda", "1", "--lambda", "2"],
+     "at most one --lambda, the bound, with --model"),
+    (["lln", "--lambda", "0", "--N", "5", "--N", "5", "--replicas", "10"],
+     "N values must be distinct"),
+    (["sample"], "need --model or exactly one --lambda"),
+    (["sample", "--lambda", "1", "--lambda", "2"], "need --model or exactly one --lambda"),
+], ids=["mean-curve-one-file-name", "mean-curve-repeated-tilt", "mean-curve-model-two-tilts",
+        "lln-repeated-height", "sample-no-model", "sample-two-tilts"])
+def test_options_that_name_no_single_run_exit_2_before_writing(tmp_path, capsys, args, message):
+    # two tilts whose curves share a file name, a height drawn twice, or a process
+    # the options do not define, is refused before any file is written
+    args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
+    out = tmp_path / "out"
+    assert cli.main(args + ["--y", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, sampler", [
+    (["--lambda", "1"], "exact-tilted-order-statistics"),
+    (["--model", "PRODUCT"], "h-transform-inversion"),
+    (["--model", "PRODUCT", "--lambda", "1"], "h-transform-inversion"),
+], ids=["lambda", "model", "model-and-lambda"])
+def test_sample_keeps_its_sampler_choice(tmp_path, args, sampler):
+    args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
+    out = tmp_path / "s"
+    assert cli.main(["sample"] + args + ["--y", "3", "--replicas", "4", "--out", str(out)]) == 0
+    assert read_json(out / "summary.json")["sampler"] == sampler
+
+
 def test_manifest_echoes_defaults(tmp_path):
     out = tmp_path / "m"
     r = run_cli("marginals", "--lambda", "0", "--x", "0", "--y", "2", "--out", str(out))

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import binom, ks_2samp
 
 from countbridge import sampler
-from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
+from countbridge.analytic import binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, TooFewSamples, Underflow
 from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
@@ -64,7 +64,7 @@ def test_oracle_against_closed_forms():
     assert simplex_jump_time_cdf(pz, 0.5, 1) == pytest.approx(0.75, abs=1e-9)
     p3 = characteristic_integrals(SpaceLinear(3.0, 1.0), BridgeSpec(0, 3))
     got = simplex_jump_time_cdf(p3, 0.5, 2)
-    exact = binomial_tail(BinomialSpec(3, PI3_HALF), 2)
+    exact = binomial_tail(3, PI3_HALF, 2)
     assert exact == pytest.approx(0.08769531102160369, rel=1e-10)  # frozen
     assert got == pytest.approx(exact, abs=1e-6)
 
@@ -113,7 +113,7 @@ def test_sample_constant_order_statistic_marginals():
     for t in (0.3, 0.5, 0.8):
         p = tilted_cdf(3.0, t)
         for i in (1, 3, 5):
-            exact = binomial_tail(BinomialSpec(5, p), i)
+            exact = binomial_tail(5, p, i)
             emp = float(np.mean(T[:, i - 1] <= t))
             se = math.sqrt(max(exact * (1 - exact), 1e-12) / count)
             assert abs(emp - exact) <= max(3 * se, 1e-3)

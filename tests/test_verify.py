@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from countbridge.analytic import BinomialSpec, binomial_tail, tilted_cdf
+from countbridge.analytic import binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import DegenerateVariance, ResourceCap
 from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
@@ -15,7 +15,7 @@ from countbridge.sampler import PathSample, jump_time_matrix, sample_bridge, sam
 from countbridge.verify import (DUALITY_BLOCK, TestFunctional, WindowFunction, convexity_check,
                                 dominance_check, duality_catalog, duality_check,
                                 lln_experiment, mean_bound_check)
-from oracles import duality_per_column
+from oracles import dominance_per_cell, duality_per_column
 
 
 def test_convexity_verdicts():
@@ -65,13 +65,42 @@ def test_dominance_upper_direction():
     assert strict.passed and strict.worst_margin > 0 and strict.hypothesis_holds
 
 
+_TABULATED = Tabulated(np.linspace(0.0, 1.0, 11), 0, (1.0 + 0.3 * np.arange(9.0))[None, :]
+                       * np.exp(np.sin(3.0 * np.linspace(0.0, 1.0, 11)))[:, None])
+
+
+@pytest.mark.parametrize("model, spec, lam, passes", [
+    (constant_characteristic_model(3.0), BridgeSpec(0, 0), 3.0, True),
+    (constant_characteristic_model(3.0), BridgeSpec(0, 1), 3.0, True),
+    (constant_characteristic_model(3.0), BridgeSpec(0, 5), 3.0, True),
+    (constant_characteristic_model(3.0), BridgeSpec(0, 20), 3.0, True),
+    (constant_characteristic_model(3.0), BridgeSpec(0, 200), 3.0, True),
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 5), 4.0, False),
+    (_TABULATED, BridgeSpec(1, 8), 0.5, None),
+    (TimeExponential(20.0, -3.0), BridgeSpec(2, 14, 0.25, 0.75), -3.0, True),
+], ids=["n0", "n1", "n5", "n20", "n200", "not-a-bound", "tabulated", "window"])
+def test_dominance_check_equals_the_per_cell_loop(model, spec, lam, passes):
+    # the one-array benchmark gives the per-cell loop's rows, margin and verdicts exactly
+    table = marginal_table(model, spec)
+    for direction in ("lower", "upper"):
+        rep = dominance_check(model, spec, lam, direction, table=table)
+        ref = dominance_per_cell(model, spec, lam, direction, table)
+        assert rep.rows.shape == (len(ref.rows), 5)
+        assert np.array_equal(rep.rows, np.array(ref.rows, dtype=float).reshape(-1, 5))
+        assert rep.worst_margin == ref.worst_margin
+        assert rep.passed is ref.passed
+        assert rep.hypothesis_holds == ref.hypothesis_holds
+        if direction == "lower" and passes is not None:
+            assert rep.passed is passes
+
+
 def test_laziness_partial_order():
     # larger characteristic bound => lighter tails, benchmark side; the engine side
     # is the pairwise comparison below
     for t in (0.25, 0.5, 0.75):
         for i in (1, 3, 5):
-            t1 = binomial_tail(BinomialSpec(5, tilted_cdf(1.0, t)), i)
-            t2 = binomial_tail(BinomialSpec(5, tilted_cdf(2.0, t)), i)
+            t1 = binomial_tail(5, tilted_cdf(1.0, t), i)
+            t2 = binomial_tail(5, tilted_cdf(2.0, t), i)
             assert t2 <= t1
 
 
@@ -320,6 +349,13 @@ def test_lln_pinned_ends_contribute_nothing():
 def test_lln_budget_guard():
     with pytest.raises(ResourceCap):
         lln_experiment(Poisson(1.0), 0.0, [10 ** 6], 100, 1)
+
+
+def test_lln_refuses_a_repeated_height():
+    # one median per height in lln.json: two draws at one height would be compared
+    # by the verdict but reported as one
+    with pytest.raises(ValueError, match="N values must be distinct"):
+        lln_experiment(Poisson(1.0), 0.0, [5, 20, 5], 10, 1)
 
 
 def test_report_serialization():
