@@ -2,9 +2,10 @@
 
 Every run writes a ``manifest.json`` echoing the fully resolved configuration
 (defaults included, the model descriptor inlined), so ``countbridge replay
-manifest.json`` reproduces the outputs byte for byte.  Floats are printed
-with 17 significant digits; tables are streamed in blocks of rows, with
-unchanged text, into a temp file that is then renamed over the target.
+manifest.json`` reproduces the outputs byte for byte.  A table cell prints
+exactly as ``format(c, ".17g")`` does, an integer column's as ``str(c)``;
+the text is formed in numpy one block of rows at a time and streamed into a
+temp file that is then renamed over the target.
 
 Exit codes: 0 all verdicts pass, 1 a check failed, 2 configuration or domain
 error.
@@ -13,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,9 +34,137 @@ from .verify import (convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
 
 
-# rows, and values, of a table rendered per %-template: bound the text held at once
+# rows, and cells of a column, of a table formed as text at once
 BLOCK_ROWS = 512
 BLOCK_CELLS = 8192
+
+# A float cell's text is formed in a record of 44 bytes, read as 11
+# little-endian words: byte 0 holds the sign; bytes 1 and 4-19 the 17 digits
+# as the part before a point; bytes 2-3 and 20-22 the point, the "0.000" of
+# a number below 1 or the "0" of a zero; byte 23 and bytes 24-39 the 17
+# digits again as the part after the point; byte 43 the separator.  Every
+# zero byte of a record is dropped from the text, so a key, (sign, exponent
+# E, trailing zeros), names what a cell keeps.
+_INTEGER_AT = [1] + list(range(4, 20))
+_FRACTION_AT = list(range(23, 40))
+_POINT_AT = [2, 3, 20, 21, 22]
+_KEYS = 21 * 17 + 1  # per sign: E = -4..16 times 0..16 trailing zeros, then zero
+
+
+@functools.lru_cache(maxsize=None)
+def _tables():
+    """The encoder's tables, built on first use."""
+    # the least double at or above 10^k, k = -4..17 (1e-4 to 1e-1 round up, the
+    # rest are exact), and for each binary exponent of frexp the index of the
+    # one at or below its binade's floor
+    bounds = np.array([float(f"1e{k}") for k in range(-4, 18)] + [math.inf])
+    below = np.searchsorted(bounds, np.ldexp(1.0, np.arange(-1074, 1024)), "right") - 1
+    # 10^(16 - E), exact, and its halves for Dekker's product
+    powers = 10.0 ** np.arange(20, -1, -1)
+    c = 134217729.0 * powers
+    high = c - (c - powers)
+    g = np.arange(10000, dtype=np.int32)
+    quads = np.stack([48 + g // 1000, 48 + g // 100 % 10, 48 + g // 10 % 10, 48 + g % 10], 1)
+    zeros = np.select([g % 10 > 0, g % 100 > 0, g % 1000 > 0, g > 0], [0, 1, 2, 3], 4)
+    # per key, 255 on the digits kept and the text of the other bytes
+    keys = np.zeros((2, 21, 17, 44), np.uint8)
+    for k, e in enumerate(range(-4, 17)):
+        keys[:, k, :, _INTEGER_AT[:max(e + 1, 0)]] = 255
+        for tz in range(17):
+            keys[:, k, tz, _FRACTION_AT[max(e + 1, 0):17 - tz]] = 255
+        if e >= 0:
+            keys[:, k, :16 - e, _POINT_AT[-1]] = ord(".")
+        else:
+            for at, char in zip(_POINT_AT[4 + e:], b"0.000"):
+                keys[:, k, :, at] = char
+    keys = np.concatenate([keys.reshape(2, -1, 44), np.zeros((2, 1, 44), np.uint8)], 1)
+    keys[:, -1, _POINT_AT[-1]] = ord("0")
+    keys[1, :, 0] = ord("-")
+    tables = (bounds, below, powers, high, powers - high,
+              quads.astype(np.uint8).view("<u4").ravel(), zeros.astype(np.int32),
+              keys.reshape(-1, 44).view("<u4"))
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _encode(x):
+    """The (len(x), 11) records of a 1-D float array's cells, each as
+    format(c, ".17g") prints it."""
+    bounds, below, powers, high, low, quads, zeros, keys = _tables()
+    ax = np.abs(x)
+    e = np.take(below, np.frexp(ax)[1] + 1073)
+    e += ax >= np.take(bounds, e + 1)
+    # %g's fixed notation: 1e-4 <= |x| < 1e17, E = e - 4
+    live = (e >= 0) & (e < 21) & (x != 0) & np.isfinite(x)
+    slow = np.flatnonzero(~live & (x != 0))
+    ax = np.where(live, ax, 1.0)
+    e = np.where(live, e, 4)
+    # the 17-digit significand, d = round-half-even(|x| 10^(16 - E)), from the
+    # exact product hi + lo: hi >= 10^16 > 2^53 is an even integer
+    c = 134217729.0 * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    ph, pl = np.take(high, e), np.take(low, e)
+    hi = ax * np.take(powers, e)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # its digits: a, then four groups of four
+    q = d // 10 ** 8
+    r = (d - q * 10 ** 8).astype(np.int32)
+    q = q.astype(np.int32)
+    a = q // 10 ** 8
+    q -= a * 10 ** 8
+    high4, low4 = q // 10 ** 4, r // 10 ** 4
+    groups = [high4, q - high4 * 10 ** 4, low4, r - low4 * 10 ** 4]
+    tz = np.take(zeros, groups[3])
+    run = groups[3] == 0
+    for g in groups[2::-1]:
+        tz += run * np.take(zeros, g)
+        run &= g == 0
+    key = np.where(live, e * 17 + tz, _KEYS - 1) + np.signbit(x) * _KEYS
+    # the key's record ANDed with the digits, laid out with 255 on the bytes
+    # that hold no digit
+    out = np.take(keys, key, axis=0)
+    a = (48 + a).astype("<u4")
+    out[:, 0] &= a << 8 | 0xFFFF00FF
+    out[:, 5] &= a << 24 | 0x00FFFFFF
+    for w, g in enumerate(groups, start=1):
+        quad = np.take(quads, g)
+        out[:, w] &= quad
+        out[:, w + 5] &= quad
+    if len(slow):
+        out.view("S44")[slow, 0] = ["%.17g" % v for v in x[slow].tolist()]
+    return out
+
+
+def _records(column):
+    """The text of a block of one column as a byte array, one record per cell,
+    its last byte free for the separator; a broadcast axis is formed once."""
+    base = column[tuple(slice(None) if s else slice(0, 1) for s in column.strides)]
+    if column.dtype.kind in "iu":
+        texts = [str(c) for c in base.ravel().tolist()]
+        records = np.array(texts, f"S{max(map(len, texts), default=0) + 1}")
+    else:
+        records = _encode(base.ravel().astype(float)).view("S44").ravel()
+    return records.view(np.uint8).reshape(base.shape + (records.itemsize,))
+
+
+def _text(columns, blank):
+    """The CSV text of a block of same-shape columns, one line per cell."""
+    records = [_records(c) for c in columns]
+    widths = [r.shape[-1] for r in records]
+    out = np.empty(columns[0].shape + (sum(widths),), np.uint8)
+    end = 0
+    for j, (r, w) in enumerate(zip(records, widths)):
+        end += w
+        out[..., end - w:end].view(f"V{w}")[...] = r.view(f"V{w}")
+        if blank is not None:
+            out[blank[..., j], end - w:end] = 0
+        out[..., end - 1] = ord(",")
+    out[..., -1] = ord("\n")
+    text = out.ravel()
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def _write_atomic(path, chunks):
@@ -53,46 +183,32 @@ def _write_atomic(path, chunks):
         raise
 
 
-def _write_table(path, header, values, row, labels=None):
-    """Write a CSV table: ``header``, then one ``row`` per row of ``values``.
+def _write_table(path, header, columns, blank=None):
+    """Write a CSV table: ``header``, then one line per cell of ``columns``.
 
-    ``row`` is a %-template (one ``%.17g`` per column of the 2-D array
-    ``values``) of one or more lines; a row of more than BLOCK_CELLS values
-    may instead be given as the list of its consecutive pieces, each the
-    template of at most that many.  Its ``{o}`` marks, if any, are filled
-    with ``labels[k]``, the preformatted text of row k's repeated label.  The
-    text goes out in blocks of at most BLOCK_ROWS rows and BLOCK_CELLS
-    values, or of one whole row or one piece of one row.
+    ``columns`` are arrays of one shape, 1-D or 2-D, read in C order; a
+    broadcast one is formed once per repeated value.  A float cell prints as
+    format(float(c), ".17g") does, an integer column's as str(int(c)); the
+    cells ``blank`` (the shape, then one per column) marks print empty.  The
+    text is formed in blocks of at most BLOCK_ROWS rows and BLOCK_CELLS cells
+    of a column, a row wider than that in pieces of BLOCK_CELLS.
     """
-    values = np.asarray(values, dtype=float)
-    pieces = [row] if isinstance(row, str) else row
+    columns = [np.asarray(c) for c in columns]
+    shape = columns[0].shape
+    width = math.prod(shape[1:])
 
     def blocks():
         yield ",".join(header) + "\n"
-        if len(pieces) > 1:
-            ends = np.cumsum([p.count("%.17g") for p in pieces]).tolist()
-            for k, vals in enumerate(values):
-                for piece, a, b in zip(pieces, [0] + ends, ends):
-                    template = piece if labels is None else piece.replace("{o}", labels[k])
-                    yield template % tuple(vals[a:b].tolist())
-            return
-        row = pieces[0]
-        # an empty table may come as a 1-D array, its width then 0; a row wider
-        # than BLOCK_CELLS goes out as a block of its own
-        step = max(1, min(BLOCK_ROWS, BLOCK_CELLS // max(1, values.shape[-1])))
-        for a in range(0, len(values), step):
-            block = values[a:a + step]
-            template = (row * len(block) if labels is None else
-                        "".join([row.replace("{o}", o) for o in labels[a:a + step]]))
-            # tolist() hands % Python floats, so no numpy repr can reach the file
-            yield template % tuple(block.ravel().tolist())
+        rows = min(BLOCK_ROWS, BLOCK_CELLS // width) if width else 0
+        if rows:
+            parts = [np.s_[a:a + rows] for a in range(0, shape[0], rows)]
+        else:
+            parts = [np.s_[r, a:a + BLOCK_CELLS] for r in range(shape[0])
+                     for a in range(0, width, BLOCK_CELLS)]
+        for part in parts:
+            yield _text([c[part] for c in columns], None if blank is None else blank[part])
 
     _write_atomic(path, blocks())
-
-
-def _texts(values):
-    """The 17-digit text of each number of a 1-D array, formatted once."""
-    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
 def _write_json(path, obj):
@@ -136,20 +252,18 @@ def _run_characteristics(options):
         raise BadStep(f"grid step must be positive, got {step}")
     points = max(2, int(round(spec.length / step)) + 1)
     zs = range(spec.x, max(spec.x, spec.y - 1) + 1)
-    # the xi rows take 8 bytes per (time, state) cell; the per-time text, the
-    # times and one state's characteristic temporaries about 96 bytes per time
+    # the xi rows take 8 bytes per (time, state) cell; the times and one
+    # state's characteristic temporaries about 96 bytes per time
     check_memory(8 * points * (len(zs) + 12),
                  f"characteristics on {points} times x {len(zs)} states")
     ts = np.linspace(spec.s, spec.u, points)
     xi = np.empty((len(zs), points))
     for out, z in zip(xi, zs):
         out[:] = model.characteristic(ts, z)
-    # z-major rows: the t column is the same text in every z block, cut into pieces
-    # of BLOCK_CELLS times
-    pieces = ["".join([t + ",{o},%.17g\n" for t in _texts(ts[a:a + BLOCK_CELLS])])
-              for a in range(0, points, BLOCK_CELLS)]
-    _write_table(os.path.join(options["out"], "characteristics.csv"), ["t", "z", "xi"], xi,
-                 pieces, [str(z) for z in zs])
+    # z-major rows
+    _write_table(os.path.join(options["out"], "characteristics.csv"), ["t", "z", "xi"],
+                 [np.broadcast_to(ts, xi.shape),
+                  np.broadcast_to(np.arange(zs.start, zs.stop)[:, None], xi.shape), xi])
     _write_manifest(options["out"], "characteristics", options, ["characteristics.csv"])
     return 0
 
@@ -157,13 +271,12 @@ def _run_characteristics(options):
 def _write_curve(path, model, spec, lam, h_step):
     """mean_curve.csv: t, mean, second_diff (blank in the end rows), bound with a tilt."""
     curve = mean_curve(marginal_table(model, spec, h_step))
-    d2 = [""] + _texts(second_differences(curve)[:, 1]) + [""]
-    cols = [curve[:, 0], curve[:, 1]]
+    cols = [curve[:, 0], curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
     if lam is not None:
         cols.append(mean_upper_bound(spec, float(lam), curve[:, 0]))
-    header = ["t", "mean", "second_diff", "bound"][:len(cols) + 1]
-    _write_table(path, header, np.column_stack(cols),
-                 "%.17g,%.17g,{o}" + ",%.17g" * (len(cols) - 2) + "\n", d2)
+    blank = np.zeros((len(curve), len(cols)), bool)
+    blank[[0, -1], 2] = True
+    _write_table(path, ["t", "mean", "second_diff", "bound"][:len(cols)], cols, blank)
 
 
 def _run_mean_curve(options):
@@ -172,8 +285,6 @@ def _run_mean_curve(options):
     outputs = []
     lams = options.get("lambdas") or []
     if options.get("model") is not None:
-        if len(lams) > 1:
-            raise BadOption("mean-curve takes at most one --lambda, the bound, with --model")
         runs = [(model_from_dict(options["model"]), lams[0] if lams else None, "mean_curve.csv")]
     elif lams:
         names = ([f"mean_curve_lam{lam:g}.csv" for lam in lams] if len(lams) > 1
@@ -202,10 +313,11 @@ def _run_marginals(options):
     model = _resolve_model(options)
     spec = _spec(options)
     table = marginal_table(model, spec, float(options["step"]))
-    # t-major rows: each time's text fills the {o} of its block of states
-    _write_table(os.path.join(options["out"], "marginals.csv"), ["t", "z", "prob"], table.probs,
-                 "".join([f"{{o}},{spec.x + zi},%.17g\n" for zi in range(table.probs.shape[1])]),
-                 _texts(table.times))
+    # t-major rows
+    probs = table.probs
+    _write_table(os.path.join(options["out"], "marginals.csv"), ["t", "z", "prob"],
+                 [np.broadcast_to(table.times[:, None], probs.shape),
+                  np.broadcast_to(np.arange(spec.x, spec.x + probs.shape[1]), probs.shape), probs])
     _write_manifest(options["out"], "marginals", options, ["marginals.csv"])
     return 0
 
@@ -226,8 +338,8 @@ def _run_sample(options):
     # one line per jump, replica-major: none, so no replica labels, without jumps
     rows = all_times if spec.n else all_times[:0]
     _write_table(os.path.join(options["out"], "paths.csv"), ["replica", "jump_index", "time"],
-                 rows, "".join([f"{{o}},{j},%.17g\n" for j in range(1, spec.n + 1)]),
-                 [str(r) for r in range(len(rows))])
+                 [np.broadcast_to(np.arange(len(rows))[:, None], rows.shape),
+                  np.broadcast_to(np.arange(1, spec.n + 1), rows.shape), rows])
     summary = {
         "sampler": sampler,
         "seed": seed,
@@ -267,7 +379,7 @@ def _run_verify(options):
             if options.get("grid_csv"):
                 _write_table(os.path.join(options["out"], "dominance_grid.csv"),
                              ["t", "i", "computed_tail", "benchmark_tail", "margin"],
-                             rep.rows, "%.17g,%.17g,%.17g,%.17g,%.17g\n")
+                             rep.rows.T)
                 extra_outputs.append("dominance_grid.csv")
         elif name == "mean-bound":
             rep = mean_bound_check(model, spec, lam, tol=float(options["tol_margin"]),
@@ -318,6 +430,9 @@ _RUNNERS = {
 }
 
 
+# what the one --lambda a command takes beside --model stands for
+_MODEL_LAMBDA = {"mean-curve": "the bound", "verify": "the bound", "lln": "the limiting profile"}
+
 # the float options: their flag, and the error a NaN or infinite value raises
 _FLOAT_OPTIONS = {
     "step": ("--step", BadStep),
@@ -336,7 +451,8 @@ def _run(command, options):
 
     Every float option must be finite, whether or not the command reads
     it: a NaN would otherwise land in manifest.json, which is then not
-    JSON.  Nothing is written before this check.
+    JSON.  Beside --model, mean-curve, verify and lln take at most one
+    --lambda.  Nothing is written before these checks.
     """
     if command not in _RUNNERS:
         raise ValueError(f"manifest command {command!r} unknown")
@@ -345,6 +461,10 @@ def _run(command, options):
         for v in value if isinstance(value, list) else [value]:
             if v is not None and not math.isfinite(float(v)):
                 raise error(f"{flag} must be a finite number, got {v}")
+    if (command in _MODEL_LAMBDA and options.get("model") is not None
+            and len(options.get("lambdas") or []) > 1):
+        raise BadOption(f"{command} takes at most one --lambda, {_MODEL_LAMBDA[command]}, "
+                        "with --model")
     return _RUNNERS[command](options)
 
 
@@ -436,9 +556,14 @@ def _options_from_args(args):
     return options
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on the first call and shared by every later one."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "replay":
             return _run_replay(args.manifest, args.out)

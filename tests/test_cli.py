@@ -5,9 +5,12 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countbridge import cli, engine, verify
 from countbridge.analytic import mean_upper_bound
@@ -314,12 +317,21 @@ def test_lln_command(tmp_path):
      "the tilts [2.0, 2.0] would share a file name"),
     (["mean-curve", "--model", "PRODUCT", "--lambda", "1", "--lambda", "2"],
      "at most one --lambda, the bound, with --model"),
+    (["verify", "--model", "PRODUCT", "--lambda", "3", "--lambda", "4"],
+     "verify takes at most one --lambda, the bound, with --model"),
+    (["verify", "--model", "PRODUCT", "--lambda", "4", "--lambda", "3"],
+     "verify takes at most one --lambda, the bound, with --model"),
+    (["lln", "--model", "PRODUCT", "--lambda", "3", "--lambda", "4", "--N", "5"],
+     "lln takes at most one --lambda, the limiting profile, with --model"),
+    (["lln", "--model", "PRODUCT", "--lambda", "4", "--lambda", "3", "--N", "5"],
+     "lln takes at most one --lambda, the limiting profile, with --model"),
     (["lln", "--lambda", "0", "--N", "5", "--N", "5", "--replicas", "10"],
      "N values must be distinct"),
     (["sample"], "need --model or exactly one --lambda"),
     (["sample", "--lambda", "1", "--lambda", "2"], "need --model or exactly one --lambda"),
 ], ids=["mean-curve-one-file-name", "mean-curve-repeated-tilt", "mean-curve-model-two-tilts",
-        "lln-repeated-height", "sample-no-model", "sample-two-tilts"])
+        "verify-model-two-tilts", "verify-model-two-tilts-reversed", "lln-model-two-tilts",
+        "lln-model-two-tilts-reversed", "lln-repeated-height", "sample-no-model", "sample-two-tilts"])
 def test_options_that_name_no_single_run_exit_2_before_writing(tmp_path, capsys, args, message):
     # two tilts whose curves share a file name, a height drawn twice, or a process
     # the options do not define, is refused before any file is written
@@ -596,11 +608,79 @@ def test_write_table_prints_special_floats_and_integer_labels(tmp_path):
     values = [[math.nan, math.inf], [-0.0, 1e-300], [-math.inf, 0.1], [3.0, -2.5e-17]]
     labels = [7, -3, 0, 12]
     path = tmp_path / "t.csv"
-    cli._write_table(str(path), ["a", "o", "b"], np.array(values), "%.17g,{o},%.17g\n",
-                     [str(o) for o in labels])
+    a, b = np.array(values).T
+    cli._write_table(str(path), ["a", "o", "b"], [a, np.array(labels), b])
     rows = [(a, o, b) for (a, b), o in zip(values, labels)]
     assert path.read_text() == cells_csv(["a", "o", "b"], rows)
     assert path.read_text().splitlines()[1:3] == ["nan,7,inf", "-0,-3,1e-300"]
+
+
+def printed(column):
+    """The lines the table writer forms for one column."""
+    return cli._text([np.asarray(column)], None).splitlines()
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_every_float_prints_as_format_17g(values):
+    assert printed(np.array(values, dtype=float)) == [format(v, ".17g") for v in values]
+
+
+def _ulps(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    for _ in range(-k):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def _halfway_cases():
+    # j / 2^(m + 1) with j odd: times 10^m it is j 5^m / 2, an odd half of 17
+    # digits, so its 17-digit rounding is a tie
+    cases = []
+    for m in range(1, 24):
+        low = -(-2 * 10 ** 16 // 5 ** m) | 1
+        for x in [j / 2 ** (m + 1) for j in range(low, low + 8, 2)]:
+            v = Fraction(x) * 10 ** m
+            assert v.denominator == 2 and 10 ** 16 <= v < 10 ** 17
+            cases.append(x)
+    return cases
+
+
+EDGES = ([_ulps(10.0 ** k, d) for k in range(-12, 19) for d in (-2, -1, 0, 1, 2)]
+         + _halfway_cases()
+         + [2.0 ** 53 + d for d in (-2, -1, 0, 1, 2)]
+         + [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+def test_floats_at_powers_of_ten_ties_and_2_to_53_print_as_format_17g():
+    values = EDGES + [-v for v in EDGES] + [math.nan, math.inf, -math.inf]
+    assert printed(values) == [format(v, ".17g") for v in values]
+
+
+def test_a_million_random_floats_print_as_format_17g():
+    rng = np.random.default_rng(20240501)
+    for _ in range(10):
+        values = (rng.uniform(1.0, 10.0, 10 ** 5) * 10.0 ** rng.integers(-30, 41, 10 ** 5)
+                  * rng.choice([-1.0, 1.0], 10 ** 5))
+        assert printed(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+def test_integer_columns_print_as_str():
+    values = [0, 1, -1, 9, 10, -10, 12345, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1,
+              10 ** 17, 10 ** 18 + 7, 2 ** 63 - 1, -2 ** 63]
+    assert printed(np.array(values, dtype=np.int64)) == [str(v) for v in values]
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    assert cli._parser() is cli._parser()
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "2", "--y", "3",
+                     "--out", str(first)]) == 0
+    assert cli.main(["mean-curve", "--lambda", "3", "--y", "3", "--out", str(second)]) == 0
+    assert sorted(os.listdir(second)) == ["manifest.json", "mean_curve.csv"]
+    assert read_json(second / "manifest.json")["options"]["lambdas"] == [3.0]
 
 
 def test_a_chunk_that_raises_leaves_no_file(tmp_path):
