@@ -359,6 +359,11 @@ def _run_verify(options):
     h_step = float(options["step"])
     lam = float(options["lambdas"][0]) if options.get("lambdas") else None
     checks = options["checks"] or ["convexity", "dominance", "mean-bound"]
+    for name in checks:
+        if checks.count(name) > 1:
+            raise BadOption(f"verify runs each check once; --check {name} is given twice")
+        if name in ("dominance", "mean-bound") and lam is None:
+            raise ValueError(f"{name} check needs --lambda")
     reports = []
     extra_outputs = []
     all_pass = True
@@ -369,8 +374,6 @@ def _run_verify(options):
     if {"dominance", "mean-bound"} & set(checks):
         table = marginal_table(model, spec, h_step, h=h)
     for name in checks:
-        if name in ("dominance", "mean-bound") and lam is None:
-            raise ValueError(f"{name} check needs --lambda")
         if name == "convexity":
             rep = convexity_check(model, spec, h_step, tol=float(options["tol_convexity"]))
         elif name == "dominance":

@@ -68,8 +68,8 @@ from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, OutOfD
 STEP_BUDGET = 0.1
 # Outside its window a state holds at most this much of the bridge's mass.
 WINDOW_TAIL = 1e-20
-# The stored mesh extends to (coarse step) / PIN_DEPTH from the terminal time;
-# closer queries use the exact 1/(u - t) pin asymptote.
+# The stored mesh extends to min(coarse step, (u - s) / n) / PIN_DEPTH from the terminal
+# time; closer queries use the exact (y - z) / (u - t) pin asymptote.
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
 # A mesh whose band of log h over the windows would exceed this many bytes is
@@ -137,7 +137,8 @@ class _Mesh:
     edges of the uniform output grid, subdivided where the pin is near).
     Storage nodes are those boundaries plus their midpoints (the first
     ``n_fwd_nodes``), then a graded extension from u - dc down to
-    u - dc/PIN_DEPTH, then u itself.
+    u - d0, d0 = min(dc, (u - s)/n) / PIN_DEPTH (dc/PIN_DEPTH bit for bit when
+    (u - s)/n >= dc), then u itself.
 
     Subdivision measures closeness to the pin by the remaining integrated
     rate lam_hat(t) = integral over [t, u] of the ladder-minimal rate; each
@@ -191,7 +192,6 @@ class _Mesh:
         v = np.interp(edges[:n_c], t_tab, v_tab)
         v1, v2 = v[:-1], v[1:]
         n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / budget).astype(int))
-        n_ext = int(math.ceil(math.log(PIN_DEPTH) * depth[-1] / budget))
         n_fb = 1 + int(n_sub.sum())
 
         # interior node i = 1..n_sub[j]-1 of cell j sits at fb-index out_fb_idx[j] + i
@@ -213,8 +213,11 @@ class _Mesh:
         seg_a = np.empty(2 * fb.size - 1)
         seg_a[0::2] = fb
         seg_a[1::2] = 0.5 * (fb[:-1] + fb[1:])
-        u = spec.u
-        d1, d0 = self.dc, self.dc / PIN_DEPTH
+        # ratio is exactly PIN_DEPTH when (u - s) / n >= dc: those meshes keep their nodes
+        u, d1 = spec.u, self.dc
+        ratio = PIN_DEPTH * (d1 / min(d1, spec.length / n))
+        n_ext = int(math.ceil(math.log(ratio) * depth[-1] / budget))
+        d0 = d1 / ratio
         ext = [u - d1 * (d0 / d1) ** (i / n_ext) for i in range(1, n_ext + 1)]
         self.times = np.concatenate([seg_a, ext, [u]])
         self.n_fwd_nodes = seg_a.size
@@ -438,7 +441,7 @@ class HField:
     2 (n + 1) WINDOW_TAIL of its mass (see the module notes).  Immutable;
     safe to share across threads.  Inside a state's terminal boundary layer
     the sampler uses the exact first-order pin asymptote k ~ (y - z)/(u - t),
-    anchored at the latest mature node for that state (``anchor_idx``).
+    from the latest mature node for that state (``anchor_idx``, in its window) on.
     """
 
     def __init__(self, model, spec, mesh, log_h):
@@ -450,8 +453,8 @@ class HField:
         # Per-state asymptote anchors.  h at depth m vanishes like (u-t)^m, and
         # the backward pass resolves that layer only a few nodes away from u,
         # so queries closer than m x (finest node distance) ride the exact
-        # first-order asymptote anchored at the last node before that limit;
-        # a column that stops before its limit anchors at its last solved node.
+        # first-order asymptote from the last node before that limit on; a
+        # column that stops before its limit anchors at its last solved node.
         self.anchor_idx = np.minimum(mesh.pin_limit, mesh.h_hi[:-1]) - 1
 
     def pinned_rates(self):
@@ -473,17 +476,15 @@ class HField:
         From state z at time t, the pinned chain stays put until r with probability
         exp(-(L(r) - L(t))), where L = (integrated rate) - log h(., z) is the integrated
         pinned rate.  L is tabulated on the state's window up to its asymptote
-        anchor and, if the window runs to u, follows the anchor's
-        base * (u - t_a) / (u - t) rate past it, so a jump lands where L reaches
-        L(start) + mass.  ``start`` and ``mass`` (Exp(1) draws) are arrays over
-        replicas.  A path outside the state's window raises PinMiss; a state with
-        no anchor, or a pinned rate of 0 at it, raises Underflow.
+        anchor t_a and, if the window runs to u, grows past it at the exact pin
+        rate (y - z) / (u - t), as (y - z) log((u - t_a) / (u - t)), so a jump
+        lands where L reaches L(start) + mass.  ``start`` and ``mass`` (Exp(1)
+        draws) are arrays over replicas.  A path outside the state's window
+        raises PinMiss.
         """
         spec, mesh = self.spec, self.mesh
         z = spec.x + zi
         a, j = int(mesh.h_lo[zi]), int(self.anchor_idx[zi])
-        if j < a:
-            raise Underflow(f"no mesh node lies before the pin layer of state {z}")
         t_tab = self.times[a:j + 1]
         rates = next(self.model.rate_columns(t_tab, [z], [0], [t_tab.size]))
         lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
@@ -500,13 +501,8 @@ class HField:
                 raise PinMiss(f"a path stayed in state {z} past its window, which closes at"
                               f" t = {ta:.6g}")
             return np.interp(target, big_l, t_tab)
-        # past the anchor L grows like slope * log(1 / (u - t))
-        k_a = _pinned(self.logh.column(zi + 1, j, j + 1), self.logh.column(zi, j, j + 1),
-                      rates[-1:])[0] if j >= mesh.h_lo[zi + 1] else 0.0
-        if not 0.0 < k_a < math.inf:
-            raise Underflow(f"the pinned jump rate of state {z} at its anchor t = {ta:.6g} is"
-                            f" {k_a:g}, so it has no pin asymptote")
-        slope = k_a * (spec.u - ta)
+        # past the anchor L grows like (y - z) log((u - t_a) / (u - t))
+        slope = spec.y - z
         past = start > ta
         level[past] = big_l[-1] + slope * np.log((spec.u - ta) / (spec.u - start[past]))
         target = level + mass

@@ -30,7 +30,7 @@ class BadStep(CountBridgeError):
 
 
 class Underflow(CountBridgeError):
-    """A pin probability was queried where the mesh does not resolve it."""
+    """The remaining integrated rate underflows to 0 before u: no log to grade a mesh by."""
 
 
 class BadOption(CountBridgeError):

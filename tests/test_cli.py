@@ -300,6 +300,32 @@ def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch)
     assert len(calls) == 1  # the convexity check's own fine-mesh solve
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--check", "convexity", "--check", "dominance"], "dominance check needs --lambda"),
+    (["--lambda", "3", "--check", "dominance", "--check", "dominance"],
+     "verify runs each check once; --check dominance is given twice"),
+], ids=["dominance-without-lambda", "repeated-check"])
+def test_verify_refuses_its_checks_before_any_solve(tmp_path, capsys, monkeypatch, args,
+                                                    message):
+    calls = []
+    real = engine.solve_h
+
+    def spy(*a, **kwargs):
+        calls.append(a)
+        return real(*a, **kwargs)
+
+    for module in (cli, engine, verify):
+        monkeypatch.setattr(module, "solve_h", spy)
+    out = tmp_path / "v"
+    code = cli.main(["verify", "--model", write_model(tmp_path, PRODUCT), "--y", "5", *args,
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and message in err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_lln_command(tmp_path):
     out = tmp_path / "lln"
     r = run_cli("lln", "--lambda", "0", "--N", "50", "--N", "200", "--replicas", "80",
@@ -683,6 +709,30 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
     assert read_json(second / "manifest.json")["options"]["lambdas"] == [3.0]
 
 
+_STUB_HEAD = ("# gnuplot stub; run: gnuplot -p this_file\n"
+              "set datafile separator ','\n"
+              "set xlabel 't'\n"
+              "set ylabel 'E[X_t]'\n")
+
+
+@pytest.mark.parametrize("lambdas, plot, outputs", [
+    (["3"], "plot 'mean_curve.csv' using 1:2 with lines title 'mean_curve.csv'\n",
+     ["mean_curve.csv", "mean_curve.gp"]),
+    (["1", "2.5"], "plot 'mean_curve_lam1.csv' using 1:2 with lines title 'mean_curve_lam1.csv',"
+                   " 'mean_curve_lam2.5.csv' using 1:2 with lines title 'mean_curve_lam2.5.csv'\n",
+     ["mean_curve.gp", "mean_curve_lam1.csv", "mean_curve_lam2.5.csv"]),
+], ids=["one-tilt", "two-tilts"])
+def test_mean_curve_gnuplot_stub_is_listed_and_replayed(tmp_path, lambdas, plot, outputs):
+    out, again = tmp_path / "m", tmp_path / "r"
+    args = [a for lam in lambdas for a in ("--lambda", lam)]
+    assert cli.main(["mean-curve", *args, "--y", "4", "--gnuplot", "--out", str(out)]) == 0
+    assert (out / "mean_curve.gp").read_text() == _STUB_HEAD + plot
+    assert read_json(out / "manifest.json")["outputs"] == outputs
+    assert cli.main(["replay", str(out / "manifest.json"), "--out", str(again)]) == 0
+    for name in outputs:
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_a_chunk_that_raises_leaves_no_file(tmp_path):
     def chunks():
         yield "t,z\n"
@@ -796,14 +846,15 @@ def test_steeply_decaying_rates_run_without_overflow(tmp_path, args):
 
 def test_a_pinned_rate_that_underflows_at_its_anchor_exits_2(tmp_path):
     # rate 1 + 1e300 z: at each state's anchor log h is about -1e296 and the gap to
-    # the state above about -5e295, so the pinned rate there is 0 and the pin
-    # asymptote past it has no slope; refused by state, before any division.  Run
-    # under -W error::RuntimeWarning (PKG).
+    # the state above about -5e295, so the pinned rate there is 0.  The pin
+    # asymptote past the anchor does not read it: its slope is y - z.  Every jump
+    # after the first follows it within far less than a float's spacing, so the
+    # sampler refuses the path.  Run under -W error::RuntimeWarning (PKG).
     model = write_model(tmp_path, _edited(EXP_AFFINE, b=1e300))
     r = run_cli("sample", "--model", model, "--y", "6", "--out", str(tmp_path / "out"))
     assert r.returncode == 2
     assert r.stderr.startswith("countbridge: error:")
-    assert "pinned jump rate of state 0 at its anchor" in r.stderr
+    assert "jump 2 of a path rounded to u or did not advance past jump 1" in r.stderr
     assert "Traceback" not in r.stderr
 
 

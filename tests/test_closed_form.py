@@ -48,6 +48,14 @@ def test_both_routes_match_the_closed_form(solved):
         assert np.max(np.abs(table.probs - exp_affine_marginals(model, spec, table.times))) <= 1e-6
 
 
+def test_a_deep_bridge_on_a_short_window_matches_the_closed_form():
+    # 300 jumps in 0.02 at h_step 1e-2: a pin layer sized by the output step alone
+    # left the two-sided table 1.15e-4 off; sized by the jump spacing it is exact
+    model, spec = Poisson(1.0), BridgeSpec(0, 300, 0.5, 0.52)
+    table = marginal_table_two_sided(model, spec, 1e-2)
+    assert np.max(np.abs(table.probs - exp_affine_marginals(model, spec, table.times))) <= 1e-6
+
+
 def test_log_h_matches_the_closed_form_where_the_bridge_holds_the_state(solved):
     # on every cell the bridge holds with probability 1e-10 or more, up to each
     # state's pin asymptote anchor, log h is the negative-binomial law's.  The

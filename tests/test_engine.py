@@ -357,6 +357,22 @@ def test_anchor_search_matches_the_walk(model, spec, h_step):
     assert np.all(h.anchor_idx >= 0)
 
 
+@pytest.mark.parametrize("model", [Poisson(1.0), Product(1.0, 3.0, 0.1),
+                                   TimeExponential(1.0, 8.0)], ids=["poisson", "product", "te8"])
+@pytest.mark.parametrize("n, length, h_step", [
+    (40, 0.02, 1e-2), (300, 0.02, 1e-2), (300, 0.05, 1e-2), (300, 0.02, 1e-3),
+])
+def test_deep_bridges_on_short_windows_have_anchors(model, n, length, h_step):
+    # d0 is at most a hundredth of the mean jump spacing, so a state m below the pin
+    # anchors at most m d0 <= (u - s) / 100 before u: inside its window, where its
+    # log h is finite
+    spec = BridgeSpec(0, n, 0.5, 0.5 + length)
+    h = solve_h(model, spec, h_step)
+    assert np.all(h.anchor_idx >= h.mesh.h_lo[:-1])
+    assert np.all(np.isfinite([h.logh.column(zi, j, j + 1)[0]
+                               for zi, j in enumerate(h.anchor_idx.tolist())]))
+
+
 def _up(w):
     """w shifted one state toward the pin: out[z] = w[z+1], 0 past the top."""
     return np.concatenate([w[1:], [0.0]])

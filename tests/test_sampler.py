@@ -8,7 +8,7 @@ from scipy.stats import binom, ks_2samp
 from countbridge import sampler
 from countbridge.analytic import binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, TooFewSamples, Underflow
+from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, TooFewSamples
 from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
 from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample_bridge,
                                  sample_constant)
@@ -266,14 +266,20 @@ def test_sample_bridge_serves_a_start_state_below_exp_minus_700(model, n):
     assert abs(got - mean) <= 4.0 * sd / math.sqrt(count)
 
 
-def test_sample_bridge_refuses_a_state_without_an_anchor():
-    # 300 jumps in a window of 0.02: the finest node distance times the depth exceeds
-    # the window, so no mesh node lies before the pin layer of the low states
+def test_sample_bridge_samples_a_deep_bridge_on_a_short_window():
+    # 300 jumps in a window of 0.02 at h_step 1e-2: the pin layer is sized by the
+    # jump spacing, so every state has an anchor.  A Poisson bridge's jump times are
+    # the order statistics of n uniforms on the window: T_k has mean s + L k / (n + 1)
+    # and variance L^2 k (n + 1 - k) / ((n + 1)^2 (n + 2)); every sampled mean lies
+    # within 4 standard errors
     spec = BridgeSpec(0, 300, 0.5, 0.52)
     h = solve_h(Poisson(1.0), spec, 1e-2)
-    assert h.anchor_idx[0] == -1
-    with pytest.raises(Underflow, match="pin layer of state 0"):
-        sample_bridge(h.model, spec, h, 3, 1)
+    count, n, length = 2000, spec.n, spec.length
+    times = jump_time_matrix(sample_bridge(h.model, spec, h, count, 1))
+    k = np.arange(1, n + 1)
+    mean = spec.s + length * k / (n + 1)
+    sd = length * np.sqrt(k * (n + 1 - k) / ((n + 1) ** 2 * (n + 2)))
+    assert np.all(np.abs(times.mean(axis=0) - mean) <= 4.0 * sd / math.sqrt(count))
 
 
 @pytest.mark.parametrize("landing", [lambda t, u: t, lambda t, u: np.full_like(t, u)],
