@@ -258,9 +258,9 @@ class _Mesh:
 def _tail_thresholds(n):
     """thr[i], i = 0..n: a p below i / n with n KL(i/n || p) >= log(1 / WINDOW_TAIL)
     (thr[0] = 0), by Newton on that convex, decreasing function of log p from
-    left of its root, so every iterate is safe.  scipy's betaincinv would give
-    the exact binomial threshold, but importing scipy.special costs about
-    0.24 s and 24 MB on a solve path that otherwise loads no scipy."""
+    left of its root, so every iterate is safe.  The exact binomial threshold
+    would need an inverse incomplete beta function (scipy's betaincinv), which
+    the package, on numpy alone, does not have."""
     k = math.log(1.0 / WINDOW_TAIL) / n
     q = np.arange(1, n) / n
     qc = 1.0 - q

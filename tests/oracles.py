@@ -9,18 +9,18 @@ touching the h-field, so they check the engine and the samplers from
 outside.  Every exp-affine bridge also has a closed form: on the clock
 tau(t) = expm1(lam t) / lam its rate is time-homogeneous, so log h is a
 negative-binomial (or Poisson) transition law and each marginal is binomial.
-They need scipy (``cumulative_simpson``, ``betainc``, ``gammaln``, ``binom``);
-the package itself imports only ``scipy.special``, on ``binomial_tail``'s first call.
+They need scipy (``cumulative_simpson``, ``gammaln``, ``binom``); the package
+itself needs numpy only.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.special import betainc, gammaln
+from scipy.special import gammaln
 from scipy.stats import binom
 
-from countbridge.analytic import tilted_cdf_window
+from countbridge.analytic import binomial_tail, tilted_cdf_window
 from countbridge.errors import CountBridgeError, DegenerateVariance, IndexOut, NotSorted
 from countbridge.intensity import CharacteristicBounds
 from countbridge.sampler import PathSample, jump_time_matrix, seeded_rng
@@ -271,8 +271,8 @@ def duality_per_column(model, spec, u_func, phi, paths):
 
 def dominance_per_cell(model, spec, lam, direction, table):
     """``verify.dominance_check`` on a given table, one (time, i) cell at a time:
-    one scalar tilted CDF per time, one scalar betainc call per cell, and the
-    rows as a list of tuples, time-major.  The array check must return the
+    one scalar tilted CDF per time, one scalar binomial_tail call per cell, and
+    the rows as a list of tuples, time-major.  The array check must return the
     same rows, worst margin and verdicts exactly."""
     n = spec.n
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1)))
@@ -289,7 +289,7 @@ def dominance_per_cell(model, spec, lam, direction, table):
         p = float(tilted_cdf_window(lam, spec.s, spec.u, table.times[idx]))
         for i in range(1, n + 1):
             computed = float(tails[idx, i])
-            benchmark = float(betainc(i, n - i + 1, p))
+            benchmark = binomial_tail(n, p, i)
             margin = benchmark - computed if direction == "lower" else computed - benchmark
             worst = min(worst, margin)
             rows.append((float(table.times[idx]), i, computed, benchmark, margin))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from countbridge.analytic import (binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window,
                                   tilted_quantile)
@@ -163,13 +164,30 @@ def test_binomial_tail_broadcasts_to_the_scalar_tails():
     assert binomial_tail(0, [0.0, 1.0], 0).tolist() == [1.0, 1.0]
 
 
-def test_binomial_tail_matches_scipy_sf_bitwise():
+def _assert_near_betainc(tail, ref):
+    """Within 1e-12 of scipy's tail, and within 1e-10 of it relative where it is
+    above 1e-200."""
+    tail, ref = np.asarray(tail), np.asarray(ref)
+    err = np.abs(tail - ref)
+    assert np.all(err <= 1e-12), err.max()
+    big = ref > 1e-200
+    assert np.all(err[big] <= 1e-10 * ref[big]), np.max(err[big] / ref[big])
+
+
+def test_binomial_tail_matches_scipy_sf_to_1e_12():
+    # the numpy tail holds a tolerance against scipy, not its bits
     rng = np.random.default_rng(2015)
     for _ in range(2000):
         n = int(rng.integers(1, 2001))
         i = int(rng.integers(1, n + 1))
         p = float(rng.uniform())
-        assert binomial_tail(n, p, i) == float(binom.sf(i - 1, n, p))
+        _assert_near_betainc(binomial_tail(n, p, i), binom.sf(i - 1, n, p))
+    p = np.concatenate([[0.0, 1.0, 1e-300, 1.0 - 1e-16], np.linspace(0.0, 1.0, 51),
+                        np.logspace(-300, -1, 150), 1.0 - np.logspace(-16, -1, 150)])[:, None]
+    for n in (0, 1, 2, 5, 20, 200, 800, 2000, 10000):
+        i = np.arange(1, n + 1)
+        for rows in np.array_split(p, 8):  # blocks of rows keep each array under 4 MB
+            _assert_near_betainc(binomial_tail(n, rows, i), betainc(i, n - i + 1, rows))
 
 
 def test_constant_characteristic_marginal():

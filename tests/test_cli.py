@@ -403,6 +403,7 @@ def test_verify_grid_csv(tmp_path):
 
 NO_SCIPY_SCRIPT = """
 import json, os, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import numpy as np
 import countbridge
 from countbridge import cli
@@ -425,12 +426,19 @@ with open(os.path.join(out, "tab.json"), "w") as fh:
 code = cli.main(["characteristics", "--model", os.path.join(out, "tab.json"), "--x", "0",
                  "--y", "3", "--grid-step", "0.1", "--out", os.path.join(out, "ch")])
 assert code == 0, code
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+checks = [a for c in ("convexity", "dominance", "mean-bound", "duality") for a in ("--check", c)]
+code = cli.main(["verify", "--lambda", "3", "--y", "5", "--replicas", "200", *checks,
+                 "--out", os.path.join(out, "v")])
+assert code == 0, code
+code = cli.main(["replay", os.path.join(out, "v", "manifest.json"), "--out", os.path.join(out, "r")])
+assert code == 0, code
+print(sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m] is not None))
 """
 
 
 def test_package_imports_no_scipy(tmp_path):
-    # scipy costs about 1 s to import; the package needs it only in binomial_tail
+    # scipy is a test dependency only: with it made unimportable, every check of
+    # verify and its replay still run, and no scipy module is loaded
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "run")],
