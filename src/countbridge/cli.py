@@ -34,8 +34,7 @@ from .verify import (convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
 
 
-# rows, and cells of a column, of a table formed as text at once
-BLOCK_ROWS = 512
+# cells of a column of a table formed as text at once
 BLOCK_CELLS = 8192
 
 # A float cell's text is formed in a record of 44 bytes, read as 11
@@ -190,8 +189,8 @@ def _write_table(path, header, columns, blank=None):
     broadcast one is formed once per repeated value.  A float cell prints as
     format(float(c), ".17g") does, an integer column's as str(int(c)); the
     cells ``blank`` (the shape, then one per column) marks print empty.  The
-    text is formed in blocks of at most BLOCK_ROWS rows and BLOCK_CELLS cells
-    of a column, a row wider than that in pieces of BLOCK_CELLS.
+    text is formed in blocks of at most BLOCK_CELLS cells of a column, a row
+    wider than that in pieces of BLOCK_CELLS.
     """
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
@@ -199,7 +198,7 @@ def _write_table(path, header, columns, blank=None):
 
     def blocks():
         yield ",".join(header) + "\n"
-        rows = min(BLOCK_ROWS, BLOCK_CELLS // width) if width else 0
+        rows = BLOCK_CELLS // width if width else 0
         if rows:
             parts = [np.s_[a:a + rows] for a in range(0, shape[0], rows)]
         else:

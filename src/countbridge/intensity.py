@@ -243,15 +243,6 @@ def _power_sum(c, idx, powers):
     return out
 
 
-def _piecewise_eval(x, c, t, cols):
-    """Evaluate coefficients ``c`` at times ``t`` in columns ``cols`` (broadcast together).
-
-    Only the requested columns are gathered.
-    """
-    i, powers = _pieces(x, t)
-    return _power_sum(c.reshape(c.shape[0], -1), i * c.shape[2] + cols, powers)
-
-
 # Tabulated pieces are halved at most this often, to prove them positive and to
 # bring the characteristic bounds within BOUNDS_TOL x max(1, |bound|) of the
 # extremes; the bounds then move out by _ROUNDING times the size of their terms.
@@ -316,6 +307,8 @@ class Tabulated(_RateModel):
     may be supplied; otherwise they are filled by centred differences on the
     grid and the model is flagged ``derivative_mode == "numeric"`` (a warning
     sign for characteristic-based checks, which need d/dt log rate).
+    ``rate``, ``rate_dt`` and ``characteristic`` broadcast times and states
+    together, as ``ExpAffine``'s do.
     """
 
     family = "tabulated"
@@ -366,12 +359,13 @@ class Tabulated(_RateModel):
     def z_max(self):
         return self.z_min + self.rates.shape[1] - 1
 
-    def _locate(self, t, z):
+    def _locate(self, t, z, reach=0):
+        """``t`` and ``z`` checked, ``z`` as ints; states up to z + reach must be tabulated."""
         t, t_lo, t_hi = _check_time(t)
         z, z_lo, z_hi = _check_state(z, self.state_floor)
         if t_lo < self.t_grid[0] - _T_SLACK or t_hi > self.t_grid[-1] + _T_SLACK:
             raise TabulationGap("time outside the tabulated hull")
-        if z_lo < self.z_min or z_hi > self.z_max:
+        if z_lo < self.z_min or z_hi + reach > self.z_max:
             raise TabulationGap(f"state outside tabulated range [{self.z_min}, {self.z_max}]")
         if z.dtype.kind not in "iu":
             off = z != np.round(z)
@@ -379,18 +373,22 @@ class Tabulated(_RateModel):
                 raise OutOfDomain(f"state not an integer: {z[np.argmax(off)] if z.ndim else float(z)}")
         return t, z.astype(int)
 
-    def _eval(self, coef, t, z):
-        t, z = self._locate(t, z)
-        if t.ndim == 1 and z.ndim == 1 and t.size != z.size:
-            t = t[:, None]  # one row per time, one column per state
-        out = _piecewise_eval(self.t_grid, coef, t, z - self.z_min)
-        return float(out) if out.ndim == 0 else out
+    def _read(self, t, z, *cubics):
+        """The ``cubics`` at times ``t`` and states ``z``, broadcast together, from
+        one check and one piece search; each is (coefficients, state offset), the
+        offset 1 reading the state above."""
+        t, z = self._locate(t, z, max(k for _, k in cubics))
+        i, powers = _pieces(self.t_grid, t)
+        idx = i * self.rates.shape[1] + (z - self.z_min)
+        return [_power_sum(c.reshape(c.shape[0], -1), idx + k, powers) for c, k in cubics]
 
     def rate(self, t, z):
-        return self._eval(self._coef, t, z)
+        out, = self._read(t, z, (self._coef, 0))
+        return float(out) if out.ndim == 0 else out
 
     def rate_dt(self, t, z):
-        return self._eval(self._coef_dt, t, z)
+        out, = self._read(t, z, (self._coef_dt, 0))
+        return float(out) if out.ndim == 0 else out
 
     def rate_columns(self, times, states, lo, hi):
         """The rates on a time grid x state set, one state's column at a time,
@@ -407,7 +405,11 @@ class Tabulated(_RateModel):
                 for col, a, b in zip(z - self.z_min, lo, hi))
 
     def characteristic(self, t, z):
-        return generic_characteristic(self, t, z)
+        """r'/r + r(., z+1) - r, r the state's cubic; 0 where r is not positive."""
+        r, r_dt, up = self._read(t, z, (self._coef, 0), (self._coef_dt, 0), (self._coef, 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(r > 0.0, r_dt / r + up - r, 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
         """Proved bounds of the characteristic over the window x state range.
@@ -468,28 +470,13 @@ class Tabulated(_RateModel):
         return params
 
 
-def generic_characteristic(model, t, z):
-    """Characteristic assembled directly from rate and rate_dt.
-
-    Equals d/dt log rate + rate(., z+1) - rate(., z) where the rate is
-    positive, and 0 where it vanishes (pinned intensities only; the models in
-    this module are strictly positive).
-    """
-    lz = np.asarray(model.rate(t, z), dtype=float)
-    lt = np.asarray(model.rate_dt(t, z), dtype=float)
-    lup = np.asarray(model.rate(t, np.asarray(z) + 1), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(lz > 0.0, lt / lz + lup - lz, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def constant_characteristic_model(lam, alpha=1.0):
+def constant_characteristic_model(lam):
     """A benchmark model whose characteristic is identically ``lam``.
 
     Constant rates for lam == 0, state-linear rates for lam > 0 and
     time-exponential rates for lam < 0 (state-linear rates would go negative).
     """
-    return ExpAffine(alpha, max(lam, 0.0), min(lam, 0.0))
+    return ExpAffine(1.0, max(lam, 0.0), min(lam, 0.0))
 
 
 # each family reads its parameters through p(name), which refuses a value that is

@@ -52,8 +52,7 @@ class PathSample:
 class PathBatch(Sequence):
     """The paths of one sampler call: start state ``x0`` and a read-only
     ``(count, n)`` matrix ``times`` whose row r holds the jump times of
-    path r.  An index builds the :class:`PathSample` of that path; a slice
-    is a batch over the same rows."""
+    path r.  An index builds the :class:`PathSample` of that path."""
 
     __slots__ = ("x0", "times")
 
@@ -66,22 +65,12 @@ class PathBatch(Sequence):
         return self.times.shape[0]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PathBatch(self.x0, self.times[index])
         return PathSample(self.x0, tuple(self.times[operator.index(index)].tolist()))
 
 
 def jump_time_matrix(paths):
-    """The (count, n) jump-time matrix of a batch (no copy), or of a list of
-    same-length paths stacked."""
-    if isinstance(paths, PathBatch):
-        return paths.times
-    if not paths:
-        return np.zeros((0, 0))
-    n = paths[0].n
-    if any(p.n != n for p in paths):
-        raise ValueError("paths have differing jump counts")
-    return np.asarray([p.jump_times for p in paths], dtype=float)
+    """The read-only (count, n) jump-time matrix of a batch, not copied."""
+    return paths.times
 
 
 def seeded_rng(seed):

@@ -73,7 +73,10 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8):
     "no claim" (a valid outcome, not an error).  Second differences divide by
     step^2, which amplifies any integrator noise by ~1e4, so the check runs
     the marginals at a mesh budget of CONVEXITY_BUDGET, tighter than the
-    engine's default, and takes the differences on a decimated uniform grid.
+    engine's default, and takes the differences on every stride-th output
+    time, the stride nearest (points - 1) / (INSPECT_POINTS - 1) whether or
+    not it divides the cells (a stride of 1 would amplify the noise stride^2
+    times more).
     """
     if spec.n == 0:
         return ConvexityReport(spec, 0.0, 0.0, "linear", True, 0.0, tol)
@@ -82,8 +85,6 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8):
     curve = mean_curve(table)
     npts = curve.shape[0]
     stride = max(1, int(round((npts - 1) / (INSPECT_POINTS - 1))))
-    if (npts - 1) % stride:
-        stride = 1
     d2 = second_differences(curve[::stride])
 
     nonneg = bounds.inf >= -1e-12
@@ -196,7 +197,12 @@ def mean_bound_check(model, spec, lam, tol=1e-6, table=None):
 
 
 class WindowFunction:
-    """A C^1 direction u with u vanishing at both ends of the unit interval."""
+    """A C^1 direction u with u vanishing at both ends of the unit interval.
+
+    A check on a bridge over the window [s, u] reads u and du at
+    (t - s) / (u - s), so the direction vanishes at the window's ends, and
+    divides du by u - s.
+    """
 
     def __init__(self, u, du, name="u"):
         if abs(u(0.0)) > 1e-12 or abs(u(1.0)) > 1e-12:
@@ -246,7 +252,9 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     E[phi * sum_i (du(T_i) + char(T_i, X_{T_i-}) u(T_i))] on the same bridge
     paths and reports both with standard errors plus the z-score of their
     paired difference (the estimators are correlated by construction, so the
-    difference is what carries the test).  Fewer than two paths give no
+    difference is what carries the test).  The direction is moved onto the
+    bridge's window [s, u]: u and du are read at (T - s) / (u - s), and du is
+    divided by u - s.  Fewer than two paths give no
     standard error, so they raise TooFewSamples instead of a z-score of 0,
     and paths of other than n jumps raise ValueError.  The characteristic, u
     and du are read on blocks of jump-time columns, at most DUALITY_BLOCK cells
@@ -270,7 +278,7 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     tm = times[:, : phi.m]
     vals = np.asarray(phi.value(spec.x, tm), dtype=float)
     parts = np.asarray(phi.partials(spec.x, tm), dtype=float)
-    lhs_samples = -np.sum(parts * u_func.u(tm), axis=1)
+    lhs_samples = -np.sum(parts * u_func.u((tm - spec.s) / spec.length), axis=1)
 
     stoch = np.zeros(count)
     width = max(1, DUALITY_BLOCK // count)
@@ -278,7 +286,8 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
         block = times[:, a:a + width]
         states = np.arange(spec.x + a, spec.x + a + block.shape[1])
         xi = np.asarray(model.characteristic(block, states), dtype=float)
-        for term in (u_func.du(block) + xi * u_func.u(block)).T:
+        tau = (block - spec.s) / spec.length
+        for term in (u_func.du(tau) / spec.length + xi * u_func.u(tau)).T:
             stoch += term
     rhs_samples = vals * stoch
 

@@ -23,7 +23,7 @@ from scipy.stats import binom
 from countbridge.analytic import binomial_tail, tilted_cdf_window
 from countbridge.errors import CountBridgeError, DegenerateVariance, IndexOut, NotSorted
 from countbridge.intensity import CharacteristicBounds
-from countbridge.sampler import PathSample, jump_time_matrix, seeded_rng
+from countbridge.sampler import PathBatch, jump_time_matrix, seeded_rng
 from countbridge.verify import DOMINANCE_TIMES, BoundReport, DualityResult
 
 
@@ -48,6 +48,22 @@ class FullWindows:
 
     def __getattr__(self, name):
         return getattr(self.model, name)
+
+
+def generic_characteristic(model, t, z):
+    """Characteristic assembled from three separate reads of the model: rate,
+    rate_dt and rate one state up.
+
+    Equals d/dt log rate + rate(., z+1) - rate(., z) where the rate is
+    positive, and 0 where it vanishes; the reference for the closed forms of
+    ``ExpAffine`` and for the one-read assembly of ``Tabulated``.
+    """
+    lz = np.asarray(model.rate(t, z), dtype=float)
+    lt = np.asarray(model.rate_dt(t, z), dtype=float)
+    lup = np.asarray(model.rate(t, np.asarray(z) + 1), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(lz > 0.0, lt / lz + lup - lz, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def grid_index(table, t, tol=1e-9):
@@ -201,7 +217,8 @@ def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):
 
     Proposes constant-characteristic paths at the lower characteristic bound
     and accepts with exp(xi(t) - lam_hat * sum (t_j - s) - M).  Acceptance
-    decays geometrically with n, so the sampler is gated to n <= 20.
+    decays geometrically with n, so the sampler is gated to n <= 20.  Returns
+    the accepted paths as one :class:`PathBatch`.
     """
     n = spec.n
     if n > 20:
@@ -227,10 +244,10 @@ def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):
                 raise OracleScale("rejection sampler exceeded its draw budget")
             log_ratio = pot.total(row) - lam_hat * float(np.sum(row - spec.s)) - log_m
             if a <= 0.0 or math.log(a) <= log_ratio:
-                out.append(PathSample(spec.x, tuple(row)))
+                out.append(row)
                 if len(out) == count:
                     break
-    return out
+    return PathBatch(spec.x, np.array(out).reshape(-1, n))
 
 
 def duality_per_column(model, spec, u_func, phi, paths):
@@ -245,13 +262,14 @@ def duality_per_column(model, spec, u_func, phi, paths):
     tm = times[:, : phi.m]
     vals = np.asarray(phi.value(spec.x, tm), dtype=float)
     parts = np.asarray(phi.partials(spec.x, tm), dtype=float)
-    lhs_samples = -np.sum(parts * u_func.u(tm), axis=1)
+    lhs_samples = -np.sum(parts * u_func.u((tm - spec.s) / spec.length), axis=1)
 
     stoch = np.zeros(count)
     for i in range(n):
         col = times[:, i]
         xi_col = np.asarray(model.characteristic(col, spec.x + i), dtype=float)
-        stoch += u_func.du(col) + xi_col * u_func.u(col)
+        tau = (col - spec.s) / spec.length
+        stoch += u_func.du(tau) / spec.length + xi_col * u_func.u(tau)
     rhs_samples = vals * stoch
 
     lhs, rhs = float(lhs_samples.mean()), float(rhs_samples.mean())

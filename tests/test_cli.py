@@ -509,13 +509,14 @@ def test_characteristics_peak_stays_near_the_values(tmp_path, args):
     assert peak < 15 * 2 ** 20
 
 
-def test_marginals_csv_is_printed_cell_by_cell(tmp_path):
-    # 1001 times: the table spans more than one block
+def test_marginals_csv_is_printed_cell_by_cell(tmp_path, monkeypatch):
+    # 1001 times of 8 states in blocks of BLOCK_CELLS // 8 = 300 rows: four blocks
+    monkeypatch.setattr(cli, "BLOCK_CELLS", 8 * 300)
     out = tmp_path / "m"
     assert cli.main(["marginals", "--model", write_model(tmp_path, PRODUCT), "--x", "2",
                      "--y", "9", "--out", str(out)]) == 0
     table = marginal_table(model_from_dict(PRODUCT), BridgeSpec(2, 9), 1e-3)
-    assert len(table.times) > cli.BLOCK_ROWS
+    assert len(table.times) > cli.BLOCK_CELLS // 8
     rows = [(t, 2 + zi, p) for t, probs in zip(table.times, table.probs)
             for zi, p in enumerate(probs)]
     assert (out / "marginals.csv").read_text() == cells_csv(["t", "z", "prob"], rows)
@@ -529,8 +530,10 @@ def test_marginals_csv_is_printed_cell_by_cell(tmp_path):
      {f"mean_curve_lam{lam:g}.csv": (constant_characteristic_model(lam), lam)
       for lam in (-2.0, 0.5)}),
 ], ids=["model", "model-bound", "tilts-bound"])
-def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, args, curves):
-    # blank second differences in the end rows; 1001 rows span more than one block
+def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, monkeypatch, args, curves):
+    # blank second differences in the end rows; 1001 rows of width 1 span four
+    # blocks of BLOCK_CELLS rows
+    monkeypatch.setattr(cli, "BLOCK_CELLS", 300)
     args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
     out = tmp_path / "mc"
     assert cli.main(["mean-curve"] + args + ["--y", "8", "--out", str(out)]) == 0
@@ -545,10 +548,15 @@ def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, args, curves):
         assert (out / name).read_text() == cells_csv(header, rows)
 
 
-@pytest.mark.parametrize("replicas", [0, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1])
+PATH_BLOCK_ROWS = 512
+
+
+@pytest.mark.parametrize("replicas", [0, PATH_BLOCK_ROWS - 1, PATH_BLOCK_ROWS, PATH_BLOCK_ROWS + 1])
 @pytest.mark.parametrize("sampler", ["constant", "model"])
 def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, sampler, replicas):
-    # one chunk for the header, then one per block of BLOCK_ROWS replicas
+    # one chunk for the header, then one per block of BLOCK_CELLS // 4 replicas of
+    # 4 jumps each
+    monkeypatch.setattr(cli, "BLOCK_CELLS", 4 * PATH_BLOCK_ROWS)
     if sampler == "constant":
         args = ["--lambda", "-1.5"]
         times = jump_time_matrix(sample_constant(-1.5, BridgeSpec(0, 4), replicas, 8))
@@ -572,8 +580,9 @@ def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, samp
                                          "--out", str(out)]) == 0
     rows = [(r, j, t) for r, row in enumerate(times) for j, t in enumerate(row, start=1)]
     assert (out / "paths.csv").read_text() == cells_csv(["replica", "jump_index", "time"], rows)
-    assert len(chunks) == 1 + -(-replicas // cli.BLOCK_ROWS)
-    assert all(c.count("\n") == 4 * cli.BLOCK_ROWS for c in chunks[1:-1])
+    block_rows = cli.BLOCK_CELLS // 4
+    assert len(chunks) == 1 + -(-replicas // block_rows)
+    assert all(c.count("\n") == 4 * block_rows for c in chunks[1:-1])
 
 
 @pytest.mark.parametrize("sampler", ["constant", "model"])

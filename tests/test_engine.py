@@ -230,6 +230,26 @@ def test_two_sided_refuses_a_field_of_another_model():
         marginal_table_two_sided(Poisson(1.0), spec, 1e-3, h=h)
 
 
+def test_a_field_serves_every_equal_model():
+    # the field of one frozen ExpAffine serves an equal one built apart; a
+    # Tabulated has no ==, so only the model the field was solved for passes
+    spec = BridgeSpec(0, 5)
+    h = solve_h(ExpAffine(1, .5, .2), spec)
+    model = ExpAffine(1, .5, .2)
+    assert model is not h.model
+    got, want = marginal_table(model, spec, h=h), marginal_table(h.model, spec, h=h)
+    assert got.probs.tobytes() == want.probs.tobytes()
+    marginal_table_two_sided(model, spec, h=h)
+    sample_bridge(model, spec, h, 5, 1)
+    tg = np.linspace(0.0, 1.0, 3)
+    rates = np.tile(1.0 + np.arange(6.0), (3, 1))
+    table = Tabulated(tg, 0, rates)
+    h = solve_h(table, spec)
+    marginal_table(table, spec, h=h)
+    with pytest.raises(ValueError, match="different model"):
+        marginal_table(Tabulated(tg, 0, rates), spec, h=h)
+
+
 def test_two_sided_refuses_a_field_of_another_step():
     spec = BridgeSpec(0, 5)
     model = Poisson(1.0)

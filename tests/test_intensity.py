@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
 from countbridge.errors import EmptyRange, OutOfDomain, TabulationGap
 from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Product, SpaceLinear,
-                                   Tabulated, TimeExponential, _hermite_coefficients, _piecewise_eval,
-                                   constant_characteristic_model, generic_characteristic,
+                                   Tabulated, TimeExponential, constant_characteristic_model,
                                    model_from_dict)
+from oracles import generic_characteristic
 
 # ids spell each model as its legacy descriptor (family + params)
 FAMILY_IDS = {
@@ -323,6 +323,8 @@ def test_tabulated_positivity_is_proved_up_to_a_tangent(lift, refused):
 def test_tabulated_positivity_enclosure_agrees_with_a_dense_scan():
     # random rates with stretched centred-difference slopes, some of which overshoot:
     # the enclosure refuses exactly those whose interpolant reaches 0 on a dense grid
+    from scipy.interpolate import CubicHermiteSpline
+
     rng = np.random.default_rng(5)
     refusals = 0
     for _ in range(60):
@@ -331,8 +333,7 @@ def test_tabulated_positivity_enclosure_agrees_with_a_dense_scan():
         rates = np.exp(rng.normal(0.0, rng.uniform(0.1, 3.0), (tg.size, 4)))
         slopes = np.gradient(rates, tg, axis=0) * rng.uniform(0.5, 3.0)
         dense = np.linspace(tg[0], tg[-1], 100001)
-        coef = _hermite_coefficients(tg, rates, slopes)
-        lowest = float(np.min(_piecewise_eval(tg, coef, dense[:, None], np.arange(4))))
+        lowest = float(np.min(CubicHermiteSpline(tg, rates, slopes, axis=0)(dense)))
         try:
             Tabulated(tg, 0, rates, slopes)
             accepted = True
@@ -355,6 +356,19 @@ def _drawn_tabulated(seed):
         return Tabulated(tg, 0, rates, np.zeros_like(rates))
 
 
+def test_tabulated_characteristic_is_the_three_read_assembly_bitwise():
+    # one check and piece search serve r, r' and r one state up: the same bits as
+    # three separate reads, on duality-shaped blocks, state grids and scalars
+    for seed in range(20):
+        model = _drawn_tabulated(seed)
+        block = np.sort(np.random.default_rng(seed).uniform(model.t_grid[0], 1.0, (50, 4)), axis=1)
+        grid = np.linspace(model.t_grid[0], 1.0, 101)
+        for t, z in ((block, np.arange(4)), (grid[:, None], np.arange(4)), (grid, 3),
+                     (float(block[0, 0]), 2)):
+            got, want = model.characteristic(t, z), generic_characteristic(model, t, z)
+            assert type(got) is type(want) and np.array_equal(got, want)
+
+
 @st.composite
 def _tabulated_windows(draw):
     """A drawn Tabulated model, a window whose ends cut pieces, and a range of its
@@ -374,12 +388,12 @@ def _assert_bounds_enclose_a_fine_scan(model, window, states):
     # 1e-9 grid around it (which misses the extreme when it sits on a node)
     (s, u), tg, zs = window, model.t_grid, np.arange(states[0], states[1] + 1)
     t = np.union1d(np.linspace(s, u, int(math.ceil((u - s) / 1e-5)) + 1), tg[(tg > s) & (tg < u)])
-    scan = generic_characteristic(model, t[:, None], zs)
+    scan = model.characteristic(t[:, None], zs)
     b = model.characteristic_bounds(window, states)
     for bound, sign in ((b.inf, 1.0), (b.sup, -1.0)):
         i, j = np.unravel_index(np.argmin(sign * scan), scan.shape)
         near = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 20001)
-        best = min(np.min(sign * generic_characteristic(model, near, zs[j])), np.min(sign * scan))
+        best = min(np.min(sign * model.characteristic(near, zs[j])), np.min(sign * scan))
         assert sign * bound <= best
         assert best - sign * bound <= BOUNDS_TOL * max(1.0, abs(bound))
 
@@ -432,7 +446,7 @@ def test_characteristic_bounds_of_large_rates_stop_at_their_rounding_margin():
     states = 5e5 * (1.0 + 1e-7 * np.arange(3.0))
     model = Tabulated(tg, 0, np.outer(g, states), np.outer(0.3 * np.cos(3.0 * tg) * g, states))
     b = model.characteristic_bounds()
-    scan = generic_characteristic(model, np.linspace(0.0, 1.0, 100001)[:, None], [0, 1])
+    scan = model.characteristic(np.linspace(0.0, 1.0, 100001)[:, None], [0, 1])
     assert 0.0 <= scan.min() - b.inf < 1e-5 and 0.0 <= b.sup - scan.max() < 1e-5
 
 
@@ -453,13 +467,16 @@ def test_tabulated_rate_shapes():
     m = _tabulated()
     ts, zs = np.linspace(0.05, 0.95, 4), np.array([0, 2, 4])
     assert isinstance(m.rate(0.3, 1), float) and isinstance(m.rate_dt(0.3, 1), float)
+    assert isinstance(m.characteristic(0.3, 1), float)
     assert m.rate(ts, 2).shape == (4,)
     assert m.rate(0.3, zs).shape == (3,)
-    assert m.rate(ts, zs).shape == (4, 3)                  # outer when shapes differ
     assert m.rate(ts[:3], zs).shape == (3,)                # paired when they match
     assert m.rate(ts[:, None], zs[None, :]).shape == (4, 3)
+    # times and states broadcast as ExpAffine's do: 1-D arrays of two lengths do not
+    for read in (m.rate, m.rate_dt, m.characteristic, Product(1.0, 3.0, 0.1).rate):
+        with pytest.raises(ValueError):
+            read(ts, zs)
     grid = m.rate(ts[:, None], zs)
-    np.testing.assert_array_equal(m.rate(ts, zs), grid)
     np.testing.assert_array_equal(m.rate(ts[:3], zs), np.diag(grid[:3]))
     np.testing.assert_array_equal(m.rate(0.3, zs), m.rate(np.array([[0.3]]), zs)[0])
     np.testing.assert_array_equal(m.rate(ts, 2), grid[:, 1])

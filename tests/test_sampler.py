@@ -23,7 +23,7 @@ def test_path_sample_validation():
     p = PathSample(2, (0.1, 0.4, 0.9))
     assert p.n == 3
     # X_t = x0 + jumps at or before t (right-continuous)
-    counts = p.x0 + np.searchsorted(jump_time_matrix([p])[0], [0.05, 0.4, 1.0], side="right")
+    counts = p.x0 + np.searchsorted(p.jump_times, [0.05, 0.4, 1.0], side="right")
     assert counts.tolist() == [2, 4, 5]
     with pytest.raises(NotSorted):
         PathSample(0, (0.5, 0.5))
@@ -201,11 +201,6 @@ def test_rejection_sampler_matches_oracle():
         sample_rejection(model, BridgeSpec(0, 25), 10, 1)
 
 
-def test_jump_time_matrix_shape_errors():
-    with pytest.raises(ValueError):
-        jump_time_matrix([PathSample(0, (0.5,)), PathSample(0, (0.2, 0.6))])
-
-
 def _tabulated_model():
     tg = np.linspace(0.0, 1.0, 11)
     rates = (1.0 + 0.3 * np.arange(6.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None]
@@ -226,7 +221,7 @@ def test_sample_bridge_paths_hit_the_pin_and_keep_their_streams(model, spec):
     assert np.all((T > spec.s) & (T < spec.u))
     # replica r draws from the stream keyed by (seed, r), whatever the count
     head = sample_bridge(model, spec, h, 3, 2024)
-    assert [p.jump_times for p in head] == [p.jump_times for p in paths[:3]]
+    assert [p.jump_times for p in head] == [paths[r].jump_times for r in range(3)]
 
 
 @pytest.mark.parametrize("model", [Product(1.0, 3.0, 0.1), _tabulated_model()],
@@ -332,9 +327,6 @@ def test_path_batch_is_a_sequence_of_path_samples():
         batch[3]
     with pytest.raises(TypeError):
         batch[0.5]
-    head = batch[1:]
-    assert isinstance(head, PathBatch) and head.x0 == 3
-    assert [p.jump_times for p in head] == [(0.2, 0.3), (0.5, 0.9)]
     assert [p.jump_times for p in batch] == [tuple(row) for row in times.tolist()]
     assert all(p.n == 2 for p in batch)
 
