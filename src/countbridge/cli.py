@@ -229,10 +229,7 @@ def _write_manifest(out_dir, command, options, outputs):
 def _resolve_model(options):
     if options.get("model") is not None:
         return model_from_dict(options["model"])
-    lams = options.get("lambdas") or []
-    if len(lams) != 1:
-        raise ValueError("need --model or exactly one --lambda to define the process")
-    return constant_characteristic_model(float(lams[0]))
+    return constant_characteristic_model(float(options["lambdas"][0]))
 
 
 def _spec(options):
@@ -285,7 +282,7 @@ def _run_mean_curve(options):
     lams = options.get("lambdas") or []
     if options.get("model") is not None:
         runs = [(model_from_dict(options["model"]), lams[0] if lams else None, "mean_curve.csv")]
-    elif lams:
+    else:
         names = ([f"mean_curve_lam{lam:g}.csv" for lam in lams] if len(lams) > 1
                  else ["mean_curve.csv"])
         clash = [lam for lam, name in zip(lams, names) if names.count(name) > 1]
@@ -293,8 +290,6 @@ def _run_mean_curve(options):
             raise BadOption(f"the tilts {clash} would share a file name, mean_curve_lam%g.csv")
         runs = [(constant_characteristic_model(float(lam)), lam, name)
                 for lam, name in zip(lams, names)]
-    else:
-        raise ValueError("mean-curve needs --model or at least one --lambda")
     for model, lam, name in runs:
         _write_curve(os.path.join(options["out"], name), model, spec, lam, h_step)
         outputs.append(name)
@@ -410,13 +405,9 @@ def _run_verify(options):
 
 
 def _run_lln(options):
-    model = _resolve_model(options)
-    if options.get("lambdas"):
-        lam = float(options["lambdas"][0])
-    else:
-        raise ValueError("lln needs --lambda (the limiting profile)")
-    rep = lln_experiment(model, lam, options["N"], int(options["replicas"]),
-                         int(options["seed"]), h_step=float(options["step"]))
+    rep = lln_experiment(_resolve_model(options), float(options["lambdas"][0]), options["N"],
+                         int(options["replicas"]), int(options["seed"]),
+                         h_step=float(options["step"]))
     _write_json(os.path.join(options["out"], "lln.json"), rep.to_dict())
     _write_manifest(options["out"], "lln", options, ["lln.json"])
     return 0 if rep.medians_non_increasing else 1
@@ -432,8 +423,11 @@ _RUNNERS = {
 }
 
 
-# what the one --lambda a command takes beside --model stands for
-_MODEL_LAMBDA = {"mean-curve": "the bound", "verify": "the bound", "lln": "the limiting profile"}
+# the --lambda count of each command: without --model at least one and at most
+# the first entry; beside --model the next two bounds, and what they stand for
+_LAMBDAS = {"characteristics": (1, 0, 0, None), "marginals": (1, 0, 0, None),
+            "sample": (1, 0, 0, None), "mean-curve": (math.inf, 0, 1, "the bound"),
+            "verify": (1, 0, 1, "the bound"), "lln": (1, 1, 1, "the limiting profile")}
 
 # the float options: their flag, and the error a NaN or infinite value raises
 _FLOAT_OPTIONS = {
@@ -453,8 +447,8 @@ def _run(command, options):
 
     Every float option must be finite, whether or not the command reads
     it: a NaN would otherwise land in manifest.json, which is then not
-    JSON.  Beside --model, mean-curve, verify and lln take at most one
-    --lambda.  Nothing is written before these checks.
+    JSON.  The --lambda count must be one that _LAMBDAS gives the command.
+    Nothing is written or solved before these checks.
     """
     if command not in _RUNNERS:
         raise ValueError(f"manifest command {command!r} unknown")
@@ -463,10 +457,17 @@ def _run(command, options):
         for v in value if isinstance(value, list) else [value]:
             if v is not None and not math.isfinite(float(v)):
                 raise error(f"{flag} must be a finite number, got {v}")
-    if (command in _MODEL_LAMBDA and options.get("model") is not None
-            and len(options.get("lambdas") or []) > 1):
-        raise BadOption(f"{command} takes at most one --lambda, {_MODEL_LAMBDA[command]}, "
-                        "with --model")
+    count = len(options.get("lambdas") or [])
+    most, least_with, most_with, meaning = _LAMBDAS[command]
+    if options.get("model") is None:
+        if not 1 <= count <= most:
+            raise BadOption(f"{command} needs --model or at least one --lambda" if most > 1
+                            else "need --model or exactly one --lambda to define the process")
+    elif count > most_with:
+        raise BadOption(f"{command} takes at most one --lambda, {meaning}, with --model"
+                        if most_with else f"{command} takes no --lambda with --model")
+    elif count < least_with:
+        raise BadOption(f"{command} needs --lambda ({meaning})")
     return _RUNNERS[command](options)
 
 
@@ -482,15 +483,16 @@ def _run_replay(manifest_path, out_override=None):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p, with_step=True):
+def _add_common(p, with_step=True, with_window=True):
     p.add_argument("--model", help="JSON model descriptor file")
     p.add_argument("--lambda", dest="lambdas", type=float, action="append",
-                   help="constant-characteristic value (benchmark family and/or bound); "
-                        "repeatable for mean-curve")
-    p.add_argument("--x", type=int, default=0)
-    p.add_argument("--y", type=int, default=20)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--u", type=float, default=1.0)
+                   help="constant-characteristic value: the model without --model (repeatable "
+                        "for mean-curve), else the bound or the limiting profile")
+    if with_window:
+        p.add_argument("--x", type=int, default=0)
+        p.add_argument("--y", type=int, default=20)
+        p.add_argument("--s", type=float, default=0.0)
+        p.add_argument("--u", type=float, default=1.0)
     if with_step:
         p.add_argument("--step", type=float, default=1e-3, help="marginal/h grid step")
     p.add_argument("--out", default=".", help="output directory")
@@ -532,8 +534,8 @@ def build_parser():
     p.add_argument("--tol-convexity", dest="tol_convexity", type=float, default=1e-8)
     p.add_argument("--z-max", dest="z_max", type=float, default=4.0)
 
-    p = sub.add_parser("lln", help="rescaled-bridge concentration experiment")
-    _add_common(p)
+    p = sub.add_parser("lln", help="rescaled-bridge concentration experiment, 0 -> N on [0, 1]")
+    _add_common(p, with_window=False)
     p.add_argument("--N", dest="N", type=int, action="append",
                    help="bridge heights; repeatable (default 50 200 800)")
     p.add_argument("--seed", type=int, default=20240501)
@@ -546,11 +548,7 @@ def build_parser():
 
 
 def _options_from_args(args):
-    options = {}
-    for key, val in vars(args).items():
-        if key == "command":
-            continue
-        options[key] = val
+    options = {key: val for key, val in vars(args).items() if key != "command"}
     if options.get("model"):
         options["model"] = model_from_json(options["model"]).to_dict()
     if "N" in options:
@@ -570,7 +568,7 @@ def main(argv=None):
         if args.command == "replay":
             return _run_replay(args.manifest, args.out)
         return _run(args.command, _options_from_args(args))
-    except (CountBridgeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (CountBridgeError, ValueError, KeyError, OSError) as exc:
         print(f"countbridge: error: {exc}", file=sys.stderr)
         return 2
 

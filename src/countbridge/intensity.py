@@ -246,12 +246,11 @@ def _power_sum(c, idx, powers):
 # Tabulated pieces are halved at most this often, to prove them positive and to
 # bring the characteristic bounds within BOUNDS_TOL x max(1, |bound|) of the
 # extremes; the bounds then move out by _ROUNDING times the size of their terms.
-# Halving stops early, with bounds proved but looser, at _MAX_CELLS cells per
-# piece and state.
+# Only the cells near an extreme stay open, so the cells per piece and state
+# stay few.
 _MAX_HALVINGS = 48
 BOUNDS_TOL = 1e-6
 _ROUNDING = 1e-12
-_MAX_CELLS = 16
 
 
 def _split(b, tau):
@@ -454,7 +453,7 @@ class Tabulated(_RateModel):
             least, most = q[[0, -1]].min(), q[[0, -1]].max()
             open_ = ((lo + margin < least - BOUNDS_TOL * max(1.0, abs(least)))
                      | (hi - margin > most + BOUNDS_TOL * max(1.0, abs(most))))
-            if halving == _MAX_HALVINGS or not open_.any() or cell.size > _MAX_CELLS * p.size:
+            if halving == _MAX_HALVINGS or not open_.any():
                 return CharacteristicBounds(float((lo - margin).min()), float((hi + margin).max()))
             cells = np.concatenate([cells[:, :, ~open_], *_split(cells[:, :, open_], 0.5)], axis=2)
             cell = np.concatenate([cell[~open_], np.tile(cell[open_], 2)])

@@ -355,15 +355,22 @@ def test_lln_command(tmp_path):
      "N values must be distinct"),
     (["sample"], "need --model or exactly one --lambda"),
     (["sample", "--lambda", "1", "--lambda", "2"], "need --model or exactly one --lambda"),
+    (["sample", "--model", "PRODUCT", "--lambda", "1"], "sample takes no --lambda with --model"),
+    (["marginals", "--model", "PRODUCT", "--lambda", "1"],
+     "marginals takes no --lambda with --model"),
+    (["characteristics", "--model", "PRODUCT", "--lambda", "1", "--lambda", "2"],
+     "characteristics takes no --lambda with --model"),
 ], ids=["mean-curve-one-file-name", "mean-curve-repeated-tilt", "mean-curve-model-two-tilts",
         "verify-model-two-tilts", "verify-model-two-tilts-reversed", "lln-model-two-tilts",
-        "lln-model-two-tilts-reversed", "lln-repeated-height", "sample-no-model", "sample-two-tilts"])
+        "lln-model-two-tilts-reversed", "lln-repeated-height", "sample-no-model", "sample-two-tilts",
+        "sample-model-and-tilt", "marginals-model-and-tilt", "characteristics-model-and-tilts"])
 def test_options_that_name_no_single_run_exit_2_before_writing(tmp_path, capsys, args, message):
-    # two tilts whose curves share a file name, a height drawn twice, or a process
-    # the options do not define, is refused before any file is written
+    # two tilts whose curves share a file name, a height drawn twice, a process the
+    # options do not define, or a --lambda the command would not read, is refused
+    # before any file is written; lln's bridges are 0 -> N, so it takes no --y
     args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
     out = tmp_path / "out"
-    assert cli.main(args + ["--y", "3", "--out", str(out)]) == 2
+    assert cli.main(args + ([] if args[0] == "lln" else ["--y", "3"]) + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("countbridge: error:") and message in err
     assert not out.exists()
@@ -372,13 +379,42 @@ def test_options_that_name_no_single_run_exit_2_before_writing(tmp_path, capsys,
 @pytest.mark.parametrize("args, sampler", [
     (["--lambda", "1"], "exact-tilted-order-statistics"),
     (["--model", "PRODUCT"], "h-transform-inversion"),
-    (["--model", "PRODUCT", "--lambda", "1"], "h-transform-inversion"),
+    (["--model", "PRODUCT", "--lambda", "1"], None),
 ], ids=["lambda", "model", "model-and-lambda"])
 def test_sample_keeps_its_sampler_choice(tmp_path, args, sampler):
+    # a --lambda beside --model would name no sampler: it is refused, not dropped
     args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
     out = tmp_path / "s"
-    assert cli.main(["sample"] + args + ["--y", "3", "--replicas", "4", "--out", str(out)]) == 0
-    assert read_json(out / "summary.json")["sampler"] == sampler
+    code = cli.main(["sample"] + args + ["--y", "3", "--replicas", "4", "--out", str(out)])
+    if sampler is None:
+        assert code == 2 and not out.exists()
+    else:
+        assert code == 0 and read_json(out / "summary.json")["sampler"] == sampler
+
+
+@pytest.mark.parametrize("option", ["--x", "--y", "--s", "--u"])
+def test_lln_takes_no_window_options(tmp_path, capsys, option):
+    # lln's bridges are 0 -> N on [0, 1]: a window option is a usage error (exit 2)
+    # raised before anything is written, not an unread value in the manifest
+    assert set(vars(cli.build_parser().parse_args(["lln"]))) == {
+        "command", "model", "lambdas", "step", "out", "N", "seed", "replicas"}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lln", "--lambda", "1", "--N", "5", "--replicas", "3", option, "1",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_descriptor_that_is_not_an_object_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["marginals", "--model", write_model(tmp_path, [1, 2]), "--y", "3",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error: malformed model descriptor")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_manifest_echoes_defaults(tmp_path):

@@ -613,6 +613,13 @@ def test_marginal_table_validation_raises_on_bad_rows():
     nan_row = np.array([[1.0, 0.0, 0.0], [np.nan, np.nan, np.nan], [0.0, 0.0, 1.0]])
     with pytest.raises(ConservationLoss):
         MarginalTable(spec, times, nan_row, 0.0).validate()
+    unpinned = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]])
+    with pytest.raises(ConservationLoss, match="endpoint rows are not pinned"):
+        MarginalTable(spec, times, unpinned, 0.0).validate()
+    # P(X_t >= 1) falls from 1 to 0.5 between the middle rows
+    falling = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ConservationLoss, match="tail monotonicity in t violated by 5.000e-01"):
+        MarginalTable(spec, np.linspace(0, 1, 4), falling, 0.0).validate()
 
 
 def test_general_window_marginals():

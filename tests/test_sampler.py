@@ -288,6 +288,17 @@ def test_sample_bridge_reports_a_draw_off_the_window_as_pin_miss(monkeypatch, la
         sample_bridge(model, spec, h, 4, 1)
 
 
+def test_next_jumps_refuses_a_path_outside_the_state_window():
+    # on Poisson(1) 0 -> 40, state 20's window opens after s and state 0's closes
+    # before u: a start before the one, or a mass past the other, is a PinMiss
+    h = solve_h(Poisson(1.0), BridgeSpec(0, 40), 1e-2)
+    assert h.mesh.h_lo[20] > 0 and h.mesh.h_hi[0] < h.times.size - 1
+    with pytest.raises(PinMiss, match="reached state 20 at t = 0, before its window opens"):
+        h.next_jumps(20, np.array([0.0]), np.array([1.0]))
+    with pytest.raises(PinMiss, match="stayed in state 0 past its window, which closes at"):
+        h.next_jumps(0, np.array([0.0]), np.array([1e3]))
+
+
 def test_sample_bridge_memory_stays_below_log_h():
     # masses, times and one state's survival table at a time: no copy of log h
     model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)
