@@ -2,13 +2,15 @@
 
 Every run writes a ``manifest.json`` echoing the fully resolved configuration
 (defaults included, the model descriptor inlined), so ``countbridge replay
-manifest.json`` reproduces the outputs byte for byte.  A table cell prints
-exactly as ``format(c, ".17g")`` does, an integer column's as ``str(c)``;
-the text is formed in numpy one block of rows at a time and streamed into a
-temp file that is then renamed over the target.
+manifest.json`` reproduces the outputs byte for byte.  A run writes all of
+its files or none: each runner returns its files' text, and ``_run`` alone
+writes them, each to a temp file in ``--out`` that is renamed over its target
+only once all are written.  A table cell prints exactly as ``format(c, ".17g")``
+does, an integer column's as ``str(c)``; the text is formed in numpy one block
+of rows at a time.
 
-Exit codes: 0 all verdicts pass, 1 a check failed, 2 configuration or domain
-error.
+Exit codes: 0 all verdicts pass, 1 a check failed, 2 configuration, domain or
+usage error, which leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -166,24 +168,36 @@ def _text(columns, blank):
     return text[text != 0].tobytes().decode("ascii")
 
 
-def _write_atomic(path, chunks):
-    """Write ``chunks`` (a string, or an iterable of strings) to ``path`` via a
-    temp file and a rename; a chunk that raises leaves neither file behind."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
+def _write_run(out_dir, files):
+    """Write ``files``, a dict from name to text (a string, or an iterable of
+    strings), into ``out_dir``, all or none: each goes to a temp file there, and
+    only once all are written are they renamed over their targets, in order.  A
+    chunk that raises leaves no temp file and no directory this call made."""
+    made = []
+    d = os.path.abspath(out_dir)
+    while not os.path.isdir(d):
+        made.append(d)
+        d = os.path.dirname(d)
+    os.makedirs(out_dir, exist_ok=True)
+    temps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
-        os.replace(tmp, path)
+        for chunks in files.values():
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp_", text=True)
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines([chunks] if isinstance(chunks, str) else chunks)
     except BaseException:
-        if os.path.exists(tmp):
+        for tmp in temps:
             os.unlink(tmp)
+        for d in made:
+            os.rmdir(d)
         raise
+    for name, tmp in zip(files, temps):
+        os.replace(tmp, os.path.join(out_dir, name))
 
 
-def _write_table(path, header, columns, blank=None):
-    """Write a CSV table: ``header``, then one line per cell of ``columns``.
+def _table(header, columns, blank=None):
+    """The chunks of a CSV table: ``header``, then one line per cell of ``columns``.
 
     ``columns`` are arrays of one shape, 1-D or 2-D, read in C order; a
     broadcast one is formed once per repeated value.  A float cell prints as
@@ -195,35 +209,20 @@ def _write_table(path, header, columns, blank=None):
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
     width = math.prod(shape[1:])
-
-    def blocks():
-        yield ",".join(header) + "\n"
-        rows = BLOCK_CELLS // width if width else 0
-        if rows:
-            parts = [np.s_[a:a + rows] for a in range(0, shape[0], rows)]
-        else:
-            parts = [np.s_[r, a:a + BLOCK_CELLS] for r in range(shape[0])
-                     for a in range(0, width, BLOCK_CELLS)]
-        for part in parts:
-            yield _text([c[part] for c in columns], None if blank is None else blank[part])
-
-    _write_atomic(path, blocks())
+    yield ",".join(header) + "\n"
+    rows = BLOCK_CELLS // width if width else 0
+    if rows:
+        parts = [np.s_[a:a + rows] for a in range(0, shape[0], rows)]
+    else:
+        parts = [np.s_[r, a:a + BLOCK_CELLS] for r in range(shape[0])
+                 for a in range(0, width, BLOCK_CELLS)]
+    for part in parts:
+        yield _text([c[part] for c in columns], None if blank is None else blank[part])
 
 
-def _write_json(path, obj):
-    """Write ``obj`` as strict JSON: a NaN or infinite value raises ValueError
-    before any file is opened."""
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _write_manifest(out_dir, command, options, outputs):
-    manifest = {
-        "command": command,
-        "options": options,
-        "outputs": sorted(outputs),
-        "package_version": __version__,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+def _json(obj):
+    """``obj`` as strict JSON text: a NaN or infinite value raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _resolve_model(options):
@@ -238,7 +237,8 @@ def _spec(options):
 
 
 # ---------------------------------------------------------------------------
-# runners (pure functions of the resolved options; replay calls them directly)
+# runners: pure functions of the resolved options, each returning its exit code
+# and its files, an ordered dict from name to text; they write nothing
 
 def _run_characteristics(options):
     model = _resolve_model(options)
@@ -257,14 +257,12 @@ def _run_characteristics(options):
     for out, z in zip(xi, zs):
         out[:] = model.characteristic(ts, z)
     # z-major rows
-    _write_table(os.path.join(options["out"], "characteristics.csv"), ["t", "z", "xi"],
-                 [np.broadcast_to(ts, xi.shape),
-                  np.broadcast_to(np.arange(zs.start, zs.stop)[:, None], xi.shape), xi])
-    _write_manifest(options["out"], "characteristics", options, ["characteristics.csv"])
-    return 0
+    return 0, {"characteristics.csv": _table(
+        ["t", "z", "xi"], [np.broadcast_to(ts, xi.shape),
+                           np.broadcast_to(np.arange(zs.start, zs.stop)[:, None], xi.shape), xi])}
 
 
-def _write_curve(path, model, spec, lam, h_step):
+def _curve_table(model, spec, lam, h_step):
     """mean_curve.csv: t, mean, second_diff (blank in the end rows), bound with a tilt."""
     curve = mean_curve(marginal_table(model, spec, h_step))
     cols = [curve[:, 0], curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
@@ -272,13 +270,12 @@ def _write_curve(path, model, spec, lam, h_step):
         cols.append(mean_upper_bound(spec, float(lam), curve[:, 0]))
     blank = np.zeros((len(curve), len(cols)), bool)
     blank[[0, -1], 2] = True
-    _write_table(path, ["t", "mean", "second_diff", "bound"][:len(cols)], cols, blank)
+    return _table(["t", "mean", "second_diff", "bound"][:len(cols)], cols, blank)
 
 
 def _run_mean_curve(options):
     spec = _spec(options)
     h_step = float(options["step"])
-    outputs = []
     lams = options.get("lambdas") or []
     if options.get("model") is not None:
         runs = [(model_from_dict(options["model"]), lams[0] if lams else None, "mean_curve.csv")]
@@ -290,17 +287,13 @@ def _run_mean_curve(options):
             raise BadOption(f"the tilts {clash} would share a file name, mean_curve_lam%g.csv")
         runs = [(constant_characteristic_model(float(lam)), lam, name)
                 for lam, name in zip(lams, names)]
-    for model, lam, name in runs:
-        _write_curve(os.path.join(options["out"], name), model, spec, lam, h_step)
-        outputs.append(name)
+    files = {name: _curve_table(model, spec, lam, h_step) for model, lam, name in runs}
     if options.get("gnuplot"):
         stub = ["# gnuplot stub; run: gnuplot -p this_file", "set datafile separator ','",
                 "set xlabel 't'", "set ylabel 'E[X_t]'",
-                "plot " + ", ".join(f"'{n}' using 1:2 with lines title '{n}'" for n in outputs)]
-        _write_atomic(os.path.join(options["out"], "mean_curve.gp"), "\n".join(stub) + "\n")
-        outputs.append("mean_curve.gp")
-    _write_manifest(options["out"], "mean-curve", options, outputs)
-    return 0
+                "plot " + ", ".join(f"'{n}' using 1:2 with lines title '{n}'" for n in files)]
+        files["mean_curve.gp"] = "\n".join(stub) + "\n"
+    return 0, files
 
 
 def _run_marginals(options):
@@ -309,11 +302,10 @@ def _run_marginals(options):
     table = marginal_table(model, spec, float(options["step"]))
     # t-major rows
     probs = table.probs
-    _write_table(os.path.join(options["out"], "marginals.csv"), ["t", "z", "prob"],
-                 [np.broadcast_to(table.times[:, None], probs.shape),
-                  np.broadcast_to(np.arange(spec.x, spec.x + probs.shape[1]), probs.shape), probs])
-    _write_manifest(options["out"], "marginals", options, ["marginals.csv"])
-    return 0
+    return 0, {"marginals.csv": _table(
+        ["t", "z", "prob"],
+        [np.broadcast_to(table.times[:, None], probs.shape),
+         np.broadcast_to(np.arange(spec.x, spec.x + probs.shape[1]), probs.shape), probs])}
 
 
 def _run_sample(options):
@@ -331,9 +323,9 @@ def _run_sample(options):
     all_times = jump_time_matrix(paths)
     # one line per jump, replica-major: none, so no replica labels, without jumps
     rows = all_times if spec.n else all_times[:0]
-    _write_table(os.path.join(options["out"], "paths.csv"), ["replica", "jump_index", "time"],
-                 [np.broadcast_to(np.arange(len(rows))[:, None], rows.shape),
-                  np.broadcast_to(np.arange(1, spec.n + 1), rows.shape), rows])
+    paths_csv = _table(["replica", "jump_index", "time"],
+                       [np.broadcast_to(np.arange(len(rows))[:, None], rows.shape),
+                        np.broadcast_to(np.arange(1, spec.n + 1), rows.shape), rows])
     summary = {
         "sampler": sampler,
         "seed": seed,
@@ -342,9 +334,7 @@ def _run_sample(options):
         "bridge": {"x": spec.x, "y": spec.y, "s": spec.s, "u": spec.u},
         "median_jump_time": float(np.median(all_times)) if all_times.size else None,
     }
-    _write_json(os.path.join(options["out"], "summary.json"), summary)
-    _write_manifest(options["out"], "sample", options, ["paths.csv", "summary.json"])
-    return 0
+    return 0, {"paths.csv": paths_csv, "summary.json": _json(summary)}
 
 
 def _run_verify(options):
@@ -359,7 +349,7 @@ def _run_verify(options):
         if name in ("dominance", "mean-bound") and lam is None:
             raise ValueError(f"{name} check needs --lambda")
     reports = []
-    extra_outputs = []
+    files = {}
     all_pass = True
     # h and the table are solved only for the checks that read them
     h = table = None
@@ -374,10 +364,8 @@ def _run_verify(options):
             rep = dominance_check(model, spec, lam, direction=options["direction"],
                                   tol=float(options["tol_margin"]), table=table)
             if options.get("grid_csv"):
-                _write_table(os.path.join(options["out"], "dominance_grid.csv"),
-                             ["t", "i", "computed_tail", "benchmark_tail", "margin"],
-                             rep.rows.T)
-                extra_outputs.append("dominance_grid.csv")
+                files["dominance_grid.csv"] = _table(
+                    ["t", "i", "computed_tail", "benchmark_tail", "margin"], rep.rows.T)
         elif name == "mean-bound":
             rep = mean_bound_check(model, spec, lam, tol=float(options["tol_margin"]),
                                    table=table)
@@ -398,19 +386,15 @@ def _run_verify(options):
             raise ValueError(f"unknown check {name!r}")
         reports.append(rep.to_dict())
         all_pass &= rep.passed
-    payload = {"checks": reports, "all_pass": bool(all_pass)}
-    _write_json(os.path.join(options["out"], "verify.json"), payload)
-    _write_manifest(options["out"], "verify", options, ["verify.json"] + extra_outputs)
-    return 0 if all_pass else 1
+    files["verify.json"] = _json({"checks": reports, "all_pass": bool(all_pass)})
+    return 0 if all_pass else 1, files
 
 
 def _run_lln(options):
     rep = lln_experiment(_resolve_model(options), float(options["lambdas"][0]), options["N"],
                          int(options["replicas"]), int(options["seed"]),
                          h_step=float(options["step"]))
-    _write_json(os.path.join(options["out"], "lln.json"), rep.to_dict())
-    _write_manifest(options["out"], "lln", options, ["lln.json"])
-    return 0 if rep.medians_non_increasing else 1
+    return 0 if rep.medians_non_increasing else 1, {"lln.json": _json(rep.to_dict())}
 
 
 _RUNNERS = {
@@ -443,12 +427,13 @@ _FLOAT_OPTIONS = {
 
 
 def _run(command, options):
-    """Run ``command`` on its resolved options, fresh or replayed.
+    """Run ``command`` on its resolved options, fresh or replayed, and write
+    its files, then manifest.json listing them, into ``--out``: all or none.
 
     Every float option must be finite, whether or not the command reads
     it: a NaN would otherwise land in manifest.json, which is then not
     JSON.  The --lambda count must be one that _LAMBDAS gives the command.
-    Nothing is written or solved before these checks.
+    Nothing is solved before these checks, and no other code touches --out.
     """
     if command not in _RUNNERS:
         raise ValueError(f"manifest command {command!r} unknown")
@@ -468,7 +453,11 @@ def _run(command, options):
                         if most_with else f"{command} takes no --lambda with --model")
     elif count < least_with:
         raise BadOption(f"{command} needs --lambda ({meaning})")
-    return _RUNNERS[command](options)
+    code, files = _RUNNERS[command](options)
+    files["manifest.json"] = _json({"command": command, "options": options,
+                                    "outputs": sorted(files), "package_version": __version__})
+    _write_run(options["out"], files)
+    return code
 
 
 def _run_replay(manifest_path, out_override=None):
@@ -498,8 +487,16 @@ def _add_common(p, with_step=True, with_window=True):
     p.add_argument("--out", default=".", help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise BadOption, so main prints them as one
+    line and exits 2; subparsers are of the same class."""
+
+    def error(self, message):
+        raise BadOption(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="countbridge",
         description="Bridges of Markov counting processes: marginals, samplers, bound checks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -563,8 +560,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "replay":
             return _run_replay(args.manifest, args.out)
         return _run(args.command, _options_from_args(args))

@@ -599,9 +599,9 @@ def _forward(mesh, rates):
 
 
 def check_field(model, spec, h):
-    """Raise ValueError unless ``h`` was solved for ``spec`` and, if given, a model
-    equal to ``model`` (a ``Tabulated`` equals only itself)."""
-    if model is not None and h.model != model:
+    """Raise ValueError unless ``h`` was solved for ``spec`` and a model equal to
+    ``model`` (a ``Tabulated`` equals only itself)."""
+    if h.model != model:
         raise ValueError("h was solved for a different model")
     if h.spec != spec:
         raise ValueError("h was solved for a different bridge")

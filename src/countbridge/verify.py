@@ -127,8 +127,9 @@ class BoundReport:
         }
 
 
-def dominance_check(model, spec, lam, direction="lower", tol=1e-6, table=None):
-    """Compare every marginal tail of the bridge with its binomial benchmark.
+def dominance_check(model, spec, lam, direction="lower", tol=1e-6, *, table):
+    """Compare every marginal tail of the bridge, read from its marginal
+    ``table``, with its binomial benchmark.
 
     With ``direction="lower"`` (lam a lower bound of the characteristic on the
     window x ladder) each tail P(X_t >= x+i) must stay below the benchmark
@@ -145,8 +146,6 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, table=None):
         hypothesis_holds = bounds.inf >= lam - 1e-12
     else:
         hypothesis_holds = bounds.sup <= lam + 1e-12
-    if table is None:
-        table = marginal_table(model, spec)
     tails = table.tail_matrix()
 
     targets = np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]

@@ -72,7 +72,8 @@ def test_criterion_3_dominance_sharpness():
     for lam in (-5.0, -3.0, 0.0, 3.0, 5.0):
         model = constant_characteristic_model(lam)
         for y in (5, 20):
-            rep = dominance_check(model, BridgeSpec(0, y), lam)
+            spec = BridgeSpec(0, y)
+            rep = dominance_check(model, spec, lam, table=marginal_table(model, spec))
             worst = max(worst, max(abs(r[4]) for r in rep.rows))
             assert rep.passed
     assert worst <= 1e-6
@@ -83,11 +84,12 @@ def test_criterion_4_dominance_strict_and_falsified():
     t0 = time.monotonic()
     model = Product(1.0, 3.0, 0.1)
     margins = {}
-    for y in (5, 20):
-        rep = dominance_check(model, BridgeSpec(0, y), 3.0, direction="lower")
+    tables = {y: marginal_table(model, BridgeSpec(0, y)) for y in (5, 20)}
+    for y, table in tables.items():
+        rep = dominance_check(model, BridgeSpec(0, y), 3.0, direction="lower", table=table)
         assert rep.passed and rep.worst_margin > 0.0 and rep.hypothesis_holds
         margins[y] = rep.worst_margin
-    bad = dominance_check(model, BridgeSpec(0, 5), 4.0, direction="lower")
+    bad = dominance_check(model, BridgeSpec(0, 5), 4.0, direction="lower", table=tables[5])
     assert (not bad.passed) and bad.worst_margin < 0.0
     elapsed = time.monotonic() - t0
     assert elapsed <= 10.0

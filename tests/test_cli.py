@@ -399,12 +399,35 @@ def test_lln_takes_no_window_options(tmp_path, capsys, option):
     assert set(vars(cli.build_parser().parse_args(["lln"]))) == {
         "command", "model", "lambdas", "step", "out", "N", "seed", "replicas"}
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["lln", "--lambda", "1", "--N", "5", "--replicas", "3", option, "1",
-                  "--out", str(out)])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    assert cli.main(["lln", "--lambda", "1", "--N", "5", "--replicas", "3", option, "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["lln", "--lambda", "1", "--N", "5", "--s", "0.5"],
+     "ambiguous option: --s could match --step, --seed"),
+    (["marginals", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["nonsense"], "invalid choice: 'nonsense'"),
+    (["marginals", "--y", "abc"], "argument --y: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+], ids=["ambiguous", "unknown-option", "unknown-command", "bad-value", "no-command"])
+def test_usage_errors_print_one_line_and_exit_2(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("countbridge: error:")
+    assert message in captured.err and len(captured.err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["marginals", "--help"])
+    assert exc.value.code == 0
+    assert "--step" in capsys.readouterr().out
 
 
 def test_a_descriptor_that_is_not_an_object_exits_2_before_writing(tmp_path, capsys):
@@ -602,15 +625,13 @@ def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, samp
         times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3),
                                                replicas, 8))
     chunks = []
-    write = cli._write_atomic
+    write = cli._write_run
 
-    def spy(path, parts):
-        if path.endswith("paths.csv"):
-            chunks.extend(parts)
-            parts = chunks
-        write(path, parts)
+    def spy(out_dir, files):
+        chunks.extend(files["paths.csv"])
+        write(out_dir, {**files, "paths.csv": chunks})
 
-    monkeypatch.setattr(cli, "_write_atomic", spy)
+    monkeypatch.setattr(cli, "_write_run", spy)
     out = tmp_path / "s"
     assert cli.main(["sample"] + args + ["--y", "4", "--replicas", str(replicas), "--seed", "8",
                                          "--out", str(out)]) == 0
@@ -683,15 +704,14 @@ def test_a_dominance_grid_without_jumps_writes_the_header_only(tmp_path):
     assert (out / "dominance_grid.csv").read_text() == "t,i,computed_tail,benchmark_tail,margin\n"
 
 
-def test_write_table_prints_special_floats_and_integer_labels(tmp_path):
+def test_write_table_prints_special_floats_and_integer_labels():
     values = [[math.nan, math.inf], [-0.0, 1e-300], [-math.inf, 0.1], [3.0, -2.5e-17]]
     labels = [7, -3, 0, 12]
-    path = tmp_path / "t.csv"
     a, b = np.array(values).T
-    cli._write_table(str(path), ["a", "o", "b"], [a, np.array(labels), b])
+    text = "".join(cli._table(["a", "o", "b"], [a, np.array(labels), b]))
     rows = [(a, o, b) for (a, b), o in zip(values, labels)]
-    assert path.read_text() == cells_csv(["a", "o", "b"], rows)
-    assert path.read_text().splitlines()[1:3] == ["nan,7,inf", "-0,-3,1e-300"]
+    assert text == cells_csv(["a", "o", "b"], rows)
+    assert text.splitlines()[1:3] == ["nan,7,inf", "-0,-3,1e-300"]
 
 
 def printed(column):
@@ -787,13 +807,20 @@ def test_mean_curve_gnuplot_stub_is_listed_and_replayed(tmp_path, lambdas, plot,
 
 
 def test_a_chunk_that_raises_leaves_no_file(tmp_path):
+    # a run's files are written all or none: a chunk that raises in the second of
+    # two files leaves neither target, no temp file, and an earlier file unchanged
     def chunks():
         yield "t,z\n"
         raise ValueError("mid-stream")
 
-    with pytest.raises(ValueError, match="mid-stream"):
-        cli._write_atomic(str(tmp_path / "out" / "t.csv"), chunks())
-    assert os.listdir(tmp_path / "out") == []
+    fresh, kept = tmp_path / "new" / "out", tmp_path / "kept"
+    kept.mkdir()
+    (kept / "a.csv").write_text("old\n")
+    for out in (fresh, kept):
+        with pytest.raises(ValueError, match="mid-stream"):
+            cli._write_run(str(out), {"a.csv": "a\n", "t.csv": chunks(), "manifest.json": "{}\n"})
+    assert not (tmp_path / "new").exists()
+    assert os.listdir(kept) == ["a.csv"] and (kept / "a.csv").read_text() == "old\n"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -812,13 +839,42 @@ def test_a_tilt_beyond_the_float_range_exits_2(tmp_path, args, message):
     assert not (out / "manifest.json").exists()
 
 
-def test_write_json_refuses_a_non_finite_value(tmp_path):
-    # strict JSON on disk: NaN is refused before any file, temp or target, exists
-    out = tmp_path / "out"
-    out.mkdir()
+def test_write_json_refuses_a_non_finite_value():
+    # strict JSON: a runner forms its JSON text before returning, so a NaN is
+    # refused before any file, temp or target, exists
     with pytest.raises(ValueError, match="JSON"):
-        cli._write_json(str(out / "x.json"), {"x": math.nan})
-    assert os.listdir(out) == []
+        cli._json({"x": math.nan})
+
+
+@pytest.mark.parametrize("args, message", [
+    (["mean-curve", "--lambda", "1", "--lambda", "-800", "--y", "5"], "underflows to 0"),
+    (["verify", "--lambda", "1", "--y", "5", "--check", "dominance", "--grid-csv",
+      "--check", "duality", "--replicas", "1"], "needs at least two paths"),
+], ids=["mean-curve-second-tilt", "verify-duality-after-grid"])
+def test_a_run_that_fails_after_its_first_file_writes_nothing(tmp_path, capsys, args, message):
+    # the first curve or the dominance grid is formed before the run fails
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and message in err
+    assert not out.exists()
+
+
+def test_a_failing_run_leaves_an_earlier_run_in_its_directory_as_it_was(tmp_path):
+    # the failing run would write mean_curve_lam1.csv for y = 12 over the y = 5 one
+    out = tmp_path / "out"
+    assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "2", "--y", "5",
+                     "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "-800", "--y", "12",
+                     "--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    again = tmp_path / "again"
+    assert cli.main(["replay", str(out / "manifest.json"), "--out", str(again)]) == 0
+    outputs = read_json(out / "manifest.json")["outputs"]
+    assert outputs == ["mean_curve_lam1.csv", "mean_curve_lam2.csv"]
+    assert {name: (again / name).read_bytes() for name in outputs} == {
+        name: before[name] for name in outputs}
 
 
 EXP_AFFINE = {"family": "exp_affine", "params": {"a": 1.0, "b": 0.0, "lambda": 0.0}}

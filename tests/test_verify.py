@@ -48,7 +48,8 @@ def test_convexity_empty_bridge():
 
 
 def test_dominance_sharp_on_benchmark_family():
-    rep = dominance_check(SpaceLinear(3.0, 1.0), BridgeSpec(0, 5), 3.0)
+    model, spec = SpaceLinear(3.0, 1.0), BridgeSpec(0, 5)
+    rep = dominance_check(model, spec, 3.0, table=marginal_table(model, spec))
     assert rep.passed
     assert max(abs(r[4]) for r in rep.rows) <= 1e-6
 
@@ -67,10 +68,11 @@ def test_dominance_upper_direction():
     # characteristic <= -3 exactly: upper-direction margins vanish (sharp)
     model = TimeExponential(1.0, -3.0)
     spec = BridgeSpec(0, 5)
-    rep = dominance_check(model, spec, -3.0, direction="upper")
+    table = marginal_table(model, spec)
+    rep = dominance_check(model, spec, -3.0, direction="upper", table=table)
     assert rep.passed and max(abs(r[4]) for r in rep.rows) <= 1e-6
     # strict version: true characteristic -3 sits below the bound -2.5
-    strict = dominance_check(model, spec, -2.5, direction="upper")
+    strict = dominance_check(model, spec, -2.5, direction="upper", table=table)
     assert strict.passed and strict.worst_margin > 0 and strict.hypothesis_holds
 
 
