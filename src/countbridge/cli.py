@@ -2,7 +2,9 @@
 
 Every run writes a ``manifest.json`` echoing the fully resolved configuration
 (defaults included, the model descriptor inlined), so ``countbridge replay
-manifest.json`` reproduces the outputs byte for byte.  A run writes all of
+manifest.json`` reproduces the outputs byte for byte.  A manifest is outside
+input: ``_run`` alone reads a run's options, fresh or replayed, types them as
+``_TYPES`` says and builds the model once.  A run writes all of
 its files or none: each runner returns its files' text, and ``_run`` alone
 writes them, each to a temp file in ``--out`` that is renamed over its target
 only once all are written.  A table cell prints exactly as ``format(c, ".17g")``
@@ -29,8 +31,8 @@ from . import __version__
 from .analytic import mean_upper_bound
 from .engine import (BridgeSpec, check_memory, marginal_table, mean_curve,
                      second_differences, solve_h)
-from .errors import BadOption, BadStep, BadWindow, CountBridgeError
-from .intensity import constant_characteristic_model, model_from_dict, model_from_json
+from .errors import BadOption, BadStep, CountBridgeError
+from .intensity import constant_characteristic_model, model_from_dict
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 from .verify import (convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
@@ -225,25 +227,18 @@ def _json(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _resolve_model(options):
-    if options.get("model") is not None:
-        return model_from_dict(options["model"])
-    return constant_characteristic_model(float(options["lambdas"][0]))
-
-
 def _spec(options):
-    return BridgeSpec(int(options["x"]), int(options["y"]),
-                      float(options["s"]), float(options["u"]))
+    return BridgeSpec(options["x"], options["y"], options["s"], options["u"])
 
 
 # ---------------------------------------------------------------------------
-# runners: pure functions of the resolved options, each returning its exit code
-# and its files, an ordered dict from name to text; they write nothing
+# runners: pure functions of the typed options and the model _run built, each
+# returning its exit code and its files, an ordered dict from name to text;
+# they write nothing
 
-def _run_characteristics(options):
-    model = _resolve_model(options)
+def _run_characteristics(options, model):
     spec = _spec(options)
-    step = float(options["grid_step"])
+    step = options["grid_step"]
     if not step > 0:
         raise BadStep(f"grid step must be positive, got {step}")
     points = max(2, int(round(spec.length / step)) + 1)
@@ -267,28 +262,26 @@ def _curve_table(model, spec, lam, h_step):
     curve = mean_curve(marginal_table(model, spec, h_step))
     cols = [curve[:, 0], curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
     if lam is not None:
-        cols.append(mean_upper_bound(spec, float(lam), curve[:, 0]))
+        cols.append(mean_upper_bound(spec, lam, curve[:, 0]))
     blank = np.zeros((len(curve), len(cols)), bool)
     blank[[0, -1], 2] = True
     return _table(["t", "mean", "second_diff", "bound"][:len(cols)], cols, blank)
 
 
-def _run_mean_curve(options):
+def _run_mean_curve(options, model):
     spec = _spec(options)
-    h_step = float(options["step"])
-    lams = options.get("lambdas") or []
-    if options.get("model") is not None:
-        runs = [(model_from_dict(options["model"]), lams[0] if lams else None, "mean_curve.csv")]
+    lams = options["lambdas"] or []
+    if options["model"] is not None:
+        runs = [(model, lams[0] if lams else None, "mean_curve.csv")]
     else:
         names = ([f"mean_curve_lam{lam:g}.csv" for lam in lams] if len(lams) > 1
                  else ["mean_curve.csv"])
         clash = [lam for lam, name in zip(lams, names) if names.count(name) > 1]
         if clash:
             raise BadOption(f"the tilts {clash} would share a file name, mean_curve_lam%g.csv")
-        runs = [(constant_characteristic_model(float(lam)), lam, name)
-                for lam, name in zip(lams, names)]
-    files = {name: _curve_table(model, spec, lam, h_step) for model, lam, name in runs}
-    if options.get("gnuplot"):
+        runs = [(constant_characteristic_model(lam), lam, name) for lam, name in zip(lams, names)]
+    files = {name: _curve_table(model, spec, lam, options["step"]) for model, lam, name in runs}
+    if options["gnuplot"]:
         stub = ["# gnuplot stub; run: gnuplot -p this_file", "set datafile separator ','",
                 "set xlabel 't'", "set ylabel 'E[X_t]'",
                 "plot " + ", ".join(f"'{n}' using 1:2 with lines title '{n}'" for n in files)]
@@ -296,10 +289,9 @@ def _run_mean_curve(options):
     return 0, files
 
 
-def _run_marginals(options):
-    model = _resolve_model(options)
+def _run_marginals(options, model):
     spec = _spec(options)
-    table = marginal_table(model, spec, float(options["step"]))
+    table = marginal_table(model, spec, options["step"])
     # t-major rows
     probs = table.probs
     return 0, {"marginals.csv": _table(
@@ -308,17 +300,15 @@ def _run_marginals(options):
          np.broadcast_to(np.arange(spec.x, spec.x + probs.shape[1]), probs.shape), probs])}
 
 
-def _run_sample(options):
+def _run_sample(options, model):
     spec = _spec(options)
-    seed = int(options["seed"])
-    count = int(options["replicas"])
-    model = _resolve_model(options)
-    if options.get("model") is not None:
-        h = solve_h(model, spec, float(options["step"]))
+    seed, count = options["seed"], options["replicas"]
+    if options["model"] is not None:
+        h = solve_h(model, spec, options["step"])
         paths = sample_bridge(model, spec, h, count, seed)
         sampler = "h-transform-inversion"
     else:
-        paths = sample_constant(float(options["lambdas"][0]), spec, count, seed)
+        paths = sample_constant(options["lambdas"][0], spec, count, seed)
         sampler = "exact-tilted-order-statistics"
     all_times = jump_time_matrix(paths)
     # one line per jump, replica-major: none, so no replica labels, without jumps
@@ -326,31 +316,25 @@ def _run_sample(options):
     paths_csv = _table(["replica", "jump_index", "time"],
                        [np.broadcast_to(np.arange(len(rows))[:, None], rows.shape),
                         np.broadcast_to(np.arange(1, spec.n + 1), rows.shape), rows])
-    summary = {
-        "sampler": sampler,
-        "seed": seed,
-        "count": count,
-        "n_jumps": spec.n,
-        "bridge": {"x": spec.x, "y": spec.y, "s": spec.s, "u": spec.u},
-        "median_jump_time": float(np.median(all_times)) if all_times.size else None,
-    }
+    summary = {"sampler": sampler, "seed": seed, "count": count, "n_jumps": spec.n,
+               "bridge": {"x": spec.x, "y": spec.y, "s": spec.s, "u": spec.u},
+               "median_jump_time": float(np.median(all_times)) if all_times.size else None}
     return 0, {"paths.csv": paths_csv, "summary.json": _json(summary)}
 
 
-def _run_verify(options):
-    model = _resolve_model(options)
+def _run_verify(options, model):
     spec = _spec(options)
-    h_step = float(options["step"])
-    lam = float(options["lambdas"][0]) if options.get("lambdas") else None
-    checks = options["checks"] or ["convexity", "dominance", "mean-bound"]
+    h_step = options["step"]
+    lam = options["lambdas"][0] if options["lambdas"] else None
+    checks = options["checks"] or _CHECKS[:3]
     for name in checks:
+        if name not in _CHECKS:
+            raise BadOption(f"unknown check {name!r}")
         if checks.count(name) > 1:
             raise BadOption(f"verify runs each check once; --check {name} is given twice")
         if name in ("dominance", "mean-bound") and lam is None:
-            raise ValueError(f"{name} check needs --lambda")
-    reports = []
-    files = {}
-    all_pass = True
+            raise BadOption(f"{name} check needs --lambda")
+    reports, files, all_pass = [], {}, True
     # h and the table are solved only for the checks that read them
     h = table = None
     if {"dominance", "mean-bound", "duality"} & set(checks):
@@ -359,52 +343,40 @@ def _run_verify(options):
         table = marginal_table(model, spec, h_step, h=h)
     for name in checks:
         if name == "convexity":
-            rep = convexity_check(model, spec, h_step, tol=float(options["tol_convexity"]))
+            rep = convexity_check(model, spec, h_step, tol=options["tol_convexity"])
         elif name == "dominance":
             rep = dominance_check(model, spec, lam, direction=options["direction"],
-                                  tol=float(options["tol_margin"]), table=table)
-            if options.get("grid_csv"):
+                                  tol=options["tol_margin"], table=table)
+            if options["grid_csv"]:
                 files["dominance_grid.csv"] = _table(
                     ["t", "i", "computed_tail", "benchmark_tail", "margin"], rep.rows.T)
         elif name == "mean-bound":
-            rep = mean_bound_check(model, spec, lam, tol=float(options["tol_margin"]),
-                                   table=table)
-        elif name == "duality":
-            paths = sample_bridge(model, spec, h, int(options["replicas"]),
-                                  int(options["seed"]))
-            zmax = float(options["z_max"])
+            rep = mean_bound_check(model, spec, lam, tol=options["tol_margin"], table=table)
+        else:
+            paths = sample_bridge(model, spec, h, options["replicas"], options["seed"])
             for phi, u in duality_catalog():
                 if phi.m > spec.n:
                     continue
                 res = duality_check(model, spec, u, phi, None, None, paths=paths)
-                d = res.to_dict()
-                d["verdict"] = "pass" if abs(res.z_score) <= zmax else "fail"
-                reports.append(d)
-                all_pass &= abs(res.z_score) <= zmax
+                ok = abs(res.z_score) <= options["z_max"]
+                reports.append(dict(res.to_dict(), verdict="pass" if ok else "fail"))
+                all_pass &= ok
             continue
-        else:
-            raise ValueError(f"unknown check {name!r}")
         reports.append(rep.to_dict())
         all_pass &= rep.passed
     files["verify.json"] = _json({"checks": reports, "all_pass": bool(all_pass)})
     return 0 if all_pass else 1, files
 
 
-def _run_lln(options):
-    rep = lln_experiment(_resolve_model(options), float(options["lambdas"][0]), options["N"],
-                         int(options["replicas"]), int(options["seed"]),
-                         h_step=float(options["step"]))
+def _run_lln(options, model):
+    rep = lln_experiment(model, options["lambdas"][0], options["N"], options["replicas"],
+                         options["seed"], h_step=options["step"])
     return 0 if rep.medians_non_increasing else 1, {"lln.json": _json(rep.to_dict())}
 
 
-_RUNNERS = {
-    "characteristics": _run_characteristics,
-    "mean-curve": _run_mean_curve,
-    "marginals": _run_marginals,
-    "sample": _run_sample,
-    "verify": _run_verify,
-    "lln": _run_lln,
-}
+_RUNNERS = {"characteristics": _run_characteristics, "mean-curve": _run_mean_curve,
+            "marginals": _run_marginals, "sample": _run_sample, "verify": _run_verify,
+            "lln": _run_lln}
 
 
 # the --lambda count of each command: without --model at least one and at most
@@ -413,47 +385,73 @@ _LAMBDAS = {"characteristics": (1, 0, 0, None), "marginals": (1, 0, 0, None),
             "sample": (1, 0, 0, None), "mean-curve": (math.inf, 0, 1, "the bound"),
             "verify": (1, 0, 1, "the bound"), "lln": (1, 1, 1, "the limiting profile")}
 
-# the float options: their flag, and the error a NaN or infinite value raises
-_FLOAT_OPTIONS = {
-    "step": ("--step", BadStep),
-    "grid_step": ("--grid-step", BadStep),
-    "s": ("--s", BadWindow),
-    "u": ("--u", BadWindow),
-    "lambdas": ("--lambda", BadOption),
-    "tol_margin": ("--tol-margin", BadOption),
-    "tol_convexity": ("--tol-convexity", BadOption),
-    "z_max": ("--z-max", BadOption),
+# verify's checks; the first three run when none is given
+_CHECKS = ("convexity", "dominance", "mean-bound", "duality")
+
+# each option a manifest records, the model aside: its flag and its type; a
+# repeatable option's is a list of its type, with None if it may be null, as
+# --lambda and --check are when not given
+_TYPES = {
+    "x": ("--x", int), "y": ("--y", int), "s": ("--s", float), "u": ("--u", float),
+    "step": ("--step", float), "grid_step": ("--grid-step", float),
+    "lambdas": ("--lambda", [float, None]), "checks": ("--check", [str, None]),
+    "N": ("--N", [int]), "seed": ("--seed", int), "replicas": ("--replicas", int),
+    "tol_margin": ("--tol-margin", float), "tol_convexity": ("--tol-convexity", float),
+    "z_max": ("--z-max", float), "direction": ("--direction", str), "out": ("--out", str),
+    "gnuplot": ("--gnuplot", bool), "grid_csv": ("--grid-csv", bool),
 }
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
+
+
+def _typed(flag, kind, value):
+    """``value`` as an option of type ``kind``: an int stands for a float and
+    becomes one, a bool is a flag's value only, and a float is finite (an int
+    too, within the float range); any other value raises BadOption naming ``flag``."""
+    if isinstance(kind, list):
+        if value is None and None in kind:
+            return None
+        if type(value) is list:
+            return [_typed(flag, kind[0], v) for v in value]
+    elif type(value) is kind or kind is float and type(value) is int:
+        if kind is not float or abs(value) <= sys.float_info.max:
+            return kind(value)
+    raise BadOption(f"{flag} must be {'a list' if isinstance(kind, list) else _KINDS[kind]}, "
+                    f"got {value!r}")
 
 
 def _run(command, options):
-    """Run ``command`` on its resolved options, fresh or replayed, and write
-    its files, then manifest.json listing them, into ``--out``: all or none.
+    """Run ``command`` on its options, fresh or replayed, and write its files,
+    then manifest.json listing them, into ``--out``: all or none.
 
-    Every float option must be finite, whether or not the command reads
-    it: a NaN would otherwise land in manifest.json, which is then not
-    JSON.  The --lambda count must be one that _LAMBDAS gives the command.
-    Nothing is solved before these checks, and no other code touches --out.
+    The one reader of the options: they must be the command's own, each typed
+    as _TYPES says (a NaN would also leave manifest.json not JSON), with a
+    --lambda count _LAMBDAS allows.  Only then is the model built, once, from
+    the descriptor (recorded in its canonical form) or the first --lambda, and
+    the runner called.  No other code touches --out.
     """
-    if command not in _RUNNERS:
-        raise ValueError(f"manifest command {command!r} unknown")
-    for key, (flag, error) in _FLOAT_OPTIONS.items():
-        value = options.get(key)
-        for v in value if isinstance(value, list) else [value]:
-            if v is not None and not math.isfinite(float(v)):
-                raise error(f"{flag} must be a finite number, got {v}")
-    count = len(options.get("lambdas") or [])
+    if not isinstance(command, str) or command not in _RUNNERS:
+        raise BadOption(f"manifest command {command!r} unknown")
+    names = set(vars(_parser().parse_args([command]))) - {"command"}
+    if set(options) != names:
+        raise BadOption(f"{command} takes the options {sorted(names)}, got {sorted(options)}")
+    options = {key: value if key == "model" else _typed(*_TYPES[key], value)
+               for key, value in options.items()}
+    count = len(options["lambdas"] or [])
     most, least_with, most_with, meaning = _LAMBDAS[command]
-    if options.get("model") is None:
+    if options["model"] is None:
         if not 1 <= count <= most:
             raise BadOption(f"{command} needs --model or at least one --lambda" if most > 1
                             else "need --model or exactly one --lambda to define the process")
+        model = constant_characteristic_model(options["lambdas"][0])
     elif count > most_with:
         raise BadOption(f"{command} takes at most one --lambda, {meaning}, with --model"
                         if most_with else f"{command} takes no --lambda with --model")
     elif count < least_with:
         raise BadOption(f"{command} needs --lambda ({meaning})")
-    code, files = _RUNNERS[command](options)
+    else:
+        model = model_from_dict(options["model"])
+        options["model"] = model.to_dict()
+    code, files = _RUNNERS[command](options, model)
     files["manifest.json"] = _json({"command": command, "options": options,
                                     "outputs": sorted(files), "package_version": __version__})
     _write_run(options["out"], files)
@@ -463,10 +461,12 @@ def _run(command, options):
 def _run_replay(manifest_path, out_override=None):
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("options"), dict):
+        raise BadOption(f"{manifest_path} is not a manifest: it holds no options object")
     options = dict(manifest["options"])
     if out_override:
         options["out"] = out_override
-    return _run(manifest["command"], options)
+    return _run(manifest.get("command"), options)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +519,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the bridge estimate checks, exit 1 on failure")
     _add_common(p)
-    p.add_argument("--check", dest="checks", action="append",
-                   choices=["convexity", "dominance", "mean-bound", "duality"],
+    p.add_argument("--check", dest="checks", action="append", choices=_CHECKS,
                    help="repeatable; default: convexity dominance mean-bound")
     p.add_argument("--direction", choices=["lower", "upper"], default="lower")
     p.add_argument("--seed", type=int, default=20240501)
@@ -546,8 +545,9 @@ def build_parser():
 
 def _options_from_args(args):
     options = {key: val for key, val in vars(args).items() if key != "command"}
-    if options.get("model"):
-        options["model"] = model_from_json(options["model"]).to_dict()
+    if options["model"] is not None:
+        with open(options["model"], "r", encoding="utf-8") as fh:
+            options["model"] = json.load(fh)
     if "N" in options:
         options["N"] = options["N"] or [50, 200, 800]
     return options

@@ -30,9 +30,11 @@ _T_SLACK = 1e-12
 
 
 def _finite_real(name, value):
-    """``value`` unchanged if it is a finite real number; else a ValueError naming ``name``."""
+    """``value`` unchanged if it is a finite real number, not a bool; else a
+    ValueError naming ``name``."""
     try:
-        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
@@ -41,11 +43,11 @@ def _finite_real(name, value):
 
 
 def _integral(name, value):
-    """``value`` as an int; one that int() would truncate or refuse raises a
-    ValueError naming ``name``."""
+    """``value`` as an int; a bool, or a value that int() would truncate or refuse,
+    raises a ValueError naming ``name``."""
     try:
         out = int(value)
-        exact = out == float(value)
+        exact = out == float(value) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
@@ -505,12 +507,12 @@ def model_from_dict(descriptor):
         raise ValueError(f"malformed model descriptor: {exc}") from exc
     floor = descriptor.get("state_floor", None)
     if family == "tabulated":
-        return Tabulated(params["t_grid"], params["z_min"], params["rates"],
+        return Tabulated(params.get("t_grid"), params.get("z_min"), params.get("rates"),
                          params.get("rates_dt"), floor)
     if family not in _PARAMETRIC:
         raise ValueError(f"unknown rate family {family!r}")
-    return _PARAMETRIC[family](lambda name: _finite_real(name, params[name]),
-                               _integral("state_floor", floor or 0))
+    return _PARAMETRIC[family](lambda name: _finite_real(name, params.get(name)),
+                               _integral("state_floor", 0 if floor is None else floor))
 
 
 def model_from_json(path):

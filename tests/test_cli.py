@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from countbridge import cli, engine, verify
@@ -898,6 +901,10 @@ def _edited(descriptor, **params):
     (json.dumps(_edited(TABULATED, rates_dt=[[math.inf] * 8] * 11)),
      "rates_dt must hold finite numbers"),
     (json.dumps(_edited(TABULATED, z_min=0.5)), "z_min must be an integer"),
+    (json.dumps(_edited(EXP_AFFINE, a=True)), "a must be a finite real number"),
+    (json.dumps(_edited(TABULATED, z_min=True)), "z_min must be an integer"),
+    (json.dumps(dict(EXP_AFFINE, state_floor=False)), "state_floor must be an integer"),
+    (json.dumps({"family": "exp_affine", "params": {"a": 1.0}}), "b must be a finite real number"),
     # positive at the nodes and on any probe grid, -7.3e-6 near t = 0.00166
     (json.dumps({"family": "tabulated",
                  "params": {"t_grid": [0, 1], "z_min": 0, "rates": [[1e-6, 1e-6], [1, 1]],
@@ -905,7 +912,8 @@ def _edited(descriptor, **params):
      "dip to zero between nodes: state 0 on [0, 1]"),
 ], ids=["a-string", "a-null", "lambda-nan", "a-infinity", "product-alpha-string",
         "state-floor-fractional", "tabulated-rate-nan", "tabulated-t-grid-nan",
-        "tabulated-rates-dt-infinity", "tabulated-z-min-fractional", "tabulated-dip"])
+        "tabulated-rates-dt-infinity", "tabulated-z-min-fractional", "a-true",
+        "tabulated-z-min-true", "state-floor-false", "b-missing", "tabulated-dip"])
 def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
     # a model file is outside input: a value that is not a finite number, or a state
     # that is not an integer, is a ValueError naming the field (exit 2), never a
@@ -981,3 +989,245 @@ def test_many_paths_without_jumps_hold_no_per_replica_labels(tmp_path):
     assert (out / "paths.csv").read_text() == "replica,jump_index,time\n"
     assert read_json(out / "summary.json")["count"] == 1000000
     assert peak < 8 * 2 ** 20
+
+
+def _tree(root):
+    """Every directory (as None) and file (as its bytes) under ``root``, by relative path."""
+    root = pathlib.Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+SAMPLE_RUN = ["sample", "--lambda", "1", "--y", "3", "--replicas", "5"]
+VERIFY_RUN = ["verify", "--lambda", "1", "--y", "3", "--check", "convexity"]
+
+
+@pytest.mark.parametrize("run, edit, message", [
+    (SAMPLE_RUN, {"x": 1.5}, "--x must be an integer, got 1.5"),
+    (SAMPLE_RUN, {"y": 3.9}, "--y must be an integer, got 3.9"),
+    (SAMPLE_RUN, {"y": True}, "--y must be an integer, got True"),
+    (SAMPLE_RUN, {"seed": 1.7}, "--seed must be an integer, got 1.7"),
+    (SAMPLE_RUN, {"replicas": 3.6}, "--replicas must be an integer, got 3.6"),
+    (SAMPLE_RUN, {"lambdas": "3"}, "--lambda must be a list, got '3'"),
+    (SAMPLE_RUN, {"lambdas": "12"}, "--lambda must be a list, got '12'"),
+    (SAMPLE_RUN, {"lambdas": 3.0}, "--lambda must be a list, got 3.0"),
+    (SAMPLE_RUN, {"x": None}, "--x must be an integer, got None"),
+    (SAMPLE_RUN, {"seed": None}, "--seed must be an integer, got None"),
+    (SAMPLE_RUN, {"replicas": None}, "--replicas must be an integer, got None"),
+    (SAMPLE_RUN, {"seed": [1]}, "--seed must be an integer, got [1]"),
+    (SAMPLE_RUN, {"lambdas": {"a": 1}}, "--lambda must be a list, got {'a': 1}"),
+    (SAMPLE_RUN, lambda m: [m], "is not a manifest"),
+    (SAMPLE_RUN, lambda m: dict(m, options=None), "is not a manifest"),
+    (SAMPLE_RUN, lambda m: dict(m, command=["sample"]), "manifest command ['sample'] unknown"),
+    (VERIFY_RUN, {"checks": 5}, "--check must be a list, got 5"),
+    (VERIFY_RUN, {"direction": 5}, "--direction must be a string, got 5"),
+    (VERIFY_RUN, {"grid_csv": 1}, "--grid-csv must be true or false, got 1"),
+    (SAMPLE_RUN, {"out": 5}, "--out must be a string, got 5"),
+], ids=["x-fractional", "y-fractional", "y-true", "seed-fractional", "replicas-fractional",
+        "lambda-string", "lambda-string-12", "lambda-number", "x-null", "seed-null",
+        "replicas-null", "seed-list", "lambda-object", "manifest-list", "options-null",
+        "command-list", "checks-number", "direction-number", "grid-csv-number", "out-number"])
+def test_a_manifest_option_of_the_wrong_type_exits_2_writing_nothing(tmp_path, capsys,
+                                                                    monkeypatch, run, edit,
+                                                                    message):
+    # a hand-edited manifest is outside input: a value of the wrong type is refused
+    # with the flag it stands for, never run as some other bridge or a traceback.
+    # The replay takes the manifest's --out, the earlier run's, or the working
+    # directory's, and changes nothing in either.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(run + ["--out", str(tmp_path / "run")]) == 0
+    manifest = read_json(tmp_path / "run" / "manifest.json")
+    if callable(edit):
+        manifest = edit(manifest)
+    else:
+        manifest["options"].update(edit)
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["replay", str(tmp_path / "edited.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and len(err.splitlines()) == 1
+    assert message in err
+    assert _tree(tmp_path) == before
+
+
+def test_an_integer_for_a_float_option_replays_and_is_recorded_as_a_float(tmp_path):
+    assert cli.main(SAMPLE_RUN + ["--out", str(tmp_path / "run")]) == 0
+    manifest = read_json(tmp_path / "run" / "manifest.json")
+    manifest["options"]["s"] = 0
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    again = tmp_path / "again"
+    assert cli.main(["replay", str(tmp_path / "edited.json"), "--out", str(again)]) == 0
+    assert '"s": 0.0,' in (again / "manifest.json").read_text()
+    for name in ("paths.csv", "summary.json"):
+        assert (again / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: random flag sets over every command, then replays of manifests with
+# one option edited
+
+def _drawn_tabulated(seed):
+    """A positive Tabulated model's descriptor, drawn from an rng seed as
+    tests/test_intensity.py draws them."""
+    rng = np.random.default_rng(seed)
+    tg = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 12)))
+    tg /= tg[-1]
+    rates = np.exp(rng.normal(0.0, rng.uniform(0.1, 3.0), (tg.size, 5)))
+    try:
+        model = Tabulated(tg, 0, rates, np.gradient(rates, tg, axis=0) * rng.uniform(0.5, 3.0))
+    except ValueError:
+        model = Tabulated(tg, 0, rates, np.zeros_like(rates))
+    return model.to_dict()
+
+
+_REAL = st.floats(-3.0, 3.0)
+_POSITIVE = st.floats(0.05, 3.0)
+_MALFORMED = ["{", "null", "[1, 2]", '{"family": "nope", "params": {}}',
+              '{"family": "exp_affine", "params": {"a": 1.0}}',
+              '{"family": "tabulated", "params": {"t_grid": [0, 1], "z_min": 0}}']
+
+
+@st.composite
+def _descriptors(draw):
+    """The text of a model descriptor: exp_affine, a legacy family, a drawn
+    Tabulated model, or malformed JSON; and the first time the model covers."""
+    family = draw(st.sampled_from(["exp_affine", "poisson", "space_linear",
+                                   "time_exponential", "product", "tabulated", "malformed"]))
+    if family == "malformed":
+        return draw(st.sampled_from(_MALFORMED)), 0.0
+    if family == "tabulated":
+        descriptor = _drawn_tabulated(draw(st.integers(0, 2 ** 32 - 1)))
+        return json.dumps(descriptor), descriptor["params"]["t_grid"][0]
+    names = {"exp_affine": ["a", "b", "lambda"], "poisson": ["alpha"],
+             "space_linear": ["lambda", "alpha"], "time_exponential": ["alpha", "lambda"],
+             "product": ["alpha", "lambda", "beta"]}[family]
+    params = {name: draw(_POSITIVE if name in ("a", "alpha") else st.floats(0.0, 1.0)
+                         if name in ("b", "beta") else _REAL) for name in names}
+    floor = draw(st.integers(0, 1))
+    return json.dumps({"family": family, "params": params, "state_floor": floor}), 0.0
+
+
+def _flag(draw, flag, values):
+    """``[flag=value]`` or nothing, each half the time."""
+    return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+
+@st.composite
+def _fuzz_runs(draw):
+    """argv (without --out) of a small run of any command, and the text of the
+    model descriptor its --model names, if it has one."""
+    command = draw(st.sampled_from(list(cli._RUNNERS)))
+    descriptor, t0 = draw(st.just((None, 0.0)) | _descriptors())
+    argv = [command] + (["--model", "MODEL"] if descriptor is not None else [])
+    # mostly a --lambda count the command takes, at times any of 0 to 3
+    most, least_with, most_with, _ = cli._LAMBDAS[command]
+    low, high = (least_with, most_with) if descriptor is not None else (1, min(most, 3))
+    count = draw(st.integers(low, high) if draw(st.integers(0, 4)) else st.integers(0, 3))
+    argv += [f"--lambda={draw(_REAL)}" for _ in range(count)]
+    if command != "lln":
+        x = draw(st.integers(0, 3))
+        argv += ["--x", str(x), "--y", str(x + draw(st.integers(0, 12)))]
+        argv += _flag(draw, "--s", st.floats(t0, 0.6 + 0.4 * t0))
+        argv += _flag(draw, "--u", st.floats(0.4, 1.0))
+    if command == "characteristics":
+        argv.append(f"--grid-step={draw(st.floats(1e-2, 0.2))}")
+    else:  # 1e-2 is the largest step a solve takes
+        argv.append(f"--step={draw(st.sampled_from([1e-2] * 7 + [2e-2]))}")
+    if command in ("sample", "verify", "lln"):
+        argv += ["--replicas", str(draw(st.integers(0, 50)))]
+        argv += _flag(draw, "--seed", st.integers(0, 2 ** 40))
+    if command == "mean-curve" and draw(st.booleans()):
+        argv.append("--gnuplot")
+    if command == "verify":
+        checks = st.sampled_from(cli._CHECKS)
+        for name in draw(st.lists(checks, max_size=3, unique=draw(st.integers(0, 4)) > 0)):
+            argv += ["--check", name]
+        argv += _flag(draw, "--direction", st.sampled_from(["lower", "upper"]))
+        argv += ["--grid-csv"] if draw(st.booleans()) else []
+        argv += _flag(draw, "--tol-margin", st.floats(0.0, 1e-3))
+        argv += _flag(draw, "--tol-convexity", st.floats(0.0, 1e-3))
+        argv += _flag(draw, "--z-max", st.floats(0.0, 5.0))
+    if command == "lln":
+        for _ in range(draw(st.integers(1, 3))):
+            argv += ["--N", str(draw(st.integers(1, 12)))]
+    return argv, descriptor
+
+
+def _checked_run(argv, root, out):
+    """main(argv) under the fuzz oracle: exit 0, 1 or 2 and no traceback; exit 2
+    prints one error line and changes nothing under ``root``; exit 0 or 1
+    changes only the files manifest.json lists, and leaves no temp file."""
+    before = _tree(root)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    after = _tree(root)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("countbridge: error:"), argv
+        assert len(err.getvalue().splitlines()) == 1, argv
+        assert after == before, argv
+        return code, None
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {str((out / name).relative_to(root)) for name in manifest["outputs"]}
+    written.add(str((out / "manifest.json").relative_to(root)))
+    changed = {path for path, text in after.items() if before.get(path, b"") != text}
+    assert changed - written <= {str(out.relative_to(root))}, argv
+    assert written <= set(after), argv
+    assert not [path for path in after if ".tmp_" in path], argv
+    return code, manifest
+
+
+def _replays_the_same(root, manifest, code, out):
+    """Replay ``out``'s manifest under the oracle: the same exit code, options
+    and outputs, byte for byte."""
+    again = root / "again"
+    assert _checked_run(["replay", str(out / "manifest.json"), "--out", str(again)],
+                        root, again)[0] == code
+    replayed = json.loads((again / "manifest.json").read_text())
+    assert dict(replayed["options"], out=None) == dict(manifest["options"], out=None)
+    for name in manifest["outputs"]:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+_OTHER_TYPES = st.sampled_from([None, True, False, "x", [1], 1.5, math.nan, math.inf])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz(data):
+    # every run of every command, fresh or a replay of its manifest with one
+    # option given a value of another JSON type, exits 0, 1 or 2 without a
+    # traceback; exit 2 writes nothing, and an accepted run writes exactly the
+    # files its manifest lists, which replay reproduces byte for byte
+    argv, descriptor = data.draw(_fuzz_runs())
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        os.chdir(root)  # a manifest's --out edited to a relative path is made here
+        try:
+            (root / "MODEL").write_text(descriptor or "")
+            out = root / "out"
+            if data.draw(st.booleans()):  # an earlier run's files in --out
+                out.mkdir()
+                for name in ("manifest.json", "marginals.csv", "verify.json", "stale.txt"):
+                    (out / name).write_text("old\n")
+            code, manifest = _checked_run(argv + ["--out", str(out)], root, out)
+            if manifest is None:
+                return
+            _replays_the_same(root, manifest, code, out)
+            key = data.draw(st.sampled_from(sorted(manifest["options"])))
+            manifest["options"][key] = value = data.draw(_OTHER_TYPES)
+            (root / "edited.json").write_text(json.dumps(manifest))
+            argv = ["replay", str(root / "edited.json")]
+            if key == "out":  # the replay writes to the edited --out
+                edited = root / str(value)
+            else:
+                edited = root / "edited"
+                argv += ["--out", str(edited)]
+            code, manifest = _checked_run(argv, root, edited)
+            if manifest is not None:
+                _replays_the_same(root, manifest, code, edited)
+        finally:
+            os.chdir(here)
