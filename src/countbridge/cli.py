@@ -4,12 +4,12 @@ Every run writes a ``manifest.json`` echoing the fully resolved configuration
 (defaults included, the model descriptor inlined), so ``countbridge replay
 manifest.json`` reproduces the outputs byte for byte.  A manifest is outside
 input: ``_run`` alone reads a run's options, fresh or replayed, types them as
-``_TYPES`` says and builds the model once.  A run writes all of
-its files or none: each runner returns its files' text, and ``_run`` alone
-writes them, each to a temp file in ``--out`` that is renamed over its target
-only once all are written.  A table cell prints exactly as ``format(c, ".17g")``
-does, an integer column's as ``str(c)``; the text is formed in numpy one block
-of rows at a time.
+``_TYPES`` says and builds the model once.  A run writes all of its files or
+none: each runner returns its files' text, and ``_run`` alone writes them,
+each to a temp file in ``--out`` that is renamed over its target only once
+all are written.  A table cell prints exactly as ``format(c, ".17g")`` does,
+an integer column's as ``str(c)``; the text is formed in numpy one block of
+rows at a time.
 
 Exit codes: 0 all verdicts pass, 1 a check failed, 2 configuration, domain or
 usage error, which leaves ``--out`` as it was.
