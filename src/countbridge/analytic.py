@@ -15,7 +15,7 @@ import numbers
 
 import numpy as np
 
-from .errors import BadWindow, IndexOut, OutOfDomain
+from .errors import BadParameter, BadWindow, IndexOut, OutOfDomain
 
 # Below this, (exp(lam*t)-1)/(exp(lam)-1) is replaced by its expansion around
 # lam = 0 to dodge 0/0 noise: t + lam*t*(t-1)/2 + O(lam^2).
@@ -100,14 +100,14 @@ def binomial_tail(n, p, i):
     p (0, 1, 1e-300 and 1 - 1e-16 among them), it is within 1.5e-14 absolute at
     n = 2,000 and 5.8e-14 at n = 10,000, and within 9.0e-13 and 2.0e-12
     relative where the tail is above 1e-200.  An n that is not a nonnegative
-    integer, or a p outside [0, 1], raises ValueError, and an i outside 0..n
+    integer, or a p outside [0, 1], raises BadParameter, and an i outside 0..n
     :class:`~countbridge.errors.IndexOut`.
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        raise BadParameter(f"n must be a nonnegative integer, got {n!r}")
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError("p must lie in [0, 1]")
+        raise BadParameter("p must lie in [0, 1]")
     i = np.asarray(i, dtype=np.int64)
     bad = i[(i < 0) | (i > n)]
     if bad.size:

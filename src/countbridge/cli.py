@@ -2,14 +2,15 @@
 
 Every run writes a ``manifest.json`` echoing the fully resolved configuration
 (defaults included, the model descriptor inlined), so ``countbridge replay
-manifest.json`` reproduces the outputs byte for byte.  A manifest is outside
-input: ``_run`` alone reads a run's options, fresh or replayed, types them as
-``_TYPES`` says and builds the model once.  A run writes all of its files or
-none: each runner returns its files' text, and ``_run`` alone writes them,
-each to a temp file in ``--out`` that is renamed over its target only once
-all are written.  A table cell prints exactly as ``format(c, ".17g")`` does,
-an integer column's as ``str(c)``; the text is formed in numpy one block of
-rows at a time.
+manifest.json`` reproduces the outputs byte for byte.  One table, ``_OPTIONS``,
+gives every option its flag, type, defaults, help and choices: the parser is
+built from it, and ``_run``, the one reader of a run's options, fresh or
+replayed, types them by it and builds the model once.  A run writes all of its
+files or none: each runner returns its files' text, and ``_run`` alone writes
+them, each to a temp file in ``--out`` that is renamed over its target only
+once all are written.  A table cell prints exactly as ``format(c, ".17g")``
+does, an integer column's as ``str(c)``; the text is formed in numpy one block
+of rows at a time.
 
 Exit codes: 0 all verdicts pass, 1 a check failed, 2 configuration, domain or
 usage error, which leaves ``--out`` as it was.
@@ -22,8 +23,10 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from . import __version__
 from .analytic import mean_upper_bound
 from .engine import (BridgeSpec, check_memory, marginal_table, mean_curve,
                      second_differences, solve_h)
-from .errors import BadOption, BadStep, CountBridgeError
+from .errors import BadOption, BadParameter, BadStep, CountBridgeError
 from .intensity import constant_characteristic_model, model_from_dict
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 from .verify import (convexity_check, dominance_check, duality_catalog,
@@ -223,8 +226,20 @@ def _table(header, columns, blank=None):
 
 
 def _json(obj):
-    """``obj`` as strict JSON text: a NaN or infinite value raises ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``obj`` as strict JSON text: a NaN or infinite value raises BadParameter."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise BadParameter(f"a result cannot be written as JSON: {exc}") from None
+
+
+def _load(path):
+    """The JSON value in the file ``path``; a file that is not JSON raises BadOption."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise BadOption(f"{path} is not JSON: {exc}") from None
 
 
 def _spec(options):
@@ -241,12 +256,13 @@ def _run_characteristics(options, model):
     step = options["grid_step"]
     if not step > 0:
         raise BadStep(f"grid step must be positive, got {step}")
-    points = max(2, int(round(spec.length / step)) + 1)
+    cells = spec.length / step  # inf for a step below about 1e-308
     zs = range(spec.x, max(spec.x, spec.y - 1) + 1)
     # the xi rows take 8 bytes per (time, state) cell; the times and one
     # state's characteristic temporaries about 96 bytes per time
-    check_memory(8 * points * (len(zs) + 12),
-                 f"characteristics on {points} times x {len(zs)} states")
+    check_memory(8 * (cells + 1) * (len(zs) + 12),
+                 f"characteristics on {cells + 1:.0f} times x {len(zs)} states")
+    points = max(2, int(round(cells)) + 1)
     ts = np.linspace(spec.s, spec.u, points)
     xi = np.empty((len(zs), points))
     for out, z in zip(xi, zs):
@@ -328,8 +344,6 @@ def _run_verify(options, model):
     lam = options["lambdas"][0] if options["lambdas"] else None
     checks = options["checks"] or _CHECKS[:3]
     for name in checks:
-        if name not in _CHECKS:
-            raise BadOption(f"unknown check {name!r}")
         if checks.count(name) > 1:
             raise BadOption(f"verify runs each check once; --check {name} is given twice")
         if name in ("dominance", "mean-bound") and lam is None:
@@ -374,9 +388,13 @@ def _run_lln(options, model):
     return 0 if rep.medians_non_increasing else 1, {"lln.json": _json(rep.to_dict())}
 
 
-_RUNNERS = {"characteristics": _run_characteristics, "mean-curve": _run_mean_curve,
-            "marginals": _run_marginals, "sample": _run_sample, "verify": _run_verify,
-            "lln": _run_lln}
+# each command's runner and help
+_RUNNERS = {"characteristics": (_run_characteristics, "dump the characteristic on a grid"),
+            "mean-curve": (_run_mean_curve, "bridge mean curve with second differences"),
+            "marginals": (_run_marginals, "one-time marginal table as CSV"),
+            "sample": (_run_sample, "sample bridge paths"),
+            "verify": (_run_verify, "run the bridge estimate checks, exit 1 on failure"),
+            "lln": (_run_lln, "rescaled-bridge concentration experiment, 0 -> N on [0, 1]")}
 
 
 # the --lambda count of each command: without --model at least one and at most
@@ -388,31 +406,57 @@ _LAMBDAS = {"characteristics": (1, 0, 0, None), "marginals": (1, 0, 0, None),
 # verify's checks; the first three run when none is given
 _CHECKS = ("convexity", "dominance", "mean-bound", "duality")
 
-# each option a manifest records, the model aside: its flag and its type; a
-# repeatable option's is a list of its type, with None if it may be null, as
-# --lambda and --check are when not given
-_TYPES = {
-    "x": ("--x", int), "y": ("--y", int), "s": ("--s", float), "u": ("--u", float),
-    "step": ("--step", float), "grid_step": ("--grid-step", float),
-    "lambdas": ("--lambda", [float, None]), "checks": ("--check", [str, None]),
-    "N": ("--N", [int]), "seed": ("--seed", int), "replicas": ("--replicas", int),
-    "tol_margin": ("--tol-margin", float), "tol_convexity": ("--tol-convexity", float),
-    "z_max": ("--z-max", float), "direction": ("--direction", str), "out": ("--out", str),
-    "gnuplot": ("--gnuplot", bool), "grid_csv": ("--grid-csv", bool),
+_Option = namedtuple("_Option", "flag kind defaults help choices", defaults=(None, None))
+_WINDOWED = ("characteristics", "mean-curve", "marginals", "sample", "verify")
+
+# every option of the runners, by the name a manifest records it under, in the
+# order --help lists them: its flag; its type (int, float, str or bool; a list
+# of it if repeatable, with None if it may be null, as when --lambda or --check
+# is not given; None for --model, a file); the commands that take it, each with
+# its default; its help and choices
+_OPTIONS = {
+    "model": _Option("--model", None, dict.fromkeys(_RUNNERS), "JSON model descriptor file"),
+    "lambdas": _Option("--lambda", [float, None], dict.fromkeys(_RUNNERS),
+                       "constant-characteristic value: the model without --model (repeatable "
+                       "for mean-curve), else the bound or the limiting profile"),
+    "x": _Option("--x", int, dict.fromkeys(_WINDOWED, 0)),
+    "y": _Option("--y", int, dict.fromkeys(_WINDOWED, 20)),
+    "s": _Option("--s", float, dict.fromkeys(_WINDOWED, 0.0)),
+    "u": _Option("--u", float, dict.fromkeys(_WINDOWED, 1.0)),
+    "step": _Option("--step", float, {c: 1e-3 for c in _RUNNERS if c != "characteristics"},
+                    "marginal/h grid step"),
+    "out": _Option("--out", str, dict.fromkeys(_RUNNERS, "."), "output directory"),
+    "grid_step": _Option("--grid-step", float, {"characteristics": 1e-2}),
+    "gnuplot": _Option("--gnuplot", bool, {"mean-curve": False}, "also write a gnuplot stub"),
+    "checks": _Option("--check", [str, None], {"verify": None},
+                      "repeatable; default: convexity dominance mean-bound", _CHECKS),
+    "direction": _Option("--direction", str, {"verify": "lower"}, choices=("lower", "upper")),
+    "N": _Option("--N", [int], {"lln": [50, 200, 800]},
+                 "bridge heights; repeatable (default 50 200 800)"),
+    "seed": _Option("--seed", int, dict.fromkeys(("sample", "verify", "lln"), 20240501)),
+    "replicas": _Option("--replicas", int, {"sample": 10000, "verify": 20000, "lln": 200}),
+    "grid_csv": _Option("--grid-csv", bool, {"verify": False},
+                        "also write the full dominance (t, i) grid as CSV"),
+    "tol_margin": _Option("--tol-margin", float, {"verify": 1e-6}),
+    "tol_convexity": _Option("--tol-convexity", float, {"verify": 1e-8}),
+    "z_max": _Option("--z-max", float, {"verify": 4.0}),
 }
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
 
 
-def _typed(flag, kind, value):
-    """``value`` as an option of type ``kind``: an int stands for a float and
-    becomes one, a bool is a flag's value only, and a float is finite (an int
-    too, within the float range); any other value raises BadOption naming ``flag``."""
+def _typed(option, value):
+    """``value`` as ``option``'s type and among its choices, if any: an int stands
+    for a float and becomes one, a bool is a flag's value only, and a float is
+    finite (an int too, within the float range); else BadOption names the flag."""
+    flag, kind = option.flag, option.kind
     if isinstance(kind, list):
         if value is None and None in kind:
             return None
         if type(value) is list:
-            return [_typed(flag, kind[0], v) for v in value]
+            return [_typed(option._replace(kind=kind[0]), v) for v in value]
     elif type(value) is kind or kind is float and type(value) is int:
+        if option.choices is not None and value not in option.choices:
+            raise BadOption(f"{flag} must be one of {', '.join(option.choices)}, got {value!r}")
         if kind is not float or abs(value) <= sys.float_info.max:
             return kind(value)
     raise BadOption(f"{flag} must be {'a list' if isinstance(kind, list) else _KINDS[kind]}, "
@@ -423,18 +467,19 @@ def _run(command, options):
     """Run ``command`` on its options, fresh or replayed, and write its files,
     then manifest.json listing them, into ``--out``: all or none.
 
-    The one reader of the options: they must be the command's own, each typed
-    as _TYPES says (a NaN would also leave manifest.json not JSON), with a
-    --lambda count _LAMBDAS allows.  Only then is the model built, once, from
-    the descriptor (recorded in its canonical form) or the first --lambda, and
-    the runner called.  No other code touches --out.
+    The one reader of the options: they must be the command's own, each of the
+    type and among the choices the one option table, _OPTIONS, gives it (a NaN
+    would also leave manifest.json not JSON), with a --lambda count _LAMBDAS
+    allows.  Only then is the model built, once, from the descriptor (recorded
+    in its canonical form) or the first --lambda, and the runner called.  No
+    other code touches --out.
     """
     if not isinstance(command, str) or command not in _RUNNERS:
         raise BadOption(f"manifest command {command!r} unknown")
-    names = set(vars(_parser().parse_args([command]))) - {"command"}
+    names = {key for key, option in _OPTIONS.items() if command in option.defaults}
     if set(options) != names:
         raise BadOption(f"{command} takes the options {sorted(names)}, got {sorted(options)}")
-    options = {key: value if key == "model" else _typed(*_TYPES[key], value)
+    options = {key: value if key == "model" else _typed(_OPTIONS[key], value)
                for key, value in options.items()}
     count = len(options["lambdas"] or [])
     most, least_with, most_with, meaning = _LAMBDAS[command]
@@ -451,121 +496,72 @@ def _run(command, options):
     else:
         model = model_from_dict(options["model"])
         options["model"] = model.to_dict()
-    code, files = _RUNNERS[command](options, model)
+    code, files = _RUNNERS[command][0](options, model)
     files["manifest.json"] = _json({"command": command, "options": options,
                                     "outputs": sorted(files), "package_version": __version__})
     _write_run(options["out"], files)
     return code
 
 
-def _run_replay(manifest_path, out_override=None):
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("options"), dict):
-        raise BadOption(f"{manifest_path} is not a manifest: it holds no options object")
-    options = dict(manifest["options"])
-    if out_override:
-        options["out"] = out_override
-    return _run(manifest.get("command"), options)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p, with_step=True, with_window=True):
-    p.add_argument("--model", help="JSON model descriptor file")
-    p.add_argument("--lambda", dest="lambdas", type=float, action="append",
-                   help="constant-characteristic value: the model without --model (repeatable "
-                        "for mean-curve), else the bound or the limiting profile")
-    if with_window:
-        p.add_argument("--x", type=int, default=0)
-        p.add_argument("--y", type=int, default=20)
-        p.add_argument("--s", type=float, default=0.0)
-        p.add_argument("--u", type=float, default=1.0)
-    if with_step:
-        p.add_argument("--step", type=float, default=1e-3, help="marginal/h grid step")
-    p.add_argument("--out", default=".", help="output directory")
-
-
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise BadOption, so main prints them as one
-    line and exits 2; subparsers are of the same class."""
+    line and exits 2, and that reads a negative number in exponent form, such
+    as -1e-05, as a value; subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own rule takes only -\d+ and -\d*\.\d+ for a negative number
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise BadOption(message)
 
 
 def build_parser():
-    parser = _Parser(
-        prog="countbridge",
-        description="Bridges of Markov counting processes: marginals, samplers, bound checks.")
+    parser = _Parser(prog="countbridge", description="Bridges of Markov counting processes: "
+                     "marginals, samplers, bound checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("characteristics", help="dump the characteristic on a grid")
-    _add_common(p, with_step=False)
-    p.add_argument("--grid-step", type=float, default=1e-2)
-
-    p = sub.add_parser("mean-curve", help="bridge mean curve with second differences")
-    _add_common(p)
-    p.add_argument("--gnuplot", action="store_true", help="also write a gnuplot stub")
-
-    p = sub.add_parser("marginals", help="one-time marginal table as CSV")
-    _add_common(p)
-
-    p = sub.add_parser("sample", help="sample bridge paths")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--replicas", type=int, default=10000)
-
-    p = sub.add_parser("verify", help="run the bridge estimate checks, exit 1 on failure")
-    _add_common(p)
-    p.add_argument("--check", dest="checks", action="append", choices=_CHECKS,
-                   help="repeatable; default: convexity dominance mean-bound")
-    p.add_argument("--direction", choices=["lower", "upper"], default="lower")
-    p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--replicas", type=int, default=20000)
-    p.add_argument("--grid-csv", dest="grid_csv", action="store_true",
-                   help="also write the full dominance (t, i) grid as CSV")
-    p.add_argument("--tol-margin", dest="tol_margin", type=float, default=1e-6)
-    p.add_argument("--tol-convexity", dest="tol_convexity", type=float, default=1e-8)
-    p.add_argument("--z-max", dest="z_max", type=float, default=4.0)
-
-    p = sub.add_parser("lln", help="rescaled-bridge concentration experiment, 0 -> N on [0, 1]")
-    _add_common(p, with_window=False)
-    p.add_argument("--N", dest="N", type=int, action="append",
-                   help="bridge heights; repeatable (default 50 200 800)")
-    p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--replicas", type=int, default=200)
-
+    for command, (_, summary) in _RUNNERS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, (flag, kind, defaults, text, choices) in _OPTIONS.items():
+            if kind is bool and command in defaults:
+                p.add_argument(flag, dest=key, action="store_true", help=text)
+            elif command in defaults:
+                # append extends a list default, so defaults are set after parsing
+                many = isinstance(kind, list)
+                p.add_argument(flag, dest=key, type=kind[0] if many else kind, choices=choices,
+                               action="append" if many else "store", help=text)
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None)
     return parser
 
 
-def _options_from_args(args):
-    options = {key: val for key, val in vars(args).items() if key != "command"}
-    if options["model"] is not None:
-        with open(options["model"], "r", encoding="utf-8") as fh:
-            options["model"] = json.load(fh)
-    if "N" in options:
-        options["N"] = options["N"] or [50, 200, 800]
-    return options
-
-
-@functools.lru_cache(maxsize=None)
-def _parser():
-    """The parser, built on the first call and shared by every later one."""
-    return build_parser()
+# the parser, built on the first call and shared by every later one
+_parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
-        if args.command == "replay":
-            return _run_replay(args.manifest, args.out)
-        return _run(args.command, _options_from_args(args))
-    except (CountBridgeError, ValueError, KeyError, OSError) as exc:
+        args = vars(_parser().parse_args(argv))
+        command = args.pop("command")
+        if command == "replay":
+            manifest = _load(args["manifest"])
+            if not isinstance(manifest, dict) or not isinstance(manifest.get("options"), dict):
+                raise BadOption(f"{args['manifest']} is not a manifest: it holds no options object")
+            command, options = manifest.get("command"), dict(manifest["options"])
+            if args["out"]:
+                options["out"] = args["out"]
+        else:  # an option not given takes its default; --model names a descriptor file
+            options = {key: _OPTIONS[key].defaults[command] if value is None else value
+                       for key, value in args.items()}
+            if options["model"] is not None:
+                options["model"] = _load(options["model"])
+        return _run(command, options)
+    except (CountBridgeError, OSError) as exc:
         print(f"countbridge: error: {exc}", file=sys.stderr)
         return 2
 

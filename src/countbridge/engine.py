@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import tilted_quantile
-from .errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse, OutOfDomain, PinMiss,
-                     ResourceCap, Underflow)
+from .errors import (BadParameter, BadStep, BadWindow, ConservationLoss, GridTooCoarse,
+                     OutOfDomain, PinMiss, ResourceCap, Underflow)
 
 # Per-step cap on (ladder depth) x (change in log remaining integrated rate);
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
@@ -92,9 +92,9 @@ class BridgeSpec:
 
     def __post_init__(self):
         if int(self.x) != self.x or int(self.y) != self.y:
-            raise ValueError("endpoints must be integers")
+            raise BadParameter("endpoints must be integers")
         if self.x > self.y:
-            raise ValueError(f"need x <= y, got {self.x} > {self.y}")
+            raise BadParameter(f"need x <= y, got {self.x} > {self.y}")
         if not (0.0 <= self.s < self.u <= 1.0):
             raise BadWindow(f"need 0 <= s < u <= 1, got [{self.s}, {self.u}]")
 
@@ -127,6 +127,8 @@ def _n_cells(spec, h_step):
         raise BadStep(f"h_step {h_step} does not fit the window of length {spec.length}")
     if h_step > MAX_COARSE_STEP:
         raise BadStep("h_step must not exceed 1e-2")
+    # the mesh probes the rate at four times a cell before it sizes anything else
+    check_memory(32 * spec.length / h_step, f"a mesh of {spec.length / h_step:.3g} cells")
     return max(2, int(round(spec.length / h_step)))
 
 
@@ -599,12 +601,12 @@ def _forward(mesh, rates):
 
 
 def check_field(model, spec, h):
-    """Raise ValueError unless ``h`` was solved for ``spec`` and a model equal to
+    """Raise BadParameter unless ``h`` was solved for ``spec`` and a model equal to
     ``model`` (a ``Tabulated`` equals only itself)."""
     if h.model != model:
-        raise ValueError("h was solved for a different model")
+        raise BadParameter("h was solved for a different model")
     if h.spec != spec:
-        raise ValueError("h was solved for a different bridge")
+        raise BadParameter("h was solved for a different bridge")
 
 
 def _field(model, spec, h_step, h):

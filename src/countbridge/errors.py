@@ -33,6 +33,10 @@ class Underflow(CountBridgeError):
     """The remaining integrated rate underflows to 0 before u: no log to grade a mesh by."""
 
 
+class BadParameter(CountBridgeError, ValueError):
+    """A value a function cannot use, e.g. a NaN rate; a ValueError too."""
+
+
 class BadOption(CountBridgeError):
     """A command option whose value the command cannot use, e.g. a NaN tolerance."""
 

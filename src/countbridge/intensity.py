@@ -16,7 +16,6 @@ characteristic and serve as closed-form benchmarks throughout.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -24,45 +23,45 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyRange, OutOfDomain, TabulationGap
+from .errors import BadParameter, EmptyRange, OutOfDomain, TabulationGap
 
 _T_SLACK = 1e-12
 
 
 def _finite_real(name, value):
     """``value`` unchanged if it is a finite real number, not a bool; else a
-    ValueError naming ``name``."""
+    BadParameter naming ``name``."""
     try:
         finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
                   and math.isfinite(value))
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        raise BadParameter(f"{name} must be a finite real number, got {value!r}")
     return value
 
 
 def _integral(name, value):
     """``value`` as an int; a bool, or a value that int() would truncate or refuse,
-    raises a ValueError naming ``name``."""
+    raises a BadParameter naming ``name``."""
     try:
         out = int(value)
         exact = out == float(value) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise BadParameter(f"{name} must be an integer, got {value!r}")
     return out
 
 
 def _finite_array(name, values):
-    """``values`` as a float array whose every entry is finite; else a ValueError naming ``name``."""
+    """``values`` as a float array of finite entries; else a BadParameter naming ``name``."""
     try:
         out = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must hold finite numbers only: {exc}") from None
+        raise BadParameter(f"{name} must hold finite numbers only: {exc}") from None
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} must hold finite numbers only")
+        raise BadParameter(f"{name} must hold finite numbers only")
     return out
 
 
@@ -146,9 +145,9 @@ class ExpAffine(_RateModel):
         for name in ("a", "b", "lam"):
             _finite_real(name, getattr(self, name))
         if self.b < 0:
-            raise ValueError("b must be nonnegative (rates must stay positive on all states)")
+            raise BadParameter("b must be nonnegative (rates must stay positive on all states)")
         if not self.a + self.b * self.state_floor > 0:
-            raise ValueError("rate not positive at the state floor")
+            raise BadParameter("rate not positive at the state floor")
 
     def rate(self, t, z):
         t = _check_time(t)[0]
@@ -318,22 +317,22 @@ class Tabulated(_RateModel):
         t_grid = _finite_array("t_grid", t_grid)
         rates = _finite_array("rates", rates)
         if t_grid.ndim != 1 or t_grid.size < 2:
-            raise ValueError("t_grid must hold at least two nodes")
+            raise BadParameter("t_grid must hold at least two nodes")
         if np.any(np.diff(t_grid) <= 0):
-            raise ValueError("t_grid must be strictly increasing")
+            raise BadParameter("t_grid must be strictly increasing")
         if t_grid[0] < -_T_SLACK or t_grid[-1] > 1.0 + _T_SLACK:
-            raise ValueError("t_grid must lie inside [0, 1]")
+            raise BadParameter("t_grid must lie inside [0, 1]")
         if rates.ndim != 2 or rates.shape[0] != t_grid.size:
-            raise ValueError("rates must be a (time x state) matrix, one row per time node")
+            raise BadParameter("rates must be a (time x state) matrix, one row per time node")
         if np.any(rates <= 0):
-            raise ValueError("all tabulated rates must be positive")
+            raise BadParameter("all tabulated rates must be positive")
         if rates_dt is None:
             rates_dt = np.gradient(rates, t_grid, axis=0)
             self.derivative_mode = "numeric"
         else:
             rates_dt = _finite_array("rates_dt", rates_dt)
             if rates_dt.shape != rates.shape:
-                raise ValueError("rates_dt must match the shape of rates")
+                raise BadParameter("rates_dt must match the shape of rates")
             self.derivative_mode = "supplied"
         self.t_grid = t_grid
         self.z_min = _integral("z_min", z_min)
@@ -341,7 +340,7 @@ class Tabulated(_RateModel):
         self.rates_dt = rates_dt
         self.state_floor = self.z_min if state_floor is None else _integral("state_floor", state_floor)
         if self.state_floor < self.z_min:
-            raise ValueError("state_floor below tabulated range")
+            raise BadParameter("state_floor below tabulated range")
         self._coef = _hermite_coefficients(t_grid, rates, rates_dt)
         self._coef_dt = self._coef[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
         # each piece's Bernstein coefficients y0, y0 + dx d0 / 3, y1 - dx d1 / 3, y1
@@ -353,7 +352,7 @@ class Tabulated(_RateModel):
         dip = _unproved_piece(self._bern)
         if dip is not None:
             piece, col = dip
-            raise ValueError(f"interpolated rates dip to zero between nodes: state"
+            raise BadParameter(f"interpolated rates dip to zero between nodes: state"
                              f" {self.z_min + col} on [{t_grid[piece]:g}, {t_grid[piece + 1]:g}]")
 
     @property
@@ -503,19 +502,13 @@ def model_from_dict(descriptor):
     try:
         family = descriptor["family"]
         params = dict(descriptor.get("params", {}))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed model descriptor: {exc}") from exc
+    except (TypeError, KeyError, ValueError) as exc:
+        raise BadParameter(f"malformed model descriptor: {exc}") from exc
     floor = descriptor.get("state_floor", None)
     if family == "tabulated":
         return Tabulated(params.get("t_grid"), params.get("z_min"), params.get("rates"),
                          params.get("rates_dt"), floor)
-    if family not in _PARAMETRIC:
-        raise ValueError(f"unknown rate family {family!r}")
+    if not isinstance(family, str) or family not in _PARAMETRIC:
+        raise BadParameter(f"unknown rate family {family!r}")
     return _PARAMETRIC[family](lambda name: _finite_real(name, params.get(name)),
                                _integral("state_floor", 0 if floor is None else floor))
-
-
-def model_from_json(path):
-    """Load a model descriptor from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -123,7 +123,7 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     :class:`~countbridge.errors.PinMiss` (an event of frequency zero).
     ``stats``, when given, is updated with ``proposals`` and ``accepts``: one
     each per jump.  Before any is drawn, an ``h`` solved for another model or
-    bridge raises ValueError, a negative ``count`` TooFewSamples and a sample
+    bridge raises BadParameter, a negative ``count`` TooFewSamples and a sample
     whose arrays would exceed the engine's memory cap ResourceCap.
     """
     check_field(model, spec, h)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
 from .engine import BridgeSpec, marginal_table, mean_curve, second_differences, solve_h
-from .errors import DegenerateVariance, ResourceCap, TooFewSamples
+from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 
 # The convexity check takes second differences on about INSPECT_POINTS points of
@@ -139,7 +139,7 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, *, table):
     simply fails, which is what makes the check falsifiable.
     """
     if direction not in ("lower", "upper"):
-        raise ValueError("direction must be 'lower' or 'upper'")
+        raise BadParameter("direction must be 'lower' or 'upper'")
     n = spec.n
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1)))
     if direction == "lower":
@@ -205,7 +205,7 @@ class WindowFunction:
 
     def __init__(self, u, du, name="u"):
         if abs(u(0.0)) > 1e-12 or abs(u(1.0)) > 1e-12:
-            raise ValueError("u must vanish at 0 and 1")
+            raise BadParameter("u must vanish at 0 and 1")
         self.u = u
         self.du = du
         self.name = name
@@ -255,14 +255,14 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     bridge's window [s, u]: u and du are read at (T - s) / (u - s), and du is
     divided by u - s.  Fewer than two paths give no
     standard error, so they raise TooFewSamples instead of a z-score of 0,
-    and paths of other than n jumps raise ValueError.  The characteristic, u
+    and paths of other than n jumps raise BadParameter.  The characteristic, u
     and du are read on blocks of jump-time columns, at most DUALITY_BLOCK cells
     (or one column), which bounds the check's memory; the jump sum still runs
     column by column, in jump order, so results are bitwise the per-column sum's.
     """
     n = spec.n
     if phi.m > n:
-        raise ValueError(f"phi looks at {phi.m} jump times but the bridge has {n}")
+        raise BadParameter(f"phi looks at {phi.m} jump times but the bridge has {n}")
     if paths is None:
         paths = sample_bridge(model, spec, solve_h(model, spec), count, rng_seed)
     count = len(paths)
@@ -270,7 +270,7 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
         raise TooFewSamples(f"the duality check needs at least two paths, got {count}")
     times = jump_time_matrix(paths)
     if times.shape[1] != n:
-        raise ValueError(f"the paths have {times.shape[1]} jumps but the bridge has {n}")
+        raise BadParameter(f"the paths have {times.shape[1]} jumps but the bridge has {n}")
     if n == 0:
         return DualityResult(0.0, 0.0, 0.0, 0.0, 0.0, count, phi.name, u_func.name)
 
@@ -402,9 +402,9 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=1e-3):
     """
     n_values = [int(v) for v in n_values]
     if any(v <= 0 for v in n_values):
-        raise ValueError("N values must be positive")
+        raise BadParameter("N values must be positive")
     if len(set(n_values)) < len(n_values):
-        raise ValueError(f"N values must be distinct, got {n_values}")
+        raise BadParameter(f"N values must be distinct, got {n_values}")
     if int(replicas) < 1:
         raise TooFewSamples(f"the lln experiment needs at least one replica, got {replicas}")
     work = sum(n_values) * int(replicas)

@@ -16,10 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from countbridge import cli, engine, verify
-from countbridge.analytic import mean_upper_bound
+from countbridge.analytic import binomial_tail, mean_upper_bound
 from countbridge.engine import (BridgeSpec, marginal_table, mean_curve, second_differences,
                                 solve_h)
-from countbridge.intensity import Tabulated, constant_characteristic_model, model_from_dict
+from countbridge.errors import BadParameter, CountBridgeError
+from countbridge.intensity import (ExpAffine, Tabulated, constant_characteristic_model,
+                                   model_from_dict)
 from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
 
 # the CLI numerics meet the suite's rule: a RuntimeWarning is an error
@@ -933,7 +935,13 @@ def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
     ["sample", "--lambda", "1", "--replicas", "1000000000000", "--y", "5"],
     ["sample", "--model", "PRODUCT", "--replicas", "1000000000000", "--y", "5"],
     ["verify", "--lambda", "1", "--y", "5", "--check", "duality", "--replicas", "1000000000000"],
-], ids=["characteristics-grid", "sample-constant", "sample-model", "verify-duality"])
+    ["marginals", "--lambda", "1", "--step", "1e-9", "--y", "2"],
+    ["marginals", "--lambda", "1", "--step", "1e-300", "--y", "2"],
+    ["verify", "--lambda", "1", "--step", "1e-320", "--y", "2"],
+    ["characteristics", "--lambda", "1", "--grid-step", "1e-320", "--y", "2"],
+], ids=["characteristics-grid", "sample-constant", "sample-model", "verify-duality",
+        "marginals-step", "marginals-step-1e-300", "verify-step-subnormal",
+        "characteristics-grid-subnormal"])
 def test_requests_over_the_memory_cap_exit_2_before_allocating(tmp_path, capsys, args):
     # petabytes of grid or terabytes of paths are refused from their sizes alone
     args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
@@ -1063,6 +1071,184 @@ def test_an_integer_for_a_float_option_replays_and_is_recorded_as_a_float(tmp_pa
         assert (again / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
+_WINDOW = ["--x X", "--y Y", "--s S", "--u U"]
+_SEEDED = ["--seed SEED", "--replicas REPLICAS"]
+# each command's options in the order its --help lists them, the help text
+# aside; each command takes -h too
+_HELP_OPTIONS = {
+    "characteristics": ["--model MODEL", "--lambda LAMBDAS", *_WINDOW, "--out OUT",
+                        "--grid-step GRID_STEP"],
+    "mean-curve": ["--model MODEL", "--lambda LAMBDAS", *_WINDOW, "--step STEP", "--out OUT",
+                   "--gnuplot"],
+    "marginals": ["--model MODEL", "--lambda LAMBDAS", *_WINDOW, "--step STEP", "--out OUT"],
+    "sample": ["--model MODEL", "--lambda LAMBDAS", *_WINDOW, "--step STEP", "--out OUT",
+               *_SEEDED],
+    "verify": ["--model MODEL", "--lambda LAMBDAS", *_WINDOW, "--step STEP", "--out OUT",
+               "--check {convexity,dominance,mean-bound,duality}", "--direction {lower,upper}",
+               *_SEEDED, "--grid-csv", "--tol-margin TOL_MARGIN",
+               "--tol-convexity TOL_CONVEXITY", "--z-max Z_MAX"],
+    "lln": ["--model MODEL", "--lambda LAMBDAS", "--step STEP", "--out OUT", "--N N", *_SEEDED],
+}
+_HELP_TEXT = {
+    "--model MODEL": "JSON model descriptor file",
+    "--lambda LAMBDAS": "constant-characteristic value: the model without --model (repeatable "
+                        "for mean-curve), else the bound or the limiting profile",
+    "--step STEP": "marginal/h grid step",
+    "--out OUT": "output directory",
+    "--gnuplot": "also write a gnuplot stub",
+    "--check {convexity,dominance,mean-bound,duality}":
+        "repeatable; default: convexity dominance mean-bound",
+    "--N N": "bridge heights; repeatable (default 50 200 800)",
+    "--grid-csv": "also write the full dominance (t, i) grid as CSV",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_OPTIONS))
+def test_every_command_help_lists_the_same_options(capsys, command):
+    # the flags, their order, choices and help text; compared with the line
+    # breaks, which follow the terminal's width, taken out
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    options = _HELP_OPTIONS[command]
+    expected = " ".join(
+        [f"usage: countbridge {command} [-h]"] + [f"[{o}]" for o in options]
+        + ["options: -h, --help show this help message and exit"]
+        + [f"{o} {_HELP_TEXT[o]}" if o in _HELP_TEXT else o for o in options])
+    assert " ".join(capsys.readouterr().out.split()) == expected
+
+
+_WINDOW_DEFAULTS = {"model": None, "lambdas": [1.0], "x": 0, "y": 20, "s": 0.0, "u": 1.0}
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("characteristics", dict(_WINDOW_DEFAULTS, grid_step=0.01)),
+    ("mean-curve", dict(_WINDOW_DEFAULTS, step=0.001, gnuplot=False)),
+    ("marginals", dict(_WINDOW_DEFAULTS, step=0.001)),
+    ("sample", dict(_WINDOW_DEFAULTS, step=0.001, seed=20240501, replicas=10000)),
+    ("verify", dict(_WINDOW_DEFAULTS, step=0.001, checks=None, direction="lower",
+                    seed=20240501, replicas=20000, grid_csv=False, tol_margin=1e-06,
+                    tol_convexity=1e-08, z_max=4.0)),
+    ("lln", {"model": None, "lambdas": [1.0], "step": 0.001, "N": [50, 200, 800],
+             "seed": 20240501, "replicas": 200}),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_every_command_records_its_defaults(tmp_path, command, defaults):
+    # each command's defaults, as its manifest records them
+    out = tmp_path / "out"
+    assert cli.main([command, "--lambda", "1", "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["options"] == dict(defaults, out=str(out))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-1e-05", -1e-05), ("-.5E+3", -500.0), ("-2.5e-1", -0.25), ("-2", -2.0), ("-.5", -0.5),
+], ids=["exponent", "point-exponent", "signed-exponent", "integer", "point"])
+def test_a_negative_number_in_exponent_form_is_a_value(text, value):
+    # argparse's own rule takes only -2 and -.5 forms for a negative number,
+    # and would read -1e-05 as a flag
+    args = cli.build_parser().parse_args(["verify", "--lambda", text, "--tol-margin", text])
+    assert args.lambdas == [value] and args.tol_margin == value
+
+
+def test_sample_takes_a_negative_tilt_in_exponent_form(tmp_path):
+    out = tmp_path / "s"
+    assert cli.main(["sample", "--lambda", "-1e-05", "--y", "3", "--replicas", "4",
+                     "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["options"]["lambdas"] == [-1e-05]
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"direction": "sideways"}, "--direction must be one of lower, upper, got 'sideways'"),
+    ({"checks": ["bogus"]},
+     "--check must be one of convexity, dominance, mean-bound, duality, got 'bogus'"),
+], ids=["direction", "check"])
+def test_a_manifest_value_outside_the_choices_exits_2_before_any_solve(tmp_path, capsys,
+                                                                      monkeypatch, edit,
+                                                                      message):
+    assert cli.main(["verify", "--lambda", "1", "--y", "3", "--check", "dominance",
+                     "--step", "0.01", "--out", str(tmp_path / "run")]) == 0
+    manifest = read_json(tmp_path / "run" / "manifest.json")
+    manifest["options"].update(edit)
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    calls = []
+    real = engine.solve_h
+
+    def spy(*a, **kwargs):
+        calls.append(a)
+        return real(*a, **kwargs)
+
+    for module in (cli, engine, verify):
+        monkeypatch.setattr(module, "solve_h", spy)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["replay", str(tmp_path / "edited.json"), "--out", str(tmp_path / "again")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"countbridge: error: {message}\n"
+    assert calls == []
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("which", ["descriptor", "manifest"])
+@pytest.mark.parametrize("content, reason", [
+    (b"{\n", "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["not-json", "not-utf-8"])
+def test_a_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, which, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = (["marginals", "--model", str(bad), "--y", "3"] if which == "descriptor"
+            else ["replay", str(bad)])
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"countbridge: error: {bad} is not JSON: {reason}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_an_untyped_error_is_not_taken_for_a_refusal(tmp_path, monkeypatch):
+    # main prints a CountBridgeError or an OSError as one line and exits 2; any
+    # other error is a defect, and goes through
+    def broken(*args, **kwargs):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(cli, "marginal_table", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(["marginals", "--lambda", "1", "--y", "3", "--out", str(tmp_path / "out")])
+
+
+POISSON = constant_characteristic_model(1.0)
+_PHI, _U = verify.duality_catalog()[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: model_from_dict([1, 2]),
+    lambda: model_from_dict({"family": [1], "params": {}}),
+    lambda: model_from_dict({"family": "exp_affine", "params": "ab"}),
+    lambda: model_from_dict({"family": "nope", "params": {}}),
+    lambda: model_from_dict(_edited(EXP_AFFINE, a=math.nan)),
+    lambda: model_from_dict(dict(EXP_AFFINE, state_floor=0.5)),
+    lambda: model_from_dict(_edited(TABULATED, rates=[[math.inf]])),
+    lambda: ExpAffine(1.0, -1.0),
+    lambda: Tabulated([0.0, 1.0], 0, [[1.0], [-1.0]]),
+    lambda: BridgeSpec(3, 1),
+    lambda: binomial_tail(-1, 0.5, 0),
+    lambda: verify.lln_experiment(POISSON, 1.0, [5, 5], 3, 1),
+    lambda: verify.dominance_check(POISSON, BridgeSpec(0, 3), 1.0, "sideways", table=None),
+    lambda: verify.duality_check(POISSON, BridgeSpec(0, 0), _U, _PHI, None, None, paths=[]),
+    lambda: sample_bridge(POISSON, BridgeSpec(0, 3), solve_h(POISSON, BridgeSpec(0, 2)), 2, 1),
+    lambda: cli._json({"x": math.nan}),
+], ids=["descriptor-list", "family-list", "params-string", "family-unknown", "param-nan",
+        "floor-fractional", "rates-infinite", "b-negative", "rates-negative", "x-above-y",
+        "binomial-n-negative", "lln-repeated-n", "dominance-direction", "duality-phi-too-long",
+        "h-for-another-bridge", "json-nan"])
+def test_a_refused_value_raises_a_typed_error_that_is_a_value_error(call):
+    # main prints a CountBridgeError as one line and exits 2; BadParameter is a
+    # ValueError too, for callers that catch one
+    with pytest.raises(BadParameter) as exc:
+        call()
+    assert isinstance(exc.value, CountBridgeError) and isinstance(exc.value, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # CLI fuzz: random flag sets over every command, then replays of manifests with
 # one option edited
@@ -1124,7 +1310,9 @@ def _fuzz_runs(draw):
     most, least_with, most_with, _ = cli._LAMBDAS[command]
     low, high = (least_with, most_with) if descriptor is not None else (1, min(most, 3))
     count = draw(st.integers(low, high) if draw(st.integers(0, 4)) else st.integers(0, 3))
-    argv += [f"--lambda={draw(_REAL)}" for _ in range(count)]
+    for _ in range(count):  # as --lambda=v, or as two items: -1e-05 is a value too
+        value = draw(_REAL)
+        argv += [f"--lambda={value}"] if draw(st.booleans()) else ["--lambda", str(value)]
     if command != "lln":
         x = draw(st.integers(0, 3))
         argv += ["--x", str(x), "--y", str(x + draw(st.integers(0, 12)))]
