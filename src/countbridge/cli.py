@@ -261,7 +261,7 @@ def _run_characteristics(options, model):
     # the xi rows take 8 bytes per (time, state) cell; the times and one
     # state's characteristic temporaries about 96 bytes per time
     check_memory(8 * (cells + 1) * (len(zs) + 12),
-                 f"characteristics on {cells + 1:.0f} times x {len(zs)} states")
+                 f"characteristics on {cells + 1:.3g} times x {len(zs)} states")
     points = max(2, int(round(cells)) + 1)
     ts = np.linspace(spec.s, spec.u, points)
     xi = np.empty((len(zs), points))
@@ -324,7 +324,7 @@ def _run_sample(options, model):
         paths = sample_bridge(model, spec, h, count, seed)
         sampler = "h-transform-inversion"
     else:
-        paths = sample_constant(options["lambdas"][0], spec, count, seed)
+        paths = sample_constant(model, spec, count, seed)
         sampler = "exact-tilted-order-statistics"
     all_times = jump_time_matrix(paths)
     # one line per jump, replica-major: none, so no replica labels, without jumps
@@ -385,7 +385,7 @@ def _run_verify(options, model):
 def _run_lln(options, model):
     rep = lln_experiment(model, options["lambdas"][0], options["N"], options["replicas"],
                          options["seed"], h_step=options["step"])
-    return 0 if rep.medians_non_increasing else 1, {"lln.json": _json(rep.to_dict())}
+    return 0 if rep.passed else 1, {"lln.json": _json(rep.to_dict())}
 
 
 # each command's runner and help

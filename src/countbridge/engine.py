@@ -113,9 +113,12 @@ class BridgeSpec:
 
 def check_memory(need, what):
     """Raise :class:`~countbridge.errors.ResourceCap` when ``what`` needs more
-    than MEMORY_CAP bytes (``need``); called before anything that large exists."""
+    than MEMORY_CAP bytes (``need``); called before anything that large exists.
+    The estimate prints in GiB to one decimal, from 1,000 GiB on to three digits."""
     if need > MEMORY_CAP:
-        raise ResourceCap(f"{what} needs about {need / 2 ** 30:.1f} GiB;"
+        gib = need / 2 ** 30
+        size = f"{gib:.1f}" if gib < 1000 else f"{gib:.3g}"
+        raise ResourceCap(f"{what} needs about {size} GiB;"
                           f" the cap is {MEMORY_CAP / 2 ** 30:.0f} GiB")
 
 

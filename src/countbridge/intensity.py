@@ -175,15 +175,16 @@ class ExpAffine(_RateModel):
     def characteristic(self, t, z):
         t = _check_time(t)[0]
         z = _check_state(z, self.state_floor)[0]
-        out = self.lam + self.b * np.exp(self.lam * t) + 0.0 * z
+        # with b = 0 no exponential is formed: exactly lam, where e^(lam t) may overflow
+        e = np.exp(self.lam * t) if self.b else np.ones_like(t)
+        out = self.lam + self.b * e + 0.0 * z
         return float(out) if out.ndim == 0 else out
 
     def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
         s, u = _validate_window(t_window)
         if z_range is not None:
             _validate_zrange(z_range, self.state_floor)
-        lo = self.lam + self.b * math.exp(self.lam * s)
-        hi = self.lam + self.b * math.exp(self.lam * u)
+        lo, hi = (self.lam + self.b * (math.exp(self.lam * v) if self.b else 1.0) for v in (s, u))
         return CharacteristicBounds(min(lo, hi), max(lo, hi))
 
     def _params(self):

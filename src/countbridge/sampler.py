@@ -2,8 +2,9 @@
 
 Two samplers live here:
 
-* an exact sampler for constant characteristics: the jump times are the
-  sorted i.i.d. draws of the tilted density (inverse CDF);
+* an exact sampler for every ``ExpAffine`` model: on the clock
+  tau(t) = expm1(lam t) / lam its characteristic is constant, so the jump
+  times are the sorted i.i.d. draws of a tilted density there (inverse CDF);
 * an inversion sampler driven by the integrated pinned jump rate from the
   solved h-field, which works for any model and any n.
 
@@ -86,17 +87,17 @@ def _path_count(count):
     return count
 
 
-def sample_constant(lam, spec, count, rng_seed):
-    """Exact bridge sampler for any model whose characteristic is lam.
+def sample_constant(model, spec, count, rng_seed):
+    """Exact bridge sampler for any ``ExpAffine`` model.
 
-    Draws n = y - x i.i.d. variates from the tilted density on the window by
-    inversion (:func:`~countbridge.analytic.tilted_quantile` at the tilt
-    lam * (u - s) over the window) and sorts them.  Deterministic given the
-    seed.  That tilt must be finite with e^tilt finite, or
-    :class:`~countbridge.errors.OutOfDomain` is raised; tied draws raise
-    :class:`~countbridge.errors.NotSorted`.  Before any is drawn, a negative
-    ``count`` raises TooFewSamples and a sample whose arrays would exceed the
-    engine's memory cap :class:`~countbridge.errors.ResourceCap`.
+    On the clock tau(t) = expm1(lam t) / lam the characteristic is b, so the n = y - x
+    jump times are sorted i.i.d. tilted draws there: with b = 0 or lam = 0 at the tilt
+    (lam + b) (u - s) over the window (:func:`~countbridge.analytic.tilted_quantile`),
+    else at the clock's tilt theta = b (tau(u) - tau(s)), reflected so that e^theta is
+    never formed.  Deterministic given the seed.  A tilt or theta past the float range
+    raises :class:`~countbridge.errors.OutOfDomain`, tied draws NotSorted; before any
+    is drawn, a negative ``count`` TooFewSamples and a sample over the engine's memory
+    cap ResourceCap.
     """
     n = spec.n
     count = _path_count(count)
@@ -104,7 +105,14 @@ def sample_constant(lam, spec, count, rng_seed):
     # differences: five (count x n) arrays at once
     check_memory(5 * 8 * count * n, f"{count} paths of {n} jumps")
     u01 = seeded_rng(rng_seed).random((count, n))
-    times = spec.s + spec.length * np.sort(tilted_quantile(lam * spec.length, u01), axis=1)
+    lam, b, length = model.lam, model.b, spec.length
+    if b == 0.0 or lam == 0.0:
+        times = spec.s + length * np.sort(tilted_quantile((lam + b) * length, u01), axis=1)
+    else:  # an overflow leaves theta infinite, which tilted_quantile refuses
+        with np.errstate(over="ignore"):
+            theta = b * np.exp(lam * spec.s) * np.expm1(lam * length) / lam
+        clock = np.sort(1.0 - tilted_quantile(-theta, 1.0 - u01), axis=1)
+        times = spec.s + length * tilted_quantile(lam * length, clock)
     if not np.all(np.diff(times, axis=1) > 0):
         raise NotSorted("jump times must be strictly increasing")
     return PathBatch(spec.x, times)

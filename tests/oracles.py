@@ -116,12 +116,11 @@ def exp_affine_logh(model, spec, times):
     return np.where(d > 0, out, np.where(k == 0, 0.0, -np.inf))
 
 
-def exp_affine_marginals(model, spec, times):
-    """Closed-form P(X_t = z) of an ``ExpAffine`` bridge: rows over ``times``,
-    columns over the ladder.  X_t - x is Binomial(n, p(t)) with
-    p(t) = expm1(b (tau(t) - tau(s))) / expm1(b (tau(u) - tau(s))), the
-    constant-characteristic bridge of the clock tau ((tau(t) - tau(s)) /
-    (tau(u) - tau(s)) at b = 0)."""
+def exp_affine_cdf(model, spec, times):
+    """The closed-form p(t) of an ``ExpAffine`` bridge: the CDF of each of its
+    n i.i.d. unordered jump times, p(t) = expm1(b (tau(t) - tau(s))) /
+    expm1(b (tau(u) - tau(s))), the constant-characteristic bridge of the clock
+    tau ((tau(t) - tau(s)) / (tau(u) - tau(s)) at b = 0)."""
     t = np.asarray(times, dtype=float)
     v, w = _tau_gap(model.lam, spec.s, t), _tau_gap(model.lam, spec.s, spec.u)
     b = model.b
@@ -130,7 +129,14 @@ def exp_affine_marginals(model, spec, times):
     else:
         # the ratio of expm1's, written so that neither overflows
         p = np.exp(b * (v - w)) * np.expm1(-b * v) / np.expm1(-b * w)
-    p = np.clip(p, 0.0, 1.0)
+    return np.clip(p, 0.0, 1.0)
+
+
+def exp_affine_marginals(model, spec, times):
+    """Closed-form P(X_t = z) of an ``ExpAffine`` bridge: rows over ``times``,
+    columns over the ladder.  X_t - x is Binomial(n, p(t)), p the
+    :func:`exp_affine_cdf`."""
+    p = exp_affine_cdf(model, spec, times)
     return binom.pmf(np.arange(spec.n + 1)[None, :], spec.n, p[:, None])
 
 

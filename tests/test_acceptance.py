@@ -147,7 +147,7 @@ def test_criterion_7_duality():
 def test_criterion_8_sampler_vs_analytic():
     spec = BridgeSpec(0, 5)
     count = 100000
-    T = jump_time_matrix(sample_constant(3.0, spec, count, 20240101))
+    T = jump_time_matrix(sample_constant(constant_characteristic_model(3.0), spec, count, 20240101))
     p = tilted_cdf(3.0, 0.5)
     exact = 1.0 - (1.0 - p) ** 5
     emp = float(np.mean(T[:, 0] <= 0.5))
@@ -157,7 +157,7 @@ def test_criterion_8_sampler_vs_analytic():
     model = SpaceLinear(3.0, 1.0)
     h = solve_h(model, spec, 1e-3)
     tb = jump_time_matrix(sample_bridge(model, spec, h, 10000, 555))
-    tc = jump_time_matrix(sample_constant(3.0, spec, 10000, 556))
+    tc = jump_time_matrix(sample_constant(constant_characteristic_model(3.0), spec, 10000, 556))
     crit = 1.6276 * math.sqrt(2.0 / 10000)
     worst_ks = 0.0
     for i in range(5):

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -127,7 +128,8 @@ def test_sample_writes_the_sampler_matrix(tmp_path, sampler):
     # paths.csv is the header plus one line per jump of the sampler call's matrix
     if sampler == "constant":
         args = ["--lambda", "2.5", "--y", "7", "--replicas", "3", "--seed", "99"]
-        times = jump_time_matrix(sample_constant(2.5, BridgeSpec(0, 7), 3, 99))
+        times = jump_time_matrix(sample_constant(constant_characteristic_model(2.5),
+                                                 BridgeSpec(0, 7), 3, 99))
     else:
         mpath = tmp_path / "model.json"
         mpath.write_text(json.dumps(PRODUCT))
@@ -331,14 +333,55 @@ def test_verify_refuses_its_checks_before_any_solve(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_characteristics_of_a_rate_past_the_float_range_with_b_0_is_lam(tmp_path):
+    # b = 0: the characteristic is exactly lam; e^(710 t) overflows at t = 1, and
+    # 0 * inf once wrote nan there
+    model = {"family": "time_exponential", "params": {"alpha": 1.0, "lambda": 710.0}}
+    out = tmp_path / "ch"
+    r = run_cli("characteristics", "--model", write_model(tmp_path, model), "--y", "0",
+                "--grid-step", "0.125", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    header, rows = read_csv(out / "characteristics.csv")
+    assert [row[2] for row in rows] == ["710"] * 9
+
+
 def test_lln_command(tmp_path):
     out = tmp_path / "lln"
     r = run_cli("lln", "--lambda", "0", "--N", "50", "--N", "200", "--replicas", "80",
                 "--seed", "4", "--out", str(out))
     assert r.returncode == 0, r.stderr
     rep = read_json(out / "lln.json")
-    assert rep["medians_non_increasing"]
+    assert rep["verdict"] == "pass"
+    assert rep["tolerances"] == {"sqrt_n_median": verify.KOLMOGOROV_999}
+    assert set(rep["sqrt_n_median"]) == {"50", "200"}
+    for n, med in rep["sup_distance_median"].items():
+        assert rep["sqrt_n_median"][n] == math.sqrt(int(n)) * med <= verify.KOLMOGOROV_999
     assert rep["inputs"]["strategy"] == "exact-order-statistics"
+
+
+def test_lln_fails_a_model_whose_limit_is_not_the_profile(tmp_path, monkeypatch):
+    # Product(1, 3, 0.1) is drawn exactly on its clock, with no h-field; its
+    # limit is not tilted_cdf(3), so sqrt(N) times the median sup distance grows
+    # past the Kolmogorov bound and the run exits 1
+    calls = []
+    real = engine.solve_h
+
+    def spy(*a, **kwargs):
+        calls.append(a)
+        return real(*a, **kwargs)
+
+    for module in (cli, engine, verify):
+        monkeypatch.setattr(module, "solve_h", spy)
+    out = tmp_path / "lln"
+    args = ["lln", "--model", write_model(tmp_path, PRODUCT), "--lambda", "3", "--N", "50",
+            "--N", "200", "--N", "800", "--replicas", "200", "--out", str(out)]
+    t0 = time.perf_counter()
+    assert cli.main(args) == 1
+    assert time.perf_counter() - t0 < 0.5
+    assert calls == []
+    rep = read_json(out / "lln.json")
+    assert rep["verdict"] == "fail" and rep["inputs"]["strategy"] == "exact-order-statistics"
+    assert rep["sqrt_n_median"]["800"] > verify.KOLMOGOROV_999
 
 
 @pytest.mark.parametrize("args, message", [
@@ -623,7 +666,8 @@ def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, samp
     monkeypatch.setattr(cli, "BLOCK_CELLS", 4 * PATH_BLOCK_ROWS)
     if sampler == "constant":
         args = ["--lambda", "-1.5"]
-        times = jump_time_matrix(sample_constant(-1.5, BridgeSpec(0, 4), replicas, 8))
+        times = jump_time_matrix(sample_constant(constant_characteristic_model(-1.5),
+                                                 BridgeSpec(0, 4), replicas, 8))
     else:
         args = ["--model", write_model(tmp_path, PRODUCT)]
         model, spec = model_from_dict(PRODUCT), BridgeSpec(0, 4)
@@ -654,7 +698,7 @@ def test_paths_rows_wider_than_a_block_go_out_one_row_at_a_time(tmp_path, monkey
     spec = BridgeSpec(0, 6)
     if sampler == "constant":
         args = ["--lambda", "1"]
-        times = jump_time_matrix(sample_constant(1.0, spec, 9, 8))
+        times = jump_time_matrix(sample_constant(constant_characteristic_model(1.0), spec, 9, 8))
     else:
         args = ["--model", write_model(tmp_path, PRODUCT)]
         model = model_from_dict(PRODUCT)
@@ -928,6 +972,18 @@ def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
         err = capsys.readouterr().err
         assert err.startswith("countbridge: error:") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["marginals", "--lambda", "1", "--step", "1e-300", "--y", "2"],
+    ["characteristics", "--lambda", "1", "--grid-step", "1e-300", "--y", "2"],
+], ids=["marginals-step", "characteristics-grid"])
+def test_a_memory_refusal_prints_its_estimate_in_a_few_digits(capsys, tmp_path, args):
+    # 1e300 cells: the estimate once printed as a figure of some 290 digits
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 120, err
+    assert "e+29" in err and "GiB; the cap is 2 GiB" in err
 
 
 @pytest.mark.parametrize("args", [

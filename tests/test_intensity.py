@@ -78,6 +78,26 @@ def test_characteristic_bounds_values():
     assert b.sup == pytest.approx(3.0 + 0.1 * math.e ** 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [710.0, 1e5, -1e5])
+def test_a_time_exponential_characteristic_is_lam_past_the_float_range(lam):
+    # b = 0 forms no exponential: e^(lam t) may overflow where b e^(lam t) is 0
+    model = TimeExponential(1.0, lam)
+    ts = np.linspace(0.0, 1.0, 9)
+    assert model.characteristic(1.0, 0) == lam
+    got = model.characteristic(ts[:, None], np.arange(3))
+    assert got.shape == (9, 3) and np.all(got == lam)
+    assert model.characteristic_bounds() == (lam, lam)
+
+
+def test_a_zero_b_characteristic_keeps_its_bits():
+    # lam + b e^(lam t) + 0 z at b = +-0, as before: a -0.0 bound stays -0.0
+    for lam, b in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-3.0, 0.0)):
+        model = ExpAffine(1.0, b, lam)
+        want = lam + b * 1.0
+        assert math.copysign(1.0, model.characteristic_bounds().inf) == math.copysign(1.0, want)
+        assert model.characteristic(0.5, 2) == want + 0.0 * 2
+
+
 def test_characteristic_bounds_empty_range():
     with pytest.raises(EmptyRange):
         Poisson(1.0).characteristic_bounds((0.0, 1.0), (3, 2))

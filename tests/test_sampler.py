@@ -3,18 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import binom, ks_2samp
+from scipy.stats import binom, ks_2samp, kstest
 
 from countbridge import sampler
-from countbridge.analytic import binomial_tail, tilted_cdf
+from countbridge.analytic import binomial_tail, tilted_cdf, tilted_quantile
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, TooFewSamples
-from countbridge.intensity import Poisson, Product, SpaceLinear, Tabulated, TimeExponential
+from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
+                                   TimeExponential, constant_characteristic_model)
 from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample_bridge,
                                  sample_constant)
 from countbridge.verify import duality_catalog, duality_check, lln_experiment
-from oracles import (OracleScale, characteristic_integrals, grid_index, sample_rejection,
-                     simplex_jump_time_cdf)
+from oracles import (OracleScale, characteristic_integrals, exp_affine_cdf, grid_index,
+                     sample_rejection, simplex_jump_time_cdf)
 
 PI3_HALF = 0.18242552380635635
 
@@ -89,27 +90,67 @@ def test_oracle_scale_and_index_errors():
 
 def test_sample_constant_deterministic():
     spec = BridgeSpec(0, 5)
-    a = sample_constant(3.0, spec, 50, 12345)
-    b = sample_constant(3.0, spec, 50, 12345)
+    a = sample_constant(constant_characteristic_model(3.0), spec, 50, 12345)
+    b = sample_constant(constant_characteristic_model(3.0), spec, 50, 12345)
     assert all(pa.jump_times == pb.jump_times for pa, pb in zip(a, b))
-    c = sample_constant(3.0, spec, 50, 54321)
+    c = sample_constant(constant_characteristic_model(3.0), spec, 50, 54321)
     assert any(pa.jump_times != pc.jump_times for pa, pc in zip(a, c))
 
 
 def test_sample_constant_empty_and_uniform():
-    assert sample_constant(2.0, BridgeSpec(3, 3), 5, 1)[0].jump_times == ()
-    T = jump_time_matrix(sample_constant(0.0, BridgeSpec(0, 4), 4000, 9))
+    assert sample_constant(Poisson(1.0), BridgeSpec(3, 3), 5, 1)[0].jump_times == ()
+    T = jump_time_matrix(sample_constant(Poisson(1.0), BridgeSpec(0, 4), 4000, 9))
     flat = np.sort(T.ravel())
     grid = np.linspace(0, 1, 21)[1:-1]
     emp = np.searchsorted(flat, grid) / flat.size
     assert np.max(np.abs(emp - grid)) < 0.02
 
 
+@pytest.mark.parametrize("x", [0, 3])
+@pytest.mark.parametrize("lam", [-1400.0, -5.0, -0.3, 0.0, 1e-7, -1e-7, 2.0, 5.0, 1400.0])
+def test_sample_constant_draws_a_constant_characteristic_as_the_tilted_formula(lam, x):
+    # b = 0 or lam = 0: no clock, the sorted tilted quantiles of the seed's
+    # uniforms at the tilt (lam + b)(u - s), bit for bit
+    spec = BridgeSpec(x, x + 9, 0.2, 0.7)
+    u01 = sampler.seeded_rng(17).random((300, 9))
+    want = spec.s + spec.length * np.sort(tilted_quantile(lam * spec.length, u01), axis=1)
+    models = [constant_characteristic_model(lam), ExpAffine(2.0, 0.0, lam)]
+    for model in models + ([ExpAffine(0.5, lam, 0.0)] if lam >= 0 else []):
+        assert sample_constant(model, spec, 300, 17).times.tobytes() == want.tobytes()
+
+
+# bridges whose characteristic lam + b e^(lam t) is not constant: the pooled jump
+# times of a sample are n * count i.i.d. draws of the closed-form p
+@pytest.mark.parametrize("model, spec, seed", [
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 27), 101),
+    (ExpAffine(0.7, 1.3, -2.0), BridgeSpec(3, 40, 0.2, 0.9), 102),
+    (ExpAffine(1.0, 2.0, 6.0), BridgeSpec(0, 20), 103),
+    (ExpAffine(1.0, 1.0, 10.0), BridgeSpec(0, 20), 104),
+    (ExpAffine(1.0, 1.0, 10.0), BridgeSpec(2, 22, 0.5, 0.95), 105),
+], ids=["product-0-27", "negative-lam-3-40-window", "steep-0-20", "clock-tilt-2202",
+        "clock-tilt-window"])
+def test_sample_constant_draws_the_closed_form_law_on_its_clock(model, spec, seed):
+    times = sample_constant(model, spec, 2000, seed).times
+    assert np.all((times > spec.s) & (times < spec.u))
+    assert kstest(times.ravel(), lambda t: exp_affine_cdf(model, spec, t)).pvalue >= 0.01
+
+
+@pytest.mark.parametrize("model, spec", [
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 27)),
+    (ExpAffine(0.7, 1.3, -2.0), BridgeSpec(3, 10, 0.2, 0.9)),
+    (ExpAffine(1.0, 2.0, 6.0), BridgeSpec(0, 12)),
+], ids=["product-0-27", "negative-lam-3-10-window", "steep-0-12"])
+def test_sample_bridge_draws_the_closed_form_law(model, spec):
+    # the inversion sampler against the same closed form, on bridges of 7 to 27 jumps
+    times = sample_bridge(model, spec, solve_h(model, spec), 1500, 211).times
+    assert kstest(times.ravel(), lambda t: exp_affine_cdf(model, spec, t)).pvalue >= 0.01
+
+
 def test_sample_constant_order_statistic_marginals():
     # P(T_i <= t) equals the binomial tail of the tilted profile
     spec = BridgeSpec(0, 5)
     count = 40000
-    T = jump_time_matrix(sample_constant(3.0, spec, count, 777))
+    T = jump_time_matrix(sample_constant(constant_characteristic_model(3.0), spec, count, 777))
     for t in (0.3, 0.5, 0.8):
         p = tilted_cdf(3.0, t)
         for i in (1, 3, 5):
@@ -125,7 +166,7 @@ def test_sample_bridge_poisson_matches_uniform_order_statistics():
     h = solve_h(model, spec, 1e-3)
     stats = {}
     bp = jump_time_matrix(sample_bridge(model, spec, h, 4000, 42, stats=stats))
-    cp = jump_time_matrix(sample_constant(0.0, spec, 4000, 43))
+    cp = jump_time_matrix(sample_constant(constant_characteristic_model(0.0), spec, 4000, 43))
     crit = 1.6276 * math.sqrt(2.0 / 4000)
     for i in range(5):
         assert ks_2samp(bp[:, i], cp[:, i]).statistic < crit
@@ -312,7 +353,7 @@ def test_sample_bridge_memory_stays_below_log_h():
     assert peak <= 0.5 * h.logh.nbytes
 
 
-@pytest.mark.parametrize("draw", ["bridge", "constant"])
+@pytest.mark.parametrize("draw", ["bridge", "constant", "clock"])
 def test_smaller_draws_are_the_first_rows_of_a_larger_draw(draw):
     spec = BridgeSpec(0, 12)
     if draw == "bridge":
@@ -320,7 +361,8 @@ def test_smaller_draws_are_the_first_rows_of_a_larger_draw(draw):
         h = solve_h(model, spec, 1e-3)
         times = {count: sample_bridge(model, spec, h, count, 29).times for count in (1, 300, 2000)}
     else:
-        times = {count: sample_constant(-2.0, spec, count, 29).times for count in (1, 300, 2000)}
+        model = Product(1.0, 3.0, 0.1) if draw == "clock" else constant_characteristic_model(-2.0)
+        times = {count: sample_constant(model, spec, count, 29).times for count in (1, 300, 2000)}
     for count in (1, 300):
         assert times[count].tobytes() == times[2000][:count].tobytes()
 
@@ -349,7 +391,7 @@ def test_jump_time_matrix_of_a_batch_is_its_read_only_matrix(draw):
         model = Product(1.0, 3.0, 0.1)
         batch = sample_bridge(model, spec, solve_h(model, spec, 1e-3), 20, 8)
     else:
-        batch = sample_constant(2.0, spec, 20, 8)
+        batch = sample_constant(constant_characteristic_model(2.0), spec, 20, 8)
     assert isinstance(batch, PathBatch)
     assert jump_time_matrix(batch) is batch.times
     assert batch.times.shape == (20, 4)
@@ -386,8 +428,9 @@ def test_sample_constant_refuses_tied_draws(monkeypatch):
 
     monkeypatch.setattr(sampler, "seeded_rng", lambda seed: Ties())
     with pytest.raises(NotSorted):
-        sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
-    assert len(sample_constant(1.0, BridgeSpec(0, 1), 4, 1)) == 4  # one jump cannot tie
+        sample_constant(constant_characteristic_model(1.0), BridgeSpec(0, 3), 4, 1)
+    # one jump cannot tie
+    assert len(sample_constant(constant_characteristic_model(1.0), BridgeSpec(0, 1), 4, 1)) == 4
 
 
 def test_sample_constant_refuses_nan_draws(monkeypatch):
@@ -399,7 +442,7 @@ def test_sample_constant_refuses_nan_draws(monkeypatch):
 
     monkeypatch.setattr(sampler, "seeded_rng", lambda seed: NaNs())
     with pytest.raises(NotSorted):
-        sample_constant(1.0, BridgeSpec(0, 3), 4, 1)
+        sample_constant(constant_characteristic_model(1.0), BridgeSpec(0, 3), 4, 1)
 
 
 def test_samplers_refuse_a_negative_count():
@@ -407,27 +450,30 @@ def test_samplers_refuse_a_negative_count():
     spec, model = BridgeSpec(0, 4), Product(1.0, 3.0, 0.1)
     h = solve_h(model, spec, 1e-2)
     assert sample_bridge(model, spec, h, 0, 5).times.shape == (0, 4)
-    assert sample_constant(-2.0, spec, 0, 5).times.shape == (0, 4)
+    assert sample_constant(constant_characteristic_model(-2.0), spec, 0, 5).times.shape == (0, 4)
     with pytest.raises(TooFewSamples, match="at least 0, got -1"):
         sample_bridge(model, spec, h, -1, 5)
     with pytest.raises(TooFewSamples, match="at least 0, got -1"):
-        sample_constant(-2.0, spec, -1, 5)
+        sample_constant(constant_characteristic_model(-2.0), spec, -1, 5)
 
 
-@pytest.mark.parametrize("lam, spec", [
-    (math.nan, BridgeSpec(0, 3)),
-    (math.inf, BridgeSpec(0, 3)),
-    (-math.inf, BridgeSpec(0, 3)),
-    (709.79, BridgeSpec(0, 3)),
-    (1500.0, BridgeSpec(0, 3, 0.2, 0.7)),
-], ids=["nan", "inf", "minus-inf", "overflow", "overflow-in-window"])
-def test_sample_constant_refuses_a_tilt_it_cannot_represent(lam, spec):
+@pytest.mark.parametrize("model, spec", [
+    (ExpAffine(1.0, 1e300, 700.0), BridgeSpec(0, 3)),
+    (constant_characteristic_model(709.79), BridgeSpec(0, 3)),
+    (constant_characteristic_model(1500.0), BridgeSpec(0, 3, 0.2, 0.7)),
+    (ExpAffine(1.0, 1.0, 1000.0), BridgeSpec(0, 3, 0.0, 0.8)),
+    (ExpAffine(1.0, 1.0, 800.0), BridgeSpec(0, 3, 0.95, 1.0)),
+], ids=["inf", "overflow", "overflow-in-window", "clock-span-overflow", "clock-start-overflow"])
+def test_sample_constant_refuses_a_tilt_it_cannot_represent(model, spec):
+    # the tilt (lam + b)(u - s) of a constant characteristic past exp's range;
+    # the clock's tilt theta = b e^(lam s) expm1(lam (u - s)) / lam past the float
+    # range ("inf"), or one of its exponentials: lam (u - s) = 800, lam s = 760
     with pytest.raises(OutOfDomain, match="tilt over the window"):
-        sample_constant(lam, spec, 4, 1)
+        sample_constant(model, spec, 4, 1)
 
 
 def test_sample_constant_serves_tilts_up_to_the_overflow():
     for lam, spec in ((709.78, BridgeSpec(0, 3)), (1400.0, BridgeSpec(0, 3, 0.2, 0.7)),
                       (-5000.0, BridgeSpec(0, 1))):
-        times = jump_time_matrix(sample_constant(lam, spec, 50, 3))
+        times = jump_time_matrix(sample_constant(constant_characteristic_model(lam), spec, 50, 3))
         assert np.all(np.isfinite(times)) and np.all((times > spec.s) & (times < spec.u))

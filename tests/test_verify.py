@@ -6,14 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from countbridge import verify
 from countbridge.analytic import binomial_tail, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import DegenerateVariance, ResourceCap
 from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
                                    TimeExponential, constant_characteristic_model)
 from countbridge.sampler import PathBatch, jump_time_matrix, sample_bridge, sample_constant
-from countbridge.verify import (DUALITY_BLOCK, TestFunctional, WindowFunction, convexity_check,
-                                dominance_check, duality_catalog, duality_check,
+from countbridge.verify import (DUALITY_BLOCK, KOLMOGOROV_999, TestFunctional, WindowFunction,
+                                convexity_check, dominance_check, duality_catalog, duality_check,
                                 lln_experiment, mean_bound_check)
 from oracles import dominance_per_cell, duality_per_column
 
@@ -263,7 +264,7 @@ def test_duality_check_refuses_paths_of_another_height(k):
     # 3-jump paths used to run off the matrix (IndexError); 8-jump paths used to
     # give a z-score on the first five jumps only, a wrong failing verdict
     phi, u = duality_catalog()[0]
-    paths = sample_constant(0.0, BridgeSpec(0, k), 2000, 11)
+    paths = sample_constant(constant_characteristic_model(0.0), BridgeSpec(0, k), 2000, 11)
     with pytest.raises(ValueError, match=f"paths have {k} jumps but the bridge has 5"):
         duality_check(Poisson(1.0), BridgeSpec(0, 5), u, phi, None, None, paths=paths)
 
@@ -299,12 +300,12 @@ def test_blocked_duality_equals_the_per_column_sum(case):
         paths = _solved_sample(model, spec, 200, 4243)
     elif case == "blocks-20000x8":
         model, spec = Product(1.0, -1.0, 0.3), BridgeSpec(2, 10, 0.1, 0.9)
-        paths = sample_constant(0.7, spec, 20000, 4244)
+        paths = sample_constant(constant_characteristic_model(0.7), spec, 20000, 4244)
         width = DUALITY_BLOCK // len(paths)
         assert spec.n > 2 * width and spec.n % width  # three blocks, the last one ragged
     else:
         model, spec = TimeExponential(2.0, -1.5), BridgeSpec(3, 4)
-        paths = sample_constant(-1.5, spec, 5000, 4245)
+        paths = sample_constant(constant_characteristic_model(-1.5), spec, 5000, 4245)
     for phi, u in duality_catalog():
         if phi.m > spec.n:
             continue
@@ -318,7 +319,7 @@ def test_duality_check_memory_stays_below_the_sample(model):
     # the blocks bound the check's own arrays: one duality check on a 100,000 x 20
     # sample peaks below the sample's 16 MB (whole-matrix evaluation: 69-149 MB)
     spec = BridgeSpec(0, 20)
-    paths = sample_constant(1.0, spec, 100_000, 31)
+    paths = sample_constant(constant_characteristic_model(1.0), spec, 100_000, 31)
     phi, u = duality_catalog()[2]
     tracemalloc.start()
     try:
@@ -331,28 +332,64 @@ def test_duality_check_memory_stays_below_the_sample(model):
 
 
 def test_lln_experiment_shrinks():
+    # the median sup distance shrinks as the Kolmogorov law's median 0.83 / sqrt(N)
     rep = lln_experiment(Poisson(1.0), 0.0, [50, 200], 120, 2024)
     assert rep.strategy == "exact-order-statistics"
-    assert rep.medians_non_increasing
-    for big_n, med in zip(rep.n_values, rep.medians):
+    assert rep.passed and rep.to_dict()["verdict"] == "pass"
+    for big_n, med, scaled in zip(rep.n_values, rep.medians, rep.sqrt_n_medians):
         assert abs(med - 0.83 / math.sqrt(big_n)) <= 0.2 * 0.83 / math.sqrt(big_n)
+        assert scaled == math.sqrt(big_n) * med <= KOLMOGOROV_999
+    assert rep.to_dict()["sqrt_n_median"] == dict(zip(["50", "200"], rep.sqrt_n_medians))
+    assert rep.to_dict()["tolerances"] == {"sqrt_n_median": KOLMOGOROV_999}
 
 
-def test_lln_samples_a_constant_rate_table_as_the_poisson_model():
-    # the table's proved characteristic bounds are exactly (0, 0), so it takes the
-    # exact order-statistics route and draws the same paths as Poisson(2.5)
+def _solve_h_spy(monkeypatch):
+    """The heights of the bridges verify.solve_h is called for."""
+    heights, real = [], verify.solve_h
+
+    def spy(model, spec, *args, **kwargs):
+        heights.append(spec.y)
+        return real(model, spec, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_h", spy)
+    return heights
+
+
+def test_lln_samples_a_constant_rate_table_as_the_poisson_model(monkeypatch):
+    # a Tabulated model has no closed form, so a table of constant rates takes the
+    # inversion route, one solve per height, and passes under its limit, the
+    # uniform profile of the Poisson bridge
+    heights = _solve_h_spy(monkeypatch)
     table = Tabulated(np.linspace(0.0, 1.0, 6), 0, np.full((6, 41), 2.5), np.zeros((6, 41)))
     rep = lln_experiment(table, 0.0, [10, 40], 60, 77)
-    ref = lln_experiment(Poisson(2.5), 0.0, [10, 40], 60, 77)
-    assert rep.strategy == ref.strategy == "exact-order-statistics"
-    assert (rep.medians, rep.q90s) == (ref.medians, ref.q90s)
+    assert rep.strategy == "h-transform-inversion"
+    assert heights == [10, 40]
+    assert rep.passed and max(rep.sqrt_n_medians) <= KOLMOGOROV_999
+
+
+@pytest.mark.parametrize("model", [Product(1.0, 3.0, 0.1), ExpAffine(1.0, 1.0, 10.0)],
+                         ids=["product", "clock-tilt-2202"])
+def test_lln_fails_a_profile_that_is_not_the_limit(monkeypatch, model):
+    # the limit of Product(1, 3, 0.1) is its clock's profile p, 0.079 from
+    # tilted_cdf(3) at worst: the medians fall towards that gap, not towards 0, so
+    # sqrt(N) times them grows past the bound; no h-field is solved
+    heights = _solve_h_spy(monkeypatch)
+    rep = lln_experiment(model, 3.0, [50, 200, 800], 200, 7)
+    assert rep.strategy == "exact-order-statistics" and heights == []
+    assert not rep.passed and rep.to_dict()["verdict"] == "fail"
+    assert max(rep.sqrt_n_medians) > KOLMOGOROV_999
+
+
+def test_lln_bound_is_the_kolmogorov_quantile():
+    from scipy.stats import kstwobign
+    assert KOLMOGOROV_999 == pytest.approx(kstwobign.ppf(0.999), rel=1e-12)
 
 
 def test_lln_pinned_ends_contribute_nothing():
     # distance at the window ends is 0 by pinning: sup is attained strictly inside
     from countbridge.sampler import jump_time_matrix, sample_constant
     from countbridge.verify import _sup_distance
-    T = jump_time_matrix(sample_constant(0.0, BridgeSpec(0, 100), 50, 5))
+    T = jump_time_matrix(sample_constant(Poisson(1.0), BridgeSpec(0, 100), 50, 5))
     d = _sup_distance(T, 0.0)
     assert np.all(d > 0) and np.all(d < 1)
 
