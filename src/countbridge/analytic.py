@@ -113,7 +113,14 @@ def binomial_tail(n, p, i):
     if bad.size:
         raise IndexOut(f"tail index {bad[0]} outside 0..{n}")
     q, row = np.unique(p, return_inverse=True)
-    q = q[:, None]
+    tails = np.cumsum(_relative_pmf(n, q)[:, ::-1], axis=1)[:, ::-1]
+    out = (tails / tails[:, :1])[row.reshape(p.shape), i]
+    return float(out) if out.ndim == 0 else out
+
+
+def _relative_pmf(n, p):
+    """Per entry of the 1-D ``p``, the Binomial(n, p) pmf relative to the mode's."""
+    q = p[:, None]
     k = np.arange(n)
     # log p = -inf at p = 0 and log1p(-p) = -inf at p = 1 give ratios of -inf and
     # +inf, whose sums put all the mass on k = 0 and k = n
@@ -123,9 +130,34 @@ def binomial_tail(n, p, i):
     logpmf = np.zeros((q.shape[0], n + 1))
     logpmf[:, 1:] = np.cumsum(np.where(k >= mode, ratio, 0.0), axis=1)
     logpmf[:, :-1] -= np.cumsum(np.where(k < mode, ratio, 0.0)[:, ::-1], axis=1)[:, ::-1]
-    tails = np.cumsum(np.exp(logpmf)[:, ::-1], axis=1)[:, ::-1]
-    out = (tails / tails[:, :1])[row.reshape(p.shape), i]
-    return float(out) if out.ndim == 0 else out
+    return np.exp(logpmf, out=logpmf)
+
+
+def binomial_rows(n, p):
+    """The Binomial(n, p) pmf over k = 0..n per entry of the 1-D ``p``: the relative
+    pmf of :func:`binomial_tail` over its sum, so p = 0 and p = 1 are point masses."""
+    rows = _relative_pmf(n, p)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def clock_cdf(model, spec, t):
+    """p(t) of an ``ExpAffine`` bridge, whose X_t - x is Binomial(n, p(t)): on the clock
+    tau(t) = expm1(lam t) / lam, with v = tau(t) - tau(s) and w = tau(u) - tau(s), it is
+    expm1(b v) / expm1(b w), formed as e^(b (v - w)) expm1(-b v) / expm1(-b w) so that
+    neither term overflows, or :func:`tilted_cdf_window` at lam + b if b or lam is 0.
+    A tilt, w or p that is not finite raises :class:`~countbridge.errors.OutOfDomain`."""
+    lam, b, s = model.lam, model.b, spec.s
+    if b == 0.0 or lam == 0.0:
+        return tilted_cdf_window(lam + b, s, spec.u, t)
+    with np.errstate(all="ignore"):
+        v, w = (np.exp(lam * s) * np.expm1(lam * (np.asarray(r, float) - s)) / lam
+                for r in (t, spec.u))
+        p = np.exp(b * (v - w)) * np.expm1(-b * v) / np.expm1(-b * w)
+    if not (np.isfinite(w) and np.all(np.isfinite(p))):
+        raise OutOfDomain(f"the bridge's clock CDF is not finite: tau(u) - tau(s) ="
+                          f" {float(w):g} at b = {b:g}, lambda = {lam:g}")
+    return np.clip(p, 0.0, 1.0)
 
 
 def mean_upper_bound(spec, lam, t):

@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from .analytic import mean_upper_bound
-from .engine import (BridgeSpec, check_memory, marginal_table, mean_curve,
-                     second_differences, solve_h)
+# solve_h is not called here, but perfbench's tracer wraps every binding of it
+from .engine import BridgeSpec, check_memory, mean_curve, second_differences, solve_h  # noqa: F401
 from .errors import BadOption, BadParameter, BadStep, CountBridgeError
 from .intensity import constant_characteristic_model, model_from_dict
-from .sampler import jump_time_matrix, sample_bridge, sample_constant
-from .verify import (convexity_check, dominance_check, duality_catalog,
+from .sampler import jump_time_matrix
+from .verify import (BridgeLaw, convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
 
 
@@ -275,7 +275,7 @@ def _run_characteristics(options, model):
 
 def _curve_table(model, spec, lam, h_step):
     """mean_curve.csv: t, mean, second_diff (blank in the end rows), bound with a tilt."""
-    curve = mean_curve(marginal_table(model, spec, h_step))
+    curve = mean_curve(BridgeLaw(model, spec, h_step).table())
     cols = [curve[:, 0], curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
     if lam is not None:
         cols.append(mean_upper_bound(spec, lam, curve[:, 0]))
@@ -307,7 +307,7 @@ def _run_mean_curve(options, model):
 
 def _run_marginals(options, model):
     spec = _spec(options)
-    table = marginal_table(model, spec, options["step"])
+    table = BridgeLaw(model, spec, options["step"]).table()
     # t-major rows
     probs = table.probs
     return 0, {"marginals.csv": _table(
@@ -319,14 +319,9 @@ def _run_marginals(options, model):
 def _run_sample(options, model):
     spec = _spec(options)
     seed, count = options["seed"], options["replicas"]
-    if options["model"] is not None:
-        h = solve_h(model, spec, options["step"])
-        paths = sample_bridge(model, spec, h, count, seed)
-        sampler = "h-transform-inversion"
-    else:
-        paths = sample_constant(model, spec, count, seed)
-        sampler = "exact-tilted-order-statistics"
-    all_times = jump_time_matrix(paths)
+    law = BridgeLaw(model, spec, options["step"])
+    all_times = jump_time_matrix(law.paths(count, seed))
+    sampler = "exact-tilted-order-statistics" if law.exact else "h-transform-inversion"
     # one line per jump, replica-major: none, so no replica labels, without jumps
     rows = all_times if spec.n else all_times[:0]
     paths_csv = _table(["replica", "jump_index", "time"],
@@ -349,12 +344,10 @@ def _run_verify(options, model):
         if name in ("dominance", "mean-bound") and lam is None:
             raise BadOption(f"{name} check needs --lambda")
     reports, files, all_pass = [], {}, True
-    # h and the table are solved only for the checks that read them
-    h = table = None
-    if {"dominance", "mean-bound", "duality"} & set(checks):
-        h = solve_h(model, spec, h_step)
-    if {"dominance", "mean-bound"} & set(checks):
-        table = marginal_table(model, spec, h_step, h=h)
+    # one law for the checks that read a table or paths: its h-field, if any, is
+    # solved once, on first use
+    law = BridgeLaw(model, spec, h_step)
+    table = law.table() if {"dominance", "mean-bound"} & set(checks) else None
     for name in checks:
         if name == "convexity":
             rep = convexity_check(model, spec, h_step, tol=options["tol_convexity"])
@@ -367,7 +360,7 @@ def _run_verify(options, model):
         elif name == "mean-bound":
             rep = mean_bound_check(model, spec, lam, tol=options["tol_margin"], table=table)
         else:
-            paths = sample_bridge(model, spec, h, options["replicas"], options["seed"])
+            paths = law.paths(options["replicas"], options["seed"])
             for phi, u in duality_catalog():
                 if phi.m > spec.n:
                     continue

@@ -116,10 +116,24 @@ def check_memory(need, what):
     than MEMORY_CAP bytes (``need``); called before anything that large exists.
     The estimate prints in GiB to one decimal, from 1,000 GiB on to three digits."""
     if need > MEMORY_CAP:
+        if math.inf > need > 2 ** 1000:  # an integer past the float range
+            from decimal import Decimal
+            need = Decimal(need)
         gib = need / 2 ** 30
         size = f"{gib:.1f}" if gib < 1000 else f"{gib:.3g}"
         raise ResourceCap(f"{what} needs about {size} GiB;"
                           f" the cap is {MEMORY_CAP / 2 ** 30:.0f} GiB")
+
+
+def count_text(k):
+    """An integer count as text: in full below a million, else to three significant
+    digits, as ``format(k, ".3g")`` prints it (past the float range, its Decimal)."""
+    if abs(k) < 10 ** 6:
+        return str(k)
+    if abs(k) > 2 ** 1000:
+        from decimal import Decimal
+        k = Decimal(k)
+    return format(k, ".3g")
 
 
 def _n_cells(spec, h_step):
@@ -553,13 +567,14 @@ def solve_h(model, spec, h_step=1e-3, step_budget=None):
 
 
 class MarginalTable:
-    """One-time laws P(X_t = z) of a bridge on a uniform output grid."""
+    """One-time laws P(X_t = z) of a bridge on a uniform output grid; its means, if known."""
 
-    def __init__(self, spec, times, probs, drift):
+    def __init__(self, spec, times, probs, drift, means=None):
         self.spec = spec
         self.times = times
         self.probs = probs
         self.drift = drift
+        self.means = means
 
     def validate(self):
         if not np.all(np.isfinite(self.probs)):
@@ -684,9 +699,10 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None):
 
 
 def mean_curve(table):
-    """(t, E[X_t]) rows from a marginal table; endpoints equal x and y exactly."""
+    """(t, E[X_t]) rows from a marginal table, its own means if it has them; endpoints
+    equal x and y exactly."""
     states = table.spec.ladder().astype(float)
-    means = table.probs @ states
+    means = table.probs @ states if table.means is None else table.means
     return np.column_stack([table.times, means])
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import tilted_quantile
-from .engine import check_field, check_memory
+from .engine import check_field, check_memory, count_text
 from .errors import NotSorted, PinMiss, TooFewSamples
 
 _U64 = (1 << 64) - 1
@@ -103,7 +103,7 @@ def sample_constant(model, spec, count, rng_seed):
     count = _path_count(count)
     # the draws, their tilted values, the sorted times, one temporary and their
     # differences: five (count x n) arrays at once
-    check_memory(5 * 8 * count * n, f"{count} paths of {n} jumps")
+    check_memory(5 * 8 * count * n, f"{count_text(count)} paths of {count_text(n)} jumps")
     u01 = seeded_rng(rng_seed).random((count, n))
     lam, b, length = model.lam, model.b, spec.length
     if b == 0.0 or lam == 0.0:
@@ -139,7 +139,7 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     count = _path_count(count)
     # the masses and the jump times (count x n each), and the count-long vectors
     # of one inversion: five at most
-    check_memory(8 * count * (2 * n + 5), f"{count} paths of {n} jumps")
+    check_memory(8 * count * (2 * n + 5), f"{count_text(count)} paths of {count_text(n)} jumps")
     mass = seeded_rng(rng_seed).standard_exponential((count, n))
     times = np.empty((count, n))
     t = np.full(count, float(spec.s))

@@ -20,14 +20,17 @@ lam that is not actually a characteristic bound) produces a failing report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
-from .engine import BridgeSpec, marginal_table, mean_curve, second_differences, solve_h
-from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples
+from .analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound, tilted_cdf,
+                       tilted_cdf_window)
+from .engine import (BridgeSpec, MarginalTable, _n_cells, check_memory, count_text,
+                     marginal_table, mean_curve, second_differences, solve_h)
+from .errors import BadParameter, DegenerateVariance, OutOfDomain, ResourceCap, TooFewSamples
 from .intensity import ExpAffine
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 
@@ -43,6 +46,42 @@ LLN_BUDGET = 5_000_000
 KOLMOGOROV_999 = 1.949474603504375  # the Kolmogorov law's 0.999 quantile
 # the duality check reads whole jump-time columns in blocks of at most this many cells
 DUALITY_BLOCK = 1 << 16
+
+
+class BridgeLaw:
+    """One bridge's marginal table and paths, by its model's family.  An ``ExpAffine``
+    bridge is exactly binomial (:func:`~countbridge.analytic.clock_cdf`): its table is
+    the Binomial(n, p(t)) pmf on the ``h_step`` grid, pinned at both ends, with means
+    x + n p(t), and its paths come from :func:`sample_constant`.  Any other model's
+    come from one h-field, solved on first use at ``step_budget``."""
+
+    def __init__(self, model, spec, h_step=1e-3, step_budget=None):
+        self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
+        self.exact = isinstance(model, ExpAffine)
+        if self.exact and spec.x < model.state_floor:
+            raise OutOfDomain(f"state below floor {model.state_floor}")
+
+    @functools.cached_property
+    def h(self):
+        return solve_h(self.model, self.spec, self.h_step, self.step_budget)
+
+    def table(self):
+        spec = self.spec
+        if not self.exact:
+            return marginal_table(self.model, spec, self.h_step, self.h)
+        times = np.linspace(spec.s, spec.u, _n_cells(spec, self.h_step) + 1)
+        # the rows and the five (times x states) temporaries of their log pmf
+        check_memory(48 * times.size * (spec.n + 1),
+                     f"a table of {times.size} times x {count_text(spec.n + 1)} states")
+        p = clock_cdf(self.model, spec, times)
+        p[0], p[-1] = 0.0, 1.0
+        return MarginalTable(spec, times, binomial_rows(spec.n, p), 0.0,
+                             spec.x + spec.n * p).validate()
+
+    def paths(self, count, seed):
+        if self.exact:
+            return sample_constant(self.model, self.spec, count, seed)
+        return sample_bridge(self.model, self.spec, self.h, count, seed)
 
 
 @dataclass
@@ -72,19 +111,17 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8):
 
     Nonnegative characteristic over the window and ladder implies convexity,
     nonpositive implies concavity; a sign-indefinite characteristic yields
-    "no claim" (a valid outcome, not an error).  Second differences divide by
-    step^2, which amplifies any integrator noise by ~1e4, so the check runs
-    the marginals at a mesh budget of CONVEXITY_BUDGET, tighter than the
-    engine's default, and takes the differences on every stride-th output
-    time, the stride nearest (points - 1) / (INSPECT_POINTS - 1) whether or
-    not it divides the cells (a stride of 1 would amplify the noise stride^2
-    times more).
+    "no claim" (a valid outcome, not an error).  The mean curve is the
+    :class:`BridgeLaw` table's, exact for ``ExpAffine`` models.  Second differences
+    divide by step^2, which amplifies any integrator noise by ~1e4, so other models'
+    tables are run at the mesh budget CONVEXITY_BUDGET, and the differences taken on
+    every stride-th output time, the stride nearest (points - 1) / (INSPECT_POINTS - 1)
+    whether or not it divides the cells (a stride of 1 amplifies noise stride^2 times).
     """
     if spec.n == 0:
         return ConvexityReport(spec, 0.0, 0.0, "linear", True, 0.0, tol)
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
-    table = marginal_table(model, spec, h_step, solve_h(model, spec, h_step, CONVEXITY_BUDGET))
-    curve = mean_curve(table)
+    curve = mean_curve(BridgeLaw(model, spec, h_step, CONVEXITY_BUDGET).table())
     npts = curve.shape[0]
     stride = max(1, int(round((npts - 1) / (INSPECT_POINTS - 1))))
     d2 = second_differences(curve[::stride])
@@ -366,9 +403,10 @@ class LLNReport:
     passed: bool
     strategy: str
     rng_seed: int
+    profile_gap: float | None = None    # sup |p - tilted_cdf(lam)|, ExpAffine models only
 
     def to_dict(self):
-        return {
+        out = {
             "check": "lln",
             "inputs": {"lambda": self.lam, "N": list(self.n_values),
                        "replicas": self.replicas, "seed": self.rng_seed,
@@ -379,6 +417,9 @@ class LLNReport:
             "sqrt_n_median": dict(zip(map(str, self.n_values), self.sqrt_n_medians)),
             "verdict": "pass" if self.passed else "fail",
         }
+        if self.profile_gap is not None:
+            out["profile_gap"] = dict.fromkeys(map(str, self.n_values), self.profile_gap)
+        return out
 
 
 def _sup_distance(times, lam):
@@ -398,34 +439,37 @@ def _sup_distance(times, lam):
 def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=1e-3):
     """Sample 0 -> N bridges and measure the sup distance to the tilted profile.
 
-    ``ExpAffine`` models are drawn exactly (:func:`sample_constant`), ``Tabulated``
-    ones by inversion on a solved 0 -> N h-field (time and memory grow as N^2).
-    Reports the median and 90th percentile of the sup distance per N.  As X_t / N is
-    the empirical CDF of the jump times, the verdict passes when sqrt(N) times every
-    median is at most KOLMOGOROV_999, the Kolmogorov law's 0.999 quantile.
+    The paths are the :class:`BridgeLaw`'s: ``ExpAffine`` models are drawn exactly,
+    ``Tabulated`` ones on a solved 0 -> N h-field (time and memory grow as N^2).
+    Reports the median and 90th percentile of the sup distance per N, and for an
+    ``ExpAffine`` model the gap sup |p - tilted_cdf(lam)| over 1,001 times from its
+    limit p (:func:`~countbridge.analytic.clock_cdf`, the same at every N).  As X_t / N
+    is the empirical CDF of the jump times, the verdict passes when sqrt(N) times
+    every median is at most KOLMOGOROV_999, the Kolmogorov law's 0.999 quantile.
     """
     n_values = [int(v) for v in n_values]
-    if any(v <= 0 for v in n_values):
-        raise BadParameter("N values must be positive")
+    if not n_values or any(v <= 0 for v in n_values):
+        raise BadParameter("lln needs at least one N, and every N positive")
     if len(set(n_values)) < len(n_values):
         raise BadParameter(f"N values must be distinct, got {n_values}")
     if int(replicas) < 1:
         raise TooFewSamples(f"the lln experiment needs at least one replica, got {replicas}")
     work = sum(n_values) * int(replicas)
     if work > LLN_BUDGET:
-        raise ResourceCap(f"requested {work} jump draws exceeds budget {LLN_BUDGET}")
-    exact = isinstance(model, ExpAffine)
-    strategy = "exact-order-statistics" if exact else "h-transform-inversion"
+        raise ResourceCap(f"requested {count_text(work)} jump draws exceeds budget {LLN_BUDGET}")
 
     medians, q90s = [], []
     for k, big_n in enumerate(n_values):
         seed_k = (int(rng_seed) + 0x9E3779B97F4A7C15 * (k + 1)) & ((1 << 63) - 1)
-        spec = BridgeSpec(0, big_n)
-        paths = (sample_constant(model, spec, replicas, seed_k) if exact
-                 else sample_bridge(model, spec, solve_h(model, spec, h_step), replicas, seed_k))
-        sup = _sup_distance(jump_time_matrix(paths), lam)
+        law = BridgeLaw(model, BridgeSpec(0, big_n), h_step)
+        sup = _sup_distance(jump_time_matrix(law.paths(replicas, seed_k)), lam)
         medians.append(float(np.quantile(sup, 0.5)))
         q90s.append(float(np.quantile(sup, 0.9)))
     scaled = [math.sqrt(big_n) * med for big_n, med in zip(n_values, medians)]
+    strategy, gap = "h-transform-inversion", None
+    if law.exact:
+        ts = np.linspace(0.0, 1.0, 1001)
+        strategy = "exact-order-statistics"
+        gap = float(np.max(np.abs(clock_cdf(model, law.spec, ts) - tilted_cdf(lam, ts))))
     return LLNReport(float(lam), n_values, int(replicas), medians, q90s, scaled,
-                     max(scaled) <= KOLMOGOROV_999, strategy, int(rng_seed))
+                     max(scaled) <= KOLMOGOROV_999, strategy, int(rng_seed), gap)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from countbridge.analytic import (binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window,
-                                  tilted_quantile)
+from countbridge.analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound,
+                                  tilted_cdf, tilted_cdf_window, tilted_quantile)
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadWindow, IndexOut, OutOfDomain
-from oracles import binom
+from countbridge.intensity import ExpAffine, Poisson, Product, SpaceLinear, TimeExponential
+from oracles import binom, exp_affine_cdf
 
 PI3_HALF = 0.18242552380635635  # (e^1.5 - 1)/(e^3 - 1), frozen
 
@@ -207,3 +208,52 @@ def test_mean_upper_bound():
     shifted = BridgeSpec(2, 7, 0.25, 0.75)
     assert mean_upper_bound(shifted, 2.0, 0.5) == pytest.approx(
         2 + 5 * math.expm1(0.5) / math.expm1(1.0), rel=1e-12)
+
+
+_CLOCK_MODELS = [Product(1.0, 3.0, 0.1), ExpAffine(0.7, 1.3, -2.0), ExpAffine(1.0, 1.0, 10.0),
+                 ExpAffine(1.0, 2.0, 6.0), ExpAffine(2.0, 5.0, -30.0), SpaceLinear(2.0, 1.0),
+                 TimeExponential(1.0, -3.0), Poisson(1.0), ExpAffine(1.0, 1e-9, 1e-9)]
+
+
+@pytest.mark.parametrize("model", _CLOCK_MODELS, ids=repr)
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.2, 0.9), (0.5, 0.52)])
+def test_clock_cdf_is_the_closed_form(model, window):
+    # p(t) of every exp_affine bridge, within 1e-12 of the oracle's formula, 0 at s
+    spec = BridgeSpec(0, 5, *window)
+    ts = np.linspace(*window, 401)
+    p = clock_cdf(model, spec, ts)
+    assert np.max(np.abs(p - exp_affine_cdf(model, spec, ts))) <= 1e-12
+    assert p[0] == 0.0 and abs(p[-1] - 1.0) <= 1e-15 and np.all(np.diff(p) >= 0)
+
+
+def test_clock_cdf_at_a_constant_characteristic_is_the_tilted_cdf():
+    # with b = 0 or lam = 0 the clock is the window's own time, and p the tilted CDF
+    spec = BridgeSpec(0, 5, 0.1, 0.7)
+    ts = np.linspace(0.1, 0.7, 31)
+    for model, tilt in [(TimeExponential(2.0, -3.0), -3.0), (SpaceLinear(2.5, 1.0), 2.5),
+                        (Poisson(4.0), 0.0)]:
+        assert np.array_equal(clock_cdf(model, spec, ts), tilted_cdf_window(tilt, 0.1, 0.7, ts))
+
+
+@pytest.mark.parametrize("model, message", [
+    (ExpAffine(1.0, 1.0, 710.0), "clock CDF is not finite"),
+    (ExpAffine(1.0, 0.0, 710.0), "overflows exp"),
+], ids=["clock-710", "tilt-710"])
+def test_clock_cdf_refuses_a_law_past_the_float_range(model, message):
+    # OutOfDomain, with no RuntimeWarning (an error in this suite) and no nan
+    with pytest.raises(OutOfDomain, match=message):
+        clock_cdf(model, BridgeSpec(0, 3), np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 200, 2000])
+def test_binomial_rows_match_scipy_pmf(n):
+    # one formula with binomial_tail: its rows are the pmf within 1e-12 of scipy's,
+    # with exact point masses at p = 0 and p = 1
+    p = np.array([0.0, 1e-300, 1e-9, 0.01, 0.3, 0.5, 0.77, 1.0 - 1e-12, 1.0])
+    rows = binomial_rows(n, p)
+    assert rows.shape == (p.size, n + 1)
+    assert np.max(np.abs(rows - binom.pmf(np.arange(n + 1), n, p[:, None]))) <= 1e-12
+    assert rows[0, 0] == 1.0 and rows[-1, -1] == 1.0
+    assert np.array_equal(rows[[0, -1]].sum(axis=1), [1.0, 1.0])
+    tails = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    assert np.max(np.abs(tails - binomial_tail(n, p[:, None], np.arange(n + 1)))) <= 1e-12

@@ -24,6 +24,7 @@ from countbridge.errors import BadParameter, CountBridgeError
 from countbridge.intensity import (ExpAffine, Tabulated, constant_characteristic_model,
                                    model_from_dict)
 from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
+from countbridge.verify import BridgeLaw
 
 # the CLI numerics meet the suite's rule: a RuntimeWarning is an error
 PKG = [sys.executable, "-W", "error::RuntimeWarning", "-m", "countbridge"]
@@ -123,18 +124,24 @@ PRODUCT = {"family": "product", "params": {"alpha": 1.0, "lambda": 3.0, "beta": 
            "state_floor": 0}
 
 
-@pytest.mark.parametrize("sampler", ["constant", "model"])
+@pytest.mark.parametrize("sampler", ["constant", "model", "tabulated"])
 def test_sample_writes_the_sampler_matrix(tmp_path, sampler):
-    # paths.csv is the header plus one line per jump of the sampler call's matrix
+    # paths.csv is the header plus one line per jump of the sampler call's matrix:
+    # an exp_affine --model is drawn exactly, as a --lambda is, a tabulated one by
+    # inversion on its h-field
     if sampler == "constant":
         args = ["--lambda", "2.5", "--y", "7", "--replicas", "3", "--seed", "99"]
         times = jump_time_matrix(sample_constant(constant_characteristic_model(2.5),
                                                  BridgeSpec(0, 7), 3, 99))
+    elif sampler == "model":
+        args = ["--model", write_model(tmp_path, PRODUCT), "--y", "6", "--replicas", "4",
+                "--seed", "2024"]
+        times = jump_time_matrix(sample_constant(model_from_dict(PRODUCT), BridgeSpec(0, 6),
+                                                 4, 2024))
     else:
-        mpath = tmp_path / "model.json"
-        mpath.write_text(json.dumps(PRODUCT))
-        args = ["--model", str(mpath), "--y", "6", "--replicas", "4", "--seed", "2024"]
-        model, spec = model_from_dict(PRODUCT), BridgeSpec(0, 6)
+        args = ["--model", write_model(tmp_path, TABULATED), "--y", "6", "--replicas", "4",
+                "--seed", "2024"]
+        model, spec = model_from_dict(TABULATED), BridgeSpec(0, 6)
         times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3), 4, 2024))
     out = tmp_path / "s"
     assert cli.main(["sample"] + args + ["--out", str(out)]) == 0
@@ -147,10 +154,9 @@ def test_sample_writes_the_sampler_matrix(tmp_path, sampler):
 
 
 def test_sample_thinning_from_model(tmp_path):
-    model = {"family": "product", "params": {"alpha": 1.0, "lambda": 3.0, "beta": 0.1},
-             "state_floor": 0}
+    # a tabulated model has no closed form: it is sampled by inversion
     mpath = tmp_path / "model.json"
-    mpath.write_text(json.dumps(model))
+    mpath.write_text(json.dumps(TABULATED))
     out = tmp_path / "st"
     r = run_cli("sample", "--model", str(mpath), "--x", "0", "--y", "3",
                 "--replicas", "200", "--seed", "7", "--out", str(out))
@@ -189,14 +195,21 @@ def test_verify_exit_codes(tmp_path):
 
 
 def test_underflowed_start_state_exits_2(tmp_path):
-    # 200 jumps under rate 1 at h_step 1e-2: the start state's log h (-864.2) is
-    # exact, but the pinned route's mass drifts by 1.2e-6, over the 1e-6 allowed
+    # 200 jumps under rate 1 at h_step 1e-2, tabulated, so the engine solves it: the
+    # start state's log h (-864.2) is exact, but the pinned route's mass drifts by
+    # 1.2e-6, over the 1e-6 allowed.  The Poisson model, drawn from its binomial
+    # law, gives the table.
+    knots = [0.0, 0.5, 1.0]
+    flat = Tabulated(knots, 0, np.ones((3, 201)), np.zeros((3, 201))).to_dict()
     out = tmp_path / "uf"
-    r = run_cli("marginals", "--lambda", "0", "--x", "0", "--y", "200", "--step", "1e-2",
-                "--out", str(out))
+    r = run_cli("marginals", "--model", write_model(tmp_path, flat), "--x", "0", "--y", "200",
+                "--step", "1e-2", "--out", str(out))
     assert r.returncode == 2
     assert "mass drift 1.207e-06 exceeds" in r.stderr
     assert not (out / "marginals.csv").exists()
+    r = run_cli("marginals", "--lambda", "0", "--x", "0", "--y", "200", "--step", "1e-2",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
 
 
 def test_sample_from_a_start_state_below_exp_minus_700_exits_0(tmp_path):
@@ -214,13 +227,13 @@ def test_sample_from_a_start_state_below_exp_minus_700_exits_0(tmp_path):
 
 
 def test_mesh_over_the_memory_cap_exits_2(tmp_path):
-    model = {"family": "product", "params": {"alpha": 1.0, "lambda": 3.0, "beta": 0.1},
-             "state_floor": 0}
-    mpath = tmp_path / "model.json"
-    mpath.write_text(json.dumps(model))
+    # Product(1, 3, 0.1) tabulated on 11 knots, so the engine solves it: the band of
+    # log h for 0 -> 8000 is 2.6 GiB
+    knots = np.linspace(0.0, 1.0, 11)
+    rates = np.outer(np.exp(3.0 * knots), 1.0 + 0.1 * np.arange(8001.0))
+    mpath = write_model(tmp_path, Tabulated(knots, 0, rates, 3.0 * rates).to_dict())
     out = tmp_path / "cap"
-    # the band of log h for 0 -> 8000 is 2.6 GiB
-    r = run_cli("marginals", "--model", str(mpath), "--y", "8000", "--out", str(out))
+    r = run_cli("marginals", "--model", mpath, "--y", "8000", "--out", str(out))
     assert r.returncode == 2
     assert "GiB" in r.stderr
     assert not (out / "marginals.csv").exists()
@@ -301,10 +314,20 @@ def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch)
 
     for module in (cli, engine, verify):
         monkeypatch.setattr(module, "solve_h", spy)
-    code = cli.main(["verify", "--lambda", "3", "--y", "5", "--check", "convexity",
-                     "--out", str(tmp_path / "v")])
-    assert code == 0
-    assert len(calls) == 1  # the convexity check's own fine-mesh solve
+    checks = [a for c in cli._CHECKS for a in ("--check", c)]
+    (tmp_path / "product.json").write_text(json.dumps(PRODUCT))
+    tab = write_model(tmp_path, TABULATED)
+    # an exp_affine bridge is binomial: no check solves; a tabulated one solves for
+    # the convexity check's own fine mesh, and once for the table and paths of the rest
+    for args, solves in [(["--lambda", "3", "--check", "convexity"], 0),
+                         (["--model", str(tmp_path / "product.json"), "--lambda", "3", *checks], 0),
+                         (["--model", tab, "--check", "convexity"], 1),
+                         (["--model", tab, "--lambda", "0.5", *checks[2:]], 1),
+                         (["--model", tab, "--lambda", "0.5", *checks], 2)]:
+        calls.clear()
+        assert cli.main(["verify", *args, "--y", "5", "--replicas", "200",
+                         "--out", str(tmp_path / "v")]) in (0, 1)
+        assert len(calls) == solves, args
 
 
 @pytest.mark.parametrize("args, message", [
@@ -382,6 +405,9 @@ def test_lln_fails_a_model_whose_limit_is_not_the_profile(tmp_path, monkeypatch)
     rep = read_json(out / "lln.json")
     assert rep["verdict"] == "fail" and rep["inputs"]["strategy"] == "exact-order-statistics"
     assert rep["sqrt_n_median"]["800"] > verify.KOLMOGOROV_999
+    # the medians fall toward the gap between the model's limit and the profile
+    assert set(rep["profile_gap"]) == {"50", "200", "800"}
+    assert all(round(gap, 4) == 0.0791 for gap in rep["profile_gap"].values())
 
 
 @pytest.mark.parametrize("args, message", [
@@ -426,12 +452,15 @@ def test_options_that_name_no_single_run_exit_2_before_writing(tmp_path, capsys,
 
 @pytest.mark.parametrize("args, sampler", [
     (["--lambda", "1"], "exact-tilted-order-statistics"),
-    (["--model", "PRODUCT"], "h-transform-inversion"),
+    (["--model", "PRODUCT"], "exact-tilted-order-statistics"),
     (["--model", "PRODUCT", "--lambda", "1"], None),
-], ids=["lambda", "model", "model-and-lambda"])
+    (["--model", "TABULATED"], "h-transform-inversion"),
+], ids=["lambda", "model", "model-and-lambda", "tabulated"])
 def test_sample_keeps_its_sampler_choice(tmp_path, args, sampler):
-    # a --lambda beside --model would name no sampler: it is refused, not dropped
-    args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
+    # the model's family names the sampler, however the model was given; a --lambda
+    # beside --model would name no sampler: it is refused, not dropped
+    models = {"PRODUCT": PRODUCT, "TABULATED": TABULATED}
+    args = [write_model(tmp_path, models[a]) if a in models else a for a in args]
     out = tmp_path / "s"
     code = cli.main(["sample"] + args + ["--y", "3", "--replicas", "4", "--out", str(out)])
     if sampler is None:
@@ -539,19 +568,77 @@ code = cli.main(["verify", "--lambda", "3", "--y", "5", "--replicas", "200", *ch
 assert code == 0, code
 code = cli.main(["replay", os.path.join(out, "v", "manifest.json"), "--out", os.path.join(out, "r")])
 assert code == 0, code
+# an exp_affine bridge is binomial, so only a tabulated model takes the CLI to solve_h
+code = cli.main(["verify", "--model", os.path.join(out, "tab.json"), "--lambda", "0", "--y", "3",
+                 "--replicas", "200", *checks, "--out", os.path.join(out, "vt")])
+assert code in (0, 1), code
+again = cli.main(["replay", os.path.join(out, "vt", "manifest.json"),
+                  "--out", os.path.join(out, "rt")])
+assert again == code, again
+for name in os.listdir(os.path.join(out, "vt")):
+    with open(os.path.join(out, "vt", name), "rb") as a:
+        with open(os.path.join(out, "rt", name), "rb") as b:
+            assert name == "manifest.json" or a.read() == b.read(), name
 print(sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m] is not None))
 """
 
 
 def test_package_imports_no_scipy(tmp_path):
     # scipy is a test dependency only: with it made unimportable, every check of
-    # verify and its replay still run, and no scipy module is loaded
+    # verify, on the binomial route and on a tabulated model's h-field, and their
+    # replays still run, and no scipy module is loaded
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "run")],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"a": 0.5, "b": 0.3, "lambda": 1.5}, {"a": 4.0, "b": 0.3, "lambda": 1.5}),
+    ({"a": 0.2, "b": 0.0, "lambda": -2.0}, {"a": 30.0, "b": 0.0, "lambda": -2.0}),
+], ids=["clock", "time-exponential"])
+def test_a_shared_characteristic_gives_a_shared_bridge(tmp_path, first, second):
+    # the characteristic lam + b e^(lam t) does not read a: two exp_affine models
+    # that differ only in a have the same bridges, so the same files, byte for byte
+    runs = [["marginals", "--x", "1", "--y", "6", "--s", "0.1", "--u", "0.8"],
+            ["mean-curve", "--y", "9"],
+            ["sample", "--y", "5", "--replicas", "40", "--seed", "5"]]
+    for argv in runs:
+        texts = []
+        for k, params in enumerate((first, second)):
+            path = tmp_path / f"m{k}.json"
+            path.write_text(json.dumps({"family": "exp_affine", "params": params}))
+            out = tmp_path / f"{argv[0]}{k}"
+            assert cli.main(argv + ["--model", str(path), "--out", str(out)]) == 0
+            texts.append({f.name: f.read_bytes() for f in out.iterdir()
+                          if f.name != "manifest.json"})
+        assert texts[0] == texts[1], argv
+
+
+def test_a_poisson_model_samples_as_the_zero_tilt(tmp_path):
+    # every constant rate has the characteristic 0, the --lambda 0 model's
+    poisson = write_model(tmp_path, {"family": "poisson", "params": {"alpha": 3.0}})
+    for args, out in [(["--model", poisson], "m"), (["--lambda", "0"], "l")]:
+        assert cli.main(["sample", *args, "--y", "6", "--replicas", "50", "--seed", "11",
+                         "--out", str(tmp_path / out)]) == 0
+    for name in ("paths.csv", "summary.json"):
+        assert (tmp_path / "m" / name).read_bytes() == (tmp_path / "l" / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["sample", "--lambda", "1", "--y", "3", "--replicas", "1" + "0" * 100],
+    ["sample", "--lambda", "1", "--y", "1" + "0" * 100, "--replicas", "5"],
+    ["lln", "--lambda", "1", "--N", "1" + "0" * 60, "--replicas", "5"],
+    ["sample", "--lambda", "1", "--y", "3", "--replicas", "1" + "0" * 400],
+], ids=["sample-replicas", "sample-height", "lln-height", "sample-past-the-float-range"])
+def test_a_huge_count_prints_in_a_few_digits(tmp_path, capsys, args):
+    # a count of 101 or 401 digits, or 61 in a product, is refused in one short line
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("countbridge: error:") and err.count("\n") == 1
+    assert len(err) < 120, err
 
 
 def cells_csv(header, rows):
@@ -617,16 +704,20 @@ def test_characteristics_peak_stays_near_the_values(tmp_path, args):
 
 
 def test_marginals_csv_is_printed_cell_by_cell(tmp_path, monkeypatch):
-    # 1001 times of 8 states in blocks of BLOCK_CELLS // 8 = 300 rows: four blocks
+    # 1001 times of 8 states in blocks of BLOCK_CELLS // 8 = 300 rows: four blocks;
+    # an exp_affine model's table is its binomial law, a tabulated one's the engine's
     monkeypatch.setattr(cli, "BLOCK_CELLS", 8 * 300)
-    out = tmp_path / "m"
-    assert cli.main(["marginals", "--model", write_model(tmp_path, PRODUCT), "--x", "2",
-                     "--y", "9", "--out", str(out)]) == 0
-    table = marginal_table(model_from_dict(PRODUCT), BridgeSpec(2, 9), 1e-3)
-    assert len(table.times) > cli.BLOCK_CELLS // 8
-    rows = [(t, 2 + zi, p) for t, probs in zip(table.times, table.probs)
-            for zi, p in enumerate(probs)]
-    assert (out / "marginals.csv").read_text() == cells_csv(["t", "z", "prob"], rows)
+    for descriptor, x in [(PRODUCT, 2), (TABULATED, 0)]:
+        out = tmp_path / "m"
+        assert cli.main(["marginals", "--model", write_model(tmp_path, descriptor),
+                         "--x", str(x), "--y", str(x + 7), "--out", str(out)]) == 0
+        model, spec = model_from_dict(descriptor), BridgeSpec(x, x + 7)
+        table = (BridgeLaw(model, spec).table() if descriptor is PRODUCT
+                 else marginal_table(model, spec, 1e-3))
+        assert len(table.times) > cli.BLOCK_CELLS // 8
+        rows = [(t, x + zi, p) for t, probs in zip(table.times, table.probs)
+                for zi, p in enumerate(probs)]
+        assert (out / "marginals.csv").read_text() == cells_csv(["t", "z", "prob"], rows)
 
 
 @pytest.mark.parametrize("args, curves", [
@@ -636,17 +727,23 @@ def test_marginals_csv_is_printed_cell_by_cell(tmp_path, monkeypatch):
     (["--lambda", "-2", "--lambda", "0.5"],
      {f"mean_curve_lam{lam:g}.csv": (constant_characteristic_model(lam), lam)
       for lam in (-2.0, 0.5)}),
-], ids=["model", "model-bound", "tilts-bound"])
+    (["--model", "TABULATED", "--lambda", "0.5"],
+     {"mean_curve.csv": (model_from_dict(TABULATED), 0.5)}),
+], ids=["model", "model-bound", "tilts-bound", "tabulated-bound"])
 def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, monkeypatch, args, curves):
     # blank second differences in the end rows; 1001 rows of width 1 span four
-    # blocks of BLOCK_CELLS rows
+    # blocks of BLOCK_CELLS rows.  An exp_affine curve is x + n p(t) on the
+    # binomial table, a tabulated one the engine table's rows times the ladder.
     monkeypatch.setattr(cli, "BLOCK_CELLS", 300)
-    args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
+    models = {"PRODUCT": PRODUCT, "TABULATED": TABULATED}
+    args = [write_model(tmp_path, models[a]) if a in models else a for a in args]
     out = tmp_path / "mc"
-    assert cli.main(["mean-curve"] + args + ["--y", "8", "--out", str(out)]) == 0
-    spec = BridgeSpec(0, 8)
+    assert cli.main(["mean-curve"] + args + ["--y", "7", "--out", str(out)]) == 0
+    spec = BridgeSpec(0, 7)
     for name, (model, lam) in curves.items():
-        curve = mean_curve(marginal_table(model, spec, 1e-3))
+        table = (marginal_table(model, spec, 1e-3) if isinstance(model, Tabulated)
+                 else BridgeLaw(model, spec).table())
+        curve = mean_curve(table)
         d2 = [None] + list(second_differences(curve)[:, 1]) + [None]
         bound = None if lam is None else mean_upper_bound(spec, lam, curve[:, 0])
         rows = [[t, m, d2[k]] + ([] if bound is None else [bound[k]])
@@ -658,21 +755,28 @@ def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, monkeypatch, args, cur
 PATH_BLOCK_ROWS = 512
 
 
+def _paths_of(tmp_path, sampler, spec, count, seed):
+    """The sample arguments and the jump-time matrix of one sampler: a --lambda of
+    -1.5, or PRODUCT, both drawn exactly, or TABULATED, drawn on its h-field."""
+    if sampler == "constant":
+        model, args = constant_characteristic_model(-1.5), ["--lambda", "-1.5"]
+    else:
+        descriptor = PRODUCT if sampler == "model" else TABULATED
+        model, args = model_from_dict(descriptor), ["--model", write_model(tmp_path, descriptor)]
+    if sampler == "tabulated":
+        paths = sample_bridge(model, spec, solve_h(model, spec, 1e-3), count, seed)
+    else:
+        paths = sample_constant(model, spec, count, seed)
+    return args, jump_time_matrix(paths)
+
+
 @pytest.mark.parametrize("replicas", [0, PATH_BLOCK_ROWS - 1, PATH_BLOCK_ROWS, PATH_BLOCK_ROWS + 1])
-@pytest.mark.parametrize("sampler", ["constant", "model"])
+@pytest.mark.parametrize("sampler", ["constant", "model", "tabulated"])
 def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, sampler, replicas):
     # one chunk for the header, then one per block of BLOCK_CELLS // 4 replicas of
     # 4 jumps each
     monkeypatch.setattr(cli, "BLOCK_CELLS", 4 * PATH_BLOCK_ROWS)
-    if sampler == "constant":
-        args = ["--lambda", "-1.5"]
-        times = jump_time_matrix(sample_constant(constant_characteristic_model(-1.5),
-                                                 BridgeSpec(0, 4), replicas, 8))
-    else:
-        args = ["--model", write_model(tmp_path, PRODUCT)]
-        model, spec = model_from_dict(PRODUCT), BridgeSpec(0, 4)
-        times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3),
-                                               replicas, 8))
+    args, times = _paths_of(tmp_path, sampler, BridgeSpec(0, 4), replicas, 8)
     chunks = []
     write = cli._write_run
 
@@ -691,18 +795,11 @@ def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, samp
     assert all(c.count("\n") == 4 * block_rows for c in chunks[1:-1])
 
 
-@pytest.mark.parametrize("sampler", ["constant", "model"])
+@pytest.mark.parametrize("sampler", ["constant", "model", "tabulated"])
 def test_paths_rows_wider_than_a_block_go_out_one_row_at_a_time(tmp_path, monkeypatch, sampler):
     # n = 6 jumps per replica against BLOCK_CELLS = 4: each row is a block of its own
     monkeypatch.setattr(cli, "BLOCK_CELLS", 4)
-    spec = BridgeSpec(0, 6)
-    if sampler == "constant":
-        args = ["--lambda", "1"]
-        times = jump_time_matrix(sample_constant(constant_characteristic_model(1.0), spec, 9, 8))
-    else:
-        args = ["--model", write_model(tmp_path, PRODUCT)]
-        model = model_from_dict(PRODUCT)
-        times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3), 9, 8))
+    args, times = _paths_of(tmp_path, sampler, BridgeSpec(0, 6), 9, 8)
     out = tmp_path / "s"
     assert cli.main(["sample"] + args + ["--y", "6", "--replicas", "9", "--seed", "8",
                                          "--out", str(out)]) == 0
@@ -721,13 +818,28 @@ def test_a_bridge_without_jumps_writes_the_header_only(tmp_path, args):
 
 
 def test_dominance_grid_csv_is_printed_cell_by_cell(tmp_path):
+    # the tails of a --lambda model's binomial table, and of a tabulated model's
+    # engine table
+    spec = BridgeSpec(0, 4)
+    for args, model, lam in [([], constant_characteristic_model(3.0), 3.0),
+                             (["--model", write_model(tmp_path, TABULATED)],
+                              model_from_dict(TABULATED), 0.5)]:
+        out = tmp_path / "v"
+        assert cli.main(["verify", *args, "--lambda", str(lam), "--y", "4", "--check",
+                         "dominance", "--grid-csv", "--out", str(out)]) in (0, 1)
+        table = (marginal_table(model, spec, 1e-3) if args else BridgeLaw(model, spec).table())
+        rows = verify.dominance_check(model, spec, lam, table=table).rows
+        assert (out / "dominance_grid.csv").read_text() == cells_csv(
+            ["t", "i", "computed_tail", "benchmark_tail", "margin"], rows)
+
+
+def test_verify_passes_the_sharp_upper_dominance(tmp_path):
+    # at a constant characteristic -5 every tail is its benchmark, which the engine
+    # table missed by 1.12e-6 in the upper direction
     out = tmp_path / "v"
-    assert cli.main(["verify", "--lambda", "3", "--y", "4", "--check", "dominance", "--grid-csv",
-                     "--out", str(out)]) == 0
-    model, spec = constant_characteristic_model(3.0), BridgeSpec(0, 4)
-    rows = verify.dominance_check(model, spec, 3.0, table=marginal_table(model, spec, 1e-3)).rows
-    assert (out / "dominance_grid.csv").read_text() == cells_csv(
-        ["t", "i", "computed_tail", "benchmark_tail", "margin"], rows)
+    assert cli.main(["verify", "--lambda", "-5", "--y", "50", "--check", "dominance",
+                     "--direction", "upper", "--out", str(out)]) == 0
+    assert read_json(out / "verify.json")["checks"][0]["worst_margin"] >= -1e-12
 
 
 def test_dominance_runs_on_a_step_off_its_times(tmp_path):
@@ -872,20 +984,42 @@ def test_a_chunk_that_raises_leaves_no_file(tmp_path):
     assert os.listdir(kept) == ["a.csv"] and (kept / "a.csv").read_text() == "old\n"
 
 
+CLOCK_710 = {"family": "exp_affine", "params": {"a": 1.0, "b": 1.0, "lambda": 710.0}}
+
+
 @pytest.mark.parametrize("args, message", [
     (["mean-curve", "--lambda", "800"], "overflows exp"),
     (["verify", "--lambda", "800"], "overflows exp"),
-    (["mean-curve", "--lambda", "-800"], "underflows to 0 at t = 0.921"),
-], ids=["mean-curve-overflow", "verify-overflow", "mean-curve-underflow"])
+    (["mean-curve", "--model", "CLOCK_710"], "the bridge's clock CDF is not finite"),
+], ids=["mean-curve-overflow", "verify-overflow", "mean-curve-clock-overflow"])
 def test_a_tilt_beyond_the_float_range_exits_2(tmp_path, args, message):
-    # e^800 overflows the tilted CDF; e^-800 t leaves no integrated rate to grade
-    # the mesh by before u.  Run under -W error::RuntimeWarning (PKG).
+    # e^800 overflows the tilted CDF, and e^710 the clock of ExpAffine(1, 1, 710).
+    # Run under -W error::RuntimeWarning (PKG).
+    args = [write_model(tmp_path, CLOCK_710) if a == "CLOCK_710" else a for a in args]
     out = tmp_path / "out"
     r = run_cli(*args, "--y", "5", "--out", str(out))
     assert r.returncode == 2
     assert r.stderr.startswith("countbridge: error:") and message in r.stderr
     assert "Traceback" not in r.stderr
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("args, y", [
+    (["--lambda", "-800"], 5),
+    (["--model", "STEEP", "--step", "0.01"], 1),
+], ids=["tilt-minus-800", "exp-affine-1.44e30-0-minus-41"])
+def test_a_steep_exp_affine_bridge_is_exact(tmp_path, args, y):
+    # e^-800 t, or a rate of 1.44e30 e^-41 t, is past what the engine can grade or
+    # hold (no integrated rate left before u; a mass drift of 4.8e26), but its
+    # bridge is binomial: a finite table, under -W error::RuntimeWarning (PKG)
+    steep = {"family": "exp_affine", "params": {"a": 1.44e30, "b": 0.0, "lambda": -41.0}}
+    args = [write_model(tmp_path, steep) if a == "STEEP" else a for a in args]
+    out = tmp_path / "out"
+    r = run_cli("mean-curve", *args, "--y", str(y), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    _, rows = read_csv(out / "mean_curve.csv")
+    means = [float(row[1]) for row in rows]
+    assert all(map(math.isfinite, means)) and means[0] == 0 and means[-1] == y
 
 
 def test_write_json_refuses_a_non_finite_value():
@@ -896,7 +1030,7 @@ def test_write_json_refuses_a_non_finite_value():
 
 
 @pytest.mark.parametrize("args, message", [
-    (["mean-curve", "--lambda", "1", "--lambda", "-800", "--y", "5"], "underflows to 0"),
+    (["mean-curve", "--lambda", "1", "--lambda", "800", "--y", "5"], "overflows exp"),
     (["verify", "--lambda", "1", "--y", "5", "--check", "dominance", "--grid-csv",
       "--check", "duality", "--replicas", "1"], "needs at least two paths"),
 ], ids=["mean-curve-second-tilt", "verify-duality-after-grid"])
@@ -915,7 +1049,7 @@ def test_a_failing_run_leaves_an_earlier_run_in_its_directory_as_it_was(tmp_path
     assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "2", "--y", "5",
                      "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "-800", "--y", "12",
+    assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "800", "--y", "12",
                      "--out", str(out)]) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     again = tmp_path / "again"
@@ -1026,12 +1160,15 @@ def test_steeply_decaying_rates_run_without_overflow(tmp_path, args):
 
 
 def test_a_pinned_rate_that_underflows_at_its_anchor_exits_2(tmp_path):
-    # rate 1 + 1e300 z: at each state's anchor log h is about -1e296 and the gap to
-    # the state above about -5e295, so the pinned rate there is 0.  The pin
-    # asymptote past the anchor does not read it: its slope is y - z.  Every jump
-    # after the first follows it within far less than a float's spacing, so the
-    # sampler refuses the path.  Run under -W error::RuntimeWarning (PKG).
-    model = write_model(tmp_path, _edited(EXP_AFFINE, b=1e300))
+    # rate 1 + 1e100 z, tabulated so that the engine samples it: at each state's
+    # anchor log h is far below the float range's reach of the gap to the state
+    # above, so the pinned rate there is 0.  The pin asymptote past the anchor does
+    # not read it: its slope is y - z.  Every jump after the first follows it within
+    # far less than a float's spacing, so the sampler refuses the path.  Run under
+    # -W error::RuntimeWarning (PKG).
+    knots = [0.0, 0.5, 1.0]
+    rates = np.tile(1.0 + 1e100 * np.arange(7.0), (3, 1))
+    model = write_model(tmp_path, Tabulated(knots, 0, rates, np.zeros((3, 7))).to_dict())
     r = run_cli("sample", "--model", model, "--y", "6", "--out", str(tmp_path / "out"))
     assert r.returncode == 2
     assert r.stderr.startswith("countbridge: error:")
@@ -1267,7 +1404,7 @@ def test_an_untyped_error_is_not_taken_for_a_refusal(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a defect")
 
-    monkeypatch.setattr(cli, "marginal_table", broken)
+    monkeypatch.setattr(verify.BridgeLaw, "table", broken)
     with pytest.raises(ValueError, match="a defect"):
         cli.main(["marginals", "--lambda", "1", "--y", "3", "--out", str(tmp_path / "out")])
 

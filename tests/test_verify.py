@@ -7,16 +7,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from countbridge import verify
-from countbridge.analytic import binomial_tail, tilted_cdf
-from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.errors import DegenerateVariance, ResourceCap
+from countbridge.analytic import binomial_tail, clock_cdf, tilted_cdf
+from countbridge.engine import BridgeSpec, marginal_table, mean_curve, solve_h
+from countbridge.errors import DegenerateVariance, OutOfDomain, ResourceCap
 from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
                                    TimeExponential, constant_characteristic_model)
 from countbridge.sampler import PathBatch, jump_time_matrix, sample_bridge, sample_constant
-from countbridge.verify import (DUALITY_BLOCK, KOLMOGOROV_999, TestFunctional, WindowFunction,
-                                convexity_check, dominance_check, duality_catalog, duality_check,
-                                lln_experiment, mean_bound_check)
-from oracles import dominance_per_cell, duality_per_column
+from countbridge.verify import (DUALITY_BLOCK, KOLMOGOROV_999, BridgeLaw, TestFunctional,
+                                WindowFunction, convexity_check, dominance_check, duality_catalog,
+                                duality_check, lln_experiment, mean_bound_check)
+from oracles import (dominance_per_cell, duality_per_column, exp_affine_cdf,
+                     exp_affine_marginals)
 
 
 def test_convexity_verdicts():
@@ -341,6 +342,8 @@ def test_lln_experiment_shrinks():
         assert scaled == math.sqrt(big_n) * med <= KOLMOGOROV_999
     assert rep.to_dict()["sqrt_n_median"] == dict(zip(["50", "200"], rep.sqrt_n_medians))
     assert rep.to_dict()["tolerances"] == {"sqrt_n_median": KOLMOGOROV_999}
+    # the profile is the Poisson bridge's limit: no gap
+    assert rep.to_dict()["profile_gap"] == {"50": 0.0, "200": 0.0}
 
 
 def _solve_h_spy(monkeypatch):
@@ -362,7 +365,7 @@ def test_lln_samples_a_constant_rate_table_as_the_poisson_model(monkeypatch):
     heights = _solve_h_spy(monkeypatch)
     table = Tabulated(np.linspace(0.0, 1.0, 6), 0, np.full((6, 41), 2.5), np.zeros((6, 41)))
     rep = lln_experiment(table, 0.0, [10, 40], 60, 77)
-    assert rep.strategy == "h-transform-inversion"
+    assert rep.strategy == "h-transform-inversion" and "profile_gap" not in rep.to_dict()
     assert heights == [10, 40]
     assert rep.passed and max(rep.sqrt_n_medians) <= KOLMOGOROV_999
 
@@ -378,6 +381,10 @@ def test_lln_fails_a_profile_that_is_not_the_limit(monkeypatch, model):
     assert rep.strategy == "exact-order-statistics" and heights == []
     assert not rep.passed and rep.to_dict()["verdict"] == "fail"
     assert max(rep.sqrt_n_medians) > KOLMOGOROV_999
+    ts = np.linspace(0.0, 1.0, 1001)
+    gap = np.max(np.abs(exp_affine_cdf(model, BridgeSpec(0, 1), ts) - tilted_cdf(3.0, ts)))
+    assert rep.profile_gap == pytest.approx(gap, abs=1e-12)
+    assert rep.medians[-1] == pytest.approx(gap, rel=0.2)
 
 
 def test_lln_bound_is_the_kolmogorov_quantile():
@@ -415,3 +422,57 @@ def test_report_serialization():
                 mean_bound_check(model, spec, 3.0, table=table)):
         d = rep.to_dict()
         assert d["verdict"] in ("pass", "fail") and "tolerances" in d
+
+
+@pytest.mark.parametrize("model, spec", [
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 20)),
+    (ExpAffine(0.7, 1.3, -2.0), BridgeSpec(3, 40, 0.2, 0.9)),
+    (ExpAffine(1.0, 2.0, 6.0), BridgeSpec(0, 40)),
+    (constant_characteristic_model(-5.0), BridgeSpec(0, 50)),
+    (Poisson(1.0), BridgeSpec(2, 2, 0.3, 0.6)),
+], ids=["product", "window", "steep", "tilt-minus-5", "no-jumps"])
+def test_an_exp_affine_table_is_its_binomial_law(model, spec):
+    # the table and mean curve of every exp_affine bridge come from its closed form:
+    # within 1e-12 of the oracle's binomial pmf, mean x + n p(t), pinned at both
+    # ends, with no h-field solved
+    law = BridgeLaw(model, spec, 1e-2)
+    table = law.table()
+    assert "h" not in vars(law)
+    assert np.array_equal(table.times, np.linspace(spec.s, spec.u, round(spec.length / 1e-2) + 1))
+    assert np.max(np.abs(table.probs - exp_affine_marginals(model, spec, table.times))) <= 1e-12
+    p = exp_affine_cdf(model, spec, table.times)
+    means = mean_curve(table)[:, 1]
+    assert np.max(np.abs(means - (spec.x + spec.n * p))) <= 1e-12 * max(1, spec.n)
+    # the mean is x + n p(t) itself, not the rows times the ladder
+    p = clock_cdf(model, spec, table.times)
+    p[0], p[-1] = 0.0, 1.0
+    assert np.array_equal(means, spec.x + spec.n * p)
+    assert means[0] == spec.x and means[-1] == spec.y
+    assert table.probs[0, 0] == 1.0 and table.probs[-1, -1] == 1.0
+
+
+def test_a_law_refuses_a_state_below_the_model_floor():
+    with pytest.raises(OutOfDomain, match="state below floor 2"):
+        BridgeLaw(ExpAffine(1.0, 1.0, 0.5, state_floor=2), BridgeSpec(0, 4))
+
+
+@pytest.mark.parametrize("spec", [BridgeSpec(0, 100), BridgeSpec(0, 200), BridgeSpec(0, 300),
+                                  BridgeSpec(0, 20, 0.0, 0.37)], ids=["100", "200", "300", "window"])
+def test_convexity_of_a_long_poisson_bridge_is_linear(spec):
+    # the mean is x + n p(t), linear in t: its second differences are rounding noise,
+    # at most 1.4e-10 here (the rows times the ladder give up to 6.4e-10, the engine
+    # table's mean 1.3e-8 to 3.0e-8)
+    rep = convexity_check(Poisson(1.0), spec)
+    assert rep.claim == "linear" and rep.passed and rep.worst_violation <= 1e-9
+
+
+@pytest.mark.parametrize("n", [20, 50, 200])
+@pytest.mark.parametrize("lam", [-8.0, -5.0, -2.0, 0.0, 2.0, 5.0, 8.0])
+def test_dominance_is_sharp_in_both_directions_at_a_constant_characteristic(lam, n):
+    # each tail equals its binomial benchmark: a margin of 0 either way (the engine
+    # table's upper margins reached -4.2e-6 at n = 200)
+    model, spec = constant_characteristic_model(lam), BridgeSpec(0, n)
+    table = BridgeLaw(model, spec).table()
+    for direction in ("lower", "upper"):
+        rep = dominance_check(model, spec, lam, direction, table=table)
+        assert rep.passed and rep.hypothesis_holds and abs(rep.worst_margin) <= 1e-12
