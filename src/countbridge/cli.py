@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .analytic import mean_upper_bound
 # solve_h is not called here, but perfbench's tracer wraps every binding of it
-from .engine import BridgeSpec, check_memory, mean_curve, second_differences, solve_h  # noqa: F401
+from .engine import BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
 from .errors import BadOption, BadParameter, BadStep, CountBridgeError
 from .intensity import constant_characteristic_model, model_from_dict
 from .sampler import jump_time_matrix
@@ -48,73 +48,117 @@ BLOCK_CELLS = 8192
 # little-endian words: byte 0 holds the sign; bytes 1 and 4-19 the 17 digits
 # as the part before a point; bytes 2-3 and 20-22 the point, the "0.000" of
 # a number below 1 or the "0" of a zero; byte 23 and bytes 24-39 the 17
-# digits again as the part after the point; byte 43 the separator.  Every
-# zero byte of a record is dropped from the text, so a key, (sign, exponent
-# E, trailing zeros), names what a cell keeps.
+# digits again as the part after the point; byte 43 the separator.  In
+# scientific notation the point is byte 2 and the exponent, "e-05" to "e-324",
+# bytes 20-22 and 40-41.  Every zero byte of a record is dropped from the text,
+# so a key, (sign, exponent E, trailing zeros) or in scientific notation (sign,
+# trailing zeros), names what a cell keeps, and E its exponent's text.
 _INTEGER_AT = [1] + list(range(4, 20))
 _FRACTION_AT = list(range(23, 40))
 _POINT_AT = [2, 3, 20, 21, 22]
-_KEYS = 21 * 17 + 1  # per sign: E = -4..16 times 0..16 trailing zeros, then zero
+# per sign: E = -4..16 times 0..16 trailing zeros, then zero, then 0..16
+# trailing zeros in scientific notation
+_ZERO = 21 * 17
+_KEYS = _ZERO + 18
+# the decimal exponents E of the nonzero doubles
+_EXPONENTS = range(-324, 309)
 
 
 @functools.lru_cache(maxsize=None)
 def _tables():
-    """The encoder's tables, built on first use."""
-    # the least double at or above 10^k, k = -4..17 (1e-4 to 1e-1 round up, the
-    # rest are exact), and for each binary exponent of frexp the index of the
-    # one at or below its binade's floor
-    bounds = np.array([float(f"1e{k}") for k in range(-4, 18)] + [math.inf])
-    below = np.searchsorted(bounds, np.ldexp(1.0, np.arange(-1074, 1024)), "right") - 1
-    # 10^(16 - E), exact, and its halves for Dekker's product
-    powers = 10.0 ** np.arange(20, -1, -1)
+    """The encoder's tables, built on first use, from integers."""
+    # per E: the least double whose 17 digits round to 10^E or up, the least at or
+    # above (10^18 - 5) 10^(E - 18); 10^(16 - E) 2^-shift as hi + tail, correctly
+    # rounded (tail = 0 where hi is exact), |x| scaled by 2^shift so that neither
+    # their product nor the split of |x| leaves the float range
+    tens = [10 ** p for p in range(343)]
+    bounds, shift, powers, tails = [], [], [], []
+    for k in _EXPONENTS:
+        num, den = ((10 ** 18 - 5) * tens[k - 18], 1) if k >= 18 else (10 ** 18 - 5, tens[18 - k])
+        b = num / den
+        bn, bd = b.as_integer_ratio()
+        bounds.append(math.nextafter(b, math.inf) if bn * den < num * bd else b)
+        a = 200 if k < -270 else -200 if k > 250 else 0
+        num, den = (tens[16 - k], 1 << a) if k <= 16 else (1 << -a, tens[k - 16])
+        hi = num / den
+        hn, hd = hi.as_integer_ratio()
+        shift.append(a)
+        powers.append(hi)
+        tails.append((num * hd - hn * den) / (den * hd))
+    # for each binary exponent of frexp, the E + 4 of the bound at or below its
+    # binade's floor
+    bounds = np.array(bounds + [math.inf])
+    below = np.searchsorted(bounds, np.ldexp(1.0, np.arange(-1074, 1024)), "right") - 321
+    powers = np.array(powers)
     c = 134217729.0 * powers
     high = c - (c - powers)
+    # each E's exponent text, as words 5 and 10 of a record
+    exps = np.array([f"e{k:+03d}" for k in _EXPONENTS], "S7").view(np.uint8).reshape(-1, 7)
+    exps = np.insert(exps, 3, 0, axis=1)
     g = np.arange(10000, dtype=np.int32)
     quads = np.stack([48 + g // 1000, 48 + g // 100 % 10, 48 + g // 10 % 10, 48 + g % 10], 1)
     zeros = np.select([g % 10 > 0, g % 100 > 0, g % 1000 > 0, g > 0], [0, 1, 2, 3], 4)
-    # per key, 255 on the digits kept and the text of the other bytes
-    keys = np.zeros((2, 21, 17, 44), np.uint8)
-    for k, e in enumerate(range(-4, 17)):
-        keys[:, k, :, _INTEGER_AT[:max(e + 1, 0)]] = 255
-        for tz in range(17):
-            keys[:, k, tz, _FRACTION_AT[max(e + 1, 0):17 - tz]] = 255
-        if e >= 0:
-            keys[:, k, :16 - e, _POINT_AT[-1]] = ord(".")
-        else:
-            for at, char in zip(_POINT_AT[4 + e:], b"0.000"):
-                keys[:, k, :, at] = char
-    keys = np.concatenate([keys.reshape(2, -1, 44), np.zeros((2, 1, 44), np.uint8)], 1)
-    keys[:, -1, _POINT_AT[-1]] = ord("0")
+    # per key, 255 on the digits kept and the text of the other bytes: in fixed
+    # notation the first E + 1 digits before the point, the rest after it
+    e, tz, j = np.ogrid[-4:17, :17, :17]
+    keys = np.zeros((2, 22, 17, 44), np.uint8)
+    keys[:, :21, :, _INTEGER_AT] = 255 * (j < e + 1)
+    keys[:, :21, :, _FRACTION_AT] = 255 * ((j >= e + 1) & (j < 17 - tz))
+    keys[:, 4:21, :, _POINT_AT[-1]] = np.where(tz < 16 - e[4:], ord("."), 0)[..., 0]
+    for k in range(1, 5):  # E = -k
+        keys[:, 4 - k][..., _POINT_AT[4 - k:]] = np.frombuffer(b"0.000"[:k + 1], np.uint8)
+    keys[:, 21][..., _INTEGER_AT] = 255 * (j[0] < 17 - tz[0])
+    keys[:, 21, :16, _POINT_AT[0]] = ord(".")
+    keys = np.concatenate([keys[:, :21].reshape(2, -1, 44), np.zeros((2, 1, 44), np.uint8),
+                           keys[:, 21]], 1)
+    keys[:, _ZERO, _POINT_AT[-1]] = ord("0")
     keys[1, :, 0] = ord("-")
-    tables = (bounds, below, powers, high, powers - high,
-              quads.astype(np.uint8).view("<u4").ravel(), zeros.astype(np.int32),
-              keys.reshape(-1, 44).view("<u4"))
+    tables = (bounds, below, np.array(shift), powers, high, powers - high, np.array(tails),
+              exps.view("<u4"), quads.astype(np.uint8).view("<u4").ravel(),
+              zeros.astype(np.int32), keys.reshape(-1, 44).view("<u4"))
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
 
 
-def _encode(x):
-    """The (len(x), 11) records of a 1-D float array's cells, each as
-    format(c, ".17g") prints it."""
-    bounds, below, powers, high, low, quads, zeros, keys = _tables()
-    ax = np.abs(x)
-    e = np.take(below, np.frexp(ax)[1] + 1073)
-    e += ax >= np.take(bounds, e + 1)
-    # %g's fixed notation: 1e-4 <= |x| < 1e17, E = e - 4
-    live = (e >= 0) & (e < 21) & (x != 0) & np.isfinite(x)
-    slow = np.flatnonzero(~live & (x != 0))
-    ax = np.where(live, ax, 1.0)
-    e = np.where(live, e, 4)
-    # the 17-digit significand, d = round-half-even(|x| 10^(16 - E)), from the
-    # exact product hi + lo: hi >= 10^16 > 2^53 is an even integer
+def _significand(ax, i, tables):
+    """hi and lo, the exact product of the nonnegative ``ax`` and the i-th power
+    of ``tables`` (its hi), by Dekker's product: hi > 2^53 is an even integer."""
+    powers, high, low = tables
     c = 134217729.0 * ax
     ah = c - (c - ax)
     al = ax - ah
-    ph, pl = np.take(high, e), np.take(low, e)
-    hi = ax * np.take(powers, e)
-    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    ph, pl = np.take(high, i), np.take(low, i)
+    hi = ax * np.take(powers, i)
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _encode(x):
+    """The (len(x), 11) records of a 1-D float array's cells, each as
+    format(c, ".17g") prints it."""
+    bounds, below, shift, *powers, tails, exps, quads, zeros, keys = _tables()
+    ax = np.abs(x)
+    # e = E + 4: %g's fixed notation, 1e-4 <= |x| < 1e17, is e = 0..20
+    e = np.take(below, np.frexp(ax)[1] + 1073)
+    e += ax >= np.take(bounds, e + 321)
+    finite = np.isfinite(x)
+    cells = finite & (x != 0)
+    live = (e >= 0) & (e < 21) & cells
+    sci = np.flatnonzero(cells ^ live)
+    slow = np.flatnonzero(~finite)
+    # the 17-digit significand, d = round-half-even(|x| 10^(16 - E)), from hi + lo,
+    # exact in fixed notation, where the power is
+    hi, lo = _significand(np.where(live, ax, 1.0), np.where(live, e, 4),
+                          [p[320:341] for p in powers])
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    if sci.size:
+        i = np.take(e, sci) + 320
+        ax = np.ldexp(np.take(ax, sci), np.take(shift, i))
+        hi, lo = _significand(ax, i, powers)
+        lo += ax * np.take(tails, i)
+        # a tail's product is rounded: a cell this near a tie is left to Python
+        slow = np.concatenate([slow, sci[np.abs(lo - np.floor(lo) - 0.5) < 1e-6]])
+        d[sci] = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # its digits: a, then four groups of four
     q = d // 10 ** 8
     r = (d - q * 10 ** 8).astype(np.int32)
@@ -128,9 +172,11 @@ def _encode(x):
     for g in groups[2::-1]:
         tz += run * np.take(zeros, g)
         run &= g == 0
-    key = np.where(live, e * 17 + tz, _KEYS - 1) + np.signbit(x) * _KEYS
+    key = np.where(live, e * 17 + tz, _ZERO)
+    key[sci] = _ZERO + 1 + tz[sci]
+    key += np.signbit(x) * _KEYS
     # the key's record ANDed with the digits, laid out with 255 on the bytes
-    # that hold no digit
+    # that hold no digit, and a scientific cell's exponent ORed in
     out = np.take(keys, key, axis=0)
     a = (48 + a).astype("<u4")
     out[:, 0] &= a << 8 | 0xFFFF00FF
@@ -139,26 +185,36 @@ def _encode(x):
         quad = np.take(quads, g)
         out[:, w] &= quad
         out[:, w + 5] &= quad
+    if sci.size:
+        out[sci, 5] |= exps[i, 0]
+        out[sci, 10] |= exps[i, 1]
     if len(slow):
         out.view("S44")[slow, 0] = ["%.17g" % v for v in x[slow].tolist()]
     return out
 
 
-def _records(column):
-    """The text of a block of one column as a byte array, one record per cell,
-    its last byte free for the separator; a broadcast axis is formed once."""
-    base = column[tuple(slice(None) if s else slice(0, 1) for s in column.strides)]
-    if column.dtype.kind in "iu":
-        texts = [str(c) for c in base.ravel().tolist()]
-        records = np.array(texts, f"S{max(map(len, texts), default=0) + 1}")
-    else:
-        records = _encode(base.ravel().astype(float)).view("S44").ravel()
-    return records.view(np.uint8).reshape(base.shape + (records.itemsize,))
+def _records(columns):
+    """The text of each of a block's columns as a byte array, one record per
+    cell, its last byte free for the separator; a broadcast axis is formed once,
+    and the float columns' cells are encoded in one call."""
+    bases = [c[tuple(slice(None) if s else slice(0, 1) for s in c.strides)] for c in columns]
+    floats = [b.ravel() for b in bases if b.dtype.kind not in "iu"]
+    if floats:
+        encoded = _encode(np.concatenate(floats, dtype=float)).view("S44").ravel()
+    records, at = [], 0
+    for base in bases:
+        if base.dtype.kind in "iu":
+            texts = [str(c) for c in base.ravel().tolist()]
+            column = np.array(texts, f"S{max(map(len, texts), default=0) + 1}")
+        else:
+            column, at = encoded[at:at + base.size], at + base.size
+        records.append(column.view(np.uint8).reshape(base.shape + (column.itemsize,)))
+    return records
 
 
 def _text(columns, blank):
     """The CSV text of a block of same-shape columns, one line per cell."""
-    records = [_records(c) for c in columns]
+    records = _records(columns)
     widths = [r.shape[-1] for r in records]
     out = np.empty(columns[0].shape + (sum(widths),), np.uint8)
     end = 0
@@ -275,7 +331,7 @@ def _run_characteristics(options, model):
 
 def _curve_table(model, spec, lam, h_step):
     """mean_curve.csv: t, mean, second_diff (blank in the end rows), bound with a tilt."""
-    curve = mean_curve(BridgeLaw(model, spec, h_step).table())
+    curve = BridgeLaw(model, spec, h_step).mean_curve()
     cols = [curve[:, 0], curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
     if lam is not None:
         cols.append(mean_upper_bound(spec, lam, curve[:, 0]))

@@ -173,8 +173,13 @@ class ExpAffine(_RateModel):
         return (e[a:b] * c for c, a, b in zip(self.a + self.b * z, lo, hi))
 
     def characteristic(self, t, z):
-        t = _check_time(t)[0]
+        t, lo, hi = _check_time(t)
         z = _check_state(z, self.state_floor)[0]
+        # b e^(lam t) is largest at an end of the times' extent: finite there, it is
+        # finite at every time
+        if self.b and t.size:
+            with np.errstate(over="ignore"):
+                self._finite(self.lam + self.b * np.exp(self.lam * np.array([lo, hi])))
         # with b = 0 no exponential is formed: exactly lam, where e^(lam t) may overflow
         e = np.exp(self.lam * t) if self.b else np.ones_like(t)
         out = self.lam + self.b * e + 0.0 * z
@@ -184,8 +189,19 @@ class ExpAffine(_RateModel):
         s, u = _validate_window(t_window)
         if z_range is not None:
             _validate_zrange(z_range, self.state_floor)
-        lo, hi = (self.lam + self.b * (math.exp(self.lam * v) if self.b else 1.0) for v in (s, u))
-        return CharacteristicBounds(min(lo, hi), max(lo, hi))
+        try:
+            lo, hi = (self.lam + self.b * (math.exp(self.lam * v) if self.b else 1.0) for v in (s, u))
+        except OverflowError:
+            lo = hi = math.inf
+        return CharacteristicBounds(*sorted(self._finite([lo, hi])))
+
+    def _finite(self, xi):
+        """``xi``, a few values of the characteristic, if all are finite; else
+        b e^(lam t) has left the float range, an OutOfDomain."""
+        if not all(map(math.isfinite, xi)):
+            raise OutOfDomain(f"the characteristic lambda + b e^(lambda t) leaves the float range"
+                              f" at b = {self.b:g}, lambda = {self.lam:g}")
+        return xi
 
     def _params(self):
         return {"a": self.a, "b": self.b, "lambda": self.lam}
@@ -412,6 +428,8 @@ class Tabulated(_RateModel):
             out = np.where(r > 0.0, r_dt / r + up - r, 0.0)
         return float(out) if out.ndim == 0 else out
 
+    # its products and ratios may leave the float range: such bounds are refused
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
         """Proved bounds of the characteristic over the window x state range.
 
@@ -435,6 +453,8 @@ class Tabulated(_RateModel):
         e = 3.0 * np.diff(r, axis=0) / dx
         cells = np.stack([_product(e, np.ones((5, 1))) + _product(r, jump),
                           _product(r, np.ones((4, 1)))], axis=1)
+        if not np.all(np.isfinite(cells)):
+            raise OutOfDomain("the characteristic's Bernstein coefficients leave the float range")
         ts, tu = np.clip((s - x[p]) / dx, 0.0, 1.0), np.clip((u - x[p]) / dx, 0.0, 1.0)
         cells = _split(_split(cells, tu)[0], np.divide(ts, tu, out=np.zeros_like(ts), where=tu > 0))[1]
         # the size of the terms r' and r D are formed from, 0 where both are exactly 0
@@ -444,10 +464,9 @@ class Tabulated(_RateModel):
         cell = np.arange(p.size)  # the piece and state of each cell
         for halving in range(_MAX_HALVINGS + 1):
             low = cells[:, 1].min(axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = cells[:, 0] / cells[:, 1]
-                margin = np.where(low > 0, _ROUNDING * size[cell] * (scale[cell] + np.abs(q).max(axis=0))
-                                  / low, 0.0)
+            q = cells[:, 0] / cells[:, 1]
+            margin = np.where(low > 0, _ROUNDING * size[cell] * (scale[cell] + np.abs(q).max(axis=0))
+                              / low, 0.0)
             lo, hi = np.where(low > 0, q.min(axis=0), -np.inf), np.where(low > 0, q.max(axis=0), np.inf)
             # the least and largest value of the characteristic at the cells' ends; a cell
             # is open while its ratios reach past them by more than BOUNDS_TOL and its
@@ -456,7 +475,11 @@ class Tabulated(_RateModel):
             open_ = ((lo + margin < least - BOUNDS_TOL * max(1.0, abs(least)))
                      | (hi - margin > most + BOUNDS_TOL * max(1.0, abs(most))))
             if halving == _MAX_HALVINGS or not open_.any():
-                return CharacteristicBounds(float((lo - margin).min()), float((hi + margin).max()))
+                bounds = CharacteristicBounds(float((lo - margin).min()), float((hi + margin).max()))
+                if not all(map(math.isfinite, bounds)):
+                    raise OutOfDomain(f"the characteristic's bounds, {bounds.inf:g} and"
+                                      f" {bounds.sup:g}, are not finite")
+                return bounds
             cells = np.concatenate([cells[:, :, ~open_], *_split(cells[:, :, open_], 0.5)], axis=2)
             cell = np.concatenate([cell[~open_], np.tile(cell[open_], 2)])
 

@@ -52,8 +52,9 @@ class BridgeLaw:
     """One bridge's marginal table and paths, by its model's family.  An ``ExpAffine``
     bridge is exactly binomial (:func:`~countbridge.analytic.clock_cdf`): its table is
     the Binomial(n, p(t)) pmf on the ``h_step`` grid, pinned at both ends, with means
-    x + n p(t), and its paths come from :func:`sample_constant`.  Any other model's
-    come from one h-field, solved on first use at ``step_budget``."""
+    x + n p(t), which :meth:`mean_curve` gives without the pmf, and its paths come from
+    :func:`sample_constant`.  Any other model's come from one h-field, solved on first
+    use at ``step_budget``."""
 
     def __init__(self, model, spec, h_step=1e-3, step_budget=None):
         self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
@@ -65,18 +66,31 @@ class BridgeLaw:
     def h(self):
         return solve_h(self.model, self.spec, self.h_step, self.step_budget)
 
+    def _clock(self, per_time, what):
+        """The output times and p(t), pinned at both ends, once ``per_time`` bytes a
+        time fit the memory cap; ``what`` names them, with ``{times}`` the count."""
+        times = np.linspace(self.spec.s, self.spec.u, _n_cells(self.spec, self.h_step) + 1)
+        check_memory(per_time * times.size, what.format(times=times.size))
+        p = clock_cdf(self.model, self.spec, times)
+        p[0], p[-1] = 0.0, 1.0
+        return times, p
+
     def table(self):
         spec = self.spec
         if not self.exact:
             return marginal_table(self.model, spec, self.h_step, self.h)
-        times = np.linspace(spec.s, spec.u, _n_cells(spec, self.h_step) + 1)
         # the rows and the five (times x states) temporaries of their log pmf
-        check_memory(48 * times.size * (spec.n + 1),
-                     f"a table of {times.size} times x {count_text(spec.n + 1)} states")
-        p = clock_cdf(self.model, spec, times)
-        p[0], p[-1] = 0.0, 1.0
+        times, p = self._clock(48 * (spec.n + 1),
+                               f"a table of {{times}} times x {count_text(spec.n + 1)} states")
         return MarginalTable(spec, times, binomial_rows(spec.n, p), 0.0,
                              spec.x + spec.n * p).validate()
+
+    def mean_curve(self):
+        """(t, E[X_t]) rows: an ``ExpAffine`` law's x + n p(t), its table's, without the pmf."""
+        if not self.exact:
+            return mean_curve(self.table())
+        times, p = self._clock(96, "a mean curve of {times} times")  # and its temporaries
+        return np.column_stack([times, self.spec.x + self.spec.n * p])
 
     def paths(self, count, seed):
         if self.exact:
@@ -112,7 +126,7 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8):
     Nonnegative characteristic over the window and ladder implies convexity,
     nonpositive implies concavity; a sign-indefinite characteristic yields
     "no claim" (a valid outcome, not an error).  The mean curve is the
-    :class:`BridgeLaw` table's, exact for ``ExpAffine`` models.  Second differences
+    :class:`BridgeLaw`'s, exact for ``ExpAffine`` models.  Second differences
     divide by step^2, which amplifies any integrator noise by ~1e4, so other models'
     tables are run at the mesh budget CONVEXITY_BUDGET, and the differences taken on
     every stride-th output time, the stride nearest (points - 1) / (INSPECT_POINTS - 1)
@@ -121,7 +135,7 @@ def convexity_check(model, spec, h_step=1e-3, tol=1e-8):
     if spec.n == 0:
         return ConvexityReport(spec, 0.0, 0.0, "linear", True, 0.0, tol)
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
-    curve = mean_curve(BridgeLaw(model, spec, h_step, CONVEXITY_BUDGET).table())
+    curve = BridgeLaw(model, spec, h_step, CONVEXITY_BUDGET).mean_curve()
     npts = curve.shape[0]
     stride = max(1, int(round((npts - 1) / (INSPECT_POINTS - 1))))
     d2 = second_differences(curve[::stride])

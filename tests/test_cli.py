@@ -897,18 +897,21 @@ def _ulps(x, k):
 
 def _halfway_cases():
     # j / 2^(m + 1) with j odd: times 10^m it is j 5^m / 2, an odd half of 17
-    # digits, so its 17-digit rounding is a tie
+    # digits, so its 17-digit rounding is a tie; past m = 24, j 5^m / 2 has more
+    # than 17 digits for every j.  From m = 23 on, 10^m is not a double.
     cases = []
-    for m in range(1, 24):
+    for m in range(1, 25):
         low = -(-2 * 10 ** 16 // 5 ** m) | 1
-        for x in [j / 2 ** (m + 1) for j in range(low, low + 8, 2)]:
+        for x in [j / 2 ** (m + 1) for j in range(low, low + 8, 2) if j * 5 ** m < 2 * 10 ** 17]:
             v = Fraction(x) * 10 ** m
             assert v.denominator == 2 and 10 ** 16 <= v < 10 ** 17
             cases.append(x)
+    assert len(cases) == 23 * 4 + 2
     return cases
 
 
-EDGES = ([_ulps(10.0 ** k, d) for k in range(-12, 19) for d in (-2, -1, 0, 1, 2)]
+# every decimal exponent of a double, 10^k for k = -324..308 and 2 ulps about it
+EDGES = ([_ulps(float(f"1e{k}"), d) for k in range(-324, 309) for d in (-2, -1, 0, 1, 2)]
          + _halfway_cases()
          + [2.0 ** 53 + d for d in (-2, -1, 0, 1, 2)]
          + [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
@@ -917,6 +920,19 @@ EDGES = ([_ulps(10.0 ** k, d) for k in range(-12, 19) for d in (-2, -1, 0, 1, 2)
 def test_floats_at_powers_of_ten_ties_and_2_to_53_print_as_format_17g():
     values = EDGES + [-v for v in EDGES] + [math.nan, math.inf, -math.inf]
     assert printed(values) == [format(v, ".17g") for v in values]
+
+
+def test_the_subnormals_print_as_format_17g():
+    values = np.arange(1, 10 ** 5 + 1) * 5e-324  # j 2^-1074, exactly
+    assert printed(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+def test_a_million_random_bit_patterns_print_as_format_17g():
+    # every exponent, subnormals, nan and inf among them
+    rng = np.random.default_rng(20240502)
+    for _ in range(10):
+        values = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(float)
+        assert printed(values) == [format(v, ".17g") for v in values.tolist()]
 
 
 def test_a_million_random_floats_print_as_format_17g():
@@ -1002,6 +1018,31 @@ def test_a_tilt_beyond_the_float_range_exits_2(tmp_path, args, message):
     assert r.stderr.startswith("countbridge: error:") and message in r.stderr
     assert "Traceback" not in r.stderr
     assert not (out / "manifest.json").exists()
+
+
+# rates 1 + 1e200 z on three knots: the Bernstein products of its bounds overflow
+BIG_RATES = {"family": "tabulated",
+             "params": {"t_grid": [0.0, 0.5, 1.0], "z_min": 0,
+                        "rates": [[1.0 + 1e200 * z for z in range(7)]] * 3}}
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--model", "CLOCK_710", "--y", "3", "--check", "convexity"],
+    ["characteristics", "--model", "CLOCK_710", "--y", "3"],
+    ["verify", "--model", "BIG_RATES", "--y", "5", "--check", "convexity"],
+    ["sample", "--model", "BIG_RATES", "--y", "5"],
+], ids=["verify-clock-710", "characteristics-clock-710", "verify-big-rates", "sample-big-rates"])
+def test_a_characteristic_past_the_float_range_exits_2(tmp_path, args):
+    # b e^(710 t) overflows at t = 1, and the products of rates of 1e200 overflow:
+    # once an OverflowError, a RuntimeWarning (PKG runs under -W error), a NaN in
+    # verify.json or a PinMiss, now one refusal before anything is written
+    models = {"CLOCK_710": CLOCK_710, "BIG_RATES": BIG_RATES}
+    args = [write_model(tmp_path, models[a]) if a in models else a for a in args]
+    out = tmp_path / "out"
+    r = run_cli(*args, "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("countbridge: error:") and "float range" in r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, y", [

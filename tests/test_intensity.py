@@ -89,6 +89,28 @@ def test_a_time_exponential_characteristic_is_lam_past_the_float_range(lam):
     assert model.characteristic_bounds() == (lam, lam)
 
 
+@pytest.mark.parametrize("model", [ExpAffine(1.0, 1.0, 710.0), ExpAffine(1.0, 1e300, 30.0)],
+                         ids=["e-to-the-710", "b-1e300"])
+def test_a_characteristic_past_the_float_range_is_refused(model):
+    # b e^(lam t) leaves the float range on the window, e^(lam t) itself or b times it
+    with pytest.raises(OutOfDomain, match="leaves the float range"):
+        model.characteristic_bounds()
+    with pytest.raises(OutOfDomain, match="leaves the float range"):
+        model.characteristic(np.linspace(0.0, 1.0, 5), 0)
+    # up to t = 0.5 it is finite
+    assert model.characteristic_bounds((0.0, 0.5)).sup < math.inf
+    assert np.all(np.isfinite(model.characteristic(np.linspace(0.0, 0.5, 5), 0)))
+
+
+def test_tabulated_bounds_whose_products_leave_the_float_range_are_refused():
+    # rates 1 + 1e200 z: r times r(., z + 1) - r overflows
+    model = Tabulated([0.0, 0.5, 1.0], 0, [[1.0 + 1e200 * z for z in range(7)]] * 3)
+    with pytest.raises(OutOfDomain, match="float range"):
+        model.characteristic_bounds((0.0, 1.0), (0, 5))
+    # state 0 alone: rate 1 and, above it, 1 + 1e200, so the characteristic is 1e200
+    assert model.characteristic_bounds((0.0, 1.0), (0, 0)) == pytest.approx((1e200, 1e200))
+
+
 def test_a_zero_b_characteristic_keeps_its_bits():
     # lam + b e^(lam t) + 0 z at b = +-0, as before: a -0.0 bound stays -0.0
     for lam, b in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-3.0, 0.0)):

@@ -451,6 +451,25 @@ def test_an_exp_affine_table_is_its_binomial_law(model, spec):
     assert table.probs[0, 0] == 1.0 and table.probs[-1, -1] == 1.0
 
 
+@pytest.mark.parametrize("model, spec, step", [
+    *[(constant_characteristic_model(float(lam)), BridgeSpec(0, 20), 1e-3) for lam in range(-8, 9)],
+    (Product(1.0, 3.0, 0.1), BridgeSpec(2, 30, 0.1, 0.7), 1e-3),
+    (Product(2.0, -4.0, 0.5), BridgeSpec(0, 12, 0.25, 1.0), 5e-3),
+    (ExpAffine(3.0, 2.0, -1.5, state_floor=-1), BridgeSpec(-1, 7, 0.0, 0.4), 1e-2),
+    (Poisson(1.0), BridgeSpec(3, 3, 0.2, 0.9), 1e-2),
+    (Tabulated(np.linspace(0.0, 1.0, 6), 0,
+               np.exp(np.linspace(0.0, 1.0, 6))[:, None] * (1.0 + 0.2 * np.arange(9.0))),
+     BridgeSpec(0, 7, 0.1, 0.9), 1e-2),
+], ids=[f"tilt{lam}" for lam in range(-8, 9)] + ["product", "product-late-window",
+                                                   "floor-minus-1", "no-jumps", "tabulated"])
+def test_a_laws_mean_curve_is_its_tables_bit_for_bit(model, spec, step):
+    # an ExpAffine law forms x + n p(t) without its pmf: the same bits as its table's
+    law = BridgeLaw(model, spec, step)
+    curve = law.mean_curve()
+    assert ("h" in vars(law)) != law.exact
+    assert np.array_equal(curve, mean_curve(law.table()))
+
+
 def test_a_law_refuses_a_state_below_the_model_floor():
     with pytest.raises(OutOfDomain, match="state below floor 2"):
         BridgeLaw(ExpAffine(1.0, 1.0, 0.5, state_floor=2), BridgeSpec(0, 4))
