@@ -25,7 +25,7 @@ state above backward, the state below forward).  So every sweep takes the
 states in the outer loop, and each state's whole column over the mesh is one
 first-order linear recurrence in the steps, driven by the RK4 stage values of
 the state before.  All of its terms are non-negative, so :func:`_column` solves
-it at once in log space (np.logaddexp.accumulate), rescaling or clamping nothing.
+it at once in log space, by runs of linear sums (:func:`_log_cumsum`; BENCH_36.json).
 
 Windows.  By the paper's marginal estimate every tail of the bridge lies
 between the binomial tails of the tilted profiles at the infimum and the
@@ -326,6 +326,24 @@ def _step_powers(step):
     return h6, step / 24.0, np.log(h6)
 
 
+def _log_cumsum(a):
+    """log of the running sums of exp(a), ``a`` free of nan and +inf, summed in runs: a
+    run starts at a finite cell, its level, and ends before the first later cell over
+    level + 300.  Its terms over e^level, the first carrying the sum so far (of cells
+    all below the level), take one cumsum; each partial sum is at least 1."""
+    out = np.full(a.size, -np.inf)
+    i = int(np.argmax(a > -np.inf)) if a.size else 0
+    while i < a.size and a[i] > -np.inf:
+        k = int(np.argmax(a[i:] > a[i] + 300.0))
+        j = i + k if k else a.size
+        run = np.exp(a[i:j] - a[i])
+        run[0] += np.exp(out[i - 1] - a[i])  # 0 before the first run, out[-1] included
+        np.log(np.cumsum(run, out=run), out=out[i:j])
+        out[i:j] += a[i]
+        i = j
+    return out
+
+
 def _column(steps, rates, feed, prev, lo=0, hi=None):
     """One state's log column of a diagonal-exact RK4 sweep, over its window at once.
 
@@ -349,7 +367,7 @@ def _column(steps, rates, feed, prev, lo=0, hi=None):
     x_new = exp(-i_end) (x + b), b = h/6 (k1 + 2 k2 + 2 k3 + k4) >= 0.  So
     one state's column obeys x[j+1] = exp(-i_end[j]) (x[j] + b[j]), solved at
     once in log space: with g the running sum of -i_end,
-    log x = g + np.logaddexp.accumulate([log seed, log b - g]).  The
+    log x = g + _log_cumsum([log seed, log b - g]), the prefix log-sum-exp.  The
     increments h/2 k1, h/2 k2 and h k3 are kept as multiples (at most 3) of
     b, over every step ``rates`` covers: the next state reads them up to the
     step from this state's last node.  On each step the state before's values
@@ -407,7 +425,7 @@ def _column(steps, rates, feed, prev, lo=0, hi=None):
     a = np.empty(hi - lo + 1)
     a[0] = -np.inf
     np.subtract(log_b[:hi - lo], g[:-1], out=a[1:])
-    log_x = np.logaddexp.accumulate(a)
+    log_x = _log_cumsum(a)
     log_x += g
     return log_x, (lo, log_x, log_b, inc, i_mid, i_end)
 

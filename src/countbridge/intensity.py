@@ -74,17 +74,23 @@ def _extent(a):
 
 
 def _check_time(t):
-    """``t`` as a float array inside [0, 1], with its extent."""
+    """``t`` as a float array inside [0, 1], with its extent; a NaN time is a BadParameter."""
     t = np.asarray(t, dtype=float)
+    if (nan := np.flatnonzero(np.isnan(t))).size:
+        raise BadParameter(f"time is NaN at {nan.size} of {t.size} entries, first at index {nan[0]}")
     lo, hi = _extent(t)
     if lo < -_T_SLACK or hi > 1.0 + _T_SLACK:
         raise OutOfDomain(f"time outside [0, 1]: {t[np.argmax((t < 0) | (t > 1))] if t.ndim else float(t)}")
     return t, lo, hi
 
 
-def _check_state(z, floor):
-    """``z`` as an array at or above ``floor``, with its extent."""
+def _check_state(z, floor, t=0.0):
+    """``z`` as an array at or above ``floor``, broadcasting with times ``t``, with its extent."""
     z = np.asarray(z)
+    try:
+        np.broadcast(z, t)
+    except ValueError:
+        raise BadParameter(f"states {z.shape} do not broadcast with times {np.shape(t)}") from None
     lo, hi = _extent(z)
     if lo < floor:
         raise OutOfDomain(f"state below floor {floor}")
@@ -151,7 +157,7 @@ class ExpAffine(_RateModel):
 
     def rate(self, t, z):
         t = _check_time(t)[0]
-        z = _check_state(z, self.state_floor)[0]
+        z = _check_state(z, self.state_floor, t)[0]
         out = np.exp(self.lam * t) * (self.a + self.b * z)
         return float(out) if out.ndim == 0 else out
 
@@ -174,7 +180,7 @@ class ExpAffine(_RateModel):
 
     def characteristic(self, t, z):
         t, lo, hi = _check_time(t)
-        z = _check_state(z, self.state_floor)[0]
+        z = _check_state(z, self.state_floor, t)[0]
         # b e^(lam t) is largest at an end of the times' extent: finite there, it is
         # finite at every time
         if self.b and t.size:
@@ -376,10 +382,11 @@ class Tabulated(_RateModel):
     def z_max(self):
         return self.z_min + self.rates.shape[1] - 1
 
-    def _locate(self, t, z, reach=0):
-        """``t`` and ``z`` checked, ``z`` as ints; states up to z + reach must be tabulated."""
+    def _locate(self, t, z, reach=0, paired=True):
+        """``t`` and ``z`` checked, ``z`` as ints, broadcasting together if ``paired``;
+        states up to z + reach must be tabulated."""
         t, t_lo, t_hi = _check_time(t)
-        z, z_lo, z_hi = _check_state(z, self.state_floor)
+        z, z_lo, z_hi = _check_state(z, self.state_floor, t if paired else 0.0)
         if t_lo < self.t_grid[0] - _T_SLACK or t_hi > self.t_grid[-1] + _T_SLACK:
             raise TabulationGap("time outside the tabulated hull")
         if z_lo < self.z_min or z_hi + reach > self.z_max:
@@ -416,7 +423,7 @@ class Tabulated(_RateModel):
         then gathers its four coefficients on its range and sums them as
         :meth:`rate` does, so bit for bit ``rate(times, z)[lo:hi]``.
         """
-        t, z = self._locate(times, states)
+        t, z = self._locate(times, states, paired=False)
         i, powers = _pieces(self.t_grid, t)
         return (_power_sum(self._coef[:, :, col], i[a:b], [p[a:b] for p in powers])
                 for col, a, b in zip(z - self.z_min, lo, hi))

@@ -140,6 +140,52 @@ def exp_affine_marginals(model, spec, times):
     return binom.pmf(np.arange(spec.n + 1)[None, :], spec.n, p[:, None])
 
 
+def time_only_cdf(model, spec, times):
+    """p(t) of a bridge whose characteristic c(t) is the same in every state: the
+    CDF of each of its n i.i.d. unordered jump times, so X_t - x is Binomial(n,
+    p(t)).  Such a bridge is the inhomogeneous Poisson process's of rate g =
+    exp(int_s^t c), so p(t) = G(t) / G(u) with G = int_s^t g.
+
+    Both integrals are 20-point Gauss-Legendre rules on cells: the knots of a
+    ``Tabulated`` model cut [s, u], each piece into 4 cells, and a time inside
+    a cell takes the rule over the part of it before the time, the inner
+    integral at each of its nodes too.  A characteristic that differs between
+    ladder states by more than 1e-12 at the cells' nodes is refused
+    (ValueError): the law is then no binomial.
+    """
+    knots = [k for k in getattr(model, "t_grid", ()) if spec.s < k < spec.u]
+    ends = np.concatenate([[spec.s], knots, [spec.u]])
+    edges = np.append(np.linspace(ends[:-1], ends[1:], 5)[:-1].T.ravel(), spec.u)
+    x, w = np.polynomial.legendre.leggauss(20)
+
+    def nodes(a, b):
+        # the rule's nodes on [a, b] and its half-width, a and b arrays of one shape
+        half = (b - a) / 2.0
+        return (a + half)[..., None] + half[..., None] * x, half
+
+    def rule(f, a, b):
+        at, half = nodes(a, b)
+        return half * (f(at) @ w)
+
+    every = model.characteristic(nodes(edges[:-1], edges[1:])[0][..., None], spec.ladder()[:-1])
+    spread = float(np.max(np.ptp(every, axis=-1)))
+    if spread > 1e-12:
+        raise ValueError(f"the characteristic varies in z by {spread:.3g}; the law is no binomial")
+
+    def cumulative(f):
+        # int_s^t f as a function of t, from its values at the edges
+        at_edges = np.concatenate([[0.0], np.cumsum(rule(f, edges[:-1], edges[1:]))])
+
+        def integral(t):
+            i = np.clip(np.searchsorted(edges, t, "right") - 1, 0, edges.size - 2)
+            return at_edges[i] + rule(f, edges[i], t)
+        return integral, at_edges[-1]
+
+    big_c = cumulative(lambda t: model.characteristic(t, spec.x))[0]
+    big_g, total = cumulative(lambda t: np.exp(big_c(t)))
+    return np.clip(big_g(np.asarray(times, dtype=float)) / total, 0.0, 1.0)
+
+
 class CharacteristicIntegrals:
     """Cumulative characteristic integrals xi_j along the ladder of one bridge.
 

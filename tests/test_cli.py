@@ -922,6 +922,52 @@ def test_floats_at_powers_of_ten_ties_and_2_to_53_print_as_format_17g():
     assert printed(values) == [format(v, ".17g") for v in values]
 
 
+def _convergents(r):
+    """The convergents h/q of the continued fraction of the rational r."""
+    h0, h1, q0, q1 = 0, 1, 1, 0
+    while True:
+        a = math.floor(r)
+        h0, h1, q0, q1 = h1, a * h1 + h0, q1, a * q1 + q0
+        yield h1, q1
+        if r == a:
+            return
+        r = 1 / (r - a)
+
+
+def _near_tie(e, m):
+    """A double x = m' 2^k of decimal exponent e whose 17-digit significand
+    m' r, r = 2^k 10^(16 - e), is near a tie (an odd half), and its distance to
+    it; None if the search leaves the binade.  From m' = m, each convergent h/q
+    of r moves m' by a multiple of q, so m' r by a multiple of q r - h, the
+    tie's distance shrinking below |q r - h|."""
+    k = math.ceil(math.log2(10.0) * e) - 52  # 2^(k + 52) .. 2^(k + 53) is inside 10^e .. 4 10^e
+    r = Fraction(2) ** k * Fraction(10) ** (16 - e)
+    for h, q in _convergents(r):
+        if q > 2 ** 48 or q * r == h:
+            break
+        m -= round(((m * r) % 1 - Fraction(1, 2)) / (q * r - h)) * q
+    if not 2 ** 52 <= m < 2 ** 53:
+        return None
+    return math.ldexp(m, k), abs(float((m * r) % 1 - Fraction(1, 2)))
+
+
+def test_cells_within_1e_15_of_a_17_digit_tie_print_as_format_17g():
+    # past E = 16 and below E = -29 no double is an exact tie and 10^(16 - E) is
+    # inexact as a double-double, so the encoder's significand has a rounded tail
+    # and a cell this near a tie must be left to Python; the ties are near enough
+    # from E = 38 up
+    cells = []
+    for e in [*range(-60, -29), *range(38, 61)]:
+        for start in (5 * 2 ** 50, 6 * 2 ** 50, 7 * 2 ** 50):
+            x, gap = _near_tie(e, start) or (None, 1.0)
+            if gap < 1e-15:
+                assert format(x, ".16e").endswith(f"e{e:+03d}")
+                cells.append(x)
+    assert len(cells) >= 100
+    values = cells + [-x for x in cells]
+    assert printed(values) == [format(v, ".17g") for v in values]
+
+
 def test_the_subnormals_print_as_format_17g():
     values = np.arange(1, 10 ** 5 + 1) * 5e-324  # j 2^-1074, exactly
     assert printed(values) == [format(v, ".17g") for v in values.tolist()]

@@ -1,4 +1,7 @@
-"""Both marginal routes and the h-field against the exp-affine closed forms."""
+"""Both marginal routes and the h-field against the exp-affine closed forms, and
+the engine's tables of Tabulated bridges against their binomial laws."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ from scipy.stats import binom
 
 from countbridge.analytic import tilted_cdf_window
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
-from countbridge.intensity import ExpAffine, Poisson, Product, SpaceLinear, TimeExponential
-from oracles import dense_logh, exp_affine_logh, exp_affine_marginals
+from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
+                                   TimeExponential)
+from oracles import (dense_logh, exp_affine_cdf, exp_affine_logh, exp_affine_marginals,
+                     time_only_cdf)
 
 BRIDGES = {
     "time-exponential-200": (TimeExponential(1.0, -3.0), BridgeSpec(0, 200)),
@@ -73,3 +78,63 @@ def test_log_h_matches_the_closed_form_where_the_bridge_holds_the_state(solved):
     fwd = h.mesh.n_fwd_nodes
     assert np.max(err[:fwd]) <= 5e-6
     assert np.max(err[fwd:]) <= 1e-3
+
+
+def _separable(t_grid, f, df, a, b, n, supplied=True):
+    """Rates f(t) (a + b z) on ``t_grid``, states 0..n: characteristic f'/f + b f,
+    the same in every state."""
+    states = a + b * np.arange(n + 1)
+    return Tabulated(t_grid, 0, np.outer(f, states), np.outer(df, states) if supplied else None)
+
+
+def _wave(n, b=0.8, w=0.2, phase=1.0, kappa=0.2, c=1.3):
+    """a g(t) (1 + kappa z), g = exp(b t + w sin(2 pi t + phase)), on 11 nodes, a
+    set as the paths-thinning workload sets it (c n jumps expected)."""
+    t = np.linspace(0.0, 1.0, 11)
+    fine = np.linspace(0.0, 1.0, 2001)
+    g_int = float(np.trapezoid(np.exp(b * fine + w * np.sin(2.0 * math.pi * fine + phase)), fine))
+    a = math.log1p(kappa * c * n) / (kappa * g_int)
+    g = np.exp(b * t + w * np.sin(2.0 * math.pi * t + phase))
+    dg = g * (b + 2.0 * math.pi * w * np.cos(2.0 * math.pi * t + phase))
+    return _separable(t, a * g, a * dg, 1.0, kappa, n)
+
+
+def _sine(n, supplied=True):
+    """f = 1 + 0.8 sin 5t on 6 nodes, b = 0.5: the characteristic changes sign
+    (about -6.4 to 5.0)."""
+    t = np.linspace(0.0, 1.0, 6)
+    return _separable(t, 1.0 + 0.8 * np.sin(5.0 * t), 4.0 * np.cos(5.0 * t), 1.0, 0.5, n, supplied)
+
+
+TIME_ONLY = {
+    "wave-22": (_wave(22), BridgeSpec(0, 22)),
+    "wave-60": (_wave(60), BridgeSpec(0, 60)),
+    "sine-40": (_sine(40), BridgeSpec(0, 40)),
+    "sine-numeric-window": (_sine(30, supplied=False), BridgeSpec(3, 28, 0.1, 0.8)),
+}
+
+
+@pytest.mark.parametrize("model, spec", TIME_ONLY.values(), ids=TIME_ONLY.keys())
+def test_a_time_only_table_is_its_binomial_law(model, spec):
+    # a characteristic c(t) shared by every state makes X_t - x Binomial(n, p(t)),
+    # p = G / G(u), G = int exp(int c): the engine's pmf and tails are that law's
+    # to the published 1e-6
+    table = marginal_table(model, spec, 1e-2)
+    p = time_only_cdf(model, spec, table.times)
+    k = np.arange(spec.n + 1)
+    assert np.max(np.abs(table.probs - binom.pmf(k, spec.n, p[:, None]))) <= 1e-6
+    tails = np.cumsum(table.probs[:, ::-1], axis=1)[:, ::-1]
+    assert np.max(np.abs(tails - binom.sf(k - 1, spec.n, p[:, None]))) <= 1e-6
+
+
+def test_time_only_cdf_is_the_exp_affine_closed_form_and_refuses_a_state_dependent_table():
+    for model, spec in BRIDGES.values():
+        t = np.linspace(spec.s, spec.u, 101)
+        assert np.max(np.abs(time_only_cdf(model, spec, t) - exp_affine_cdf(model, spec, t))) <= 1e-12
+    # f(t) (1 + z) + z: the characteristic's f'/f part depends on the state
+    t = np.linspace(0.0, 1.0, 6)
+    f = 1.0 + 0.8 * np.sin(5.0 * t)
+    z = np.arange(11)
+    model = Tabulated(t, 0, np.outer(f, 1.0 + z) + z, np.outer(4.0 * np.cos(5.0 * t), 1.0 + z))
+    with pytest.raises(ValueError, match="varies in z"):
+        time_only_cdf(model, BridgeSpec(0, 10), t)

@@ -491,6 +491,31 @@ def test_windowed_column_steps_match_the_staged_step(shift, seed):
             np.testing.assert_allclose(x[j + 1, z], want, rtol=1e-13, atol=0.0)
 
 
+_CLIMB = np.cumsum(np.random.default_rng(3).uniform(0.0, 4.0, 800))
+
+
+@pytest.mark.parametrize("a", [
+    [], [3.5], [-np.inf] * 4,
+    [-np.inf, -np.inf, -710.0, 2.0, -np.inf, 1.0, -np.inf],
+    _CLIMB,
+    np.where(np.arange(_CLIMB.size) % 7 == 3, -np.inf, _CLIMB - 900.0),
+    [0.0, 400.0, -np.inf, 800.0, 1200.0, 1199.0],
+    np.r_[1200.0, np.random.default_rng(4).normal(0.0, 50.0, 300)],
+], ids=["empty", "one", "all-neg-inf", "neg-inf-lead-and-interior", "climb",
+        "climb-with-holes", "steps", "high-first-cell"])
+def test_log_cumsum_matches_logaddexp_accumulate(a):
+    # the column kernel's prefix log-sum-exp against numpy's, within 1e-12 relative
+    # to max(1, |L|) and with the same -inf cells; the climbs (about 1,600 nats)
+    # take several runs, so each run carries the sum of the ones before it
+    a = np.asarray(a, dtype=float)
+    want = np.logaddexp.accumulate(a)
+    got = engine._log_cumsum(a)
+    assert got.shape == a.shape
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
+
+
 @pytest.mark.parametrize("model, spec", [
     (Product(1.0, 3.0, 0.1), BridgeSpec(0, 10)),
     (Product(2.0, -4.0, 0.5), BridgeSpec(0, 8)),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
-from countbridge.errors import EmptyRange, OutOfDomain, TabulationGap
+from countbridge.errors import BadParameter, EmptyRange, OutOfDomain, TabulationGap
 from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Product, SpaceLinear,
                                    Tabulated, TimeExponential, constant_characteristic_model,
                                    model_from_dict)
@@ -242,6 +242,23 @@ def test_tabulated_refuses_a_non_integral_state(form, z):
         m.rate(t, z)
     with pytest.raises(OutOfDomain, match="state not an integer: "):
         m.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(3, 3))
+
+
+@pytest.mark.parametrize("model", [ExpAffine(1.0, 1.0, 0.5), _hull_model()],
+                         ids=["exp-affine", "tabulated"])
+@pytest.mark.parametrize("t, message", [
+    ([0.5, np.nan], "time is NaN at 1 of 2 entries, first at index 1"),
+    ([np.nan, np.nan], "time is NaN at 2 of 2 entries, first at index 0"),
+    (np.nan, "time is NaN at 1 of 1 entries, first at index 0"),
+], ids=["one", "all", "scalar"])
+def test_nan_times_are_refused_by_name(model, t, message):
+    # a range test lets NaN through: ExpAffine's rate would be NaN there, Tabulated's
+    # characteristic 0, and an all-NaN characteristic "leaves the float range"
+    for read in (model.rate, model.rate_dt, model.characteristic):
+        with pytest.raises(BadParameter, match=message):
+            read(t, 3)
+    with pytest.raises(BadParameter, match=message):
+        model.rate_columns(np.atleast_1d(t), [3], *_whole(np.size(t), 1))
 
 
 def test_tabulated_integral_float_states_pass():
@@ -539,9 +556,11 @@ def test_tabulated_rate_shapes():
     assert m.rate(0.3, zs).shape == (3,)
     assert m.rate(ts[:3], zs).shape == (3,)                # paired when they match
     assert m.rate(ts[:, None], zs[None, :]).shape == (4, 3)
-    # times and states broadcast as ExpAffine's do: 1-D arrays of two lengths do not
-    for read in (m.rate, m.rate_dt, m.characteristic, Product(1.0, 3.0, 0.1).rate):
-        with pytest.raises(ValueError):
+    # times and states broadcast as ExpAffine's do: 1-D arrays of two lengths do not,
+    # and are refused by name
+    p = Product(1.0, 3.0, 0.1)
+    for read in (m.rate, m.rate_dt, m.characteristic, p.rate, p.rate_dt, p.characteristic):
+        with pytest.raises(BadParameter, match=r"states \(3,\) do not broadcast with times \(4,\)"):
             read(ts, zs)
     grid = m.rate(ts[:, None], zs)
     np.testing.assert_array_equal(m.rate(ts[:3], zs), np.diag(grid[:3]))

@@ -359,9 +359,10 @@ def _solve_h_spy(monkeypatch):
 
 
 def test_lln_samples_a_constant_rate_table_as_the_poisson_model(monkeypatch):
-    # a Tabulated model has no closed form, so a table of constant rates takes the
-    # inversion route, one solve per height, and passes under its limit, the
-    # uniform profile of the Poisson bridge
+    # BridgeLaw routes by model family, so a table of constant rates takes the
+    # inversion route, one solve per height, though its law is the Poisson
+    # bridge's binomial (oracles.time_only_cdf), and passes under that law's
+    # limit, the uniform profile
     heights = _solve_h_spy(monkeypatch)
     table = Tabulated(np.linspace(0.0, 1.0, 6), 0, np.full((6, 41), 2.5), np.zeros((6, 41)))
     rep = lln_experiment(table, 0.0, [10, 40], 60, 77)
