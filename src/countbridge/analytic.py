@@ -141,23 +141,43 @@ def binomial_rows(n, p):
     return rows
 
 
+def _clock(model, spec):
+    """An ``ExpAffine`` clock's own tilt lam and its law's tilt theta = b (tau(u) - tau(s))
+    over [s, u]; lam + b and 0 if b is 0 or lam (u - s) is below the normal floats, where
+    the clock is the window's time.  A theta not finite raises OutOfDomain."""
+    lam, b = model.lam, model.b
+    if b == 0.0 or abs(lam * spec.length) < np.finfo(float).tiny:
+        return lam + b, 0.0
+    with np.errstate(over="ignore"):
+        theta = b * np.exp(lam * spec.s) * np.expm1(lam * spec.length) / lam
+    if not np.isfinite(theta):
+        raise OutOfDomain(f"the bridge's clock CDF is not finite: its tilt over the window,"
+                          f" b (tau(u) - tau(s)), is {theta:g} at b = {b:g}, lambda = {lam:g}")
+    return lam, theta
+
+
 def clock_cdf(model, spec, t):
-    """p(t) of an ``ExpAffine`` bridge, whose X_t - x is Binomial(n, p(t)): on the clock
-    tau(t) = expm1(lam t) / lam, with v = tau(t) - tau(s) and w = tau(u) - tau(s), it is
-    expm1(b v) / expm1(b w), formed as e^(b (v - w)) expm1(-b v) / expm1(-b w) so that
-    neither term overflows, or :func:`tilted_cdf_window` at lam + b if b or lam is 0.
-    A tilt, w or p that is not finite raises :class:`~countbridge.errors.OutOfDomain`."""
-    lam, b, s = model.lam, model.b, spec.s
-    if b == 0.0 or lam == 0.0:
-        return tilted_cdf_window(lam + b, s, spec.u, t)
-    with np.errstate(all="ignore"):
-        v, w = (np.exp(lam * s) * np.expm1(lam * (np.asarray(r, float) - s)) / lam
-                for r in (t, spec.u))
-        p = np.exp(b * (v - w)) * np.expm1(-b * v) / np.expm1(-b * w)
-    if not (np.isfinite(w) and np.all(np.isfinite(p))):
-        raise OutOfDomain(f"the bridge's clock CDF is not finite: tau(u) - tau(s) ="
-                          f" {float(w):g} at b = {b:g}, lambda = {lam:g}")
+    """p(t) of an ``ExpAffine`` bridge, X_t - x being Binomial(n, p(t)): on the clock tau(t)
+    = expm1(lam t) / lam, the CDF at the tilt theta (:func:`_clock`) of the clock fraction
+    v / w = expm1(lam (t - s)) / expm1(lam (u - s)), formed so that nothing overflows, or
+    below _SMALL_LAM :func:`tilted_cdf` at theta of its profile :func:`tilted_cdf_window`."""
+    tilt, theta = _clock(model, spec)
+    if theta < _SMALL_LAM:
+        return tilted_cdf(theta, tilted_cdf_window(tilt, spec.s, spec.u, t))
+    # one np.expm1 forms both, so v = w at t = u and p(u) = 1 at any theta
+    v, w = (np.expm1(tilt * (np.asarray(r, float) - spec.s)) for r in (t, spec.u))
+    p = np.exp(theta * ((v - w) / w)) * np.expm1(-theta * (v / w)) / np.expm1(-theta)
     return np.clip(p, 0.0, 1.0)
+
+
+def clock_quantile(model, spec, q):
+    """The t at which :func:`clock_cdf` reaches q: the clock fraction 1 - tilted_quantile(
+    -theta, 1 - q), so that e^theta is never formed (q at theta = 0), taken back through the
+    clock by :func:`tilted_quantile`.  A tilt past the float range raises OutOfDomain."""
+    tilt, theta = _clock(model, spec)
+    if theta:
+        q = 1.0 - tilted_quantile(-theta, 1.0 - np.asarray(q, float))
+    return spec.s + spec.length * tilted_quantile(tilt * spec.length, q)
 
 
 def mean_upper_bound(spec, lam, t):

@@ -65,20 +65,22 @@ def _finite_array(name, values):
     return out
 
 
-def _extent(a):
-    """Smallest and largest entry of ``a``, NaN skipped; (inf, -inf) when empty,
-    so that every bound test on an empty array passes."""
+def _extent(what, a):
+    """Smallest and largest entry of ``a``; (inf, -inf) when empty, so that every
+    bound test on an empty array passes.  A NaN entry is a BadParameter naming ``what``."""
     if a.size == 0:
         return math.inf, -math.inf
-    return np.fmin.reduce(a, axis=None), np.fmax.reduce(a, axis=None)
+    lo, hi = np.minimum.reduce(a, axis=None), np.maximum.reduce(a, axis=None)
+    if math.isnan(lo):  # the minimum is NaN where any entry is
+        nan = np.flatnonzero(np.isnan(a))
+        raise BadParameter(f"{what} is NaN at {nan.size} of {a.size} entries, first at index {nan[0]}")
+    return lo, hi
 
 
 def _check_time(t):
     """``t`` as a float array inside [0, 1], with its extent; a NaN time is a BadParameter."""
     t = np.asarray(t, dtype=float)
-    if (nan := np.flatnonzero(np.isnan(t))).size:
-        raise BadParameter(f"time is NaN at {nan.size} of {t.size} entries, first at index {nan[0]}")
-    lo, hi = _extent(t)
+    lo, hi = _extent("time", t)
     if lo < -_T_SLACK or hi > 1.0 + _T_SLACK:
         raise OutOfDomain(f"time outside [0, 1]: {t[np.argmax((t < 0) | (t > 1))] if t.ndim else float(t)}")
     return t, lo, hi
@@ -91,7 +93,7 @@ def _check_state(z, floor, t=0.0):
         np.broadcast(z, t)
     except ValueError:
         raise BadParameter(f"states {z.shape} do not broadcast with times {np.shape(t)}") from None
-    lo, hi = _extent(z)
+    lo, hi = _extent("state", z)
     if lo < floor:
         raise OutOfDomain(f"state below floor {floor}")
     return z, lo, hi
@@ -121,7 +123,7 @@ def _validate_window(t_window):
 
 
 def _validate_zrange(z_range, floor):
-    zlo, zhi = int(z_range[0]), int(z_range[1])
+    zlo, zhi = (_integral("a state range's end", z) for z in z_range[:2])
     if zlo > zhi:
         raise EmptyRange(f"empty state range [{zlo}, {zhi}]")
     if zlo < floor:

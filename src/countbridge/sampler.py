@@ -2,9 +2,8 @@
 
 Two samplers live here:
 
-* an exact sampler for every ``ExpAffine`` model: on the clock
-  tau(t) = expm1(lam t) / lam its characteristic is constant, so the jump
-  times are the sorted i.i.d. draws of a tilted density there (inverse CDF);
+* an exact sampler for every ``ExpAffine`` model: its jump times are the sorted
+  :func:`~countbridge.analytic.clock_quantile` of i.i.d. uniforms;
 * an inversion sampler driven by the integrated pinned jump rate from the
   solved h-field, which works for any model and any n.
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import tilted_quantile
+from .analytic import clock_quantile
 from .engine import check_field, check_memory, count_text
 from .errors import NotSorted, PinMiss, TooFewSamples
 
@@ -88,31 +87,20 @@ def _path_count(count):
 
 
 def sample_constant(model, spec, count, rng_seed):
-    """Exact bridge sampler for any ``ExpAffine`` model.
-
-    On the clock tau(t) = expm1(lam t) / lam the characteristic is b, so the n = y - x
-    jump times are sorted i.i.d. tilted draws there: with b = 0 or lam = 0 at the tilt
-    (lam + b) (u - s) over the window (:func:`~countbridge.analytic.tilted_quantile`),
-    else at the clock's tilt theta = b (tau(u) - tau(s)), reflected so that e^theta is
-    never formed.  Deterministic given the seed.  A tilt or theta past the float range
-    raises :class:`~countbridge.errors.OutOfDomain`, tied draws NotSorted; before any
-    is drawn, a negative ``count`` TooFewSamples and a sample over the engine's memory
-    cap ResourceCap.
+    """Exact bridge sampler for any ``ExpAffine`` model: the n = y - x jump times are
+    the sorted :func:`~countbridge.analytic.clock_quantile` of n i.i.d. uniforms.
+    Deterministic given the seed.  A tilt past the float range raises
+    :class:`~countbridge.errors.OutOfDomain`, tied draws NotSorted; before any is drawn,
+    a negative ``count`` TooFewSamples and a sample over the engine's memory cap
+    ResourceCap.
     """
     n = spec.n
     count = _path_count(count)
-    # the draws, their tilted values, the sorted times, one temporary and their
+    # the draws, their quantiles, the sorted times, one temporary and their
     # differences: five (count x n) arrays at once
     check_memory(5 * 8 * count * n, f"{count_text(count)} paths of {count_text(n)} jumps")
     u01 = seeded_rng(rng_seed).random((count, n))
-    lam, b, length = model.lam, model.b, spec.length
-    if b == 0.0 or lam == 0.0:
-        times = spec.s + length * np.sort(tilted_quantile((lam + b) * length, u01), axis=1)
-    else:  # an overflow leaves theta infinite, which tilted_quantile refuses
-        with np.errstate(over="ignore"):
-            theta = b * np.exp(lam * spec.s) * np.expm1(lam * length) / lam
-        clock = np.sort(1.0 - tilted_quantile(-theta, 1.0 - u01), axis=1)
-        times = spec.s + length * tilted_quantile(lam * length, clock)
+    times = np.sort(clock_quantile(model, spec, u01), axis=1)
     if not np.all(np.diff(times, axis=1) > 0):
         raise NotSorted("jump times must be strictly increasing")
     return PathBatch(spec.x, times)

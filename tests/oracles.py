@@ -120,7 +120,9 @@ def exp_affine_cdf(model, spec, times):
     """The closed-form p(t) of an ``ExpAffine`` bridge: the CDF of each of its
     n i.i.d. unordered jump times, p(t) = expm1(b (tau(t) - tau(s))) /
     expm1(b (tau(u) - tau(s))), the constant-characteristic bridge of the clock
-    tau ((tau(t) - tau(s)) / (tau(u) - tau(s)) at b = 0)."""
+    tau ((tau(t) - tau(s)) / (tau(u) - tau(s)) at b = 0).  Its gaps are scaled by
+    e^(lam s), which loses precision where lam s < -708 (subnormal) and is 0 below
+    about -745; ``time_only_cdf`` checks such bridges."""
     t = np.asarray(times, dtype=float)
     v, w = _tau_gap(model.lam, spec.s, t), _tau_gap(model.lam, spec.s, spec.u)
     b = model.b

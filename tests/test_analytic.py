@@ -11,7 +11,7 @@ from countbridge.analytic import (binomial_rows, binomial_tail, clock_cdf, mean_
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadWindow, IndexOut, OutOfDomain
 from countbridge.intensity import ExpAffine, Poisson, Product, SpaceLinear, TimeExponential
-from oracles import binom, exp_affine_cdf
+from oracles import binom, exp_affine_cdf, time_only_cdf
 
 PI3_HALF = 0.18242552380635635  # (e^1.5 - 1)/(e^3 - 1), frozen
 
@@ -233,6 +233,19 @@ def test_clock_cdf_at_a_constant_characteristic_is_the_tilted_cdf():
     for model, tilt in [(TimeExponential(2.0, -3.0), -3.0), (SpaceLinear(2.5, 1.0), 2.5),
                         (Poisson(4.0), 0.0)]:
         assert np.array_equal(clock_cdf(model, spec, ts), tilted_cdf_window(tilt, 0.1, 0.7, ts))
+
+
+@pytest.mark.parametrize("lam, s, u", [
+    (-951.4734, 0.7741, 0.8311), (-1000.0, 0.75, 0.8), (-1000.0, 0.72, 0.8), (-800.0, 0.9, 1.0),
+], ids=["subnormal-0.42-off", "underflow-refused", "subnormal-6e-8-off", "subnormal-3e-8-off"])
+def test_clock_cdf_of_a_clock_whose_e_lam_s_is_subnormal_is_the_quadrature(lam, s, u):
+    # e^(lam s) subnormal or 0 on ExpAffine(1, 0.5, lam): clock gaps scaled by it were
+    # 0.42, 6.1e-8 and 3.3e-8 off the quadrature, or 0 / 0 and refused; the clock
+    # fraction never forms it.  (The quadrature's own exp overflows once int c passes
+    # about 709, so it checks only such bridges.)
+    model, spec = ExpAffine(1.0, 0.5, lam), BridgeSpec(0, 5, s, u)
+    ts = np.linspace(s, u, 201)
+    assert np.max(np.abs(clock_cdf(model, spec, ts) - time_only_cdf(model, spec, ts))) <= 1e-10
 
 
 @pytest.mark.parametrize("model, message", [

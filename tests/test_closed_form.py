@@ -11,6 +11,8 @@ from countbridge.analytic import tilted_cdf_window
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
 from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
                                    TimeExponential)
+from countbridge.sampler import sample_bridge
+from countbridge.verify import KOLMOGOROV_999
 from oracles import (dense_logh, exp_affine_cdf, exp_affine_logh, exp_affine_marginals,
                      time_only_cdf)
 
@@ -125,6 +127,20 @@ def test_a_time_only_table_is_its_binomial_law(model, spec):
     assert np.max(np.abs(table.probs - binom.pmf(k, spec.n, p[:, None]))) <= 1e-6
     tails = np.cumsum(table.probs[:, ::-1], axis=1)[:, ::-1]
     assert np.max(np.abs(tails - binom.sf(k - 1, spec.n, p[:, None]))) <= 1e-6
+
+
+@pytest.mark.parametrize("name, seed", [("wave-22", 3701), ("sine-40", 3702)])
+def test_sample_bridge_draws_a_time_only_table_from_its_binomial_law(name, seed):
+    # a path's n jump times are the sorted values of n i.i.d. draws of p, so the
+    # jump times of all paths, pooled, are i.i.d. draws of p: their empirical CDF is
+    # within the Kolmogorov law's 0.999 quantile of p, on a grid of 2,001 times
+    model, spec = TIME_ONLY[name]
+    times = np.sort(sample_bridge(model, spec, solve_h(model, spec, 1e-2), 1000, seed).times,
+                    axis=None)
+    grid = np.linspace(spec.s, spec.u, 2001)
+    gap = np.max(np.abs(np.searchsorted(times, grid, "right") / times.size
+                        - time_only_cdf(model, spec, grid)))
+    assert math.sqrt(times.size) * gap <= KOLMOGOROV_999
 
 
 def test_time_only_cdf_is_the_exp_affine_closed_form_and_refuses_a_state_dependent_table():

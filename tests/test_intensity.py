@@ -232,7 +232,7 @@ def test_tabulated_boundaries(form, t, z, error, message):
 
 
 @pytest.mark.parametrize("form", ["scalar", "array"])
-@pytest.mark.parametrize("z", [2.5, 2.999, np.nan])
+@pytest.mark.parametrize("z", [2.5, 2.999])
 def test_tabulated_refuses_a_non_integral_state(form, z):
     m = _hull_model()
     t = 0.5
@@ -242,6 +242,26 @@ def test_tabulated_refuses_a_non_integral_state(form, z):
         m.rate(t, z)
     with pytest.raises(OutOfDomain, match="state not an integer: "):
         m.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(3, 3))
+
+
+@pytest.mark.parametrize("model", [ExpAffine(1.0, 1.0, 0.5), _hull_model()],
+                         ids=["exp-affine", "tabulated"])
+@pytest.mark.parametrize("form", ["scalar", "array"])
+def test_nan_states_are_refused_by_name(model, form):
+    # the extent skipped NaN: ExpAffine's rate at [nan, 2] was [nan, 3.852] and its
+    # characteristic at nan was nan, while Tabulated called nan "not an integer"
+    t, z, message = 0.5, np.nan, "state is NaN at 1 of 1 entries, first at index 0"
+    if form == "array":
+        t, z = np.array([0.5, 0.5, 0.6]), np.array([3.0, np.nan, 4.0])
+        message = "state is NaN at 1 of 3 entries, first at index 1"
+    for read in (model.rate, model.rate_dt, model.characteristic):
+        with pytest.raises(BadParameter, match=message):
+            read(t, z)
+    with pytest.raises(BadParameter, match=message):
+        model.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(np.size(t), np.size(z)))
+    # a state range's ends are read as integers: int(nan) raised a bare ValueError
+    with pytest.raises(BadParameter, match="state range's end must be an integer, got nan"):
+        model.characteristic_bounds((0.2, 0.8), (np.nan, 3))
 
 
 @pytest.mark.parametrize("model", [ExpAffine(1.0, 1.0, 0.5), _hull_model()],
