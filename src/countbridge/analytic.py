@@ -16,60 +16,70 @@ import numbers
 import numpy as np
 
 from .errors import BadParameter, BadWindow, IndexOut, OutOfDomain
-
-# Below this, (exp(lam*t)-1)/(exp(lam)-1) is replaced by its expansion around
-# lam = 0 to dodge 0/0 noise: t + lam*t*(t-1)/2 + O(lam^2).
-_SMALL_LAM = 1e-6
+from .intensity import _extent
 
 
 def tilted_cdf(lam, t):
     """CDF at t of the density on [0, 1] proportional to exp(lam * s).
 
     (exp(lam*t) - 1) / (exp(lam) - 1), extended continuously through lam = 0
-    where it is the identity.  Increasing in t, decreasing in lam, fixed at
-    0 and 1 at the window ends.  A non-finite tilt, or one whose e^lam
-    overflows (above about 709.78), raises :class:`~countbridge.errors.OutOfDomain`.
+    where it is the identity.  Increasing in t, decreasing in lam, fixed at 0 and 1
+    at the window ends; a non-finite tilt raises :class:`~countbridge.errors.OutOfDomain`.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
-        raise BadWindow("t outside [0, 1]")
+    return tilted_cdf_window(lam, 0.0, 1.0, t)
+
+
+def _tilt(lam):
+    """``lam`` as a float; a non-finite tilt raises OutOfDomain."""
     lam = float(lam)
-    if abs(lam) < _SMALL_LAM:
-        out = t + lam * t * (t - 1.0) / 2.0
-    else:
-        scale = _tilt_scale(lam)
-        # np.expm1 and math.expm1 may round apart by an ulp, which would put the
-        # ratio just past 1 at t = 1
-        out = np.clip(np.expm1(lam * t) / scale, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _tilt_scale(lam):
-    """e^lam - 1; a non-finite tilt, or one whose e^lam overflows, raises OutOfDomain."""
     if not math.isfinite(lam):
         raise OutOfDomain(f"the tilt over the window must be finite, got {lam}")
-    try:
-        return math.expm1(lam)
-    except OverflowError:
-        raise OutOfDomain(f"the tilt over the window, {lam:g}, overflows exp;"
-                          " it must stay below about 709.78") from None
+    return lam
+
+
+def _tilted(theta, c, c1):
+    """The tilted CDF at the finite tilt theta of fractions c in [0, 1], given with c1 =
+    c - 1: expm1(theta c) / expm1(theta) below 0, its reflection e^(theta c1) expm1(-theta
+    c) / expm1(-theta) above, so that no exponential overflows, and c where |theta| is
+    below the normal floats."""
+    if abs(theta) < np.finfo(float).tiny:
+        return c
+    if theta < 0.0:
+        # clipped: np.expm1 and math.expm1 may round apart by an ulp at c = 1
+        return np.clip(np.expm1(theta * c) / math.expm1(theta), 0.0, 1.0)
+    # one np.expm1 forms both, so the ratio is 1 at c = 1
+    return np.clip(np.exp(theta * c1) * np.expm1(-theta * c) / np.expm1(-theta), 0.0, 1.0)
 
 
 def tilted_quantile(lam, p):
     """The t in [0, 1] at which :func:`tilted_cdf` reaches p: its inverse in t.
 
-    log1p(p (e^lam - 1)) / lam, clipped to [0, 1]; where |lam| < _SMALL_LAM,
-    the inverse of tilted_cdf's own expansion there, p + lam p (1 - p) / 2.
-    A non-finite tilt, or one whose e^lam overflows, raises
-    :class:`~countbridge.errors.OutOfDomain`.
+    log1p(p (e^lam - 1)) / lam below 0, 1 + log1p((1 - p) (e^-lam - 1)) / lam above,
+    clipped to [0, 1], and p where |lam| is below the normal floats.  A non-finite
+    tilt raises :class:`~countbridge.errors.OutOfDomain`.
     """
-    p = np.asarray(p, dtype=float)
-    lam = float(lam)
-    if abs(lam) < _SMALL_LAM:
-        return p + lam * p * (1.0 - p) / 2.0
-    # below lam of about -37, e^lam - 1 rounds to -1, so p = 1 gives log1p(-1)
+    p, lam = np.asarray(p, dtype=float), _tilt(lam)
+    if abs(lam) < np.finfo(float).tiny:
+        return p
+    # past |lam| of about 37, e^-|lam| - 1 rounds to -1, and log1p(-1) is -inf
     with np.errstate(divide="ignore"):
-        return np.clip(np.log1p(p * _tilt_scale(lam)) / lam, 0.0, 1.0)
+        if lam < 0.0:
+            return np.clip(np.log1p(p * math.expm1(lam)) / lam, 0.0, 1.0)
+        return np.clip(1.0 + np.log1p((1.0 - p) * math.expm1(-lam)) / lam, 0.0, 1.0)
+
+
+def _fractions(s, u, t):
+    """The fractions c = (t - s) / (u - s) and c - 1 = (t - u) / (u - s) of the times t
+    in the window [s, u].  A bad window or a time outside it raises BadWindow, a NaN
+    time BadParameter."""
+    s, u = float(s), float(u)
+    if not (0.0 <= s < u <= 1.0 + 1e-12):
+        raise BadWindow(f"bad window [{s}, {u}]")
+    t = np.asarray(t, dtype=float)
+    lo, hi = _extent("time", t)
+    if lo < s - 1e-12 or hi > u + 1e-12:
+        raise BadWindow("t outside the window")
+    return np.clip((t - s) / (u - s), 0.0, 1.0), np.clip((t - u) / (u - s), -1.0, 0.0)
 
 
 def tilted_cdf_window(lam, s, u, t):
@@ -78,13 +88,8 @@ def tilted_cdf_window(lam, s, u, t):
     (exp(lam*(t-s)) - 1) / (exp(lam*(u-s)) - 1); identical to rescaling the
     window to [0, 1] and the tilt to lam*(u-s).
     """
-    s, u = float(s), float(u)
-    if not (0.0 <= s < u <= 1.0 + 1e-12):
-        raise BadWindow(f"bad window [{s}, {u}]")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < s - 1e-12) or np.any(t > u + 1e-12):
-        raise BadWindow("t outside the window")
-    return tilted_cdf(lam * (u - s), np.clip((t - s) / (u - s), 0.0, 1.0))
+    out = _tilted(_tilt(lam) * (float(u) - float(s)), *_fractions(s, u, t))
+    return float(out) if out.ndim == 0 else out
 
 
 def binomial_tail(n, p, i):
@@ -142,42 +147,38 @@ def binomial_rows(n, p):
 
 
 def _clock(model, spec):
-    """An ``ExpAffine`` clock's own tilt lam and its law's tilt theta = b (tau(u) - tau(s))
-    over [s, u]; lam + b and 0 if b is 0 or lam (u - s) is below the normal floats, where
-    the clock is the window's time.  A theta not finite raises OutOfDomain."""
+    """The tilt theta = b (tau(u) - tau(s)) of an ``ExpAffine`` bridge's law over [s, u]
+    on its clock tau(t) = expm1(lam t) / lam: 0 at b = 0, and b (u - s) where lam (u - s)
+    is below the normal floats, where the clock is the window's time.  A theta not
+    finite raises OutOfDomain."""
     lam, b = model.lam, model.b
     if b == 0.0 or abs(lam * spec.length) < np.finfo(float).tiny:
-        return lam + b, 0.0
+        return b * spec.length
     with np.errstate(over="ignore"):
         theta = b * np.exp(lam * spec.s) * np.expm1(lam * spec.length) / lam
     if not np.isfinite(theta):
         raise OutOfDomain(f"the bridge's clock CDF is not finite: its tilt over the window,"
                           f" b (tau(u) - tau(s)), is {theta:g} at b = {b:g}, lambda = {lam:g}")
-    return lam, theta
+    return theta
 
 
 def clock_cdf(model, spec, t):
-    """p(t) of an ``ExpAffine`` bridge, X_t - x being Binomial(n, p(t)): on the clock tau(t)
-    = expm1(lam t) / lam, the CDF at the tilt theta (:func:`_clock`) of the clock fraction
-    v / w = expm1(lam (t - s)) / expm1(lam (u - s)), formed so that nothing overflows, or
-    below _SMALL_LAM :func:`tilted_cdf` at theta of its profile :func:`tilted_cdf_window`."""
-    tilt, theta = _clock(model, spec)
-    if theta < _SMALL_LAM:
-        return tilted_cdf(theta, tilted_cdf_window(tilt, spec.s, spec.u, t))
-    # one np.expm1 forms both, so v = w at t = u and p(u) = 1 at any theta
-    v, w = (np.expm1(tilt * (np.asarray(r, float) - spec.s)) for r in (t, spec.u))
-    p = np.exp(theta * ((v - w) / w)) * np.expm1(-theta * (v / w)) / np.expm1(-theta)
-    return np.clip(p, 0.0, 1.0)
+    """p(t) of an ``ExpAffine`` bridge, X_t - x being Binomial(n, p(t)): the tilted CDF
+    (:func:`_tilted`) at the law's tilt theta (:func:`_clock`) of the clock fraction c =
+    expm1(lam (t - s)) / expm1(lam (u - s)), itself the tilted CDF at lam (u - s) of the
+    window's fraction, with c - 1 minus the reflected profile, so that nothing overflows
+    or cancels.  A time outside the window raises BadWindow, a NaN one BadParameter."""
+    x, x1 = _fractions(spec.s, spec.u, t)
+    tilt = model.lam * spec.length
+    return _tilted(_clock(model, spec), _tilted(tilt, x, x1), -_tilted(-tilt, -x1, -x))
 
 
 def clock_quantile(model, spec, q):
-    """The t at which :func:`clock_cdf` reaches q: the clock fraction 1 - tilted_quantile(
-    -theta, 1 - q), so that e^theta is never formed (q at theta = 0), taken back through the
-    clock by :func:`tilted_quantile`.  A tilt past the float range raises OutOfDomain."""
-    tilt, theta = _clock(model, spec)
-    if theta:
-        q = 1.0 - tilted_quantile(-theta, 1.0 - np.asarray(q, float))
-    return spec.s + spec.length * tilted_quantile(tilt * spec.length, q)
+    """The t at which :func:`clock_cdf` reaches q: the clock fraction tilted_quantile(theta,
+    q) taken back through the clock by :func:`tilted_quantile` at lam (u - s).  A theta
+    past the float range raises OutOfDomain."""
+    clock = tilted_quantile(_clock(model, spec), q)
+    return spec.s + spec.length * tilted_quantile(model.lam * spec.length, clock)
 
 
 def mean_upper_bound(spec, lam, t):
@@ -186,6 +187,5 @@ def mean_upper_bound(spec, lam, t):
     x + (y - x) * tilted CDF of the window; exact (not just a bound) when the
     characteristic is identically lam.
     """
-    p = tilted_cdf_window(lam, spec.s, spec.u, t)
-    out = spec.x + (spec.y - spec.x) * np.asarray(p)
+    out = spec.x + spec.n * np.asarray(tilted_cdf_window(lam, spec.s, spec.u, t))
     return float(out) if out.ndim == 0 else out

@@ -46,8 +46,8 @@ stored: log h is one band of the windows, laid end to end (:class:`_Band`).
 Where the bridge holds a state with probability 1e-10 or more it is the
 unstopped log h to the integrator's accuracy; next to the cuts, where the
 bridge almost never holds the state, it can be several nats below it.
-Every model's bounds are proved; a tilt that overflows exp, or an infinite
-bound, puts the cuts at the window ends, so every state is live throughout.
+Every model's bounds are proved, and the cuts hold at any finite bound; an
+infinite bound puts them at the window ends, so every state is live throughout.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def _cut_times(model, spec):
     time it is live (see the module notes).  State x + i is dead early while the
     profile p_hi at the characteristic's infimum is below thr[i], and dead late
     once 1 - p_lo, at its supremum, is below thr[n - i]; both rise with i.  No
-    jump, infinite bounds or a tilt overflowing exp give the window ends."""
+    jump, or an infinite bound, gives the window ends."""
     n = spec.n
     whole = np.full(n + 1, spec.s), np.full(n + 1, spec.u)
     if n == 0:

@@ -89,7 +89,7 @@ def _path_count(count):
 def sample_constant(model, spec, count, rng_seed):
     """Exact bridge sampler for any ``ExpAffine`` model: the n = y - x jump times are
     the sorted :func:`~countbridge.analytic.clock_quantile` of n i.i.d. uniforms.
-    Deterministic given the seed.  A tilt past the float range raises
+    Deterministic given the seed.  A law whose tilt is not finite raises
     :class:`~countbridge.errors.OutOfDomain`, tied draws NotSorted; before any is drawn,
     a negative ``count`` TooFewSamples and a sample over the engine's memory cap
     ResourceCap.

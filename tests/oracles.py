@@ -149,15 +149,17 @@ def time_only_cdf(model, spec, times):
     exp(int_s^t c), so p(t) = G(t) / G(u) with G = int_s^t g.
 
     Both integrals are 20-point Gauss-Legendre rules on cells: the knots of a
-    ``Tabulated`` model cut [s, u], each piece into 4 cells, and a time inside
-    a cell takes the rule over the part of it before the time, the inner
-    integral at each of its nodes too.  A characteristic that differs between
-    ladder states by more than 1e-12 at the cells' nodes is refused
-    (ValueError): the law is then no binomial.
+    ``Tabulated`` model cut [s, u], and each piece is cut into as many equal cells
+    as int |c| over it has nats, at least 4, so that g changes by at most a factor
+    of about e over a cell; a time inside a cell takes the rule over the part of it
+    before the time, the inner integral at each of its nodes too.  g is formed as
+    exp(int c - M), M the largest int_s^t c at the cells' edges, so it neither
+    overflows nor leaves every cell at 0.  A characteristic that differs between
+    ladder states by more than 1e-12 at the cells' nodes is refused (ValueError):
+    the law is then no binomial.
     """
     knots = [k for k in getattr(model, "t_grid", ()) if spec.s < k < spec.u]
     ends = np.concatenate([[spec.s], knots, [spec.u]])
-    edges = np.append(np.linspace(ends[:-1], ends[1:], 5)[:-1].T.ravel(), spec.u)
     x, w = np.polynomial.legendre.leggauss(20)
 
     def nodes(a, b):
@@ -168,6 +170,25 @@ def time_only_cdf(model, spec, times):
     def rule(f, a, b):
         at, half = nodes(a, b)
         return half * (f(at) @ w)
+
+    def characteristic(t):
+        return model.characteristic(t, spec.x)
+
+    def cut(counts):
+        # each piece of [s, u] cut into its count of equal cells
+        return np.append(np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b, k
+                                         in zip(ends[:-1], ends[1:], counts)]), spec.u)
+
+    # refine until every piece has at least as many cells as its int |c| has nats,
+    # read on its own cells (at most a few rounds: each reading is finer)
+    counts = np.full(ends.size - 1, 4)
+    while True:
+        edges = cut(counts)
+        nats = rule(lambda t: np.abs(characteristic(t)), edges[:-1], edges[1:])
+        need = np.ceil(np.add.reduceat(nats, np.cumsum(counts) - counts)).astype(int)
+        if np.all(need <= counts):
+            break
+        counts = np.maximum(counts, need)
 
     every = model.characteristic(nodes(edges[:-1], edges[1:])[0][..., None], spec.ladder()[:-1])
     spread = float(np.max(np.ptp(every, axis=-1)))
@@ -181,11 +202,12 @@ def time_only_cdf(model, spec, times):
         def integral(t):
             i = np.clip(np.searchsorted(edges, t, "right") - 1, 0, edges.size - 2)
             return at_edges[i] + rule(f, edges[i], t)
-        return integral, at_edges[-1]
+        return integral, at_edges
 
-    big_c = cumulative(lambda t: model.characteristic(t, spec.x))[0]
-    big_g, total = cumulative(lambda t: np.exp(big_c(t)))
-    return np.clip(big_g(np.asarray(times, dtype=float)) / total, 0.0, 1.0)
+    big_c, c_edges = cumulative(characteristic)
+    top = np.max(c_edges)
+    big_g, g_edges = cumulative(lambda t: np.exp(big_c(t) - top))
+    return np.clip(big_g(np.asarray(times, dtype=float)) / g_edges[-1], 0.0, 1.0)
 
 
 class CharacteristicIntegrals:

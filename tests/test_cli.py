@@ -20,7 +20,7 @@ from countbridge import cli, engine, verify
 from countbridge.analytic import binomial_tail, mean_upper_bound
 from countbridge.engine import (BridgeSpec, marginal_table, mean_curve, second_differences,
                                 solve_h)
-from countbridge.errors import BadParameter, CountBridgeError
+from countbridge.errors import BadParameter, CountBridgeError, OutOfDomain
 from countbridge.intensity import (ExpAffine, Tabulated, constant_characteristic_model,
                                    model_from_dict)
 from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
@@ -277,17 +277,15 @@ def test_a_negative_replica_count_exits_2_before_writing(tmp_path, command):
     (["verify", "--lambda", "1", "--check", "duality", "--z-max", "nan"], None),
     (["sample", "--lambda", "nan"], None),
     (["sample", "--lambda=-inf"], None),
-    (["sample", "--lambda", "800"], None),
-    (["lln", "--lambda", "800", "--N", "5", "--replicas", "3"], None),
     (["sample", "--lambda", "1"], {"step": math.nan}),
     (["verify", "--lambda", "1", "--check", "convexity"], {"lambdas": [math.inf]}),
     (["lln", "--lambda", "1", "--N", "5", "--replicas", "3"], {"step": math.inf}),
 ], ids=["sample-step", "lln-step", "verify-tol-convexity", "verify-tol-margin",
-        "verify-z-max", "sample-lambda-nan", "sample-lambda-minus-inf", "sample-lambda-overflow",
-        "lln-lambda-overflow", "replay-step", "replay-lambda", "replay-lln-step"])
+        "verify-z-max", "sample-lambda-nan", "sample-lambda-minus-inf", "replay-step",
+        "replay-lambda", "replay-lln-step"])
 def test_unusable_float_options_exit_2_before_writing(tmp_path, capsys, args, replace):
-    # a NaN or infinite option, fresh or in a hand-edited manifest, or a tilt whose
-    # exponential overflows, is a typed error (exit 2) raised before any file is written
+    # a NaN or infinite option, fresh or in a hand-edited manifest, is a typed error
+    # (exit 2) raised before any file is written
     if args[0] != "lln":
         args = args + ["--y", "5", "--replicas", "3"]
     out = tmp_path / "out"
@@ -1050,13 +1048,11 @@ CLOCK_710 = {"family": "exp_affine", "params": {"a": 1.0, "b": 1.0, "lambda": 71
 
 
 @pytest.mark.parametrize("args, message", [
-    (["mean-curve", "--lambda", "800"], "overflows exp"),
-    (["verify", "--lambda", "800"], "overflows exp"),
     (["mean-curve", "--model", "CLOCK_710"], "the bridge's clock CDF is not finite"),
-], ids=["mean-curve-overflow", "verify-overflow", "mean-curve-clock-overflow"])
+], ids=["mean-curve-clock-overflow"])
 def test_a_tilt_beyond_the_float_range_exits_2(tmp_path, args, message):
-    # e^800 overflows the tilted CDF, and e^710 the clock of ExpAffine(1, 1, 710).
-    # Run under -W error::RuntimeWarning (PKG).
+    # e^710 overflows the clock of ExpAffine(1, 1, 710), so the law's tilt theta = b
+    # (tau(1) - tau(0)) is not finite.  Run under -W error::RuntimeWarning (PKG).
     args = [write_model(tmp_path, CLOCK_710) if a == "CLOCK_710" else a for a in args]
     out = tmp_path / "out"
     r = run_cli(*args, "--y", "5", "--out", str(out))
@@ -1116,13 +1112,28 @@ def test_write_json_refuses_a_non_finite_value():
         cli._json({"x": math.nan})
 
 
+def _fail_second_curve(monkeypatch):
+    """Make the second mean curve of a run fail (OutOfDomain) after the first is formed."""
+    curve, calls = cli._curve_table, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OutOfDomain("the second curve fails")
+        return curve(*args)
+    monkeypatch.setattr(cli, "_curve_table", failing)
+
+
 @pytest.mark.parametrize("args, message", [
-    (["mean-curve", "--lambda", "1", "--lambda", "800", "--y", "5"], "overflows exp"),
+    (["mean-curve", "--lambda", "1", "--lambda", "2", "--y", "5"], "the second curve fails"),
     (["verify", "--lambda", "1", "--y", "5", "--check", "dominance", "--grid-csv",
       "--check", "duality", "--replicas", "1"], "needs at least two paths"),
 ], ids=["mean-curve-second-tilt", "verify-duality-after-grid"])
-def test_a_run_that_fails_after_its_first_file_writes_nothing(tmp_path, capsys, args, message):
-    # the first curve or the dominance grid is formed before the run fails
+def test_a_run_that_fails_after_its_first_file_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                              args, message):
+    # the first curve or the dominance grid is formed before the run fails; verify
+    # forms no mean curve
+    _fail_second_curve(monkeypatch)
     out = tmp_path / "out"
     assert cli.main(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1130,14 +1141,16 @@ def test_a_run_that_fails_after_its_first_file_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_a_failing_run_leaves_an_earlier_run_in_its_directory_as_it_was(tmp_path):
+def test_a_failing_run_leaves_an_earlier_run_in_its_directory_as_it_was(tmp_path, monkeypatch):
     # the failing run would write mean_curve_lam1.csv for y = 12 over the y = 5 one
     out = tmp_path / "out"
     assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "2", "--y", "5",
                      "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "800", "--y", "12",
-                     "--out", str(out)]) == 2
+    with monkeypatch.context() as patch:
+        _fail_second_curve(patch)
+        assert cli.main(["mean-curve", "--lambda", "1", "--lambda", "2", "--y", "12",
+                         "--out", str(out)]) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     again = tmp_path / "again"
     assert cli.main(["replay", str(out / "manifest.json"), "--out", str(again)]) == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom, linregress
 
 from countbridge import engine
-from countbridge.analytic import tilted_cdf, tilted_cdf_window
+from countbridge.analytic import binomial_rows, tilted_cdf, tilted_cdf_window
 from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, mean_curve, second_differences,
                                 solve_h)
@@ -919,3 +919,21 @@ def test_steeply_decaying_rates_keep_log_h_on_full_windows():
     assert np.all(np.isfinite(logh[finite]))
     err = np.abs(logh[finite] - exact[finite]) / np.maximum(1.0, np.abs(exact[finite]))
     assert np.max(err) <= 1e-9
+
+
+@pytest.mark.parametrize("b, n", [(800.0, 5), (1000.0, 10)])
+def test_windows_hold_at_a_characteristic_bound_past_the_exp_range(b, n):
+    # rates 1 + b z on knots 0, 0.5, 1: the characteristic is b, and b (u - s) is past
+    # 709.78, where the window cuts once fell back to the whole mesh.  The windows
+    # now leave cells out (9,434 of 15,498 and 17,459 of 36,289 band cells), the
+    # table stays within 1e-12 of the full-window one and within 1e-8 of the
+    # binomial law of the tilted profile
+    model = Tabulated(np.array([0.0, 0.5, 1.0]), 0, np.tile(1.0 + b * np.arange(n + 1.0), (3, 1)))
+    spec, full = BridgeSpec(0, n), FullWindows(model)
+    h, ref = solve_h(model, spec), solve_h(full, spec)
+    assert h.logh.values.size < ref.logh.values.size
+    table = marginal_table(model, spec, h=h)
+    assert np.max(np.abs(table.probs - marginal_table(full, spec, h=ref).probs)) <= 1e-12
+    # (scipy's binom.pmf overflows on its p of e^-800)
+    exact = binomial_rows(n, tilted_cdf_window(b, 0.0, 1.0, table.times))
+    assert np.max(np.abs(table.probs - exact)) <= 1e-8
