@@ -277,15 +277,18 @@ def test_a_negative_replica_count_exits_2_before_writing(tmp_path, command):
     (["verify", "--lambda", "1", "--check", "duality", "--z-max", "nan"], None),
     (["sample", "--lambda", "nan"], None),
     (["sample", "--lambda=-inf"], None),
+    (["sample", "--lambda", "1e309"], None),
+    (["lln", "--lambda", "1e309", "--N", "5", "--replicas", "3"], None),
     (["sample", "--lambda", "1"], {"step": math.nan}),
     (["verify", "--lambda", "1", "--check", "convexity"], {"lambdas": [math.inf]}),
     (["lln", "--lambda", "1", "--N", "5", "--replicas", "3"], {"step": math.inf}),
 ], ids=["sample-step", "lln-step", "verify-tol-convexity", "verify-tol-margin",
-        "verify-z-max", "sample-lambda-nan", "sample-lambda-minus-inf", "replay-step",
-        "replay-lambda", "replay-lln-step"])
+        "verify-z-max", "sample-lambda-nan", "sample-lambda-minus-inf", "sample-lambda-overflow",
+        "lln-lambda-overflow", "replay-step", "replay-lambda", "replay-lln-step"])
 def test_unusable_float_options_exit_2_before_writing(tmp_path, capsys, args, replace):
-    # a NaN or infinite option, fresh or in a hand-edited manifest, is a typed error
-    # (exit 2) raised before any file is written
+    # a NaN or infinite option, fresh or in a hand-edited manifest, or a decimal that
+    # overflows the float range (1e309 parses as inf), is a typed error (exit 2)
+    # raised before any file is written
     if args[0] != "lln":
         args = args + ["--y", "5", "--replicas", "3"]
     out = tmp_path / "out"
@@ -1048,11 +1051,15 @@ CLOCK_710 = {"family": "exp_affine", "params": {"a": 1.0, "b": 1.0, "lambda": 71
 
 
 @pytest.mark.parametrize("args, message", [
+    (["mean-curve", "--lambda", "1e309"], "--lambda must be a finite number, got inf"),
+    (["verify", "--lambda", "1e309"], "--lambda must be a finite number, got inf"),
     (["mean-curve", "--model", "CLOCK_710"], "the bridge's clock CDF is not finite"),
-], ids=["mean-curve-clock-overflow"])
+], ids=["mean-curve-overflow", "verify-overflow", "mean-curve-clock-overflow"])
 def test_a_tilt_beyond_the_float_range_exits_2(tmp_path, args, message):
-    # e^710 overflows the clock of ExpAffine(1, 1, 710), so the law's tilt theta = b
-    # (tau(1) - tau(0)) is not finite.  Run under -W error::RuntimeWarning (PKG).
+    # every finite tilt is served (--lambda 800 included), so a tilt is refused only
+    # past the float range: --lambda 1e309 parses as inf, and e^710 overflows the clock
+    # of ExpAffine(1, 1, 710), so the law's tilt theta = b (tau(1) - tau(0)) is not
+    # finite.  Run under -W error::RuntimeWarning (PKG).
     args = [write_model(tmp_path, CLOCK_710) if a == "CLOCK_710" else a for a in args]
     out = tmp_path / "out"
     r = run_cli(*args, "--y", "5", "--out", str(out))
