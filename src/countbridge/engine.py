@@ -60,7 +60,7 @@ import numpy as np
 
 from .analytic import tilted_quantile
 from .errors import (BadParameter, BadStep, BadWindow, ConservationLoss, GridTooCoarse,
-                     OutOfDomain, PinMiss, ResourceCap, Underflow)
+                     OutOfDomain, ResourceCap, Underflow)
 
 # Per-step cap on (ladder depth) x (change in log remaining integrated rate);
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
@@ -473,7 +473,7 @@ class HField:
 
     Stores ``logh``, one :class:`_Band` over the states' windows, on the node
     times ``times`` of its mesh; the pinned jump rates are formed from it
-    where they are read (:meth:`pinned_rates`, :meth:`next_jumps`).  Outside
+    where they are read (:meth:`pinned_rates`, :meth:`survival_tables`).  Outside
     its window a state's h is taken as 0, which costs the bridge at most
     2 (n + 1) WINDOW_TAIL of its mass (see the module notes).  Immutable;
     safe to share across threads.  Inside a state's terminal boundary layer
@@ -507,46 +507,19 @@ class HField:
                           self.logh.column(zi, lo[zi], hi[zi]), rates)
         yield np.zeros(hi[-1] - lo[-1])
 
-    def next_jumps(self, zi, start, mass):
-        """Next jump times from ladder state x + zi, by inversion of the pinned survival.
-
-        From state z at time t, the pinned chain stays put until r with probability
-        exp(-(L(r) - L(t))), where L = (integrated rate) - log h(., z) is the integrated
-        pinned rate.  L is tabulated on the state's window up to its asymptote
-        anchor t_a and, if the window runs to u, grows past it at the exact pin
-        rate (y - z) / (u - t), as (y - z) log((u - t_a) / (u - t)), so a jump
-        lands where L reaches L(start) + mass.  ``start`` and ``mass`` (Exp(1)
-        draws) are arrays over replicas.  A path outside the state's window
-        raises PinMiss.
-        """
-        spec, mesh = self.spec, self.mesh
-        z = spec.x + zi
-        a, j = int(mesh.h_lo[zi]), int(self.anchor_idx[zi])
-        t_tab = self.times[a:j + 1]
-        rates = next(self.model.rate_columns(t_tab, [z], [0], [t_tab.size]))
-        lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
-        big_l = lam - self.logh.column(zi, a, j + 1)
-        ta = t_tab[-1]
-        start = np.asarray(start, dtype=float)
-        if np.any(start < t_tab[0]):
-            raise PinMiss(f"a path reached state {z} at t = {start.min():.6g}, before its"
-                          f" window opens at {t_tab[0]:.6g}")
-        level = np.interp(start, t_tab, big_l)
-        if mesh.h_hi[zi] < self.times.size - 1:
-            target = level + mass
-            if np.any(target > big_l[-1]):
-                raise PinMiss(f"a path stayed in state {z} past its window, which closes at"
-                              f" t = {ta:.6g}")
-            return np.interp(target, big_l, t_tab)
-        # past the anchor L grows like (y - z) log((u - t_a) / (u - t))
-        slope = spec.y - z
-        past = start > ta
-        level[past] = big_l[-1] + slope * np.log((spec.u - ta) / (spec.u - start[past]))
-        target = level + mass
-        past = target > big_l[-1]
-        out = np.interp(target, big_l, t_tab)
-        out[past] = spec.u - (spec.u - ta) * np.exp((big_l[-1] - target[past]) / slope)
-        return out
+    def survival_tables(self):
+        """Each ladder state's integrated pinned rate L = (integrated rate) - log h(., z),
+        bottom state first, the pin state's left out: its nodes ``nodes``, from its
+        window's first to its asymptote anchor t_a, L there (trapezoid rule for the
+        rate, summed over the window alone), and whether its window runs to u, where
+        past t_a L grows at the exact pin rate (y - z) / (u - t).  The rates come
+        from one reader over the mesh nodes, one state's column at a time."""
+        lo, hi = self.mesh.h_lo[:-1], self.anchor_idx + 1
+        columns = self.model.rate_columns(self.times, self.spec.ladder()[:-1], lo, hi)
+        for zi, (a, b, rates) in enumerate(zip(lo, hi, columns)):
+            nodes = self.times[a:b]
+            lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(nodes))])
+            yield nodes, lam - self.logh.column(zi, a, b), self.mesh.h_hi[zi] == self.times.size - 1
 
 
 def solve_h(model, spec, h_step=1e-3, step_budget=None):

@@ -5,7 +5,8 @@ Two samplers live here:
 * an exact sampler for every ``ExpAffine`` model: its jump times are the sorted
   :func:`~countbridge.analytic.clock_quantile` of i.i.d. uniforms;
 * an inversion sampler driven by the integrated pinned jump rate from the
-  solved h-field, which works for any model and any n.
+  solved h-field, which works for any model and any n; it walks its paths
+  in order of their last jump time, so each table is read at increasing times.
 
 Both return a :class:`PathBatch`: one read-only ``(count, n)`` jump-time
 matrix, whose items are :class:`PathSample` objects built only on access.
@@ -106,12 +107,48 @@ def sample_constant(model, spec, count, rng_seed):
     return PathBatch(spec.x, times)
 
 
+def _invert(spec, z, table, start, mass):
+    """Next jump times from ladder state z, by inversion of the pinned survival, in
+    increasing order, and the order of ``start`` that they follow.
+
+    From state z at time t the pinned chain stays put until r with probability
+    exp(-(L(r) - L(t))), L the state's integrated pinned rate (``table``, from
+    :meth:`~countbridge.engine.HField.survival_tables`); past the anchor t_a of a
+    window that runs to u it grows as (y - z) log((u - t_a) / (u - t)).  So a jump
+    lands where L reaches L(start) + ``mass`` (Exp(1) draws).  Sorting the targets, and
+    ``start`` increasing, give both interpolations increasing queries; np.interp's
+    values do not depend on their order.  A path outside the window raises PinMiss.
+    """
+    nodes, big_l, to_u = table
+    ta, top, slope = nodes[-1], big_l[-1], spec.y - z
+    if (start < nodes[0]).any():
+        raise PinMiss(f"a path reached state {z} at t = {start.min():.6g}, before its"
+                      f" window opens at {nodes[0]:.6g}")
+    level = np.interp(start, nodes, big_l)
+    if to_u:
+        past = start > ta
+        level[past] = top + slope * np.log((spec.u - ta) / (spec.u - start[past]))
+    level += mass
+    order = np.argsort(level)
+    target = level[order]
+    if not to_u and (target > top).any():
+        raise PinMiss(f"a path stayed in state {z} past its window, which closes at"
+                      f" t = {ta:.6g}")
+    out = np.interp(target, big_l, nodes)
+    if to_u:
+        past = target > top
+        out[past] = spec.u - (spec.u - ta) * np.exp((top - target[past]) / slope)
+    return out, order
+
+
 def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     """Inversion sampler for the pinned process of any intensity model.
 
     The ladder only goes up, so after j jumps every path sits in state x + j:
     jump j + 1 of every path comes from one vectorised inversion of that
-    state's pinned survival (:meth:`~countbridge.engine.HField.next_jumps`).
+    state's pinned survival (:meth:`~countbridge.engine.HField.survival_tables`),
+    taking the paths in order of their last jump time, a permutation carried
+    from state to state, and scattering the jump times to their rows.
     Its Exp(1) masses are the first count * n draws of the seed's one stream,
     row by row, so path r depends only on the seed and r.  Every returned
     path has exactly n = y - x jumps; a draw that rounds to u or does not
@@ -125,17 +162,21 @@ def sample_bridge(model, spec, h, count, rng_seed, stats=None):
     check_field(model, spec, h)
     n = spec.n
     count = _path_count(count)
-    # the masses and the jump times (count x n each), and the count-long vectors
-    # of one inversion: five at most
-    check_memory(8 * count * (2 * n + 5), f"{count_text(count)} paths of {count_text(n)} jumps")
+    # the masses and the jump times (count x n each), at most ten count-long vectors
+    # in one inversion, and at most twelve mesh-long ones: the rate reader's node
+    # arrays, and two states' tables while the next is formed
+    check_memory(8 * (count * (2 * n + 10) + 12 * h.times.size),
+                 f"{count_text(count)} paths of {count_text(n)} jumps")
     mass = seeded_rng(rng_seed).standard_exponential((count, n))
     times = np.empty((count, n))
+    rows = np.arange(count)
     t = np.full(count, float(spec.s))
-    for zi in range(n):
-        nxt = h.next_jumps(zi, t, mass[:, zi])
-        if np.any(nxt <= t) or np.any(nxt >= spec.u):
+    for zi, table in enumerate(h.survival_tables()):
+        nxt, order = _invert(spec, spec.x + zi, table, t, mass[:, zi][rows])
+        if (nxt <= t[order]).any() or (nxt >= spec.u).any():
             raise PinMiss(f"jump {zi + 1} of a path rounded to u or did not advance past jump {zi}")
-        times[:, zi] = t = nxt
+        rows = rows[order]
+        times[:, zi][rows] = t = nxt
     if stats is not None:
         stats.update(proposals=n * count, accepts=n * count)
     return PathBatch(spec.x, times)

@@ -326,6 +326,34 @@ def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):
     return PathBatch(spec.x, np.array(out).reshape(-1, n))
 
 
+def sample_bridge_per_state(model, spec, h, count, seed):
+    """``sampler.sample_bridge`` one state at a time in path order: each state reads its
+    own rates on its window up to its anchor, and np.interp takes its queries in row
+    order.  The reference the sorted inversion must equal bit for bit."""
+    mass = seeded_rng(seed).standard_exponential((count, spec.n))
+    times = np.empty((count, spec.n))
+    t = np.full(count, float(spec.s))
+    for zi in range(spec.n):
+        z, a, j = spec.x + zi, int(h.mesh.h_lo[zi]), int(h.anchor_idx[zi])
+        t_tab = h.times[a:j + 1]
+        rates = next(model.rate_columns(t_tab, [z], [0], [t_tab.size]))
+        lam = np.concatenate([[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(t_tab))])
+        big_l = lam - h.logh.column(zi, a, j + 1)
+        ta, slope = t_tab[-1], spec.y - z
+        to_u = h.mesh.h_hi[zi] == h.times.size - 1
+        level = np.interp(t, t_tab, big_l)
+        if to_u:
+            past = t > ta
+            level[past] = big_l[-1] + slope * np.log((spec.u - ta) / (spec.u - t[past]))
+        target = level + mass[:, zi]
+        t = np.interp(target, big_l, t_tab)
+        if to_u:
+            past = target > big_l[-1]
+            t[past] = spec.u - (spec.u - ta) * np.exp((big_l[-1] - target[past]) / slope)
+        times[:, zi] = t
+    return PathBatch(spec.x, times)
+
+
 def duality_per_column(model, spec, u_func, phi, paths):
     """``verify.duality_check`` on given paths of n = spec.n jumps, with the
     reciprocal characteristic read one jump index at a time: one

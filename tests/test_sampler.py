@@ -15,7 +15,7 @@ from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample
                                  sample_constant)
 from countbridge.verify import duality_catalog, duality_check, lln_experiment
 from oracles import (OracleScale, characteristic_integrals, exp_affine_cdf, grid_index,
-                     sample_rejection, simplex_jump_time_cdf)
+                     sample_bridge_per_state, sample_rejection, simplex_jump_time_cdf)
 
 PI3_HALF = 0.18242552380635635
 
@@ -242,9 +242,9 @@ def test_rejection_sampler_matches_oracle():
         sample_rejection(model, BridgeSpec(0, 25), 10, 1)
 
 
-def _tabulated_model():
+def _tabulated_model(top=5):
     tg = np.linspace(0.0, 1.0, 11)
-    rates = (1.0 + 0.3 * np.arange(6.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None]
+    rates = (1.0 + 0.3 * np.arange(top + 1.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None]
     return Tabulated(tg, 0, rates)
 
 
@@ -276,9 +276,12 @@ def test_start_state_survival_matches_marginal_table(model):
     t_out = table.times[1:-1]
     lo, hi = np.zeros(t_out.size), np.full(t_out.size, 50.0)
     start = np.full(t_out.size, spec.s)
+    survival = next(h.survival_tables())
+    early = np.empty(t_out.size, dtype=bool)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        early = h.next_jumps(0, start, mid) < t_out
+        nxt, order = sampler._invert(spec, spec.x, survival, start, mid)
+        early[order] = nxt < t_out[order]
         lo, hi = np.where(early, mid, lo), np.where(early, hi, mid)
     assert np.max(np.abs(np.exp(-lo) - table.probs[1:-1, 0])) <= 1e-6
 
@@ -324,7 +327,8 @@ def test_sample_bridge_reports_a_draw_off_the_window_as_pin_miss(monkeypatch, la
     spec = BridgeSpec(0, 3)
     model = Poisson(1.0)
     h = solve_h(model, spec, 1e-3)
-    monkeypatch.setattr(h, "next_jumps", lambda zi, t, mass: landing(t, spec.u))
+    monkeypatch.setattr(sampler, "_invert",
+                        lambda spec, z, table, t, mass: (landing(t, spec.u), np.arange(t.size)))
     with pytest.raises(PinMiss):
         sample_bridge(model, spec, h, 4, 1)
 
@@ -332,16 +336,18 @@ def test_sample_bridge_reports_a_draw_off_the_window_as_pin_miss(monkeypatch, la
 def test_next_jumps_refuses_a_path_outside_the_state_window():
     # on Poisson(1) 0 -> 40, state 20's window opens after s and state 0's closes
     # before u: a start before the one, or a mass past the other, is a PinMiss
-    h = solve_h(Poisson(1.0), BridgeSpec(0, 40), 1e-2)
+    spec = BridgeSpec(0, 40)
+    h = solve_h(Poisson(1.0), spec, 1e-2)
     assert h.mesh.h_lo[20] > 0 and h.mesh.h_hi[0] < h.times.size - 1
+    tables = list(h.survival_tables())
     with pytest.raises(PinMiss, match="reached state 20 at t = 0, before its window opens"):
-        h.next_jumps(20, np.array([0.0]), np.array([1.0]))
+        sampler._invert(spec, 20, tables[20], np.array([0.0]), np.array([1.0]))
     with pytest.raises(PinMiss, match="stayed in state 0 past its window, which closes at"):
-        h.next_jumps(0, np.array([0.0]), np.array([1e3]))
+        sampler._invert(spec, 0, tables[0], np.array([0.0]), np.array([1e3]))
 
 
 def test_sample_bridge_memory_stays_below_log_h():
-    # masses, times and one state's survival table at a time: no copy of log h
+    # masses, times and at most two states' survival tables at a time: no copy of log h
     model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, 60)
     h = solve_h(model, spec, 1e-3)
     tracemalloc.start()
@@ -351,6 +357,44 @@ def test_sample_bridge_memory_stays_below_log_h():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * h.logh.nbytes
+
+
+@pytest.mark.parametrize("model, spec, h_step, count", [
+    (Poisson(1.0), BridgeSpec(0, 40), 1e-2, 500),
+    (Product(1.0, 3.0, 0.1), BridgeSpec(0, 60), 1e-3, 500),
+    (TimeExponential(1.0, -3.0), BridgeSpec(0, 200), 1e-3, 200),
+    (ExpAffine(0.7, 1.3, -2.0), BridgeSpec(3, 40, 0.2, 0.9), 1e-3, 500),
+    (Poisson(1.0), BridgeSpec(0, 300, 0.5, 0.52), 1e-2, 200),
+    (Product(2.0, -4.0, 0.5), BridgeSpec(0, 5), 1e-3, 1),
+    (_tabulated_model(22), BridgeSpec(0, 22), 1e-3, 500),
+], ids=["poisson-windows-close-early", "product-60", "time-exponential-200", "exp-affine-s>0",
+        "poisson-300-short-window", "product-one-path", "tabulated-22"])
+def test_sample_bridge_equals_the_per_state_inversion_bit_for_bit(model, spec, h_step, count):
+    # windows that close before u, windows that reach u (the past-anchor branch) and
+    # windows with s > 0; the sorted inversion is the per-state one in path order
+    h = solve_h(model, spec, h_step)
+    for k in (count, 0, 1, 2):
+        got = sample_bridge(model, spec, h, k, 77).times
+        assert got.shape == (k, spec.n)
+        assert np.array_equal(got, sample_bridge_per_state(model, spec, h, k, 77).times)
+
+
+@pytest.mark.parametrize("count, n", [(20000, 60), (200000, 5), (2000, 17)])
+def test_sample_bridge_memory_stays_within_its_estimate(monkeypatch, count, n):
+    # the estimate the memory cap is checked against bounds what the sample holds
+    model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, n)
+    h = solve_h(model, spec, 1e-3)
+    need = []
+    check = sampler.check_memory
+    monkeypatch.setattr(sampler, "check_memory", lambda b, what: (need.append(b), check(b, what)))
+    sampler.seeded_rng(0).standard_exponential(1)  # numpy.random's first use loads it
+    tracemalloc.start()
+    try:
+        sample_bridge(model, spec, h, count, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need[0]
 
 
 @pytest.mark.parametrize("draw", ["bridge", "constant", "clock"])
