@@ -149,8 +149,10 @@ def binomial_rows(n, p):
 def _clock(model, spec):
     """The tilt theta = b (tau(u) - tau(s)) of an ``ExpAffine`` bridge's law over [s, u]
     on its clock tau(t) = expm1(lam t) / lam: 0 at b = 0, and b (u - s) where lam (u - s)
-    is below the normal floats, where the clock is the window's time.  A theta not
-    finite raises OutOfDomain."""
+    is below the normal floats, where the clock is the window's time.  A bridge that
+    starts below the model's state floor, or a theta not finite, raises OutOfDomain."""
+    if spec.x < model.state_floor:
+        raise OutOfDomain(f"state below floor {model.state_floor}")
     lam, b = model.lam, model.b
     if b == 0.0 or abs(lam * spec.length) < np.finfo(float).tiny:
         return b * spec.length

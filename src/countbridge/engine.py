@@ -136,8 +136,10 @@ def count_text(k):
     return format(k, ".3g")
 
 
-def _n_cells(spec, h_step):
-    """Number of uniform output cells for ``h_step``; refuses steps that do not fit."""
+def output_times(spec, h_step):
+    """The uniform output grid of a bridge at ``h_step``, s and u included: every
+    table and mean curve is read on it.  A step that does not fit the window raises
+    BadStep, and one whose mesh would exceed the memory cap ResourceCap."""
     if not h_step > 0:
         raise BadStep(f"h_step must be positive, got {h_step}")
     if h_step >= spec.length:
@@ -146,7 +148,7 @@ def _n_cells(spec, h_step):
         raise BadStep("h_step must not exceed 1e-2")
     # the mesh probes the rate at four times a cell before it sizes anything else
     check_memory(32 * spec.length / h_step, f"a mesh of {spec.length / h_step:.3g} cells")
-    return max(2, int(round(spec.length / h_step)))
+    return np.linspace(spec.s, spec.u, max(2, int(round(spec.length / h_step))) + 1)
 
 
 class _Mesh:
@@ -180,12 +182,10 @@ class _Mesh:
 
     def __init__(self, spec, h_step, model, step_budget=None):
         budget = STEP_BUDGET if step_budget is None else float(step_budget)
-        n_c = _n_cells(spec, h_step)
+        edges = self.out_times = output_times(spec, h_step)
+        n_c = edges.size - 1
         self.spec = spec
         self.dc = spec.length / n_c
-        self.n_cells = n_c
-        edges = np.linspace(spec.s, spec.u, n_c + 1)
-        self.out_times = edges
 
         # probe the ladder-minimal rate (one state's column at a time) and its
         # backward cumulative integral
@@ -624,7 +624,7 @@ def _field(model, spec, h_step, h):
     if h is None:
         return solve_h(model, spec, h_step)
     check_field(model, spec, h)
-    if _n_cells(spec, h_step) != h.mesh.n_cells:
+    if output_times(spec, h_step).size != h.mesh.out_times.size:
         raise BadStep("marginals must use the h_step the field was solved with")
     return h
 
@@ -643,7 +643,7 @@ def _normalised(log_rows):
 def _pinned_table(spec, mesh, rows, drift):
     """Validated table of the normalised output rows (one per output time before u),
     with both ends set exactly to the pins."""
-    probs = np.zeros((mesh.n_cells + 1, spec.n + 1))
+    probs = np.zeros((mesh.out_times.size, spec.n + 1))
     probs[:-1] = rows
     probs[0] = probs[-1] = 0.0
     probs[0, 0] = probs[-1, -1] = 1.0

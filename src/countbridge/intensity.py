@@ -138,9 +138,8 @@ class ExpAffine(_RateModel):
     Characteristic lam + b * exp(lam * t): state-free and monotone in t, so
     its bounds over any window are exact at the window ends.  Constant rates
     (b = lam = 0), state-linear rates (lam = 0), time-exponential rates
-    (b = 0) and their product are all special cases; :func:`Poisson`,
-    :func:`SpaceLinear`, :func:`TimeExponential` and :func:`Product` build
-    them in their usual parametrisations.
+    (b = 0) and their product are all special cases; the legacy descriptor
+    families of :func:`model_from_dict` give them in their usual parametrisations.
     """
 
     a: float
@@ -218,21 +217,6 @@ class ExpAffine(_RateModel):
 def Poisson(alpha, state_floor=0):
     """Constant rate alpha > 0.  Characteristic is identically zero."""
     return ExpAffine(alpha, 0.0, 0.0, state_floor)
-
-
-def SpaceLinear(lam, alpha, state_floor=0):
-    """Rate lam * z + alpha, constant in time.  Characteristic is lam."""
-    return ExpAffine(alpha, lam, 0.0, state_floor)
-
-
-def TimeExponential(alpha, lam, state_floor=0):
-    """Rate alpha * exp(lam * t), constant in space.  Characteristic is lam."""
-    return ExpAffine(alpha, 0.0, lam, state_floor)
-
-
-def Product(alpha, lam, beta, state_floor=0):
-    """Rate alpha * exp(lam * t) * (1 + beta * z), i.e. a = alpha and b = alpha * beta."""
-    return ExpAffine(alpha, alpha * beta, lam, state_floor)
 
 
 def _hermite_coefficients(x, y, dydx):
@@ -391,7 +375,7 @@ class Tabulated(_RateModel):
         z, z_lo, z_hi = _check_state(z, self.state_floor, t if paired else 0.0)
         if t_lo < self.t_grid[0] - _T_SLACK or t_hi > self.t_grid[-1] + _T_SLACK:
             raise TabulationGap("time outside the tabulated hull")
-        if z_lo < self.z_min or z_hi + reach > self.z_max:
+        if z_hi + reach > self.z_max:
             raise TabulationGap(f"state outside tabulated range [{self.z_min}, {self.z_max}]")
         if z.dtype.kind not in "iu":
             off = z != np.round(z)
@@ -512,14 +496,16 @@ def constant_characteristic_model(lam):
     return ExpAffine(1.0, max(lam, 0.0), min(lam, 0.0))
 
 
-# each family reads its parameters through p(name), which refuses a value that is
-# not a finite real number
+# each family: its parameters in the order they are read (the first that is not a finite
+# real number is the one refused) and its ExpAffine, built from them and the floor
 _PARAMETRIC = {
-    "exp_affine": lambda p, floor: ExpAffine(p("a"), p("b"), p("lambda"), floor),
-    "poisson": lambda p, floor: Poisson(p("alpha"), floor),
-    "space_linear": lambda p, floor: SpaceLinear(p("lambda"), p("alpha"), floor),
-    "time_exponential": lambda p, floor: TimeExponential(p("alpha"), p("lambda"), floor),
-    "product": lambda p, floor: Product(p("alpha"), p("lambda"), p("beta"), floor),
+    "exp_affine": (("a", "b", "lambda"), ExpAffine),
+    "poisson": (("alpha",), lambda alpha, floor: ExpAffine(alpha, 0.0, 0.0, floor)),
+    "space_linear": (("lambda", "alpha"), lambda lam, alpha, floor: ExpAffine(alpha, lam, 0.0, floor)),
+    "time_exponential": (("alpha", "lambda"),
+                         lambda alpha, lam, floor: ExpAffine(alpha, 0.0, lam, floor)),
+    "product": (("alpha", "lambda", "beta"),
+                lambda alpha, lam, beta, floor: ExpAffine(alpha, alpha * beta, lam, floor)),
 }
 
 
@@ -527,9 +513,10 @@ def model_from_dict(descriptor):
     """Build a model from the JSON descriptor form.
 
     ``{"family": "exp_affine", "params": {"a": ..., "b": ..., "lambda": ...},
-    "state_floor": int}`` for the parametric rates; the legacy families
-    ``poisson``, ``space_linear``, ``time_exponential`` and ``product`` load
-    through their constructors.  The tabulated payload is ``{"t_grid": [...],
+    "state_floor": int}`` for the parametric rates; the legacy families ``poisson``
+    (alpha), ``space_linear`` (lambda, alpha), ``time_exponential`` (alpha, lambda)
+    and ``product`` (alpha, lambda, beta; rate alpha exp(lambda t) (1 + beta z)) load
+    as the ``ExpAffine`` they name.  The tabulated payload is ``{"t_grid": [...],
     "z_min": int, "rates": [[...]], "rates_dt": [[...]] optional}``.
     """
     try:
@@ -543,5 +530,6 @@ def model_from_dict(descriptor):
                          params.get("rates_dt"), floor)
     if not isinstance(family, str) or family not in _PARAMETRIC:
         raise BadParameter(f"unknown rate family {family!r}")
-    return _PARAMETRIC[family](lambda name: _finite_real(name, params.get(name)),
-                               _integral("state_floor", 0 if floor is None else floor))
+    names, build = _PARAMETRIC[family]
+    floor = _integral("state_floor", 0 if floor is None else floor)
+    return build(*[_finite_real(name, params.get(name)) for name in names], floor)

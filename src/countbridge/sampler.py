@@ -90,10 +90,10 @@ def _path_count(count):
 def sample_constant(model, spec, count, rng_seed):
     """Exact bridge sampler for any ``ExpAffine`` model: the n = y - x jump times are
     the sorted :func:`~countbridge.analytic.clock_quantile` of n i.i.d. uniforms.
-    Deterministic given the seed.  A law whose tilt is not finite raises
-    :class:`~countbridge.errors.OutOfDomain`, tied draws NotSorted; before any is drawn,
-    a negative ``count`` TooFewSamples and a sample over the engine's memory cap
-    ResourceCap.
+    Deterministic given the seed.  A bridge that starts below the model's state floor,
+    or a law whose tilt is not finite, raises :class:`~countbridge.errors.OutOfDomain`
+    (from the clock), tied draws NotSorted; before any is drawn, a negative ``count``
+    TooFewSamples and a sample over the engine's memory cap ResourceCap.
     """
     n = spec.n
     count = _path_count(count)

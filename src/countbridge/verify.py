@@ -28,9 +28,9 @@ import numpy as np
 
 from .analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound, tilted_cdf,
                        tilted_cdf_window)
-from .engine import (BridgeSpec, MarginalTable, _n_cells, check_memory, count_text,
-                     marginal_table, mean_curve, second_differences, solve_h)
-from .errors import BadParameter, DegenerateVariance, OutOfDomain, ResourceCap, TooFewSamples
+from .engine import (BridgeSpec, MarginalTable, check_memory, count_text, marginal_table,
+                     mean_curve, output_times, second_differences, solve_h)
+from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples
 from .intensity import ExpAffine
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 
@@ -49,18 +49,18 @@ DUALITY_BLOCK = 1 << 16
 
 
 class BridgeLaw:
-    """One bridge's marginal table and paths, by its model's family.  An ``ExpAffine``
-    bridge is exactly binomial (:func:`~countbridge.analytic.clock_cdf`): its table is
-    the Binomial(n, p(t)) pmf on the ``h_step`` grid, pinned at both ends, with means
-    x + n p(t), which :meth:`mean_curve` gives without the pmf, and its paths come from
-    :func:`sample_constant`.  Any other model's come from one h-field, solved on first
-    use at ``step_budget``."""
+    """One bridge's marginal table and paths, by its model's family: the route choice
+    alone.  An ``ExpAffine`` bridge is exactly binomial
+    (:func:`~countbridge.analytic.clock_cdf`): its table is the Binomial(n, p(t)) pmf
+    on the engine's output grid (:func:`~countbridge.engine.output_times`), pinned at
+    both ends, with means x + n p(t), which :meth:`mean_curve` gives without the pmf,
+    and its paths come from :func:`sample_constant`.  Any other model's come from one
+    h-field, solved on first use at ``step_budget``.  Each route refuses a bridge
+    that starts below the model's state floor when it is first read."""
 
     def __init__(self, model, spec, h_step=1e-3, step_budget=None):
         self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
         self.exact = isinstance(model, ExpAffine)
-        if self.exact and spec.x < model.state_floor:
-            raise OutOfDomain(f"state below floor {model.state_floor}")
 
     @functools.cached_property
     def h(self):
@@ -69,7 +69,7 @@ class BridgeLaw:
     def _clock(self, per_time, what):
         """The output times and p(t), pinned at both ends, once ``per_time`` bytes a
         time fit the memory cap; ``what`` names them, with ``{times}`` the count."""
-        times = np.linspace(self.spec.s, self.spec.u, _n_cells(self.spec, self.h_step) + 1)
+        times = output_times(self.spec, self.h_step)
         check_memory(per_time * times.size, what.format(times=times.size))
         p = clock_cdf(self.model, self.spec, times)
         p[0], p[-1] = 0.0, 1.0
@@ -189,16 +189,16 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, *, table):
     tail; "upper" flips the inequality.  The margin is signed so that
     negative means violated; the verdict fails when the worst margin drops
     below -tol.  Running with a lam that is not a true bound is allowed and
-    simply fails, which is what makes the check falsifiable.
+    simply fails, which is what makes the check falsifiable.  A bridge with no
+    jump reads no characteristic: its state range is empty, so the bound holds.
     """
     if direction not in ("lower", "upper"):
         raise BadParameter("direction must be 'lower' or 'upper'")
-    n = spec.n
-    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1)))
-    if direction == "lower":
-        hypothesis_holds = bounds.inf >= lam - 1e-12
-    else:
-        hypothesis_holds = bounds.sup <= lam + 1e-12
+    n, hypothesis_holds = spec.n, True
+    if n:
+        bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+        hypothesis_holds = (bounds.inf >= lam - 1e-12 if direction == "lower"
+                            else bounds.sup <= lam + 1e-12)
     tails = table.tail_matrix()
 
     targets = np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]

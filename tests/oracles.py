@@ -22,13 +22,31 @@ from scipy.stats import binom
 
 from countbridge.analytic import binomial_tail, tilted_cdf_window
 from countbridge.errors import CountBridgeError, DegenerateVariance, IndexOut, NotSorted
-from countbridge.intensity import CharacteristicBounds
+from countbridge.intensity import CharacteristicBounds, ExpAffine
 from countbridge.sampler import PathBatch, jump_time_matrix, seeded_rng
 from countbridge.verify import DOMINANCE_TIMES, BoundReport, DualityResult
 
 
 class OracleScale(CountBridgeError):
     """Quadrature oracle requested beyond its supported dimension."""
+
+
+# The legacy parametrisations of ExpAffine, as the descriptor families ``space_linear``,
+# ``time_exponential`` and ``product`` name them (``intensity._PARAMETRIC``).
+
+def SpaceLinear(lam, alpha, state_floor=0):
+    """Rate lam * z + alpha, constant in time.  Characteristic is lam."""
+    return ExpAffine(alpha, lam, 0.0, state_floor)
+
+
+def TimeExponential(alpha, lam, state_floor=0):
+    """Rate alpha * exp(lam * t), constant in space.  Characteristic is lam."""
+    return ExpAffine(alpha, 0.0, lam, state_floor)
+
+
+def Product(alpha, lam, beta, state_floor=0):
+    """Rate alpha * exp(lam * t) * (1 + beta * z), i.e. a = alpha and b = alpha * beta."""
+    return ExpAffine(alpha, alpha * beta, lam, state_floor)
 
 
 class FullWindows:

@@ -16,11 +16,12 @@ from scipy.stats import binom, ks_2samp
 
 from countbridge.analytic import tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.intensity import Poisson, Product, SpaceLinear, constant_characteristic_model
+from countbridge.intensity import Poisson, constant_characteristic_model
 from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
 from countbridge.verify import (convexity_check, dominance_check, duality_catalog,
                                 duality_check, lln_experiment, mean_bound_check)
-from oracles import characteristic_integrals, grid_index, simplex_jump_time_cdf
+from oracles import (Product, SpaceLinear, characteristic_integrals, grid_index,
+                     simplex_jump_time_cdf)
 
 
 def _report(num, name, detail):

@@ -10,8 +10,9 @@ from countbridge.analytic import (binomial_rows, binomial_tail, clock_cdf, mean_
                                   tilted_cdf, tilted_cdf_window, tilted_quantile)
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadWindow, IndexOut, OutOfDomain
-from countbridge.intensity import ExpAffine, Poisson, Product, SpaceLinear, TimeExponential
-from oracles import binom, exp_affine_cdf, time_only_cdf
+from countbridge.intensity import ExpAffine, Poisson
+from oracles import (Product, SpaceLinear, TimeExponential, binom, exp_affine_cdf,
+                     time_only_cdf)
 
 PI3_HALF = 0.18242552380635635  # (e^1.5 - 1)/(e^3 - 1), frozen
 

@@ -866,6 +866,20 @@ def test_a_dominance_grid_without_jumps_writes_the_header_only(tmp_path):
     assert (out / "dominance_grid.csv").read_text() == "t,i,computed_tail,benchmark_tail,margin\n"
 
 
+def test_dominance_on_a_bridge_with_no_jump_reads_no_characteristic(tmp_path):
+    # the characteristic of state 5, the table's last, reads the rate one state up:
+    # with no jump the check reads none (it exited 2, "state outside tabulated range
+    # [0, 5]", where convexity, mean-bound, marginals, sample and mean-curve exit 0),
+    # and its hypothesis holds on the empty state range
+    flat = Tabulated([0.0, 0.5, 1.0], 0, np.ones((3, 6)), np.zeros((3, 6))).to_dict()
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--model", write_model(tmp_path, flat), "--x", "5", "--y", "5",
+                     "--lambda", "0", "--check", "dominance", "--out", str(out)]) == 0
+    check, = read_json(out / "verify.json")["checks"]
+    assert check["inputs"]["hypothesis_holds"] is True and check["grid_points"] == 0
+    assert check["verdict"] == "pass"
+
+
 def test_write_table_prints_special_floats_and_integer_labels():
     values = [[math.nan, math.inf], [-0.0, 1e-300], [-math.inf, 0.1], [3.0, -2.5e-17]]
     labels = [7, -3, 0, 12]

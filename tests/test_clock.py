@@ -1,8 +1,9 @@
 """The exp-affine clock with numpy alone: the bridge CDF against its inverse, the
 tilted profile at tilts whose e^lam overflows, checked against decimal arithmetic,
-the refusal of NaN times, and the CLI's tables, curves and paths of bridges whose
-e^(lam s) is subnormal or 0 or whose tilt is past the exp range.  This file imports
-no scipy, so the numpy-only CI job runs it."""
+the refusal of NaN times and of a bridge that starts below the model's state floor,
+and the CLI's tables, curves and paths of bridges whose e^(lam s) is subnormal or 0
+or whose tilt is past the exp range.  This file imports no scipy, so the numpy-only
+CI job runs it."""
 
 import decimal
 import json
@@ -17,7 +18,7 @@ from countbridge import cli, verify
 from countbridge.analytic import (clock_cdf, clock_quantile, mean_upper_bound, tilted_cdf,
                                   tilted_cdf_window, tilted_quantile)
 from countbridge.engine import BridgeSpec
-from countbridge.errors import BadParameter
+from countbridge.errors import BadParameter, OutOfDomain
 from countbridge.intensity import ExpAffine, constant_characteristic_model
 from countbridge.sampler import jump_time_matrix, sample_constant
 
@@ -200,6 +201,36 @@ def test_a_nan_time_is_refused_by_name(call):
     # the window check that every tilted profile shares; these returned nan
     with pytest.raises(BadParameter, match="time is NaN at 1 of"):
         call()
+
+
+# rate e^(t/2) (z - 0.5), negative at state 0: a bridge from 0 starts below the floor
+BELOW_FLOOR = ExpAffine(-0.5, 1.0, 0.5, state_floor=1), BridgeSpec(0, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, spec: clock_cdf(model, spec, [0.5]),
+    lambda model, spec: clock_quantile(model, spec, [0.5]),
+    lambda model, spec: sample_constant(model, spec, 4, 1),
+], ids=["clock-cdf", "clock-quantile", "sample-constant"])
+def test_the_exact_clock_refuses_a_start_below_the_floor(call):
+    # the clock served this bridge (clock_cdf read 0.3775 at 0.5) that the engine refuses
+    with pytest.raises(OutOfDomain, match="state below floor 1"):
+        call(*BELOW_FLOOR)
+
+
+@pytest.mark.parametrize("command, args", [
+    ("characteristics", []), ("mean-curve", []), ("marginals", []), ("sample", []),
+    ("verify", ["--check", "convexity"]), ("verify", ["--lambda", "0"]),
+    ("verify", ["--lambda", "0", "--check", "duality"]), ("lln", ["--lambda", "0", "--N", "3"]),
+], ids=["characteristics", "mean-curve", "marginals", "sample", "verify-convexity", "verify",
+        "verify-duality", "lln"])
+def test_every_command_refuses_a_start_below_the_floor(tmp_path, command, args):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(BELOW_FLOOR[0].to_dict()))
+    window = [] if command == "lln" else ["--x", "0", "--y", "3"]
+    out = tmp_path / "out"
+    assert cli.main([command, "--model", str(path), *window, *args, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam, spec", [

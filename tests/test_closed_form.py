@@ -9,12 +9,11 @@ from scipy.stats import binom
 
 from countbridge.analytic import tilted_cdf_window
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
-from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
-                                   TimeExponential)
+from countbridge.intensity import ExpAffine, Poisson, Tabulated
 from countbridge.sampler import sample_bridge
 from countbridge.verify import KOLMOGOROV_999
-from oracles import (dense_logh, exp_affine_cdf, exp_affine_logh, exp_affine_marginals,
-                     time_only_cdf)
+from oracles import (Product, SpaceLinear, TimeExponential, dense_logh, exp_affine_cdf,
+                     exp_affine_logh, exp_affine_marginals, time_only_cdf)
 
 BRIDGES = {
     "time-exponential-200": (TimeExponential(1.0, -3.0), BridgeSpec(0, 200)),

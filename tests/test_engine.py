@@ -14,10 +14,10 @@ from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 solve_h)
 from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse,
                                 ResourceCap, Underflow)
-from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
-                                   TimeExponential, constant_characteristic_model)
+from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import jump_time_matrix, sample_bridge
-from oracles import FullWindows, dense_logh, exp_affine_logh, grid_index
+from oracles import (FullWindows, Product, SpaceLinear, TimeExponential, dense_logh,
+                     exp_affine_logh, grid_index)
 
 
 def test_bridge_spec_validation():

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
 from countbridge.errors import BadParameter, EmptyRange, OutOfDomain, TabulationGap
-from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Product, SpaceLinear,
-                                   Tabulated, TimeExponential, constant_characteristic_model,
-                                   model_from_dict)
-from oracles import generic_characteristic
+from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Tabulated,
+                                   constant_characteristic_model, model_from_dict)
+from oracles import Product, SpaceLinear, TimeExponential, generic_characteristic
 
 # ids spell each model as its legacy descriptor (family + params)
 FAMILY_IDS = {
@@ -354,6 +353,23 @@ def test_legacy_descriptors_load_as_exp_affine():
         assert loaded.to_dict()["family"] == "exp_affine"
     assert Product(2.0, 3.0, 0.1).to_dict() == {
         "family": "exp_affine", "params": {"a": 2.0, "b": 0.2, "lambda": 3.0}, "state_floor": 0}
+
+
+@pytest.mark.parametrize("descriptor, first", [
+    ({"family": "poisson", "params": {}}, "alpha"),
+    ({"family": "space_linear", "params": {"alpha": None}}, "lambda"),
+    ({"family": "time_exponential", "params": {"lambda": "3"}}, "alpha"),
+    ({"family": "product", "params": {"beta": math.nan}}, "alpha"),
+    ({"family": "product", "params": {"alpha": 1.0, "beta": True}}, "lambda"),
+    ({"family": "product", "params": {"alpha": 1.0, "lambda": 3.0}}, "beta"),
+    ({"family": "product", "params": {}, "state_floor": 0.5}, "state_floor"),
+], ids=["poisson", "space-linear", "time-exponential", "product", "product-lambda",
+        "product-beta", "floor-first"])
+def test_a_legacy_descriptor_names_its_first_bad_parameter(descriptor, first):
+    # the floor is read first, then each family's parameters in their legacy order:
+    # space_linear reads lambda before alpha, product alpha, lambda, beta
+    with pytest.raises(BadParameter, match=f"^{first} must be a"):
+        model_from_dict(descriptor)
 
 
 def test_rate_grid_matches_pointwise():

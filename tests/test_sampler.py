@@ -9,13 +9,13 @@ from countbridge import sampler
 from countbridge.analytic import binomial_tail, tilted_cdf, tilted_quantile
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, TooFewSamples
-from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
-                                   TimeExponential, constant_characteristic_model)
+from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample_bridge,
                                  sample_constant)
 from countbridge.verify import duality_catalog, duality_check, lln_experiment
-from oracles import (OracleScale, characteristic_integrals, exp_affine_cdf, grid_index,
-                     sample_bridge_per_state, sample_rejection, simplex_jump_time_cdf)
+from oracles import (OracleScale, Product, SpaceLinear, TimeExponential, characteristic_integrals,
+                     exp_affine_cdf, grid_index, sample_bridge_per_state, sample_rejection,
+                     simplex_jump_time_cdf)
 
 PI3_HALF = 0.18242552380635635
 

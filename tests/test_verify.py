@@ -10,14 +10,13 @@ from countbridge import verify
 from countbridge.analytic import binomial_tail, clock_cdf, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, mean_curve, solve_h
 from countbridge.errors import DegenerateVariance, OutOfDomain, ResourceCap
-from countbridge.intensity import (ExpAffine, Poisson, Product, SpaceLinear, Tabulated,
-                                   TimeExponential, constant_characteristic_model)
+from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import PathBatch, jump_time_matrix, sample_bridge, sample_constant
 from countbridge.verify import (DUALITY_BLOCK, KOLMOGOROV_999, BridgeLaw, TestFunctional,
                                 WindowFunction, convexity_check, dominance_check, duality_catalog,
                                 duality_check, lln_experiment, mean_bound_check)
-from oracles import (dominance_per_cell, duality_per_column, exp_affine_cdf,
-                     exp_affine_marginals)
+from oracles import (Product, SpaceLinear, TimeExponential, dominance_per_cell,
+                     duality_per_column, exp_affine_cdf, exp_affine_marginals)
 
 
 def test_convexity_verdicts():
@@ -472,8 +471,11 @@ def test_a_laws_mean_curve_is_its_tables_bit_for_bit(model, spec, step):
 
 
 def test_a_law_refuses_a_state_below_the_model_floor():
-    with pytest.raises(OutOfDomain, match="state below floor 2"):
-        BridgeLaw(ExpAffine(1.0, 1.0, 0.5, state_floor=2), BridgeSpec(0, 4))
+    # the law only chooses the route; the exact clock refuses the bridge wherever it is read
+    law = BridgeLaw(ExpAffine(1.0, 1.0, 0.5, state_floor=2), BridgeSpec(0, 4))
+    for read in (law.table, law.mean_curve, lambda: law.paths(2, 1)):
+        with pytest.raises(OutOfDomain, match="state below floor 2"):
+            read()
 
 
 @pytest.mark.parametrize("spec", [BridgeSpec(0, 100), BridgeSpec(0, 200), BridgeSpec(0, 300),
