@@ -146,19 +146,18 @@ def _encode(x):
     live = (e >= 0) & (e < 21) & cells
     sci = np.flatnonzero(cells ^ live)
     slow = np.flatnonzero(~finite)
-    # the 17-digit significand, d = round-half-even(|x| 10^(16 - E)), from hi + lo,
-    # exact in fixed notation, where the power is
-    hi, lo = _significand(np.where(live, ax, 1.0), np.where(live, e, 4),
-                          [p[320:341] for p in powers])
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # the 17-digit significand, d = round-half-even(|x| 10^(16 - E)), from hi + lo, exact
+    # in fixed notation; a scientific cell is scaled by 2^shift and adds the power's tail
+    i = e + 320
+    ax[slow] = 0.0
     if sci.size:
-        i = np.take(e, sci) + 320
-        ax = np.ldexp(np.take(ax, sci), np.take(shift, i))
-        hi, lo = _significand(ax, i, powers)
-        lo += ax * np.take(tails, i)
+        ax[sci] = np.ldexp(ax[sci], np.take(shift, i[sci]))
+    hi, lo = _significand(ax, i, powers)
+    if sci.size:
+        lo[sci] += ax[sci] * np.take(tails, i[sci])
         # a tail's product is rounded: a cell this near a tie is left to Python
-        slow = np.concatenate([slow, sci[np.abs(lo - np.floor(lo) - 0.5) < 1e-6]])
-        d[sci] = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        slow = np.concatenate([slow, sci[np.abs(lo[sci] % 1.0 - 0.5) < 1e-6]])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # its digits: a, then four groups of four
     q = d // 10 ** 8
     r = (d - q * 10 ** 8).astype(np.int32)
@@ -186,8 +185,8 @@ def _encode(x):
         out[:, w] &= quad
         out[:, w + 5] &= quad
     if sci.size:
-        out[sci, 5] |= exps[i, 0]
-        out[sci, 10] |= exps[i, 1]
+        out[sci, 5] |= exps[i[sci], 0]
+        out[sci, 10] |= exps[i[sci], 1]
     if len(slow):
         out.view("S44")[slow, 0] = ["%.17g" % v for v in x[slow].tolist()]
     return out

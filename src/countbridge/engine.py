@@ -52,7 +52,6 @@ infinite bound puts them at the window ends, so every state is live throughout.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -68,8 +67,8 @@ from .errors import (BadParameter, BadStep, BadWindow, ConservationLoss, GridToo
 STEP_BUDGET = 0.1
 # Outside its window a state holds at most this much of the bridge's mass.
 WINDOW_TAIL = 1e-20
-# The stored mesh extends to min(coarse step, (u - s) / n) / PIN_DEPTH from the terminal
-# time; closer queries use the exact (y - z) / (u - t) pin asymptote.
+# The stored mesh extends to min(coarse step, (u - s) / n) / PIN_DEPTH from u, or closer
+# (see _Mesh); closer queries use the exact (y - z) / (u - t) pin asymptote.
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
 # A mesh whose band of log h over the windows would exceed this many bytes is
@@ -157,9 +156,10 @@ class _Mesh:
     ``fwd_bounds`` are the forward substep boundaries from s to u - dc (cell
     edges of the uniform output grid, subdivided where the pin is near).
     Storage nodes are those boundaries plus their midpoints (the first
-    ``n_fwd_nodes``), then a graded extension from u - dc down to
-    u - d0, d0 = min(dc, (u - s)/n) / PIN_DEPTH (dc/PIN_DEPTH bit for bit when
-    (u - s)/n >= dc), then u itself.
+    ``n_fwd_nodes``), then a graded extension from u - dc down to u - d0, then u
+    itself.  d0 is min(dc, (u - s)/n) / PIN_DEPTH (dc/PIN_DEPTH bit for bit when
+    (u - s)/n >= dc), or less: no budget grades [u - d0, u], so r_top d0 <= STEP_BUDGET
+    / 10, r_top the largest ladder rate at u; OutOfDomain if 8 ulps of u miss that.
 
     Subdivision measures closeness to the pin by the remaining integrated
     rate lam_hat(t) = integral over [t, u] of the ladder-minimal rate; each
@@ -180,18 +180,19 @@ class _Mesh:
     :class:`~countbridge.errors.ResourceCap` with the estimate.
     """
 
-    def __init__(self, spec, h_step, model, step_budget=None):
-        budget = STEP_BUDGET if step_budget is None else float(step_budget)
+    def __init__(self, spec, h_step, model, budget=STEP_BUDGET):
         edges = self.out_times = output_times(spec, h_step)
         n_c = edges.size - 1
         self.spec = spec
         self.dc = spec.length / n_c
 
         # probe the ladder-minimal rate (one state's column at a time) and its
-        # backward cumulative integral
+        # backward cumulative integral, and the largest ladder rate at u, r_top
         probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
         whole = np.zeros(spec.n + 1, int), np.full(spec.n + 1, probe_t.size)
-        lmin = functools.reduce(np.minimum, model.rate_columns(probe_t, spec.ladder(), *whole))
+        lmin, r_top = np.inf, 0.0
+        for rates in model.rate_columns(probe_t, spec.ladder(), *whole):
+            lmin, r_top = np.minimum(lmin, rates), max(r_top, rates[-1])
         seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
         lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         # t -> log lam_hat, excluding the vanishing endpoint value; a lam_hat
@@ -232,13 +233,18 @@ class _Mesh:
         seg_a = np.empty(2 * fb.size - 1)
         seg_a[0::2] = fb
         seg_a[1::2] = 0.5 * (fb[:-1] + fb[1:])
-        # ratio is exactly PIN_DEPTH when (u - s) / n >= dc: those meshes keep their nodes
-        u, d1 = spec.u, self.dc
-        ratio = PIN_DEPTH * (d1 / min(d1, spec.length / n))
+        # d0 = d1 / ratio; ratio is exactly PIN_DEPTH when (u - s) / n >= dc and
+        # r_top d0 <= eps there: those meshes keep their nodes
+        u, d1, eps, floor = spec.u, self.dc, STEP_BUDGET / 10, 8 * math.ulp(spec.u)
+        if r_top * floor > eps:
+            raise OutOfDomain(f"the largest rate at u, {r_top:.3g}, times the pin layer's least"
+                              f" step, {floor:.3g}, is {r_top * floor:.3g}, over {eps:g}")
+        ratio = min(max(PIN_DEPTH * (d1 / min(d1, spec.length / n)), d1 * r_top / eps), d1 / floor)
         n_ext = int(math.ceil(math.log(ratio) * depth[-1] / budget))
         d0 = d1 / ratio
-        ext = [u - d1 * (d0 / d1) ** (i / n_ext) for i in range(1, n_ext + 1)]
-        self.times = np.concatenate([seg_a, ext, [u]])
+        # within a few ulps of u, nodes of the geometric grading can round together
+        ext = np.array([u - d1 * (d0 / d1) ** (i / n_ext) for i in range(1, n_ext + 1)])
+        self.times = np.concatenate([seg_a, ext[np.diff(ext, prepend=-np.inf) > 0], [u]])
         self.n_fwd_nodes = seg_a.size
         # storage index of each output edge except u (edge k sits at 2 * fb-index)
         self.out_node_idx = 2 * self.out_fb_idx
@@ -522,7 +528,7 @@ class HField:
             yield nodes, lam - self.logh.column(zi, a, b), self.mesh.h_hi[zi] == self.times.size - 1
 
 
-def solve_h(model, spec, h_step=1e-3, step_budget=None):
+def solve_h(model, spec, h_step=1e-3, step_budget=STEP_BUDGET):
     """Solve the backward pin-probability system on the ladder.
 
     Integrates d/dt h(t,z) = -rate(t,z) [h(t,z+1) - h(t,z)] backward from

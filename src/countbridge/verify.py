@@ -28,8 +28,8 @@ import numpy as np
 
 from .analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound, tilted_cdf,
                        tilted_cdf_window)
-from .engine import (BridgeSpec, MarginalTable, check_memory, count_text, marginal_table,
-                     mean_curve, output_times, second_differences, solve_h)
+from .engine import (STEP_BUDGET, BridgeSpec, MarginalTable, check_memory, count_text,
+                     marginal_table, mean_curve, output_times, second_differences, solve_h)
 from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples
 from .intensity import ExpAffine
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
@@ -49,48 +49,48 @@ DUALITY_BLOCK = 1 << 16
 
 
 class BridgeLaw:
-    """One bridge's marginal table and paths, by its model's family: the route choice
-    alone.  An ``ExpAffine`` bridge is exactly binomial
+    """One bridge's marginal table and paths, by its model's family, on its output grid
+    ``times`` (:func:`~countbridge.engine.output_times`), formed first, so every route
+    refuses the steps the grid refuses.  An ``ExpAffine`` bridge is exactly binomial
     (:func:`~countbridge.analytic.clock_cdf`): its table is the Binomial(n, p(t)) pmf
-    on the engine's output grid (:func:`~countbridge.engine.output_times`), pinned at
-    both ends, with means x + n p(t), which :meth:`mean_curve` gives without the pmf,
-    and its paths come from :func:`sample_constant`.  Any other model's come from one
-    h-field, solved on first use at ``step_budget``.  Each route refuses a bridge
-    that starts below the model's state floor when it is first read."""
+    on that grid, pinned at both ends, with means x + n p(t), which :meth:`mean_curve`
+    gives without the pmf, and its paths come from :func:`sample_constant`.  Any other
+    model's come from one h-field, solved on first use at ``step_budget``.  Each route
+    refuses a bridge that starts below the model's state floor when it is first read."""
 
-    def __init__(self, model, spec, h_step=1e-3, step_budget=None):
+    def __init__(self, model, spec, h_step=1e-3, step_budget=STEP_BUDGET):
         self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
         self.exact = isinstance(model, ExpAffine)
+        self.times = output_times(spec, h_step)
 
     @functools.cached_property
     def h(self):
         return solve_h(self.model, self.spec, self.h_step, self.step_budget)
 
     def _clock(self, per_time, what):
-        """The output times and p(t), pinned at both ends, once ``per_time`` bytes a
-        time fit the memory cap; ``what`` names them, with ``{times}`` the count."""
-        times = output_times(self.spec, self.h_step)
-        check_memory(per_time * times.size, what.format(times=times.size))
-        p = clock_cdf(self.model, self.spec, times)
+        """p(t) on the output times, pinned at both ends, once ``per_time`` bytes a
+        time fit the memory cap; ``what`` names them."""
+        check_memory(per_time * self.times.size, what)
+        p = clock_cdf(self.model, self.spec, self.times)
         p[0], p[-1] = 0.0, 1.0
-        return times, p
+        return p
 
     def table(self):
         spec = self.spec
         if not self.exact:
             return marginal_table(self.model, spec, self.h_step, self.h)
         # the rows and the five (times x states) temporaries of their log pmf
-        times, p = self._clock(48 * (spec.n + 1),
-                               f"a table of {{times}} times x {count_text(spec.n + 1)} states")
-        return MarginalTable(spec, times, binomial_rows(spec.n, p), 0.0,
+        p = self._clock(48 * (spec.n + 1),
+                        f"a table of {self.times.size} times x {count_text(spec.n + 1)} states")
+        return MarginalTable(spec, self.times, binomial_rows(spec.n, p), 0.0,
                              spec.x + spec.n * p).validate()
 
     def mean_curve(self):
         """(t, E[X_t]) rows: an ``ExpAffine`` law's x + n p(t), its table's, without the pmf."""
         if not self.exact:
             return mean_curve(self.table())
-        times, p = self._clock(96, "a mean curve of {times} times")  # and its temporaries
-        return np.column_stack([times, self.spec.x + self.spec.n * p])
+        p = self._clock(96, f"a mean curve of {self.times.size} times")  # and its temporaries
+        return np.column_stack([self.times, self.spec.x + self.spec.n * p])
 
     def paths(self, count, seed):
         if self.exact:

@@ -9,7 +9,7 @@ touching the h-field, so they check the engine and the samplers from
 outside.  Every exp-affine bridge also has a closed form: on the clock
 tau(t) = expm1(lam t) / lam its rate is time-homogeneous, so log h is a
 negative-binomial (or Poisson) transition law and each marginal is binomial.
-They need scipy (``cumulative_simpson``, ``gammaln``, ``binom``); the package
+They need scipy (``cumulative_simpson``, ``expm``, ``gammaln``, ``binom``); the package
 itself needs numpy only.
 """
 
@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import binom
 
@@ -226,6 +227,53 @@ def time_only_cdf(model, spec, times):
     top = np.max(c_edges)
     big_g, g_edges = cumulative(lambda t: np.exp(big_c(t) - top))
     return np.clip(big_g(np.asarray(times, dtype=float)) / g_edges[-1], 0.0, 1.0)
+
+
+def separable_marginals(model, spec, times):
+    """P(X_t = z) of a bridge of a ``Tabulated`` model whose rates are f(t) g(z):
+    rows over ``times``, columns over the ladder.
+
+    Hermite interpolation is linear in its data, so the rate between knots is
+    H_f(t) g(z), H_f the cubic of f and f'.  On the clock tau(t) = int H_f the
+    chain is time-homogeneous, with the pure-birth generator Q of g on states x..y
+    (state y keeps its exit rate, -g(y), on the diagonal), so
+    P(X_t = z) = [e^{Q (tau(t) - tau(s))}]_{x,z} [e^{Q (tau(u) - tau(t))}]_{z,y}
+    / [e^{Q (tau(u) - tau(s))}]_{x,y}.  tau is exact: 3-point Gauss-Legendre on
+    each piece of H_f, formed here from the table.  A table whose rates or
+    slopes are not f x g within 1e-12 of its largest entry is refused (ValueError).
+    """
+    t_grid, rates, slopes = model.t_grid, model.rates, model.rates_dt
+    f, df, g = rates[:, 0], slopes[:, 0], rates[0] / rates[0, 0]
+    for table, col in ((rates, f), (slopes, df)):
+        spread = float(np.max(np.abs(np.outer(col, g) - table)))
+        if spread > 1e-12 * np.max(np.abs(table)):
+            raise ValueError(f"the table is no product f(t) g(z): off by {spread:.3g}")
+    x, w = np.polynomial.legendre.leggauss(3)
+
+    def integral(i, t):
+        # int H_f from knot i to t, t on piece i: exact for the cubic
+        h = (t_grid[i + 1] - t_grid[i])[:, None]
+        half = (t - t_grid[i])[:, None] / 2.0
+        r = (half * (1.0 + x)) / h
+        k = i[:, None]
+        cubic = (((2.0 * r - 3.0) * r * r + 1.0) * f[k] + (3.0 - 2.0 * r) * r * r * f[k + 1]
+                 + h * r * ((r - 1.0) ** 2 * df[k] + (r - 1.0) * r * df[k + 1]))
+        return half[:, 0] * (cubic @ w)
+
+    pieces = np.arange(t_grid.size - 1)
+    at_knots = np.concatenate([[0.0], np.cumsum(integral(pieces, t_grid[1:]))])
+
+    def tau(t):
+        i = np.clip(np.searchsorted(t_grid, t, "right") - 1, 0, t_grid.size - 2)
+        return at_knots[i] + integral(i, t)
+
+    gz = g[spec.ladder() - model.z_min]
+    q = np.diag(-gz) + np.diag(gz[:-1], 1)
+    ts, tt, tu = tau(np.array([spec.s])), tau(np.asarray(times, dtype=float)), tau(np.array([spec.u]))
+    # one expm call per time: scipy's stacked expm is slower than the loop
+    left = np.array([expm(q * d)[0] for d in tt - ts])
+    right = np.array([expm(q * d)[:, -1] for d in tu - tt])
+    return left * right / expm(q * (tu - ts)[0])[0, -1]
 
 
 class CharacteristicIntegrals:

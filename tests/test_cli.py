@@ -305,6 +305,36 @@ def test_unusable_float_options_exit_2_before_writing(tmp_path, capsys, args, re
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("step, message", [("-1", "h_step must be positive, got -1.0"),
+                                           ("0.5", "h_step must not exceed 1e-2")],
+                         ids=["negative", "coarse"])
+@pytest.mark.parametrize("args", [
+    ["marginals", "--y", "3"], ["sample", "--y", "3", "--replicas", "3"],
+    ["lln", "--N", "5", "--replicas", "3"], ["verify", "--y", "3", "--check", "duality"],
+], ids=["marginals", "sample", "lln", "duality"])
+def test_every_route_refuses_the_steps_the_output_grid_refuses(tmp_path, capsys, args, step,
+                                                               message):
+    # the exact routes of sample, lln and the duality check read no table, yet each
+    # refuses the steps marginals refuses, before anything is written
+    out = tmp_path / "out"
+    assert cli.main(args + ["--lambda", "1", "--step", step, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"countbridge: error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_replayed_step_the_output_grid_refuses_exits_2(tmp_path, capsys):
+    assert cli.main(["sample", "--lambda", "1", "--y", "3", "--replicas", "3",
+                     "--out", str(tmp_path / "run")]) == 0
+    manifest = read_json(tmp_path / "run" / "manifest.json")
+    manifest["options"]["step"] = -1.0
+    (tmp_path / "edited.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["replay", str(tmp_path / "edited.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "countbridge: error: h_step must be positive, got -1.0\n"
+    assert not out.exists()
+
+
 def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch):
     calls = []
     real = engine.solve_h
@@ -1250,9 +1280,10 @@ def test_a_memory_refusal_prints_its_estimate_in_a_few_digits(capsys, tmp_path, 
     ["marginals", "--lambda", "1", "--step", "1e-300", "--y", "2"],
     ["verify", "--lambda", "1", "--step", "1e-320", "--y", "2"],
     ["characteristics", "--lambda", "1", "--grid-step", "1e-320", "--y", "2"],
+    ["sample", "--lambda", "1", "--step", "1e-9", "--y", "2"],
 ], ids=["characteristics-grid", "sample-constant", "sample-model", "verify-duality",
         "marginals-step", "marginals-step-1e-300", "verify-step-subnormal",
-        "characteristics-grid-subnormal"])
+        "characteristics-grid-subnormal", "sample-step"])
 def test_requests_over_the_memory_cap_exit_2_before_allocating(tmp_path, capsys, args):
     # petabytes of grid or terabytes of paths are refused from their sizes alone
     args = [write_model(tmp_path, PRODUCT) if a == "PRODUCT" else a for a in args]
@@ -1283,18 +1314,36 @@ def test_steeply_decaying_rates_run_without_overflow(tmp_path, args):
 def test_a_pinned_rate_that_underflows_at_its_anchor_exits_2(tmp_path):
     # rate 1 + 1e100 z, tabulated so that the engine samples it: at each state's
     # anchor log h is far below the float range's reach of the gap to the state
-    # above, so the pinned rate there is 0.  The pin asymptote past the anchor does
-    # not read it: its slope is y - z.  Every jump after the first follows it within
-    # far less than a float's spacing, so the sampler refuses the path.  Run under
+    # above, so the pinned rate there would be 0, and the sampler once refused a
+    # path that followed the pin asymptote past it.  The pin layer is now sized by
+    # the largest rate at u, 6e100, which no step of 8 ulps of u brings to 1e-2:
+    # the mesh refuses the bridge before anything is solved.  Run under
     # -W error::RuntimeWarning (PKG).
     knots = [0.0, 0.5, 1.0]
     rates = np.tile(1.0 + 1e100 * np.arange(7.0), (3, 1))
     model = write_model(tmp_path, Tabulated(knots, 0, rates, np.zeros((3, 7))).to_dict())
     r = run_cli("sample", "--model", model, "--y", "6", "--out", str(tmp_path / "out"))
     assert r.returncode == 2
-    assert r.stderr.startswith("countbridge: error:")
-    assert "jump 2 of a path rounded to u or did not advance past jump 1" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert r.stderr == ("countbridge: error: the largest rate at u, 6e+100, times the pin"
+                        " layer's least step, 1.78e-15, is 1.07e+86, over 0.01\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["marginals"], ["mean-curve"], ["verify", "--check", "convexity"],
+                                  ["sample"]], ids=["marginals", "mean-curve", "verify", "sample"])
+def test_a_rate_too_large_for_the_pin_layer_exits_2(tmp_path, args):
+    # a constant rate of 1e200: its bridge is the uniform Poisson bridge, but no pin
+    # layer step of 8 ulps of u or more keeps rate x step at 1e-2.  The engine's
+    # columns once overflowed exp on it (a traceback under -W error, PKG), and
+    # sample left a path past its window; now the mesh refuses it before any solve
+    rates = np.full((3, 6), 1e200)
+    model = write_model(tmp_path, Tabulated([0.0, 0.5, 1.0], 0, rates, 0.0 * rates).to_dict())
+    out = tmp_path / "out"
+    r = run_cli(*args, "--model", model, "--y", "5", "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr == ("countbridge: error: the largest rate at u, 1e+200, times the pin"
+                        " layer's least step, 1.78e-15, is 1.78e+185, over 0.01\n")
+    assert not out.exists()
 
 
 def test_many_paths_without_jumps_hold_no_per_replica_labels(tmp_path):

@@ -1,5 +1,5 @@
 """Both marginal routes and the h-field against the exp-affine closed forms, and
-the engine's tables of Tabulated bridges against their binomial laws."""
+the engine's tables of Tabulated bridges against their binomial and clock laws."""
 
 import math
 
@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from countbridge.analytic import tilted_cdf_window
+from countbridge.analytic import binomial_rows, clock_cdf, tilted_cdf_window
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
 from countbridge.intensity import ExpAffine, Poisson, Tabulated
 from countbridge.sampler import sample_bridge
 from countbridge.verify import KOLMOGOROV_999
 from oracles import (Product, SpaceLinear, TimeExponential, dense_logh, exp_affine_cdf,
-                     exp_affine_logh, exp_affine_marginals, time_only_cdf)
+                     exp_affine_logh, exp_affine_marginals, separable_marginals, time_only_cdf)
 
 BRIDGES = {
     "time-exponential-200": (TimeExponential(1.0, -3.0), BridgeSpec(0, 200)),
@@ -153,3 +153,74 @@ def test_time_only_cdf_is_the_exp_affine_closed_form_and_refuses_a_state_depende
     model = Tabulated(t, 0, np.outer(f, 1.0 + z) + z, np.outer(4.0 * np.cos(5.0 * t), 1.0 + z))
     with pytest.raises(ValueError, match="varies in z"):
         time_only_cdf(model, BridgeSpec(0, 10), t)
+
+
+def _tails(probs):
+    return np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
+
+
+def _steep_linear(b, n=20):
+    """Rates 1 + b z on knots 0, 0.5 and 1, states 0..n + 1, constant in time: the
+    characteristic is b in every state, so the bridge is ExpAffine(1, b, 0)'s."""
+    rates = np.tile(1.0 + b * np.arange(n + 2.0), (3, 1))
+    return Tabulated([0.0, 0.5, 1.0], 0, rates, np.zeros_like(rates)), ExpAffine(1.0, b, 0.0)
+
+
+STEEP = {**{f"linear-{b}": (*_steep_linear(b), BridgeSpec(0, 20)) for b in (800, 1000, 2000)},
+         "exp-affine-1-2-6": (ExpAffine(1.0, 2.0, 6.0), ExpAffine(1.0, 2.0, 6.0), BridgeSpec(0, 40))}
+
+
+@pytest.mark.parametrize("h_step", [1e-2, 5e-3, 2e-3, 1e-3])
+@pytest.mark.parametrize("model, law, spec", STEEP.values(), ids=STEEP.keys())
+def test_a_steep_bridge_through_the_engine_is_its_binomial_law(model, law, spec, h_step):
+    # the pin layer's last step [u - d0, u] is graded by no budget: sized by the output
+    # step alone it left these tables up to 7.3e-4 off their law (linear-2000 5.3e-5
+    # at 2e-3), by the largest rate at u they are within 2.7e-8
+    table = marginal_table(model, spec, h_step, solve_h(model, spec, h_step))
+    p = clock_cdf(law, spec, table.times)
+    p[0], p[-1] = 0.0, 1.0
+    want = binomial_rows(spec.n, p)
+    assert np.max(np.abs(table.probs - want)) <= 1e-7
+    assert np.max(np.abs(_tails(table.probs) - _tails(want))) <= 1e-7
+
+
+def _separable_table(g, n):
+    """Rates f(t) g(z), f = 1 + 0.8 sin 5t on 6 nodes with its exact f', states 0..n."""
+    t, gz = np.linspace(0.0, 1.0, 6), g(np.arange(n + 1.0))
+    return Tabulated(t, 0, np.outer(1.0 + 0.8 * np.sin(5.0 * t), gz),
+                     np.outer(4.0 * np.cos(5.0 * t), gz))
+
+
+SEPARABLE = {
+    "square-12": (_separable_table(lambda z: 1.0 + z * z, 12), BridgeSpec(0, 12)),
+    "alternating-20": (_separable_table(lambda z: 2.0 + 1.5 * (z % 2) + 0.1 * z, 20),
+                       BridgeSpec(0, 20)),
+    "falling-10": (_separable_table(lambda z: 5.0 / (1.0 + z), 10), BridgeSpec(0, 10)),
+}
+
+
+@pytest.mark.parametrize("model, spec", SEPARABLE.values(), ids=SEPARABLE.keys())
+def test_a_separable_table_is_its_clock_law(model, spec):
+    # rates f(t) g(z) give a characteristic f'/f + f (g(z + 1) - g(z)) that varies in
+    # both t and z; on the clock int f the chain is homogeneous, so its law is a
+    # product of matrix exponentials.  The engine's pmf and tails at the defaults are
+    # that law's to the published 1e-6 (3.5e-10, 5.3e-9 with tails 1.5e-8, 1.8e-10)
+    table = marginal_table(model, spec)
+    want = separable_marginals(model, spec, table.times)
+    assert np.max(np.abs(table.probs - want)) <= 1e-6
+    assert np.max(np.abs(_tails(table.probs) - _tails(want))) <= 1e-6
+
+
+def test_separable_marginals_is_the_exp_affine_closed_form_and_refuses_a_sum():
+    # f constant and g = a + b z: the exp-affine bridge of lam = 0
+    model = Tabulated(np.linspace(0.0, 1.0, 6), 0, np.tile(0.7 + 1.3 * np.arange(41.0), (6, 1)),
+                      np.zeros((6, 41)))
+    spec, t = BridgeSpec(3, 40, 0.2, 0.9), np.linspace(0.2, 0.9, 71)
+    want = exp_affine_marginals(ExpAffine(0.7, 1.3, 0.0), spec, t)
+    assert np.max(np.abs(separable_marginals(model, spec, t) - want)) <= 1e-12
+    # f(t) (1 + z) + z is no product
+    t = np.linspace(0.0, 1.0, 6)
+    f, z = 1.0 + 0.8 * np.sin(5.0 * t), np.arange(11)
+    model = Tabulated(t, 0, np.outer(f, 1.0 + z) + z, np.outer(4.0 * np.cos(5.0 * t), 1.0 + z))
+    with pytest.raises(ValueError, match="no product"):
+        separable_marginals(model, BridgeSpec(0, 10), t)

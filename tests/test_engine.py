@@ -743,6 +743,19 @@ def test_mesh_cap_admits_6800_jumps_and_refuses_6900():
         engine._Mesh(BridgeSpec(0, 6900), 1e-3, model)
 
 
+@pytest.mark.parametrize("b", [5e11, 5.5e11])
+def test_a_pin_layer_at_its_floor_keeps_distinct_nodes(b):
+    # rates 1 + b z, 0 -> 6: the last step d0 = 1e-2 / r_top is 13-15 ulps of u, where
+    # nodes of the geometric grading round together; the layer keeps each once, so
+    # no step is empty (a log of 0, an error in this suite), and r_top d0 stays at 1e-2
+    rates = np.tile(1.0 + b * np.arange(8.0), (3, 1))
+    model, spec = Tabulated([0.0, 0.5, 1.0], 0, rates, np.zeros_like(rates)), BridgeSpec(0, 6)
+    h = solve_h(model, spec)
+    assert np.all(np.diff(h.times) > 0)
+    assert rates[0, 6] * (spec.u - h.times[-2]) <= 1e-2
+    assert marginal_table(model, spec, h=h).probs[1:-1, 0].min() == 1.0
+
+
 @pytest.mark.parametrize("model, spec, whole", [
     (TimeExponential(1.0, -3.0), BridgeSpec(0, 60), False),
     (Product(1.0, 3.0, 0.1), BridgeSpec(2, 30, 0.25, 0.75), False),
