@@ -78,6 +78,8 @@ MEMORY_CAP = 2 * 2 ** 30
 # output rows, or a tail P(X_t >= z) falls in t by more than MONOTONE_TOL.
 DRIFT_TOL = 1e-6
 MONOTONE_TOL = 1e-7
+# MarginalTable.validate reads the tails in blocks of at most this many cells
+VALIDATE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -342,7 +344,8 @@ def _log_cumsum(a):
     while i < a.size and a[i] > -np.inf:
         k = int(np.argmax(a[i:] > a[i] + 300.0))
         j = i + k if k else a.size
-        run = np.exp(a[i:j] - a[i])
+        run = a[i:j] - a[i]
+        np.exp(run, out=run)
         run[0] += np.exp(out[i - 1] - a[i])  # 0 before the first run, out[-1] included
         np.log(np.cumsum(run, out=run), out=out[i:j])
         out[i:j] += a[i]
@@ -410,17 +413,18 @@ def _column(steps, rates, feed, prev, lo=0, hi=None):
     top = np.maximum(p_x[o:o + k], p_b[o:o + k])
     np.maximum(top, -np.finfo(float).max, out=top)
     y1 = np.exp(p_x[o:o + k] - top)
-    y = p_inc[:, o:o + k] * np.exp(p_b[o:o + k] - top)
-    y += y1
+    # y2..y4 are formed in the rows of the stages they give
+    stage = np.empty((4, k))
+    np.multiply(p_inc[:, o:o + k], np.exp(p_b[o:o + k] - top), out=stage[1:])
+    stage[1:] += y1
     feed = feed[:2 * k + 1]
+    np.multiply(feed[:-1:2], y1, out=stage[0])
     cm = np.exp(i_mid[:k] - p_mid[o:o + k])
     cm *= feed[1::2]
+    stage[1:3] *= cm
     ce = np.exp(i_end[:k] - p_end[o:o + k])
     ce *= feed[2::2]
-    stage = np.empty((4, k))
-    np.multiply(feed[:-1:2], y1, out=stage[0])
-    np.multiply(cm, y[:2], out=stage[1:3])
-    np.multiply(ce, y[2], out=stage[3])
+    stage[3] *= ce
     s = _RK4_WEIGHTS @ stage
     live = s > 0.0
     np.log(s, out=log_b[:k], where=live)
@@ -574,6 +578,10 @@ class MarginalTable:
         self.means = means
 
     def validate(self):
+        """The table itself once it is finite, within DRIFT_TOL, normalised, pinned at
+        both ends and monotone in t in every tail; else a ConservationLoss.  The tails
+        are read in blocks of rows, at most VALIDATE_BLOCK cells (or two rows) each,
+        consecutive blocks sharing a row, so the check holds no table-sized copy."""
         if not np.all(np.isfinite(self.probs)):
             raise ConservationLoss("table holds non-finite probabilities")
         if not self.drift <= DRIFT_TOL:
@@ -584,25 +592,29 @@ class MarginalTable:
             raise ConservationLoss("rows are not normalized")
         if not (self.probs[0, 0] == 1.0 and self.probs[-1, -1] == 1.0):
             raise ConservationLoss("endpoint rows are not pinned")
-        tails = self.tail_matrix()
-        worst = np.min(np.diff(tails, axis=0))
+        rows, cells = self.probs.shape
+        step = max(1, VALIDATE_BLOCK // cells - 1)
+        worst = min(np.min(np.diff(self.tail_matrix(slice(a, a + step + 1)), axis=0))
+                    for a in range(0, rows - 1, step))
         if worst < -MONOTONE_TOL:
             raise ConservationLoss(
                 f"tail monotonicity in t violated by {-worst:.3e}")
         return self
 
-    def tail_matrix(self):
-        """P(X_t >= x + i) with rows over the grid and columns i = 0..n."""
-        return np.cumsum(self.probs[:, ::-1], axis=1)[:, ::-1]
+    def tail_matrix(self, rows=slice(None)):
+        """P(X_t >= x + i) on the grid rows ``rows`` (all by default), with columns
+        i = 0..n; each row's tails are its own reversed running sum."""
+        return np.cumsum(self.probs[rows, ::-1], axis=1)[:, ::-1]
 
 
 def _forward(mesh, rates):
-    """Log forward mass at the output times before u: one row per time, one
-    column per state, from mass 1 in state x at s.  ``rates`` yields each
-    state's rates on its storage nodes ``mesh.fwd_rows``, bottom state first;
-    each state is fed at the rates of the state below."""
+    """Log forward mass on the output grid: one row per output time, one column
+    per state, from mass 1 in state x at s; u's row, last, is left -inf for the
+    table it becomes (:func:`_pinned_table`).  ``rates`` yields each state's
+    rates on its storage nodes ``mesh.fwd_rows``, bottom state first; each
+    state is fed at the rates of the state below."""
     steps = _step_powers(np.diff(mesh.fwd_bounds))
-    out = np.full((mesh.out_fb_idx.size, mesh.spec.n + 1), -np.inf)
+    out = np.full((mesh.out_times.size, mesh.spec.n + 1), -np.inf)
     prev, feed = None, None
     for zi, (r, lo, hi) in enumerate(zip(rates, mesh.fwd_lo, mesh.fwd_hi)):
         if zi:
@@ -635,25 +647,24 @@ def _field(model, spec, h_step, h):
     return h
 
 
-def _normalised(log_rows):
-    """exp(log_rows) with each row divided by its sum, and the log row sums;
-    formed in place of ``log_rows``."""
+def _normalise(log_table):
+    """Normalise the rows of ``log_table`` before u in place: each log row becomes
+    exp(log row) over its sum.  Returns the log row sums."""
+    log_rows = log_table[:-1]
     top = log_rows.max(axis=1, keepdims=True)
     log_rows -= top
     rows = np.exp(log_rows, out=log_rows)
     sums = rows.sum(axis=1, keepdims=True)
     rows /= sums
-    return rows, (top + np.log(sums))[:, 0]
+    return (top + np.log(sums))[:, 0]
 
 
-def _pinned_table(spec, mesh, rows, drift):
-    """Validated table of the normalised output rows (one per output time before u),
-    with both ends set exactly to the pins."""
-    probs = np.zeros((mesh.out_times.size, spec.n + 1))
-    probs[:-1] = rows
-    probs[0] = probs[-1] = 0.0
-    probs[0, 0] = probs[-1, -1] = 1.0
-    return MarginalTable(spec, mesh.out_times, probs, drift).validate()
+def _pinned_table(spec, mesh, table, drift):
+    """Validated marginal table of ``table``, its rows before u normalised
+    (:func:`_normalise`), with both ends set exactly to the pins, in place."""
+    table[0] = table[-1] = 0.0
+    table[0, 0] = table[-1, -1] = 1.0
+    return MarginalTable(spec, mesh.out_times, table, drift).validate()
 
 
 def marginal_table(model, spec, h_step=1e-3, h=None):
@@ -667,9 +678,9 @@ def marginal_table(model, spec, h_step=1e-3, h=None):
     """
     h = _field(model, spec, h_step, h)
     mesh = h.mesh
-    rows, log_mass = _normalised(_forward(mesh, h.pinned_rates()))
-    drift = float(np.max(np.abs(np.expm1(np.diff(log_mass)))))
-    return _pinned_table(spec, mesh, rows, drift)
+    table = _forward(mesh, h.pinned_rates())
+    drift = float(np.max(np.abs(np.expm1(np.diff(_normalise(table))))))
+    return _pinned_table(spec, mesh, table, drift)
 
 
 def marginal_table_two_sided(model, spec, h_step=1e-3, h=None):
@@ -691,8 +702,8 @@ def marginal_table_two_sided(model, spec, h_step=1e-3, h=None):
     for zi, (a, b, start) in enumerate(zip(k0.tolist(), k1.tolist(), band.start.tolist())):
         log_p[:a, zi] = log_p[b:, zi] = -np.inf
         log_p[a:b, zi] += band.values[start + out[a:b]]
-    rows, _ = _normalised(log_p)
-    return _pinned_table(spec, mesh, rows, 0.0)
+    _normalise(log_p)
+    return _pinned_table(spec, mesh, log_p, 0.0)
 
 
 def mean_curve(table):

@@ -185,26 +185,28 @@ class ExpAffine(_RateModel):
         # b e^(lam t) is largest at an end of the times' extent: finite there, it is
         # finite at every time
         if self.b and t.size:
-            with np.errstate(over="ignore"):
-                self._finite(self.lam + self.b * np.exp(self.lam * np.array([lo, hi])))
+            self._ends(lo, hi)
         # with b = 0 no exponential is formed: exactly lam, where e^(lam t) may overflow
         e = np.exp(self.lam * t) if self.b else np.ones_like(t)
-        out = self.lam + self.b * e + 0.0 * z
+        out = self.lam + self.b * e
+        # 0 z widens the result to the states' shape; at b = 0 it also turns -0.0 to 0.0
+        if not self.b or out.shape != np.broadcast(out, z).shape:
+            out = out + 0.0 * z
         return float(out) if out.ndim == 0 else out
 
     def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
         s, u = _validate_window(t_window)
         if z_range is not None:
             _validate_zrange(z_range, self.state_floor)
-        try:
-            lo, hi = (self.lam + self.b * (math.exp(self.lam * v) if self.b else 1.0) for v in (s, u))
-        except OverflowError:
-            lo = hi = math.inf
-        return CharacteristicBounds(*sorted(self._finite([lo, hi])))
+        return CharacteristicBounds(*sorted(self._ends(s, u)))
 
-    def _finite(self, xi):
-        """``xi``, a few values of the characteristic, if all are finite; else
+    def _ends(self, s, u):
+        """The characteristic at times s and u if both are finite; else
         b e^(lam t) has left the float range, an OutOfDomain."""
+        try:
+            xi = [self.lam + self.b * (math.exp(self.lam * v) if self.b else 1.0) for v in (s, u)]
+        except OverflowError:
+            xi = [math.inf]
         if not all(map(math.isfinite, xi)):
             raise OutOfDomain(f"the characteristic lambda + b e^(lambda t) leaves the float range"
                               f" at b = {self.b:g}, lambda = {self.lam:g}")

@@ -199,15 +199,13 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, *, table):
         bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
         hypothesis_holds = (bounds.inf >= lam - 1e-12 if direction == "lower"
                             else bounds.sup <= lam + 1e-12)
-    tails = table.tail_matrix()
-
     targets = np.linspace(spec.s, spec.u, DOMINANCE_TIMES)[1:-1]
     idx = np.unique(np.abs(table.times[:, None] - targets).argmin(axis=0))
     ts = table.times[idx]
     i = np.arange(1, n + 1)
     p = tilted_cdf_window(lam, spec.s, spec.u, ts)
     benchmark = binomial_tail(n, p[:, None], i)
-    computed = tails[idx, 1:]
+    computed = table.tail_matrix(idx)[:, 1:]
     margin = benchmark - computed if direction == "lower" else computed - benchmark
     worst = float(margin.min()) if margin.size else 0.0
     rows = np.column_stack([np.repeat(ts, n), np.tile(i, len(ts)), computed.ravel(),
@@ -339,7 +337,10 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
         states = np.arange(spec.x + a, spec.x + a + block.shape[1])
         xi = np.asarray(model.characteristic(block, states), dtype=float)
         tau = (block - spec.s) / spec.length
-        for term in (u_func.du(tau) / spec.length + xi * u_func.u(tau)).T:
+        terms = u_func.u(tau)
+        terms *= xi
+        terms += u_func.du(tau) / spec.length
+        for term in terms.T:
             stoch += term
     rhs_samples = vals * stoch
 

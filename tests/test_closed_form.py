@@ -11,7 +11,7 @@ from countbridge.analytic import binomial_rows, clock_cdf, tilted_cdf_window
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
 from countbridge.intensity import ExpAffine, Poisson, Tabulated
 from countbridge.sampler import sample_bridge
-from countbridge.verify import KOLMOGOROV_999
+from countbridge.verify import KOLMOGOROV_999, dominance_check
 from oracles import (Product, SpaceLinear, TimeExponential, dense_logh, exp_affine_cdf,
                      exp_affine_logh, exp_affine_marginals, separable_marginals, time_only_cdf)
 
@@ -224,3 +224,59 @@ def test_separable_marginals_is_the_exp_affine_closed_form_and_refuses_a_sum():
     model = Tabulated(t, 0, np.outer(f, 1.0 + z) + z, np.outer(4.0 * np.cos(5.0 * t), 1.0 + z))
     with pytest.raises(ValueError, match="no product"):
         separable_marginals(model, BridgeSpec(0, 10), t)
+
+
+@pytest.mark.parametrize("name, seed", [("square-12", 4411), ("alternating-20", 4412),
+                                        ("falling-10", 4413)])
+def test_sample_bridge_draws_a_separable_table_from_its_clock_law(name, seed):
+    # the k-th jump time of a path has the law P(T_k <= t) = P(X_t >= x + k); so one
+    # jump time per path, its k drawn uniformly and apart from the path, is a draw of
+    # the pooled law (E[X_t] - x) / n, and the paths are i.i.d.: the empirical CDF of
+    # these draws is within the Kolmogorov law's 0.999 quantile of it, on 401 times
+    model, spec = SEPARABLE[name]
+    count = 4000
+    times = sample_bridge(model, spec, solve_h(model, spec), count, seed).times
+    k = np.random.default_rng(seed).integers(spec.n, size=count)
+    picked = np.sort(times[np.arange(count), k])
+    grid = np.linspace(spec.s, spec.u, 401)
+    pooled = (separable_marginals(model, spec, grid) @ np.arange(spec.n + 1.0)) / spec.n
+    gap = np.max(np.abs(np.searchsorted(picked, grid, "right") / count - pooled))
+    assert math.sqrt(count) * gap <= KOLMOGOROV_999
+
+
+def _near_linear(nudge=0.0):
+    """Rates f(t) g(z), f = 1 + 1e-5 sin 5t, g = 2 + z + 1e-5 sin^2 z on states 0..11,
+    g(0) moved by ``nudge``: the characteristic f'/f + f (g(z + 1) - g(z)) varies in t
+    and z within 1.2e-4 above its least value, about 1."""
+    t, z = np.linspace(0.0, 1.0, 6), np.arange(12.0)
+    g = 2.0 + z + 1e-5 * np.sin(z) ** 2
+    g[0] += nudge
+    return Tabulated(t, 0, np.outer(1.0 + 1e-5 * np.sin(5.0 * t), g),
+                     np.outer(5e-5 * np.cos(5.0 * t), g))
+
+
+@pytest.mark.parametrize("model, spec", [*SEPARABLE.values(), (_near_linear(), BridgeSpec(0, 10))],
+                         ids=[*SEPARABLE, "near-linear-10"])
+def test_dominance_holds_at_both_bounds_of_a_separable_characteristic(model, spec):
+    # the characteristic varies in t and z between the proved bounds lam_lo and lam_hi:
+    # every inspected tail lies below the binomial tail of the profile tilted at lam_lo
+    # and above that at lam_hi
+    table = marginal_table(model, spec, 1e-2)
+    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+    for lam, direction in ((bounds.inf, "lower"), (bounds.sup, "upper")):
+        report = dominance_check(model, spec, lam, direction, table=table)
+        assert report.passed and report.hypothesis_holds
+
+
+@pytest.mark.parametrize("nudge, direction", [(1e-3, "lower"), (-1e-3, "upper")])
+def test_dominance_fails_a_table_nudged_past_its_bound(nudge, direction):
+    # near-linear-10's tails are within 1.3e-5 and 2.6e-5 of the two benchmarks.  g(0)
+    # moved by 1e-3 moves the characteristic of state 0 alone by about 1e-3, past the
+    # bound the unmoved table has: a tail crosses its benchmark by 3.4e-5, against 1e-6
+    spec = BridgeSpec(0, 10)
+    bounds = _near_linear().characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+    lam = bounds.inf if direction == "lower" else bounds.sup
+    model = _near_linear(nudge)
+    report = dominance_check(model, spec, lam, direction, table=marginal_table(model, spec, 1e-2))
+    assert not report.hypothesis_holds
+    assert not report.passed and report.worst_margin < -1e-5

@@ -593,6 +593,58 @@ def test_engine_stores_two_full_size_arrays():
     assert route_peak <= 4 * h.logh.nbytes
 
 
+def _traced_peak(call):
+    """The peak of the memory tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module", params=[136, 200], ids=lambda n: f"product-{n}")
+def tall(request):
+    """A Product(1, 3, 0.1) bridge 0 -> n, its h-field and its table, formed untraced."""
+    model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, request.param)
+    h = solve_h(model, spec)
+    return model, spec, h, marginal_table(model, spec, h=h)
+
+
+@pytest.mark.parametrize("route", [marginal_table, marginal_table_two_sided])
+def test_a_marginal_route_holds_one_table(tall, route):
+    # each route normalises, pins and checks its table in the buffer it integrates it
+    # into: 1.7 to 1.9 table sizes, the table included (4.1 with a pinned copy of it,
+    # and validate's tails and their differences, beside it)
+    model, spec, h, table = tall
+    assert _traced_peak(lambda: route(model, spec, h=h)) <= 2 * table.probs.nbytes
+
+
+def test_validate_reads_the_tails_in_blocks(tall):
+    # its finite mask and one block's tails and differences: 0.25 to 0.37 table sizes
+    # (2.1 with the whole tail matrix and its differences)
+    table = tall[3]
+    assert _traced_peak(table.validate) <= 0.5 * table.probs.nbytes
+
+
+@pytest.mark.parametrize("block", [3, 6, 7, 9, 1 << 14])
+def test_validate_finds_a_falling_tail_across_every_block_edge(monkeypatch, block):
+    # consecutive blocks share a row, so the rows on each side of a block edge are read
+    # together; a table of 10 x 3 cells is one block at the default
+    monkeypatch.setattr(engine, "VALIDATE_BLOCK", block)
+    spec, times = BridgeSpec(0, 2), np.linspace(0.0, 1.0, 10)
+    p = times[:, None]
+    rows = np.hstack([(1.0 - p) ** 2, 2.0 * p * (1.0 - p), p * p])
+    MarginalTable(spec, times, rows, 0.0).validate()
+    for k in range(1, 8):
+        swapped = rows.copy()
+        swapped[[k, k + 1]] = rows[[k + 1, k]]
+        tails = np.cumsum(swapped[:, ::-1], axis=1)[:, ::-1]
+        worst = np.min(np.diff(tails, axis=0))
+        with pytest.raises(ConservationLoss, match=f"violated by {-worst:.3e}"):
+            MarginalTable(spec, times, swapped, 0.0).validate()
+
+
 @st.composite
 def _models_sharing_a_characteristic(draw):
     """Two models of one legacy family whose characteristics coincide."""

@@ -116,7 +116,9 @@ def test_a_zero_b_characteristic_keeps_its_bits():
         model = ExpAffine(1.0, b, lam)
         want = lam + b * 1.0
         assert math.copysign(1.0, model.characteristic_bounds().inf) == math.copysign(1.0, want)
-        assert model.characteristic(0.5, 2) == want + 0.0 * 2
+        got = model.characteristic(np.array([0.5]), 2)
+        assert got == want + 0.0 * 2
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want + 0.0 * 2)
 
 
 def test_characteristic_bounds_empty_range():

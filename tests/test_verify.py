@@ -106,6 +106,22 @@ def test_dominance_check_equals_the_per_cell_loop(model, spec, lam, passes):
             assert rep.passed is passes
 
 
+@pytest.mark.parametrize("n", [136, 200])
+def test_dominance_check_reads_the_tails_of_its_inspected_rows_only(n):
+    # 19 rows' tails and their nearest-time search: 0.2 to 0.3 table sizes (1.2 to 1.3
+    # with the whole tail matrix); the exact law's table costs no solve
+    model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(0, n)
+    table = BridgeLaw(model, spec).table()
+    dominance_check(model, spec, 3.0, table=table)  # lazy set-up, outside the trace
+    tracemalloc.start()
+    try:
+        dominance_check(model, spec, 3.0, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.probs.nbytes
+
+
 def test_laziness_partial_order():
     # larger characteristic bound => lighter tails, benchmark side; the engine side
     # is the pairwise comparison below
