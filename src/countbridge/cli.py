@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .analytic import mean_upper_bound
 # solve_h is not called here, but perfbench's tracer wraps every binding of it
-from .engine import BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
+from .engine import OUTPUT_STEP, BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
 from .errors import BadOption, BadParameter, BadStep, CountBridgeError
 from .intensity import constant_characteristic_model, model_from_dict
 from .sampler import jump_time_matrix
@@ -471,7 +471,7 @@ _OPTIONS = {
     "y": _Option("--y", int, dict.fromkeys(_WINDOWED, 20)),
     "s": _Option("--s", float, dict.fromkeys(_WINDOWED, 0.0)),
     "u": _Option("--u", float, dict.fromkeys(_WINDOWED, 1.0)),
-    "step": _Option("--step", float, {c: 1e-3 for c in _RUNNERS if c != "characteristics"},
+    "step": _Option("--step", float, {c: OUTPUT_STEP for c in _RUNNERS if c != "characteristics"},
                     "marginal/h grid step"),
     "out": _Option("--out", str, dict.fromkeys(_RUNNERS, "."), "output directory"),
     "grid_step": _Option("--grid-step", float, {"characteristics": 1e-2}),

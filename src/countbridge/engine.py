@@ -65,6 +65,8 @@ from .errors import (BadParameter, BadStep, BadWindow, ConservationLoss, GridToo
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
 # rate x step uniformly along the whole window.
 STEP_BUDGET = 0.1
+# The default step of the uniform output grid (h_step; the CLI's --step).
+OUTPUT_STEP = 1e-3
 # Outside its window a state holds at most this much of the bridge's mass.
 WINDOW_TAIL = 1e-20
 # The stored mesh extends to min(coarse step, (u - s) / n) / PIN_DEPTH from u, or closer
@@ -152,11 +154,19 @@ def output_times(spec, h_step):
     return np.linspace(spec.s, spec.u, max(2, int(round(spec.length / h_step))) + 1)
 
 
+def _with_midpoints(nodes):
+    """``nodes`` with the midpoint of each step between them interleaved."""
+    out = np.repeat(nodes, 2)[:-1]
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return out
+
+
 class _Mesh:
     """Node layout shared by the backward and forward passes.
 
-    ``fwd_bounds`` are the forward substep boundaries from s to u - dc (cell
-    edges of the uniform output grid, subdivided where the pin is near).
+    ``fwd_bounds`` are the forward substep boundaries from s to u - dc: cell j of
+    the uniform output grid holds n_sub[j] of them (more where the pin is near), k =
+    0..n_sub[j] - 1 at fb-index ``out_fb_idx[j]`` + k, the edge itself at k = 0.
     Storage nodes are those boundaries plus their midpoints (the first
     ``n_fwd_nodes``), then a graded extension from u - dc down to u - d0, then u
     itself.  d0 is min(dc, (u - s)/n) / PIN_DEPTH (dc/PIN_DEPTH bit for bit when
@@ -214,27 +224,20 @@ class _Mesh:
         v = np.interp(edges[:n_c], t_tab, v_tab)
         v1, v2 = v[:-1], v[1:]
         n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / budget).astype(int))
-        n_fb = 1 + int(n_sub.sum())
+        # node k of cell j sits at fb-index out_fb_idx[j] + k, the edge itself at k = 0
+        self.out_fb_idx = np.concatenate([[0], np.cumsum(n_sub)])
+        cell = np.repeat(np.arange(n_c - 1), n_sub)
+        k = np.arange(cell.size) - self.out_fb_idx[cell]
+        vv = v1[cell] + (v2[cell] - v1[cell]) * k / n_sub[cell]
+        graded = np.minimum(edges[cell + 1], np.maximum(edges[cell], np.interp(-vv, -v_tab, t_tab)))
+        fb = self.fwd_bounds = np.append(np.where(k == 0, edges[cell], graded), edges[n_c - 1])
+        # nondecreasing (monotone interpolation, clipped into cells): keep distinct nodes
+        keep = np.diff(fb, prepend=-np.inf) > 0
+        if not keep.all():
+            fb = self.fwd_bounds = fb[keep]
+            self.out_fb_idx = np.searchsorted(fb, edges[:-1])
 
-        # interior node i = 1..n_sub[j]-1 of cell j sits at fb-index out_fb_idx[j] + i
-        out_fb_idx = np.concatenate([[0], np.cumsum(n_sub)])
-        n_in = n_sub - 1
-        cell = np.repeat(np.arange(n_c - 1), n_in)
-        i = np.arange(cell.size) - np.repeat(np.cumsum(n_in) - n_in, n_in) + 1
-        vv = v1[cell] + (v2[cell] - v1[cell]) * i / n_sub[cell]
-        t_in = np.interp(-vv, -v_tab, t_tab)
-        fb = np.empty(n_fb)
-        fb[out_fb_idx] = edges[:n_c]
-        fb[out_fb_idx[cell] + i] = np.minimum(edges[cell + 1], np.maximum(edges[cell], t_in))
-        if np.any(np.diff(fb) <= 0):
-            fb = np.unique(fb)
-            out_fb_idx = np.searchsorted(fb, edges[:-1])
-        self.fwd_bounds = fb
-        self.out_fb_idx = out_fb_idx
-
-        seg_a = np.empty(2 * fb.size - 1)
-        seg_a[0::2] = fb
-        seg_a[1::2] = 0.5 * (fb[:-1] + fb[1:])
+        seg_a = _with_midpoints(fb)
         # d0 = d1 / ratio; ratio is exactly PIN_DEPTH when (u - s) / n >= dc and
         # r_top d0 <= eps there: those meshes keep their nodes
         u, d1, eps, floor = spec.u, self.dc, STEP_BUDGET / 10, 8 * math.ulp(spec.u)
@@ -532,7 +535,7 @@ class HField:
             yield nodes, lam - self.logh.column(zi, a, b), self.mesh.h_hi[zi] == self.times.size - 1
 
 
-def solve_h(model, spec, h_step=1e-3, step_budget=STEP_BUDGET):
+def solve_h(model, spec, h_step=OUTPUT_STEP, step_budget=STEP_BUDGET):
     """Solve the backward pin-probability system on the ladder.
 
     Integrates d/dt h(t,z) = -rate(t,z) [h(t,z+1) - h(t,z)] backward from
@@ -548,10 +551,7 @@ def solve_h(model, spec, h_step=1e-3, step_budget=STEP_BUDGET):
     times = mesh.times
     last = times.size - 1
     # rates at the nodes and the step midpoints interleaved, from u down
-    t_rates = np.empty(2 * times.size - 1)
-    t_rates[0::2] = times
-    t_rates[1::2] = 0.5 * (times[:-1] + times[1:])
-    t_rates = t_rates[::-1]
+    t_rates = _with_midpoints(times)[::-1]
     steps = _step_powers(np.diff(times)[::-1])
 
     log_h = _Band(mesh.h_lo, mesh.h_hi, times.size)
@@ -667,7 +667,7 @@ def _pinned_table(spec, mesh, table, drift):
     return MarginalTable(spec, mesh.out_times, table, drift).validate()
 
 
-def marginal_table(model, spec, h_step=1e-3, h=None):
+def marginal_table(model, spec, h_step=OUTPUT_STEP, h=None):
     """Bridge marginals by forward integration of the pinned dynamics.
 
     The forward rates come from the solved h-field at the mesh nodes, so no
@@ -683,7 +683,7 @@ def marginal_table(model, spec, h_step=1e-3, h=None):
     return _pinned_table(spec, mesh, table, drift)
 
 
-def marginal_table_two_sided(model, spec, h_step=1e-3, h=None):
+def marginal_table_two_sided(model, spec, h_step=OUTPUT_STEP, h=None):
     """Bridge marginals as (unconditioned forward mass) x h, renormalized.
 
     Independent of the pinned forward dynamics (no singular rates enter), so

@@ -502,7 +502,7 @@ def constant_characteristic_model(lam):
 # real number is the one refused) and its ExpAffine, built from them and the floor
 _PARAMETRIC = {
     "exp_affine": (("a", "b", "lambda"), ExpAffine),
-    "poisson": (("alpha",), lambda alpha, floor: ExpAffine(alpha, 0.0, 0.0, floor)),
+    "poisson": (("alpha",), Poisson),
     "space_linear": (("lambda", "alpha"), lambda lam, alpha, floor: ExpAffine(alpha, lam, 0.0, floor)),
     "time_exponential": (("alpha", "lambda"),
                          lambda alpha, lam, floor: ExpAffine(alpha, 0.0, lam, floor)),

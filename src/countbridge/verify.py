@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound, tilted_cdf,
                        tilted_cdf_window)
-from .engine import (STEP_BUDGET, BridgeSpec, MarginalTable, check_memory, count_text,
+from .engine import (OUTPUT_STEP, STEP_BUDGET, BridgeSpec, MarginalTable, check_memory, count_text,
                      marginal_table, mean_curve, output_times, second_differences, solve_h)
 from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples
 from .intensity import ExpAffine
@@ -58,7 +58,7 @@ class BridgeLaw:
     model's come from one h-field, solved on first use at ``step_budget``.  Each route
     refuses a bridge that starts below the model's state floor when it is first read."""
 
-    def __init__(self, model, spec, h_step=1e-3, step_budget=STEP_BUDGET):
+    def __init__(self, model, spec, h_step=OUTPUT_STEP, step_budget=STEP_BUDGET):
         self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
         self.exact = isinstance(model, ExpAffine)
         self.times = output_times(spec, h_step)
@@ -120,7 +120,7 @@ class ConvexityReport:
         }
 
 
-def convexity_check(model, spec, h_step=1e-3, tol=1e-8):
+def convexity_check(model, spec, h_step=OUTPUT_STEP, tol=1e-8):
     """Verdict on the curvature of the bridge mean curve.
 
     Nonnegative characteristic over the window and ladder implies convexity,
@@ -451,7 +451,7 @@ def _sup_distance(times, lam):
     return np.maximum(above, below).max(axis=1)
 
 
-def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=1e-3):
+def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=OUTPUT_STEP):
     """Sample 0 -> N bridges and measure the sup distance to the tilted profile.
 
     The paths are the :class:`BridgeLaw`'s: ``ExpAffine`` models are drawn exactly,

@@ -458,6 +458,7 @@ def test_lln_fails_a_model_whose_limit_is_not_the_profile(tmp_path, monkeypatch)
      "lln takes at most one --lambda, the limiting profile, with --model"),
     (["lln", "--lambda", "0", "--N", "5", "--N", "5", "--replicas", "10"],
      "N values must be distinct"),
+    (["lln", "--model", "PRODUCT", "--N", "10"], "lln needs --lambda (the limiting profile)"),
     (["sample"], "need --model or exactly one --lambda"),
     (["sample", "--lambda", "1", "--lambda", "2"], "need --model or exactly one --lambda"),
     (["sample", "--model", "PRODUCT", "--lambda", "1"], "sample takes no --lambda with --model"),
@@ -467,7 +468,8 @@ def test_lln_fails_a_model_whose_limit_is_not_the_profile(tmp_path, monkeypatch)
      "characteristics takes no --lambda with --model"),
 ], ids=["mean-curve-one-file-name", "mean-curve-repeated-tilt", "mean-curve-model-two-tilts",
         "verify-model-two-tilts", "verify-model-two-tilts-reversed", "lln-model-two-tilts",
-        "lln-model-two-tilts-reversed", "lln-repeated-height", "sample-no-model", "sample-two-tilts",
+        "lln-model-two-tilts-reversed", "lln-repeated-height", "lln-model-no-lambda",
+        "sample-no-model", "sample-two-tilts",
         "sample-model-and-tilt", "marginals-model-and-tilt", "characteristics-model-and-tilts"])
 def test_options_that_name_no_single_run_exit_2_before_writing(tmp_path, capsys, args, message):
     # two tilts whose curves share a file name, a height drawn twice, a process the
@@ -1241,10 +1243,15 @@ def _edited(descriptor, **params):
                  "params": {"t_grid": [0, 1], "z_min": 0, "rates": [[1e-6, 1e-6], [1, 1]],
                             "rates_dt": [[-1e-2, -1e-2], [0, 0]]}}),
      "dip to zero between nodes: state 0 on [0, 1]"),
+    # a JSON integer past the float range, which math.isfinite cannot take
+    (json.dumps(_edited(EXP_AFFINE, a=10 ** 400)), "a must be a finite real number"),
+    (json.dumps(_edited(TABULATED, rates=[["x"] + r[1:] for r in TABULATED["params"]["rates"]])),
+     "rates must hold finite numbers"),
 ], ids=["a-string", "a-null", "lambda-nan", "a-infinity", "product-alpha-string",
         "state-floor-fractional", "tabulated-rate-nan", "tabulated-t-grid-nan",
         "tabulated-rates-dt-infinity", "tabulated-z-min-fractional", "a-true",
-        "tabulated-z-min-true", "state-floor-false", "b-missing", "tabulated-dip"])
+        "tabulated-z-min-true", "state-floor-false", "b-missing", "tabulated-dip",
+        "a-past-the-float-range", "tabulated-rate-string"])
 def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
     # a model file is outside input: a value that is not a finite number, or a state
     # that is not an integer, is a ValueError naming the field (exit 2), never a
@@ -1394,10 +1401,15 @@ VERIFY_RUN = ["verify", "--lambda", "1", "--y", "3", "--check", "convexity"]
     (VERIFY_RUN, {"direction": 5}, "--direction must be a string, got 5"),
     (VERIFY_RUN, {"grid_csv": 1}, "--grid-csv must be true or false, got 1"),
     (SAMPLE_RUN, {"out": 5}, "--out must be a string, got 5"),
+    (SAMPLE_RUN, lambda m: dict(m, options={k: v for k, v in m["options"].items() if k != "seed"}),
+     "sample takes the options"),
+    (SAMPLE_RUN, lambda m: dict(m, options=dict(m["options"], extra=1)),
+     "sample takes the options"),
 ], ids=["x-fractional", "y-fractional", "y-true", "seed-fractional", "replicas-fractional",
         "lambda-string", "lambda-string-12", "lambda-number", "x-null", "seed-null",
         "replicas-null", "seed-list", "lambda-object", "manifest-list", "options-null",
-        "command-list", "checks-number", "direction-number", "grid-csv-number", "out-number"])
+        "command-list", "checks-number", "direction-number", "grid-csv-number", "out-number",
+        "seed-missing", "extra-option"])
 def test_a_manifest_option_of_the_wrong_type_exits_2_writing_nothing(tmp_path, capsys,
                                                                     monkeypatch, run, edit,
                                                                     message):

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,8 +16,8 @@ from countbridge.analytic import binomial_rows, tilted_cdf, tilted_cdf_window
 from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, mean_curve, second_differences,
                                 solve_h)
-from countbridge.errors import (BadStep, BadWindow, ConservationLoss, GridTooCoarse,
-                                ResourceCap, Underflow)
+from countbridge.errors import (BadParameter, BadStep, BadWindow, ConservationLoss,
+                                GridTooCoarse, ResourceCap, Underflow)
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import jump_time_matrix, sample_bridge
 from oracles import (FullWindows, Product, SpaceLinear, TimeExponential, dense_logh,
@@ -25,6 +29,8 @@ def test_bridge_spec_validation():
     assert spec.n == 5 and spec.length == 0.5
     with pytest.raises(ValueError):
         BridgeSpec(3, 2)
+    with pytest.raises(BadParameter, match="endpoints must be integers"):
+        BridgeSpec(0.5, 2)
     with pytest.raises(BadWindow):
         BridgeSpec(0, 2, 0.5, 0.5)
     with pytest.raises(BadWindow):
@@ -1002,3 +1008,36 @@ def test_windows_hold_at_a_characteristic_bound_past_the_exp_range(b, n):
     # (scipy's binom.pmf overflows on its p of e^-800)
     exact = binomial_rows(n, tilted_cdf_window(b, 0.0, 1.0, table.times))
     assert np.max(np.abs(table.probs - exact)) <= 1e-8
+
+
+NO_MASKED_ARRAYS_SCRIPT = """
+import sys
+import numpy as np
+from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
+from countbridge.intensity import ExpAffine, Tabulated
+from countbridge.sampler import sample_bridge
+from countbridge.verify import duality_catalog, duality_check
+
+tg = np.linspace(0.0, 1.0, 11)
+rates = (1.0 + 0.3 * np.arange(9.0))[None, :] * np.exp(np.sin(3.0 * tg))[:, None]
+spec = BridgeSpec(0, 8)
+for model in (ExpAffine(1.0, 0.5, 2.0), Tabulated(tg, 0, rates)):
+    h = solve_h(model, spec, 1e-2)
+    marginal_table(model, spec, 1e-2, h=h)
+    marginal_table_two_sided(model, spec, 1e-2, h=h)
+    paths = sample_bridge(model, spec, h, 50, 1)
+    for phi, u in duality_catalog():
+        duality_check(model, spec, u, phi, None, None, paths=paths)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_engine_and_sampler_import_no_masked_arrays():
+    # numpy.ma, which np.unique imports, adds about 1.7 MB of RSS; no solve, table,
+    # path or duality check on either kind of model loads it
+    src = str(pathlib.Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                        NO_MASKED_ARRAYS_SCRIPT], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from countbridge import verify
 from countbridge.analytic import binomial_tail, clock_cdf, tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, mean_curve, solve_h
-from countbridge.errors import DegenerateVariance, OutOfDomain, ResourceCap
+from countbridge.errors import BadParameter, DegenerateVariance, OutOfDomain, ResourceCap
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import PathBatch, jump_time_matrix, sample_bridge, sample_constant
 from countbridge.verify import (DUALITY_BLOCK, KOLMOGOROV_999, BridgeLaw, TestFunctional,
@@ -247,6 +247,16 @@ def test_duality_constant_functional_is_zero_mean():
     assert abs(res.z_score) <= 4.0
 
 
+def test_duality_with_a_zero_direction_reads_z_0():
+    # u = 0 makes both estimators 0 on every path: equal constants give z = 0
+    model, spec = Poisson(1.0), BridgeSpec(0, 2)
+    phi = duality_catalog()[0][0]
+    zero = WindowFunction(lambda t: 0.0 * t, lambda t: 0.0 * t)
+    paths = PathBatch(0, np.array([[0.3, 0.7], [0.2, 0.9], [0.5, 0.6]]))
+    res = duality_check(model, spec, zero, phi, None, None, paths=paths)
+    assert res.lhs == res.rhs == res.z_score == 0.0
+
+
 def test_duality_empty_bridge():
     model = Poisson(1.0)
     spec = BridgeSpec(2, 2)
@@ -427,6 +437,12 @@ def test_lln_refuses_a_repeated_height():
     # by the verdict but reported as one
     with pytest.raises(ValueError, match="N values must be distinct"):
         lln_experiment(Poisson(1.0), 0.0, [5, 20, 5], 10, 1)
+
+
+@pytest.mark.parametrize("n_values", [[], [0]], ids=["none", "zero"])
+def test_lln_needs_a_positive_height(n_values):
+    with pytest.raises(BadParameter, match="lln needs at least one N"):
+        lln_experiment(Poisson(1.0), 0.0, n_values, 10, 1)
 
 
 def test_report_serialization():
