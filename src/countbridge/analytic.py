@@ -11,12 +11,11 @@ measured against.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import BadParameter, BadWindow, IndexOut, OutOfDomain
-from .intensity import _extent
+from .errors import BadParameter, BadWindow, IndexOut, OutOfDomain, count_text
+from .intensity import _extent, _integral
 
 
 def tilted_cdf(lam, t):
@@ -108,8 +107,9 @@ def binomial_tail(n, p, i):
     integer, or a p outside [0, 1], raises BadParameter, and an i outside 0..n
     :class:`~countbridge.errors.IndexOut`.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise BadParameter(f"n must be a nonnegative integer, got {n!r}")
+    n = _integral("n", n)
+    if n < 0:
+        raise BadParameter(f"n must be a nonnegative integer, got {count_text(n)}")
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise BadParameter("p must lie in [0, 1]")
@@ -152,7 +152,7 @@ def _clock(model, spec):
     is below the normal floats, where the clock is the window's time.  A bridge that
     starts below the model's state floor, or a theta not finite, raises OutOfDomain."""
     if spec.x < model.state_floor:
-        raise OutOfDomain(f"state below floor {model.state_floor}")
+        raise OutOfDomain(f"state below floor {count_text(model.state_floor)}")
     lam, b = model.lam, model.b
     if b == 0.0 or abs(lam * spec.length) < np.finfo(float).tiny:
         return b * spec.length

@@ -34,7 +34,7 @@ from . import __version__
 from .analytic import mean_upper_bound
 # solve_h is not called here, but perfbench's tracer wraps every binding of it
 from .engine import OUTPUT_STEP, BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
-from .errors import BadOption, BadParameter, BadStep, CountBridgeError
+from .errors import BadOption, BadParameter, BadStep, CountBridgeError, count_text
 from .intensity import constant_characteristic_model, model_from_dict
 from .sampler import jump_time_matrix
 from .verify import (BridgeLaw, convexity_check, dominance_check, duality_catalog,
@@ -329,9 +329,9 @@ def _run_characteristics(options, model):
 
 
 def _curve_table(model, spec, lam, h_step):
-    """mean_curve.csv: t, mean, second_diff (blank in the end rows), bound with a tilt."""
-    curve = BridgeLaw(model, spec, h_step).mean_curve()
-    cols = [curve[:, 0], curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
+    """mean_curve.csv: t, mean, second_diff of E[X_t] - x (blank in the end rows), bound with a tilt."""
+    curve = BridgeLaw(model, spec, h_step)._offset_curve()
+    cols = [curve[:, 0], spec.x + curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
     if lam is not None:
         cols.append(mean_upper_bound(spec, lam, curve[:, 0]))
     blank = np.zeros((len(curve), len(cols)), bool)
@@ -504,11 +504,11 @@ def _typed(option, value):
             return [_typed(option._replace(kind=kind[0]), v) for v in value]
     elif type(value) is kind or kind is float and type(value) is int:
         if option.choices is not None and value not in option.choices:
-            raise BadOption(f"{flag} must be one of {', '.join(option.choices)}, got {value!r}")
+            raise BadOption(f"{flag} must be one of {', '.join(option.choices)}, got {count_text(value)}")
         if kind is not float or abs(value) <= sys.float_info.max:
             return kind(value)
     raise BadOption(f"{flag} must be {'a list' if isinstance(kind, list) else _KINDS[kind]}, "
-                    f"got {value!r}")
+                    f"got {count_text(value)}")
 
 
 def _run(command, options):
@@ -523,7 +523,7 @@ def _run(command, options):
     other code touches --out.
     """
     if not isinstance(command, str) or command not in _RUNNERS:
-        raise BadOption(f"manifest command {command!r} unknown")
+        raise BadOption(f"manifest command {count_text(command)} unknown")
     names = {key for key, option in _OPTIONS.items() if command in option.defaults}
     if set(options) != names:
         raise BadOption(f"{command} takes the options {sorted(names)}, got {sorted(options)}")

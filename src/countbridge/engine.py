@@ -59,7 +59,8 @@ import numpy as np
 
 from .analytic import tilted_quantile
 from .errors import (BadParameter, BadStep, BadWindow, ConservationLoss, GridTooCoarse,
-                     OutOfDomain, ResourceCap, Underflow)
+                     OutOfDomain, ResourceCap, Underflow, count_text)
+from .intensity import _finite_real, _integral
 
 # Per-step cap on (ladder depth) x (change in log remaining integrated rate);
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
@@ -86,7 +87,7 @@ VALIDATE_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class BridgeSpec:
-    """Endpoints (x, y) and time window (s, u) identifying one bridge."""
+    """Endpoints x <= y within +-2^53, where floats hold every state, and window (s, u)."""
 
     x: int
     y: int
@@ -94,12 +95,13 @@ class BridgeSpec:
     u: float = 1.0
 
     def __post_init__(self):
-        if int(self.x) != self.x or int(self.y) != self.y:
-            raise BadParameter("endpoints must be integers")
-        if self.x > self.y:
-            raise BadParameter(f"need x <= y, got {self.x} > {self.y}")
+        for name, rule in zip("xysu", (_integral, _integral, _finite_real, _finite_real)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
+        if not -2 ** 53 <= self.x <= self.y <= 2 ** 53:
+            raise BadParameter(f"need -2^53 <= x <= y <= 2^53, got x = {count_text(self.x)},"
+                               f" y = {count_text(self.y)}")
         if not (0.0 <= self.s < self.u <= 1.0):
-            raise BadWindow(f"need 0 <= s < u <= 1, got [{self.s}, {self.u}]")
+            raise BadWindow(f"need 0 <= s < u <= 1, got [{count_text(self.s)}, {count_text(self.u)}]")
 
     @property
     def n(self):
@@ -128,25 +130,14 @@ def check_memory(need, what):
                           f" the cap is {MEMORY_CAP / 2 ** 30:.0f} GiB")
 
 
-def count_text(k):
-    """An integer count as text: in full below a million, else to three significant
-    digits, as ``format(k, ".3g")`` prints it (past the float range, its Decimal)."""
-    if abs(k) < 10 ** 6:
-        return str(k)
-    if abs(k) > 2 ** 1000:
-        from decimal import Decimal
-        k = Decimal(k)
-    return format(k, ".3g")
-
-
 def output_times(spec, h_step):
     """The uniform output grid of a bridge at ``h_step``, s and u included: every
     table and mean curve is read on it.  A step that does not fit the window raises
     BadStep, and one whose mesh would exceed the memory cap ResourceCap."""
     if not h_step > 0:
-        raise BadStep(f"h_step must be positive, got {h_step}")
+        raise BadStep(f"h_step must be positive, got {count_text(h_step)}")
     if h_step >= spec.length:
-        raise BadStep(f"h_step {h_step} does not fit the window of length {spec.length}")
+        raise BadStep(f"h_step {count_text(h_step)} does not fit the window of length {spec.length}")
     if h_step > MAX_COARSE_STEP:
         raise BadStep("h_step must not exceed 1e-2")
     # the mesh probes the rate at four times a cell before it sizes anything else
@@ -197,6 +188,9 @@ class _Mesh:
         n_c = edges.size - 1
         self.spec = spec
         self.dc = spec.length / n_c
+        # some 16 ladder-long arrays at once; the cut times let the model refuse states first
+        check_memory(128 * (spec.n + 1), f"a mesh over {count_text(spec.n + 1)} states")
+        cuts = _cut_times(model, spec)
 
         # probe the ladder-minimal rate (one state's column at a time) and its
         # backward cumulative integral, and the largest ladder rate at u, r_top
@@ -218,7 +212,6 @@ class _Mesh:
 
         # cell j = [edges[j], edges[j+1]] gets n_sub[j] substeps, equal in v, graded
         # for depth[j]; the pin extension for the depth at u - dc
-        cuts = _cut_times(model, spec)
         n = max(1, spec.n)
         depth = np.clip(n + 2 - np.searchsorted(cuts[1], edges[:n_c]), 1, n)
         v = np.interp(edges[:n_c], t_tab, v_tab)
@@ -255,7 +248,7 @@ class _Mesh:
         self.out_node_idx = 2 * self.out_fb_idx
         self._place_windows(cuts)
         check_memory(8 * int((self.h_hi - self.h_lo + 1).sum()),
-                     f"bridge {spec.x}->{spec.y}, with log h on the windows of {spec.n + 1}"
+                     f"a bridge of {count_text(spec.n)} jumps, with log h on the windows of its"
                      f" states over {self.times.size} mesh nodes,")
 
     def _place_windows(self, cuts):
@@ -309,9 +302,8 @@ def _cut_times(model, spec):
     once 1 - p_lo, at its supremum, is below thr[n - i]; both rise with i.  No
     jump, or an infinite bound, gives the window ends."""
     n = spec.n
-    whole = np.full(n + 1, spec.s), np.full(n + 1, spec.u)
     if n == 0:
-        return whole
+        return np.array([spec.s]), np.array([spec.u])
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
     thr = _tail_thresholds(n)
     length = spec.length
@@ -320,7 +312,7 @@ def _cut_times(model, spec):
         # 1 - p_lo is the profile of the reflected tilt in u - t
         late = spec.u - length * tilted_quantile(-bounds.sup * length, thr[::-1])
     except OutOfDomain:
-        return whole
+        return np.full(n + 1, spec.s), np.full(n + 1, spec.u)
     return early, late
 
 

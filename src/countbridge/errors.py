@@ -1,4 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one way a refusal quotes a value."""
+
+
+def count_text(value):
+    """A caller's value as a refusal quotes it: its repr, but an int of a million or more
+    as ``format(value, ".3g")`` prints it (past the float range, its Decimal)."""
+    if not isinstance(value, int) or abs(value) < 10 ** 6:
+        return repr(value)
+    if abs(value) > 2 ** 1000:
+        from decimal import Decimal
+        value = Decimal(value)
+    return format(value, ".3g")
 
 
 class CountBridgeError(Exception):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, EmptyRange, OutOfDomain, TabulationGap
+from .errors import BadParameter, EmptyRange, OutOfDomain, TabulationGap, count_text
 
 _T_SLACK = 1e-12
 
@@ -37,21 +37,15 @@ def _finite_real(name, value):
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise BadParameter(f"{name} must be a finite real number, got {value!r}")
+        raise BadParameter(f"{name} must be a finite real number, got {count_text(value)}")
     return value
 
 
 def _integral(name, value):
-    """``value`` as an int; a bool, or a value that int() would truncate or refuse,
-    raises a BadParameter naming ``name``."""
-    try:
-        out = int(value)
-        exact = out == float(value) and not isinstance(value, bool)
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        raise BadParameter(f"{name} must be an integer, got {value!r}")
-    return out
+    """``value``, an integer but not a bool (nor 2.0), as an int; else a BadParameter."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise BadParameter(f"{name} must be an integer, got {count_text(value)}")
+    return int(value)
 
 
 def _finite_array(name, values):
@@ -70,7 +64,8 @@ def _extent(what, a):
     bound test on an empty array passes.  A NaN entry is a BadParameter naming ``what``."""
     if a.size == 0:
         return math.inf, -math.inf
-    lo, hi = np.minimum.reduce(a, axis=None), np.maximum.reduce(a, axis=None)
+    # as Python numbers, which compare exactly with an int past the float range
+    lo, hi = np.minimum.reduce(a, axis=None).item(), np.maximum.reduce(a, axis=None).item()
     if math.isnan(lo):  # the minimum is NaN where any entry is
         nan = np.flatnonzero(np.isnan(a))
         raise BadParameter(f"{what} is NaN at {nan.size} of {a.size} entries, first at index {nan[0]}")
@@ -95,7 +90,7 @@ def _check_state(z, floor, t=0.0):
         raise BadParameter(f"states {z.shape} do not broadcast with times {np.shape(t)}") from None
     lo, hi = _extent("state", z)
     if lo < floor:
-        raise OutOfDomain(f"state below floor {floor}")
+        raise OutOfDomain(f"state below floor {count_text(floor)}")
     return z, lo, hi
 
 
@@ -125,9 +120,9 @@ def _validate_window(t_window):
 def _validate_zrange(z_range, floor):
     zlo, zhi = (_integral("a state range's end", z) for z in z_range[:2])
     if zlo > zhi:
-        raise EmptyRange(f"empty state range [{zlo}, {zhi}]")
+        raise EmptyRange(f"empty state range [{count_text(zlo)}, {count_text(zhi)}]")
     if zlo < floor:
-        raise OutOfDomain(f"state range starts below floor {floor}")
+        raise OutOfDomain(f"state range starts below floor {count_text(floor)}")
     return zlo, zhi
 
 
@@ -151,9 +146,11 @@ class ExpAffine(_RateModel):
     def __post_init__(self):
         for name in ("a", "b", "lam"):
             _finite_real(name, getattr(self, name))
+        object.__setattr__(self, "state_floor", _integral("state_floor", self.state_floor))
         if self.b < 0:
             raise BadParameter("b must be nonnegative (rates must stay positive on all states)")
-        if not self.a + self.b * self.state_floor > 0:
+        # a + b z at the floor, read within +-2^1000 (no ladder gets near), so b z is a float
+        if not (self.a + self.b * max(-2 ** 1000, min(self.state_floor, 2 ** 1000)) > 0):
             raise BadParameter("rate not positive at the state floor")
 
     def rate(self, t, z):
@@ -362,9 +359,9 @@ class Tabulated(_RateModel):
         # whose interpolant is not proved positive on every piece.
         dip = _unproved_piece(self._bern)
         if dip is not None:
-            piece, col = dip
+            piece, z = dip[0], count_text(self.z_min + dip[1])
             raise BadParameter(f"interpolated rates dip to zero between nodes: state"
-                             f" {self.z_min + col} on [{t_grid[piece]:g}, {t_grid[piece + 1]:g}]")
+                               f" {z} on [{t_grid[piece]:g}, {t_grid[piece + 1]:g}]")
 
     @property
     def z_max(self):
@@ -378,7 +375,8 @@ class Tabulated(_RateModel):
         if t_lo < self.t_grid[0] - _T_SLACK or t_hi > self.t_grid[-1] + _T_SLACK:
             raise TabulationGap("time outside the tabulated hull")
         if z_hi + reach > self.z_max:
-            raise TabulationGap(f"state outside tabulated range [{self.z_min}, {self.z_max}]")
+            raise TabulationGap(f"state outside tabulated range [{count_text(self.z_min)},"
+                                f" {count_text(self.z_max)}]")
         if z.dtype.kind not in "iu":
             off = z != np.round(z)
             if np.any(off):
@@ -531,7 +529,7 @@ def model_from_dict(descriptor):
         return Tabulated(params.get("t_grid"), params.get("z_min"), params.get("rates"),
                          params.get("rates_dt"), floor)
     if not isinstance(family, str) or family not in _PARAMETRIC:
-        raise BadParameter(f"unknown rate family {family!r}")
+        raise BadParameter(f"unknown rate family {count_text(family)}")
     names, build = _PARAMETRIC[family]
     floor = _integral("state_floor", 0 if floor is None else floor)
     return build(*[_finite_real(name, params.get(name)) for name in names], floor)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import clock_quantile
-from .engine import check_field, check_memory, count_text
-from .errors import NotSorted, PinMiss, TooFewSamples
+from .engine import check_field, check_memory
+from .errors import NotSorted, PinMiss, TooFewSamples, count_text
+from .intensity import _integral
 
 _U64 = (1 << 64) - 1
 
@@ -58,8 +59,8 @@ class PathBatch(Sequence):
     __slots__ = ("x0", "times")
 
     def __init__(self, x0, times):
+        self.x0 = _integral("x0", x0)
         times.flags.writeable = False
-        self.x0 = int(x0)
         self.times = times
 
     def __len__(self):
@@ -76,14 +77,14 @@ def jump_time_matrix(paths):
 
 def seeded_rng(seed):
     """The one counter-based Philox stream of a seeded sampler call."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) & _U64) << 64))
+    return np.random.Generator(np.random.Philox(key=(_integral("seed", seed) & _U64) << 64))
 
 
 def _path_count(count):
     """``count`` as an int; a negative one raises TooFewSamples."""
-    count = int(count)
+    count = _integral("count", count)
     if count < 0:
-        raise TooFewSamples(f"a sample needs a path count of at least 0, got {count}")
+        raise TooFewSamples(f"a sample needs a path count of at least 0, got {count_text(count)}")
     return count
 
 

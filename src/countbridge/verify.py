@@ -28,10 +28,10 @@ import numpy as np
 
 from .analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound, tilted_cdf,
                        tilted_cdf_window)
-from .engine import (OUTPUT_STEP, STEP_BUDGET, BridgeSpec, MarginalTable, check_memory, count_text,
+from .engine import (OUTPUT_STEP, STEP_BUDGET, BridgeSpec, MarginalTable, check_memory,
                      marginal_table, mean_curve, output_times, second_differences, solve_h)
-from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples
-from .intensity import ExpAffine
+from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples, count_text
+from .intensity import ExpAffine, _integral
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
 
 # The convexity check takes second differences on about INSPECT_POINTS points of
@@ -85,12 +85,16 @@ class BridgeLaw:
         return MarginalTable(spec, self.times, binomial_rows(spec.n, p), 0.0,
                              spec.x + spec.n * p).validate()
 
+    def _offset_curve(self):
+        """(t, E[X_t] - x) rows, x left out so that their differences do not carry its
+        rounding: an ``ExpAffine`` law's n p(t), without the pmf; any other's table's."""
+        offset = (self.spec.n * self._clock(96, f"a mean curve of {self.times.size} times")
+                  if self.exact else self.table().probs @ np.arange(self.spec.n + 1.0))
+        return np.column_stack([self.times, offset])
+
     def mean_curve(self):
-        """(t, E[X_t]) rows: an ``ExpAffine`` law's x + n p(t), its table's, without the pmf."""
-        if not self.exact:
-            return mean_curve(self.table())
-        p = self._clock(96, f"a mean curve of {self.times.size} times")  # and its temporaries
-        return np.column_stack([self.times, self.spec.x + self.spec.n * p])
+        """(t, E[X_t]) rows: x added to :meth:`_offset_curve`'s."""
+        return self._offset_curve() + [0, self.spec.x]
 
     def paths(self, count, seed):
         if self.exact:
@@ -135,7 +139,7 @@ def convexity_check(model, spec, h_step=OUTPUT_STEP, tol=1e-8):
     if spec.n == 0:
         return ConvexityReport(spec, 0.0, 0.0, "linear", True, 0.0, tol)
     bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
-    curve = BridgeLaw(model, spec, h_step, CONVEXITY_BUDGET).mean_curve()
+    curve = BridgeLaw(model, spec, h_step, CONVEXITY_BUDGET)._offset_curve()
     npts = curve.shape[0]
     stride = max(1, int(round((npts - 1) / (INSPECT_POINTS - 1))))
     d2 = second_differences(curve[::stride])
@@ -268,7 +272,7 @@ class TestFunctional:
     __test__ = False  # not a pytest class, despite the name
 
     def __init__(self, m, value, partials, name="phi"):
-        self.m = int(m)
+        self.m = _integral("m", m)
         self.value = value        # (x0, times (count, m)) -> (count,)
         self.partials = partials  # (x0, times (count, m)) -> (count, m)
         self.name = name
@@ -462,20 +466,21 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=OUTPUT_STEP)
     is the empirical CDF of the jump times, the verdict passes when sqrt(N) times
     every median is at most KOLMOGOROV_999, the Kolmogorov law's 0.999 quantile.
     """
-    n_values = [int(v) for v in n_values]
+    n_values = [_integral("N", v) for v in n_values]
+    replicas, rng_seed = _integral("replicas", replicas), _integral("seed", rng_seed)
     if not n_values or any(v <= 0 for v in n_values):
         raise BadParameter("lln needs at least one N, and every N positive")
     if len(set(n_values)) < len(n_values):
-        raise BadParameter(f"N values must be distinct, got {n_values}")
-    if int(replicas) < 1:
-        raise TooFewSamples(f"the lln experiment needs at least one replica, got {replicas}")
-    work = sum(n_values) * int(replicas)
+        raise BadParameter(f"N values must be distinct, got {', '.join(map(count_text, n_values))}")
+    if replicas < 1:
+        raise TooFewSamples(f"the lln experiment needs at least one replica, got {count_text(replicas)}")
+    work = sum(n_values) * replicas
     if work > LLN_BUDGET:
         raise ResourceCap(f"requested {count_text(work)} jump draws exceeds budget {LLN_BUDGET}")
 
     medians, q90s = [], []
     for k, big_n in enumerate(n_values):
-        seed_k = (int(rng_seed) + 0x9E3779B97F4A7C15 * (k + 1)) & ((1 << 63) - 1)
+        seed_k = (rng_seed + 0x9E3779B97F4A7C15 * (k + 1)) & ((1 << 63) - 1)
         law = BridgeLaw(model, BridgeSpec(0, big_n), h_step)
         sup = _sup_distance(jump_time_matrix(law.paths(replicas, seed_k)), lam)
         medians.append(float(np.quantile(sup, 0.5)))
@@ -486,5 +491,5 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=OUTPUT_STEP)
         ts = np.linspace(0.0, 1.0, 1001)
         strategy = "exact-order-statistics"
         gap = float(np.max(np.abs(clock_cdf(model, law.spec, ts) - tilted_cdf(lam, ts))))
-    return LLNReport(float(lam), n_values, int(replicas), medians, q90s, scaled,
-                     max(scaled) <= KOLMOGOROV_999, strategy, int(rng_seed), gap)
+    return LLNReport(float(lam), n_values, replicas, medians, q90s, scaled,
+                     max(scaled) <= KOLMOGOROV_999, strategy, rng_seed, gap)

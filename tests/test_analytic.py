@@ -135,9 +135,10 @@ def test_binomial_tail_index_errors():
 
 
 @pytest.mark.parametrize("n, p", [(-1, 0.5), (2.5, 0.5), (5.0, 0.5), (None, 0.5),
-                                  (5, -0.1), (5, 1.1), (5, math.nan), (5, [0.2, 1.5])],
+                                  (5, -0.1), (5, 1.1), (5, math.nan), (5, [0.2, 1.5]),
+                                  (True, 0.5)],
                          ids=["n-negative", "n-fractional", "n-float", "n-none", "p-negative",
-                              "p-above-1", "p-nan", "p-array-above-1"])
+                              "p-above-1", "p-nan", "p-array-above-1", "n-bool"])
 def test_binomial_tail_refuses_a_law_it_cannot_form(n, p):
     with pytest.raises(ValueError):
         binomial_tail(n, p, 1)

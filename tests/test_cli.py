@@ -665,13 +665,63 @@ def test_a_poisson_model_samples_as_the_zero_tilt(tmp_path):
     ["sample", "--lambda", "1", "--y", "1" + "0" * 100, "--replicas", "5"],
     ["lln", "--lambda", "1", "--N", "1" + "0" * 60, "--replicas", "5"],
     ["sample", "--lambda", "1", "--y", "3", "--replicas", "1" + "0" * 400],
-], ids=["sample-replicas", "sample-height", "lln-height", "sample-past-the-float-range"])
+    ["sample", "--lambda", "1", "--y", "3", "--replicas", "-1" + "0" * 400],
+    ["marginals", "--lambda", "1", "--x", "1" + "0" * 400, "--y", "3"],
+    ["marginals", "--lambda", "1", "--x", "1" + "0" * 400, "--y", "1" + "0" * 399 + "3"],
+    ["lln", "--lambda", "1", "--N", "1" + "0" * 400, "--N", "1" + "0" * 400],
+], ids=["sample-replicas", "sample-height", "lln-height", "sample-past-the-float-range",
+        "sample-negative-replicas", "marginals-start-above-end", "marginals-ladder-past-2-53",
+        "lln-repeated-height"])
 def test_a_huge_count_prints_in_a_few_digits(tmp_path, capsys, args):
-    # a count of 101 or 401 digits, or 61 in a product, is refused in one short line
+    # a count of 101 or 401 digits, or 61 in a product, is refused in one short line;
+    # so is a ladder past 2^53, once an OverflowError traceback
     assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("countbridge: error:") and err.count("\n") == 1
     assert len(err) < 120, err
+
+
+def test_a_tall_ladder_is_refused_before_its_arrays_exist(tmp_path, capsys):
+    # 4 tabulated states under a bridge of a million jumps: the mesh once laid out three
+    # ladder-long arrays (24 MB) before the model read its range, and at 1e9 states would
+    # have asked for some 24 GB
+    model = write_model(tmp_path, {"family": "tabulated", "params": {
+        "t_grid": [0.0, 1.0], "z_min": 0, "rates": [[1.0] * 4] * 2}})
+    cli.main(["marginals", "--model", model, "--y", "2", "--out", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        assert cli.main(["marginals", "--model", model, "--y", "1000000",
+                         "--out", str(tmp_path / "out")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "state outside tabulated range [0, 3]" in capsys.readouterr().err
+    assert peak < 2 ** 20, peak
+    assert cli.main(["marginals", "--model", model, "--y", "1000000000",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "a mesh over 1e+09 states needs about" in capsys.readouterr().err
+
+
+def test_second_differences_of_the_mean_do_not_depend_on_x(tmp_path):
+    # they are taken of E[X_t] - x, so they carry no rounding of x: at x = 1e5 a linear
+    # mean once read 3.6e-8 and failed, at x = 2^44 every tilt read 9.77, and at x = 2^40
+    # second_diff read 244.14 where x = 0 reads 2.8757
+    def convexity(lam, x):
+        out = tmp_path / f"v{lam}-{x}"
+        assert cli.main(["verify", "--lambda", str(lam), "--x", str(x), "--y", str(x + 20),
+                         "--check", "convexity", "--out", str(out)]) == 0
+        report = read_json(out / "verify.json")["checks"][0]
+        return report["claim"], report["worst_violation"]
+
+    def second_diff(x):
+        out = tmp_path / f"m{x}"
+        assert cli.main(["mean-curve", "--lambda", "1", "--x", str(x), "--y", str(x + 3),
+                         "--out", str(out)]) == 0
+        return [row[2] for row in read_csv(out / "mean_curve.csv")[1]]
+
+    for lam in (-1, 0, 1):
+        assert convexity(lam, 10 ** 5) == convexity(lam, 2 ** 44) == convexity(lam, 0)
+    assert second_diff(2 ** 40) == second_diff(0)
 
 
 def cells_csv(header, rows):
@@ -1247,15 +1297,26 @@ def _edited(descriptor, **params):
     (json.dumps(_edited(EXP_AFFINE, a=10 ** 400)), "a must be a finite real number"),
     (json.dumps(_edited(TABULATED, rates=[["x"] + r[1:] for r in TABULATED["params"]["rates"]])),
      "rates must hold finite numbers"),
+    # descriptor integers are JSON integers, as in manifests
+    (json.dumps(dict(EXP_AFFINE, state_floor=2.0)), "state_floor must be an integer, got 2.0"),
+    # integers past the float range are integers, quoted in three digits
+    (json.dumps(dict(EXP_AFFINE, state_floor=10 ** 400)), "below floor 1.00e+400"),
+    (json.dumps(dict(_edited(EXP_AFFINE, b=0.5), state_floor=10 ** 400)), "below floor 1.00e+400"),
+    (json.dumps(dict(_edited(EXP_AFFINE, b=0.5), state_floor=-10 ** 400)),
+     "rate not positive at the state floor"),
+    (json.dumps(dict(_edited(TABULATED, z_min=10 ** 400), state_floor=10 ** 400)),
+     "below floor 1.00e+400"),
 ], ids=["a-string", "a-null", "lambda-nan", "a-infinity", "product-alpha-string",
         "state-floor-fractional", "tabulated-rate-nan", "tabulated-t-grid-nan",
         "tabulated-rates-dt-infinity", "tabulated-z-min-fractional", "a-true",
         "tabulated-z-min-true", "state-floor-false", "b-missing", "tabulated-dip",
-        "a-past-the-float-range", "tabulated-rate-string"])
+        "a-past-the-float-range", "tabulated-rate-string", "state-floor-integral-float",
+        "state-floor-past-the-float-range", "state-floor-past-the-float-range-b-positive",
+        "state-floor-below-the-float-range-b-positive", "tabulated-z-min-past-the-float-range"])
 def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
     # a model file is outside input: a value that is not a finite number, or a state
-    # that is not an integer, is a ValueError naming the field (exit 2), never a
-    # traceback or a manifest holding NaN
+    # that is not an integer, is a ValueError naming the field (exit 2) in one short
+    # line, never a traceback or a manifest holding NaN
     mpath = tmp_path / "model.json"
     mpath.write_text(text)
     out = tmp_path / "out"
@@ -1263,6 +1324,7 @@ def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
         assert cli.main([command, "--model", str(mpath), "--y", "3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("countbridge: error:") and field in err
+        assert err.count("\n") == 1 and len(err) < 160, err
     assert not out.exists()
 
 
@@ -1405,11 +1467,14 @@ VERIFY_RUN = ["verify", "--lambda", "1", "--y", "3", "--check", "convexity"]
      "sample takes the options"),
     (SAMPLE_RUN, lambda m: dict(m, options=dict(m["options"], extra=1)),
      "sample takes the options"),
+    (SAMPLE_RUN, {"step": 10 ** 400}, "--step must be a finite number, got 1.00e+400"),
+    (SAMPLE_RUN, lambda m: dict(m, command=10 ** 400), "manifest command 1.00e+400 unknown"),
 ], ids=["x-fractional", "y-fractional", "y-true", "seed-fractional", "replicas-fractional",
         "lambda-string", "lambda-string-12", "lambda-number", "x-null", "seed-null",
         "replicas-null", "seed-list", "lambda-object", "manifest-list", "options-null",
         "command-list", "checks-number", "direction-number", "grid-csv-number", "out-number",
-        "seed-missing", "extra-option"])
+        "seed-missing", "extra-option", "step-past-the-float-range",
+        "command-past-the-float-range"])
 def test_a_manifest_option_of_the_wrong_type_exits_2_writing_nothing(tmp_path, capsys,
                                                                     monkeypatch, run, edit,
                                                                     message):

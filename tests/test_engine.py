@@ -29,12 +29,24 @@ def test_bridge_spec_validation():
     assert spec.n == 5 and spec.length == 0.5
     with pytest.raises(ValueError):
         BridgeSpec(3, 2)
-    with pytest.raises(BadParameter, match="endpoints must be integers"):
+    with pytest.raises(BadParameter, match="x must be an integer, got 0.5"):
         BridgeSpec(0.5, 2)
     with pytest.raises(BadWindow):
         BridgeSpec(0, 2, 0.5, 0.5)
     with pytest.raises(BadWindow):
         BridgeSpec(0, 2, -0.1, 1.0)
+    # one integer rule: an integral float, a bool or a string is no endpoint, and a
+    # window end is a finite real number; each once built, or raised a bare TypeError
+    for args, message in [((0, 5.0), "y must be an integer, got 5.0"),
+                          ((True, 3), "x must be an integer, got True"),
+                          ((0, 3, "0"), "s must be a finite real number, got '0'")]:
+        with pytest.raises(BadParameter, match=message):
+            BridgeSpec(*args)
+    # past 2^53 floats no longer hold every state of the ladder
+    with pytest.raises(BadParameter, match=r"<= 2\^53, got x = 0, y = 9.01e\+15"):
+        BridgeSpec(0, 2 ** 53 + 1)
+    assert BridgeSpec(-2 ** 53, 2 ** 53).n == 2 ** 54
+    assert type(BridgeSpec(np.int64(2), np.int64(3)).x) is int
 
 
 def test_solve_h_one_jump_closed_form():
@@ -559,6 +571,12 @@ def test_solve_h_refuses_a_mesh_over_the_memory_cap():
     # log h in 2.6 GiB
     with pytest.raises(ResourceCap, match="2.6 GiB"):
         solve_h(Product(1.0, 3.0, 0.1), BridgeSpec(0, 8000))
+
+
+def test_solve_h_refuses_a_tall_ladder_before_its_arrays_exist():
+    # the mesh once laid out three ladder-long arrays first, and raised a bare MemoryError
+    with pytest.raises(ResourceCap, match=r"a mesh over 9.01e\+15 states needs about"):
+        solve_h(ExpAffine(1.0, 0.5), BridgeSpec(0, 2 ** 53))
 
 
 def test_solve_h_refuses_a_rate_integral_that_underflows_before_u():

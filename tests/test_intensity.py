@@ -339,6 +339,22 @@ def test_descriptors_that_define_no_model_raise(descriptor, message):
         model_from_dict(descriptor)
 
 
+def test_an_exp_affine_floor_is_an_integer():
+    # ExpAffine(1, 0, 0, 0.5) once built, and its descriptor did not load
+    with pytest.raises(BadParameter, match="state_floor must be an integer, got 0.5"):
+        ExpAffine(1.0, 0.0, 0.0, 0.5)
+    assert type(ExpAffine(1.0, 0.0, 0.0, np.int64(2)).state_floor) is int
+    # a floor past the float range is an integer: the model loads from its own
+    # descriptor, and a state below it is refused in three digits
+    for b in (0.0, 0.5):
+        model = ExpAffine(1.0, b, 0.0, 10 ** 400)
+        assert model_from_dict(json.loads(json.dumps(model.to_dict()))) == model
+        with pytest.raises(OutOfDomain, match="^state below floor 1.00e\\+400$"):
+            model.rate(0.5, 3)
+    with pytest.raises(BadParameter, match="rate not positive at the state floor"):
+        ExpAffine(1.0, 0.5, 0.0, -10 ** 400)
+
+
 def test_legacy_descriptors_load_as_exp_affine():
     legacy = [
         ({"family": "poisson", "params": {"alpha": 2.0}}, Poisson(2.0)),

@@ -8,7 +8,8 @@ from scipy.stats import binom, ks_2samp, kstest
 from countbridge import sampler
 from countbridge.analytic import binomial_tail, tilted_cdf, tilted_quantile
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
-from countbridge.errors import IndexOut, NotSorted, OutOfDomain, PinMiss, TooFewSamples
+from countbridge.errors import (BadParameter, IndexOut, NotSorted, OutOfDomain, PinMiss,
+                                TooFewSamples)
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample_bridge,
                                  sample_constant)
@@ -18,6 +19,26 @@ from oracles import (OracleScale, Product, SpaceLinear, TimeExponential, charact
                      simplex_jump_time_cdf)
 
 PI3_HALF = 0.18242552380635635
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3", 3.0], ids=["fractional", "bool", "string",
+                                                             "integral-float"])
+def test_a_path_count_is_an_integer(count):
+    # int(count) once drew 2 paths for 2.5, 1 for True and 3 for "3"
+    with pytest.raises(BadParameter, match="count must be an integer"):
+        sample_constant(Poisson(1.0), BridgeSpec(0, 3), count, 1)
+
+
+@pytest.mark.parametrize("seed", ["3", 2.5, True], ids=["string", "fractional", "bool"])
+def test_a_seed_is_an_integer(seed):
+    # int(seed) once took "3", and 2.5 drew seed 2's stream
+    with pytest.raises(BadParameter, match="seed must be an integer"):
+        sampler.seeded_rng(seed)
+
+
+def test_a_negative_path_count_past_the_float_range_is_quoted_in_three_digits():
+    with pytest.raises(TooFewSamples, match="at least 0, got -1.00e\\+400$"):
+        sample_constant(Poisson(1.0), BridgeSpec(0, 3), -10 ** 400, 1)
 
 
 def test_path_sample_validation():

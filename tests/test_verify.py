@@ -439,6 +439,22 @@ def test_lln_refuses_a_repeated_height():
         lln_experiment(Poisson(1.0), 0.0, [5, 20, 5], 10, 1)
 
 
+@pytest.mark.parametrize("n_values, replicas, seed, message", [
+    ([10.7], 10, 1, "N must be an integer, got 10.7"),
+    ([10], 3.9, 1, "replicas must be an integer, got 3.9"),
+    ([10], 3, "1", "seed must be an integer, got '1'"),
+], ids=["height-fractional", "replicas-fractional", "seed-string"])
+def test_lln_reads_its_integers_by_the_integer_rule(n_values, replicas, seed, message):
+    # int() once ran N = 10 for 10.7 and 3 replicas for 3.9
+    with pytest.raises(BadParameter, match=message):
+        lln_experiment(Poisson(1.0), 0.0, n_values, replicas, seed)
+
+
+def test_a_test_functional_reads_its_jump_count_by_the_integer_rule():
+    with pytest.raises(BadParameter, match="m must be an integer, got 1.5"):
+        TestFunctional(1.5, lambda x0, T: T[:, 0], lambda x0, T: np.ones_like(T))
+
+
 @pytest.mark.parametrize("n_values", [[], [0]], ids=["none", "zero"])
 def test_lln_needs_a_positive_height(n_values):
     with pytest.raises(BadParameter, match="lln needs at least one N"):
