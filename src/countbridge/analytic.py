@@ -11,6 +11,7 @@ measured against.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,11 +30,10 @@ def tilted_cdf(lam, t):
 
 
 def _tilt(lam):
-    """``lam`` as a float; a non-finite tilt raises OutOfDomain."""
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise OutOfDomain(f"the tilt over the window must be finite, got {lam}")
-    return lam
+    """``lam`` as a float; a NaN, an infinity or an int past the float range raises OutOfDomain."""
+    if not abs(lam) <= sys.float_info.max:
+        raise OutOfDomain(f"the tilt over the window must be finite, got {count_text(lam)}")
+    return float(lam)
 
 
 def _tilted(theta, c, c1):
@@ -69,11 +69,11 @@ def tilted_quantile(lam, p):
 
 def _fractions(s, u, t):
     """The fractions c = (t - s) / (u - s) and c - 1 = (t - u) / (u - s) of the times t
-    in the window [s, u].  A bad window or a time outside it raises BadWindow, a NaN
-    time BadParameter."""
-    s, u = float(s), float(u)
+    in the window [s, u].  A bad window (one end an int past the float range included) or
+    a time outside it raises BadWindow, a NaN time BadParameter."""
     if not (0.0 <= s < u <= 1.0 + 1e-12):
-        raise BadWindow(f"bad window [{s}, {u}]")
+        raise BadWindow(f"bad window [{count_text(s)}, {count_text(u)}]")
+    s, u = float(s), float(u)
     t = np.asarray(t, dtype=float)
     lo, hi = _extent("time", t)
     if lo < s - 1e-12 or hi > u + 1e-12:
@@ -87,7 +87,8 @@ def tilted_cdf_window(lam, s, u, t):
     (exp(lam*(t-s)) - 1) / (exp(lam*(u-s)) - 1); identical to rescaling the
     window to [0, 1] and the tilt to lam*(u-s).
     """
-    out = _tilted(_tilt(lam) * (float(u) - float(s)), *_fractions(s, u, t))
+    lam, (c, c1) = _tilt(lam), _fractions(s, u, t)
+    out = _tilted(lam * (float(u) - float(s)), c, c1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -526,7 +526,9 @@ def _run(command, options):
         raise BadOption(f"manifest command {count_text(command)} unknown")
     names = {key for key, option in _OPTIONS.items() if command in option.defaults}
     if set(options) != names:
-        raise BadOption(f"{command} takes the options {sorted(names)}, got {sorted(options)}")
+        extra, missing = (", ".join(map(count_text, sorted(keys))) or "none"
+                          for keys in (set(options) - names, names - set(options)))
+        raise BadOption(f"{command} options: unexpected {extra}; missing {missing}")
     options = {key: value if key == "model" else _typed(_OPTIONS[key], value)
                for key, value in options.items()}
     count = len(options["lambdas"] or [])

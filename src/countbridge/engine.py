@@ -25,7 +25,7 @@ state above backward, the state below forward).  So every sweep takes the
 states in the outer loop, and each state's whole column over the mesh is one
 first-order linear recurrence in the steps, driven by the RK4 stage values of
 the state before.  All of its terms are non-negative, so :func:`_column` solves
-it at once in log space, by runs of linear sums (:func:`_log_cumsum`; BENCH_36.json).
+it at once in log space, by runs of linear sums (:func:`_log_cumsum`; BENCH_48.json).
 
 Windows.  By the paper's marginal estimate every tail of the bridge lies
 between the binomial tails of the tilted profiles at the infimum and the
@@ -316,10 +316,9 @@ def _cut_times(model, spec):
     return early, late
 
 
-# The RK4 weights of the stages, and h/2 k1, h/2 k2 and h k3 as multiples of
-# b = h/6 (k1 + 2 k2 + 2 k3 + k4)
+# The RK4 weights of the stages; a finite floor under a log level keeps -inf - level from nan
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
-_INCREMENTS = np.array([[3.0], [3.0], [6.0]])
+_FLOOR = -np.finfo(float).max
 
 
 def _step_powers(step):
@@ -329,110 +328,112 @@ def _step_powers(step):
     return h6, step / 24.0, np.log(h6)
 
 
-def _log_cumsum(a):
-    """log of the running sums of exp(a), ``a`` free of nan and +inf, summed in runs: a
-    run starts at a finite cell, its level, and ends before the first later cell over
-    level + 300.  Its terms over e^level, the first carrying the sum so far (of cells
-    all below the level), take one cumsum; each partial sum is at least 1."""
-    out = np.full(a.size, -np.inf)
-    i = int(np.argmax(a > -np.inf)) if a.size else 0
-    while i < a.size and a[i] > -np.inf:
-        k = int(np.argmax(a[i:] > a[i] + 300.0))
-        j = i + k if k else a.size
-        run = a[i:j] - a[i]
+def _log_cumsum(a, i):
+    """log of the running sums of exp(a) in place, ``a`` free of nan and +inf and -inf
+    before cell i, summed in runs from its first finite cell: a run starts at a finite
+    cell, its level, and ends before the first later cell over level + 300.  Its terms
+    over e^level, a later run's first carrying the sum so far (of cells all below the
+    level), take one running sum; each partial sum is at least 1."""
+    if i < a.size and a[i] == -np.inf:
+        i += int(np.argmax(a[i:] > -np.inf)) or a.size
+    start = i
+    while i < a.size:
+        level, run = a[i], a[i:]
+        if not run.max() <= level + 300.0:
+            run = run[:np.argmax(run > level + 300.0) or None]
+        run -= level
         np.exp(run, out=run)
-        run[0] += np.exp(out[i - 1] - a[i])  # 0 before the first run, out[-1] included
-        np.log(np.cumsum(run, out=run), out=out[i:j])
-        out[i:j] += a[i]
-        i = j
-    return out
+        if i > start:
+            run[0] += np.exp(a[i - 1] - level)
+        np.log(np.add.accumulate(run, out=run), out=run)
+        run += level
+        i += run.size
 
 
 def _column(steps, rates, feed, prev, lo=0, hi=None):
     """One state's log column of a diagonal-exact RK4 sweep, over its window at once.
 
-    A sweep takes the ladder states in order, from the pin down (``solve_h``)
-    or from the start state up (the marginal routes), and starts from 1 in
-    its first state and 0 in every other.  ``steps`` is :func:`_step_powers`
-    of the m step lengths in sweep order.  The column holds nodes ``lo`` to
-    ``hi`` in sweep order (by default all m + 1; neither below the state
-    before's), seeded at ``lo``, and is 0 outside them.  ``rates`` are the
-    state's own rates and ``feed`` those at which the state before it feeds
-    it (its own rates backward, the rates of the state below forward; unused
-    for the first state), each given at the step boundaries and midpoints
-    interleaved, from node ``lo`` to one step past ``hi``.  ``prev`` is what
-    this function returned for the state before (None for the first).
+    A sweep takes the ladder states in order, from the pin down (``solve_h``) or
+    from the start state up (the marginal routes), and starts from 1 in its first
+    state and 0 in every other.  ``steps`` is :func:`_step_powers` of the m step
+    lengths in sweep order.  The column holds nodes ``lo`` to ``hi`` in sweep order
+    (by default all m + 1; neither below the state before's), seeded at ``lo``, and
+    is 0 outside them.  ``rates`` are the state's own rates and ``feed`` those at
+    which the state before feeds it (its own backward, the state below's forward;
+    unused for the first state), at the step boundaries and midpoints interleaved,
+    from node ``lo`` to one step past ``hi``.  ``prev`` is what this function
+    returned for the state before (None for the first).
 
-    Each step removes its diagonal exactly.  With i_mid and i_end its
-    integrals (a quadratic fit to the middle, Simpson to the end) and
-    coupling rates c0, cm, ce, the stage values y1 = x', y2 = x' + h/2 k1',
-    y3 = x' + h/2 k2', y4 = x' + h k3' of the state before (primed) give this
-    state's stages k1 = c0 y1, k2 = cm y2, k3 = cm y3, k4 = ce y4 and
-    x_new = exp(-i_end) (x + b), b = h/6 (k1 + 2 k2 + 2 k3 + k4) >= 0.  So
-    one state's column obeys x[j+1] = exp(-i_end[j]) (x[j] + b[j]), solved at
-    once in log space: with g the running sum of -i_end,
-    log x = g + _log_cumsum([log seed, log b - g]), the prefix log-sum-exp.  The
-    increments h/2 k1, h/2 k2 and h k3 are kept as multiples (at most 3) of
-    b, over every step ``rates`` covers: the next state reads them up to the
-    step from this state's last node.  On each step the state before's values
-    are taken over e^top, top the larger of its log x and log b, so b is never
-    formed outside log space and nothing is rescaled or clamped.  Returns the
-    log column (hi - lo + 1 values) and the ``prev`` of the next state.
+    Each step removes its diagonal exactly.  With i_mid and i_end its integrals (a
+    quadratic fit to the middle, Simpson to the end) and coupling rates c0, cm, ce,
+    the stage values y1 = x', y2 = x' + h/2 k1', y3 = x' + h/2 k2', y4 = x' + h k3'
+    of the state before (primed) give this state's stages k1 = c0 y1, k2 = cm y2,
+    k3 = cm y3, k4 = ce y4 and x_new = exp(-i_end) (x + b), b = h/6 (k1 + 2 k2 +
+    2 k3 + k4) >= 0.  So x[j+1] = exp(-i_end[j]) (x[j] + b[j]), solved at once in
+    log space: with g the running sum of i_end, log x = _log_cumsum([log seed,
+    log b + g]) - g.  The increments h/2 k1, h/2 k2 and h k3, as multiples (at most
+    3) of b, are kept over every step ``rates`` covers: the next state reads them up
+    to the step from this state's last node.  The state before's values are taken
+    over e^top, top the larger of its log x and log b on each step, so b is never
+    formed outside log space and nothing is rescaled or clamped; a step with b = 0
+    (next to u) has log b = -inf and increments 0.  Returns the log column (hi - lo
+    + 1 values) and the ``prev`` of the next state: one block of the rows it reads.
     """
-    m = steps[0].size
-    hi = m if hi is None else hi
-    end = min(hi + 1, m)
-    h6, h24, log_h6 = steps[0][lo:end], steps[1][lo:end], steps[2][lo:end]
-    r0, rm, r1 = rates[:-1:2], rates[1::2], rates[2::2]
-    i_mid = 8.0 * rm
-    i_mid += 5.0 * r0
-    i_mid -= r1
-    i_mid *= h24
-    i_end = 4.0 * rm
-    i_end += r0
-    i_end += r1
-    i_end *= h6
-    g = np.empty(hi - lo + 1)
-    g[0] = 0.0
-    np.cumsum(i_end[:hi - lo], out=g[1:])
-    np.negative(g, out=g)
-    log_b = np.full(end - lo, -np.inf)
-    inc = np.zeros((3, end - lo))
+    hi = steps[0].size if hi is None else hi
+    n, w = hi - lo, min(hi + 1, steps[0].size) - lo
+    block = np.empty((7, n + 1))
+    log_b, log_x, inc, i_mid, i_end = block[0, :w], block[1], block[2:5, :w], block[5, :w], block[6, :w]
+    # the node rates r0 = node[:-1] and r1 = node[1:], and the midpoint rates rm
+    node, rm = rates[::2].copy(), rates[1::2].copy()
+    np.multiply(rm, 4.0, out=i_end)
+    i_end += node[:-1]
+    i_end += node[1:]
+    i_end *= steps[0][lo:lo + w]
+    np.multiply(rm, 8.0, out=i_mid)
+    i_mid += np.multiply(node[:-1], 5.0, out=log_b)
+    i_mid -= node[1:]
+    i_mid *= steps[1][lo:lo + w]
+    del node, rm
+    g = np.zeros(n + 1)
+    np.add.accumulate(i_end[:n], out=g[1:])
+    # b > 0 only on the k steps the state before covers (none for the first state)
+    p_lo, p_w, p_block = prev or (lo, 0, None)
+    k = max(0, p_w - lo + p_lo)
+    log_b[k:] = -np.inf
+    inc[:, k:] = 0.0
     if prev is None:
-        return g, (lo, g, log_b, inc, i_mid, i_end)
-    p_lo, p_x, p_b, p_inc, p_mid, p_end = prev
-    o = lo - p_lo
-    k = max(0, p_mid.size - o)
-    # the state before's stage values y1 and y2..y4 on the k steps it covers, over
-    # e^top; the finite floor keeps -inf - top from nan where that state is still 0
-    top = np.maximum(p_x[o:o + k], p_b[o:o + k])
-    np.maximum(top, -np.finfo(float).max, out=top)
-    y1 = np.exp(p_x[o:o + k] - top)
-    # y2..y4 are formed in the rows of the stages they give
-    stage = np.empty((4, k))
-    np.multiply(p_inc[:, o:o + k], np.exp(p_b[o:o + k] - top), out=stage[1:])
-    stage[1:] += y1
-    feed = feed[:2 * k + 1]
-    np.multiply(feed[:-1:2], y1, out=stage[0])
-    cm = np.exp(i_mid[:k] - p_mid[o:o + k])
-    cm *= feed[1::2]
-    stage[1:3] *= cm
-    ce = np.exp(i_end[:k] - p_end[o:o + k])
-    ce *= feed[2::2]
-    stage[3] *= ce
+        return np.negative(g, out=log_x), (lo, w, block)
+    p = p_block[:, lo - p_lo:lo - p_lo + k]
+    # over e^top, the state before's b (row 1) and stage values y1 (row 2) and y2..y4 (the
+    # rows of the stages they give); then cm and ce (rows 0 and 1) from the feed's rm and r1
+    top = np.maximum(np.maximum(p[0], p[1]), _FLOOR)
+    rows = np.empty((6, k))
+    stage = rows[2:]
+    np.exp(np.subtract(p[:2], top, out=rows[1:3]), out=rows[1:3])
+    np.multiply(p[2:5], rows[1], out=stage[1:])
+    stage[1:] += stage[0]
+    stage[0] *= feed[:2 * k:2]
+    np.exp(np.subtract(block[5:, :k], p[5:], out=rows[:2]), out=rows[:2])
+    rows[:2] *= feed[1:2 * k + 1].reshape(k, 2).T
+    stage[1:3] *= rows[0]
+    stage[3] *= rows[1]
     s = _RK4_WEIGHTS @ stage
-    live = s > 0.0
-    np.log(s, out=log_b[:k], where=live)
-    log_b[:k] += log_h6[:k]
+    stage[:2] *= 3.0
+    stage[2] *= 6.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(s, out=log_b[:k])
+        np.divide(stage[:3], s, out=inc[:, :k])
+    log_b[:k] += steps[2][lo:lo + k]
     log_b[:k] += top
-    stage[:3] *= _INCREMENTS
-    np.divide(stage[:3], s, out=inc[:, :k], where=live)
-    a = np.empty(hi - lo + 1)
-    a[0] = -np.inf
-    np.subtract(log_b[:hi - lo], g[:-1], out=a[1:])
-    log_x = _log_cumsum(a)
-    log_x += g
-    return log_x, (lo, log_x, log_b, inc, i_mid, i_end)
+    if k and not s.min() > 0.0:
+        dead = ~(s > 0.0)
+        log_b[:k][dead] = -np.inf
+        inc[:, :k][:, dead] = 0.0
+    log_x[0] = -np.inf
+    np.add(log_b[:n], g[:-1], out=log_x[1:])
+    _log_cumsum(log_x, 1)
+    log_x -= g
+    return log_x, (lo, w, block)
 
 
 def _pinned(upper, lower, rates):
@@ -553,7 +554,7 @@ def solve_h(model, spec, h_step=OUTPUT_STEP, step_budget=STEP_BUDGET):
     columns = model.rate_columns(t_rates, spec.ladder()[::-1], 2 * lo,
                                  2 * np.minimum(hi + 1, last) + 1)
     prev = None
-    for zi, a, b, rates in zip(range(spec.n, -1, -1), lo, hi, columns):
+    for zi, a, b, rates in zip(range(spec.n, -1, -1), lo.tolist(), hi.tolist(), columns):
         col, prev = _column(steps, rates, rates, prev, a, b)
         log_h.column(zi, last - b, last - a + 1)[:] = col[::-1]
     return HField(model, spec, mesh, log_h)
@@ -607,14 +608,13 @@ def _forward(mesh, rates):
     state is fed at the rates of the state below."""
     steps = _step_powers(np.diff(mesh.fwd_bounds))
     out = np.full((mesh.out_times.size, mesh.spec.n + 1), -np.inf)
-    prev, feed = None, None
-    for zi, (r, lo, hi) in enumerate(zip(rates, mesh.fwd_lo, mesh.fwd_hi)):
-        if zi:
-            # the state below feeds this one from this column's first node on
-            feed = feed[2 * (lo - mesh.fwd_lo[zi - 1]):]
-        log_q, prev = _column(steps, r, feed, prev, lo, hi)
-        k0, k1 = np.searchsorted(mesh.out_fb_idx, [lo, hi + 1])
-        out[k0:k1, zi] = log_q[mesh.out_fb_idx[k0:k1] - lo]
+    at, lo, hi = mesh.out_fb_idx, mesh.fwd_lo.tolist(), mesh.fwd_hi.tolist()
+    rows = zip(np.searchsorted(at, lo).tolist(), np.searchsorted(at, mesh.fwd_hi + 1).tolist())
+    prev = None
+    for zi, (r, a, b, (k0, k1)) in enumerate(zip(rates, lo, hi, rows)):
+        # the state below feeds this one from this column's first node on
+        log_q, prev = _column(steps, r, feed[2 * (a - lo[zi - 1]):] if zi else None, prev, a, b)
+        out[k0:k1, zi] = log_q[at[k0:k1] - a]
         feed = r
     return out
 

@@ -98,6 +98,23 @@ def test_tilted_quantile_refuses_a_tilt_it_cannot_represent(lam, match):
         tilted_quantile(lam, [0.25, 0.5])
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tilted_cdf(10 ** 400, 0.5), OutOfDomain, "must be finite, got 1.00e+400"),
+    (lambda: tilted_quantile(-10 ** 400, 0.5), OutOfDomain, "must be finite, got -1.00e+400"),
+    (lambda: tilted_cdf_window(10 ** 400, 0.0, 1.0, 0.5), OutOfDomain,
+     "must be finite, got 1.00e+400"),
+    (lambda: tilted_cdf_window(1.0, 0, 10 ** 400, 0.5), BadWindow, "bad window [0, 1.00e+400]"),
+    (lambda: tilted_cdf_window(1.0, -10 ** 400, 1.0, 0.5), BadWindow,
+     "bad window [-1.00e+400, 1.0]"),
+], ids=["cdf-tilt", "quantile-tilt", "window-tilt", "window-end", "window-start"])
+def test_an_int_past_the_float_range_is_refused_with_its_value(call, error, message):
+    # a tilt or a window end that no float holds is refused with the typed error its
+    # non-finite float would get, quoting the value in three digits
+    with pytest.raises(error) as refusal:
+        call()
+    assert message in str(refusal.value)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 20, 200])
 @pytest.mark.parametrize("p", [0.0, 0.1824, 0.5, 1.0])
 def test_pmf_normalization(n, p):

@@ -1464,9 +1464,9 @@ VERIFY_RUN = ["verify", "--lambda", "1", "--y", "3", "--check", "convexity"]
     (VERIFY_RUN, {"grid_csv": 1}, "--grid-csv must be true or false, got 1"),
     (SAMPLE_RUN, {"out": 5}, "--out must be a string, got 5"),
     (SAMPLE_RUN, lambda m: dict(m, options={k: v for k, v in m["options"].items() if k != "seed"}),
-     "sample takes the options"),
+     "sample options: unexpected none; missing 'seed'"),
     (SAMPLE_RUN, lambda m: dict(m, options=dict(m["options"], extra=1)),
-     "sample takes the options"),
+     "sample options: unexpected 'extra'; missing none"),
     (SAMPLE_RUN, {"step": 10 ** 400}, "--step must be a finite number, got 1.00e+400"),
     (SAMPLE_RUN, lambda m: dict(m, command=10 ** 400), "manifest command 1.00e+400 unknown"),
 ], ids=["x-fractional", "y-fractional", "y-true", "seed-fractional", "replicas-fractional",
@@ -1496,6 +1496,8 @@ def test_a_manifest_option_of_the_wrong_type_exits_2_writing_nothing(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("countbridge: error:") and len(err.splitlines()) == 1
     assert message in err
+    # a refusal that quotes no path names only what is wrong, in under 90 characters
+    assert len(err.rstrip("\n")) < 90 or str(tmp_path) in err
     assert _tree(tmp_path) == before
 
 

@@ -22,6 +22,11 @@ from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_charac
 from countbridge.sampler import jump_time_matrix, sample_bridge
 from oracles import (FullWindows, Product, SpaceLinear, TimeExponential, dense_logh,
                      exp_affine_logh, grid_index)
+# the column kernel's tests live with it in test_kernel.py, which the numpy-only job
+# runs; imported here, they keep their ids in this module too
+from test_kernel import (test_column_step_matches_the_staged_step,  # noqa: F401
+                         test_log_cumsum_matches_logaddexp_accumulate,
+                         test_windowed_column_steps_match_the_staged_step)
 
 
 def test_bridge_spec_validation():
@@ -409,129 +414,6 @@ def test_deep_bridges_on_short_windows_have_anchors(model, n, length, h_step):
     assert np.all(h.anchor_idx >= h.mesh.h_lo[:-1])
     assert np.all(np.isfinite([h.logh.column(zi, j, j + 1)[0]
                                for zi, j in enumerate(h.anchor_idx.tolist())]))
-
-
-def _up(w):
-    """w shifted one state toward the pin: out[z] = w[z+1], 0 past the top."""
-    return np.concatenate([w[1:], [0.0]])
-
-
-def _down(w):
-    """w shifted one state away from the pin: out[z] = w[z-1], 0 below the bottom."""
-    return np.concatenate([[0.0], w[:-1]])
-
-
-def _staged_step(r0, rm, r1, step, shift, v):
-    """Reference: one diagonal-exact RK4 step through its four stages.
-
-    Backward (_up) it runs from t + step down to t with signed length -step and
-    couples each state at its own rate; forward (_down) it runs from t to
-    t + step and feeds each state at the rate of the state below.
-    """
-    h = -step if shift is _up else step
-    i_mid = h * (5.0 * r0 + 8.0 * rm - r1) / 24.0
-    i_end = h * (r0 + 4.0 * rm + r1) / 6.0
-    if shift is _up:
-        c0, sign = r0, -1.0
-        cm = rm * np.exp(shift(i_mid) - i_mid)
-        ce = r1 * np.exp(shift(i_end) - i_end)
-        ee = np.exp(i_end)
-    else:
-        c0, sign = shift(r0), 1.0
-        cm = shift(rm) * np.exp(i_mid - shift(i_mid))
-        ce = shift(r1) * np.exp(i_end - shift(i_end))
-        ee = np.exp(-i_end)
-    k1 = sign * c0 * shift(v)
-    k2 = sign * cm * shift(v + (0.5 * h) * k1)
-    k3 = sign * cm * shift(v + (0.5 * h) * k2)
-    k4 = sign * ce * shift(v + h * k3)
-    return (v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)) * ee
-
-
-@pytest.mark.parametrize("shift", [_up, _down], ids=["up", "down"])
-@pytest.mark.parametrize("width", range(1, 7))
-def test_column_step_matches_the_staged_step(shift, width):
-    # the column kernel solves a three-step sweep state by state; each of its steps
-    # must be the staged step applied to the values it gave one node before.  Width 1
-    # is a first state alone; wider sweeps carry each state's stage values to the
-    # next, and the states past the second read increments that are not 0.
-    rng = np.random.default_rng(width)
-    n_steps = 3
-    for _ in range(20):
-        rates = rng.uniform(0.0, 50.0, (width, 2 * n_steps + 1))
-        step = rng.uniform(0.0, 0.1, n_steps)
-        steps = engine._step_powers(step)
-        log_x = np.empty((n_steps + 1, width))
-        prev, feed = None, None
-        for z in (range(width - 1, -1, -1) if shift is _up else range(width)):
-            log_x[:, z], prev = engine._column(steps, rates[z],
-                                               rates[z] if shift is _up else feed, prev)
-            feed = rates[z]
-        assert not np.any(np.isnan(log_x))
-        x = np.exp(log_x)
-        for j in range(n_steps):
-            r0, rm, r1 = rates[:, 2 * j], rates[:, 2 * j + 1], rates[:, 2 * j + 2]
-            want = _staged_step(r0, rm, r1, step[j], shift, x[j])
-            np.testing.assert_allclose(x[j + 1], want, rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("shift", [_up, _down], ids=["up", "down"])
-@pytest.mark.parametrize("seed", range(40))
-def test_windowed_column_steps_match_the_staged_step(shift, seed):
-    # windows as the sweeps make them: in sweep order neither end falls, and ends
-    # may be equal.  Each column gets its rates from lo to one step past hi, the
-    # forward feed the state before's from this lo on, and every step inside a
-    # window must be the staged step applied to the zero-padded values.  A state
-    # whose window ends later than the one before reads that state's increments on
-    # the step from its last node.
-    rng = np.random.default_rng(seed)
-    width, n_steps = int(rng.integers(2, 7)), 6
-    rates = rng.uniform(0.0, 50.0, (width, 2 * n_steps + 1))
-    step = rng.uniform(0.0, 0.1, n_steps)
-    steps = engine._step_powers(step)
-    ends = np.sort(rng.integers(0, n_steps + 1, (2, width)), axis=1)
-    lo, hi = ends.min(axis=0), ends.max(axis=0)
-    x = np.zeros((n_steps + 1, width))
-    order = range(width - 1, -1, -1) if shift is _up else range(width)
-    prev, feed = None, None
-    for a, b, z in zip(lo, hi, order):
-        r = rates[z, 2 * a:2 * min(b + 1, n_steps) + 1]
-        if feed is not None:
-            feed = feed[2 * (a - a_prev):]
-        log_x, prev = engine._column(steps, r, r if shift is _up else feed, prev, a, b)
-        x[a:b + 1, z] = np.exp(log_x)
-        feed, a_prev = r, a
-    assert not np.any(np.isnan(x))
-    for a, b, z in zip(lo, hi, order):
-        for j in range(a, b):
-            r0, rm, r1 = rates[:, 2 * j], rates[:, 2 * j + 1], rates[:, 2 * j + 2]
-            want = _staged_step(r0, rm, r1, step[j], shift, x[j])[z]
-            np.testing.assert_allclose(x[j + 1, z], want, rtol=1e-13, atol=0.0)
-
-
-_CLIMB = np.cumsum(np.random.default_rng(3).uniform(0.0, 4.0, 800))
-
-
-@pytest.mark.parametrize("a", [
-    [], [3.5], [-np.inf] * 4,
-    [-np.inf, -np.inf, -710.0, 2.0, -np.inf, 1.0, -np.inf],
-    _CLIMB,
-    np.where(np.arange(_CLIMB.size) % 7 == 3, -np.inf, _CLIMB - 900.0),
-    [0.0, 400.0, -np.inf, 800.0, 1200.0, 1199.0],
-    np.r_[1200.0, np.random.default_rng(4).normal(0.0, 50.0, 300)],
-], ids=["empty", "one", "all-neg-inf", "neg-inf-lead-and-interior", "climb",
-        "climb-with-holes", "steps", "high-first-cell"])
-def test_log_cumsum_matches_logaddexp_accumulate(a):
-    # the column kernel's prefix log-sum-exp against numpy's, within 1e-12 relative
-    # to max(1, |L|) and with the same -inf cells; the climbs (about 1,600 nats)
-    # take several runs, so each run carries the sum of the ones before it
-    a = np.asarray(a, dtype=float)
-    want = np.logaddexp.accumulate(a)
-    got = engine._log_cumsum(a)
-    assert got.shape == a.shape
-    assert np.array_equal(np.isneginf(got), np.isneginf(want))
-    fin = np.isfinite(want)
-    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
 
 
 @pytest.mark.parametrize("model, spec", [
