@@ -12,9 +12,9 @@ checks.
 
 __version__ = "0.1.0"
 
-from .analytic import binomial_tail, mean_upper_bound, tilted_cdf, tilted_cdf_window
+from .analytic import binomial_tail, tilted_cdf, tilted_cdf_window
 from .engine import (BridgeSpec, HField, MarginalTable, marginal_table,
-                     marginal_table_two_sided, mean_curve, second_differences, solve_h)
+                     marginal_table_two_sided, second_differences, solve_h)
 from .intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model, model_from_dict
 from .sampler import PathBatch, PathSample, jump_time_matrix, sample_bridge, sample_constant
 from .verify import (BoundReport, ConvexityReport, DualityResult, LLNReport, TestFunctional,

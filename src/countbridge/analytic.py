@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import BadParameter, BadWindow, IndexOut, OutOfDomain, count_text
-from .intensity import _extent, _integral
+from .intensity import _T_SLACK, _extent, _integral, _window
 
 
 def tilted_cdf(lam, t):
@@ -69,14 +69,12 @@ def tilted_quantile(lam, p):
 
 def _fractions(s, u, t):
     """The fractions c = (t - s) / (u - s) and c - 1 = (t - u) / (u - s) of the times t
-    in the window [s, u].  A bad window (one end an int past the float range included) or
-    a time outside it raises BadWindow, a NaN time BadParameter."""
-    if not (0.0 <= s < u <= 1.0 + 1e-12):
-        raise BadWindow(f"bad window [{count_text(s)}, {count_text(u)}]")
-    s, u = float(s), float(u)
+    in the window [s, u].  The window is read by the one window rule (``_window``); a
+    time outside it by more than _T_SLACK raises BadWindow, a NaN time BadParameter."""
+    s, u = _window(s, u)
     t = np.asarray(t, dtype=float)
     lo, hi = _extent("time", t)
-    if lo < s - 1e-12 or hi > u + 1e-12:
+    if lo < s - _T_SLACK or hi > u + _T_SLACK:
         raise BadWindow("t outside the window")
     return np.clip((t - s) / (u - s), 0.0, 1.0), np.clip((t - u) / (u - s), -1.0, 0.0)
 
@@ -182,13 +180,3 @@ def clock_quantile(model, spec, q):
     past the float range raises OutOfDomain."""
     clock = tilted_quantile(_clock(model, spec), q)
     return spec.s + spec.length * tilted_quantile(model.lam * spec.length, clock)
-
-
-def mean_upper_bound(spec, lam, t):
-    """Upper bound for the bridge mean at time t when lam bounds the characteristic below.
-
-    x + (y - x) * tilted CDF of the window; exact (not just a bound) when the
-    characteristic is identically lam.
-    """
-    out = spec.x + spec.n * np.asarray(tilted_cdf_window(lam, spec.s, spec.u, t))
-    return float(out) if out.ndim == 0 else out

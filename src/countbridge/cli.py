@@ -31,7 +31,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .analytic import mean_upper_bound
+from .analytic import tilted_cdf_window
 # solve_h is not called here, but perfbench's tracer wraps every binding of it
 from .engine import OUTPUT_STEP, BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
 from .errors import BadOption, BadParameter, BadStep, CountBridgeError, count_text
@@ -333,7 +333,7 @@ def _curve_table(model, spec, lam, h_step):
     curve = BridgeLaw(model, spec, h_step)._offset_curve()
     cols = [curve[:, 0], spec.x + curve[:, 1], np.r_[0.0, second_differences(curve)[:, 1], 0.0]]
     if lam is not None:
-        cols.append(mean_upper_bound(spec, lam, curve[:, 0]))
+        cols.append(spec.x + spec.n * tilted_cdf_window(lam, spec.s, spec.u, curve[:, 0]))
     blank = np.zeros((len(curve), len(cols)), bool)
     blank[[0, -1], 2] = True
     return _table(["t", "mean", "second_diff", "bound"][:len(cols)], cols, blank)

@@ -52,15 +52,16 @@ infinite bound puts them at the window ends, so every state is live throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import tilted_quantile
-from .errors import (BadParameter, BadStep, BadWindow, ConservationLoss, GridTooCoarse,
-                     OutOfDomain, ResourceCap, Underflow, count_text)
-from .intensity import _finite_real, _integral
+from .errors import (BadParameter, BadStep, ConservationLoss, GridTooCoarse, OutOfDomain,
+                     ResourceCap, Underflow, count_text)
+from .intensity import _integral, _window
 
 # Per-step cap on (ladder depth) x (change in log remaining integrated rate);
 # the pinned jump rate at depth m is ~ m * rate / remaining, so this bounds
@@ -95,13 +96,12 @@ class BridgeSpec:
     u: float = 1.0
 
     def __post_init__(self):
-        for name, rule in zip("xysu", (_integral, _integral, _finite_real, _finite_real)):
-            object.__setattr__(self, name, rule(name, getattr(self, name)))
-        if not -2 ** 53 <= self.x <= self.y <= 2 ** 53:
-            raise BadParameter(f"need -2^53 <= x <= y <= 2^53, got x = {count_text(self.x)},"
-                               f" y = {count_text(self.y)}")
-        if not (0.0 <= self.s < self.u <= 1.0):
-            raise BadWindow(f"need 0 <= s < u <= 1, got [{count_text(self.s)}, {count_text(self.u)}]")
+        x, y = _integral("x", self.x), _integral("y", self.y)
+        if not -2 ** 53 <= x <= y <= 2 ** 53:
+            raise BadParameter(f"need -2^53 <= x <= y <= 2^53, got x = {count_text(x)},"
+                               f" y = {count_text(y)}")
+        for name, value in zip("xysu", (x, y, *_window(self.s, self.u))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -561,14 +561,18 @@ def solve_h(model, spec, h_step=OUTPUT_STEP, step_budget=STEP_BUDGET):
 
 
 class MarginalTable:
-    """One-time laws P(X_t = z) of a bridge on a uniform output grid; its means, if known."""
+    """One-time laws P(X_t = z) of a bridge on a uniform output grid, and its means
+    seen from x, ``offsets``: E[X_t] - x on each row, which carry no rounding of x, given
+    with the table or else its rows times 0..n, formed on first read."""
 
-    def __init__(self, spec, times, probs, drift, means=None):
-        self.spec = spec
-        self.times = times
-        self.probs = probs
-        self.drift = drift
-        self.means = means
+    def __init__(self, spec, times, probs, drift, offsets=None):
+        self.spec, self.times, self.probs, self.drift = spec, times, probs, drift
+        if offsets is not None:
+            self.offsets = offsets
+
+    @functools.cached_property
+    def offsets(self):
+        return self.probs @ np.arange(self.spec.n + 1.0)
 
     def validate(self):
         """The table itself once it is finite, within DRIFT_TOL, normalised, pinned at
@@ -698,23 +702,22 @@ def marginal_table_two_sided(model, spec, h_step=OUTPUT_STEP, h=None):
     return _pinned_table(spec, mesh, log_p, 0.0)
 
 
-def mean_curve(table):
-    """(t, E[X_t]) rows from a marginal table, its own means if it has them; endpoints
-    equal x and y exactly."""
-    states = table.spec.ladder().astype(float)
-    means = table.probs @ states if table.means is None else table.means
-    return np.column_stack([table.times, means])
-
-
 def second_differences(curve):
-    """Central second differences over step^2 of a curve on a uniform grid."""
+    """Central second differences over step^2 of a curve, an (m, 2) array of (t, f)
+    rows, on a uniform grid of finite, increasing times; any other curve, or one of
+    fewer than three rows, raises GridTooCoarse naming its fault."""
     curve = np.asarray(curve, dtype=float)
-    if curve.ndim != 2 or curve.shape[0] < 3:
-        raise GridTooCoarse("need at least three points for second differences")
-    t = curve[:, 0]
+    if curve.ndim != 2 or curve.shape[1] != 2:
+        raise GridTooCoarse(f"a curve is an (m, 2) array of (t, f) rows, got shape {curve.shape}")
+    if curve.shape[0] < 3:
+        raise GridTooCoarse(f"need at least three points for second differences, got {curve.shape[0]}")
+    t, f = curve.T
     steps = np.diff(t)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
+    if not np.all(np.isfinite(t)):
+        raise GridTooCoarse("second differences need finite times")
+    if not steps.min() > 0.0:
+        raise GridTooCoarse("second differences need increasing times")
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
         raise GridTooCoarse("second differences require a uniform grid")
-    f = curve[:, 1]
     d2 = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / steps[0] ** 2
     return np.column_stack([t[1:-1], d2])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, EmptyRange, OutOfDomain, TabulationGap, count_text
+from .errors import BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap, count_text
 
 _T_SLACK = 1e-12
 
@@ -46,6 +46,18 @@ def _integral(name, value):
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise BadParameter(f"{name} must be an integer, got {count_text(value)}")
     return int(value)
+
+
+def _window(s, u):
+    """The window [s, u] as floats, 0 <= s < u <= 1: an end that is not a real number (a
+    bool included) is a BadParameter naming it, any other window a BadWindow quoting both
+    ends (a NaN or infinite end, or an int past the float range, among them)."""
+    for name, end in (("s", s), ("u", u)):
+        if not isinstance(end, numbers.Real) or isinstance(end, bool):
+            raise BadParameter(f"{name} must be a finite real number, got {count_text(end)}")
+    if not 0 <= s < u <= 1:
+        raise BadWindow(f"need 0 <= s < u <= 1, got [{count_text(s)}, {count_text(u)}]")
+    return float(s), float(u)
 
 
 def _finite_array(name, values):
@@ -108,13 +120,6 @@ class _RateModel:
 
     def to_dict(self):
         return {"family": self.family, "params": self._params(), "state_floor": self.state_floor}
-
-
-def _validate_window(t_window):
-    s, u = float(t_window[0]), float(t_window[1])
-    if not (-_T_SLACK <= s < u <= 1.0 + _T_SLACK):
-        raise OutOfDomain(f"bad time window [{s}, {u}]")
-    return s, u
 
 
 def _validate_zrange(z_range, floor):
@@ -192,7 +197,7 @@ class ExpAffine(_RateModel):
         return float(out) if out.ndim == 0 else out
 
     def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
-        s, u = _validate_window(t_window)
+        s, u = _window(t_window[0], t_window[1])
         if z_range is not None:
             _validate_zrange(z_range, self.state_floor)
         return CharacteristicBounds(*sorted(self._ends(s, u)))
@@ -433,7 +438,7 @@ class Tabulated(_RateModel):
         their ratios reach past the values at piece ends by more than
         BOUNDS_TOL and their rounding margin; the bounds then move out by it.
         """
-        s, u = _validate_window(t_window)
+        s, u = _window(t_window[0], t_window[1])
         zlo, zhi = _validate_zrange((self.z_min, self.z_max - 1) if z_range is None else z_range,
                                     self.state_floor)
         x = self.t_grid

@@ -7,7 +7,8 @@ Each check turns one proved statement into a numerical verdict:
 * ``dominance_check``     - a bound lam on the characteristic bounds every
                             marginal tail by the matching binomial tail;
 * ``mean_bound_check``    - the tail bound summed over the ladder: the mean
-                            curve stays below the tilted-profile line;
+                            curve stays below the tilted-profile line, both
+                            read from x, as E[X_t] - x and n phi(t);
 * ``duality_check``       - the integration-by-parts identity tying the jump
                             time derivative of a test functional to a
                             stochastic integral of the characteristic;
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound, tilted_cdf,
-                       tilted_cdf_window)
+from .analytic import binomial_rows, binomial_tail, clock_cdf, tilted_cdf, tilted_cdf_window
 from .engine import (OUTPUT_STEP, STEP_BUDGET, BridgeSpec, MarginalTable, check_memory,
-                     marginal_table, mean_curve, output_times, second_differences, solve_h)
+                     marginal_table, output_times, second_differences, solve_h)
 from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples, count_text
 from .intensity import ExpAffine, _integral
 from .sampler import jump_time_matrix, sample_bridge, sample_constant
@@ -53,10 +53,11 @@ class BridgeLaw:
     ``times`` (:func:`~countbridge.engine.output_times`), formed first, so every route
     refuses the steps the grid refuses.  An ``ExpAffine`` bridge is exactly binomial
     (:func:`~countbridge.analytic.clock_cdf`): its table is the Binomial(n, p(t)) pmf
-    on that grid, pinned at both ends, with means x + n p(t), which :meth:`mean_curve`
-    gives without the pmf, and its paths come from :func:`sample_constant`.  Any other
-    model's come from one h-field, solved on first use at ``step_budget``.  Each route
-    refuses a bridge that starts below the model's state floor when it is first read."""
+    on that grid, pinned at both ends, with offsets E[X_t] - x = n p(t), which
+    :meth:`_offset_curve` reads without the pmf, and its paths come from
+    :func:`sample_constant`.  Any other model's come from one h-field, solved on first
+    use at ``step_budget``.  Each route refuses a bridge that starts below the model's
+    state floor when it is first read."""
 
     def __init__(self, model, spec, h_step=OUTPUT_STEP, step_budget=STEP_BUDGET):
         self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
@@ -82,19 +83,14 @@ class BridgeLaw:
         # the rows and the five (times x states) temporaries of their log pmf
         p = self._clock(48 * (spec.n + 1),
                         f"a table of {self.times.size} times x {count_text(spec.n + 1)} states")
-        return MarginalTable(spec, self.times, binomial_rows(spec.n, p), 0.0,
-                             spec.x + spec.n * p).validate()
+        return MarginalTable(spec, self.times, binomial_rows(spec.n, p), 0.0, spec.n * p).validate()
 
     def _offset_curve(self):
-        """(t, E[X_t] - x) rows, x left out so that their differences do not carry its
-        rounding: an ``ExpAffine`` law's n p(t), without the pmf; any other's table's."""
+        """(t, E[X_t] - x) rows, x left out so that they do not carry its rounding: an
+        ``ExpAffine`` law's n p(t), without the pmf; any other's table's offsets."""
         offset = (self.spec.n * self._clock(96, f"a mean curve of {self.times.size} times")
-                  if self.exact else self.table().probs @ np.arange(self.spec.n + 1.0))
+                  if self.exact else self.table().offsets)
         return np.column_stack([self.times, offset])
-
-    def mean_curve(self):
-        """(t, E[X_t]) rows: x added to :meth:`_offset_curve`'s."""
-        return self._offset_curve() + [0, self.spec.x]
 
     def paths(self, count, seed):
         if self.exact:
@@ -195,9 +191,12 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, *, table):
     below -tol.  Running with a lam that is not a true bound is allowed and
     simply fails, which is what makes the check falsifiable.  A bridge with no
     jump reads no characteristic: its state range is empty, so the bound holds.
+    Another bridge's table raises BadParameter.
     """
     if direction not in ("lower", "upper"):
         raise BadParameter("direction must be 'lower' or 'upper'")
+    if table.spec != spec:
+        raise BadParameter("the table is of a different bridge")
     n, hypothesis_holds = spec.n, True
     if n:
         bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
@@ -222,7 +221,7 @@ def dominance_check(model, spec, lam, direction="lower", tol=1e-6, *, table):
 class MeanBoundReport:
     spec: BridgeSpec
     lam_used: float
-    worst_margin: float         # min over the grid of bound - mean
+    worst_margin: float         # min over the grid of bound - mean, both seen from x
     passed: bool
     tol: float
     rows: np.ndarray = field(repr=False)    # (T, 3): t, mean, bound
@@ -239,14 +238,18 @@ class MeanBoundReport:
 
 
 def mean_bound_check(model, spec, lam, tol=1e-6, table=None):
-    """Check the mean curve against the tilted-profile upper bound at every output time."""
+    """Check the mean curve against the tilted-profile upper bound at every output time,
+    both read from x: a margin is n phi(t), phi the window's tilted CDF at lam, less the
+    table's offset E[X_t] - x, so none carries the rounding of x.  The table is the
+    engine's unless given; another bridge's raises BadParameter."""
     if table is None:
         table = marginal_table(model, spec)
-    ts, means = mean_curve(table).T
-    bound = np.asarray(mean_upper_bound(spec, lam, ts), dtype=float)
-    margins = bound - means
+    elif table.spec != spec:
+        raise BadParameter("the table is of a different bridge")
+    bound = spec.n * tilted_cdf_window(lam, spec.s, spec.u, table.times)
+    margins = bound - table.offsets
     worst = float(np.min(margins)) if margins.size else 0.0
-    rows = np.column_stack([ts, means, bound])
+    rows = np.column_stack([table.times, spec.x + table.offsets, spec.x + bound])
     return MeanBoundReport(spec, float(lam), worst, worst >= -tol, tol, rows)
 
 

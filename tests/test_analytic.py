@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from countbridge.analytic import (binomial_rows, binomial_tail, clock_cdf, mean_upper_bound,
-                                  tilted_cdf, tilted_cdf_window, tilted_quantile)
+from countbridge.analytic import (binomial_rows, binomial_tail, clock_cdf, tilted_cdf,
+                                  tilted_cdf_window, tilted_quantile)
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadWindow, IndexOut, OutOfDomain
 from countbridge.intensity import ExpAffine, Poisson
+from countbridge.verify import BridgeLaw, mean_bound_check
 from oracles import (Product, SpaceLinear, TimeExponential, binom, exp_affine_cdf,
                      time_only_cdf)
 
@@ -103,9 +104,10 @@ def test_tilted_quantile_refuses_a_tilt_it_cannot_represent(lam, match):
     (lambda: tilted_quantile(-10 ** 400, 0.5), OutOfDomain, "must be finite, got -1.00e+400"),
     (lambda: tilted_cdf_window(10 ** 400, 0.0, 1.0, 0.5), OutOfDomain,
      "must be finite, got 1.00e+400"),
-    (lambda: tilted_cdf_window(1.0, 0, 10 ** 400, 0.5), BadWindow, "bad window [0, 1.00e+400]"),
+    (lambda: tilted_cdf_window(1.0, 0, 10 ** 400, 0.5), BadWindow,
+     "need 0 <= s < u <= 1, got [0, 1.00e+400]"),
     (lambda: tilted_cdf_window(1.0, -10 ** 400, 1.0, 0.5), BadWindow,
-     "bad window [-1.00e+400, 1.0]"),
+     "need 0 <= s < u <= 1, got [-1.00e+400, 1.0]"),
 ], ids=["cdf-tilt", "quantile-tilt", "window-tilt", "window-end", "window-start"])
 def test_an_int_past_the_float_range_is_refused_with_its_value(call, error, message):
     # a tilt or a window end that no float holds is refused with the typed error its
@@ -210,12 +212,19 @@ def test_constant_characteristic_marginal():
 
 
 def test_mean_upper_bound():
+    # the mean-bound check's bound, x + n times the tilted CDF of the window, at its
+    # table's times
+    def bound(spec, lam, t):
+        table = BridgeLaw(Poisson(1.0), spec, 1e-2).table()
+        rows = mean_bound_check(Poisson(1.0), spec, lam, table=table).rows
+        return rows[np.argmin(np.abs(rows[:, 0] - t)), 2]
+
     spec = BridgeSpec(0, 20)
-    assert mean_upper_bound(spec, 0.0, 0.3) == pytest.approx(6.0, abs=1e-12)
-    assert mean_upper_bound(spec, 3.0, 0.5) == pytest.approx(20 * PI3_HALF, rel=1e-10)
-    assert mean_upper_bound(spec, -4.0, 1.0) == pytest.approx(20.0, abs=1e-12)
+    assert bound(spec, 0.0, 0.3) == pytest.approx(6.0, abs=1e-12)
+    assert bound(spec, 3.0, 0.5) == pytest.approx(20 * PI3_HALF, rel=1e-10)
+    assert bound(spec, -4.0, 1.0) == pytest.approx(20.0, abs=1e-12)
     shifted = BridgeSpec(2, 7, 0.25, 0.75)
-    assert mean_upper_bound(shifted, 2.0, 0.5) == pytest.approx(
+    assert bound(shifted, 2.0, 0.5) == pytest.approx(
         2 + 5 * math.expm1(0.5) / math.expm1(1.0), rel=1e-12)
 
 

@@ -17,9 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from countbridge import cli, engine, verify
-from countbridge.analytic import binomial_tail, mean_upper_bound
-from countbridge.engine import (BridgeSpec, marginal_table, mean_curve, second_differences,
-                                solve_h)
+from countbridge.analytic import binomial_tail, tilted_cdf_window
+from countbridge.engine import BridgeSpec, marginal_table, second_differences, solve_h
 from countbridge.errors import BadParameter, CountBridgeError, OutOfDomain
 from countbridge.intensity import (ExpAffine, Tabulated, constant_characteristic_model,
                                    model_from_dict)
@@ -815,8 +814,9 @@ def test_marginals_csv_is_printed_cell_by_cell(tmp_path, monkeypatch):
 ], ids=["model", "model-bound", "tilts-bound", "tabulated-bound"])
 def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, monkeypatch, args, curves):
     # blank second differences in the end rows; 1001 rows of width 1 span four
-    # blocks of BLOCK_CELLS rows.  An exp_affine curve is x + n p(t) on the
-    # binomial table, a tabulated one the engine table's rows times the ladder.
+    # blocks of BLOCK_CELLS rows.  The mean is x plus the table's offsets: n p(t) on
+    # an exp_affine bridge's binomial table, the engine table's rows times 0..n on a
+    # tabulated one; its second differences are the offsets'; the bound x + n phi(t).
     monkeypatch.setattr(cli, "BLOCK_CELLS", 300)
     models = {"PRODUCT": PRODUCT, "TABULATED": TABULATED}
     args = [write_model(tmp_path, models[a]) if a in models else a for a in args]
@@ -826,10 +826,11 @@ def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, monkeypatch, args, cur
     for name, (model, lam) in curves.items():
         table = (marginal_table(model, spec, 1e-3) if isinstance(model, Tabulated)
                  else BridgeLaw(model, spec).table())
-        curve = mean_curve(table)
+        curve = np.column_stack([table.times, table.offsets])
         d2 = [None] + list(second_differences(curve)[:, 1]) + [None]
-        bound = None if lam is None else mean_upper_bound(spec, lam, curve[:, 0])
-        rows = [[t, m, d2[k]] + ([] if bound is None else [bound[k]])
+        bound = (None if lam is None
+                 else spec.x + spec.n * tilted_cdf_window(lam, spec.s, spec.u, table.times))
+        rows = [[t, spec.x + m, d2[k]] + ([] if bound is None else [bound[k]])
                 for k, (t, m) in enumerate(curve)]
         header = ["t", "mean", "second_diff"] + ([] if lam is None else ["bound"])
         assert (out / name).read_text() == cells_csv(header, rows)

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countbridge import cli, verify
-from countbridge.analytic import (clock_cdf, clock_quantile, mean_upper_bound, tilted_cdf,
-                                  tilted_cdf_window, tilted_quantile)
+from countbridge.analytic import (clock_cdf, clock_quantile, tilted_cdf, tilted_cdf_window,
+                                  tilted_quantile)
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadParameter, OutOfDomain
 from countbridge.intensity import ExpAffine, constant_characteristic_model
@@ -195,8 +195,8 @@ def test_clock_cdf_next_to_u_is_the_decimal_law(model, spec):
     lambda: tilted_cdf(1.0, math.nan),
     lambda: tilted_cdf_window(1.0, 0.0, 1.0, [0.5, math.nan]),
     lambda: clock_cdf(ExpAffine(1.0, 1.0, 2.0), BridgeSpec(0, 3), [0.5, math.nan]),
-    lambda: mean_upper_bound(BridgeSpec(0, 3), 1.0, math.nan),
-], ids=["tilted-cdf", "tilted-cdf-window", "clock-cdf", "mean-upper-bound"])
+    lambda: tilted_cdf_window(1.0, 0.0, 1.0, math.nan),
+], ids=["tilted-cdf", "tilted-cdf-window", "clock-cdf", "tilted-cdf-window-scalar"])
 def test_a_nan_time_is_refused_by_name(call):
     # the window check that every tilted profile shares; these returned nan
     with pytest.raises(BadParameter, match="time is NaN at 1 of"):

@@ -14,7 +14,7 @@ from scipy.stats import binom, linregress
 from countbridge import engine
 from countbridge.analytic import binomial_rows, tilted_cdf, tilted_cdf_window
 from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
-                                marginal_table_two_sided, mean_curve, second_differences,
+                                marginal_table_two_sided, second_differences,
                                 solve_h)
 from countbridge.errors import (BadParameter, BadStep, BadWindow, ConservationLoss,
                                 GridTooCoarse, ResourceCap, Underflow)
@@ -150,10 +150,11 @@ def test_poisson_time_reversal_symmetry():
 
 
 def test_mean_curve_endpoints_and_line():
+    # the table's means seen from x, E[X_t] - x: its rows times 0..n
     tab = marginal_table(Poisson(2.0), BridgeSpec(0, 20), 1e-3)
-    curve = mean_curve(tab)
-    assert curve[0, 1] == 0.0 and curve[-1, 1] == 20.0
-    assert np.max(np.abs(curve[:, 1] - 20.0 * curve[:, 0])) <= 1e-6
+    assert tab.offsets[0] == 0.0 and tab.offsets[-1] == 20.0
+    assert np.max(np.abs(tab.offsets - 20.0 * tab.times)) <= 1e-6
+    assert np.array_equal(tab.offsets, tab.probs @ np.arange(21.0))
 
 
 def test_empty_bridge():
@@ -164,7 +165,7 @@ def test_empty_bridge():
     assert np.all(_pinned_grid(h) == 0.0)
     tab = marginal_table(Poisson(1.5), spec, 1e-3)
     assert np.all(tab.probs == 1.0)
-    assert mean_curve(tab)[:, 1] == pytest.approx(3.0)
+    assert np.all(tab.offsets == 0.0)
 
 
 def test_second_differences():
@@ -184,6 +185,23 @@ def test_second_differences():
         second_differences(line[:2])
     with pytest.raises(GridTooCoarse):
         second_differences(np.column_stack([np.array([0.0, 0.1, 0.5]), np.zeros(3)]))
+
+
+@pytest.mark.parametrize("curve, message", [
+    (np.zeros((5, 1)), r"an \(m, 2\) array of \(t, f\) rows, got shape \(5, 1\)"),
+    (np.linspace(0.0, 1.0, 10), r"an \(m, 2\) array of \(t, f\) rows, got shape \(10,\)"),
+    (np.zeros((2, 2)), "need at least three points for second differences, got 2"),
+    (np.column_stack([np.full(3, 0.5), np.arange(3.0)]), "need increasing times"),
+    (np.column_stack([[0.0, 0.5, 0.25], np.arange(3.0)]), "need increasing times"),
+    (np.column_stack([[0.0, math.nan, 1.0], np.arange(3.0)]), "need finite times"),
+    (np.column_stack([[-math.inf, 0.0, math.inf], np.arange(3.0)]), "need finite times"),
+], ids=["one-column", "one-dimensional", "two-rows", "equal-times", "decreasing-time",
+        "nan-time", "infinite-times"])
+def test_second_differences_refuse_what_they_cannot_difference(curve, message):
+    # each once a bare IndexError, a count of a 1-D array's points, a RuntimeWarning
+    # and nan, or nan rows
+    with pytest.raises(GridTooCoarse, match=message):
+        second_differences(curve)
 
 
 def test_bad_step_errors():
@@ -427,7 +445,7 @@ def test_mean_curvature_is_the_mean_of_k_times_the_characteristic(model, spec):
     # the mean curve carry an O(step^2) truncation error.
     h = solve_h(model, spec, 1e-3, step_budget=0.005)
     table = marginal_table(model, spec, 1e-3, h=h)
-    d2 = second_differences(mean_curve(table))[:, 1]
+    d2 = second_differences(np.column_stack([table.times, table.offsets]))[:, 1]
     k = _pinned_grid(h)[h.mesh.out_node_idx[1:]]
     char = model.characteristic(table.times[1:-1, None], spec.ladder()[None, :])
     want = np.sum(table.probs[1:-1] * k * char, axis=1)

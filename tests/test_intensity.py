@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
-from countbridge.errors import BadParameter, EmptyRange, OutOfDomain, TabulationGap
+from countbridge.errors import BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap
 from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Tabulated,
                                    constant_characteristic_model, model_from_dict)
 from oracles import Product, SpaceLinear, TimeExponential, generic_characteristic
@@ -591,7 +591,7 @@ def test_characteristic_bounds_of_large_rates_stop_at_their_rounding_margin():
 @pytest.mark.parametrize("window, states, error, message", [
     ((0.3, 0.6), (3, 2), EmptyRange, "empty state range"),
     ((0.3, 0.6), (1, 3), OutOfDomain, "below floor 2"),
-    ((0.6, 0.3), (2, 3), OutOfDomain, "bad time window"),
+    ((0.6, 0.3), (2, 3), BadWindow, r"need 0 <= s < u <= 1, got \[0.6, 0.3\]"),
     ((0.3, 0.6), (2, 4), TabulationGap, r"state outside tabulated range \[2, 4\]"),
     ((0.1, 0.6), (2, 3), TabulationGap, "tabulated hull"),
 ], ids=["empty-range", "below-floor", "bad-window", "past-z-max", "outside-hull"])

@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from countbridge import verify
-from countbridge.analytic import binomial_tail, clock_cdf, tilted_cdf
-from countbridge.engine import BridgeSpec, marginal_table, mean_curve, solve_h
+from countbridge.analytic import binomial_tail, clock_cdf, tilted_cdf, tilted_cdf_window
+from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import BadParameter, DegenerateVariance, OutOfDomain, ResourceCap
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import PathBatch, jump_time_matrix, sample_bridge, sample_constant
@@ -213,6 +213,31 @@ def test_mean_bound_checks():
     # endpoints are shared exactly by curve and bound
     assert strict.rows[0][1] == strict.rows[0][2] == 0.0
     assert strict.rows[-1][1] == pytest.approx(20.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("check", [
+    lambda model, spec, table: mean_bound_check(model, spec, 1.0, table=table),
+    lambda model, spec, table: dominance_check(model, spec, 1.0, table=table),
+], ids=["mean-bound", "dominance"])
+@pytest.mark.parametrize("spec", [BridgeSpec(0, 5), BridgeSpec(1, 21), BridgeSpec(0, 20, 0.0, 0.5)],
+                         ids=["fewer-jumps", "shifted", "other-window"])
+def test_a_check_refuses_another_bridges_table(check, spec):
+    # given the table of 0 -> 20, mean-bound read 0 -> 5 as a margin of -15 and
+    # dominance ended in a bare numpy shape error
+    model = constant_characteristic_model(1.0)
+    table = BridgeLaw(model, BridgeSpec(0, 20), 1e-2).table()
+    with pytest.raises(BadParameter, match="the table is of a different bridge"):
+        check(model, spec, table)
+
+
+def test_mean_bound_rows_add_x_to_both_sides_of_its_margins():
+    # the margins are n phi(t) less the offsets E[X_t] - x; the rows read them from 0
+    model, spec = Product(1.0, 3.0, 0.1), BridgeSpec(7, 27, 0.1, 0.8)
+    table = marginal_table(model, spec, 1e-3)
+    rep = mean_bound_check(model, spec, 3.0, table=table)
+    bound = 20 * tilted_cdf_window(3.0, 0.1, 0.8, table.times)
+    assert np.array_equal(rep.rows, np.column_stack([table.times, 7 + table.offsets, 7 + bound]))
+    assert rep.worst_margin == np.min(bound - table.offsets)
 
 
 def test_window_function_validation():
@@ -481,21 +506,21 @@ def test_report_serialization():
 ], ids=["product", "window", "steep", "tilt-minus-5", "no-jumps"])
 def test_an_exp_affine_table_is_its_binomial_law(model, spec):
     # the table and mean curve of every exp_affine bridge come from its closed form:
-    # within 1e-12 of the oracle's binomial pmf, mean x + n p(t), pinned at both
-    # ends, with no h-field solved
+    # within 1e-12 of the oracle's binomial pmf, mean seen from x n p(t), pinned at
+    # both ends, with no h-field solved
     law = BridgeLaw(model, spec, 1e-2)
     table = law.table()
     assert "h" not in vars(law)
     assert np.array_equal(table.times, np.linspace(spec.s, spec.u, round(spec.length / 1e-2) + 1))
     assert np.max(np.abs(table.probs - exp_affine_marginals(model, spec, table.times))) <= 1e-12
     p = exp_affine_cdf(model, spec, table.times)
-    means = mean_curve(table)[:, 1]
-    assert np.max(np.abs(means - (spec.x + spec.n * p))) <= 1e-12 * max(1, spec.n)
-    # the mean is x + n p(t) itself, not the rows times the ladder
+    offsets = table.offsets
+    assert np.max(np.abs(offsets - spec.n * p)) <= 1e-12 * max(1, spec.n)
+    # the offset is n p(t) itself, not the rows times 0..n
     p = clock_cdf(model, spec, table.times)
     p[0], p[-1] = 0.0, 1.0
-    assert np.array_equal(means, spec.x + spec.n * p)
-    assert means[0] == spec.x and means[-1] == spec.y
+    assert np.array_equal(offsets, spec.n * p)
+    assert offsets[0] == 0.0 and offsets[-1] == spec.n
     assert table.probs[0, 0] == 1.0 and table.probs[-1, -1] == 1.0
 
 
@@ -511,17 +536,18 @@ def test_an_exp_affine_table_is_its_binomial_law(model, spec):
 ], ids=[f"tilt{lam}" for lam in range(-8, 9)] + ["product", "product-late-window",
                                                    "floor-minus-1", "no-jumps", "tabulated"])
 def test_a_laws_mean_curve_is_its_tables_bit_for_bit(model, spec, step):
-    # an ExpAffine law forms x + n p(t) without its pmf: the same bits as its table's
+    # an ExpAffine law forms n p(t) without its pmf: the same bits as its table's offsets
     law = BridgeLaw(model, spec, step)
-    curve = law.mean_curve()
+    curve = law._offset_curve()
     assert ("h" in vars(law)) != law.exact
-    assert np.array_equal(curve, mean_curve(law.table()))
+    table = law.table()
+    assert np.array_equal(curve, np.column_stack([table.times, table.offsets]))
 
 
 def test_a_law_refuses_a_state_below_the_model_floor():
     # the law only chooses the route; the exact clock refuses the bridge wherever it is read
     law = BridgeLaw(ExpAffine(1.0, 1.0, 0.5, state_floor=2), BridgeSpec(0, 4))
-    for read in (law.table, law.mean_curve, lambda: law.paths(2, 1)):
+    for read in (law.table, law._offset_curve, lambda: law.paths(2, 1)):
         with pytest.raises(OutOfDomain, match="state below floor 2"):
             read()
 
