@@ -12,11 +12,6 @@ checks.
 
 __version__ = "0.1.0"
 
-from .analytic import binomial_tail, tilted_cdf, tilted_cdf_window
-from .engine import (BridgeSpec, HField, MarginalTable, marginal_table,
-                     marginal_table_two_sided, second_differences, solve_h)
-from .intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model, model_from_dict
-from .sampler import PathBatch, PathSample, jump_time_matrix, sample_bridge, sample_constant
-from .verify import (BoundReport, ConvexityReport, DualityResult, LLNReport, TestFunctional,
-                     WindowFunction, convexity_check, dominance_check, duality_catalog,
-                     duality_check, lln_experiment, mean_bound_check)
+# Every function and class is imported from its module.  perfbench/test_spans.py reads
+# solve_h through the root; it goes once the benchmark no longer does (ROADMAP item 22).
+from .engine import solve_h  # noqa: F401

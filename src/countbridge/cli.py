@@ -36,7 +36,6 @@ from .analytic import tilted_cdf_window
 from .engine import OUTPUT_STEP, BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
 from .errors import BadOption, BadParameter, BadStep, CountBridgeError, count_text
 from .intensity import constant_characteristic_model, model_from_dict
-from .sampler import jump_time_matrix
 from .verify import (BridgeLaw, convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
 
@@ -375,7 +374,7 @@ def _run_sample(options, model):
     spec = _spec(options)
     seed, count = options["seed"], options["replicas"]
     law = BridgeLaw(model, spec, options["step"])
-    all_times = jump_time_matrix(law.paths(count, seed))
+    all_times = law.paths(count, seed).times
     sampler = "exact-tilted-order-statistics" if law.exact else "h-transform-inversion"
     # one line per jump, replica-major: none, so no replica labels, without jumps
     rows = all_times if spec.n else all_times[:0]

@@ -244,8 +244,6 @@ class _Mesh:
         ext = np.array([u - d1 * (d0 / d1) ** (i / n_ext) for i in range(1, n_ext + 1)])
         self.times = np.concatenate([seg_a, ext[np.diff(ext, prepend=-np.inf) > 0], [u]])
         self.n_fwd_nodes = seg_a.size
-        # storage index of each output edge except u (edge k sits at 2 * fb-index)
-        self.out_node_idx = 2 * self.out_fb_idx
         self._place_windows(cuts)
         check_memory(8 * int((self.h_hi - self.h_lo + 1).sum()),
                      f"a bridge of {count_text(spec.n)} jumps, with log h on the windows of its"
@@ -692,8 +690,8 @@ def marginal_table_two_sided(model, spec, h_step=OUTPUT_STEP, h=None):
     mesh = h.mesh
     log_p = _forward(mesh, h.model.rate_columns(mesh.times[:mesh.n_fwd_nodes], spec.ladder(),
                                                 *mesh.fwd_rows))
-    # log h is added at the output nodes inside each state's window; h is 0 outside
-    out, band = mesh.out_node_idx, h.logh
+    # log h is added at the output nodes (2 * fb-index) in each state's window; h is 0 outside
+    out, band = 2 * mesh.out_fb_idx, h.logh
     k0, k1 = np.searchsorted(out, mesh.h_lo), np.searchsorted(out, mesh.h_hi + 1)
     for zi, (a, b, start) in enumerate(zip(k0.tolist(), k1.tolist(), band.start.tolist())):
         log_p[:a, zi] = log_p[b:, zi] = -np.inf

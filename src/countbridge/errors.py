@@ -1,9 +1,14 @@
 """Exception types shared across the library, and the one way a refusal quotes a value."""
 
+import numpy as np
+
 
 def count_text(value):
     """A caller's value as a refusal quotes it: its repr, but an int of a million or more
-    as ``format(value, ".3g")`` prints it (past the float range, its Decimal)."""
+    as ``format(value, ".3g")`` prints it (past the float range, its Decimal); a numpy
+    scalar is quoted as its Python value."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if not isinstance(value, int) or abs(value) < 10 ** 6:
         return repr(value)
     if abs(value) > 2 ** 1000:

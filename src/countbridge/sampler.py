@@ -70,11 +70,6 @@ class PathBatch(Sequence):
         return PathSample(self.x0, tuple(self.times[operator.index(index)].tolist()))
 
 
-def jump_time_matrix(paths):
-    """The read-only (count, n) jump-time matrix of a batch, not copied."""
-    return paths.times
-
-
 def seeded_rng(seed):
     """The one counter-based Philox stream of a seeded sampler call."""
     return np.random.Generator(np.random.Philox(key=(_integral("seed", seed) & _U64) << 64))

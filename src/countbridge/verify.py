@@ -32,7 +32,7 @@ from .engine import (OUTPUT_STEP, STEP_BUDGET, BridgeSpec, MarginalTable, check_
                      marginal_table, output_times, second_differences, solve_h)
 from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples, count_text
 from .intensity import ExpAffine, _integral
-from .sampler import jump_time_matrix, sample_bridge, sample_constant
+from .sampler import sample_bridge, sample_constant
 
 # The convexity check takes second differences on about INSPECT_POINTS points of
 # the mean curve; the dominance check compares tails at the output nodes nearest
@@ -307,11 +307,11 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
 
     Estimates E[-sum_j dphi/dt_j * u(T_j)] and
     E[phi * sum_i (du(T_i) + char(T_i, X_{T_i-}) u(T_i))] on the same bridge
-    paths and reports both with standard errors plus the z-score of their
-    paired difference (the estimators are correlated by construction, so the
-    difference is what carries the test).  The direction is moved onto the
-    bridge's window [s, u]: u and du are read at (T - s) / (u - s), and du is
-    divided by u - s.  Fewer than two paths give no
+    paths (``paths``, or ``count`` drawn by ``BridgeLaw(model, spec)`` from ``rng_seed``)
+    and reports both with standard errors plus the z-score of their paired difference
+    (the estimators are correlated by construction, so the difference is what carries
+    the test).  The direction is moved onto the bridge's window [s, u]: u and du are read
+    at (T - s) / (u - s), and du is divided by u - s.  Fewer than two paths give no
     standard error, so they raise TooFewSamples instead of a z-score of 0,
     and paths of other than n jumps raise BadParameter.  The characteristic, u
     and du are read on blocks of jump-time columns, at most DUALITY_BLOCK cells
@@ -322,11 +322,11 @@ def duality_check(model, spec, u_func, phi, count, rng_seed, paths=None):
     if phi.m > n:
         raise BadParameter(f"phi looks at {phi.m} jump times but the bridge has {n}")
     if paths is None:
-        paths = sample_bridge(model, spec, solve_h(model, spec), count, rng_seed)
+        paths = BridgeLaw(model, spec).paths(count, rng_seed)
     count = len(paths)
     if count < 2:
         raise TooFewSamples(f"the duality check needs at least two paths, got {count}")
-    times = jump_time_matrix(paths)
+    times = paths.times
     if times.shape[1] != n:
         raise BadParameter(f"the paths have {times.shape[1]} jumps but the bridge has {n}")
     if n == 0:
@@ -485,7 +485,7 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=OUTPUT_STEP)
     for k, big_n in enumerate(n_values):
         seed_k = (rng_seed + 0x9E3779B97F4A7C15 * (k + 1)) & ((1 << 63) - 1)
         law = BridgeLaw(model, BridgeSpec(0, big_n), h_step)
-        sup = _sup_distance(jump_time_matrix(law.paths(replicas, seed_k)), lam)
+        sup = _sup_distance(law.paths(replicas, seed_k).times, lam)
         medians.append(float(np.quantile(sup, 0.5)))
         q90s.append(float(np.quantile(sup, 0.9)))
     scaled = [math.sqrt(big_n) * med for big_n, med in zip(n_values, medians)]

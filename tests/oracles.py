@@ -24,7 +24,7 @@ from scipy.stats import binom
 from countbridge.analytic import binomial_tail, tilted_cdf_window
 from countbridge.errors import CountBridgeError, DegenerateVariance, IndexOut, NotSorted
 from countbridge.intensity import CharacteristicBounds, ExpAffine
-from countbridge.sampler import PathBatch, jump_time_matrix, seeded_rng
+from countbridge.sampler import PathBatch, seeded_rng
 from countbridge.verify import DOMINANCE_TIMES, BoundReport, DualityResult
 
 
@@ -427,7 +427,7 @@ def duality_per_column(model, spec, u_func, phi, paths):
     blocked check must return every field of this result exactly."""
     n = spec.n
     count = len(paths)
-    times = jump_time_matrix(paths)
+    times = paths.times
 
     tm = times[:, : phi.m]
     vals = np.asarray(phi.value(spec.x, tm), dtype=float)

@@ -17,7 +17,7 @@ from scipy.stats import binom, ks_2samp
 from countbridge.analytic import tilted_cdf
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.intensity import Poisson, constant_characteristic_model
-from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
+from countbridge.sampler import sample_bridge, sample_constant
 from countbridge.verify import (convexity_check, dominance_check, duality_catalog,
                                 duality_check, lln_experiment, mean_bound_check)
 from oracles import (Product, SpaceLinear, characteristic_integrals, grid_index,
@@ -148,7 +148,7 @@ def test_criterion_7_duality():
 def test_criterion_8_sampler_vs_analytic():
     spec = BridgeSpec(0, 5)
     count = 100000
-    T = jump_time_matrix(sample_constant(constant_characteristic_model(3.0), spec, count, 20240101))
+    T = sample_constant(constant_characteristic_model(3.0), spec, count, 20240101).times
     p = tilted_cdf(3.0, 0.5)
     exact = 1.0 - (1.0 - p) ** 5
     emp = float(np.mean(T[:, 0] <= 0.5))
@@ -157,8 +157,8 @@ def test_criterion_8_sampler_vs_analytic():
 
     model = SpaceLinear(3.0, 1.0)
     h = solve_h(model, spec, 1e-3)
-    tb = jump_time_matrix(sample_bridge(model, spec, h, 10000, 555))
-    tc = jump_time_matrix(sample_constant(constant_characteristic_model(3.0), spec, 10000, 556))
+    tb = sample_bridge(model, spec, h, 10000, 555).times
+    tc = sample_constant(constant_characteristic_model(3.0), spec, 10000, 556).times
     crit = 1.6276 * math.sqrt(2.0 / 10000)
     worst_ks = 0.0
     for i in range(5):

@@ -103,11 +103,12 @@ _MODELS = [ExpAffine(1.0, 1.0, 0.5), Tabulated([0.0, 1.0], 0, np.ones((2, 3)))]
     (0, 10 ** 400, BadWindow, "need 0 <= s < u <= 1, got [0, 1.00e+400]"),
     (-10 ** 400, 1.0, BadWindow, "need 0 <= s < u <= 1, got [-1.00e+400, 1.0]"),
     (0.6, 0.3, BadWindow, "need 0 <= s < u <= 1, got [0.6, 0.3]"),
+    (np.float64(0.6), np.float64(0.3), BadWindow, "need 0 <= s < u <= 1, got [0.6, 0.3]"),
     (0.5, 0.5, BadWindow, "need 0 <= s < u <= 1, got [0.5, 0.5]"),
     (-1e-13, 1.0, BadWindow, "need 0 <= s < u <= 1, got [-1e-13, 1.0]"),
     (0.0, 1.0 + 1e-13, BadWindow, "need 0 <= s < u <= 1, got [0.0, 1.0000000000001]"),
 ], ids=["bool", "string", "none", "nan", "infinite", "int-past-floats", "int-below-floats",
-        "reversed", "empty", "below-0", "past-1"])
+        "reversed", "numpy-reversed", "empty", "below-0", "past-1"])
 def test_every_window_is_read_by_one_rule(read, s, u, error, message):
     # an end that is no real number is named; any other window outside 0 <= s < u <= 1
     # quotes both ends.  The characteristic bounds once raised OutOfDomain for a

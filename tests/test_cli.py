@@ -22,7 +22,7 @@ from countbridge.engine import BridgeSpec, marginal_table, second_differences, s
 from countbridge.errors import BadParameter, CountBridgeError, OutOfDomain
 from countbridge.intensity import (ExpAffine, Tabulated, constant_characteristic_model,
                                    model_from_dict)
-from countbridge.sampler import jump_time_matrix, sample_bridge, sample_constant
+from countbridge.sampler import sample_bridge, sample_constant
 from countbridge.verify import BridgeLaw
 
 # the CLI numerics meet the suite's rule: a RuntimeWarning is an error
@@ -130,18 +130,16 @@ def test_sample_writes_the_sampler_matrix(tmp_path, sampler):
     # inversion on its h-field
     if sampler == "constant":
         args = ["--lambda", "2.5", "--y", "7", "--replicas", "3", "--seed", "99"]
-        times = jump_time_matrix(sample_constant(constant_characteristic_model(2.5),
-                                                 BridgeSpec(0, 7), 3, 99))
+        times = sample_constant(constant_characteristic_model(2.5), BridgeSpec(0, 7), 3, 99).times
     elif sampler == "model":
         args = ["--model", write_model(tmp_path, PRODUCT), "--y", "6", "--replicas", "4",
                 "--seed", "2024"]
-        times = jump_time_matrix(sample_constant(model_from_dict(PRODUCT), BridgeSpec(0, 6),
-                                                 4, 2024))
+        times = sample_constant(model_from_dict(PRODUCT), BridgeSpec(0, 6), 4, 2024).times
     else:
         args = ["--model", write_model(tmp_path, TABULATED), "--y", "6", "--replicas", "4",
                 "--seed", "2024"]
         model, spec = model_from_dict(TABULATED), BridgeSpec(0, 6)
-        times = jump_time_matrix(sample_bridge(model, spec, solve_h(model, spec, 1e-3), 4, 2024))
+        times = sample_bridge(model, spec, solve_h(model, spec, 1e-3), 4, 2024).times
     out = tmp_path / "s"
     assert cli.main(["sample"] + args + ["--out", str(out)]) == 0
     want = "replica,jump_index,time\n" + "".join(
@@ -627,6 +625,25 @@ def test_package_imports_no_scipy(tmp_path):
     assert r.stdout.strip() == "[]"
 
 
+ROOT_SCRIPT = """
+import inspect, sys
+import countbridge
+print(sorted(k for k, v in vars(countbridge).items() if inspect.isfunction(v) or inspect.isclass(v)))
+print(sorted(m for m in ("sampler", "verify", "cli") if f"countbridge.{m}" in sys.modules))
+"""
+
+
+def test_the_package_root_binds_solve_h_alone():
+    # every function and class is imported from its module: a bare import once bound
+    # 32 names and loaded the sampler, the checks and the command line with them
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", ROOT_SCRIPT], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["['solve_h']", "[]"]
+
+
 @pytest.mark.parametrize("first, second", [
     ({"a": 0.5, "b": 0.3, "lambda": 1.5}, {"a": 4.0, "b": 0.3, "lambda": 1.5}),
     ({"a": 0.2, "b": 0.0, "lambda": -2.0}, {"a": 30.0, "b": 0.0, "lambda": -2.0}),
@@ -851,7 +868,7 @@ def _paths_of(tmp_path, sampler, spec, count, seed):
         paths = sample_bridge(model, spec, solve_h(model, spec, 1e-3), count, seed)
     else:
         paths = sample_constant(model, spec, count, seed)
-    return args, jump_time_matrix(paths)
+    return args, paths.times
 
 
 @pytest.mark.parametrize("replicas", [0, PATH_BLOCK_ROWS - 1, PATH_BLOCK_ROWS, PATH_BLOCK_ROWS + 1])

@@ -20,7 +20,7 @@ from countbridge.analytic import (clock_cdf, clock_quantile, tilted_cdf, tilted_
 from countbridge.engine import BridgeSpec
 from countbridge.errors import BadParameter, OutOfDomain
 from countbridge.intensity import ExpAffine, constant_characteristic_model
-from countbridge.sampler import jump_time_matrix, sample_constant
+from countbridge.sampler import sample_constant
 
 # ExpAffine(1, 0.5, lam) over [s, u] with lam s below -708: e^(lam s) is subnormal
 # or 0, and theta = b (tau(u) - tau(s)) below 1e-300
@@ -239,8 +239,8 @@ def test_every_command_refuses_a_start_below_the_floor(tmp_path, command, args):
 def test_sample_constant_serves_a_tilt_past_the_exp_range(lam, spec):
     # (lam + b)(u - s) past 709.78 was refused; the pooled jump times, i.i.d. draws of
     # the law, are within the Kolmogorov law's 0.999 quantile of the decimal profile
-    times = np.sort(jump_time_matrix(sample_constant(constant_characteristic_model(lam),
-                                                     spec, 2000, 11)), axis=None)
+    times = np.sort(sample_constant(constant_characteristic_model(lam), spec, 2000, 11).times,
+                    axis=None)
     assert np.all((times > spec.s) & (times < spec.u))
     cdf = _decimal_cdf(lam, spec.s, spec.u, times)
     k = np.arange(1, times.size + 1) / times.size

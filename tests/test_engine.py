@@ -19,7 +19,7 @@ from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
 from countbridge.errors import (BadParameter, BadStep, BadWindow, ConservationLoss,
                                 GridTooCoarse, ResourceCap, Underflow)
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
-from countbridge.sampler import jump_time_matrix, sample_bridge
+from countbridge.sampler import sample_bridge
 from oracles import (FullWindows, Product, SpaceLinear, TimeExponential, dense_logh,
                      exp_affine_logh, grid_index)
 # the column kernel's tests live with it in test_kernel.py, which the numpy-only job
@@ -223,7 +223,7 @@ def test_underflow_reported_not_clamped():
     # the shallow states stay representable and exact inside their windows: at
     # t = 0.99, where the bridge sits in state 199 with probability 0.27, one jump
     # is left in [t, 1], so log h = log(1 - t) - (1 - t)
-    j = h.mesh.out_node_idx[99]
+    j = 2 * h.mesh.out_fb_idx[99]
     assert h.times[j] == pytest.approx(0.99, abs=1e-12)
     assert logh[j, 199] == pytest.approx(math.log(0.01) - 0.01, abs=1e-6)
 
@@ -446,7 +446,7 @@ def test_mean_curvature_is_the_mean_of_k_times_the_characteristic(model, spec):
     h = solve_h(model, spec, 1e-3, step_budget=0.005)
     table = marginal_table(model, spec, 1e-3, h=h)
     d2 = second_differences(np.column_stack([table.times, table.offsets]))[:, 1]
-    k = _pinned_grid(h)[h.mesh.out_node_idx[1:]]
+    k = _pinned_grid(h)[2 * h.mesh.out_fb_idx[1:]]
     char = model.characteristic(table.times[1:-1, None], spec.ladder()[None, :])
     want = np.sum(table.probs[1:-1] * k * char, axis=1)
     assert np.max(np.abs(d2 - want)) <= 1e-4 * np.max(np.abs(d2))
@@ -871,8 +871,8 @@ def test_windowed_sweeps_match_the_full_window_reference(model, spec, share, mon
     for route in (marginal_table, marginal_table_two_sided):
         gap = np.abs(route(model, spec, h=h).probs - route(model, spec, h=ref).probs)
         assert np.max(gap) <= 1e-11
-    got = jump_time_matrix(sample_bridge(model, spec, h, 500, 5))
-    want = jump_time_matrix(sample_bridge(model, spec, ref, 500, 5))
+    got = sample_bridge(model, spec, h, 500, 5).times
+    want = sample_bridge(model, spec, ref, 500, 5).times
     assert np.max(np.abs(got - want)) <= 1e-12
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
-from countbridge.errors import BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap
+from countbridge.errors import (BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap,
+                               count_text)
 from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Tabulated,
                                    constant_characteristic_model, model_from_dict)
 from oracles import Product, SpaceLinear, TimeExponential, generic_characteristic
@@ -353,6 +355,15 @@ def test_an_exp_affine_floor_is_an_integer():
             model.rate(0.5, 3)
     with pytest.raises(BadParameter, match="rate not positive at the state floor"):
         ExpAffine(1.0, 0.5, 0.0, -10 ** 400)
+
+
+def test_a_numpy_scalar_is_quoted_by_its_value():
+    # a refusal once quoted a numpy scalar by its numpy 2 repr: "got np.float64(2.5)",
+    # and np.int64(10**7) as "np.int64(10000000)", not in three digits
+    with pytest.raises(BadParameter, match=re.escape("y must be an integer, got 2.5")):
+        BridgeSpec(0, np.float64(2.5))
+    assert count_text(np.int64(10 ** 7)) == count_text(10 ** 7) == "1e+07"
+    assert count_text(np.int64(-5)) == "-5" and count_text(np.float32(0.5)) == "0.5"
 
 
 def test_legacy_descriptors_load_as_exp_affine():

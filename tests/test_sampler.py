@@ -11,8 +11,7 @@ from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import (BadParameter, IndexOut, NotSorted, OutOfDomain, PinMiss,
                                 TooFewSamples)
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
-from countbridge.sampler import (PathBatch, PathSample, jump_time_matrix, sample_bridge,
-                                 sample_constant)
+from countbridge.sampler import PathBatch, PathSample, sample_bridge, sample_constant
 from countbridge.verify import duality_catalog, duality_check, lln_experiment
 from oracles import (OracleScale, Product, SpaceLinear, TimeExponential, characteristic_integrals,
                      exp_affine_cdf, grid_index, sample_bridge_per_state, sample_rejection,
@@ -120,7 +119,7 @@ def test_sample_constant_deterministic():
 
 def test_sample_constant_empty_and_uniform():
     assert sample_constant(Poisson(1.0), BridgeSpec(3, 3), 5, 1)[0].jump_times == ()
-    T = jump_time_matrix(sample_constant(Poisson(1.0), BridgeSpec(0, 4), 4000, 9))
+    T = sample_constant(Poisson(1.0), BridgeSpec(0, 4), 4000, 9).times
     flat = np.sort(T.ravel())
     grid = np.linspace(0, 1, 21)[1:-1]
     emp = np.searchsorted(flat, grid) / flat.size
@@ -171,7 +170,7 @@ def test_sample_constant_order_statistic_marginals():
     # P(T_i <= t) equals the binomial tail of the tilted profile
     spec = BridgeSpec(0, 5)
     count = 40000
-    T = jump_time_matrix(sample_constant(constant_characteristic_model(3.0), spec, count, 777))
+    T = sample_constant(constant_characteristic_model(3.0), spec, count, 777).times
     for t in (0.3, 0.5, 0.8):
         p = tilted_cdf(3.0, t)
         for i in (1, 3, 5):
@@ -186,8 +185,8 @@ def test_sample_bridge_poisson_matches_uniform_order_statistics():
     model = Poisson(1.7)
     h = solve_h(model, spec, 1e-3)
     stats = {}
-    bp = jump_time_matrix(sample_bridge(model, spec, h, 4000, 42, stats=stats))
-    cp = jump_time_matrix(sample_constant(constant_characteristic_model(0.0), spec, 4000, 43))
+    bp = sample_bridge(model, spec, h, 4000, 42, stats=stats).times
+    cp = sample_constant(constant_characteristic_model(0.0), spec, 4000, 43).times
     crit = 1.6276 * math.sqrt(2.0 / 4000)
     for i in range(5):
         assert ks_2samp(bp[:, i], cp[:, i]).statistic < crit
@@ -219,7 +218,7 @@ def test_h_transform_consistency_histogram():
     model = Product(1.0, 3.0, 0.1)
     h = solve_h(model, spec, 1e-3)
     count = 100000
-    T = jump_time_matrix(sample_bridge(model, spec, h, count, 314159))
+    T = sample_bridge(model, spec, h, count, 314159).times
     counts = np.bincount([np.searchsorted(row, 0.5, side="right") for row in T], minlength=6)
     emp = counts / count
     exact = marginal_table(model, spec, 1e-3, h=h).probs[500]
@@ -236,7 +235,7 @@ def test_oracle_triangle():
     table = marginal_table(model, spec, 1e-3, h=h)
     tails = table.tail_matrix()
     count = 30000
-    T = jump_time_matrix(sample_bridge(model, spec, h, count, 2718))
+    T = sample_bridge(model, spec, h, count, 2718).times
     for t in (0.3, 0.6):
         idx = grid_index(table, t)
         for i in (1, 2, 3):
@@ -254,7 +253,7 @@ def test_rejection_sampler_matches_oracle():
     spec = BridgeSpec(0, 3)
     pot = characteristic_integrals(model, spec)
     paths = sample_rejection(model, spec, 5000, 11, pot=pot)
-    T = jump_time_matrix(paths)
+    T = paths.times
     exact = simplex_jump_time_cdf(pot, 0.5, 1)
     emp = float(np.mean(T[:, 0] <= 0.5))
     se = math.sqrt(exact * (1 - exact) / 5000)
@@ -277,7 +276,7 @@ def _tabulated_model(top=5):
 def test_sample_bridge_paths_hit_the_pin_and_keep_their_streams(model, spec):
     h = solve_h(model, spec, 1e-3)
     paths = sample_bridge(model, spec, h, 300, 2024)
-    T = jump_time_matrix(paths)
+    T = paths.times
     assert T.shape == (300, spec.n)
     assert np.all(np.diff(T, axis=1) > 0)
     assert np.all((T > spec.s) & (T < spec.u))
@@ -316,7 +315,7 @@ def test_sample_bridge_serves_a_start_state_below_exp_minus_700(model, n):
     spec = BridgeSpec(0, n)
     h = solve_h(model, spec, 1e-3)
     count = 1000
-    times = jump_time_matrix(sample_bridge(model, spec, h, count, 1))
+    times = sample_bridge(model, spec, h, count, 1).times
     table = marginal_table(model, spec, 1e-3, h=h)
     row = table.probs[grid_index(table, 0.5)]
     states = np.arange(n + 1)
@@ -335,7 +334,7 @@ def test_sample_bridge_samples_a_deep_bridge_on_a_short_window():
     spec = BridgeSpec(0, 300, 0.5, 0.52)
     h = solve_h(Poisson(1.0), spec, 1e-2)
     count, n, length = 2000, spec.n, spec.length
-    times = jump_time_matrix(sample_bridge(h.model, spec, h, count, 1))
+    times = sample_bridge(h.model, spec, h, count, 1).times
     k = np.arange(1, n + 1)
     mean = spec.s + length * k / (n + 1)
     sd = length * np.sqrt(k * (n + 1 - k) / ((n + 1) ** 2 * (n + 2)))
@@ -458,7 +457,6 @@ def test_jump_time_matrix_of_a_batch_is_its_read_only_matrix(draw):
     else:
         batch = sample_constant(constant_characteristic_model(2.0), spec, 20, 8)
     assert isinstance(batch, PathBatch)
-    assert jump_time_matrix(batch) is batch.times
     assert batch.times.shape == (20, 4)
     assert not batch.times.flags.writeable
     with pytest.raises(ValueError):
@@ -537,5 +535,5 @@ def test_sample_constant_refuses_a_tilt_it_cannot_represent(model, spec):
 def test_sample_constant_serves_tilts_up_to_the_overflow():
     for lam, spec in ((709.78, BridgeSpec(0, 3)), (1400.0, BridgeSpec(0, 3, 0.2, 0.7)),
                       (-5000.0, BridgeSpec(0, 1))):
-        times = jump_time_matrix(sample_constant(constant_characteristic_model(lam), spec, 50, 3))
+        times = sample_constant(constant_characteristic_model(lam), spec, 50, 3).times
         assert np.all(np.isfinite(times)) and np.all((times > spec.s) & (times < spec.u))

@@ -11,7 +11,7 @@ from countbridge.analytic import binomial_tail, clock_cdf, tilted_cdf, tilted_cd
 from countbridge.engine import BridgeSpec, marginal_table, solve_h
 from countbridge.errors import BadParameter, DegenerateVariance, OutOfDomain, ResourceCap
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
-from countbridge.sampler import PathBatch, jump_time_matrix, sample_bridge, sample_constant
+from countbridge.sampler import PathBatch, sample_bridge, sample_constant
 from countbridge.verify import (DUALITY_BLOCK, KOLMOGOROV_999, BridgeLaw, TestFunctional,
                                 WindowFunction, convexity_check, dominance_check, duality_catalog,
                                 duality_check, lln_experiment, mean_bound_check)
@@ -379,7 +379,19 @@ def test_duality_check_memory_stays_below_the_sample(model):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < jump_time_matrix(paths).nbytes
+    assert peak < paths.times.nbytes
+
+
+@pytest.mark.parametrize("model", [Product(1.0, 2.0, 0.2), _perfbench_tabulated(
+    np.random.default_rng(9), 9)], ids=["exp-affine", "tabulated"])
+def test_duality_check_draws_its_paths_as_the_bridge_law_does(model):
+    # without paths the check once drew every bridge by inversion on its own h-field,
+    # an ExpAffine one too, which BridgeLaw and the CLI draw exactly
+    spec = BridgeSpec(0, 9)
+    paths = BridgeLaw(model, spec).paths(500, 61)
+    for phi, u in duality_catalog():
+        got = duality_check(model, spec, u, phi, 500, 61)
+        assert got == duality_check(model, spec, u, phi, None, None, paths=paths), phi.name
 
 
 def test_lln_experiment_shrinks():
@@ -445,9 +457,9 @@ def test_lln_bound_is_the_kolmogorov_quantile():
 
 def test_lln_pinned_ends_contribute_nothing():
     # distance at the window ends is 0 by pinning: sup is attained strictly inside
-    from countbridge.sampler import jump_time_matrix, sample_constant
+    from countbridge.sampler import sample_constant
     from countbridge.verify import _sup_distance
-    T = jump_time_matrix(sample_constant(Poisson(1.0), BridgeSpec(0, 100), 50, 5))
+    T = sample_constant(Poisson(1.0), BridgeSpec(0, 100), 50, 5).times
     d = _sup_distance(T, 0.0)
     assert np.all(d > 0) and np.all(d < 1)
 
