@@ -34,7 +34,7 @@ from . import __version__
 from .analytic import tilted_cdf_window
 # solve_h is not called here, but perfbench's tracer wraps every binding of it
 from .engine import OUTPUT_STEP, BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
-from .errors import BadOption, BadParameter, BadStep, CountBridgeError, count_text
+from .errors import BadOption, BadParameter, BadStep, CountBridgeError, check_keys, count_text
 from .intensity import constant_characteristic_model, model_from_dict
 from .verify import (BridgeLaw, convexity_check, dominance_check, duality_catalog,
                      duality_check, lln_experiment, mean_bound_check)
@@ -523,11 +523,8 @@ def _run(command, options):
     """
     if not isinstance(command, str) or command not in _RUNNERS:
         raise BadOption(f"manifest command {count_text(command)} unknown")
-    names = {key for key, option in _OPTIONS.items() if command in option.defaults}
-    if set(options) != names:
-        extra, missing = (", ".join(map(count_text, sorted(keys))) or "none"
-                          for keys in (set(options) - names, names - set(options)))
-        raise BadOption(f"{command} options: unexpected {extra}; missing {missing}")
+    check_keys(BadOption, f"{command} options", options,
+               [key for key, option in _OPTIONS.items() if command in option.defaults])
     options = {key: value if key == "model" else _typed(_OPTIONS[key], value)
                for key, value in options.items()}
     count = len(options["lambdas"] or [])
@@ -607,8 +604,10 @@ def main(argv=None):
         else:  # an option not given takes its default; --model names a descriptor file
             options = {key: _OPTIONS[key].defaults[command] if value is None else value
                        for key, value in args.items()}
-            if options["model"] is not None:
-                options["model"] = _load(options["model"])
+            if options["model"] is not None:  # null is refused: _run reads None as no --model
+                if (model := _load(options["model"])) is None:
+                    raise BadParameter(f"{options['model']} holds null, not a model descriptor")
+                options["model"] = model
         return _run(command, options)
     except (CountBridgeError, OSError) as exc:
         print(f"countbridge: error: {exc}", file=sys.stderr)

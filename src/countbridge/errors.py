@@ -17,6 +17,18 @@ def count_text(value):
     return format(value, ".3g")
 
 
+def check_keys(error, what, given, required, optional=()):
+    """``given`` if a dict with every key of ``required`` and no other but ``optional``'s; else
+    an ``error`` naming the unexpected and the missing keys, sorted (a non-dict has none)."""
+    keys = set(given) if isinstance(given, dict) else set()
+    extra, missing = (sorted(ks, key=str) for ks in (keys - {*required, *optional}, {*required} - keys))
+    if extra or missing:
+        what += "" if isinstance(given, dict) else " (not an object)"
+        raise error(f"{what}: unexpected {', '.join(map(count_text, extra)) or 'none'}; "
+                    f"missing {', '.join(map(count_text, missing)) or 'none'}")
+    return given
+
+
 class CountBridgeError(Exception):
     """Base class for every error raised by this package."""
 

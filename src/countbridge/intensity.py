@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap, count_text
+from .errors import BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap, check_keys, count_text
 
 _T_SLACK = 1e-12
 
@@ -501,40 +501,37 @@ def constant_characteristic_model(lam):
     return ExpAffine(1.0, max(lam, 0.0), min(lam, 0.0))
 
 
-# each family: its parameters in the order they are read (the first that is not a finite
-# real number is the one refused) and its ExpAffine, built from them and the floor
-_PARAMETRIC = {
-    "exp_affine": (("a", "b", "lambda"), ExpAffine),
-    "poisson": (("alpha",), Poisson),
-    "space_linear": (("lambda", "alpha"), lambda lam, alpha, floor: ExpAffine(alpha, lam, 0.0, floor)),
-    "time_exponential": (("alpha", "lambda"),
-                         lambda alpha, lam, floor: ExpAffine(alpha, 0.0, lam, floor)),
-    "product": (("alpha", "lambda", "beta"),
-                lambda alpha, lam, beta, floor: ExpAffine(alpha, alpha * beta, lam, floor)),
+def _reals(names, build):
+    """A parametric family: its parameters, each a finite real number (the first that is not,
+    in this order, is the one named), and its model built from them at the floor, 0 if none."""
+    return names, (), lambda params, floor: build(
+        *[_finite_real(name, params[name]) for name in names], 0 if floor is None else floor)
+
+
+# each family: its required and its optional parameter names, and its model, built from
+# the params object that holds exactly those and the floor (None if none is given)
+_FAMILIES = {
+    "exp_affine": _reals(("a", "b", "lambda"), ExpAffine),
+    "poisson": _reals(("alpha",), Poisson),
+    "space_linear": _reals(("lambda", "alpha"),
+                           lambda lam, alpha, floor: ExpAffine(alpha, lam, 0.0, floor)),
+    "time_exponential": _reals(("alpha", "lambda"),
+                               lambda alpha, lam, floor: ExpAffine(alpha, 0.0, lam, floor)),
+    "product": _reals(("alpha", "lambda", "beta"),
+                      lambda alpha, lam, beta, floor: ExpAffine(alpha, alpha * beta, lam, floor)),
+    "tabulated": (("t_grid", "z_min", "rates"), ("rates_dt",),
+                  lambda params, floor: Tabulated(**params, state_floor=floor)),
 }
 
 
 def model_from_dict(descriptor):
-    """Build a model from the JSON descriptor form.
-
-    ``{"family": "exp_affine", "params": {"a": ..., "b": ..., "lambda": ...},
-    "state_floor": int}`` for the parametric rates; the legacy families ``poisson``
-    (alpha), ``space_linear`` (lambda, alpha), ``time_exponential`` (alpha, lambda)
-    and ``product`` (alpha, lambda, beta; rate alpha exp(lambda t) (1 + beta z)) load
-    as the ``ExpAffine`` they name.  The tabulated payload is ``{"t_grid": [...],
-    "z_min": int, "rates": [[...]], "rates_dt": [[...]] optional}``.
-    """
-    try:
-        family = descriptor["family"]
-        params = dict(descriptor.get("params", {}))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise BadParameter(f"malformed model descriptor: {exc}") from exc
-    floor = descriptor.get("state_floor", None)
-    if family == "tabulated":
-        return Tabulated(params.get("t_grid"), params.get("z_min"), params.get("rates"),
-                         params.get("rates_dt"), floor)
-    if not isinstance(family, str) or family not in _PARAMETRIC:
+    """A model from its JSON descriptor ``{"family": ..., "params": {...}}`` and an optional
+    integer ``"state_floor"``, read before the params; an unknown or a missing key in either
+    object is a BadParameter naming it.  Every family but ``tabulated`` is an ExpAffine."""
+    check_keys(BadParameter, "malformed model descriptor", descriptor, ("family", "params"), ("state_floor",))
+    family, floor = descriptor["family"], descriptor.get("state_floor")
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise BadParameter(f"unknown rate family {count_text(family)}")
-    names, build = _PARAMETRIC[family]
-    floor = _integral("state_floor", 0 if floor is None else floor)
-    return build(*[_finite_real(name, params.get(name)) for name in names], floor)
+    names, optional, build = _FAMILIES[family]
+    floor = None if floor is None else _integral("state_floor", floor)
+    return build(check_keys(BadParameter, f"{family} params", descriptor["params"], names, optional), floor)

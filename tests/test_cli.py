@@ -1288,6 +1288,23 @@ def _edited(descriptor, **params):
     return dict(descriptor, params=dict(descriptor["params"], **params))
 
 
+# descriptors whose keys are not exactly family, params and an optional state_floor, or
+# whose params' keys are not exactly its family's, and the refusal each reads: each
+# once loaded as another model or was refused by a value ("got None", "finite numbers only")
+_KEY_FAULTS = [
+    ('{"family": "exp_affine", "params": {"a": 1, "b": 0, "lambda": 1, "lamda": 5}}',
+     "exp_affine params: unexpected 'lamda'; missing none"),
+    ('{"family": "exp_affine", "params": {"a": 1, "b": 0, "lambda": 1}, "state_flor": 3}',
+     "malformed model descriptor: unexpected 'state_flor'; missing none"),
+    ('{"family": "exp_affine", "params": [["a", 1], ["b", 0], ["lambda", 1]]}',
+     "exp_affine params (not an object): unexpected none; missing 'a', 'b', 'lambda'"),
+    ('{"family": "tabulated", "t_grid": [0, 1], "z_min": 0, "rates": [[1], [1]]}',
+     "malformed model descriptor: unexpected 'rates', 't_grid', 'z_min'; missing 'params'"),
+    ('{"family": "exp_affine", "a": 1, "b": 0, "lambda": 1}',
+     "malformed model descriptor: unexpected 'a', 'b', 'lambda'; missing 'params'"),
+]
+
+
 @pytest.mark.parametrize("text, field", [
     (json.dumps(_edited(EXP_AFFINE, a="x")), "a must be a finite real number"),
     (json.dumps(_edited(EXP_AFFINE, a=None)), "a must be a finite real number"),
@@ -1305,7 +1322,8 @@ def _edited(descriptor, **params):
     (json.dumps(_edited(EXP_AFFINE, a=True)), "a must be a finite real number"),
     (json.dumps(_edited(TABULATED, z_min=True)), "z_min must be an integer"),
     (json.dumps(dict(EXP_AFFINE, state_floor=False)), "state_floor must be an integer"),
-    (json.dumps({"family": "exp_affine", "params": {"a": 1.0}}), "b must be a finite real number"),
+    (json.dumps({"family": "exp_affine", "params": {"a": 1.0}}),
+     "exp_affine params: unexpected none; missing 'b', 'lambda'"),
     # positive at the nodes and on any probe grid, -7.3e-6 near t = 0.00166
     (json.dumps({"family": "tabulated",
                  "params": {"t_grid": [0, 1], "z_min": 0, "rates": [[1e-6, 1e-6], [1, 1]],
@@ -1324,13 +1342,15 @@ def _edited(descriptor, **params):
      "rate not positive at the state floor"),
     (json.dumps(dict(_edited(TABULATED, z_min=10 ** 400), state_floor=10 ** 400)),
      "below floor 1.00e+400"),
+    *_KEY_FAULTS,
 ], ids=["a-string", "a-null", "lambda-nan", "a-infinity", "product-alpha-string",
         "state-floor-fractional", "tabulated-rate-nan", "tabulated-t-grid-nan",
         "tabulated-rates-dt-infinity", "tabulated-z-min-fractional", "a-true",
         "tabulated-z-min-true", "state-floor-false", "b-missing", "tabulated-dip",
         "a-past-the-float-range", "tabulated-rate-string", "state-floor-integral-float",
         "state-floor-past-the-float-range", "state-floor-past-the-float-range-b-positive",
-        "state-floor-below-the-float-range-b-positive", "tabulated-z-min-past-the-float-range"])
+        "state-floor-below-the-float-range-b-positive", "tabulated-z-min-past-the-float-range",
+        "lamda", "state-flor", "params-a-list", "tabulated-at-the-top", "exp-affine-at-the-top"])
 def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
     # a model file is outside input: a value that is not a finite number, or a state
     # that is not an integer, is a ValueError naming the field (exit 2) in one short
@@ -1343,6 +1363,22 @@ def test_descriptors_with_unusable_values_exit_2(tmp_path, capsys, text, field):
         err = capsys.readouterr().err
         assert err.startswith("countbridge: error:") and field in err
         assert err.count("\n") == 1 and len(err) < 160, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sample", "--lambda", "1", "--y", "3", "--replicas", "5"],
+    ["marginals", "--y", "1"],
+], ids=["sample-with-lambda", "marginals"])
+def test_a_null_descriptor_is_refused_not_read_as_no_model(tmp_path, capsys, args):
+    # a --model file holding null once ran the --lambda model, recording "model": null,
+    # or read "need --model or exactly one --lambda"
+    mpath = tmp_path / "null.json"
+    mpath.write_text("null")
+    out = tmp_path / "out"
+    assert cli.main(args + ["--model", str(mpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"countbridge: error: {mpath} holds null, not a model descriptor\n"
     assert not out.exists()
 
 
@@ -1487,12 +1523,15 @@ VERIFY_RUN = ["verify", "--lambda", "1", "--y", "3", "--check", "convexity"]
      "sample options: unexpected 'extra'; missing none"),
     (SAMPLE_RUN, {"step": 10 ** 400}, "--step must be a finite number, got 1.00e+400"),
     (SAMPLE_RUN, lambda m: dict(m, command=10 ** 400), "manifest command 1.00e+400 unknown"),
+    # the recorded model is read by the descriptor's key rule, as a --model file is
+    (SAMPLE_RUN, {"lambdas": None, "model": _edited(EXP_AFFINE, lamda=5.0)},
+     "exp_affine params: unexpected 'lamda'; missing none"),
 ], ids=["x-fractional", "y-fractional", "y-true", "seed-fractional", "replicas-fractional",
         "lambda-string", "lambda-string-12", "lambda-number", "x-null", "seed-null",
         "replicas-null", "seed-list", "lambda-object", "manifest-list", "options-null",
         "command-list", "checks-number", "direction-number", "grid-csv-number", "out-number",
         "seed-missing", "extra-option", "step-past-the-float-range",
-        "command-past-the-float-range"])
+        "command-past-the-float-range", "model-param-misspelt"])
 def test_a_manifest_option_of_the_wrong_type_exits_2_writing_nothing(tmp_path, capsys,
                                                                     monkeypatch, run, edit,
                                                                     message):
@@ -1686,6 +1725,7 @@ _PHI, _U = verify.duality_catalog()[0]
     lambda: model_from_dict({"family": "exp_affine", "params": "ab"}),
     lambda: model_from_dict({"family": "nope", "params": {}}),
     lambda: model_from_dict(_edited(EXP_AFFINE, a=math.nan)),
+    lambda: model_from_dict(_edited(EXP_AFFINE, lamda=5.0)),
     lambda: model_from_dict(dict(EXP_AFFINE, state_floor=0.5)),
     lambda: model_from_dict(_edited(TABULATED, rates=[[math.inf]])),
     lambda: ExpAffine(1.0, -1.0),
@@ -1698,9 +1738,9 @@ _PHI, _U = verify.duality_catalog()[0]
     lambda: sample_bridge(POISSON, BridgeSpec(0, 3), solve_h(POISSON, BridgeSpec(0, 2)), 2, 1),
     lambda: cli._json({"x": math.nan}),
 ], ids=["descriptor-list", "family-list", "params-string", "family-unknown", "param-nan",
-        "floor-fractional", "rates-infinite", "b-negative", "rates-negative", "x-above-y",
-        "binomial-n-negative", "lln-repeated-n", "dominance-direction", "duality-phi-too-long",
-        "h-for-another-bridge", "json-nan"])
+        "param-misspelt", "floor-fractional", "rates-infinite", "b-negative", "rates-negative",
+        "x-above-y", "binomial-n-negative", "lln-repeated-n", "dominance-direction",
+        "duality-phi-too-long", "h-for-another-bridge", "json-nan"])
 def test_a_refused_value_raises_a_typed_error_that_is_a_value_error(call):
     # main prints a CountBridgeError as one line and exits 2; BadParameter is a
     # ValueError too, for callers that catch one
@@ -1731,7 +1771,8 @@ _REAL = st.floats(-3.0, 3.0)
 _POSITIVE = st.floats(0.05, 3.0)
 _MALFORMED = ["{", "null", "[1, 2]", '{"family": "nope", "params": {}}',
               '{"family": "exp_affine", "params": {"a": 1.0}}',
-              '{"family": "tabulated", "params": {"t_grid": [0, 1], "z_min": 0}}']
+              '{"family": "tabulated", "params": {"t_grid": [0, 1], "z_min": 0}}',
+              *(text for text, _ in _KEY_FAULTS)]
 
 
 @st.composite

@@ -385,19 +385,27 @@ def test_legacy_descriptors_load_as_exp_affine():
 
 
 @pytest.mark.parametrize("descriptor, first", [
-    ({"family": "poisson", "params": {}}, "alpha"),
-    ({"family": "space_linear", "params": {"alpha": None}}, "lambda"),
-    ({"family": "time_exponential", "params": {"lambda": "3"}}, "alpha"),
-    ({"family": "product", "params": {"beta": math.nan}}, "alpha"),
-    ({"family": "product", "params": {"alpha": 1.0, "beta": True}}, "lambda"),
-    ({"family": "product", "params": {"alpha": 1.0, "lambda": 3.0}}, "beta"),
-    ({"family": "product", "params": {}, "state_floor": 0.5}, "state_floor"),
+    ({"family": "poisson", "params": {}}, "poisson params: unexpected none; missing 'alpha'"),
+    ({"family": "space_linear", "params": {"alpha": None}},
+     "space_linear params: unexpected none; missing 'lambda'"),
+    ({"family": "time_exponential", "params": {"lambda": "3"}},
+     "time_exponential params: unexpected none; missing 'alpha'"),
+    ({"family": "product", "params": {"beta": math.nan}},
+     "product params: unexpected none; missing 'alpha', 'lambda'"),
+    ({"family": "product", "params": {"alpha": 1.0, "beta": True}},
+     "product params: unexpected none; missing 'lambda'"),
+    ({"family": "product", "params": {"alpha": 1.0, "lambda": 3.0}},
+     "product params: unexpected none; missing 'beta'"),
+    ({"family": "product", "params": {}, "state_floor": 0.5}, "state_floor must be a"),
+    ({"family": "space_linear", "params": {"alpha": None, "lambda": "x"}}, "lambda must be a"),
+    ({"family": "product", "params": {"alpha": 1.0, "lambda": 3.0, "beta": True}},
+     "beta must be a"),
 ], ids=["poisson", "space-linear", "time-exponential", "product", "product-lambda",
-        "product-beta", "floor-first"])
+        "product-beta", "floor-first", "space-linear-values", "product-beta-value"])
 def test_a_legacy_descriptor_names_its_first_bad_parameter(descriptor, first):
-    # the floor is read first, then each family's parameters in their legacy order:
-    # space_linear reads lambda before alpha, product alpha, lambda, beta
-    with pytest.raises(BadParameter, match=f"^{first} must be a"):
+    # the floor is read first, then the params' keys, then each family's parameters in
+    # their legacy order: space_linear reads lambda before alpha, product alpha, lambda, beta
+    with pytest.raises(BadParameter, match=f"^{re.escape(first)}"):
         model_from_dict(descriptor)
 
 
