@@ -53,18 +53,37 @@ def _tilted(theta, c, c1):
 def tilted_quantile(lam, p):
     """The t in [0, 1] at which :func:`tilted_cdf` reaches p: its inverse in t.
 
-    log1p(p (e^lam - 1)) / lam below 0, 1 + log1p((1 - p) (e^-lam - 1)) / lam above,
-    clipped to [0, 1], and p where |lam| is below the normal floats.  A non-finite
+    log1p(w) / lam, w = p (e^lam - 1), below 0 and 1 + log1p(w) / lam, w = (1 - p)
+    (e^-lam - 1), above, clipped to [0, 1]; p where |lam| is below the normal floats.
+    Where w < -1/2, 1 + w would cancel the rounding of w, so it is formed as a sum of
+    positives, and the far end (p = 1 below 0, p = 0 above) is exact.  A non-finite
     tilt raises :class:`~countbridge.errors.OutOfDomain`.
     """
-    p, lam = np.asarray(p, dtype=float), _tilt(lam)
+    return _quantile(_tilt(lam), np.array(p, dtype=float))
+
+
+def _quantile(lam, t):
+    """:func:`tilted_quantile` at a finite ``lam``, worked in place on ``t``, which holds
+    p on entry; the one other array is of the entries where 1 + w cancels."""
     if abs(lam) < np.finfo(float).tiny:
-        return p
-    # past |lam| of about 37, e^-|lam| - 1 rounds to -1, and log1p(-1) is -inf
-    with np.errstate(divide="ignore"):
-        if lam < 0.0:
-            return np.clip(np.log1p(p * math.expm1(lam)) / lam, 0.0, 1.0)
-        return np.clip(1.0 + np.log1p((1.0 - p) * math.expm1(-lam)) / lam, 0.0, 1.0)
+        return t
+    # w = q m, q = p below 0 and 1 - p above; where w < -1/2 (q > -1/(2 m)) 1 + w cancels
+    # and is formed as qc (1 - e^-|lam|) + e^-|lam|, qc = 1 - q exact (p > 1/2 below 0, p above)
+    m = math.expm1(-abs(lam))
+    far = np.flatnonzero(t > -0.5 / m if lam < 0.0 else t < 1.0 + 0.5 / m)
+    ends, qc = np.flatnonzero(t == float(lam < 0.0)), t.take(far)
+    np.subtract(1.0, qc if lam < 0.0 else t, out=qc if lam < 0.0 else t)
+    qc *= -m
+    qc += math.exp(-abs(lam))
+    t *= m
+    with np.errstate(divide="ignore"):  # w = -1 past |lam| of about 37, e^-|lam| = 0 past 745
+        np.log1p(t, out=t)
+        t.put(far, np.log(qc, out=qc))
+    t /= lam
+    if lam > 0.0:
+        t += 1.0
+    t.put(ends, float(lam < 0.0))
+    return np.clip(t, 0.0, 1.0, out=t)
 
 
 def _fractions(s, u, t):
@@ -176,7 +195,7 @@ def clock_cdf(model, spec, t):
 
 def clock_quantile(model, spec, q):
     """The t at which :func:`clock_cdf` reaches q: the clock fraction tilted_quantile(theta,
-    q) taken back through the clock by :func:`tilted_quantile` at lam (u - s).  A theta
-    past the float range raises OutOfDomain."""
-    clock = tilted_quantile(_clock(model, spec), q)
-    return spec.s + spec.length * tilted_quantile(model.lam * spec.length, clock)
+    q) taken back through the clock by :func:`tilted_quantile` at lam (u - s), both worked
+    in place on one copy of q.  A theta past the float range raises OutOfDomain."""
+    clock = _quantile(_clock(model, spec), np.array(q, dtype=float))
+    return spec.s + spec.length * _quantile(model.lam * spec.length, clock)

@@ -27,21 +27,18 @@ import re
 import sys
 import tempfile
 from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
+from . import __version__, engine
 from .analytic import tilted_cdf_window
 # solve_h is not called here, but perfbench's tracer wraps every binding of it
 from .engine import OUTPUT_STEP, BridgeSpec, check_memory, second_differences, solve_h  # noqa: F401
 from .errors import BadOption, BadParameter, BadStep, CountBridgeError, check_keys, count_text
 from .intensity import constant_characteristic_model, model_from_dict
-from .verify import (BridgeLaw, convexity_check, dominance_check, duality_catalog,
-                     duality_check, lln_experiment, mean_bound_check)
-
-
-# cells of a column of a table formed as text at once
-BLOCK_CELLS = 8192
+from .verify import (CONVEXITY_TOL, MARGIN_TOL, BridgeLaw, convexity_check, dominance_check,
+                     duality_catalog, duality_check, lln_experiment, mean_bound_check)
 
 # A float cell's text is formed in a record of 44 bytes, read as 11
 # little-endian words: byte 0 holds the sign; bytes 1 and 4-19 the 17 digits
@@ -262,19 +259,19 @@ def _table(header, columns, blank=None):
     broadcast one is formed once per repeated value.  A float cell prints as
     format(float(c), ".17g") does, an integer column's as str(int(c)); the
     cells ``blank`` (the shape, then one per column) marks print empty.  The
-    text is formed in blocks of at most BLOCK_CELLS cells of a column, a row
-    wider than that in pieces of BLOCK_CELLS.
+    text is formed in blocks of at most ``engine.BLOCK_CELLS`` cells of a column,
+    a row wider than that in pieces of that many.
     """
     columns = [np.asarray(c) for c in columns]
     shape = columns[0].shape
     width = math.prod(shape[1:])
     yield ",".join(header) + "\n"
-    rows = BLOCK_CELLS // width if width else 0
+    block = engine.BLOCK_CELLS
+    rows = block // width if width else 0
     if rows:
         parts = [np.s_[a:a + rows] for a in range(0, shape[0], rows)]
     else:
-        parts = [np.s_[r, a:a + BLOCK_CELLS] for r in range(shape[0])
-                 for a in range(0, width, BLOCK_CELLS)]
+        parts = [np.s_[r, a:a + block] for r in range(shape[0]) for a in range(0, width, block)]
     for part in parts:
         yield _text([c[part] for c in columns], None if blank is None else blank[part])
 
@@ -375,14 +372,13 @@ def _run_sample(options, model):
     seed, count = options["seed"], options["replicas"]
     law = BridgeLaw(model, spec, options["step"])
     all_times = law.paths(count, seed).times
-    sampler = "exact-tilted-order-statistics" if law.exact else "h-transform-inversion"
     # one line per jump, replica-major: none, so no replica labels, without jumps
     rows = all_times if spec.n else all_times[:0]
     paths_csv = _table(["replica", "jump_index", "time"],
                        [np.broadcast_to(np.arange(len(rows))[:, None], rows.shape),
                         np.broadcast_to(np.arange(1, spec.n + 1), rows.shape), rows])
-    summary = {"sampler": sampler, "seed": seed, "count": count, "n_jumps": spec.n,
-               "bridge": {"x": spec.x, "y": spec.y, "s": spec.s, "u": spec.u},
+    summary = {"sampler": law.sampler, "seed": seed, "count": count, "n_jumps": spec.n,
+               "bridge": asdict(spec),
                "median_jump_time": float(np.median(all_times)) if all_times.size else None}
     return 0, {"paths.csv": paths_csv, "summary.json": _json(summary)}
 
@@ -484,8 +480,8 @@ _OPTIONS = {
     "replicas": _Option("--replicas", int, {"sample": 10000, "verify": 20000, "lln": 200}),
     "grid_csv": _Option("--grid-csv", bool, {"verify": False},
                         "also write the full dominance (t, i) grid as CSV"),
-    "tol_margin": _Option("--tol-margin", float, {"verify": 1e-6}),
-    "tol_convexity": _Option("--tol-convexity", float, {"verify": 1e-8}),
+    "tol_margin": _Option("--tol-margin", float, {"verify": MARGIN_TOL}),
+    "tol_convexity": _Option("--tol-convexity", float, {"verify": CONVEXITY_TOL}),
     "z_max": _Option("--z-max", float, {"verify": 4.0}),
 }
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}

@@ -82,8 +82,9 @@ MEMORY_CAP = 2 * 2 ** 30
 # output rows, or a tail P(X_t >= z) falls in t by more than MONOTONE_TOL.
 DRIFT_TOL = 1e-6
 MONOTONE_TOL = 1e-7
-# MarginalTable.validate reads the tails in blocks of at most this many cells
-VALIDATE_BLOCK = 1 << 14
+# MarginalTable.validate and the CLI's text read a table this many cells at a time: one
+# bound on the block any pass over a table holds beside it, so a retune moves both
+BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -575,7 +576,7 @@ class MarginalTable:
     def validate(self):
         """The table itself once it is finite, within DRIFT_TOL, normalised, pinned at
         both ends and monotone in t in every tail; else a ConservationLoss.  The tails
-        are read in blocks of rows, at most VALIDATE_BLOCK cells (or two rows) each,
+        are read in blocks of rows, at most BLOCK_CELLS cells (or two rows) each,
         consecutive blocks sharing a row, so the check holds no table-sized copy."""
         if not np.all(np.isfinite(self.probs)):
             raise ConservationLoss("table holds non-finite probabilities")
@@ -588,7 +589,7 @@ class MarginalTable:
         if not (self.probs[0, 0] == 1.0 and self.probs[-1, -1] == 1.0):
             raise ConservationLoss("endpoint rows are not pinned")
         rows, cells = self.probs.shape
-        step = max(1, VALIDATE_BLOCK // cells - 1)
+        step = max(1, BLOCK_CELLS // cells - 1)
         worst = min(np.min(np.diff(self.tail_matrix(slice(a, a + step + 1)), axis=0))
                     for a in range(0, rows - 1, step))
         if worst < -MONOTONE_TOL:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,9 @@ LLN_BUDGET = 5_000_000
 KOLMOGOROV_999 = 1.949474603504375  # the Kolmogorov law's 0.999 quantile
 # the duality check reads whole jump-time columns in blocks of at most this many cells
 DUALITY_BLOCK = 1 << 16
+# the default tolerances of the dominance and mean-bound margins and of convexity
+MARGIN_TOL = 1e-6
+CONVEXITY_TOL = 1e-8
 
 
 class BridgeLaw:
@@ -56,12 +59,13 @@ class BridgeLaw:
     on that grid, pinned at both ends, with offsets E[X_t] - x = n p(t), which
     :meth:`_offset_curve` reads without the pmf, and its paths come from
     :func:`sample_constant`.  Any other model's come from one h-field, solved on first
-    use at ``step_budget``.  Each route refuses a bridge that starts below the model's
-    state floor when it is first read."""
+    use at ``step_budget``.  ``sampler`` names the route of the paths.  Each route
+    refuses a bridge that starts below the model's state floor when it is first read."""
 
     def __init__(self, model, spec, h_step=OUTPUT_STEP, step_budget=STEP_BUDGET):
         self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
         self.exact = isinstance(model, ExpAffine)
+        self.sampler = "exact-tilted-order-statistics" if self.exact else "h-transform-inversion"
         self.times = output_times(spec, h_step)
 
     @functools.cached_property
@@ -111,8 +115,7 @@ class ConvexityReport:
     def to_dict(self):
         return {
             "check": "convexity",
-            "inputs": {"x": self.spec.x, "y": self.spec.y, "s": self.spec.s, "u": self.spec.u,
-                       "char_inf": self.char_inf, "char_sup": self.char_sup},
+            "inputs": {**asdict(self.spec), "char_inf": self.char_inf, "char_sup": self.char_sup},
             "tolerances": {"second_difference": self.tol},
             "claim": self.claim,
             "worst_violation": self.worst_violation,
@@ -120,7 +123,7 @@ class ConvexityReport:
         }
 
 
-def convexity_check(model, spec, h_step=OUTPUT_STEP, tol=1e-8):
+def convexity_check(model, spec, h_step=OUTPUT_STEP, tol=CONVEXITY_TOL):
     """Verdict on the curvature of the bridge mean curve.
 
     Nonnegative characteristic over the window and ladder implies convexity,
@@ -170,8 +173,7 @@ class BoundReport:
     def to_dict(self):
         return {
             "check": "dominance",
-            "inputs": {"x": self.spec.x, "y": self.spec.y, "s": self.spec.s, "u": self.spec.u,
-                       "lambda": self.lam_used, "direction": self.direction,
+            "inputs": {**asdict(self.spec), "lambda": self.lam_used, "direction": self.direction,
                        "hypothesis_holds": self.hypothesis_holds},
             "tolerances": {"margin": self.tol},
             "worst_margin": self.worst_margin,
@@ -180,7 +182,7 @@ class BoundReport:
         }
 
 
-def dominance_check(model, spec, lam, direction="lower", tol=1e-6, *, table):
+def dominance_check(model, spec, lam, direction="lower", tol=MARGIN_TOL, *, table):
     """Compare every marginal tail of the bridge, read from its marginal
     ``table``, with its binomial benchmark.
 
@@ -229,15 +231,14 @@ class MeanBoundReport:
     def to_dict(self):
         return {
             "check": "mean_bound",
-            "inputs": {"x": self.spec.x, "y": self.spec.y, "s": self.spec.s, "u": self.spec.u,
-                       "lambda": self.lam_used},
+            "inputs": {**asdict(self.spec), "lambda": self.lam_used},
             "tolerances": {"margin": self.tol},
             "worst_margin": self.worst_margin,
             "verdict": "pass" if self.passed else "fail",
         }
 
 
-def mean_bound_check(model, spec, lam, tol=1e-6, table=None):
+def mean_bound_check(model, spec, lam, tol=MARGIN_TOL, table=None):
     """Check the mean curve against the tilted-profile upper bound at every output time,
     both read from x: a margin is n phi(t), phi the window's tilted CDF at lam, less the
     table's offset E[X_t] - x, so none carries the rounding of x.  The table is the
@@ -461,13 +462,14 @@ def _sup_distance(times, lam):
 def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=OUTPUT_STEP):
     """Sample 0 -> N bridges and measure the sup distance to the tilted profile.
 
-    The paths are the :class:`BridgeLaw`'s: ``ExpAffine`` models are drawn exactly,
-    ``Tabulated`` ones on a solved 0 -> N h-field (time and memory grow as N^2).
-    Reports the median and 90th percentile of the sup distance per N, and for an
-    ``ExpAffine`` model the gap sup |p - tilted_cdf(lam)| over 1,001 times from its
-    limit p (:func:`~countbridge.analytic.clock_cdf`, the same at every N).  As X_t / N
-    is the empirical CDF of the jump times, the verdict passes when sqrt(N) times
-    every median is at most KOLMOGOROV_999, the Kolmogorov law's 0.999 quantile.
+    The paths are the :class:`BridgeLaw`'s, its ``sampler`` the report's ``strategy``:
+    ``ExpAffine`` models are drawn exactly, ``Tabulated`` ones on a solved 0 -> N
+    h-field (time and memory grow as N^2).  Reports the median and 90th percentile of
+    the sup distance per N, and for an ``ExpAffine`` model the gap sup |p -
+    tilted_cdf(lam)| over 1,001 times from its limit p
+    (:func:`~countbridge.analytic.clock_cdf`, the same at every N).  As X_t / N is the
+    empirical CDF of the jump times, the verdict passes when sqrt(N) times every median
+    is at most KOLMOGOROV_999, the Kolmogorov law's 0.999 quantile.
     """
     n_values = [_integral("N", v) for v in n_values]
     replicas, rng_seed = _integral("replicas", replicas), _integral("seed", rng_seed)
@@ -489,10 +491,7 @@ def lln_experiment(model, lam, n_values, replicas, rng_seed, h_step=OUTPUT_STEP)
         medians.append(float(np.quantile(sup, 0.5)))
         q90s.append(float(np.quantile(sup, 0.9)))
     scaled = [math.sqrt(big_n) * med for big_n, med in zip(n_values, medians)]
-    strategy, gap = "h-transform-inversion", None
-    if law.exact:
-        ts = np.linspace(0.0, 1.0, 1001)
-        strategy = "exact-order-statistics"
-        gap = float(np.max(np.abs(clock_cdf(model, law.spec, ts) - tilted_cdf(lam, ts))))
+    gap = (float(np.max(np.abs(clock_cdf(model, law.spec, ts := np.linspace(0.0, 1.0, 1001))
+                               - tilted_cdf(lam, ts)))) if law.exact else None)
     return LLNReport(float(lam), n_values, replicas, medians, q90s, scaled,
-                     max(scaled) <= KOLMOGOROV_999, strategy, rng_seed, gap)
+                     max(scaled) <= KOLMOGOROV_999, law.sampler, rng_seed, gap)

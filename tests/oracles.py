@@ -9,7 +9,7 @@ touching the h-field, so they check the engine and the samplers from
 outside.  Every exp-affine bridge also has a closed form: on the clock
 tau(t) = expm1(lam t) / lam its rate is time-homogeneous, so log h is a
 negative-binomial (or Poisson) transition law and each marginal is binomial.
-They need scipy (``cumulative_simpson``, ``expm``, ``gammaln``, ``binom``); the package
+They need scipy (``cumulative_simpson``, ``expm``, ``gammaln``, ``xlogy``); the package
 itself needs numpy only.
 """
 
@@ -18,8 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import expm
-from scipy.special import gammaln
-from scipy.stats import binom
+from scipy.special import gammaln, xlog1py, xlogy
 
 from countbridge.analytic import binomial_tail, tilted_cdf_window
 from countbridge.errors import CountBridgeError, DegenerateVariance, IndexOut, NotSorted
@@ -153,12 +152,23 @@ def exp_affine_cdf(model, spec, times):
     return np.clip(p, 0.0, 1.0)
 
 
+def binomial_pmf(n, p):
+    """Binomial(n, p) pmf rows over k = 0..n, one per entry of ``p``, formed in logs:
+    scipy's ``binom.pmf`` raises OverflowError at a subnormal p, which steep bridges
+    reach."""
+    k = np.arange(n + 1)
+    p = np.asarray(p, dtype=float)[:, None]
+    with np.errstate(divide="ignore"):
+        log = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+               + xlogy(k, p) + xlog1py(n - k, -p))
+    return np.exp(log)
+
+
 def exp_affine_marginals(model, spec, times):
     """Closed-form P(X_t = z) of an ``ExpAffine`` bridge: rows over ``times``,
     columns over the ladder.  X_t - x is Binomial(n, p(t)), p the
     :func:`exp_affine_cdf`."""
-    p = exp_affine_cdf(model, spec, times)
-    return binom.pmf(np.arange(spec.n + 1)[None, :], spec.n, p[:, None])
+    return binomial_pmf(spec.n, exp_affine_cdf(model, spec, times))
 
 
 def time_only_cdf(model, spec, times):

@@ -407,7 +407,7 @@ def test_lln_command(tmp_path):
     assert set(rep["sqrt_n_median"]) == {"50", "200"}
     for n, med in rep["sup_distance_median"].items():
         assert rep["sqrt_n_median"][n] == math.sqrt(int(n)) * med <= verify.KOLMOGOROV_999
-    assert rep["inputs"]["strategy"] == "exact-order-statistics"
+    assert rep["inputs"]["strategy"] == "exact-tilted-order-statistics"
 
 
 def test_lln_fails_a_model_whose_limit_is_not_the_profile(tmp_path, monkeypatch):
@@ -431,7 +431,8 @@ def test_lln_fails_a_model_whose_limit_is_not_the_profile(tmp_path, monkeypatch)
     assert time.perf_counter() - t0 < 0.5
     assert calls == []
     rep = read_json(out / "lln.json")
-    assert rep["verdict"] == "fail" and rep["inputs"]["strategy"] == "exact-order-statistics"
+    assert rep["verdict"] == "fail"
+    assert rep["inputs"]["strategy"] == "exact-tilted-order-statistics"
     assert rep["sqrt_n_median"]["800"] > verify.KOLMOGOROV_999
     # the medians fall toward the gap between the model's limit and the profile
     assert set(rep["profile_gap"]) == {"50", "200", "800"}
@@ -759,6 +760,22 @@ TABULATED = Tabulated(TAB_TIMES, 0, (1.0 + 0.3 * np.arange(8.0))[None, :]
                       * np.exp(np.sin(3.0 * TAB_TIMES))[:, None]).to_dict()
 
 
+@pytest.mark.parametrize("descriptor, sampler", [
+    ({"family": "exp_affine", "params": {"a": 1.0, "b": 0.1, "lambda": 3.0}},
+     "exact-tilted-order-statistics"),
+    (TABULATED, "h-transform-inversion"),
+], ids=["exp-affine", "tabulated"])
+def test_sample_and_lln_name_their_sampler_alike(tmp_path, descriptor, sampler):
+    # one name per route, BridgeLaw's: summary.json's sampler is lln.json's strategy
+    model = write_model(tmp_path, descriptor)
+    assert cli.main(["sample", "--model", model, "--y", "5", "--replicas", "4",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["lln", "--model", model, "--lambda", "0", "--N", "5", "--replicas", "4",
+                     "--out", str(tmp_path / "l")]) in (0, 1)
+    assert (read_json(tmp_path / "s" / "summary.json")["sampler"]
+            == read_json(tmp_path / "l" / "lln.json")["inputs"]["strategy"] == sampler)
+
+
 @pytest.mark.parametrize("descriptor", [PRODUCT, TABULATED], ids=["exp-affine", "tabulated"])
 def test_characteristics_csv_is_printed_cell_by_cell(tmp_path, descriptor):
     out = tmp_path / "c"
@@ -774,7 +791,7 @@ def test_characteristics_csv_is_printed_cell_by_cell(tmp_path, descriptor):
 @pytest.mark.parametrize("block", [5, 24], ids=["rows-in-pieces", "whole-rows"])
 def test_characteristics_rows_print_the_same_cells_in_any_block(tmp_path, monkeypatch, block):
     # a row of more than BLOCK_CELLS times goes out in pieces of that many
-    monkeypatch.setattr(cli, "BLOCK_CELLS", block)
+    monkeypatch.setattr(engine, "BLOCK_CELLS", block)
     out = tmp_path / "c"
     assert cli.main(["characteristics", "--model", write_model(tmp_path, PRODUCT), "--x", "1",
                      "--y", "7", "--s", "0.2", "--u", "0.9", "--grid-step", "0.03",
@@ -805,7 +822,7 @@ def test_characteristics_peak_stays_near_the_values(tmp_path, args):
 def test_marginals_csv_is_printed_cell_by_cell(tmp_path, monkeypatch):
     # 1001 times of 8 states in blocks of BLOCK_CELLS // 8 = 300 rows: four blocks;
     # an exp_affine model's table is its binomial law, a tabulated one's the engine's
-    monkeypatch.setattr(cli, "BLOCK_CELLS", 8 * 300)
+    monkeypatch.setattr(engine, "BLOCK_CELLS", 8 * 300)
     for descriptor, x in [(PRODUCT, 2), (TABULATED, 0)]:
         out = tmp_path / "m"
         assert cli.main(["marginals", "--model", write_model(tmp_path, descriptor),
@@ -813,7 +830,7 @@ def test_marginals_csv_is_printed_cell_by_cell(tmp_path, monkeypatch):
         model, spec = model_from_dict(descriptor), BridgeSpec(x, x + 7)
         table = (BridgeLaw(model, spec).table() if descriptor is PRODUCT
                  else marginal_table(model, spec, 1e-3))
-        assert len(table.times) > cli.BLOCK_CELLS // 8
+        assert len(table.times) > engine.BLOCK_CELLS // 8
         rows = [(t, x + zi, p) for t, probs in zip(table.times, table.probs)
                 for zi, p in enumerate(probs)]
         assert (out / "marginals.csv").read_text() == cells_csv(["t", "z", "prob"], rows)
@@ -834,7 +851,7 @@ def test_mean_curve_csv_is_printed_cell_by_cell(tmp_path, monkeypatch, args, cur
     # blocks of BLOCK_CELLS rows.  The mean is x plus the table's offsets: n p(t) on
     # an exp_affine bridge's binomial table, the engine table's rows times 0..n on a
     # tabulated one; its second differences are the offsets'; the bound x + n phi(t).
-    monkeypatch.setattr(cli, "BLOCK_CELLS", 300)
+    monkeypatch.setattr(engine, "BLOCK_CELLS", 300)
     models = {"PRODUCT": PRODUCT, "TABULATED": TABULATED}
     args = [write_model(tmp_path, models[a]) if a in models else a for a in args]
     out = tmp_path / "mc"
@@ -876,7 +893,7 @@ def _paths_of(tmp_path, sampler, spec, count, seed):
 def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, sampler, replicas):
     # one chunk for the header, then one per block of BLOCK_CELLS // 4 replicas of
     # 4 jumps each
-    monkeypatch.setattr(cli, "BLOCK_CELLS", 4 * PATH_BLOCK_ROWS)
+    monkeypatch.setattr(engine, "BLOCK_CELLS", 4 * PATH_BLOCK_ROWS)
     args, times = _paths_of(tmp_path, sampler, BridgeSpec(0, 4), replicas, 8)
     chunks = []
     write = cli._write_run
@@ -891,7 +908,7 @@ def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, samp
                                          "--out", str(out)]) == 0
     rows = [(r, j, t) for r, row in enumerate(times) for j, t in enumerate(row, start=1)]
     assert (out / "paths.csv").read_text() == cells_csv(["replica", "jump_index", "time"], rows)
-    block_rows = cli.BLOCK_CELLS // 4
+    block_rows = engine.BLOCK_CELLS // 4
     assert len(chunks) == 1 + -(-replicas // block_rows)
     assert all(c.count("\n") == 4 * block_rows for c in chunks[1:-1])
 
@@ -899,7 +916,7 @@ def test_paths_csv_is_printed_cell_by_cell_in_blocks(tmp_path, monkeypatch, samp
 @pytest.mark.parametrize("sampler", ["constant", "model", "tabulated"])
 def test_paths_rows_wider_than_a_block_go_out_one_row_at_a_time(tmp_path, monkeypatch, sampler):
     # n = 6 jumps per replica against BLOCK_CELLS = 4: each row is a block of its own
-    monkeypatch.setattr(cli, "BLOCK_CELLS", 4)
+    monkeypatch.setattr(engine, "BLOCK_CELLS", 4)
     args, times = _paths_of(tmp_path, sampler, BridgeSpec(0, 6), 9, 8)
     out = tmp_path / "s"
     assert cli.main(["sample"] + args + ["--y", "6", "--replicas", "9", "--seed", "8",

@@ -129,14 +129,28 @@ def test_tilted_cdf_below_the_normal_floats_is_the_identity():
         assert np.array_equal(tilted_quantile(lam, t), t)
 
 
-@pytest.mark.parametrize("lam", [709.79, 800.0, 1500.0, -1500.0, -800.0, 1e-9, -1e-9])
+@pytest.mark.parametrize("lam", [709.79, 800.0, 1500.0, -1500.0, -800.0, 1e-9, -1e-9, 5.0,
+                                 -5.0, 30.0, -30.0, 35.82, -35.82, 40.0, -40.0])
 def test_tilted_quantile_inverts_the_tilted_cdf_past_the_exp_range(lam):
     # log1p of the reflected tilt above 0: finite at every finite tilt (e^lam
-    # overflowed above 709.78 and was refused), within 1e-15 of the decimal inverse
-    p = np.linspace(0.0, 1.0, 1001)
+    # overflowed above 709.78 and was refused), within 1e-15 of the decimal inverse.
+    # Where 1 + w, w log1p's argument, would cancel (w < -1/2, past |lam| = log 2) it
+    # is a sum of positives, so both ends are exact: log1p alone read 5.08e-3 at
+    # (35.82, 0), a steep bridge's first window cut
+    p = np.concatenate([np.linspace(0.0, 1.0, 1001), np.geomspace(1e-300, 0.5, 200),
+                        1.0 - np.geomspace(1e-16, 0.5, 100)])
     t = tilted_quantile(lam, p)
-    assert t[0] == 0.0 and t[-1] == 1.0 and np.all(np.diff(t) >= 0.0)
+    assert t[0] == 0.0 and t[1000] == 1.0 and np.all(np.diff(t[:1001]) >= 0.0)
     assert np.max(np.abs(t - _decimal_quantile(lam, p))) <= 1e-15
+    if abs(lam) < 100.0:  # past it the profile is a step in floats
+        assert np.max(np.abs(tilted_cdf(lam, t) - p)) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [1e300, -1e300])
+def test_tilted_quantile_is_exact_at_both_ends_of_a_step(lam):
+    # past the decimal inverse's range: only the ends are known exactly
+    assert tilted_quantile(lam, 0.0) == 0.0 and tilted_quantile(lam, 1.0) == 1.0
+    assert tilted_quantile(lam, [1.0, 0.0]).tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("model, spec", [

@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import binom
 
 from countbridge.analytic import binomial_rows, clock_cdf, tilted_cdf_window
-from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
+from countbridge.engine import (BridgeSpec, marginal_table, marginal_table_two_sided,
+                               output_times, solve_h)
 from countbridge.intensity import ExpAffine, Poisson, Tabulated
 from countbridge.sampler import sample_bridge
 from countbridge.verify import KOLMOGOROV_999, dominance_check
@@ -43,6 +44,19 @@ def test_oracle_is_the_tilted_binomial_for_a_constant_characteristic():
     d = spec.u - t
     np.testing.assert_allclose(exp_affine_logh(Poisson(a), spec, t),
                                np.column_stack([np.log(a * d) - a * d, -a * d]), rtol=1e-13)
+
+
+def test_the_oracle_serves_a_subnormal_p():
+    # a steep bridge whose p(t) is 1.5e-323 at the first output time where it is
+    # positive, and scipy's binom.pmf raises OverflowError: the oracle's pmf, formed in
+    # logs, is the Binomial(n, p(t)) law there and at every other output time
+    model, spec = ExpAffine(1.0, 1987.6, 0.0), BridgeSpec(2, 11, 0.0093, 0.5692)
+    t = output_times(spec, 1e-3)
+    p = exp_affine_cdf(model, spec, t)
+    assert 0.0 < p[np.flatnonzero(p)[0]] < 1e-322
+    want = exp_affine_marginals(model, spec, t)
+    assert np.max(np.abs(want.sum(axis=1) - 1.0)) <= 1e-12
+    np.testing.assert_allclose(want, binomial_rows(spec.n, p), rtol=1e-12, atol=1e-300)
 
 
 def test_both_routes_match_the_closed_form(solved):

@@ -554,8 +554,8 @@ def test_validate_reads_the_tails_in_blocks(tall):
 @pytest.mark.parametrize("block", [3, 6, 7, 9, 1 << 14])
 def test_validate_finds_a_falling_tail_across_every_block_edge(monkeypatch, block):
     # consecutive blocks share a row, so the rows on each side of a block edge are read
-    # together; a table of 10 x 3 cells is one block at the default
-    monkeypatch.setattr(engine, "VALIDATE_BLOCK", block)
+    # together; a table of 10 x 3 cells is one block at 1 << 14, as at the default
+    monkeypatch.setattr(engine, "BLOCK_CELLS", block)
     spec, times = BridgeSpec(0, 2), np.linspace(0.0, 1.0, 10)
     p = times[:, None]
     rows = np.hstack([(1.0 - p) ** 2, 2.0 * p * (1.0 - p), p * p])

@@ -1,6 +1,7 @@
 """The README's examples, run: every command of its command block exits as its
-comment states, and every descriptor it shows loads.  Imports no scipy, so the
-README's commands are held on numpy alone."""
+comment states, every descriptor it shows loads, and every sampler name and
+option default it quotes is the package's.  Imports no scipy, so the README's
+commands are held on numpy alone."""
 
 import json
 import re
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from countbridge import cli
-from countbridge.intensity import model_from_dict
+from countbridge.engine import BridgeSpec
+from countbridge.intensity import ExpAffine, Tabulated, model_from_dict
+from countbridge.verify import BridgeLaw
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,3 +58,20 @@ def test_a_readme_command_exits_as_its_comment_states(tmp_path, monkeypatch, com
     out = argv.index("--out") + 1
     argv[out] = str(tmp_path / argv[out])
     assert cli.main(argv) == int(re.search(r"; exit (\d)$", comment).group(1))
+
+
+def test_every_sampler_name_the_readme_quotes_is_bridge_laws():
+    # the names of both routes, exact and by inversion, and no other
+    spec = BridgeSpec(0, 2)
+    tabulated = Tabulated([0.0, 1.0], 0, [[1.0, 2.0, 3.0]] * 2)
+    named = {BridgeLaw(model, spec).sampler for model in (ExpAffine(1.0, 0.0, 0.0), tabulated)}
+    assert set(re.findall(r'`"([a-z]+(?:-[a-z]+)+)"`', README.read_text())) == named
+
+
+def test_every_default_the_readme_quotes_is_the_option_tables():
+    # each "`--flag` (number)" of the README
+    quoted = dict(re.findall(r"`(--[a-z-]+)` \(([-+.0-9e]+)\)", README.read_text()))
+    assert {"--tol-margin", "--tol-convexity", "--z-max"} <= set(quoted)
+    for option in cli._OPTIONS.values():
+        if option.flag in quoted:
+            assert float(quoted[option.flag]) == option.defaults["verify"], option.flag

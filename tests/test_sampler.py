@@ -379,6 +379,24 @@ def test_sample_bridge_memory_stays_below_log_h():
     assert peak <= 0.5 * h.logh.nbytes
 
 
+@pytest.mark.parametrize("model", [Poisson(1.0), ExpAffine(1.0, 1000.0, -3.0),
+                                   ExpAffine(1.0, 0.0, 40.0)],
+                         ids=["zero-tilt", "clock-tilt-317-lam-3", "lam-40"])
+def test_sample_constant_memory_stays_within_its_estimate(model):
+    # the five (count x n) arrays sample_constant checks against the memory cap; past
+    # tilt log 2 the clock quantile adds the index and the values of its cancelling
+    # entries (nearly all of them at b = 1000, lam = -3), not both branches at every one
+    spec, count = BridgeSpec(0, 20), 5000
+    sample_constant(model, spec, 10, 1)
+    tracemalloc.start()
+    try:
+        sample_constant(model, spec, count, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * count * spec.n
+
+
 @pytest.mark.parametrize("model, spec, h_step, count", [
     (Poisson(1.0), BridgeSpec(0, 40), 1e-2, 500),
     (Product(1.0, 3.0, 0.1), BridgeSpec(0, 60), 1e-3, 500),

@@ -26,30 +26,17 @@ import functools
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, xlog1py, xlogy
 
 from countbridge.engine import BridgeSpec, marginal_table
-from countbridge.errors import ConservationLoss
 from countbridge.intensity import ExpAffine, Tabulated
-from oracles import exp_affine_cdf, separable_marginals, time_only_cdf
+from oracles import binomial_pmf, exp_affine_cdf, separable_marginals, time_only_cdf
 
 TOL = 1e-6
 
 
-def _binomial(n, p):
-    """Binomial(n, p) pmf rows, one per p, formed in logs: scipy's ``binom.pmf``
-    overflows at a subnormal p, which steep bridges reach."""
-    k = np.arange(n + 1)
-    p = np.asarray(p, dtype=float)[:, None]
-    with np.errstate(divide="ignore"):
-        log = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-               + xlogy(k, p) + xlog1py(n - k, -p))
-    return np.exp(log)
-
-
 def _exp_affine_law(model, spec):
     """The binomial law of an exp-affine bridge, on ``oracles.exp_affine_cdf``."""
-    return lambda times: _binomial(spec.n, exp_affine_cdf(model, spec, times))
+    return lambda times: binomial_pmf(spec.n, exp_affine_cdf(model, spec, times))
 
 
 def _window(rng, n):
@@ -86,7 +73,7 @@ def _time_only(seed):
     df = f * (c + 2.0 * np.pi * v * np.cos(2.0 * np.pi * t + phase))
     states = 1.0 + b * np.arange(spec.y + 1.0)
     model = Tabulated(t, 0, np.outer(f, states), np.outer(df, states))
-    return model, spec, lambda times: _binomial(spec.n, time_only_cdf(model, spec, times))
+    return model, spec, lambda times: binomial_pmf(spec.n, time_only_cdf(model, spec, times))
 
 
 def _flat(n):
@@ -118,7 +105,8 @@ FAMILIES = {"separable": _separable, "time-only": _time_only, "flat": _flat,
             "steep": _steep, "exp-affine": _exp_affine}
 
 # the seeds of each family (for flats, the jump count n); steep 3021, from a wider
-# run of the same families, is a bridge the engine refuses (REFUSED, below)
+# run of the same families, has the tilt 35.82 over its window, where state x's
+# window opens at s only if tilted_quantile(35.82, 0) is exactly 0
 SEEDS = {
     "separable": range(9),
     "time-only": range(100, 108),
@@ -157,28 +145,19 @@ MISSES = {
     "exp-affine-307": "tails 2.46e-6 off the closed form, 2 -> 80 on [0.269, 0.852]",
 }
 
-# A table the engine refuses: at the tilt 35.82 over the window, tilted_quantile(., 0)
-# reads 5.08e-3, not 0, so state x's window opens 3.8 output steps after s, the
-# rows before it hold no mass, and normalising them subtracts -inf from -inf.
-REFUSED = {"steep-3021": "rates 1 + 47.5 z, 0 -> 14 on [0.0141, 0.768]: "
-                         "no mass at s + 1e-3 and s + 2e-3"}
 
-
-def _marked(name, misses):
-    """``name``, marked as a strict xfail if it is refused or among ``misses``."""
-    if name in REFUSED:
-        return pytest.param(name, marks=pytest.mark.xfail(
-            strict=True, raises=(RuntimeWarning, ConservationLoss), reason=REFUSED[name]))
-    if name in misses:
-        return pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=misses[name]))
+def _marked(name):
+    """``name``, marked as a strict xfail if it is among MISSES."""
+    if name in MISSES:
+        return pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=MISSES[name]))
     return name
 
 
-@pytest.mark.parametrize("name", [_marked(name, {}) for name in NAMES])
+@pytest.mark.parametrize("name", NAMES)
 def test_pmf_is_the_exact_law(name):
     assert _errors(name)[0] <= TOL
 
 
-@pytest.mark.parametrize("name", [_marked(name, MISSES) for name in NAMES])
+@pytest.mark.parametrize("name", [_marked(name) for name in NAMES])
 def test_tails_are_the_exact_law(name):
     assert _errors(name)[1] <= TOL

@@ -397,7 +397,7 @@ def test_duality_check_draws_its_paths_as_the_bridge_law_does(model):
 def test_lln_experiment_shrinks():
     # the median sup distance shrinks as the Kolmogorov law's median 0.83 / sqrt(N)
     rep = lln_experiment(Poisson(1.0), 0.0, [50, 200], 120, 2024)
-    assert rep.strategy == "exact-order-statistics"
+    assert rep.strategy == "exact-tilted-order-statistics"
     assert rep.passed and rep.to_dict()["verdict"] == "pass"
     for big_n, med, scaled in zip(rep.n_values, rep.medians, rep.sqrt_n_medians):
         assert abs(med - 0.83 / math.sqrt(big_n)) <= 0.2 * 0.83 / math.sqrt(big_n)
@@ -441,7 +441,7 @@ def test_lln_fails_a_profile_that_is_not_the_limit(monkeypatch, model):
     # sqrt(N) times them grows past the bound; no h-field is solved
     heights = _solve_h_spy(monkeypatch)
     rep = lln_experiment(model, 3.0, [50, 200, 800], 200, 7)
-    assert rep.strategy == "exact-order-statistics" and heights == []
+    assert rep.strategy == "exact-tilted-order-statistics" and heights == []
     assert not rep.passed and rep.to_dict()["verdict"] == "fail"
     assert max(rep.sqrt_n_medians) > KOLMOGOROV_999
     ts = np.linspace(0.0, 1.0, 1001)
