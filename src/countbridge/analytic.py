@@ -142,17 +142,23 @@ def binomial_tail(n, p, i):
 
 
 def _relative_pmf(n, p):
-    """Per entry of the 1-D ``p``, the Binomial(n, p) pmf relative to the mode's."""
+    """Per entry of the 1-D ``p``, the Binomial(n, p) pmf relative to the mode's: the
+    ratios at and past the mode summed forward in the output, those before it backward
+    in their own buffer, each in place, so that it holds two table-sized arrays."""
     q = p[:, None]
     k = np.arange(n)
     # log p = -inf at p = 0 and log1p(-p) = -inf at p = 1 give ratios of -inf and
     # +inf, whose sums put all the mass on k = 0 and k = n
     with np.errstate(divide="ignore"):
         ratio = np.log((n - k) / (k + 1.0)) + (np.log(q) - np.log1p(-q))
-    mode = np.minimum(np.floor((n + 1) * q), n)
+    past = k >= np.minimum(np.floor((n + 1) * q), n)
     logpmf = np.zeros((q.shape[0], n + 1))
-    logpmf[:, 1:] = np.cumsum(np.where(k >= mode, ratio, 0.0), axis=1)
-    logpmf[:, :-1] -= np.cumsum(np.where(k < mode, ratio, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    up, down = logpmf[:, 1:], ratio[:, ::-1]
+    np.copyto(up, ratio, where=past)
+    np.cumsum(up, axis=1, out=up)
+    ratio[past] = 0.0
+    np.cumsum(down, axis=1, out=down)
+    logpmf[:, :-1] -= ratio
     return np.exp(logpmf, out=logpmf)
 
 

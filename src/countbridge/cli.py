@@ -308,7 +308,7 @@ def _run_characteristics(options, model):
     if not step > 0:
         raise BadStep(f"grid step must be positive, got {step}")
     cells = spec.length / step  # inf for a step below about 1e-308
-    zs = range(spec.x, max(spec.x, spec.y - 1) + 1)
+    zs = spec.characteristic_states()
     # the xi rows take 8 bytes per (time, state) cell; the times and one
     # state's characteristic temporaries about 96 bytes per time
     check_memory(8 * (cells + 1) * (len(zs) + 12),

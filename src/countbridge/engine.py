@@ -75,8 +75,8 @@ WINDOW_TAIL = 1e-20
 # (see _Mesh); closer queries use the exact (y - z) / (u - t) pin asymptote.
 PIN_DEPTH = 100.0
 MAX_COARSE_STEP = 1e-2 + 1e-12
-# A mesh whose band of log h over the windows would exceed this many bytes is
-# refused before the band is allocated; so are samples and grids whose arrays would.
+# A solve (see _Mesh), a sample or a grid whose arrays would exceed this many bytes
+# is refused before they are allocated.
 MEMORY_CAP = 2 * 2 ** 30
 # A marginal table is refused when its mass drifts by more than DRIFT_TOL between
 # output rows, or a tail P(X_t >= z) falls in t by more than MONOTONE_TOL.
@@ -116,6 +116,11 @@ class BridgeSpec:
     def ladder(self):
         return np.arange(self.x, self.y + 1)
 
+    def characteristic_states(self):
+        """The states the bridge reads the characteristic at: x to y - 1, which its
+        jumps leave from, or x alone if it makes no jump."""
+        return range(self.x, max(self.x, self.y - 1) + 1)
+
 
 def check_memory(need, what):
     """Raise :class:`~countbridge.errors.ResourceCap` when ``what`` needs more
@@ -141,7 +146,8 @@ def output_times(spec, h_step):
         raise BadStep(f"h_step {count_text(h_step)} does not fit the window of length {spec.length}")
     if h_step > MAX_COARSE_STEP:
         raise BadStep("h_step must not exceed 1e-2")
-    # the mesh probes the rate at four times a cell before it sizes anything else
+    # four floats a cell, as many as the mesh's probe times; each route counts what it
+    # holds on the grid itself
     check_memory(32 * spec.length / h_step, f"a mesh of {spec.length / h_step:.3g} cells")
     return np.linspace(spec.s, spec.u, max(2, int(round(spec.length / h_step))) + 1)
 
@@ -179,8 +185,10 @@ class _Mesh:
     pin extension takes d_j at u - dc.  Cuts at the window ends (see
     :func:`_cut_times`) give d_j = n.
 
-    Once the windows are placed the size of the band of log h over them is
-    known; a mesh whose band would exceed MEMORY_CAP raises
+    Each step is refused where its size is first known, before it allocates,
+    when what it would hold exceeds MEMORY_CAP: the rate probe, the nodes, and,
+    once the windows are placed, the band of log h over them with what the
+    sweeps and the table hold beside it.  The refusal is a
     :class:`~countbridge.errors.ResourceCap` with the estimate.
     """
 
@@ -192,6 +200,10 @@ class _Mesh:
         # some 16 ladder-long arrays at once; the cut times let the model refuse states first
         check_memory(128 * (spec.n + 1), f"a mesh over {count_text(spec.n + 1)} states")
         cuts = _cut_times(model, spec)
+        # the probe's 4 times a cell and the reader's arrays on them: a tabulated model's
+        # piece index and three offset powers, its column and their running minimum, the
+        # integral's segments and sums, about 81 bytes a time, measured at 324-327 a cell
+        check_memory(330 * n_c, f"a rate probe over {n_c:.3g} cells")
 
         # probe the ladder-minimal rate (one state's column at a time) and its
         # backward cumulative integral, and the largest ladder rate at u, r_top
@@ -218,6 +230,8 @@ class _Mesh:
         v = np.interp(edges[:n_c], t_tab, v_tab)
         v1, v2 = v[:-1], v[1:]
         n_sub = np.maximum(1, np.ceil((v1 - v2) * depth[:-1] / budget).astype(int))
+        # two nodes a substep, each at the sweeps' 336 bytes; laying them out takes about 150
+        check_memory(336 * 2 * int(n_sub.sum()), f"a mesh of {2 * int(n_sub.sum()):.3g} nodes")
         # node k of cell j sits at fb-index out_fb_idx[j] + k, the edge itself at k = 0
         self.out_fb_idx = np.concatenate([[0], np.cumsum(n_sub)])
         cell = np.repeat(np.arange(n_c - 1), n_sub)
@@ -246,7 +260,12 @@ class _Mesh:
         self.times = np.concatenate([seg_a, ext[np.diff(ext, prepend=-np.inf) > 0], [u]])
         self.n_fwd_nodes = seg_a.size
         self._place_windows(cuts)
-        check_memory(8 * int((self.h_hi - self.h_lo + 1).sum()),
+        # beside the band of log h, 8 bytes a cell, what the sweeps hold a node: its times
+        # and rates at the midpoints, its step factors, a tabulated reader's piece index and
+        # powers, and the columns of a state and of the one before, measured at 71-328 bytes
+        # net of the band and the table; and the table with its finite check, 9 bytes a cell
+        band = int((self.h_hi - self.h_lo + 1).sum())
+        check_memory(8 * band + 336 * self.times.size + 9 * (n_c + 1) * (spec.n + 1),
                      f"a bridge of {count_text(spec.n)} jumps, with log h on the windows of its"
                      f" states over {self.times.size} mesh nodes,")
 
@@ -303,7 +322,7 @@ def _cut_times(model, spec):
     n = spec.n
     if n == 0:
         return np.array([spec.s]), np.array([spec.u])
-    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+    bounds = model.characteristic_bounds(spec)
     thr = _tail_thresholds(n)
     length = spec.length
     try:

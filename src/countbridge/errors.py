@@ -41,10 +41,6 @@ class TabulationGap(OutOfDomain):
     """A tabulated rate model does not cover the requested grid point."""
 
 
-class EmptyRange(CountBridgeError):
-    """A state range with no states in it."""
-
-
 class BadWindow(CountBridgeError):
     """A time window with s >= u, or a time outside the window."""
 

@@ -16,6 +16,7 @@ characteristic and serve as closed-form benchmarks throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap, check_keys, count_text
+from .errors import BadParameter, BadWindow, OutOfDomain, TabulationGap, check_keys, count_text
 
 _T_SLACK = 1e-12
 
@@ -107,9 +108,9 @@ def _check_state(z, floor, t=0.0):
 
 
 class CharacteristicBounds(NamedTuple):
-    """Proved bounds of the characteristic over a window x state range: the
-    extremes for ``ExpAffine``; for ``Tabulated`` within BOUNDS_TOL of them and
-    a rounding margin (see :meth:`Tabulated.characteristic_bounds`)."""
+    """Proved bounds of the characteristic over one bridge's window and the states it
+    reads: the extremes for ``ExpAffine``; for ``Tabulated`` within BOUNDS_TOL of
+    them and a rounding margin (see :meth:`Tabulated.characteristic_bounds`)."""
 
     inf: float
     sup: float
@@ -120,15 +121,6 @@ class _RateModel:
 
     def to_dict(self):
         return {"family": self.family, "params": self._params(), "state_floor": self.state_floor}
-
-
-def _validate_zrange(z_range, floor):
-    zlo, zhi = (_integral("a state range's end", z) for z in z_range[:2])
-    if zlo > zhi:
-        raise EmptyRange(f"empty state range [{count_text(zlo)}, {count_text(zhi)}]")
-    if zlo < floor:
-        raise OutOfDomain(f"state range starts below floor {count_text(floor)}")
-    return zlo, zhi
 
 
 @dataclass(frozen=True)
@@ -196,11 +188,11 @@ class ExpAffine(_RateModel):
             out = out + 0.0 * z
         return float(out) if out.ndim == 0 else out
 
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
-        s, u = _window(t_window[0], t_window[1])
-        if z_range is not None:
-            _validate_zrange(z_range, self.state_floor)
-        return CharacteristicBounds(*sorted(self._ends(s, u)))
+    def characteristic_bounds(self, spec):
+        """The characteristic at the ends of the bridge ``spec``'s window, the least
+        first; a bridge that starts below the state floor is an OutOfDomain."""
+        _check_state(spec.x, self.state_floor)
+        return CharacteristicBounds(*sorted(self._ends(spec.s, spec.u)))
 
     def _ends(self, s, u):
         """The characteristic at times s and u if both are finite; else
@@ -259,12 +251,23 @@ def _power_sum(c, idx, powers):
 
 # Tabulated pieces are halved at most this often, to prove them positive and to
 # bring the characteristic bounds within BOUNDS_TOL x max(1, |bound|) of the
-# extremes; the bounds then move out by _ROUNDING times the size of their terms.
-# Only the cells near an extreme stay open, so the cells per piece and state
-# stay few.
+# extremes; the bounds then move out by each cell's rounding margin.  Only the
+# cells near an extreme stay open, so the cells per piece and state stay few.
 _MAX_HALVINGS = 48
 BOUNDS_TOL = 1e-6
-_ROUNDING = 1e-12
+_UNIT = np.finfo(float).eps / 2.0
+# Bounds on the roundings along any path from the data to a Bernstein coefficient
+# of a cell before halving (16 to form it and 18 in each of the two clipping
+# splits, 52 in all), and to a value of ``Tabulated.characteristic``'s cubics (10
+# for r'); each halving adds 7 to the first, a product and six sums (see _HALVES).
+_FORM_ROUNDINGS = 64
+_HALVING_ROUNDINGS = 7
+_READ_ROUNDINGS = 16
+
+
+def _gamma(k):
+    """Higham's gamma_k: the relative error of k roundings, each by at most _UNIT."""
+    return k * _UNIT / (1.0 - k * _UNIT)
 
 
 def _split(b, tau):
@@ -276,15 +279,77 @@ def _split(b, tau):
     return np.array([r[0] for r in rows]), np.array([r[-1] for r in rows[::-1]])
 
 
-def _product(a, b):
-    """Bernstein coefficients of the products of polynomials given by theirs
-    (one row each, degrees p and q): p + q + 1 rows."""
-    p, q = len(a) - 1, len(b) - 1
-    out = np.zeros((p + q + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+# The de Casteljau halving of degree-6 Bernstein coefficients as one matrix, rows
+# 0-6 giving the left half's and 7-13 the right half's.  Its entries C(k, j) / 2^k
+# are exact, so a coefficient of a half takes a rounded product and at most six
+# rounded sums, in whatever order the matrix product forms them.
+_HALVES = np.array([[math.comb(k, j) / 2.0 ** k if j <= k else 0.0 for j in range(7)] for k in range(7)]
+                   + [[math.comb(6 - k, j - k) / 2.0 ** (6 - k) if j >= k else 0.0 for j in range(7)]
+                      for k in range(7)])
+
+
+@functools.cache
+def _product_weights(p, q):
+    """w[i + j, i, j] = C(p, i) C(q, j) / C(p + q, i + j), the weights of the
+    products' coefficients (see :func:`_product`); 0 elsewhere."""
+    w = np.zeros((p + q + 1, p + 1, q + 1))
     for i in range(p + 1):
         for j in range(q + 1):
-            out[i + j] += math.comb(p, i) * math.comb(q, j) * a[i] * b[j]
-    return out / np.array([math.comb(p + q, k) for k in range(p + q + 1)])[:, None]
+            w[i + j, i, j] = math.comb(p, i) * math.comb(q, j) / math.comb(p + q, i + j)
+    return w
+
+
+def _product(a, b):
+    """Bernstein coefficients of the products of polynomials given by theirs
+    (one row each, degrees p and q): p + q + 1 rows.  Each takes a rounded
+    weight, two rounded products and at most three rounded sums (the zero
+    weights add exact zeros)."""
+    return np.einsum("kij,i...,j...->k...", _product_weights(len(a) - 1, len(b) - 1), a, b)
+
+
+def _characteristic_cells(r, jump, e):
+    """Degree-6 Bernstein coefficients of r' + r D, r and r' (axis 1), from those
+    of r, of D = r(., z+1) - r(., z) and of r' (one column per piece and state)."""
+    ones5, ones4 = np.ones((5, 1)), np.ones((4, 1))
+    slope = _product(e, ones5)
+    return np.stack([slope + _product(r, jump), _product(r, ones4), slope], axis=1)
+
+
+def _cell_ranges(cells, gamma, reach, cell, s_end, exact):
+    """Each cell's coefficient ratios, their least and largest, and a margin past
+    those that holds the characteristic and its computed values on the cell.
+
+    ``cells`` hold the coefficients of r' + r D, r and r' and then their sizes
+    (axis 1): a computed coefficient is within ``gamma`` times its size of the
+    exact one.  ``reach`` holds the cubics, lowest power first, that bound r, r'
+    and r one state up and their rounding as :meth:`Tabulated.characteristic`
+    forms them at an offset into the piece; they are read at ``s_end``.  A cell
+    whose r is not proved positive has infinite ratios and no margin.
+    """
+    num, den, slope = cells[:, 0], cells[:, 1], cells[:, 2]
+    err = gamma * cells[:, 3:]
+    q = num / den
+    floor = den - err[:, 1]  # the exact r on the cell is above every one of these
+    # the exact coefficient ratio lies within this of the computed one
+    ratio_err = (err[:, 0] + np.abs(q) * err[:, 1]) / floor + _UNIT * np.abs(q)
+    r_low = floor.min(axis=0)
+    ok = r_low > 0
+    # how far Tabulated.characteristic's r'/r + r(., z+1) - r may round from the
+    # exact value, from bounds of r, r' and r(., z+1) and of their rounding
+    a = reach[:, :, cell]
+    size_r, size_dt, size_up = ((a[:, 3] * s_end + a[:, 2]) * s_end + a[:, 1]) * s_end + a[:, 0]
+    g = _gamma(_READ_ROUNDINGS)
+    slope_max = (np.abs(slope) + err[:, 2]).max(axis=0)
+    r_read = r_low - g * size_r
+    quotient = (slope_max + g * size_dt) / r_read
+    read_err = ((g * size_dt + slope_max * g * size_r / r_low) / r_read + _UNIT * quotient
+                + g * (size_up + size_r) + 2.0 * _UNIT * (quotient + size_up + size_r))
+    # twice the sum, to hold the roundings of forming these bounds themselves
+    margin = 2.0 * (ratio_err.max(axis=0) + np.where(r_read > 0, read_err, np.inf))
+    margin = np.where(ok & ~exact, margin, 0.0)
+    lo = np.where(ok, q.min(axis=0), -np.inf)
+    hi = np.where(ok, q.max(axis=0), np.inf)
+    return q, lo, hi, margin
 
 
 def _unproved_piece(b):
@@ -428,58 +493,106 @@ class Tabulated(_RateModel):
 
     # its products and ratios may leave the float range: such bounds are refused
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
-        """Proved bounds of the characteristic over the window x state range.
+    def characteristic_bounds(self, spec):
+        """Proved bounds of the characteristic over the bridge ``spec``'s window and the
+        states it reads; a state or time outside the table raises as :meth:`rate` does.
 
         On a piece it is (r' + r D) / r, r the state's cubic and D = r(., z+1)
         - r(., z).  In the degree-6 Bernstein basis, where the denominator's
         coefficients are positive, it lies between the least and the largest
         coefficient ratio.  Pieces are clipped to the window and halved while
-        their ratios reach past the values at piece ends by more than
+        their ratios reach past the values at cell ends by more than
         BOUNDS_TOL and their rounding margin; the bounds then move out by it.
+
+        A cell's margin bounds both the rounding of its own coefficients and
+        that of :meth:`characteristic` on it, so the bounds enclose the values
+        it returns.  Each coefficient is a sum of products of the data, and k
+        roundings on the way move it by at most gamma_k times the same sum
+        formed from the data's absolute values (Higham, Accuracy and Stability
+        of Numerical Algorithms, 3.1).  Those sums are carried through the de
+        Casteljau splits beside the coefficients: a split's weights are not
+        negative, so it maps a cell's sums to its halves' sums, and each cell's
+        margin is sized by the terms it is formed from, not by its piece's.
         """
-        s, u = _window(t_window[0], t_window[1])
-        zlo, zhi = _validate_zrange((self.z_min, self.z_max - 1) if z_range is None else z_range,
-                                    self.state_floor)
+        s, u, zs = spec.s, spec.u, spec.characteristic_states()
         x = self.t_grid
-        self._locate(np.array([s, u]), np.array([zlo, zhi + 1]))
+        self._locate(np.array([s, u]), np.array([zs.start, zs.stop]))
         first, last = _pieces(x, np.array([s, u]))[0]
         p, c = (a.ravel() for a in np.meshgrid(np.arange(first, last + 1),
-                                               np.arange(zlo, zhi + 1) - self.z_min, indexing="ij"))
+                                               np.arange(zs.start, zs.stop) - self.z_min, indexing="ij"))
         dx = np.diff(x)[p]
         r, jump = self._bern[:, p, c], self._bern[:, p, c + 1] - self._bern[:, p, c]
         e = 3.0 * np.diff(r, axis=0) / dx
-        cells = np.stack([_product(e, np.ones((5, 1))) + _product(r, jump),
-                          _product(r, np.ones((4, 1)))], axis=1)
-        if not np.all(np.isfinite(cells)):
+        # beside them, the same sums formed from absolute values (their sizes): r's
+        # coefficients y0, y0 + dx d0 / 3, y1 - dx d1 / 3 and y1 taken as |y0|,
+        # |y0| + dx |d0| / 3, |y1| + dx |d1| / 3 and |y1|
+        y, d = np.abs(self.rates), np.abs(self.rates_dt)
+        size, up = (np.stack([y[p, k], y[p, k] + dx * d[p, k] / 3.0, y[p + 1, k] + dx * d[p + 1, k] / 3.0,
+                              y[p + 1, k]]) for k in (c, c + 1))
+        cells = _characteristic_cells(*(np.concatenate(pair, axis=1) for pair in (
+            (r, size), (jump, size + up), (e, 3.0 * (size[1:] + size[:-1]) / dx))))
+        # axis 1: r' + r D, r and r', then their sizes
+        cells = np.concatenate(np.split(cells, 2, axis=2), axis=1)
+        if not np.all(np.isfinite(cells[:, :3])):
             raise OutOfDomain("the characteristic's Bernstein coefficients leave the float range")
-        ts, tu = np.clip((s - x[p]) / dx, 0.0, 1.0), np.clip((u - x[p]) / dx, 0.0, 1.0)
-        cells = _split(_split(cells, tu)[0], np.divide(ts, tu, out=np.zeros_like(ts), where=tu > 0))[1]
-        # the size of the terms r' and r D are formed from, 0 where both are exactly 0
-        size = np.abs(r).max(axis=0)
-        scale = np.where(e.any(axis=0) | jump.any(axis=0),
-                         12.0 / dx + 2.0 * size + np.abs(jump).max(axis=0), 0.0)
-        cell = np.arange(p.size)  # the piece and state of each cell
+        # the window's ends, moved out by 4 ulps of the piece so that rounding in
+        # the clipping fractions leaves no time of the window uncovered
+        ts = np.clip((s - x[p]) / dx - 4.0 * _UNIT, 0.0, 1.0)
+        tu = np.clip((u - x[p]) / dx + 4.0 * _UNIT, 0.0, 1.0)
+        tau = np.divide(ts, tu, out=np.zeros_like(ts), where=tu > 0)
+        cells = _split(_split(cells, tu)[0], tau)[1]
+        # no margin where both states' data are one constant: every term is exactly 0
+        exact = ~(e.any(axis=0) | jump.any(axis=0))
+        reach = self._read_error_terms(p, c)
+        # the piece and state of each open cell, its ends as fractions of the piece and
+        # its parent's margin; a closed cell stays closed, as the least and the largest
+        # value at cell ends only move out, so only its bound is kept
+        cell, start, end, parent = np.arange(p.size), ts, tu, np.full(p.size, np.inf)
+        least = low = math.inf
+        most = high = -math.inf
         for halving in range(_MAX_HALVINGS + 1):
-            low = cells[:, 1].min(axis=0)
-            q = cells[:, 0] / cells[:, 1]
-            margin = np.where(low > 0, _ROUNDING * size[cell] * (scale[cell] + np.abs(q).max(axis=0))
-                              / low, 0.0)
-            lo, hi = np.where(low > 0, q.min(axis=0), -np.inf), np.where(low > 0, q.max(axis=0), np.inf)
-            # the least and largest value of the characteristic at the cells' ends; a cell
-            # is open while its ratios reach past them by more than BOUNDS_TOL and its
-            # rounding margin, which halving does not shrink
-            least, most = q[[0, -1]].min(), q[[0, -1]].max()
-            open_ = ((lo + margin < least - BOUNDS_TOL * max(1.0, abs(least)))
-                     | (hi - margin > most + BOUNDS_TOL * max(1.0, abs(most))))
-            if halving == _MAX_HALVINGS or not open_.any():
-                bounds = CharacteristicBounds(float((lo - margin).min()), float((hi + margin).max()))
+            gamma = _gamma(_FORM_ROUNDINGS + _HALVING_ROUNDINGS * halving)
+            q, lo, hi, margin = _cell_ranges(cells, gamma, reach, cell, end * dx[cell], exact[cell])
+            # the least and largest value of the characteristic at cell ends; a cell is
+            # open while its ratios reach past them by more than BOUNDS_TOL and its
+            # rounding margin, or while its bound does and halving still shrinks its
+            # margin (by a quarter at least: near a node, rounding in the cubics does
+            # not shrink)
+            least, most = min(least, q[[0, -1]].min()), max(most, q[[0, -1]].max())
+            tol_least, tol_most = (BOUNDS_TOL * max(1.0, abs(v)) for v in (least, most))
+            gap = (lo + margin < least - tol_least) | (hi - margin > most + tol_most)
+            loose = (lo - margin < least - tol_least) | (hi + margin > most + tol_most)
+            open_ = (gap | (loose & (margin < 0.75 * parent))) & (halving < _MAX_HALVINGS)
+            low = min(low, (lo - margin)[~open_].min(initial=math.inf))
+            high = max(high, (hi + margin)[~open_].max(initial=-math.inf))
+            if not open_.any():
+                bounds = CharacteristicBounds(float(low), float(high))
                 if not all(map(math.isfinite, bounds)):
                     raise OutOfDomain(f"the characteristic's bounds, {bounds.inf:g} and"
                                       f" {bounds.sup:g}, are not finite")
                 return bounds
-            cells = np.concatenate([cells[:, :, ~open_], *_split(cells[:, :, open_], 0.5)], axis=2)
-            cell = np.concatenate([cell[~open_], np.tile(cell[open_], 2)])
+            mid = 0.5 * (start[open_] + end[open_])
+            cells = np.concatenate(np.split(np.tensordot(_HALVES, cells[:, :, open_], axes=1), 2), axis=2)
+            start = np.concatenate([start[open_], mid])
+            end = np.concatenate([mid, end[open_]])
+            cell, parent = (np.tile(a[open_], 2) for a in (cell, margin))
+
+    def _read_error_terms(self, p, c):
+        """For pieces ``p`` and state columns ``c``: the coefficients, lowest power
+        first, of the sums of absolute values that bound r, r' and r one state up
+        as :meth:`characteristic` forms them at an offset s into the piece (axis 0)."""
+        dx = np.diff(self.t_grid)[p]
+
+        def absolute(k):
+            y, d = np.abs(self.rates[p, k]), np.abs(self.rates_dt[p, k])
+            y1, d1 = np.abs(self.rates[p + 1, k]), np.abs(self.rates_dt[p + 1, k])
+            slope = (y + y1) / dx
+            t = (d + d1 + 2.0 * slope) / dx
+            return np.stack([y, d, (slope + d) / dx + t, t / dx])
+
+        r = absolute(c)
+        return np.stack([r, np.concatenate([r[1:] * np.array([1.0, 2.0, 3.0])[:, None], 0.0 * r[:1]]),
+                         absolute(c + 1)])
 
     def _params(self):
         params = {

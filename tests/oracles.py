@@ -61,7 +61,7 @@ class FullWindows:
     def __init__(self, model):
         self.model = model
 
-    def characteristic_bounds(self, t_window=(0.0, 1.0), z_range=None):
+    def characteristic_bounds(self, spec):
         return CharacteristicBounds(-math.inf, math.inf)
 
     def __getattr__(self, name):
@@ -377,7 +377,7 @@ def sample_rejection(model, spec, count, rng_seed, pot=None, max_draws=None):
         raise OracleScale(f"rejection sampling gated to n <= 20, bridge has {n}")
     if pot is None:
         pot = characteristic_integrals(model, spec)
-    lam_hat = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1))).inf
+    lam_hat = model.characteristic_bounds(spec).inf
     log_m = float(sum(pot.xi(j + 1, spec.u) - lam_hat * spec.length for j in range(n)))
     rng = seeded_rng(rng_seed)
     out = []
@@ -473,7 +473,7 @@ def dominance_per_cell(model, spec, lam, direction, table):
     the rows as a list of tuples, time-major.  The array check must return the
     same rows, worst margin and verdicts exactly."""
     n = spec.n
-    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, max(spec.x, spec.y - 1)))
+    bounds = model.characteristic_bounds(spec)
     if direction == "lower":
         hypothesis_holds = bounds.inf >= lam - 1e-12
     else:

@@ -91,8 +91,8 @@ _MODELS = [ExpAffine(1.0, 1.0, 0.5), Tabulated([0.0, 1.0], 0, np.ones((2, 3)))]
 @pytest.mark.parametrize("read", [
     lambda s, u: BridgeSpec(0, 3, s, u),
     lambda s, u: tilted_cdf_window(1.0, s, u, []),
-    lambda s, u: _MODELS[0].characteristic_bounds((s, u)),
-    lambda s, u: _MODELS[1].characteristic_bounds((s, u)),
+    lambda s, u: _MODELS[0].characteristic_bounds(BridgeSpec(0, 2, s, u)),
+    lambda s, u: _MODELS[1].characteristic_bounds(BridgeSpec(0, 2, s, u)),
 ], ids=["bridge-spec", "tilted-cdf-window", "exp-affine-bounds", "tabulated-bounds"])
 @pytest.mark.parametrize("s, u, error, message", [
     (True, 1.0, BadParameter, "s must be a finite real number, got True"),
@@ -111,8 +111,9 @@ _MODELS = [ExpAffine(1.0, 1.0, 0.5), Tabulated([0.0, 1.0], 0, np.ones((2, 3)))]
         "reversed", "numpy-reversed", "empty", "below-0", "past-1"])
 def test_every_window_is_read_by_one_rule(read, s, u, error, message):
     # an end that is no real number is named; any other window outside 0 <= s < u <= 1
-    # quotes both ends.  The characteristic bounds once raised OutOfDomain for a
-    # reversed window and a bare OverflowError for an int past the float range, and
-    # they and the tilted CDF served windows up to 1e-12 outside [0, 1]
+    # quotes both ends.  The characteristic bounds once read a window of their own and
+    # raised OutOfDomain for a reversed one and a bare OverflowError for an int past the
+    # float range, and they and the tilted CDF served windows up to 1e-12 outside [0, 1];
+    # now they read the window of the bridge they are asked for
     with pytest.raises(error, match=re.escape(message)):
         read(s, u)

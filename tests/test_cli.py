@@ -358,6 +358,21 @@ def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch)
         assert len(calls) == solves, args
 
 
+@pytest.mark.parametrize("y, functionals", [
+    (0, []), (1, ["sin(pi T1)"]), (2, ["sin(pi T1)", "T1 T2", "cos(pi T2)"]),
+], ids=["no-jump", "one-jump", "two-jumps"])
+def test_duality_skips_the_functionals_that_read_more_jumps_than_the_bridge_has(tmp_path, y,
+                                                                                 functionals):
+    # each catalog functional reads its first m jump times: a bridge of fewer jumps
+    # reports none of it, and one of no jump reports no duality check at all
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--lambda", "1", "--y", str(y), "--check", "duality",
+                     "--replicas", "500", "--out", str(out)]) == 0
+    report = read_json(out / "verify.json")
+    assert [c["inputs"]["phi"] for c in report["checks"]] == functionals
+    assert report["all_pass"] is True
+
+
 @pytest.mark.parametrize("args, message", [
     (["--check", "convexity", "--check", "dominance"], "dominance check needs --lambda"),
     (["--lambda", "3", "--check", "dominance", "--check", "dominance"],

@@ -276,7 +276,7 @@ def test_dominance_holds_at_both_bounds_of_a_separable_characteristic(model, spe
     # every inspected tail lies below the binomial tail of the profile tilted at lam_lo
     # and above that at lam_hi
     table = marginal_table(model, spec, 1e-2)
-    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+    bounds = model.characteristic_bounds(spec)
     for lam, direction in ((bounds.inf, "lower"), (bounds.sup, "upper")):
         report = dominance_check(model, spec, lam, direction, table=table)
         assert report.passed and report.hypothesis_holds
@@ -288,7 +288,7 @@ def test_dominance_fails_a_table_nudged_past_its_bound(nudge, direction):
     # moved by 1e-3 moves the characteristic of state 0 alone by about 1e-3, past the
     # bound the unmoved table has: a tail crosses its benchmark by 3.4e-5, against 1e-6
     spec = BridgeSpec(0, 10)
-    bounds = _near_linear().characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+    bounds = _near_linear().characteristic_bounds(spec)
     lam = bounds.inf if direction == "lower" else bounds.sup
     model = _near_linear(nudge)
     report = dominance_check(model, spec, lam, direction, table=marginal_table(model, spec, 1e-2))

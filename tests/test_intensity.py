@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countbridge.engine import BridgeSpec, marginal_table, marginal_table_two_sided, solve_h
-from countbridge.errors import (BadParameter, BadWindow, EmptyRange, OutOfDomain, TabulationGap,
+from countbridge.errors import (BadParameter, BadWindow, OutOfDomain, TabulationGap,
                                count_text)
 from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Tabulated,
                                    constant_characteristic_model, model_from_dict)
@@ -67,14 +67,14 @@ def test_poisson_characteristic_invariant_in_alpha(alpha):
     model = Poisson(alpha)
     ts = np.linspace(0, 1, 17)
     assert np.all(model.characteristic(ts, 3) == 0.0)
-    b = model.characteristic_bounds((0.0, 1.0), (0, 9))
+    b = model.characteristic_bounds(BridgeSpec(0, 10))
     assert b.inf == b.sup == 0.0
 
 
 def test_characteristic_bounds_values():
-    b = TimeExponential(1.0, -3.0).characteristic_bounds((0.0, 1.0), (0, 19))
+    b = TimeExponential(1.0, -3.0).characteristic_bounds(BridgeSpec(0, 20))
     assert (b.inf, b.sup) == (-3.0, -3.0)
-    b = Product(1.0, 3.0, 0.1).characteristic_bounds((0.0, 1.0), (0, 4))
+    b = Product(1.0, 3.0, 0.1).characteristic_bounds(BridgeSpec(0, 5))
     assert b.inf == pytest.approx(3.1, abs=1e-12)
     assert b.sup == pytest.approx(3.0 + 0.1 * math.e ** 3, rel=1e-12)
 
@@ -87,7 +87,7 @@ def test_a_time_exponential_characteristic_is_lam_past_the_float_range(lam):
     assert model.characteristic(1.0, 0) == lam
     got = model.characteristic(ts[:, None], np.arange(3))
     assert got.shape == (9, 3) and np.all(got == lam)
-    assert model.characteristic_bounds() == (lam, lam)
+    assert model.characteristic_bounds(BridgeSpec(0, 1)) == (lam, lam)
 
 
 @pytest.mark.parametrize("model", [ExpAffine(1.0, 1.0, 710.0), ExpAffine(1.0, 1e300, 30.0)],
@@ -95,11 +95,11 @@ def test_a_time_exponential_characteristic_is_lam_past_the_float_range(lam):
 def test_a_characteristic_past_the_float_range_is_refused(model):
     # b e^(lam t) leaves the float range on the window, e^(lam t) itself or b times it
     with pytest.raises(OutOfDomain, match="leaves the float range"):
-        model.characteristic_bounds()
+        model.characteristic_bounds(BridgeSpec(0, 1))
     with pytest.raises(OutOfDomain, match="leaves the float range"):
         model.characteristic(np.linspace(0.0, 1.0, 5), 0)
     # up to t = 0.5 it is finite
-    assert model.characteristic_bounds((0.0, 0.5)).sup < math.inf
+    assert model.characteristic_bounds(BridgeSpec(0, 1, 0.0, 0.5)).sup < math.inf
     assert np.all(np.isfinite(model.characteristic(np.linspace(0.0, 0.5, 5), 0)))
 
 
@@ -107,9 +107,9 @@ def test_tabulated_bounds_whose_products_leave_the_float_range_are_refused():
     # rates 1 + 1e200 z: r times r(., z + 1) - r overflows
     model = Tabulated([0.0, 0.5, 1.0], 0, [[1.0 + 1e200 * z for z in range(7)]] * 3)
     with pytest.raises(OutOfDomain, match="float range"):
-        model.characteristic_bounds((0.0, 1.0), (0, 5))
+        model.characteristic_bounds(BridgeSpec(0, 6))
     # state 0 alone: rate 1 and, above it, 1 + 1e200, so the characteristic is 1e200
-    assert model.characteristic_bounds((0.0, 1.0), (0, 0)) == pytest.approx((1e200, 1e200))
+    assert model.characteristic_bounds(BridgeSpec(0, 1)) == pytest.approx((1e200, 1e200))
 
 
 def test_a_zero_b_characteristic_keeps_its_bits():
@@ -117,15 +117,11 @@ def test_a_zero_b_characteristic_keeps_its_bits():
     for lam, b in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-3.0, 0.0)):
         model = ExpAffine(1.0, b, lam)
         want = lam + b * 1.0
-        assert math.copysign(1.0, model.characteristic_bounds().inf) == math.copysign(1.0, want)
+        bound = model.characteristic_bounds(BridgeSpec(0, 1)).inf
+        assert math.copysign(1.0, bound) == math.copysign(1.0, want)
         got = model.characteristic(np.array([0.5]), 2)
         assert got == want + 0.0 * 2
         assert math.copysign(1.0, got[0]) == math.copysign(1.0, want + 0.0 * 2)
-
-
-def test_characteristic_bounds_empty_range():
-    with pytest.raises(EmptyRange):
-        Poisson(1.0).characteristic_bounds((0.0, 1.0), (3, 2))
 
 
 def test_domain_errors():
@@ -156,7 +152,7 @@ def test_rate_positive_down_to_a_negative_floor():
 def test_constant_characteristic_model_covers_all_signs():
     for lam in (-5.0, -3.0, 0.0, 3.0, 5.0):
         m = constant_characteristic_model(lam)
-        b = m.characteristic_bounds((0.0, 1.0), (0, 40))
+        b = m.characteristic_bounds(BridgeSpec(0, 41))
         assert b.inf == b.sup == lam
 
 
@@ -208,6 +204,17 @@ def _hull_model():
     # tabulated on the time hull [0.2, 0.8] and states 2..4, floor 2
     tg = np.linspace(0.2, 0.8, 7)
     return Tabulated(tg, 2, np.ones((7, 3)) + tg[:, None])
+
+
+@pytest.mark.parametrize("model", [Product(1.0, 3.0, 0.1), _hull_model()],
+                         ids=["exp-affine", "tabulated"])
+def test_a_bridge_with_no_jump_reads_the_characteristic_at_its_start(model):
+    # the states a bridge reads are x to y - 1, or x alone: a bridge 3 -> 3 is bounded
+    # as 3 -> 4 is, on its window
+    assert BridgeSpec(3, 3).characteristic_states() == range(3, 4)
+    spec = BridgeSpec(3, 3, 0.3, 0.6)
+    one = BridgeSpec(3, 4, 0.3, 0.6)
+    assert model.characteristic_bounds(spec) == model.characteristic_bounds(one)
 
 
 @pytest.mark.parametrize("form", ["scalar", "array"])
@@ -262,9 +269,6 @@ def test_nan_states_are_refused_by_name(model, form):
             read(t, z)
     with pytest.raises(BadParameter, match=message):
         model.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(np.size(t), np.size(z)))
-    # a state range's ends are read as integers: int(nan) raised a bare ValueError
-    with pytest.raises(BadParameter, match="state range's end must be an integer, got nan"):
-        model.characteristic_bounds((0.2, 0.8), (np.nan, 3))
 
 
 @pytest.mark.parametrize("model", [ExpAffine(1.0, 1.0, 0.5), _hull_model()],
@@ -525,25 +529,25 @@ def test_tabulated_characteristic_is_the_three_read_assembly_bitwise():
 
 @st.composite
 def _tabulated_windows(draw):
-    """A drawn Tabulated model, a window whose ends cut pieces, and a range of its
-    states."""
+    """A drawn Tabulated model and a bridge on it, whose window's ends cut pieces."""
     model = _drawn_tabulated(draw(st.integers(0, 2 ** 32 - 1)))
     tg = model.t_grid
     a = draw(st.floats(0.0, 0.99))
     b = draw(st.floats(a + 1e-3, 1.0))
     zlo = draw(st.integers(0, 3))
-    return model, tuple(tg[0] + (1.0 - tg[0]) * np.array([a, b])), (zlo, draw(st.integers(zlo, 3)))
+    s, u = tg[0] + (1.0 - tg[0]) * np.array([a, b])
+    return model, BridgeSpec(zlo, draw(st.integers(zlo, 3)) + 1, s, u)
 
 
-def _assert_bounds_enclose_a_fine_scan(model, window, states):
+def _assert_bounds_enclose_a_fine_scan(model, spec):
     # the bounds are proved, so they contain the characteristic on a 1e-5 grid plus the
     # nodes inside the window (where it has kinks); they lie within BOUNDS_TOL of values
     # it takes, here the more extreme of the grid's extreme and its refinement on a
     # 1e-9 grid around it (which misses the extreme when it sits on a node)
-    (s, u), tg, zs = window, model.t_grid, np.arange(states[0], states[1] + 1)
+    s, u, tg, zs = spec.s, spec.u, model.t_grid, np.array(spec.characteristic_states())
     t = np.union1d(np.linspace(s, u, int(math.ceil((u - s) / 1e-5)) + 1), tg[(tg > s) & (tg < u)])
     scan = model.characteristic(t[:, None], zs)
-    b = model.characteristic_bounds(window, states)
+    b = model.characteristic_bounds(spec)
     for bound, sign in ((b.inf, 1.0), (b.sup, -1.0)):
         i, j = np.unravel_index(np.argmin(sign * scan), scan.shape)
         near = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 20001)
@@ -556,10 +560,16 @@ def _assert_bounds_enclose_a_fine_scan(model, window, states):
 @given(_tabulated_windows())
 # its sup sits on the node 0.854046, which the 1e-9 refinement grid misses by
 # 3.0e-6, against a tolerance of 2.2e-6
-@example((_drawn_tabulated(1807242853), (0.8236205, 0.9572133), (0, 0)))
+@example((_drawn_tabulated(1807242853), BridgeSpec(0, 1, 0.8236205, 0.9572133)))
 # its inf needs 23 cells of its piece: a cap of 16 left it 5.1e-4 loose, against
 # a tolerance of 4.9e-5
-@example((_drawn_tabulated(615858266), (0.4765364115868074, 0.8854923400346142), (2, 2)))
+@example((_drawn_tabulated(615858266), BridgeSpec(2, 3, 0.4765364115868074, 0.8854923400346142)))
+# rates that fall steeply within a piece: a rounding margin sized by the piece's
+# largest coefficient left these 5e-4, 1.2e-4, 3.4e-5 and 2.9e-6 loose
+@example((_drawn_tabulated(2026), BridgeSpec(2, 3, 0.7781523157442939, 1.0)))
+@example((_drawn_tabulated(87441), BridgeSpec(0, 1, 0.0919069477822315, 0.09900142475268282)))
+@example((_drawn_tabulated(871650), BridgeSpec(0, 1, 0.341937421078485, 0.4241952434436744)))
+@example((_drawn_tabulated(3987513231), BridgeSpec(0, 1, 0.25395683583957906, 0.2772706847195922)))
 def test_tabulated_characteristic_bounds_enclose_a_fine_scan(case):
     _assert_bounds_enclose_a_fine_scan(*case)
 
@@ -570,25 +580,25 @@ def test_characteristic_bounds_of_the_suite_tabulated_models(name):
     model = {"sin": lambda: Tabulated(tg, 0, (1.0 + 0.3 * np.arange(9.0))[None, :]
                                       * np.exp(np.sin(3.0 * tg))[:, None]),
              "exp": _tabulated, "exp-numeric": lambda: _tabulated(False), "hull": _hull_model}[name]()
-    _assert_bounds_enclose_a_fine_scan(model, (model.t_grid[0], model.t_grid[-1]),
-                                       (model.z_min, model.z_max - 1))
+    _assert_bounds_enclose_a_fine_scan(model, BridgeSpec(model.z_min, model.z_max, model.t_grid[0],
+                                                         model.t_grid[-1]))
 
 
 def test_constant_rate_table_has_characteristic_bounds_exactly_zero():
     model = Tabulated(np.linspace(0.0, 1.0, 5), 0, np.full((5, 4), 2.5), np.zeros((5, 4)))
-    assert model.characteristic_bounds((0.13, 0.77), (0, 2)) == (0.0, 0.0)
-    assert model.characteristic_bounds() == (0.0, 0.0)
+    assert model.characteristic_bounds(BridgeSpec(0, 3, 0.13, 0.77)) == (0.0, 0.0)
+    assert model.characteristic_bounds(BridgeSpec(0, 3)) == (0.0, 0.0)
 
 
 def test_characteristic_bounds_of_a_narrow_piece_stop_at_its_rounding_margin():
     # r = (1 + t) (1 + z): the characteristic is 1 / (1 + t) + 1 + t, least (2) at
-    # t = 0 on a piece 1e-6 wide, whose rounding margin (about 1.2e-5, from r' =
-    # 3 diff(r) / dx) halving does not shrink; the cells there close at that margin
+    # t = 0 on a piece 1e-6 wide, whose rounding margin (about 1.7e-7, from terms
+    # of size 1 / dx in r' and its cubic) stays in the bound
     tg = np.array([0.0, 1e-6, 1.0])
     model = Tabulated(tg, 0, np.outer(1.0 + tg, [1.0, 2.0, 3.0]), np.outer(np.ones(3), [1.0, 2.0, 3.0]))
-    b = model.characteristic_bounds()
-    assert 2.0 - 1e-4 < b.inf <= 2.0 and 2.5 <= b.sup < 2.5 + 1e-4
     spec = BridgeSpec(0, 2)
+    b = model.characteristic_bounds(spec)
+    assert 2.0 - 1e-4 < b.inf <= 2.0 and 2.5 <= b.sup < 2.5 + 1e-4
     h = solve_h(model, spec)
     assert np.max(np.abs(marginal_table(model, spec, h=h).probs
                          - marginal_table_two_sided(model, spec, h=h).probs)) < 1e-8
@@ -596,28 +606,28 @@ def test_characteristic_bounds_of_a_narrow_piece_stop_at_its_rounding_margin():
 
 def test_characteristic_bounds_of_large_rates_stop_at_their_rounding_margin():
     # rates about 5e5 whose characteristic stays within [-0.25, 0.36]: the rounding
-    # margin of r D (about 1e-6) is as large as BOUNDS_TOL, and the bounds stay
-    # within both of a fine scan
+    # margin of r D (about 6e-8 on a whole piece) is near BOUNDS_TOL, and the bounds
+    # stay within both of a fine scan
     tg = np.linspace(0.0, 1.0, 11)
     g = np.exp(0.1 * np.sin(3.0 * tg))
     states = 5e5 * (1.0 + 1e-7 * np.arange(3.0))
     model = Tabulated(tg, 0, np.outer(g, states), np.outer(0.3 * np.cos(3.0 * tg) * g, states))
-    b = model.characteristic_bounds()
+    b = model.characteristic_bounds(BridgeSpec(0, 2))
     scan = model.characteristic(np.linspace(0.0, 1.0, 100001)[:, None], [0, 1])
     assert 0.0 <= scan.min() - b.inf < 1e-5 and 0.0 <= b.sup - scan.max() < 1e-5
 
 
-@pytest.mark.parametrize("window, states, error, message", [
-    ((0.3, 0.6), (3, 2), EmptyRange, "empty state range"),
-    ((0.3, 0.6), (1, 3), OutOfDomain, "below floor 2"),
-    ((0.6, 0.3), (2, 3), BadWindow, r"need 0 <= s < u <= 1, got \[0.6, 0.3\]"),
-    ((0.3, 0.6), (2, 4), TabulationGap, r"state outside tabulated range \[2, 4\]"),
-    ((0.1, 0.6), (2, 3), TabulationGap, "tabulated hull"),
-], ids=["empty-range", "below-floor", "bad-window", "past-z-max", "outside-hull"])
-def test_tabulated_characteristic_bounds_refuse_what_they_cannot_bound(window, states, error,
-                                                                       message):
+@pytest.mark.parametrize("bridge, error, message", [
+    ((1, 4, 0.3, 0.6), OutOfDomain, "^state below floor 2$"),
+    ((2, 4, 0.6, 0.3), BadWindow, r"need 0 <= s < u <= 1, got \[0.6, 0.3\]"),
+    ((2, 5, 0.3, 0.6), TabulationGap, r"state outside tabulated range \[2, 4\]"),
+    ((2, 4, 0.1, 0.6), TabulationGap, "tabulated hull"),
+], ids=["below-floor", "bad-window", "past-z-max", "outside-hull"])
+def test_tabulated_characteristic_bounds_refuse_what_they_cannot_bound(bridge, error, message):
+    # the bridge's own rules read its window and its states (a reversed window never
+    # reaches the model), the model its floor and its table
     with pytest.raises(error, match=message):
-        _hull_model().characteristic_bounds(window, states)
+        _hull_model().characteristic_bounds(BridgeSpec(*bridge))
 
 
 def test_tabulated_rate_shapes():

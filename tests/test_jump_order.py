@@ -71,7 +71,7 @@ def _gap(early, late):
 def test_a_bridge_lies_between_its_lambda_bridges_at_its_bounds(model, spec):
     # a characteristic at least inf makes every jump no earlier than the inf-bridge's,
     # and at most sup no later than the sup-bridge's
-    bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+    bounds = model.characteristic_bounds(spec)
     times = _times(model, spec)
     gaps = (_gap(_lambda_times(bounds.inf, spec), times),
             _gap(times, _lambda_times(bounds.sup, spec)))
@@ -85,7 +85,7 @@ def test_a_lambda_strictly_inside_the_bounds_breaks_the_order():
     # some falls on each side (on n = 21 every path lies after the midpoint's)
     both = 0
     for model, spec in BRIDGES:
-        bounds = model.characteristic_bounds((spec.s, spec.u), (spec.x, spec.y - 1))
+        bounds = model.characteristic_bounds(spec)
         times = _times(model, spec)
         mid = _lambda_times(0.5 * (bounds.inf + bounds.sup), spec)
         gaps = (_gap(mid, times), _gap(times, mid))
@@ -113,7 +113,7 @@ def test_the_exact_sampler_orders_bridges_by_their_clocks():
     # those bounds, and a larger lambda's paths after a smaller one's
     spec = BridgeSpec(0, 25)
     model = ExpAffine(1.0, 0.5, 2.0)
-    bounds = model.characteristic_bounds((spec.s, spec.u))
+    bounds = model.characteristic_bounds(spec)
     times = {lam: sample_constant(ExpAffine(1.0, 0.0, lam), spec, 4 * PATHS, 3).times
              for lam in (bounds.inf, bounds.sup)}
     exact = sample_constant(model, spec, 4 * PATHS, 3).times

@@ -556,6 +556,66 @@ def test_a_laws_mean_curve_is_its_tables_bit_for_bit(model, spec, step):
     assert np.array_equal(curve, np.column_stack([table.times, table.offsets]))
 
 
+def _rate_one(n):
+    """Rate 1 tabulated on the knots 0, 0.5 and 1, states 0..n + 1."""
+    rates = np.ones((3, n + 2))
+    return Tabulated([0.0, 0.5, 1.0], 0, rates, np.zeros_like(rates))
+
+
+def _steep(n):
+    """exp(3 t) (1 + 0.1 z) tabulated on 11 knots, states 0..n + 1."""
+    rates = np.outer(np.exp(3.0 * _NODES), 1.0 + 0.1 * np.arange(n + 2.0))
+    return Tabulated(_NODES, 0, rates, 3.0 * rates)
+
+
+def _peak_and_estimate(read, monkeypatch):
+    """The traced peak of ``read()``, its result, and the largest estimate a memory
+    refusal checked on the way."""
+    from countbridge import engine, sampler
+    needs, real = [], engine.check_memory
+    for module in (engine, sampler, verify):
+        monkeypatch.setattr(module, "check_memory",
+                            lambda need, what: needs.append(need) or real(need, what))
+    tracemalloc.start()
+    try:
+        out = read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out, max(needs)
+
+
+@pytest.mark.parametrize("make, n, step", [
+    (_rate_one, 3, 1e-4), (_rate_one, 3, 1e-5), (_rate_one, 20, 1e-4), (_rate_one, 20, 1e-5),
+    (_steep, 200, 1e-3),
+], ids=["rate-one-3-1e-4", "rate-one-3-1e-5", "rate-one-20-1e-4", "rate-one-20-1e-5", "steep-200"])
+def test_a_solved_laws_peak_stays_within_the_estimate_its_refusals_checked(make, n, step,
+                                                                            monkeypatch):
+    # the refusals once counted the band of log h alone, and 32 bytes an output cell:
+    # table() peaked at 721-1025 bytes an output cell, so a step the cap admitted died
+    # with a MemoryError.  Now they count the rate probe, the nodes, and what the sweeps
+    # and the table hold beside the band
+    model, spec = make(n), BridgeSpec(0, n)
+    BridgeLaw(model, spec, 1e-2).paths(2, 1)  # lazy set-up, outside the trace
+    for read in ("table", "paths"):
+        law = BridgeLaw(model, spec, step)
+        peak, _, estimate = _peak_and_estimate(
+            law.table if read == "table" else lambda: law.paths(10, 1), monkeypatch)
+        assert peak <= estimate, read
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_an_exact_tables_peak_is_its_rows_and_their_ratios(n, monkeypatch):
+    # the log pmf once took two np.where copies and two out-of-place cumsums, 4.00 table
+    # sizes; summed in place it holds the rows, their ratios and a mask, 2.15-2.21 table
+    # sizes, within the estimate its refusal checked
+    law = BridgeLaw(ExpAffine(1.0, 0.1, 3.0), BridgeSpec(0, n))
+    law.table()  # lazy set-up, outside the trace
+    peak, table, estimate = _peak_and_estimate(law.table, monkeypatch)
+    assert peak <= estimate
+    assert peak <= 2.3 * table.probs.nbytes
+
+
 def test_a_law_refuses_a_state_below_the_model_floor():
     # the law only chooses the route; the exact clock refuses the bridge wherever it is read
     law = BridgeLaw(ExpAffine(1.0, 1.0, 0.5, state_floor=2), BridgeSpec(0, 4))
