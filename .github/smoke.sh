@@ -31,3 +31,12 @@ echo '{"family": "tabulated", "params": {"t_grid": [0, 0.5, 1], "z_min": 0,
   fi
   python3 -m countbridge marginals --model "$dir/rate1.json" --y 3 --step 1e-5 --out "$dir/admitted"
 )
+
+# An admitted fine step under a 1 GiB address-space limit, with one BLAS thread: the
+# exact paths of lln read no output grid, so at step 1.6e-8, whose grid of 6.25e7
+# times (477 MiB) the memory cap admits, they form none and must run
+(
+  ulimit -v $((1024 * 1024))
+  export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+  python3 -m countbridge lln --lambda 1 --N 5 --N 10 --N 20 --replicas 3 --step 1.6e-8 --out "$dir/fine"
+)

@@ -136,10 +136,11 @@ def check_memory(need, what):
                           f" the cap is {MEMORY_CAP / 2 ** 30:.0f} GiB")
 
 
-def output_times(spec, h_step):
-    """The uniform output grid of a bridge at ``h_step``, s and u included: every
-    table and mean curve is read on it.  A step that does not fit the window raises
-    BadStep, and one whose mesh would exceed the memory cap ResourceCap."""
+def output_cells(spec, h_step):
+    """The number of cells of a bridge's uniform output grid at ``h_step``: the one
+    rule every route checks its step by, whether or not it reads the grid, and which
+    allocates nothing.  A step that does not fit the window raises BadStep, and one
+    whose grid would exceed the memory cap ResourceCap."""
     if not h_step > 0:
         raise BadStep(f"h_step must be positive, got {count_text(h_step)}")
     if h_step >= spec.length:
@@ -148,8 +149,14 @@ def output_times(spec, h_step):
         raise BadStep("h_step must not exceed 1e-2")
     # four floats a cell, as many as the mesh's probe times; each route counts what it
     # holds on the grid itself
-    check_memory(32 * spec.length / h_step, f"a mesh of {spec.length / h_step:.3g} cells")
-    return np.linspace(spec.s, spec.u, max(2, int(round(spec.length / h_step))) + 1)
+    check_memory(32 * spec.length / h_step, f"an output grid of {spec.length / h_step:.3g} cells")
+    return max(2, int(round(spec.length / h_step)))
+
+
+def output_times(spec, h_step):
+    """The uniform output grid of a bridge at ``h_step``, s and u included, of
+    :func:`output_cells` cells: every table and mean curve is read on it."""
+    return np.linspace(spec.s, spec.u, output_cells(spec, h_step) + 1)
 
 
 def _with_midpoints(nodes):
@@ -651,12 +658,12 @@ def check_field(model, spec, h):
 
 
 def _field(model, spec, h_step, h):
-    """The h-field for a marginal route: solved unless given; a given one must
-    belong to this model and bridge and to h_step, and brings its own mesh."""
+    """The h-field for a marginal route: solved unless given; a given one must belong
+    to this model and bridge and, by its cell count, to h_step, and brings its grid."""
     if h is None:
         return solve_h(model, spec, h_step)
     check_field(model, spec, h)
-    if output_times(spec, h_step).size != h.mesh.out_times.size:
+    if output_cells(spec, h_step) != h.mesh.out_times.size - 1:
         raise BadStep("marginals must use the h_step the field was solved with")
     return h
 

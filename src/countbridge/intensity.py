@@ -563,8 +563,11 @@ class Tabulated(_RateModel):
             gap = (lo + margin < least - tol_least) | (hi - margin > most + tol_most)
             loose = (lo - margin < least - tol_least) | (hi + margin > most + tol_most)
             open_ = (gap | (loose & (margin < 0.75 * parent))) & (halving < _MAX_HALVINGS)
-            low = min(low, (lo - margin)[~open_].min(initial=math.inf))
-            high = max(high, (hi + margin)[~open_].max(initial=-math.inf))
+            # a bound that is nan (an overflowed ratio times a zero in its margin) bounds
+            # nothing: it counts as infinite, which the bounds then refuse
+            below, above = lo - margin, hi + margin
+            low = min(low, np.where(np.isnan(below), -np.inf, below)[~open_].min(initial=math.inf))
+            high = max(high, np.where(np.isnan(above), np.inf, above)[~open_].max(initial=-math.inf))
             if not open_.any():
                 bounds = CharacteristicBounds(float(low), float(high))
                 if not all(map(math.isfinite, bounds)):

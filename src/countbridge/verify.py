@@ -29,7 +29,7 @@ import numpy as np
 
 from .analytic import binomial_rows, binomial_tail, clock_cdf, tilted_cdf, tilted_cdf_window
 from .engine import (OUTPUT_STEP, STEP_BUDGET, BridgeSpec, MarginalTable, check_memory,
-                     marginal_table, output_times, second_differences, solve_h)
+                     marginal_table, output_cells, output_times, second_differences, solve_h)
 from .errors import BadParameter, DegenerateVariance, ResourceCap, TooFewSamples, count_text
 from .intensity import ExpAffine, _integral
 from .sampler import sample_bridge, sample_constant
@@ -52,12 +52,13 @@ CONVEXITY_TOL = 1e-8
 
 
 class BridgeLaw:
-    """One bridge's marginal table and paths, by its model's family, on its output grid
-    ``times`` (:func:`~countbridge.engine.output_times`), formed first, so every route
-    refuses the steps the grid refuses.  An ``ExpAffine`` bridge is exactly binomial
-    (:func:`~countbridge.analytic.clock_cdf`): its table is the Binomial(n, p(t)) pmf
-    on that grid, pinned at both ends, with offsets E[X_t] - x = n p(t), which
-    :meth:`_offset_curve` reads without the pmf, and its paths come from
+    """One bridge's marginal table and paths, by its model's family.  Its step is
+    checked first (:func:`~countbridge.engine.output_cells`, the number of ``cells`` of
+    its output grid), so every route refuses the steps the grid refuses, and only the
+    table and the mean curve form the grid, where they read it.  An ``ExpAffine``
+    bridge is exactly binomial (:func:`~countbridge.analytic.clock_cdf`): its table is
+    the Binomial(n, p(t)) pmf on that grid, pinned at both ends, with offsets E[X_t] - x
+    = n p(t), which :meth:`_offset_curve` reads without the pmf, and its paths come from
     :func:`sample_constant`.  Any other model's come from one h-field, solved on first
     use at ``step_budget``.  ``sampler`` names the route of the paths.  Each route
     refuses a bridge that starts below the model's state floor when it is first read."""
@@ -66,19 +67,20 @@ class BridgeLaw:
         self.model, self.spec, self.h_step, self.step_budget = model, spec, h_step, step_budget
         self.exact = isinstance(model, ExpAffine)
         self.sampler = "exact-tilted-order-statistics" if self.exact else "h-transform-inversion"
-        self.times = output_times(spec, h_step)
+        self.cells = output_cells(spec, h_step)
 
     @functools.cached_property
     def h(self):
         return solve_h(self.model, self.spec, self.h_step, self.step_budget)
 
     def _clock(self, per_time, what):
-        """p(t) on the output times, pinned at both ends, once ``per_time`` bytes a
-        time fit the memory cap; ``what`` names them."""
-        check_memory(per_time * self.times.size, what)
-        p = clock_cdf(self.model, self.spec, self.times)
+        """The output times and p(t) on them, pinned at both ends, formed once
+        ``per_time`` bytes a time fit the memory cap; ``what`` names them."""
+        check_memory(per_time * (self.cells + 1), what)
+        times = output_times(self.spec, self.h_step)
+        p = clock_cdf(self.model, self.spec, times)
         p[0], p[-1] = 0.0, 1.0
-        return p
+        return times, p
 
     def table(self):
         spec = self.spec
@@ -87,16 +89,18 @@ class BridgeLaw:
         # the rows, their log pmf's ratios and its mask, 17 bytes a (time, state) cell, and
         # one for the blocks validate reads; the clock's arrays, 64 bytes a time.  Measured
         # at 17.2-17.7 bytes a cell on 201 and 801 states, and 64 a time
-        p = self._clock(18 * (spec.n + 1) + 64,
-                        f"a table of {self.times.size} times x {count_text(spec.n + 1)} states")
-        return MarginalTable(spec, self.times, binomial_rows(spec.n, p), 0.0, spec.n * p).validate()
+        times, p = self._clock(18 * (spec.n + 1) + 64,
+                               f"a table of {self.cells + 1} times x {count_text(spec.n + 1)} states")
+        return MarginalTable(spec, times, binomial_rows(spec.n, p), 0.0, spec.n * p).validate()
 
     def _offset_curve(self):
         """(t, E[X_t] - x) rows, x left out so that they do not carry its rounding: an
         ``ExpAffine`` law's n p(t), without the pmf; any other's table's offsets."""
-        offset = (self.spec.n * self._clock(96, f"a mean curve of {self.times.size} times")
-                  if self.exact else self.table().offsets)
-        return np.column_stack([self.times, offset])
+        if not self.exact:
+            table = self.table()
+            return np.column_stack([table.times, table.offsets])
+        times, p = self._clock(96, f"a mean curve of {self.cells + 1} times")
+        return np.column_stack([times, self.spec.n * p])
 
     def paths(self, count, seed):
         if self.exact:

@@ -332,6 +332,26 @@ def test_a_replayed_step_the_output_grid_refuses_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["sample", "--lambda", "1", "--y", "2", "--replicas", "3"],
+    ["lln", "--lambda", "1", "--N", "5", "--N", "10", "--N", "20", "--replicas", "3"],
+    ["verify", "--lambda", "1", "--y", "3", "--check", "duality", "--replicas", "50"],
+], ids=["sample", "lln", "verify-duality"])
+def test_exact_paths_at_a_fine_step_form_no_output_grid(tmp_path, args):
+    # the exact paths read no grid, so their step is checked by its cell count alone:
+    # at step 1e-6 these runs once formed a grid of a million times (8.0 MB, 16.0 MB for
+    # lln, one a bridge), and peak at some 0.02-0.07 MB, as at the default step
+    args = args + ["--step", "1e-6"]
+    assert cli.main(args + ["--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
 def test_verify_solves_h_only_for_the_checks_that_read_it(tmp_path, monkeypatch):
     calls = []
     real = engine.solve_h
@@ -1498,6 +1518,39 @@ def test_a_rate_too_large_for_the_pin_layer_exits_2(tmp_path, args):
     assert r.returncode == 2
     assert r.stderr == ("countbridge: error: the largest rate at u, 1e+200, times the pin"
                         " layer's least step, 1.78e-15, is 1.78e+185, over 0.01\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top, code, err", [
+    (1e13, 2, "countbridge: error: the largest rate at u, 1e+13, times the pin layer's least"
+              " step, 1.78e-15, is 0.0178, over 0.01\n"),
+    (1e12, 0, ""),
+], ids=["refused", "admitted"])
+def test_the_pin_layer_refuses_the_rates_at_u_its_least_step_cannot_hold(tmp_path, capsys, top,
+                                                                         code, err):
+    # rates 1 and 1e13 (or 1e12) on states 0 and 1: the pin layer's least step, 8 ulps of
+    # u, keeps rate x step within STEP_BUDGET / 10 = 0.01 at 1e12, not at 1e13
+    rates = np.tile([1.0, top], (3, 1))
+    model = write_model(tmp_path, Tabulated([0.0, 0.5, 1.0], 0, rates, 0.0 * rates).to_dict())
+    out = tmp_path / "out"
+    assert cli.main(["marginals", "--model", model, "--y", "1", "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert (out / "marginals.csv").exists() == (code == 0)
+
+
+def test_verify_refuses_a_model_whose_characteristic_bounds_are_not_finite(tmp_path, capsys):
+    # a rate of 1e-310, subnormal, at a knot: its cells' coefficient ratios overflow, and
+    # their margins read nan.  The bounds once left those cells out and read (-4.09,
+    # -3.0), so convexity claimed "concave" and failed (exit 1) on a characteristic
+    # that reaches +40,000; now the bounds are infinite and refused
+    model = write_model(tmp_path, Tabulated(
+        [0.0, 0.5, 1.0], 0, [[1.0, 1.0, 1.0], [3.0, 1e-310, 1.0], [1.0, 1.0, 1.0]],
+        [[4.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-4.0, 0.0, 0.0]]).to_dict())
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--model", model, "--y", "2", "--check", "convexity",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("countbridge: error: the characteristic's bounds, -inf"
+                                       " and inf, are not finite\n")
     assert not out.exists()
 
 

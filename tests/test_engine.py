@@ -299,6 +299,23 @@ def test_two_sided_refuses_a_field_of_another_step():
         marginal_table_two_sided(model, spec, 1e-3, h=h)
 
 
+@pytest.mark.parametrize("route", [marginal_table, marginal_table_two_sided],
+                         ids=["pinned", "two-sided"])
+def test_a_given_field_is_checked_by_its_cell_count_not_a_second_grid(monkeypatch, route):
+    # a given field brings its grid: the step is checked against it by the cell count
+    # alone, so the route forms no second grid (each once formed one to compare sizes)
+    spec, model = BridgeSpec(0, 3), Poisson(1.0)
+    h = solve_h(model, spec)
+    calls = []
+    real = engine.output_times
+    monkeypatch.setattr(engine, "output_times", lambda *a: calls.append(a) or real(*a))
+    table = route(model, spec, h=h)
+    assert calls == []
+    assert table.times is h.mesh.out_times
+    with pytest.raises(BadStep, match="the h_step the field was solved with"):
+        route(model, spec, 2e-3, h=h)
+
+
 def test_marginals_refuse_a_field_of_another_bridge():
     # time-constant rates give both bridges the same mesh, so only the spec tells them apart
     tg = np.linspace(0.0, 1.0, 3)

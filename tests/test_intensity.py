@@ -617,17 +617,28 @@ def test_characteristic_bounds_of_large_rates_stop_at_their_rounding_margin():
     assert 0.0 <= scan.min() - b.inf < 1e-5 and 0.0 <= b.sup - scan.max() < 1e-5
 
 
-@pytest.mark.parametrize("bridge, error, message", [
-    ((1, 4, 0.3, 0.6), OutOfDomain, "^state below floor 2$"),
-    ((2, 4, 0.6, 0.3), BadWindow, r"need 0 <= s < u <= 1, got \[0.6, 0.3\]"),
-    ((2, 5, 0.3, 0.6), TabulationGap, r"state outside tabulated range \[2, 4\]"),
-    ((2, 4, 0.1, 0.6), TabulationGap, "tabulated hull"),
-], ids=["below-floor", "bad-window", "past-z-max", "outside-hull"])
-def test_tabulated_characteristic_bounds_refuse_what_they_cannot_bound(bridge, error, message):
+# a rate of 1e-310, subnormal, at the middle knot of state 1
+SUBNORMAL_RATE = ([0.0, 0.5, 1.0], 0, [[1.0, 1.0, 1.0], [3.0, 1e-310, 1.0], [1.0, 1.0, 1.0]],
+                  [[4.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-4.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("model, bridge, error, message", [
+    (_hull_model, (1, 4, 0.3, 0.6), OutOfDomain, "^state below floor 2$"),
+    (_hull_model, (2, 4, 0.6, 0.3), BadWindow, r"need 0 <= s < u <= 1, got \[0.6, 0.3\]"),
+    (_hull_model, (2, 5, 0.3, 0.6), TabulationGap, r"state outside tabulated range \[2, 4\]"),
+    (_hull_model, (2, 4, 0.1, 0.6), TabulationGap, "tabulated hull"),
+    (lambda: Tabulated(*SUBNORMAL_RATE), (0, 2), OutOfDomain,
+     "^the characteristic's bounds, -inf and inf, are not finite$"),
+], ids=["below-floor", "bad-window", "past-z-max", "outside-hull", "subnormal-rate"])
+def test_tabulated_characteristic_bounds_refuse_what_they_cannot_bound(model, bridge, error,
+                                                                       message):
     # the bridge's own rules read its window and its states (a reversed window never
-    # reaches the model), the model its floor and its table
+    # reaches the model), the model its floor and its table.  A subnormal rate makes
+    # its cells' coefficient ratios overflow, and their rounding margins, inf * 0, nan:
+    # such cells once dropped out of the bounds, which read (-4.09, -3.0) while the
+    # characteristic reaches -39,997.7 and +39,999.7 on a scan of 20,001 times
     with pytest.raises(error, match=message):
-        _hull_model().characteristic_bounds(BridgeSpec(*bridge))
+        model().characteristic_bounds(BridgeSpec(*bridge))
 
 
 def test_tabulated_rate_shapes():
