@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import tilted_quantile
-from .errors import (BadParameter, BadStep, ConservationLoss, GridTooCoarse, OutOfDomain,
-                     ResourceCap, Underflow, count_text)
+from .errors import (BadParameter, BadStep, ConservationLoss, OutOfDomain, ResourceCap, Underflow,
+                     count_text)
 from .intensity import _integral, _window
 
 # Per-step cap on (ladder depth) x (change in log remaining integrated rate);
@@ -196,7 +196,9 @@ class _Mesh:
     when what it would hold exceeds MEMORY_CAP: the rate probe, the nodes, and,
     once the windows are placed, the band of log h over them with what the
     sweeps and the table hold beside it.  The refusal is a
-    :class:`~countbridge.errors.ResourceCap` with the estimate.
+    :class:`~countbridge.errors.ResourceCap` with the estimate.  Node times
+    strictly increase: a window too short for its nodes to stay distinct in
+    floats is a :class:`~countbridge.errors.BadStep`, before any sweep.
     """
 
     def __init__(self, spec, h_step, model, budget=STEP_BUDGET):
@@ -246,11 +248,6 @@ class _Mesh:
         vv = v1[cell] + (v2[cell] - v1[cell]) * k / n_sub[cell]
         graded = np.minimum(edges[cell + 1], np.maximum(edges[cell], np.interp(-vv, -v_tab, t_tab)))
         fb = self.fwd_bounds = np.append(np.where(k == 0, edges[cell], graded), edges[n_c - 1])
-        # nondecreasing (monotone interpolation, clipped into cells): keep distinct nodes
-        keep = np.diff(fb, prepend=-np.inf) > 0
-        if not keep.all():
-            fb = self.fwd_bounds = fb[keep]
-            self.out_fb_idx = np.searchsorted(fb, edges[:-1])
 
         seg_a = _with_midpoints(fb)
         # d0 = d1 / ratio; ratio is exactly PIN_DEPTH when (u - s) / n >= dc and
@@ -265,6 +262,11 @@ class _Mesh:
         # within a few ulps of u, nodes of the geometric grading can round together
         ext = np.array([u - d1 * (d0 / d1) ** (i / n_ext) for i in range(1, n_ext + 1)])
         self.times = np.concatenate([seg_a, ext[np.diff(ext, prepend=-np.inf) > 0], [u]])
+        # on a window a few hundred ulps long, graded nodes and midpoints round together
+        flat = ~(np.diff(self.times) > 0)
+        if flat.any():
+            raise BadStep(f"mesh step rounds to 0 at t = {self.times[np.argmax(flat)]:.15g};"
+                          f" window too short for h_step {h_step:.3g}")
         self.n_fwd_nodes = seg_a.size
         self._place_windows(cuts)
         # beside the band of log h, 8 bytes a cell, what the sweeps hold a node: its times
@@ -728,21 +730,8 @@ def marginal_table_two_sided(model, spec, h_step=OUTPUT_STEP, h=None):
 
 
 def second_differences(curve):
-    """Central second differences over step^2 of a curve, an (m, 2) array of (t, f)
-    rows, on a uniform grid of finite, increasing times; any other curve, or one of
-    fewer than three rows, raises GridTooCoarse naming its fault."""
-    curve = np.asarray(curve, dtype=float)
-    if curve.ndim != 2 or curve.shape[1] != 2:
-        raise GridTooCoarse(f"a curve is an (m, 2) array of (t, f) rows, got shape {curve.shape}")
-    if curve.shape[0] < 3:
-        raise GridTooCoarse(f"need at least three points for second differences, got {curve.shape[0]}")
-    t, f = curve.T
-    steps = np.diff(t)
-    if not np.all(np.isfinite(t)):
-        raise GridTooCoarse("second differences need finite times")
-    if not steps.min() > 0.0:
-        raise GridTooCoarse("second differences need increasing times")
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise GridTooCoarse("second differences require a uniform grid")
-    d2 = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / steps[0] ** 2
+    """Central second differences over step^2 of a curve the package formed: an (m, 2)
+    array of (t, f) rows, m >= 3, on a uniform grid of increasing times."""
+    t, f = np.asarray(curve, dtype=float).T
+    d2 = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (t[1] - t[0]) ** 2
     return np.column_stack([t[1:-1], d2])

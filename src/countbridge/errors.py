@@ -69,10 +69,6 @@ class ConservationLoss(CountBridgeError):
     """Probability mass drifted beyond tolerance during forward integration."""
 
 
-class GridTooCoarse(CountBridgeError):
-    """Not enough grid points for the requested difference stencil."""
-
-
 class NotSorted(CountBridgeError):
     """Jump-time vector is not strictly increasing."""
 

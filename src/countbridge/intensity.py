@@ -1,17 +1,16 @@
 """Jump intensities of Markov counting processes on the unit time interval.
 
-A model gives the rate ``rate(t, z)`` of the next +1 jump at time t in state z,
-together with its exact time derivative ``rate_dt``.  From those two pieces the
-characteristic
+A model gives the rate of the next +1 jump at time t in state z, read one
+state's column at a time by ``rate_columns``, and the characteristic
 
-    char(t, z) = d/dt log rate(t, z) + rate(t, z+1) - rate(t, z)
+    char(t, z) = d/dt log rate(t, z) + rate(t, z+1) - rate(t, z),
 
-is assembled; it is the quantity that determines the law of the pinned
-(bridge) process, and every bound checked by :mod:`countbridge.verify` is a
-bound on it.  The parametric rates form one family, exp(lam t) (a + b z),
-whose characteristic lam + b exp(lam t) is free of the state; constant rates,
-rates linear in the state and rates exponential in time have a constant
-characteristic and serve as closed-form benchmarks throughout.
+assembled from the rate and its exact time derivative.  It is the quantity that
+determines the law of the pinned (bridge) process, and every bound checked by
+:mod:`countbridge.verify` is a bound on it.  The parametric rates form one family,
+exp(lam t) (a + b z), whose characteristic lam + b exp(lam t) is free of the
+state; constant rates, rates linear in the state and rates exponential in time
+have a constant characteristic and serve as closed-form benchmarks throughout.
 """
 
 from __future__ import annotations
@@ -150,23 +149,13 @@ class ExpAffine(_RateModel):
         if not (self.a + self.b * max(-2 ** 1000, min(self.state_floor, 2 ** 1000)) > 0):
             raise BadParameter("rate not positive at the state floor")
 
-    def rate(self, t, z):
-        t = _check_time(t)[0]
-        z = _check_state(z, self.state_floor, t)[0]
-        out = np.exp(self.lam * t) * (self.a + self.b * z)
-        return float(out) if out.ndim == 0 else out
-
-    def rate_dt(self, t, z):
-        return self.lam * self.rate(t, z)
-
     def rate_columns(self, times, states, lo, hi):
         """The rates on a time grid x state set, one state's column at a time,
         each on its own range: times lo[k] to hi[k] - 1 for states[k].
 
         The time checks and exp(lam * t) are done once, here; a bad time or
-        state raises from this call.  Each column is then e * (a + b * z) on
-        its range, in the order :meth:`rate` computes it, so bit for bit
-        ``rate(times, z)[lo:hi]``.
+        state raises from this call.  Each column is then e^(lam t) (a + b z)
+        on its range.
         """
         t = _check_time(times)[0]
         z = _check_state(states, self.state_floor)[0]
@@ -380,13 +369,13 @@ def _unproved_piece(b):
 class Tabulated(_RateModel):
     """Rates given on a time grid x contiguous state range.
 
-    Values between time nodes come from a cubic Hermite interpolant, so
-    ``rate_dt`` is the exact derivative of ``rate``.  Nodal time derivatives
+    Values between time nodes come from a cubic Hermite interpolant, and the
+    characteristic reads its exact time derivative.  Nodal time derivatives
     may be supplied; otherwise they are filled by centred differences on the
     grid and the model is flagged ``derivative_mode == "numeric"`` (a warning
     sign for characteristic-based checks, which need d/dt log rate).
-    ``rate``, ``rate_dt`` and ``characteristic`` broadcast times and states
-    together, as ``ExpAffine``'s do.
+    ``characteristic`` broadcasts times and states together, as ``ExpAffine``'s
+    does.
     """
 
     family = "tabulated"
@@ -453,31 +442,14 @@ class Tabulated(_RateModel):
                 raise OutOfDomain(f"state not an integer: {z[np.argmax(off)] if z.ndim else float(z)}")
         return t, z.astype(int)
 
-    def _read(self, t, z, *cubics):
-        """The ``cubics`` at times ``t`` and states ``z``, broadcast together, from
-        one check and one piece search; each is (coefficients, state offset), the
-        offset 1 reading the state above."""
-        t, z = self._locate(t, z, max(k for _, k in cubics))
-        i, powers = _pieces(self.t_grid, t)
-        idx = i * self.rates.shape[1] + (z - self.z_min)
-        return [_power_sum(c.reshape(c.shape[0], -1), idx + k, powers) for c, k in cubics]
-
-    def rate(self, t, z):
-        out, = self._read(t, z, (self._coef, 0))
-        return float(out) if out.ndim == 0 else out
-
-    def rate_dt(self, t, z):
-        out, = self._read(t, z, (self._coef_dt, 0))
-        return float(out) if out.ndim == 0 else out
-
     def rate_columns(self, times, states, lo, hi):
         """The rates on a time grid x state set, one state's column at a time,
         each on its own range: times lo[k] to hi[k] - 1 for states[k].
 
         The checks, the piece search and the powers of the offsets are done
         once, here; a bad time or state raises from this call.  Each column
-        then gathers its four coefficients on its range and sums them as
-        :meth:`rate` does, so bit for bit ``rate(times, z)[lo:hi]``.
+        then gathers its four coefficients on its range and sums them, lowest
+        power first, as scipy's PPoly does.
         """
         t, z = self._locate(times, states, paired=False)
         i, powers = _pieces(self.t_grid, t)
@@ -485,8 +457,13 @@ class Tabulated(_RateModel):
                 for col, a, b in zip(z - self.z_min, lo, hi))
 
     def characteristic(self, t, z):
-        """r'/r + r(., z+1) - r, r the state's cubic; 0 where r is not positive."""
-        r, r_dt, up = self._read(t, z, (self._coef, 0), (self._coef_dt, 0), (self._coef, 1))
+        """r'/r + r(., z+1) - r, r the state's cubic; 0 where r is not positive.  The
+        three cubics are read from one check and one piece search."""
+        t, z = self._locate(t, z, 1)
+        i, powers = _pieces(self.t_grid, t)
+        idx = i * self.rates.shape[1] + (z - self.z_min)
+        r, r_dt, up = (_power_sum(c.reshape(c.shape[0], -1), idx + k, powers)
+                       for c, k in ((self._coef, 0), (self._coef_dt, 0), (self._coef, 1)))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(r > 0.0, r_dt / r + up - r, 0.0)
         return float(out) if out.ndim == 0 else out
@@ -495,7 +472,8 @@ class Tabulated(_RateModel):
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def characteristic_bounds(self, spec):
         """Proved bounds of the characteristic over the bridge ``spec``'s window and the
-        states it reads; a state or time outside the table raises as :meth:`rate` does.
+        states it reads; a state or time outside the table raises as in
+        :meth:`characteristic`.
 
         On a piece it is (r' + r D) / r, r the state's cubic and D = r(., z+1)
         - r(., z).  In the degree-6 Bernstein basis, where the denominator's

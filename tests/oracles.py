@@ -9,14 +9,16 @@ touching the h-field, so they check the engine and the samplers from
 outside.  Every exp-affine bridge also has a closed form: on the clock
 tau(t) = expm1(lam t) / lam its rate is time-homogeneous, so log h is a
 negative-binomial (or Poisson) transition law and each marginal is binomial.
-They need scipy (``cumulative_simpson``, ``expm``, ``gammaln``, ``xlogy``); the package
-itself needs numpy only.
+The rates themselves are read from the closed form or from scipy's cubic Hermite
+spline.  They need scipy (``cumulative_simpson``, ``CubicHermiteSpline``, ``expm``,
+``gammaln``, ``xlogy``); the package itself needs numpy only.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import expm
 from scipy.special import gammaln, xlog1py, xlogy
 
@@ -68,17 +70,37 @@ class FullWindows:
         return getattr(self.model, name)
 
 
+def rate(model, t, z, dt=False):
+    """The rate of ``model`` (its time derivative if ``dt``) at times ``t`` and states
+    ``z``, broadcast together, from code the package does not share: the closed form
+    e^(lam t) (a + b z) of an ``ExpAffine``, and scipy's ``CubicHermiteSpline`` of a
+    ``Tabulated`` table (its ``derivative()``), which ``_hermite_coefficients`` is
+    written to match bit for bit.  Reads no domain check: the package's own readers
+    hold those."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z)
+    if isinstance(model, ExpAffine):
+        out = np.exp(model.lam * t) * (model.a + model.b * z)
+        out = model.lam * out if dt else out
+    else:
+        spline = CubicHermiteSpline(model.t_grid, model.rates, model.rates_dt, axis=0)
+        t, z = np.broadcast_arrays(t, z)
+        values = (spline.derivative() if dt else spline)(t.ravel())
+        out = values[np.arange(t.size), z.ravel().astype(int) - model.z_min].reshape(t.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def generic_characteristic(model, t, z):
-    """Characteristic assembled from three separate reads of the model: rate,
-    rate_dt and rate one state up.
+    """Characteristic assembled from three separate reads of :func:`rate`: the rate,
+    its time derivative and the rate one state up.
 
     Equals d/dt log rate + rate(., z+1) - rate(., z) where the rate is
     positive, and 0 where it vanishes; the reference for the closed forms of
     ``ExpAffine`` and for the one-read assembly of ``Tabulated``.
     """
-    lz = np.asarray(model.rate(t, z), dtype=float)
-    lt = np.asarray(model.rate_dt(t, z), dtype=float)
-    lup = np.asarray(model.rate(t, np.asarray(z) + 1), dtype=float)
+    lz = np.asarray(rate(model, t, z), dtype=float)
+    lt = np.asarray(rate(model, t, z, dt=True), dtype=float)
+    lup = np.asarray(rate(model, t, np.asarray(z) + 1), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(lz > 0.0, lt / lz + lup - lz, 0.0)
     return float(out) if out.ndim == 0 else out

@@ -332,6 +332,46 @@ def test_a_replayed_step_the_output_grid_refuses_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_step_that_does_not_fit_the_window_exits_2(tmp_path, capsys):
+    # the default step, 1e-3, is longer than the window [0.5, 0.5005]
+    out = tmp_path / "out"
+    assert cli.main(["marginals", "--lambda", "1", "--y", "3", "--s", "0.5", "--u", "0.5005",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("countbridge: error: h_step 0.001 does not fit the window"
+                                       " of length 0.0004999999999999449\n")
+    assert not out.exists()
+
+
+def test_a_window_too_short_for_its_mesh_exits_2(tmp_path):
+    # rate 1 on 0 -> 3 over a window of 1e-13, about 900 ulps of 0.5, at --step 1e-15:
+    # graded nodes and their midpoints round together.  The mesh once kept 38 zero
+    # steps there and served a table 9.5e-5 off Binomial(3, (t - s) / (u - s)) with
+    # exit 0, or a traceback under -W error::RuntimeWarning (PKG); now it refuses the
+    # bridge before any sweep, in under 90 characters
+    rates = np.ones((3, 4))
+    model = write_model(tmp_path, Tabulated([0.0, 0.5, 1.0], 0, rates, 0.0 * rates).to_dict())
+    out = tmp_path / "out"
+    r = run_cli("marginals", "--model", model, "--y", "3", "--s", "0.5", "--u", "0.5000000000001",
+                "--step", "1e-15", "--out", str(out))
+    assert r.returncode == 2
+    message = "mesh step rounds to 0 at t = 0.500000000000093; window too short for h_step 1e-15"
+    assert r.stderr == f"countbridge: error: {message}\n" and len(message) < 90
+    assert not out.exists()
+
+
+def test_a_remaining_rate_integral_that_underflows_exits_2(tmp_path):
+    # a constant rate of 1e-321, subnormal: the mesh's probe integrates it over steps
+    # of 2.5e-4 to 0, which leaves no log to grade the mesh by
+    rates = np.full((3, 4), 1e-321)
+    model = write_model(tmp_path, Tabulated([0.0, 0.5, 1.0], 0, rates, 0.0 * rates).to_dict())
+    out = tmp_path / "out"
+    r = run_cli("marginals", "--model", model, "--y", "3", "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr == ("countbridge: error: the remaining ladder-minimal integrated rate"
+                        " underflows to 0 at t = 0, before u = 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["sample", "--lambda", "1", "--y", "2", "--replicas", "3"],
     ["lln", "--lambda", "1", "--N", "5", "--N", "10", "--N", "20", "--replicas", "3"],

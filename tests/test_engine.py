@@ -16,12 +16,12 @@ from countbridge.analytic import binomial_rows, tilted_cdf, tilted_cdf_window
 from countbridge.engine import (BridgeSpec, MarginalTable, marginal_table,
                                 marginal_table_two_sided, second_differences,
                                 solve_h)
-from countbridge.errors import (BadParameter, BadStep, BadWindow, ConservationLoss,
-                                GridTooCoarse, ResourceCap, Underflow)
+from countbridge.errors import (BadParameter, BadStep, BadWindow, ConservationLoss, ResourceCap,
+                                Underflow)
 from countbridge.intensity import ExpAffine, Poisson, Tabulated, constant_characteristic_model
 from countbridge.sampler import sample_bridge
 from oracles import (FullWindows, Product, SpaceLinear, TimeExponential, dense_logh,
-                     exp_affine_logh, grid_index)
+                     exp_affine_logh, grid_index, rate)
 # the column kernel's tests live with it in test_kernel.py, which the numpy-only job
 # runs; imported here, they keep their ids in this module too
 from test_kernel import (test_column_step_matches_the_staged_step,  # noqa: F401
@@ -80,12 +80,14 @@ def test_solve_h_five_jump_value():
 
 def _pinned_grid(h, stop=None):
     """The pinned jump rates on the first ``stop`` mesh nodes (all by default), by
-    the engine's formula from the densified field: one column per ladder state, 0
-    where h of the state or of the one above is not solved."""
+    the engine's formula from the densified field and each state's whole column of
+    rates: one column per ladder state, 0 where h of the state or of the one above
+    is not solved."""
     stop = h.times.size if stop is None else stop
-    logh, t = dense_logh(h)[:stop], h.times[:stop]
-    return np.column_stack([engine._pinned(logh[:, zi + 1], logh[:, zi], h.model.rate(t, z))
-                            for zi, z in enumerate(h.spec.ladder()[:-1])] + [np.zeros(stop)])
+    logh, t, states = dense_logh(h)[:stop], h.times[:stop], h.spec.ladder()[:-1]
+    columns = h.model.rate_columns(t, states, np.zeros(states.size, int), np.full(states.size, stop))
+    return np.column_stack([engine._pinned(logh[:, zi + 1], logh[:, zi], rates)
+                            for zi, rates in enumerate(columns)] + [np.zeros(stop)])
 
 
 def test_bridge_intensity_poisson_alpha_cancels():
@@ -181,27 +183,6 @@ def test_second_differences():
     assert np.all(d2[:, 1] > 0)
     neg = second_differences(np.column_stack([t, 20.0 * tilted_cdf(-3.0, t)]))
     assert np.all(neg[:, 1] < 0)
-    with pytest.raises(GridTooCoarse):
-        second_differences(line[:2])
-    with pytest.raises(GridTooCoarse):
-        second_differences(np.column_stack([np.array([0.0, 0.1, 0.5]), np.zeros(3)]))
-
-
-@pytest.mark.parametrize("curve, message", [
-    (np.zeros((5, 1)), r"an \(m, 2\) array of \(t, f\) rows, got shape \(5, 1\)"),
-    (np.linspace(0.0, 1.0, 10), r"an \(m, 2\) array of \(t, f\) rows, got shape \(10,\)"),
-    (np.zeros((2, 2)), "need at least three points for second differences, got 2"),
-    (np.column_stack([np.full(3, 0.5), np.arange(3.0)]), "need increasing times"),
-    (np.column_stack([[0.0, 0.5, 0.25], np.arange(3.0)]), "need increasing times"),
-    (np.column_stack([[0.0, math.nan, 1.0], np.arange(3.0)]), "need finite times"),
-    (np.column_stack([[-math.inf, 0.0, math.inf], np.arange(3.0)]), "need finite times"),
-], ids=["one-column", "one-dimensional", "two-rows", "equal-times", "decreasing-time",
-        "nan-time", "infinite-times"])
-def test_second_differences_refuse_what_they_cannot_difference(curve, message):
-    # each once a bare IndexError, a count of a 1-D array's points, a RuntimeWarning
-    # and nan, or nan rows
-    with pytest.raises(GridTooCoarse, match=message):
-        second_differences(curve)
 
 
 def test_bad_step_errors():
@@ -337,7 +318,7 @@ def _loop_fwd_bounds(spec, h_step, model, budget=engine.STEP_BUDGET):
     n_c = max(2, int(round(spec.length / h_step)))
     edges = np.linspace(spec.s, spec.u, n_c + 1)
     probe_t = np.linspace(spec.s, spec.u, 4 * n_c + 1)
-    lmin = np.min(model.rate(probe_t[:, None], spec.ladder()), axis=1)
+    lmin = np.min(rate(model, probe_t[:, None], spec.ladder()), axis=1)
     seg = 0.5 * (lmin[:-1] + lmin[1:]) * np.diff(probe_t)
     lam_hat = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     t_tab, v_tab = probe_t[:-1], np.log(lam_hat[:-1])
@@ -652,24 +633,20 @@ def test_general_window_marginals():
 
 
 class _CountingModel:
-    """A model whose rate readers and rate grids are counted; ``per_state``
-    builds each reader from one ``rate(times[lo:hi], z)`` call per state."""
+    """A model whose rate readers are counted; ``per_state`` builds each reader from
+    one call per state of the oracle's ``rate(model, times[lo:hi], z)``."""
 
     def __init__(self, model, per_state=False):
         self.model, self.per_state = model, per_state
-        self.readers, self.grid_widths = [], []
+        self.readers = []
 
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def rate_grid(self, times, states):
-        self.grid_widths.append(len(states))
-        return self.model.rate(np.asarray(times)[:, None], states)
-
     def rate_columns(self, times, states, lo, hi):
         self.readers.append(len(states))
         if self.per_state:
-            return (self.model.rate(times[a:b], z) for z, a, b in zip(states, lo, hi))
+            return (rate(self.model, times[a:b], z) for z, a, b in zip(states, lo, hi))
         return self.model.rate_columns(times, states, lo, hi)
 
 
@@ -698,9 +675,8 @@ def test_sweeps_read_rates_through_one_reader_each(model, spec, monkeypatch):
                         marginal_table_two_sided(m, spec, 1e-2, h=h)))
     # one reader each for the mesh probe, solve_h, the pinned route and the two-sided
     # route, over the whole ladder but for the pin state, which the pinned route does
-    # not read; nothing asks for a grid
+    # not read
     assert counted.readers == [spec.n + 1, spec.n + 1, spec.n, spec.n + 1]
-    assert counted.grid_widths == []
     (h, one, two), (h_ref, one_ref, two_ref) = results
     assert np.array_equal(dense_logh(h), dense_logh(h_ref))
     assert np.array_equal(one.probs, one_ref.probs)

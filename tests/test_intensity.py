@@ -12,7 +12,7 @@ from countbridge.errors import (BadParameter, BadWindow, OutOfDomain, Tabulation
                                count_text)
 from countbridge.intensity import (_T_SLACK, BOUNDS_TOL, ExpAffine, Poisson, Tabulated,
                                    constant_characteristic_model, model_from_dict)
-from oracles import Product, SpaceLinear, TimeExponential, generic_characteristic
+from oracles import Product, SpaceLinear, TimeExponential, generic_characteristic, rate
 
 # ids spell each model as its legacy descriptor (family + params)
 FAMILY_IDS = {
@@ -25,11 +25,17 @@ FAMILY_IDS = {
 FAMILIES = list(FAMILY_IDS.values())
 
 
+def _rates(model, t, z):
+    """State z's rates at times ``t``, from the package's one rate reader."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return next(model.rate_columns(t, [z], [0], [t.size]))
+
+
 def test_rate_values():
-    assert Poisson(2.0).rate(0.3, 7) == 2.0
-    assert SpaceLinear(1.0, 0.5).rate(0.9, 3) == 3.5
-    assert TimeExponential(1.0, 3.0).rate(0.5, 0) == pytest.approx(math.exp(1.5), rel=1e-12)
-    assert Product(1.0, 3.0, 0.1).rate(0.5, 2) == pytest.approx(math.exp(1.5) * 1.2, rel=1e-12)
+    assert _rates(Poisson(2.0), 0.3, 7)[0] == 2.0
+    assert _rates(SpaceLinear(1.0, 0.5), 0.9, 3)[0] == 3.5
+    assert _rates(TimeExponential(1.0, 3.0), 0.5, 0)[0] == pytest.approx(math.exp(1.5), rel=1e-12)
+    assert _rates(Product(1.0, 3.0, 0.1), 0.5, 2)[0] == pytest.approx(math.exp(1.5) * 1.2, rel=1e-12)
 
 
 def test_characteristic_values():
@@ -51,15 +57,19 @@ def test_closed_form_matches_generic(model):
         assert closed == pytest.approx(generic, rel=1e-10, abs=1e-12)
 
 
+def _assert_characteristic_reads_the_rates_slope(model, ts, z, step=1e-5):
+    # the characteristic less its jump term, r(., z+1) - r, is d/dt log r: central
+    # differences of the log of the rates rate_columns reads hold it to 1e-4
+    dt_log = model.characteristic(ts, z) - (_rates(model, ts, z + 1) - _rates(model, ts, z))
+    fd = (np.log(_rates(model, ts + step, z)) - np.log(_rates(model, ts - step, z))) / (2 * step)
+    assert np.all(np.abs(dt_log - fd) <= 1e-4 * (1.0 + np.abs(dt_log)))
+
+
 @pytest.mark.parametrize("model", FAMILIES, ids=list(FAMILY_IDS))
 def test_rate_dt_matches_finite_differences(model):
-    # hypothesis: the stored derivative is the true time derivative
-    step = 1e-5
-    for t in np.linspace(2 * step, 1.0 - 2 * step, 50):
-        for z in range(10):
-            fd = (model.rate(t + step, z) - model.rate(t - step, z)) / (2 * step)
-            dt = model.rate_dt(t, z)
-            assert abs(dt - fd) <= 1e-4 * (1.0 + abs(dt))
+    # the time derivative the characteristic reads is the rate's true one
+    for z in range(10):
+        _assert_characteristic_reads_the_rates_slope(model, np.linspace(2e-5, 1.0 - 2e-5, 50), z)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
@@ -127,9 +137,9 @@ def test_a_zero_b_characteristic_keeps_its_bits():
 def test_domain_errors():
     m = Poisson(1.0, state_floor=2)
     with pytest.raises(OutOfDomain):
-        m.rate(0.5, 1)
+        m.characteristic(0.5, 1)
     with pytest.raises(OutOfDomain):
-        m.rate(1.5, 3)
+        m.characteristic(1.5, 3)
 
 
 def test_parameter_validation():
@@ -146,7 +156,7 @@ def test_rate_positive_down_to_a_negative_floor():
     with pytest.raises(ValueError):
         Product(1.0, 0.0, 0.1, state_floor=-20)
     m = Product(1.0, 0.0, 0.1, state_floor=-5)
-    assert m.rate(0.5, -5) == pytest.approx(0.5, rel=1e-15)
+    assert _rates(m, 0.5, -5)[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_constant_characteristic_model_covers_all_signs():
@@ -167,32 +177,31 @@ def _tabulated(with_dt=True):
 def test_tabulated_interpolation_and_derivative():
     m = _tabulated()
     assert m.derivative_mode == "supplied"
-    # Hermite interpolant: rate_dt is the exact derivative of rate
-    step = 1e-5
-    for t in (0.123, 0.5, 0.87):
-        fd = (m.rate(t + step, 2) - m.rate(t - step, 2)) / (2 * step)
-        assert abs(m.rate_dt(t, 2) - fd) <= 1e-4 * (1 + abs(m.rate_dt(t, 2)))
+    # Hermite interpolant: the characteristic reads the exact derivative of its cubic
+    _assert_characteristic_reads_the_rates_slope(m, np.array([0.123, 0.5, 0.87]), 2)
 
 
 def test_tabulated_numeric_derivative_flag():
     m = _tabulated(with_dt=False)
     assert m.derivative_mode == "numeric"
-    # centred differences of a smooth rate still track the truth loosely
-    assert m.rate_dt(0.5, 0) == pytest.approx(0.7 * math.exp(0.35), rel=1e-2)
+    # centred differences of a smooth rate still track the truth loosely: at z = 0 the
+    # characteristic is 0.7 e^(0.7 t) / (1 + e^(0.7 t)) + 0.5
+    slope = m.characteristic(0.5, 0) - 0.5
+    assert slope == pytest.approx(0.7 * math.exp(0.35) / (1.0 + math.exp(0.35)), rel=1e-2)
 
 
 def test_tabulated_gaps():
     m = _tabulated()
     with pytest.raises(TabulationGap):
-        m.rate(0.5, 6)
+        m.characteristic(0.5, 6)
     with pytest.raises(TabulationGap):
         m.characteristic(0.5, 5)  # needs z+1 = 6, off the grid
     tg = np.linspace(0.2, 0.8, 7)
     m2 = Tabulated(tg, 0, np.ones((7, 3)) + tg[:, None])
     with pytest.raises(TabulationGap):
-        m2.rate(0.1, 0)
+        m2.characteristic(0.1, 0)
     with pytest.raises(OutOfDomain):
-        m2.rate(1.2, 0)
+        m2.characteristic(1.2, 0)
 
 
 def _whole(n_times, n_states):
@@ -232,11 +241,12 @@ def test_a_bridge_with_no_jump_reads_the_characteristic_at_its_start(model):
 ], ids=["t-below-0", "t-above-1", "t-before-hull", "t-after-hull", "z-below-floor",
         "z-above-z-max", "t-and-z-below", "hull-and-floor", "hull-and-range"])
 def test_tabulated_boundaries(form, t, z, error, message):
+    # the characteristic reads the state above too: 3 is the highest it takes here
     m = _hull_model()
     if form == "array":
-        t, z = np.array([0.5, t, 0.6]), np.array([3, z, 4])
+        t, z = np.array([0.5, t, 0.6]), np.array([3, z, 3])
     with pytest.raises(error, match=message):
-        m.rate(t, z)
+        m.characteristic(t, z)
     with pytest.raises(error, match=message):
         m.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(3, 3))
 
@@ -247,9 +257,9 @@ def test_tabulated_refuses_a_non_integral_state(form, z):
     m = _hull_model()
     t = 0.5
     if form == "array":
-        t, z = np.array([0.5, t, 0.6]), np.array([3.0, z, 4.0])
+        t, z = np.array([0.5, t, 0.6]), np.array([3.0, z, 3.0])
     with pytest.raises(OutOfDomain, match="state not an integer: "):
-        m.rate(t, z)
+        m.characteristic(t, z)
     with pytest.raises(OutOfDomain, match="state not an integer: "):
         m.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(3, 3))
 
@@ -258,15 +268,14 @@ def test_tabulated_refuses_a_non_integral_state(form, z):
                          ids=["exp-affine", "tabulated"])
 @pytest.mark.parametrize("form", ["scalar", "array"])
 def test_nan_states_are_refused_by_name(model, form):
-    # the extent skipped NaN: ExpAffine's rate at [nan, 2] was [nan, 3.852] and its
-    # characteristic at nan was nan, while Tabulated called nan "not an integer"
+    # the extent skipped NaN: ExpAffine's characteristic at nan was nan, while Tabulated
+    # called nan "not an integer"
     t, z, message = 0.5, np.nan, "state is NaN at 1 of 1 entries, first at index 0"
     if form == "array":
         t, z = np.array([0.5, 0.5, 0.6]), np.array([3.0, np.nan, 4.0])
         message = "state is NaN at 1 of 3 entries, first at index 1"
-    for read in (model.rate, model.rate_dt, model.characteristic):
-        with pytest.raises(BadParameter, match=message):
-            read(t, z)
+    with pytest.raises(BadParameter, match=message):
+        model.characteristic(t, z)
     with pytest.raises(BadParameter, match=message):
         model.rate_columns(np.atleast_1d(t), np.atleast_1d(z), *_whole(np.size(t), np.size(z)))
 
@@ -279,31 +288,33 @@ def test_nan_states_are_refused_by_name(model, form):
     (np.nan, "time is NaN at 1 of 1 entries, first at index 0"),
 ], ids=["one", "all", "scalar"])
 def test_nan_times_are_refused_by_name(model, t, message):
-    # a range test lets NaN through: ExpAffine's rate would be NaN there, Tabulated's
-    # characteristic 0, and an all-NaN characteristic "leaves the float range"
-    for read in (model.rate, model.rate_dt, model.characteristic):
-        with pytest.raises(BadParameter, match=message):
-            read(t, 3)
+    # a range test lets NaN through: Tabulated's characteristic would be 0 there, and
+    # an all-NaN ExpAffine characteristic "leaves the float range"
+    with pytest.raises(BadParameter, match=message):
+        model.characteristic(t, 3)
     with pytest.raises(BadParameter, match=message):
         model.rate_columns(np.atleast_1d(t), [3], *_whole(np.size(t), 1))
 
 
 def test_tabulated_integral_float_states_pass():
     m = _hull_model()
-    assert m.rate(0.5, 3.0) == m.rate(0.5, 3)
-    np.testing.assert_array_equal(m.rate(np.array([0.3, 0.6]), np.array([2.0, 4.0])),
-                                  m.rate(np.array([0.3, 0.6]), np.array([2, 4])))
+    assert m.characteristic(0.5, 3.0) == m.characteristic(0.5, 3)
+    np.testing.assert_array_equal(m.characteristic(np.array([0.3, 0.6]), np.array([2.0, 3.0])),
+                                  m.characteristic(np.array([0.3, 0.6]), np.array([2, 3])))
     ts = np.array([0.3, 0.6])[:, None]
-    np.testing.assert_array_equal(m.rate(ts, [2.0, 4.0]), m.rate(ts, [2, 4]))
+    np.testing.assert_array_equal(m.characteristic(ts, [2.0, 3.0]), m.characteristic(ts, [2, 3]))
+    np.testing.assert_array_equal(next(m.rate_columns(ts[:, 0], [4.0], [0], [2])),
+                                  next(m.rate_columns(ts[:, 0], [4], [0], [2])))
 
 
 def test_tabulated_edges_and_empty_arrays_pass():
     m = _hull_model()
-    assert m.rate(0.2, 2) == pytest.approx(1.2, rel=1e-14)
-    assert m.rate(0.8, 4) == pytest.approx(1.8, rel=1e-14)
-    assert m.rate(np.array([]), np.array([], dtype=int)).shape == (0,)
-    assert m.rate(np.array([])[:, None], [2, 3]).shape == (0, 2)
-    assert m.rate(np.array([0.5])[:, None], np.array([], dtype=int)).shape == (1, 0)
+    assert _rates(m, 0.2, 2)[0] == pytest.approx(1.2, rel=1e-14)
+    assert _rates(m, 0.8, 4)[0] == pytest.approx(1.8, rel=1e-14)
+    assert m.characteristic(0.8, 3) == pytest.approx(1.0 / 1.8, rel=1e-12)
+    assert m.characteristic(np.array([]), np.array([], dtype=int)).shape == (0,)
+    assert m.characteristic(np.array([])[:, None], [2, 3]).shape == (0, 2)
+    assert m.characteristic(np.array([0.5])[:, None], np.array([], dtype=int)).shape == (1, 0)
 
 
 def test_tabulated_positivity_enforced():
@@ -318,7 +329,7 @@ def test_json_roundtrip(tmp_path):
         rebuilt = model_from_dict(json.loads(json.dumps(d)))
         ts = np.linspace(0, 1, 7)
         for z in range(3):
-            np.testing.assert_allclose(rebuilt.rate(ts, z), model.rate(ts, z), rtol=1e-12)
+            np.testing.assert_allclose(_rates(rebuilt, ts, z), _rates(model, ts, z), rtol=1e-12)
     with pytest.raises(ValueError):
         model_from_dict({"family": "nope", "params": {}})
 
@@ -356,7 +367,7 @@ def test_an_exp_affine_floor_is_an_integer():
         model = ExpAffine(1.0, b, 0.0, 10 ** 400)
         assert model_from_dict(json.loads(json.dumps(model.to_dict()))) == model
         with pytest.raises(OutOfDomain, match="^state below floor 1.00e\\+400$"):
-            model.rate(0.5, 3)
+            model.characteristic(0.5, 3)
     with pytest.raises(BadParameter, match="rate not positive at the state floor"):
         ExpAffine(1.0, 0.5, 0.0, -10 ** 400)
 
@@ -414,13 +425,13 @@ def test_a_legacy_descriptor_names_its_first_bad_parameter(descriptor, first):
 
 
 def test_rate_grid_matches_pointwise():
+    # a state's column over a grid of times holds the rates read one time at a time
     for model in FAMILIES + [_tabulated()]:
         times = np.linspace(0.05, 0.95, 9)
-        states = np.arange(0, 4)
-        grid = model.rate(times[:, None], states)
-        for i, t in enumerate(times):
-            for j, z in enumerate(states):
-                assert grid[i, j] == pytest.approx(model.rate(float(t), int(z)), rel=1e-12)
+        for z in range(4):
+            column = _rates(model, times, z)
+            for t, r in zip(times, column):
+                assert r == pytest.approx(_rates(model, t, z)[0], rel=1e-12)
 
 
 def test_tabulated_matches_scipy_cubic_hermite_bitwise():
@@ -434,19 +445,24 @@ def test_tabulated_matches_scipy_cubic_hermite_bitwise():
         rates = rng.uniform(1.0, 1.5, (m, w))
         model = Tabulated(tg, 2, rates, rng.normal(0.0, 0.3, (m, w)) if trial % 2 else None)
         ref = CubicHermiteSpline(tg, rates, model.rates_dt, axis=0)
-        ref_dt = ref.derivative()
         # random points, every node, and just outside the hull (within _T_SLACK)
         ts = np.concatenate([rng.uniform(tg[0], tg[-1], 100), tg,
                              [tg[0] - 0.5 * _T_SLACK, tg[-1] + 0.5 * _T_SLACK]])
         zs = np.arange(2, 2 + w)
-        assert np.array_equal(model.rate(ts[:, None], zs), ref(ts))
-        assert np.array_equal(model.rate_dt(ts[:, None], zs), ref_dt(ts))
+
+        def columns(states):
+            return np.column_stack(list(model.rate_columns(ts, states, *_whole(ts.size, len(states)))))
+        assert np.array_equal(columns(zs), ref(ts))
         # a subset of the states gathers the same bits
         sub = rng.permutation(zs)[: max(1, w // 2)]
-        assert np.array_equal(model.rate(ts[:, None], sub), ref(ts)[:, sub - 2])
+        assert np.array_equal(columns(sub), ref(ts)[:, sub - 2])
         for t, z in zip(ts[::7], rng.integers(2, 2 + w, ts.size)[::7]):
-            assert model.rate(float(t), int(z)) == ref(t)[z - 2]
-            assert model.rate_dt(float(t), int(z)) == ref_dt(t)[z - 2]
+            assert _rates(model, t, z)[0] == ref(t)[z - 2]
+        # the characteristic reads the spline's derivative bit for bit (generic_characteristic
+        # assembles it from ref.derivative()), at every state with one above it
+        below = zs[:-1]
+        assert np.array_equal(model.characteristic(ts[:, None], below),
+                              generic_characteristic(model, ts[:, None], below))
 
 
 def test_tabulated_refuses_a_dip_between_nodes():
@@ -475,7 +491,7 @@ def test_tabulated_positivity_is_proved_up_to_a_tangent(lift, refused):
         with pytest.raises(ValueError, match="dip to zero"):
             Tabulated(*args)
     else:
-        assert Tabulated(*args).rate(0.5, 0) > 0.0
+        assert _rates(Tabulated(*args), 0.5, 0)[0] > 0.0
 
 
 def test_tabulated_positivity_enclosure_agrees_with_a_dense_scan():
@@ -642,24 +658,25 @@ def test_tabulated_characteristic_bounds_refuse_what_they_cannot_bound(model, br
 
 
 def test_tabulated_rate_shapes():
+    # the characteristic, a model's one pointwise read of its rates, broadcasts times
+    # and states together, read through the same checks as the table's rate columns
     m = _tabulated()
     ts, zs = np.linspace(0.05, 0.95, 4), np.array([0, 2, 4])
-    assert isinstance(m.rate(0.3, 1), float) and isinstance(m.rate_dt(0.3, 1), float)
     assert isinstance(m.characteristic(0.3, 1), float)
-    assert m.rate(ts, 2).shape == (4,)
-    assert m.rate(0.3, zs).shape == (3,)
-    assert m.rate(ts[:3], zs).shape == (3,)                # paired when they match
-    assert m.rate(ts[:, None], zs[None, :]).shape == (4, 3)
+    assert m.characteristic(ts, 2).shape == (4,)
+    assert m.characteristic(0.3, zs).shape == (3,)
+    assert m.characteristic(ts[:3], zs).shape == (3,)                # paired when they match
+    assert m.characteristic(ts[:, None], zs[None, :]).shape == (4, 3)
     # times and states broadcast as ExpAffine's do: 1-D arrays of two lengths do not,
     # and are refused by name
     p = Product(1.0, 3.0, 0.1)
-    for read in (m.rate, m.rate_dt, m.characteristic, p.rate, p.rate_dt, p.characteristic):
+    for read in (m.characteristic, p.characteristic):
         with pytest.raises(BadParameter, match=r"states \(3,\) do not broadcast with times \(4,\)"):
             read(ts, zs)
-    grid = m.rate(ts[:, None], zs)
-    np.testing.assert_array_equal(m.rate(ts[:3], zs), np.diag(grid[:3]))
-    np.testing.assert_array_equal(m.rate(0.3, zs), m.rate(np.array([[0.3]]), zs)[0])
-    np.testing.assert_array_equal(m.rate(ts, 2), grid[:, 1])
+    grid = m.characteristic(ts[:, None], zs)
+    np.testing.assert_array_equal(m.characteristic(ts[:3], zs), np.diag(grid[:3]))
+    np.testing.assert_array_equal(m.characteristic(0.3, zs), m.characteristic(np.array([[0.3]]), zs)[0])
+    np.testing.assert_array_equal(m.characteristic(ts, 2), grid[:, 1])
 
 
 READER_MODELS = {
@@ -678,13 +695,14 @@ def test_rate_columns_are_the_rate_grid_columns_bitwise(model, order):
     # each state's own range, one of them empty, is the slice of its whole column
     lo = np.minimum([0, 3, 10, 20, 31], times.size)
     hi = np.minimum([times.size, 40, 11, 20, 75], times.size)
+    # the grid is the oracle's, the closed form or scipy's cubic Hermite spline
     for states in ([0, 1, 2, 3, 5], [5, 3, 2, 1, 0]):
-        grid = model.rate(times[:, None], states)
+        grid = rate(model, times[:, None], states)
         columns = list(model.rate_columns(times, states, *_whole(times.size, len(states))))
         assert len(columns) == len(states)
         for z, col in zip(states, columns):
             assert col.shape == times.shape
-            assert np.array_equal(col, model.rate(times[:, None], [z])[:, 0])
+            assert np.array_equal(col, rate(model, times, z))
             assert np.array_equal(col, grid[:, states.index(z)])
         ranged = list(model.rate_columns(times, states, lo, hi))
         assert len(ranged) == len(states)

@@ -1,15 +1,19 @@
 """The README's examples, run: every command of its command block exits as its
-comment states, every descriptor it shows loads, and every sampler name and
-option default it quotes is the package's.  Imports no scipy, so the README's
-commands are held on numpy alone."""
+comment states, every descriptor it shows loads, and every sampler name, option
+default and Layout name it quotes is the package's.  Imports no scipy, so the
+README's commands are held on numpy alone."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import countbridge
 from countbridge import cli
 from countbridge.engine import BridgeSpec
 from countbridge.intensity import ExpAffine, Tabulated, model_from_dict
@@ -75,3 +79,30 @@ def test_every_default_the_readme_quotes_is_the_option_tables():
     for option in cli._OPTIONS.values():
         if option.flag in quoted:
             assert float(quoted[option.flag]) == option.defaults["verify"], option.flag
+
+
+def _layout():
+    """(module, names) of each row of the README's Layout table that names a package
+    module: its backticked Python identifiers, a call's arguments dropped."""
+    section = README.read_text().split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(countbridge(?:\.\w+)?)` \| (.*) \|$", section, re.M)
+    return [(importlib.import_module(module), re.findall(r"`([A-Za-z_]\w*)(?:\([\w, ]*\))?`", cell))
+            for module, cell in rows]
+
+
+def _classes(module):
+    return [c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__]
+
+
+def test_every_name_the_readme_layout_gives_exists_in_its_module():
+    # every module of the package has a row; a name is the row's module's, or of a class
+    # it defines, so a deleted function or method cannot linger in the table; a class of
+    # another row's module may be named beside them, and `countbridge` is the command
+    layout = _layout()
+    modules = {f"countbridge.{m.name}" for m in pkgutil.iter_modules(countbridge.__path__)}
+    assert {module.__name__ for module, _ in layout} == {"countbridge"} | modules - {"countbridge.__main__"}
+    elsewhere = {c.__name__ for module, _ in layout for c in _classes(module)}
+    for module, names in layout:
+        for name in names:
+            assert (hasattr(module, name) or any(hasattr(c, name) for c in _classes(module))
+                    or name in elsewhere or name == "countbridge"), (module.__name__, name)

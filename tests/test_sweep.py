@@ -11,7 +11,9 @@ exact law at the published 1e-6.  The families:
   ``oracles.separable_marginals``;
 - time-only tables, whose characteristic is the same in every state: X_t - x is
   Binomial(n, p(t)), p from ``oracles.time_only_cdf``;
-- constant-rate flats 0 -> n on [0, 1], n up to 200: Binomial(n, t);
+- constant-rate flats 0 -> n on [0, 1], n up to 1,000: Binomial(n, t);
+- tall separable tables f(t) (1 + z / 100), 0 -> n on [0, 1] at n = 500 and 1,000:
+  their characteristic is the same in every state, so they are time-only too;
 - steep rates 1 + b z, constant in time: the bridge of ExpAffine(1, b, 0);
 - ``ExpAffine`` bridges through the engine, though the CLI reads them from
   their closed form.
@@ -83,6 +85,16 @@ def _flat(n):
     return model, spec, _exp_affine_law(ExpAffine(1.0, 0.0, 0.0), spec)
 
 
+def _tall_separable(n):
+    """f(t) (1 + z / 100) on states 0..n, f = 1 + 0.2 sin(2 t) on 6 knots with its exact
+    f': the characteristic f'/f + f / 100 is the same in every state."""
+    spec = BridgeSpec(0, n)
+    t = np.linspace(0.0, 1.0, 6)
+    g = 1.0 + 0.01 * np.arange(n + 1.0)
+    model = Tabulated(t, 0, np.outer(1.0 + 0.2 * np.sin(2.0 * t), g), np.outer(0.4 * np.cos(2.0 * t), g))
+    return model, spec, lambda times: binomial_pmf(n, time_only_cdf(model, spec, times))
+
+
 def _steep(seed):
     """Rates 1 + b z on knots 0, 0.5 and 1, b from 30 to 2,000, constant in time."""
     rng = np.random.default_rng(seed)
@@ -102,7 +114,7 @@ def _exp_affine(seed):
 
 
 FAMILIES = {"separable": _separable, "time-only": _time_only, "flat": _flat,
-            "steep": _steep, "exp-affine": _exp_affine}
+            "tall-separable": _tall_separable, "steep": _steep, "exp-affine": _exp_affine}
 
 # the seeds of each family (for flats, the jump count n); steep 3021, from a wider
 # run of the same families, has the tilt 35.82 over its window, where state x's
@@ -110,7 +122,8 @@ FAMILIES = {"separable": _separable, "time-only": _time_only, "flat": _flat,
 SEEDS = {
     "separable": range(9),
     "time-only": range(100, 108),
-    "flat": (5, 20, 26, 69, 100, 136, 200),
+    "flat": (5, 20, 26, 69, 100, 136, 200, 500, 1000),
+    "tall-separable": (500, 1000),
     "steep": (*range(200, 206), 3021),
     "exp-affine": range(300, 308),
 }
@@ -135,12 +148,17 @@ def _errors(name):
 
 NAMES = [f"{family}-{seed}" for family, seeds in SEEDS.items() for seed in seeds]
 
-# The default mesh's misses, all in the tails (every pmf holds): ROADMAP item 23
-# serves a table refined until its own error estimate is below the tolerance.
+# The default mesh's misses, all in the tails (every pmf holds), and growing about
+# linearly with n on the tall bridges: ROADMAP item 23 serves a table refined until
+# its own error estimate is below the tolerance.
 MISSES = {
     "flat-69": "tails 1.14e-6 off Binomial(69, t)",
     "flat-136": "tails 1.63e-6 off Binomial(136, t)",
     "flat-200": "tails 1.96e-6 off Binomial(200, t)",
+    "flat-500": "tails 6.41e-6 off Binomial(500, t)",
+    "flat-1000": "tails 1.20e-5 off Binomial(1000, t)",
+    "tall-separable-500": "tails 6.50e-6 off its binomial law, 0 -> 500 on [0, 1]",
+    "tall-separable-1000": "tails 1.15e-5 off its binomial law, 0 -> 1000 on [0, 1]",
     "exp-affine-302": "tails 1.45e-6 off the closed form, 3 -> 68 on [0.282, 0.999]",
     "exp-affine-307": "tails 2.46e-6 off the closed form, 2 -> 80 on [0.269, 0.852]",
 }
